@@ -1,6 +1,6 @@
 //! Harness observability report: profiles the simulator *as a program*.
 //!
-//! Four views, all produced in one invocation:
+//! Three views, all produced in one invocation:
 //!
 //! 1. **Host self-profile** — per-protocol runs of one kernel with
 //!    `MachineConfig::paper_hostobs`: wall-time breakdown by dispatch
@@ -12,11 +12,7 @@
 //!    identical chain, and a hostobs-*off* run must produce identical
 //!    simulated results (cycles and instructions) — profiling never
 //!    perturbs the machine.
-//! 3. **PDES sharded core** — every protocol re-run on the sharded core
-//!    at 2 and 4 shards; each run's fingerprint chain must be identical
-//!    to the serial chain (cycle-exactness, event by event), and the
-//!    per-shard epoch/handoff/barrier accounting is printed and exported.
-//! 4. **Sweep-pool profile** — a small kernel×protocol sweep run cold and
+//! 3. **Sweep-pool profile** — a small kernel×protocol sweep run cold and
 //!    then warm: per-worker utilization, per-cell durations and sources,
 //!    cache hit counters, a Chrome trace of the pool
 //!    (`<out>/sweep_trace.json`), and proof that fingerprints survive the
@@ -178,63 +174,7 @@ fn main() -> ExitCode {
     }
     println!("golden guard: hostobs on/off simulated results identical ({} protocols)", chains.len());
 
-    // ---- 3. PDES sharded core: cycle-exact across shard counts --------
-    let mut pdes_cells = Vec::new();
-    for shards in [2usize, 4] {
-        for (protocol, cycles, instructions, chain) in &chains {
-            let tag = protocol_name(*protocol);
-            let r = run_kernel(
-                &mut Machine::new(MachineConfig::paper_hostobs(procs, *protocol).with_shards(shards)),
-                &kernel,
-            );
-            let fp = r.fingerprint.as_ref().expect("sharded hostobs run carries a fingerprint");
-            if let Some(d) = chain.first_divergence(fp) {
-                eprintln!("pdes: {tag} {shards}-shard fingerprint diverged from serial: {d:?}");
-                return ExitCode::FAILURE;
-            }
-            if (r.cycles, r.instructions) != (*cycles, *instructions) {
-                eprintln!(
-                    "pdes: {tag} {shards}-shard run changed simulated results (serial: {cycles} cycles, sharded: {})",
-                    r.cycles
-                );
-                return ExitCode::FAILURE;
-            }
-            let host = r.host.as_ref().expect("sharded run carries a host profile");
-            let p = host.pdes.as_ref().expect("sharded run surfaces a PDES section");
-            println!(
-                "pdes: {tag} {} shards fingerprint chain identical to serial ({} cycles)",
-                p.shards, r.cycles
-            );
-            println!(
-                "  lookahead {} cycles, {} epochs ({:.1} events/epoch), {} handoffs, {} direct cross, barriers {:.1} ms",
-                p.lookahead,
-                p.epochs,
-                p.events_per_epoch(),
-                p.handoff_events,
-                p.direct_cross,
-                p.barrier_nanos as f64 / 1e6
-            );
-            for s in &p.per_shard {
-                println!(
-                    "  shard {}: {} pops, {} scheduled, handlers {:.1} ms, sub-chain {}",
-                    s.shard,
-                    s.pops,
-                    s.scheduled,
-                    s.handler_nanos as f64 / 1e6,
-                    s.chain.map_or("-".into(), |(lo, hi)| format!("{lo:016x}{hi:016x}"))
-                );
-            }
-            pdes_cells.push(Json::obj([
-                ("protocol", Json::from(tag)),
-                ("shards", Json::from(shards)),
-                ("cycles", Json::U64(r.cycles)),
-                ("pdes", p.to_json()),
-            ]));
-        }
-    }
-    println!("determinism: sharded fingerprints match serial chains ({} cells)", pdes_cells.len());
-
-    // ---- 4. Sweep-pool profile: cold, then memo-warm ------------------
+    // ---- 3. Sweep-pool profile: cold, then memo-warm ------------------
     let sweep_procs: Vec<usize> = if procs > 1 { vec![procs, (procs / 2).max(1)] } else { vec![procs] };
     let specs: Vec<RunSpec> = sweep_procs
         .iter()
@@ -306,12 +246,11 @@ fn main() -> ExitCode {
     }
     println!("sweep trace: {trace_path} ({} events)", trace.len());
 
-    // ---- 5. Machine-readable document ---------------------------------
+    // ---- 4. Machine-readable document ---------------------------------
     let payload = Json::obj([
         ("kernel", Json::from(kernel_name)),
         ("procs", Json::from(procs)),
         ("runs", Json::Arr(runs)),
-        ("pdes", Json::Arr(pdes_cells)),
         (
             "sweep",
             Json::obj([

@@ -23,13 +23,6 @@
 //! is asserted for these cells too (checkpointing may not perturb the
 //! simulation). `PPC_CHECKPOINT_MAX_RATIO` gates the *densest* cadence's
 //! ratio the same way `max_ratio` gates obs-on.
-//!
-//! A third section measures the parallelism-observability collector
-//! (`MachineConfig::with_parobs`): every cell re-runs obs-off with touch
-//! recording and epoch conflict accounting on, asserting cycle and
-//! instruction equality and conflict-count closure per cell.
-//! `PPC_PAROBS_MAX_RATIO` gates the wall-clock ratio against the bare
-//! runs; CI passes 1.15.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -199,62 +192,6 @@ fn main() -> ExitCode {
         ]));
     }
 
-    // Parobs overhead: the same cells, obs-off, with the parallelism
-    // collector (touch recording + epoch conflict accounting) on. Cycle
-    // and instruction equality is asserted — parobs is passive — and
-    // `PPC_PAROBS_MAX_RATIO` gates the wall-clock ratio against the bare
-    // runs the same way the other sections gate theirs.
-    let parobs_max_ratio = match env_cfg::parse_positive_f64(
-        "PPC_PAROBS_MAX_RATIO",
-        std::env::var("PPC_PAROBS_MAX_RATIO").ok().as_deref(),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut parobs_wall = 0.0_f64;
-    let (mut parobs_events, mut parobs_touches, mut parobs_conflicts) = (0u64, 0u64, 0u64);
-    for name in KERNEL_NAMES {
-        let kernel = kernel_by_name(name).expect("listed kernel resolves");
-        for protocol in PROTOCOLS {
-            let mut cell_s = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..repeats {
-                let cfg = MachineConfig::paper(procs, protocol).with_parobs(&[2, 4, 8, 16]);
-                let mut m = Machine::new(cfg);
-                let t = Instant::now();
-                let r = run_kernel(&mut m, &kernel);
-                cell_s = cell_s.min(t.elapsed().as_secs_f64());
-                last = Some(r);
-            }
-            let r = last.expect("repeats >= 1");
-            let bare = rows
-                .iter()
-                .find(|row| {
-                    row.get("kernel").and_then(Json::as_str) == Some(name)
-                        && row.get("protocol").and_then(Json::as_str) == Some(protocol_name(protocol))
-                })
-                .and_then(|row| row.get("cycles"))
-                .and_then(Json::as_u64)
-                .expect("bare cell was measured");
-            assert_eq!(
-                r.cycles,
-                bare,
-                "{name}/{}: parobs must not perturb the simulation",
-                protocol_name(protocol)
-            );
-            let par = r.par.as_ref().expect("parobs was enabled");
-            par.check_closure().expect("parobs conflict counts close");
-            parobs_wall += cell_s;
-            parobs_events += par.events;
-            parobs_touches += par.touch_records;
-            parobs_conflicts += par.conflicts_total;
-        }
-    }
-    let parobs_ratio = parobs_wall / off_total.max(1e-9);
-
     let ratio = on_total / off_total.max(1e-9);
     let doc = Json::obj([
         ("procs", Json::from(procs)),
@@ -270,18 +207,6 @@ fn main() -> ExitCode {
                 ("baseline_off_seconds", Json::from(off_total)),
                 ("max_ratio", checkpoint_max_ratio.map(Json::from).unwrap_or(Json::Null)),
                 ("cadences", Json::Arr(cadence_rows)),
-            ]),
-        ),
-        (
-            "parobs",
-            Json::obj([
-                ("baseline_off_seconds", Json::from(off_total)),
-                ("wall_seconds", Json::from(parobs_wall)),
-                ("ratio_vs_off", Json::from(parobs_ratio)),
-                ("max_ratio", parobs_max_ratio.map(Json::from).unwrap_or(Json::Null)),
-                ("events", Json::U64(parobs_events)),
-                ("touch_records", Json::U64(parobs_touches)),
-                ("conflicts_total", Json::U64(parobs_conflicts)),
             ]),
         ),
         ("runs", Json::Arr(rows)),
@@ -304,14 +229,6 @@ fn main() -> ExitCode {
             failed = true;
         } else {
             eprintln!("checkpoint overhead {densest:.2}x within the {max:.2}x threshold");
-        }
-    }
-    if let Some(max) = parobs_max_ratio {
-        if parobs_ratio > max {
-            eprintln!("parobs overhead {parobs_ratio:.2}x exceeds the {max:.2}x threshold");
-            failed = true;
-        } else {
-            eprintln!("parobs overhead {parobs_ratio:.2}x within the {max:.2}x threshold");
         }
     }
     if failed {

@@ -89,19 +89,6 @@ pub fn parse_count(name: &str, raw: Option<&str>) -> Result<Option<usize>, Strin
     }
 }
 
-/// Reads `PPC_SHARDS` — the shard count for the conservative-PDES core
-/// (1, the default, selects the serial core). `0` and garbage are
-/// configuration errors, like every other knob.
-pub fn env_shards() -> usize {
-    match parse_count("PPC_SHARDS", std::env::var("PPC_SHARDS").ok().as_deref()) {
-        Ok(v) => v.unwrap_or(1),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Reads `PPC_FP_EPOCH` — events per determinism-fingerprint epoch
 /// (default [`sim_stats::HostObsConfig::default`]'s 8192). Checkpoint
 /// cadence and divergence localization both quantize to this. `0` and
@@ -156,49 +143,6 @@ pub fn env_flag(name: &str) -> bool {
     }
 }
 
-/// [`parse`] for a comma-separated list of positive shard counts (the
-/// parobs what-if list), e.g. `2,4,8,16`. Empty items, zeros, and
-/// non-numbers are configuration errors naming the offending item.
-pub fn parse_shard_list(name: &str, raw: Option<&str>) -> Result<Option<Vec<usize>>, String> {
-    let Some(s) = raw else { return Ok(None) };
-    if s.trim().is_empty() {
-        return Ok(None);
-    }
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        match part.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => out.push(n),
-            _ => {
-                return Err(format!(
-                    "invalid {name}={s:?}: {part:?} is not a positive shard count \
-                     (expected a comma-separated list like 2,4,8,16)"
-                ))
-            }
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Reads `PPC_PAROBS` — the parallelism-observability switch (shared-state
-/// touch recording, epoch conflict analytics, what-if speedup projection).
-/// Off by default; enabling it never changes simulated results.
-pub fn env_parobs() -> bool {
-    env_flag("PPC_PAROBS")
-}
-
-/// Reads `PPC_PAROBS_SHARDS` — the hypothetical shard counts the parobs
-/// what-if projector evaluates (default `2,4,8,16`). Garbage aborts with
-/// an error naming the offending item.
-pub fn env_parobs_shards() -> Vec<usize> {
-    match parse_shard_list("PPC_PAROBS_SHARDS", std::env::var("PPC_PAROBS_SHARDS").ok().as_deref()) {
-        Ok(v) => v.unwrap_or_else(|| vec![2, 4, 8, 16]),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,19 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_knob_rejects_zero_and_garbage() {
-        // `env_shards` routes through `parse_count`; the pure layer is
-        // what's testable without racing on process-global env state.
-        assert_eq!(parse_count("PPC_SHARDS", None), Ok(None), "unset means the serial core");
-        assert_eq!(parse_count("PPC_SHARDS", Some("4")), Ok(Some(4)));
-        let err = parse_count("PPC_SHARDS", Some("0")).unwrap_err();
-        assert!(err.contains("PPC_SHARDS"), "{err}");
-        assert!(err.contains("positive count"), "{err}");
-        let err = parse_count("PPC_SHARDS", Some("two")).unwrap_err();
-        assert!(err.contains("PPC_SHARDS"), "{err}");
-    }
-
-    #[test]
     fn fp_epoch_and_checkpoint_knobs_reject_zero_and_garbage() {
         // Both time-travel knobs route through `parse_count`; the pure
         // layer is what's testable without racing on process-global env.
@@ -281,20 +212,6 @@ mod tests {
         let err = parse_count("PPC_OBS_REPEATS", Some("0")).unwrap_err();
         assert!(err.contains("PPC_OBS_REPEATS"), "{err}");
         assert!(parse_count("PPC_OBS_REPEATS", Some("two")).is_err());
-    }
-
-    #[test]
-    fn parobs_shard_list_parses_and_rejects_garbage() {
-        assert_eq!(parse_shard_list("PPC_PAROBS_SHARDS", None), Ok(None), "unset keeps 2,4,8,16");
-        assert_eq!(parse_shard_list("PPC_PAROBS_SHARDS", Some("  ")), Ok(None));
-        assert_eq!(parse_shard_list("PPC_PAROBS_SHARDS", Some("2,4,8,16")), Ok(Some(vec![2, 4, 8, 16])));
-        assert_eq!(parse_shard_list("PPC_PAROBS_SHARDS", Some(" 2 , 8 ")), Ok(Some(vec![2, 8])));
-        assert_eq!(parse_shard_list("PPC_PAROBS_SHARDS", Some("4")), Ok(Some(vec![4])));
-        for bad in ["0", "2,0", "2;4", "two", "4,", ",2"] {
-            let err = parse_shard_list("PPC_PAROBS_SHARDS", Some(bad)).unwrap_err();
-            assert!(err.contains("PPC_PAROBS_SHARDS"), "{bad}: {err}");
-            assert!(err.contains("comma-separated"), "{bad}: {err}");
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ const FIELDS: [&str; 9] =
 pub struct BenchRecord {
     /// Schema tag; must be [`BENCH_SCHEMA`].
     pub schema: String,
-    /// Short bench name ("sweep", "obs", "pdes", "harness", "gate").
+    /// Short bench name: the `<name>` of its `BENCH_<name>.json` file.
     pub bench: String,
     /// One-line human description of what was measured.
     pub title: String,

@@ -50,7 +50,6 @@ fn recording_cfg(procs: usize, protocol: Protocol) -> MachineConfig {
     cfg.hostobs.fingerprint = true;
     cfg.hostobs.fingerprint_epoch = fp_epoch();
     cfg.checkpoint_every = Some(checkpoint_cadence());
-    cfg.shards = crate::env_cfg::env_shards();
     cfg
 }
 

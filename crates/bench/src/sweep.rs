@@ -60,16 +60,10 @@ impl RunSpec {
     /// environment the cell runs with host observability (self-profiling
     /// and determinism fingerprints) — simulated results are unchanged,
     /// which the CI golden diff enforces; the cache key changes, so
-    /// hostobs and plain entries never alias. With `PPC_SHARDS=n` the
-    /// cell runs on the conservative-PDES sharded core — cycle-exact, so
-    /// the same golden diff holds, but the key still changes (fail-safe:
-    /// a core bug can never be masked by a stale serial cache entry).
-    /// `PPC_FP_EPOCH=n` overrides the fingerprint-epoch length and
-    /// `PPC_CHECKPOINT_EVERY=n` arms periodic deterministic checkpoints;
-    /// both feed the cache key the same way. `PPC_PAROBS=1` turns on the
-    /// parallelism-observability collector (touch sets, epoch conflicts,
-    /// what-if projection over `PPC_PAROBS_SHARDS`) — passive like the
-    /// rest, and the key diverges with it.
+    /// hostobs and plain entries never alias. `PPC_FP_EPOCH=n` overrides
+    /// the fingerprint-epoch length and `PPC_CHECKPOINT_EVERY=n` arms
+    /// periodic deterministic checkpoints; both feed the cache key the
+    /// same way.
     pub fn paper(procs: usize, protocol: sim_proto::Protocol, kernel: kernels::runner::KernelSpec) -> Self {
         let mut cfg = MachineConfig::paper(procs, protocol);
         if crate::env_cfg::env_flag("PPC_HOSTOBS") {
@@ -79,10 +73,6 @@ impl RunSpec {
             cfg.hostobs.fingerprint_epoch = epoch;
         }
         cfg.checkpoint_every = crate::env_cfg::env_checkpoint_every();
-        cfg.shards = crate::env_cfg::env_shards();
-        if crate::env_cfg::env_parobs() {
-            cfg = cfg.with_parobs(&crate::env_cfg::env_parobs_shards());
-        }
         RunSpec { spec: ExperimentSpec { procs, protocol, kernel }, cfg }
     }
 
@@ -123,11 +113,7 @@ impl SweepOptions {
     /// (see [`crate::env_cfg`]).
     pub fn from_env() -> Self {
         let workers = crate::env_cfg::env_or_else("PPC_WORKERS", || {
-            let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            // Sharded cells hash fingerprint sub-chains on extra host
-            // threads; divide the default worker pool so a sweep does not
-            // oversubscribe the host. An explicit PPC_WORKERS wins.
-            (host / crate::env_cfg::env_shards().max(1)).max(1)
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         });
         let disk_cache = match std::env::var("PPC_SWEEP_CACHE") {
             Ok(s) if s == "off" || s == "0" => None,

@@ -54,14 +54,29 @@ pub struct ReductionLayout {
     pub done: Vec<Addr>,
 }
 
+/// Processor `pid`'s LCG seed (the emitted prologue loads the same).
+fn lcg_seed(pid: usize) -> u32 {
+    (pid as u32).wrapping_mul(2654435761).wrapping_add(12345)
+}
+
 /// Reference computation of the value processor `pid` contributes in a
 /// given episode (mirrors the emitted LCG code).
 pub fn value_of(pid: usize, episode: u32) -> u32 {
-    let mut s = (pid as u32).wrapping_mul(2654435761).wrapping_add(12345);
+    let mut s = lcg_seed(pid);
     for _ in 0..=episode {
         s = s.wrapping_mul(LCG_A).wrapping_add(LCG_C);
     }
     (s >> 16) & 0x7fff
+}
+
+/// The values processor `pid` contributes, episode by episode: one LCG
+/// step per item, where [`value_of`] replays the stream from episode 0.
+fn values(pid: usize) -> impl Iterator<Item = u32> {
+    let mut s = lcg_seed(pid);
+    std::iter::repeat_with(move || {
+        s = s.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        (s >> 16) & 0x7fff
+    })
 }
 
 /// Lays out reduction data and installs the Section 4.3 synthetic program.
@@ -97,7 +112,7 @@ fn emit_prologue(b: &mut ProgramBuilder, w: &ReductionWorkload, max: Addr, pid: 
     b.imm(BASE, max);
     b.imm(ONE, 1);
     b.imm(ZERO, 0);
-    b.imm(K2, (pid as u32).wrapping_mul(2654435761).wrapping_add(12345)); // LCG seed
+    b.imm(K2, lcg_seed(pid));
     b.imm(ITER, w.episodes);
     b.label("loop");
     if w.skew > 0 {
@@ -184,12 +199,20 @@ pub fn verify(m: &mut Machine, w: &ReductionWorkload, layout: &ReductionLayout) 
     for i in 0..p {
         assert_eq!(m.read_word(layout.done[i]), w.episodes, "processor {i} completed");
     }
-    let expected: u32 = (0..p).flat_map(|i| (0..w.episodes).map(move |ep| value_of(i, ep))).max().unwrap();
+    // One pass per processor stream, O(P·E); calling `value_of` per
+    // episode is O(P·E²) and outweighs a full-scale run's simulation.
+    let mut expected = 0;
+    let mut last = vec![0; p];
+    for (i, last) in last.iter_mut().enumerate() {
+        for v in values(i).take(w.episodes as usize) {
+            expected = expected.max(v);
+            *last = v;
+        }
+    }
     assert_eq!(m.read_word(layout.max), expected, "final reduction value");
     if w.kind == ReductionKind::Sequential {
-        let last = w.episodes - 1;
-        for i in 0..p {
-            assert_eq!(m.read_word(layout.local_max[i]), value_of(i, last), "slot {i}");
+        for (i, &v) in last.iter().enumerate() {
+            assert_eq!(m.read_word(layout.local_max[i]), v, "slot {i}");
         }
     }
 }
@@ -228,6 +251,16 @@ mod tests {
         }
         // Different processors contribute different streams.
         assert_ne!(value_of(0, 3), value_of(1, 3));
+    }
+
+    #[test]
+    fn streamed_values_match_the_reference() {
+        for pid in [0, 1, 7, 31] {
+            let streamed: Vec<u32> = values(pid).take(200).collect();
+            for ep in [0u32, 1, 2, 17, 199] {
+                assert_eq!(streamed[ep as usize], value_of(pid, ep), "pid {pid} episode {ep}");
+            }
+        }
     }
 
     #[test]

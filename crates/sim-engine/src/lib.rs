@@ -14,14 +14,12 @@
 //! * [`SplitMix64`] — a tiny deterministic PRNG for the workload variants
 //!   that need bounded pseudo-random delays.
 
-pub mod pdes;
 pub mod queue;
 pub mod rng;
 pub mod server;
 pub mod snapshot;
 pub mod stable_hash;
 
-pub use pdes::{ShardCounters, ShardPlan, ShardedQueue, ShardedSnapshot};
 pub use queue::{EventQueue, QueueSnapshot, QueueStats};
 pub use rng::SplitMix64;
 pub use server::FifoServer;

@@ -191,55 +191,6 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, payload);
     }
 
-    /// Schedules `payload` at `at` with a caller-supplied tie-breaking
-    /// sequence number instead of the queue's own counter.
-    ///
-    /// This is the insertion primitive of the sharded PDES core: one global
-    /// counter spans all shard queues so the merged pop order reproduces the
-    /// single-queue `(cycle, seq)` order exactly. Unlike
-    /// [`EventQueue::schedule`], the target bucket may already hold events
-    /// with *larger* sequence numbers (an epoch-barrier handoff drains a
-    /// message whose seq predates direct schedules into the same cycle), so
-    /// the event is placed by ordered insertion from the back — O(1) for the
-    /// common append case.
-    ///
-    /// Do not mix with [`EventQueue::schedule`] on the same queue: the
-    /// internal counter is bypassed, and only the caller can keep seqs
-    /// globally unique.
-    pub fn schedule_with_seq(&mut self, at: Cycle, seq: u64, payload: E) {
-        debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
-        self.stats.scheduled += 1;
-        if at < self.horizon {
-            let slot = (at & WHEEL_MASK) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut idx = bucket.len();
-            while idx > 0 && bucket[idx - 1].0 > seq {
-                idx -= 1;
-            }
-            bucket.insert(idx, (seq, payload));
-            self.mark(slot as u64);
-            self.wheel_len += 1;
-        } else {
-            self.stats.far_spills += 1;
-            self.far.push(FarEntry { at, seq, payload });
-        }
-        self.stats.peak_len = self.stats.peak_len.max(self.len() as u64);
-    }
-
-    /// The `(cycle, seq)` key of the next pending event, if any — the key
-    /// [`EventQueue::pop`] would return next. Used by the sharded core to
-    /// merge several shard queues into one global `(cycle, seq)` order.
-    pub fn peek_key(&self) -> Option<(Cycle, u64)> {
-        if self.wheel_len > 0 {
-            // All wheel events precede all far events.
-            let at = self.next_occupied(self.now).expect("wheel_len > 0 but no occupied slot");
-            let &(seq, _) = self.slots[(at & WHEEL_MASK) as usize].front().expect("occupied slot is empty");
-            Some((at, seq))
-        } else {
-            self.far.peek().map(|e| (e.at, e.seq))
-        }
-    }
-
     /// Advances the wheel window so that it starts at `at`, merging
     /// far-heap events that fall inside the new window into their buckets.
     /// Far events merge in `(cycle, seq)` order, and any direct schedule
@@ -728,87 +679,6 @@ mod tests {
                 assert_eq!(q.pop(), Some((target, want)), "seed {seed}: same-slot order broke");
             }
             assert_eq!(q.pop(), None, "seed {seed}: stray events");
-        }
-    }
-
-    #[test]
-    fn peek_key_tracks_the_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_key(), None);
-        q.schedule(10, "b"); // seq 0
-        q.schedule(5, "a"); // seq 1
-        assert_eq!(q.peek_key(), Some((5, 1)));
-        assert_eq!(q.pop(), Some((5, "a")));
-        assert_eq!(q.peek_key(), Some((10, 0)));
-        q.schedule(10, "c"); // seq 2, behind "b" in the same bucket
-        assert_eq!(q.peek_key(), Some((10, 0)));
-        q.pop();
-        assert_eq!(q.peek_key(), Some((10, 2)));
-        q.pop();
-        assert_eq!(q.peek_key(), None);
-        // Far-heap-only queues peek into the heap.
-        q.schedule(q.now() + 3 * WHEEL, "far");
-        assert_eq!(q.peek_key(), Some((q.now() + 3 * WHEEL, 3)));
-    }
-
-    #[test]
-    fn schedule_with_seq_orders_a_drained_handoff_before_later_direct_schedules() {
-        // The barrier-drain shape: a cross-shard message carries seq 1 but
-        // reaches the destination queue only after direct schedules with
-        // larger seqs already landed in its bucket.
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_with_seq(100, 7, "direct-mid");
-        q.schedule_with_seq(100, 9, "direct-late");
-        q.schedule_with_seq(50, 3, "earlier-cycle");
-        q.schedule_with_seq(100, 1, "handoff-early"); // ordered insert from the back
-        q.schedule_with_seq(100, 8, "direct-between");
-        assert_eq!(q.peek_key(), Some((50, 3)));
-        assert_eq!(q.pop(), Some((50, "earlier-cycle")));
-        assert_eq!(q.pop(), Some((100, "handoff-early")));
-        assert_eq!(q.pop(), Some((100, "direct-mid")));
-        assert_eq!(q.pop(), Some((100, "direct-between")));
-        assert_eq!(q.pop(), Some((100, "direct-late")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn schedule_with_seq_far_spills_keep_the_given_seq() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_with_seq(2 * WHEEL, 5, 50);
-        q.schedule_with_seq(2 * WHEEL, 2, 20); // smaller seq pushed later
-        q.schedule_with_seq(1, 0, 0);
-        assert_eq!(q.stats().far_spills, 2);
-        assert_eq!(q.pop(), Some((1, 0)));
-        // The merge back into the wheel follows (cycle, seq) heap order.
-        assert_eq!(q.pop(), Some((2 * WHEEL, 20)));
-        assert_eq!(q.pop(), Some((2 * WHEEL, 50)));
-        assert_eq!(q.stats().far_merged, 2);
-    }
-
-    #[test]
-    fn schedule_with_seq_matches_schedule_for_monotone_seqs() {
-        // Driving one queue through schedule() and another through
-        // schedule_with_seq() with the same monotone seq stream must
-        // produce identical pops — the sharded core's shards=1 case.
-        let mut rng = crate::SplitMix64::new(0x5eed_5eed);
-        let mut a: EventQueue<u64> = EventQueue::new();
-        let mut b: EventQueue<u64> = EventQueue::new();
-        for i in 0..2000u64 {
-            let at = a.now() + rng.next_below(2 * WHEEL);
-            a.schedule(at, i);
-            // The monotone seq stream is exactly the iteration index.
-            b.schedule_with_seq(at, i, i);
-            if rng.next_below(2) == 0 {
-                assert_eq!(a.peek_key(), b.peek_key());
-                assert_eq!(a.pop(), b.pop());
-            }
-        }
-        loop {
-            let x = a.pop();
-            assert_eq!(x, b.pop());
-            if x.is_none() {
-                break;
-            }
         }
     }
 

@@ -4,7 +4,7 @@ use sim_engine::Cycle;
 use sim_mem::{CacheConfig, MemTiming};
 use sim_net::NetConfig;
 use sim_proto::{ProtoConfig, Protocol};
-use sim_stats::{HostObsConfig, ObsConfig, ParObsConfig};
+use sim_stats::{HostObsConfig, ObsConfig};
 
 /// Full configuration of a simulated machine. Defaults reproduce the
 /// paper's 32-node DASH-like multiprocessor (Section 3.1).
@@ -36,16 +36,6 @@ pub struct MachineConfig {
     pub magic_lock_cycles: Cycle,
     /// Local cost of a zero-traffic magic barrier.
     pub magic_barrier_cycles: Cycle,
-    /// Shards for the conservative-PDES core: the nodes are partitioned
-    /// into this many contiguous blocks, each owning its own event queue,
-    /// advanced in lockstep epochs bounded by the mesh-derived lookahead.
-    /// 1 (the default) selects the serial core — bit-exact with the
-    /// pre-PDES code path. Any value is cycle-exact: the sharded core
-    /// commits events in the same global `(cycle, seq)` order, so results
-    /// are byte-identical across shard counts (enforced by
-    /// `tests/pdes_equivalence.rs`). Values above `num_procs` clamp to one
-    /// node per shard. Set via `PPC_SHARDS` for the harness binaries.
-    pub shards: usize,
     /// Seed for per-processor `RandDelay` streams.
     pub seed: u64,
     /// Abort the run if the clock passes this (deadlock/livelock guard).
@@ -66,12 +56,6 @@ pub struct MachineConfig {
     /// `PPC_CHECKPOINT_EVERY` for the harness binaries; collect with
     /// [`crate::Machine::take_checkpoints`].
     pub checkpoint_every: Option<u64>,
-    /// Parallelism observability: shared-state touch recording, epoch
-    /// conflict analytics, and the what-if shard-speedup projection.
-    /// Disabled by default; like `obs` and `hostobs`, enabling it never
-    /// changes simulated results (enforced by `tests/parobs.rs`). Set via
-    /// `PPC_PAROBS` / `PPC_PAROBS_SHARDS` for the harness binaries.
-    pub parobs: ParObsConfig,
 }
 
 impl MachineConfig {
@@ -90,13 +74,11 @@ impl MachineConfig {
             spin_parking: true,
             magic_lock_cycles: 10,
             magic_barrier_cycles: 10,
-            shards: 1,
             seed: 0x5eed,
             max_cycles: 2_000_000_000,
             obs: ObsConfig::default(),
             hostobs: HostObsConfig::default(),
             checkpoint_every: None,
-            parobs: ParObsConfig::default(),
         }
     }
 
@@ -118,20 +100,6 @@ impl MachineConfig {
     /// profiling, event-queue analytics, determinism fingerprints).
     pub fn paper_hostobs(num_procs: usize, protocol: Protocol) -> Self {
         MachineConfig { hostobs: HostObsConfig::enabled(), ..Self::paper(num_procs, protocol) }
-    }
-
-    /// The same configuration advanced by the sharded PDES core with
-    /// `shards` shards. Results are cycle-exact regardless of the value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The same configuration with parallelism observability recording
-    /// on, projecting against `what_if_shards`. Results are unchanged.
-    pub fn with_parobs(mut self, what_if_shards: &[usize]) -> Self {
-        self.parobs = ParObsConfig { enabled: true, what_if_shards: what_if_shards.to_vec() };
-        self
     }
 
     /// Protocol-layer slice of this configuration.
@@ -161,19 +129,7 @@ mod tests {
         assert_eq!(c.cu_threshold, 4);
         assert!(!c.obs.enabled, "observability is opt-in");
         assert!(!c.hostobs.enabled && !c.hostobs.fingerprint, "host observability is opt-in");
-        assert_eq!(c.shards, 1, "the serial core is the default");
         assert_eq!(c.checkpoint_every, None, "checkpoints are opt-in");
-        assert!(!c.parobs.enabled, "parallelism observability is opt-in");
-        assert_eq!(c.parobs.what_if_shards, vec![2, 4, 8, 16]);
-    }
-
-    #[test]
-    fn with_parobs_flips_only_parobs() {
-        let c = MachineConfig::paper(8, Protocol::WriteInvalidate).with_parobs(&[2, 8]);
-        assert!(c.parobs.enabled);
-        assert_eq!(c.parobs.what_if_shards, vec![2, 8]);
-        assert_eq!(c.seed, MachineConfig::paper(8, Protocol::WriteInvalidate).seed);
-        assert!(!c.obs.enabled && !c.hostobs.enabled && c.shards == 1);
     }
 
     #[test]
@@ -182,17 +138,6 @@ mod tests {
         assert_eq!(c.checkpoint_every, Some(10_000));
         assert_eq!(c.seed, MachineConfig::paper(8, Protocol::PureUpdate).seed);
         assert!(!c.obs.enabled && !c.hostobs.enabled);
-    }
-
-    #[test]
-    fn with_shards_flips_only_shards() {
-        let c = MachineConfig::paper(32, Protocol::WriteInvalidate).with_shards(4);
-        assert_eq!(c.shards, 4);
-        assert_eq!(c.seed, MachineConfig::paper(32, Protocol::WriteInvalidate).seed);
-        assert!(!c.hostobs.enabled);
-        let h = MachineConfig::paper_hostobs(8, Protocol::PureUpdate).with_shards(8);
-        assert_eq!(h.shards, 8);
-        assert!(h.hostobs.enabled && h.hostobs.fingerprint);
     }
 
     #[test]

@@ -2,15 +2,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sim_engine::{Cycle, EventQueue, FifoServer, NodeId, QueueStats, ShardPlan, ShardedQueue};
+use sim_engine::{Cycle, EventQueue, FifoServer, NodeId};
 use sim_isa::{Instr, Program};
-use sim_mem::{Addr, BlockAddr, Geometry, SharedAlloc, Word, WriteBuffer};
+use sim_mem::{Addr, Geometry, SharedAlloc, Word, WriteBuffer};
 use sim_net::Network;
 use sim_proto::{AtomicOp, Effects, MemService, Msg, ProtoNode};
 use sim_stats::{
     Classifier, CpuClass, CritCollector, EndpointPairFlits, FingerprintRecorder, HostCat, HostProfiler,
-    NetObsCollector, NodeGauges, NodeSample, ObsCollector, ParCollector, PdesObs, Sample, ShardObs,
-    StructKind, WaitKind,
+    NetObsCollector, NodeGauges, NodeSample, ObsCollector, Sample, WaitKind,
 };
 
 use crate::config::MachineConfig;
@@ -32,161 +31,6 @@ enum Ev {
     WbIssue(NodeId),
     /// Take a periodic observability sample (only when `obs` is enabled).
     Sample,
-}
-
-/// The event core driving the machine: the plain serial [`EventQueue`] or
-/// the conservative-PDES [`ShardedQueue`] (selected by
-/// `MachineConfig::shards`). Both commit events in the same global
-/// `(cycle, seq)` order, so the choice never changes simulated results —
-/// `tests/pdes_equivalence.rs` proves it end to end.
-// The serial queue stays unboxed: it is the default core's hot path, and
-// keeping it inline preserves the pre-PDES `Machine` layout exactly.
-#[allow(clippy::large_enum_variant)]
-enum Core {
-    Serial(EventQueue<Ev>),
-    Sharded(Box<ShardedCore>),
-}
-
-/// The sharded core: the node partition plus its merged event queues.
-struct ShardedCore {
-    plan: ShardPlan,
-    q: ShardedQueue<Ev>,
-}
-
-impl Core {
-    /// The node an event executes on — the routing key deciding which
-    /// shard queue owns it. `Sample` is bookkeeping with no node of its
-    /// own; it rides on node 0's shard.
-    fn target_node(ev: &Ev) -> NodeId {
-        match ev {
-            Ev::CpuStep(n) | Ev::WbIssue(n) => *n,
-            Ev::Deliver(m) | Ev::HomeHandle(m) => m.dst,
-            Ev::Sample => 0,
-        }
-    }
-
-    fn schedule(&mut self, at: Cycle, ev: Ev) {
-        match self {
-            Core::Serial(q) => q.schedule(at, ev),
-            Core::Sharded(c) => {
-                let shard = c.plan.shard_of(Self::target_node(&ev));
-                // Network deliveries are the events whose latency the
-                // mesh-derived lookahead bounds: cross-shard ones ride the
-                // handoff fabric. Everything else (CPU resumptions,
-                // home-side re-dispatches, write-buffer pokes, magic-sync
-                // wake-ups) stays on — or is directly inserted into — the
-                // target shard, which the merged commit order keeps safe.
-                if matches!(ev, Ev::Deliver(_)) {
-                    c.q.schedule_handoff(at, shard, ev);
-                } else {
-                    c.q.schedule_direct(at, shard, ev);
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Cycle, Ev)> {
-        match self {
-            Core::Serial(q) => q.pop(),
-            Core::Sharded(c) => c.q.pop(),
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        match self {
-            Core::Serial(q) => q.now(),
-            Core::Sharded(c) => c.q.now(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Core::Serial(q) => q.len(),
-            Core::Sharded(c) => c.q.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn occupied_slots(&self) -> usize {
-        match self {
-            Core::Serial(q) => q.occupied_slots(),
-            Core::Sharded(c) => c.q.occupied_slots(),
-        }
-    }
-
-    fn far_len(&self) -> usize {
-        match self {
-            Core::Serial(q) => q.far_len(),
-            Core::Sharded(c) => c.q.far_len(),
-        }
-    }
-
-    fn stats(&self) -> QueueStats {
-        match self {
-            Core::Serial(q) => q.stats(),
-            Core::Sharded(c) => c.q.stats(),
-        }
-    }
-
-    /// The shard of the most recently committed event (0 when serial).
-    fn current_shard(&self) -> usize {
-        match self {
-            Core::Serial(_) => 0,
-            Core::Sharded(c) => c.q.current_shard(),
-        }
-    }
-}
-
-/// Per-shard fingerprint sub-chains, hashed incrementally on dedicated
-/// host worker threads — the genuinely parallel half of the PDES core.
-/// Handlers themselves must commit sequentially (the classifier,
-/// receive-port servers, and magic-sync structures are globally shared
-/// synchronous state), but each shard's committed event stream can be
-/// digested off the simulation thread; the workers only ever see a
-/// per-shard slice of the same records the global [`FingerprintRecorder`]
-/// chain consumes.
-struct ShardChains {
-    senders: Vec<std::sync::mpsc::Sender<(Cycle, &'static str, u64, u64)>>,
-    workers: Vec<std::thread::JoinHandle<(u64, u64)>>,
-}
-
-impl ShardChains {
-    fn spawn(shards: usize) -> Self {
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = std::sync::mpsc::channel::<(Cycle, &'static str, u64, u64)>();
-            senders.push(tx);
-            workers.push(std::thread::spawn(move || {
-                let mut h = sim_engine::StableHasher::new();
-                h.write_u64(shard as u64);
-                for (cycle, kind, a, b) in rx {
-                    h.write_u64(cycle);
-                    h.write_str(kind);
-                    h.write_u64(a);
-                    h.write_u64(b);
-                }
-                h.finish128()
-            }));
-        }
-        ShardChains { senders, workers }
-    }
-
-    fn record(&self, shard: usize, cycle: Cycle, kind: &'static str, a: u64, b: u64) {
-        // A worker can only be gone if it panicked; the join in `finish`
-        // surfaces that, so a send failure is ignorable here.
-        let _ = self.senders[shard].send((cycle, kind, a, b));
-    }
-
-    /// Closes the record streams and joins the workers, returning each
-    /// shard's 128-bit sub-chain digest in shard order.
-    fn finish(self) -> Vec<(u64, u64)> {
-        drop(self.senders);
-        self.workers.into_iter().map(|w| w.join().expect("shard-chain worker panicked")).collect()
-    }
 }
 
 /// The observability class a processor state's cycles are charged to.
@@ -228,7 +72,7 @@ struct MagicLock {
 pub struct Machine {
     cfg: MachineConfig,
     geom: Geometry,
-    queue: Core,
+    queue: EventQueue<Ev>,
     net: Network,
     mem_srv: Vec<FifoServer>,
     nodes: Vec<ProtoNode>,
@@ -259,20 +103,6 @@ pub struct Machine {
     /// Determinism-fingerprint recorder; `Some` only when
     /// `cfg.hostobs.fingerprint`.
     fp: Option<Box<FingerprintRecorder>>,
-    /// Per-shard fingerprint sub-chain workers; `Some` only when the core
-    /// is sharded *and* fingerprints are on.
-    shard_chains: Option<ShardChains>,
-    /// Host nanoseconds spent in event handlers, resliced by the shard of
-    /// the committed event; empty when serial or unprofiled.
-    shard_nanos: Vec<u64>,
-    /// Parallelism-observability collector (shared-state touch recording,
-    /// epoch conflict analytics, what-if shard-speedup projection); `Some`
-    /// only when `cfg.parobs.enabled`. Purely passive — it only records
-    /// what handlers already did — so simulated results are unchanged
-    /// (enforced end to end by `tests/parobs.rs`).
-    parobs: Option<Box<ParCollector>>,
-    /// Scratch buffer for draining the classifier's per-event touch log.
-    parobs_scratch: Vec<BlockAddr>,
     /// Guards against a second `run` call.
     ran: bool,
     /// Set by [`Machine::restore`]: the machine resumes mid-run, so `run`
@@ -347,32 +177,9 @@ impl Machine {
     /// Builds a machine; every processor starts with an empty (immediately
     /// halting) program.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.shards >= 1, "MachineConfig::shards must be at least 1");
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
         let mut net = Network::new(cfg.num_procs, cfg.net.clone());
-        let queue = if cfg.shards > 1 {
-            // Two-step plan build: the partition determines the minimum
-            // inter-shard hop distance, which (with the switch delay)
-            // determines the conservative lookahead the epochs run at.
-            let partition = ShardPlan::contiguous(cfg.num_procs, cfg.shards, 1);
-            let shard_map: Vec<usize> = (0..cfg.num_procs).map(|n| partition.shard_of(n)).collect();
-            let shape = net.shape();
-            let lookahead = cfg.net.conservative_lookahead(&shape, &shard_map);
-            let plan = ShardPlan::contiguous(cfg.num_procs, cfg.shards, lookahead);
-            let mut q = ShardedQueue::new(&plan);
-            if cfg.hostobs.enabled {
-                q.enable_barrier_timing();
-            }
-            Core::Sharded(Box::new(ShardedCore { plan, q }))
-        } else {
-            Core::Serial(EventQueue::new())
-        };
-        let sharded = matches!(queue, Core::Sharded(_));
-        let shard_count = match &queue {
-            Core::Sharded(c) => c.plan.shards(),
-            Core::Serial(_) => 1,
-        };
         let obs = cfg.obs.enabled.then(|| ObsCollector::new(cfg.num_procs, cfg.obs));
         let crit = cfg.obs.enabled.then(|| Box::new(CritCollector::new(cfg.num_procs)));
         let mut clf = Classifier::new(geom);
@@ -389,36 +196,9 @@ impl Machine {
             clf.enable_lineage();
         }
         let netobs = cfg.obs.enabled.then(|| Box::new(NetObsCollector::new(net.shape())));
-        let parobs = cfg.parobs.enabled.then(|| {
-            let (lookahead, actual_shards) = match &queue {
-                Core::Sharded(c) => (c.plan.lookahead(), c.plan.shards()),
-                // Serial runs record under the same epoch windows the
-                // sharded core would use: derive the lookahead from a
-                // 2-shard trial partition, exactly as the two-step plan
-                // build above does for a live sharded core.
-                Core::Serial(_) => {
-                    let la = if cfg.num_procs > 1 {
-                        let partition = ShardPlan::contiguous(cfg.num_procs, 2, 1);
-                        let shard_map: Vec<usize> =
-                            (0..cfg.num_procs).map(|n| partition.shard_of(n)).collect();
-                        cfg.net.conservative_lookahead(&net.shape(), &shard_map)
-                    } else {
-                        1
-                    };
-                    (la, 1)
-                }
-            };
-            clf.enable_touch_log();
-            Box::new(ParCollector::new(
-                cfg.num_procs,
-                lookahead,
-                actual_shards,
-                cfg.hostobs.enabled,
-                &cfg.parobs.what_if_shards,
-            ))
-        });
         Machine {
             geom,
+            queue: EventQueue::new(),
             net,
             mem_srv: vec![FifoServer::new(); cfg.num_procs],
             nodes: (0..cfg.num_procs).map(|i| ProtoNode::new(i, geom, proto_cfg.clone())).collect(),
@@ -441,18 +221,12 @@ impl Machine {
                 .hostobs
                 .fingerprint
                 .then(|| Box::new(FingerprintRecorder::new(cfg.hostobs.fingerprint_epoch))),
-            shard_chains: (sharded && cfg.hostobs.enabled && cfg.hostobs.fingerprint)
-                .then(|| ShardChains::spawn(shard_count)),
-            shard_nanos: if sharded && cfg.hostobs.enabled { vec![0; shard_count] } else { vec![] },
-            parobs,
-            parobs_scratch: Vec::new(),
             ran: false,
             restored: false,
             popped: 0,
             next_checkpoint: cfg.checkpoint_every.unwrap_or(u64::MAX),
             checkpoints: Vec::new(),
             recorder: None,
-            queue,
             cfg,
         }
     }
@@ -646,46 +420,9 @@ impl Machine {
                 .map(|c| c.finish(end, self.net.phys_link_flits(), &gauges, self.clf.take_home_stats()));
             o
         });
-        let par = self.parobs.take().map(|p| {
-            // The live core's measured epoch-barrier cost feeds the
-            // projection; a serial run has no barriers (0/0 means the
-            // projection assumes free epoch barriers and says so).
-            let (bn, be) = match &self.queue {
-                Core::Sharded(c) => (c.q.barrier_nanos(), c.q.epochs()),
-                Core::Serial(_) => (0, 0),
-            };
-            p.finish(bn, be)
-        });
         let host = self.hostprof.take().map(|hp| {
             let wall = run_start.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            let mut report = hp.finish(end, wall, self.queue.stats());
-            report.parobs = par.clone();
-            let chains = self.shard_chains.take().map(ShardChains::finish);
-            if let Core::Sharded(c) = &self.queue {
-                report.pdes = Some(PdesObs {
-                    requested_shards: self.cfg.shards,
-                    shards: c.q.shards(),
-                    lookahead: c.q.lookahead(),
-                    epochs: c.q.epochs(),
-                    handoff_events: c.q.handoff_events(),
-                    direct_cross: c.q.direct_cross(),
-                    barrier_nanos: c.q.barrier_nanos(),
-                    per_shard: c
-                        .q
-                        .shard_counters()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, cnt)| ShardObs {
-                            shard: i,
-                            pops: cnt.pops,
-                            scheduled: cnt.scheduled,
-                            handler_nanos: self.shard_nanos.get(i).copied().unwrap_or(0),
-                            chain: chains.as_ref().map(|ch| ch[i]),
-                        })
-                        .collect(),
-                });
-            }
-            Box::new(report)
+            Box::new(hp.finish(end, wall, self.queue.stats()))
         });
         let fingerprint = self.fp.take().map(|fp| fp.finish(self.state_digest(&traffic)));
         RunResult {
@@ -698,7 +435,6 @@ impl Machine {
             atomic_latency: std::mem::take(&mut self.atomic_latency),
             obs,
             host,
-            par,
             fingerprint,
             trace_dropped: self.trace.as_ref().map(|t| t.dropped()).unwrap_or(0),
         }
@@ -738,8 +474,8 @@ impl Machine {
                 }
             }
         }
-        if self.fp.is_some() || self.shard_chains.is_some() {
-            // Pop order is (cycle, seq) order, so feeding the recorders here
+        if let Some(fp) = self.fp.as_mut() {
+            // Pop order is (cycle, seq) order, so feeding the recorder here
             // covers the sequence number implicitly.
             let (kind, a, b) = match &ev {
                 Ev::CpuStep(n) => ("cpu", *n as u64, 0),
@@ -748,19 +484,10 @@ impl Machine {
                 Ev::WbIssue(n) => ("wb", *n as u64, 0),
                 Ev::Sample => ("sample", 0, 0),
             };
-            if let Some(fp) = self.fp.as_mut() {
-                fp.record(now, kind, a, b);
-            }
-            if let Some(sc) = self.shard_chains.as_ref() {
-                sc.record(self.queue.current_shard(), now, kind, a, b);
-            }
-        }
-        if let Some(p) = self.parobs.as_mut() {
-            p.begin_event(now, Core::target_node(&ev));
+            fp.record(now, kind, a, b);
         }
         if self.hostprof.is_none() {
             self.handle_event(now, ev);
-            self.parobs_end_event(0);
             return;
         }
         let cat = match &ev {
@@ -770,52 +497,12 @@ impl Machine {
             Ev::WbIssue(_) => HostCat::WbIssue,
             Ev::Sample => HostCat::Sample,
         };
-        let shard = self.queue.current_shard();
         let t0 = std::time::Instant::now();
         self.handle_event(now, ev);
         let total = t0.elapsed().as_nanos() as u64;
         let hp = self.hostprof.as_mut().expect("checked above");
         let inner = hp.take_inner();
-        let own = total.saturating_sub(inner);
-        hp.add(cat, own);
-        if let Some(s) = self.shard_nanos.get_mut(shard) {
-            *s += own;
-        }
-        self.parobs_end_event(own);
-    }
-
-    /// Closes the parobs-open committed event: drains the classifier's
-    /// per-event touch log into classifier-block touches (owned by the
-    /// block's home node) and credits the handler weight (measured nanos
-    /// when the host profiler is on, else one event). No-op when off.
-    fn parobs_end_event(&mut self, nanos: u64) {
-        if self.parobs.is_none() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.parobs_scratch);
-        self.clf.drain_touch_log(&mut scratch);
-        let p = self.parobs.as_mut().expect("checked above");
-        for &block in &scratch {
-            p.touch(StructKind::Classifier, u64::from(block.0), Some(self.geom.home_of(block.0)), true);
-        }
-        p.end_event(nanos);
-        scratch.clear();
-        self.parobs_scratch = scratch;
-    }
-
-    /// Records the directory/DRAM-block touch for a message handled at the
-    /// block's home node (cache-side deliveries leave the directory alone).
-    fn parobs_touch_home(&mut self, msg: &Msg) {
-        if self.parobs.is_none() || msg.dst != self.geom.home_of(msg.addr) {
-            return;
-        }
-        let block = self.geom.block_of(msg.addr);
-        self.parobs.as_mut().expect("checked above").touch(
-            StructKind::Directory,
-            u64::from(block.0),
-            Some(msg.dst),
-            true,
-        );
+        hp.add(cat, total.saturating_sub(inner));
     }
 
     /// Takes a checkpoint: seals the complete machine state into a blob and
@@ -894,7 +581,6 @@ impl Machine {
             Ev::Deliver(msg) => match msg.mem_service() {
                 MemService::None => {
                     self.trace_handle(&msg, now);
-                    self.parobs_touch_home(&msg);
                     let dst = msg.dst;
                     let fx = self.nodes[dst].handle_msg(msg, &mut self.clf, now);
                     self.process_effects(dst, fx, now);
@@ -915,7 +601,6 @@ impl Machine {
             },
             Ev::HomeHandle(msg) => {
                 self.trace_handle(&msg, now);
-                self.parobs_touch_home(&msg);
                 let dst = msg.dst;
                 let fx = self.nodes[dst].handle_msg(msg, &mut self.clf, now);
                 self.process_effects(dst, fx, now);
@@ -1146,9 +831,6 @@ impl Machine {
                     let val = self.cpus[n].regs[rs];
                     self.clf.count_write();
                     self.clf.word_write_referenced(n, addr);
-                    if let Some(p) = self.parobs.as_mut() {
-                        p.touch(StructKind::WriteBuffer, n as u64, Some(n), true);
-                    }
                     if self.wbs[n].is_full() {
                         self.set_state(n, CpuState::StallWbFull { addr, val }, t);
                         if let Some(obs) = self.obs.as_mut() {
@@ -1234,9 +916,6 @@ impl Machine {
                     if let Some(crit) = self.crit.as_mut() {
                         crit.lock_attempt(n, MAGIC_SYNC_BASE + l, t);
                     }
-                    if let Some(p) = self.parobs.as_mut() {
-                        p.touch(StructKind::MagicSync, u64::from(MAGIC_SYNC_BASE + l), None, true);
-                    }
                     let lock = self.magic_locks.entry(l).or_default();
                     if lock.holder.is_none() {
                         lock.holder = Some(n);
@@ -1253,9 +932,6 @@ impl Machine {
                 }
                 Instr::MagicRelease(l) => {
                     let cost = self.cfg.magic_lock_cycles;
-                    if let Some(p) = self.parobs.as_mut() {
-                        p.touch(StructKind::MagicSync, u64::from(MAGIC_SYNC_BASE + l), None, true);
-                    }
                     let lock = self.magic_locks.entry(l).or_default();
                     assert_eq!(lock.holder, Some(n), "magic release of a lock not held");
                     let next = lock.queue.pop_front();
@@ -1382,14 +1058,6 @@ impl Machine {
     }
 
     fn release_barrier_if_full(&mut self, now: Cycle) {
-        // Arrivals, halt-time completions, and the release itself all
-        // inspect or mutate the barrier cell — a global magic-sync
-        // structure no shard owns.
-        if !self.barrier_waiting.is_empty() {
-            if let Some(p) = self.parobs.as_mut() {
-                p.touch(StructKind::MagicSync, u64::from(MAGIC_SYNC_BASE), None, true);
-            }
-        }
         let alive = self.cfg.num_procs - self.halted;
         if alive > 0 && self.barrier_waiting.len() == alive {
             let cost = self.cfg.magic_barrier_cycles;
@@ -1446,11 +1114,6 @@ impl Machine {
                     None => no.record_local(m.kind.name(), at - now),
                 }
             }
-            // The send reserved service at the destination's receive-port
-            // server — state a by-node split hands to `m.dst`'s shard.
-            if let Some(p) = self.parobs.as_mut() {
-                p.touch(StructKind::RxPort, m.dst as u64, Some(m.dst), true);
-            }
             self.queue.schedule(at, Ev::Deliver(m));
         }
         for m in fx.requeue_home {
@@ -1487,9 +1150,6 @@ impl Machine {
             }
         }
         if fx.write_retired {
-            if let Some(p) = self.parobs.as_mut() {
-                p.touch(StructKind::WriteBuffer, x as u64, Some(x), true);
-            }
             self.wbs[x].pop_head();
             self.queue.schedule(now + 1, Ev::WbIssue(x));
             match self.cpus[x].state {
@@ -1562,9 +1222,6 @@ impl Machine {
     }
 
     fn try_issue_wb(&mut self, n: NodeId, now: Cycle) {
-        if let Some(p) = self.parobs.as_mut() {
-            p.touch(StructKind::WriteBuffer, n as u64, Some(n), true);
-        }
         if let Some(w) = self.wbs[n].head_to_issue() {
             self.wbs[n].mark_head_issued();
             let fx = self.nodes[n].issue_write(w.addr, w.val, &mut self.clf, now);
@@ -1758,155 +1415,6 @@ mod tests {
         assert!(r.cycles > 0);
         assert_eq!(r.traffic.shared_writes, 80);
         assert_eq!(m.read_word(ctr), 80, "lock provided mutual exclusion");
-    }
-
-    /// A contended mixed workload (atomic loop + random delays + a magic
-    /// barrier) run at a given shard count, with fingerprints on.
-    fn contended_run(shards: usize) -> crate::result::RunResult {
-        contended_machine(MachineConfig::paper_hostobs(8, Protocol::CompetitiveUpdate).with_shards(shards))
-    }
-
-    /// The same contended workload under an arbitrary 8-processor config.
-    fn contended_machine(cfg: MachineConfig) -> crate::result::RunResult {
-        let mut m = Machine::new(cfg);
-        let ctr = m.alloc().alloc_block_on(0, 1);
-        for n in 0..8 {
-            let mut b = ProgramBuilder::new();
-            b.imm(0, ctr).imm(1, 1).imm(2, 12);
-            b.label("loop");
-            b.fetch_add(3, 0, 1);
-            b.rand_delay(9);
-            b.alui(AluOp::Sub, 2, 2, 1);
-            b.bnz(2, "loop");
-            b.magic_barrier();
-            b.halt();
-            m.set_program(n, b.build());
-        }
-        m.run()
-    }
-
-    #[test]
-    fn sharded_core_is_cycle_exact_against_serial() {
-        let serial = contended_run(1);
-        for shards in [2usize, 3, 8] {
-            let sharded = contended_run(shards);
-            assert_eq!(serial.cycles, sharded.cycles, "{shards} shards");
-            assert_eq!(serial.net.messages, sharded.net.messages, "{shards} shards");
-            assert_eq!(serial.traffic.misses, sharded.traffic.misses, "{shards} shards");
-            assert_eq!(serial.traffic.updates, sharded.traffic.updates, "{shards} shards");
-            assert_eq!(serial.instructions, sharded.instructions, "{shards} shards");
-            // The strongest form: the committed event streams are
-            // identical, fingerprint epoch by fingerprint epoch.
-            assert_eq!(serial.fingerprint, sharded.fingerprint, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_run_reports_pdes_observability() {
-        let r = contended_run(4);
-        let host = r.host.expect("hostobs on");
-        let pdes = host.pdes.expect("sharded run surfaces a PDES section");
-        assert_eq!(pdes.requested_shards, 4);
-        assert_eq!(pdes.shards, 4);
-        // 8 nodes in 4 contiguous 2-node blocks: adjacent nodes straddle a
-        // shard seam, so the lookahead is one hop of switch delay.
-        assert_eq!(pdes.lookahead, 2);
-        assert!(pdes.epochs > 0, "epochs advanced");
-        assert!(pdes.handoff_events > 0, "cross-shard traffic rode the handoff fabric");
-        assert!(pdes.direct_cross > 0, "barrier wake-ups bypassed it");
-        assert_eq!(pdes.per_shard.len(), 4);
-        let pops: u64 = pdes.per_shard.iter().map(|s| s.pops).sum();
-        assert!(pops > 0);
-        assert!(pdes.per_shard.iter().all(|s| s.chain.is_some()), "sub-chains recorded");
-        // Sub-chains are deterministic at a fixed shard count.
-        let again = contended_run(4);
-        let pdes2 = again.host.unwrap().pdes.unwrap();
-        assert_eq!(pdes.folded_chain_hex(), pdes2.folded_chain_hex());
-        assert_eq!(
-            pdes.per_shard.iter().map(|s| s.chain).collect::<Vec<_>>(),
-            pdes2.per_shard.iter().map(|s| s.chain).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn serial_run_has_no_pdes_section() {
-        let r = contended_run(1);
-        assert!(r.host.expect("hostobs on").pdes.is_none());
-    }
-
-    #[test]
-    fn parobs_reports_conflicts_with_closure() {
-        use sim_stats::PlanShape;
-        let r = contended_machine(
-            MachineConfig::paper_hostobs(8, Protocol::CompetitiveUpdate)
-                .with_shards(4)
-                .with_parobs(&[2, 4, 8, 16]),
-        );
-        let par = r.par.as_ref().expect("parobs on");
-        assert_eq!(par.nodes, 8);
-        assert_eq!(par.shards, 4);
-        assert!(par.epochs > 0 && par.events > 0 && par.touch_records > 0);
-        assert_eq!(par.weights, "nanos", "host profiler supplies handler nanos");
-        assert!(par.conflicts_total > 0, "contended atomics conflict across shards");
-        par.check_closure().expect("per-kind and per-owner conflict counts close");
-        // The shared counter's classifier block is touched from every shard.
-        let clf = par.kinds.iter().find(|k| k.kind == StructKind::Classifier).unwrap();
-        assert!(clf.conflicts > 0, "classifier blocks conflict: {:?}", par.kinds);
-        // Write buffers and the directory are handled at their owning node,
-        // so a by-node split never sees them conflict — by construction.
-        let wb = par.kinds.iter().find(|k| k.kind == StructKind::WriteBuffer).unwrap();
-        assert_eq!(wb.conflicts, 0, "write buffers are shard-local");
-        let dir = par.kinds.iter().find(|k| k.kind == StructKind::Directory).unwrap();
-        assert_eq!(dir.conflicts, 0, "directory blocks are handled at their home");
-        // Both shapes at each what-if count (16 clamps to 8 on 8 nodes
-        // but still projects as its own point).
-        assert_eq!(par.projection.len(), 2 * 4);
-        let curve = par.curve(PlanShape::Contiguous);
-        assert!(curve.len() >= 4, "contiguous curve covers the what-if counts");
-        assert!(curve.windows(2).all(|w| w[0].shards <= w[1].shards));
-        for p in &par.projection {
-            assert!(p.speedup > 0.0);
-            assert!(!p.sentence().is_empty());
-        }
-        // The host report carries the same section for differential tools.
-        assert!(r.host.as_ref().unwrap().parobs.is_some());
-    }
-
-    #[test]
-    fn parobs_is_passive_on_the_sharded_core() {
-        let base = contended_run(2);
-        let with = contended_machine(
-            MachineConfig::paper_hostobs(8, Protocol::CompetitiveUpdate).with_shards(2).with_parobs(&[4, 8]),
-        );
-        assert_eq!(base.cycles, with.cycles);
-        assert_eq!(base.net.messages, with.net.messages);
-        assert_eq!(base.traffic.misses, with.traffic.misses);
-        assert_eq!(base.instructions, with.instructions);
-        // Strongest form: identical committed event streams and final state.
-        assert_eq!(base.fingerprint, with.fingerprint);
-        assert!(base.par.is_none() && with.par.is_some());
-    }
-
-    #[test]
-    fn serial_parobs_run_uses_event_weights() {
-        let r = contended_machine(MachineConfig::paper(8, Protocol::CompetitiveUpdate).with_parobs(&[2, 4]));
-        let par = r.par.expect("parobs on");
-        assert_eq!(par.weights, "events", "no host profiler: weights fall back to event counts");
-        assert_eq!(par.shards, 1, "serial actual plan");
-        assert!(par.lookahead >= 1, "epoch window derived from a trial partition");
-        // One shard can never conflict with itself; the what-if points are
-        // where a serial run's recorded contention shows up.
-        assert_eq!(par.conflicts_total, 0, "the actual serial plan has no cross-shard conflicts");
-        assert!(par.projection.iter().all(|p| p.conflicts_total > 0), "what-if plans see the contention");
-        assert_eq!(par.mean_barrier_nanos, 0.0, "serial runs have no epoch barriers");
-        par.check_closure().expect("closure holds in event-weight mode");
-        assert!(r.host.is_none(), "no host profile without hostobs");
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be at least 1")]
-    fn zero_shards_is_rejected() {
-        Machine::new(MachineConfig::paper(4, Protocol::WriteInvalidate).with_shards(0));
     }
 
     #[test]

@@ -4,23 +4,23 @@
 //! the event queue with its exact `(cycle, seq)` order — into a sealed
 //! [`sim_engine::snapshot`] blob, and rebuilds a machine that continues
 //! the run byte-identically (`tests/replay_equivalence.rs` proves it for
-//! every kernel × protocol × shard count).
+//! every kernel × protocol).
 //!
 //! This is a child module of `machine` (so it can reach private fields)
 //! living in a sibling file to keep `machine.rs` readable.
 
 use sim_engine::snapshot::{open, SnapError, SnapReader, SnapWriter};
-use sim_engine::{EventQueue, FifoServer, QueueSnapshot, QueueStats, ShardedQueue, SplitMix64};
+use sim_engine::{EventQueue, FifoServer, QueueSnapshot, QueueStats, SplitMix64};
 use sim_mem::{BlockAddr, DirState, LineSnapshot, LineState, SharerSet, WriteBuffer};
 use sim_proto::{AtomicOp, Msg, Protocol};
 use sim_stats::FingerprintRecorder;
 
-use super::{class_of, Core, Ev, Machine, MagicLock};
+use super::{class_of, Ev, Machine, MagicLock};
 use crate::cpu::{CpuState, PendingAtomicIssue};
 
 /// Format version written by [`Machine::snapshot`]; [`Machine::restore`]
 /// rejects anything else. Bump on any change to the payload schema.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Event codec
@@ -258,7 +258,6 @@ impl Machine {
         // configured machine or different programs.
         w.usize(self.cfg.num_procs);
         w.u8(protocol_tag(self.cfg.protocol));
-        w.usize(self.cfg.shards);
         w.usize(self.cfg.wb_entries);
         w.u64(self.cfg.seed);
         w.u64(self.program_digest());
@@ -266,41 +265,8 @@ impl Machine {
         w.u64(self.popped);
         w.usize(self.halted);
         w.u64(self.last_halt);
-        // The event core, in exact pop order.
-        match &self.queue {
-            Core::Serial(q) => {
-                w.u8(0);
-                encode_queue_snapshot(&mut w, &q.snapshot());
-            }
-            Core::Sharded(c) => {
-                w.u8(1);
-                let snap = c.q.snapshot();
-                w.u64(snap.now);
-                w.u64(snap.next_seq);
-                w.usize(snap.current_shard);
-                w.u64(snap.epoch_end);
-                w.u64(snap.epochs);
-                w.u64(snap.handoff_events);
-                w.u64(snap.direct_cross);
-                w.u64(snap.peak_len);
-                w.usize(snap.pops.len());
-                for p in &snap.pops {
-                    w.u64(*p);
-                }
-                w.usize(snap.queues.len());
-                for q in &snap.queues {
-                    encode_queue_snapshot(&mut w, q);
-                }
-                w.usize(snap.handoffs.len());
-                for (src, dst, at, seq, ev) in &snap.handoffs {
-                    w.usize(*src);
-                    w.usize(*dst);
-                    w.u64(*at);
-                    w.u64(*seq);
-                    encode_ev(&mut w, ev);
-                }
-            }
-        }
+        // The event queue, in exact pop order.
+        encode_queue_snapshot(&mut w, &self.queue.snapshot());
         // Processors.
         for cpu in &self.cpus {
             w.usize(cpu.pc);
@@ -478,9 +444,6 @@ impl Machine {
         if r.u8()? != protocol_tag(self.cfg.protocol) {
             return Err(SnapError::Corrupt("snapshot is for a different protocol"));
         }
-        if r.usize()? != self.cfg.shards {
-            return Err(SnapError::Corrupt("snapshot is for a different shard count"));
-        }
         if r.usize()? != self.cfg.wb_entries {
             return Err(SnapError::Corrupt("snapshot is for a different write-buffer size"));
         }
@@ -494,62 +457,8 @@ impl Machine {
         self.popped = r.u64()?;
         self.halted = r.usize()?;
         self.last_halt = r.u64()?;
-        // The event core.
-        match (r.u8()?, &mut self.queue) {
-            (0, Core::Serial(q)) => {
-                *q = EventQueue::restore(decode_queue_snapshot(&mut r)?);
-            }
-            (1, Core::Sharded(c)) => {
-                let now = r.u64()?;
-                let next_seq = r.u64()?;
-                let current_shard = r.usize()?;
-                let epoch_end = r.u64()?;
-                let epochs = r.u64()?;
-                let handoff_events = r.u64()?;
-                let direct_cross = r.u64()?;
-                let peak_len = r.u64()?;
-                let n = r.usize()?;
-                let mut pops = Vec::with_capacity(n.min(1 << 10));
-                for _ in 0..n {
-                    pops.push(r.u64()?);
-                }
-                let n = r.usize()?;
-                if n != c.plan.shards() {
-                    return Err(SnapError::Corrupt("snapshot shard-queue count disagrees"));
-                }
-                let mut queues = Vec::with_capacity(n);
-                for _ in 0..n {
-                    queues.push(decode_queue_snapshot(&mut r)?);
-                }
-                let n = r.usize()?;
-                let mut handoffs = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let src = r.usize()?;
-                    let dst = r.usize()?;
-                    let at = r.u64()?;
-                    let seq = r.u64()?;
-                    handoffs.push((src, dst, at, seq, decode_ev(&mut r)?));
-                }
-                let snap = sim_engine::ShardedSnapshot {
-                    now,
-                    next_seq,
-                    current_shard,
-                    epoch_end,
-                    epochs,
-                    handoff_events,
-                    direct_cross,
-                    peak_len,
-                    pops,
-                    queues,
-                    handoffs,
-                };
-                c.q = ShardedQueue::restore(&c.plan, snap);
-                if self.cfg.hostobs.enabled {
-                    c.q.enable_barrier_timing();
-                }
-            }
-            _ => return Err(SnapError::Corrupt("snapshot core kind disagrees with the config")),
-        }
+        // The event queue.
+        self.queue = EventQueue::restore(decode_queue_snapshot(&mut r)?);
         // Processors.
         for cpu in &mut self.cpus {
             cpu.pc = r.usize()?;
@@ -756,10 +665,11 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
-    use sim_engine::snapshot::SnapError;
+    use sim_engine::snapshot::{open, seal, SnapError};
     use sim_isa::{AluOp, ProgramBuilder};
     use sim_proto::Protocol;
 
+    use super::SNAPSHOT_VERSION;
     use crate::config::MachineConfig;
     use crate::machine::Machine;
 
@@ -805,10 +715,10 @@ mod tests {
         )
     }
 
-    fn round_trip(protocol: Protocol, shards: usize) {
+    fn round_trip(protocol: Protocol) {
         // A small fingerprint epoch keeps the epoch-aligned checkpoint
         // cadence fine enough for this short workload.
-        let mut cfg = MachineConfig::paper(8, protocol).with_shards(shards);
+        let mut cfg = MachineConfig::paper(8, protocol);
         cfg.hostobs.fingerprint_epoch = 512;
         // Uninterrupted reference run.
         let full = build_contended(&cfg).run();
@@ -837,17 +747,17 @@ mod tests {
 
     #[test]
     fn restore_resumes_byte_identically_wi_serial() {
-        round_trip(Protocol::WriteInvalidate, 1);
+        round_trip(Protocol::WriteInvalidate);
     }
 
     #[test]
-    fn restore_resumes_byte_identically_pu_sharded() {
-        round_trip(Protocol::PureUpdate, 4);
+    fn restore_resumes_byte_identically_pu_serial() {
+        round_trip(Protocol::PureUpdate);
     }
 
     #[test]
     fn restore_resumes_byte_identically_cu_serial() {
-        round_trip(Protocol::CompetitiveUpdate, 1);
+        round_trip(Protocol::CompetitiveUpdate);
     }
 
     #[test]
@@ -872,12 +782,24 @@ mod tests {
         b.halt();
         r.set_program(0, b.build());
         assert!(matches!(r.restore(&ck.blob), Err(SnapError::Corrupt(_))));
+        // Different seed.
+        let other = MachineConfig { seed: base.seed + 1, ..base.clone() };
+        let mut r = build_contended(&other);
+        assert!(matches!(r.restore(&ck.blob), Err(SnapError::Corrupt(_))));
+        // Different write-buffer size.
+        let other = MachineConfig { wb_entries: base.wb_entries + 1, ..base.clone() };
+        let mut r = build_contended(&other);
+        assert!(matches!(r.restore(&ck.blob), Err(SnapError::Corrupt(_))));
         // Corruption and version skew are caught by the frame itself.
         let mut bad = ck.blob.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         let mut r = build_contended(&base);
         assert!(r.restore(&bad).is_err());
+        let payload = open(&ck.blob, SNAPSHOT_VERSION).expect("the checkpoint opens");
+        let stale = seal(SNAPSHOT_VERSION - 1, payload);
+        let mut r = build_contended(&base);
+        assert_eq!(r.restore(&stale), Err(SnapError::Version { found: 1, expected: 2 }));
     }
 
     #[test]

@@ -54,12 +54,6 @@ pub struct RunResult {
     /// Host self-profile of this run (dispatch-time breakdown, event-queue
     /// analytics); `None` unless `MachineConfig::hostobs.enabled` was set.
     pub host: Option<Box<sim_stats::HostObsReport>>,
-    /// Parallelism-observability report (shared-state touch analytics,
-    /// epoch conflicts, what-if shard-speedup projection); `None` unless
-    /// `MachineConfig::parobs.enabled` was set. When the host profile
-    /// rides along, the same report is attached to `host.parobs` so
-    /// differential tooling sees it.
-    pub par: Option<sim_stats::ParObsReport>,
     /// Determinism fingerprint of this run's event stream and final state;
     /// `None` unless `MachineConfig::hostobs.fingerprint` was set.
     pub fingerprint: Option<sim_stats::FingerprintChain>,
@@ -111,7 +105,6 @@ mod tests {
             atomic_latency: Default::default(),
             obs: None,
             host: None,
-            par: None,
             fingerprint: None,
             trace_dropped: 0,
         };

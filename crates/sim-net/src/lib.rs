@@ -46,32 +46,6 @@ impl Default for NetConfig {
     }
 }
 
-impl NetConfig {
-    /// Conservative lookahead (in cycles) for a sharded PDES run: a lower
-    /// bound on the delivery latency of *any* message between nodes in
-    /// different shards, derived from the mesh latency model.
-    ///
-    /// A cross-shard message is never node-local, so it pays at least
-    /// `switch_delay · hops` of header pipelining (plus transmit queueing
-    /// and at least one flit of service, which this bound conservatively
-    /// ignores). Minimizing over inter-shard node pairs gives
-    ///
-    /// ```text
-    /// lookahead = switch_delay · min_cross_shard_hops ≥ switch_delay
-    /// ```
-    ///
-    /// With everything in one shard there is no cross-shard traffic and
-    /// any positive window works; 1 is returned so epochs still advance.
-    /// The result is clamped to ≥ 1 for degenerate configs
-    /// (`switch_delay = 0`).
-    pub fn conservative_lookahead(&self, shape: &MeshShape, shard_of: &[usize]) -> Cycle {
-        match shape.min_cross_shard_hops(shard_of) {
-            Some(hops) => (self.switch_delay * hops as Cycle).max(1),
-            None => 1,
-        }
-    }
-}
-
 /// Aggregate traffic counters for one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct NetCounters {
@@ -527,64 +501,6 @@ mod tests {
         assert_eq!(total, f0 * 4 + f64);
         // The canonical order covers every directed mesh link, zeros kept.
         assert_eq!(n.phys_link_flits().len(), n.shape().links().len());
-    }
-
-    #[test]
-    fn cross_shard_hops_and_lookahead() {
-        let shape = MeshShape::for_nodes(32); // 8x4, row-major
-        let cfg = NetConfig::default();
-        // Contiguous blocks of 4 node ids: rows interleave shards, so
-        // adjacent nodes in different shards exist (hops = 1).
-        let blocks: Vec<usize> = (0..32).map(|n| n / 4).collect();
-        assert_eq!(shape.min_cross_shard_hops(&blocks), Some(1));
-        assert_eq!(cfg.conservative_lookahead(&shape, &blocks), 2);
-        // One shard: no cross-shard pair, lookahead degenerates to 1.
-        let one = vec![0usize; 32];
-        assert_eq!(shape.min_cross_shard_hops(&one), None);
-        assert_eq!(cfg.conservative_lookahead(&shape, &one), 1);
-        // A split along the long axis: left 4 columns vs right 4 columns
-        // still has adjacent cross-shard nodes.
-        let halves: Vec<usize> = (0..32).map(|n| usize::from(n % 8 >= 4)).collect();
-        assert_eq!(shape.min_cross_shard_hops(&halves), Some(1));
-        // Any full multi-shard partition of a connected mesh has an
-        // adjacent cross-shard pair somewhere along its seam, so the hop
-        // minimum is 1 and the lookahead reduces to `switch_delay` — the
-        // general minimization is the honest derivation, but the scaling
-        // shows up through `switch_delay`:
-        let strip = MeshShape { cols: 8, rows: 1 };
-        let seam: Vec<usize> = (0..8).map(|n| usize::from(n >= 4)).collect();
-        assert_eq!(strip.min_cross_shard_hops(&seam), Some(1));
-        let wide = NetConfig { switch_delay: 5, ..NetConfig::default() };
-        assert_eq!(wide.conservative_lookahead(&strip, &seam), 5);
-    }
-
-    #[test]
-    fn lookahead_bounds_every_cross_shard_delivery() {
-        // Property: for random shard maps and random remote sends, the
-        // delivery latency of a cross-shard message is never below the
-        // derived lookahead.
-        let mut rng = sim_engine::SplitMix64::new(0x100c_a4ea);
-        for _ in 0..64 {
-            let nodes = rng.next_range(2, 33) as usize;
-            let shards = rng.next_range(2, 8) as usize;
-            let shard_of: Vec<usize> = (0..nodes).map(|n| n * shards.min(nodes) / nodes).collect();
-            let mut net = Network::new(nodes, NetConfig::default());
-            let shape = net.shape();
-            let la = net.config().conservative_lookahead(&shape, &shard_of);
-            for _ in 0..32 {
-                let src = rng.next_below(nodes as u64) as usize;
-                let dst = rng.next_below(nodes as u64) as usize;
-                if shard_of[src] == shard_of[dst] {
-                    continue;
-                }
-                let now = rng.next_below(10_000);
-                let delivered = net.send(now, src, dst, rng.next_below(65) as u32);
-                assert!(
-                    delivered >= now + la,
-                    "cross-shard delivery {delivered} undercuts lookahead {la} from {now}"
-                );
-            }
-        }
     }
 
     #[test]

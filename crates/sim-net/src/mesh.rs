@@ -96,31 +96,6 @@ impl MeshShape {
         out
     }
 
-    /// Minimum hop distance between any two nodes assigned to *different*
-    /// shards, or `None` when every node shares one shard (no cross-shard
-    /// traffic can exist). `shard_of[n]` is node `n`'s shard.
-    ///
-    /// This is the topological half of the conservative-PDES lookahead
-    /// bound: a cross-shard message pays at least
-    /// `switch_delay · min_cross_shard_hops` cycles of header pipelining
-    /// before it can arrive (see `NetConfig::conservative_lookahead`).
-    pub fn min_cross_shard_hops(&self, shard_of: &[usize]) -> Option<usize> {
-        debug_assert_eq!(shard_of.len(), self.nodes());
-        let mut best: Option<usize> = None;
-        for a in 0..self.nodes() {
-            for b in (a + 1)..self.nodes() {
-                if shard_of[a] != shard_of[b] {
-                    let h = self.hops(a, b);
-                    best = Some(best.map_or(h, |m| m.min(h)));
-                    if h == 1 {
-                        return best; // mesh minimum; can't do better
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// The dimension-ordered route from `a` to `b`, inclusive of both
     /// endpoints. Provided for tests and tooling; the latency model only
     /// needs [`MeshShape::hops`].

@@ -85,11 +85,6 @@ pub struct Classifier {
     /// passivity contract as `lineage`: `None` by default, pure mirror of
     /// the classifications when on.
     home_updates: Option<Box<HomeUpdates>>,
-    /// Shared-state touch log for the parallelism-observability layer
-    /// ([`crate::parobs`]): blocks whose classifier entries the current
-    /// event's handler mutated, drained by the machine after each
-    /// committed event. Same passivity contract as `lineage`.
-    touch_log: Option<Vec<BlockAddr>>,
 }
 
 /// A named address range for per-structure traffic attribution.
@@ -113,7 +108,6 @@ impl Classifier {
             finished: false,
             lineage: None,
             home_updates: None,
-            touch_log: None,
         }
     }
 
@@ -150,32 +144,6 @@ impl Classifier {
     /// [`Classifier::finish`] so end-of-run classifications are included.
     pub fn take_home_stats(&mut self) -> Option<HomeUpdates> {
         self.home_updates.take().map(|h| *h)
-    }
-
-    /// Switches on shared-state touch logging for [`crate::parobs`].
-    /// Passive: classifications are untouched; the classifier merely
-    /// remembers which per-block entries each event mutated. Every logged
-    /// touch is a *write* — the classifier hooks below all update shared
-    /// per-word/per-block state (`last_writer`, copy histories, live
-    /// update records). Commutative report counters (`bump_miss`,
-    /// `bump_update`, reference counts) are deliberately not logged: they
-    /// sum-reduce trivially and would never force cross-shard commits.
-    pub fn enable_touch_log(&mut self) {
-        self.touch_log = Some(Vec::new());
-    }
-
-    /// Appends (and clears) the blocks touched since the last drain into
-    /// `out`. The machine calls this once per committed event.
-    pub fn drain_touch_log(&mut self, out: &mut Vec<BlockAddr>) {
-        if let Some(log) = self.touch_log.as_mut() {
-            out.append(log);
-        }
-    }
-
-    fn log_touch(&mut self, block: BlockAddr) {
-        if let Some(log) = self.touch_log.as_mut() {
-            log.push(block);
-        }
     }
 
     /// `node` entered program `phase` (bridged from the machine's `Phase`
@@ -308,7 +276,6 @@ impl Classifier {
     /// A write to `addr` by `writer` became globally visible.
     pub fn word_written(&mut self, writer: NodeId, addr: Addr, now: Cycle) {
         self.last_writer.insert(addr, (writer, now));
-        self.log_touch(self.geom.block_of(addr));
         if let Some(l) = self.lineage.as_mut() {
             l.note_write(writer, self.geom.block_of(addr));
         }
@@ -320,7 +287,6 @@ impl Classifier {
 
     /// `node` installed a copy of `block` in its cache.
     pub fn copy_acquired(&mut self, node: NodeId, block: BlockAddr) {
-        self.log_touch(block);
         let c = self.copy(node, block);
         c.ever_cached = true;
         c.lost = None;
@@ -330,7 +296,6 @@ impl Classifier {
     /// [`LossCause::SelfInvalidate`], any live update records die here too
     /// (replacement updates, or leftover records at a drop/flush).
     pub fn copy_lost(&mut self, node: NodeId, block: BlockAddr, cause: LossCause, now: Cycle) {
-        self.log_touch(block);
         self.copy(node, block).lost = Some((now, cause));
         if let Some(l) = self.lineage.as_mut() {
             match cause {
@@ -364,7 +329,6 @@ impl Classifier {
     /// A write under WI hit a read-shared copy and issued an exclusive
     /// (upgrade) request.
     pub fn exclusive_request(&mut self, _node: NodeId, block: BlockAddr) {
-        self.log_touch(block);
         self.report.misses.exclusive_requests += 1;
         if let Some(i) = self.structure_of(block.0) {
             self.report.by_structure[i].misses.exclusive_requests += 1;
@@ -382,7 +346,6 @@ impl Classifier {
     /// Call at miss-detection time, before the refill's `copy_acquired`.
     pub fn classify_miss(&mut self, node: NodeId, addr: Addr, now: Cycle) -> MissClass {
         let block = self.geom.block_of(addr);
-        self.log_touch(block);
         let history = *self.copy(node, block);
         let class = if !history.ever_cached {
             MissClass::Cold
@@ -423,7 +386,6 @@ impl Classifier {
     /// record.
     pub fn update_delivered(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
-        self.log_touch(block);
         let widx = self.geom.word_index(addr);
         let records = self.live_updates.entry((node, block)).or_default();
         if let Some(old) = records.insert(widx, UpdateRec { block_referenced: false }) {
@@ -436,7 +398,6 @@ impl Classifier {
     /// The update for `addr` arriving at `node` tripped the competitive
     /// threshold: it is a *drop* update and never opens a record.
     pub fn update_caused_drop(&mut self, _node: NodeId, addr: Addr) {
-        self.log_touch(self.geom.block_of(addr));
         self.bump_update(addr, UpdateClass::Drop);
     }
 
@@ -446,7 +407,6 @@ impl Classifier {
     /// blocks as referenced.
     pub fn word_referenced(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
-        self.log_touch(block);
         let widx = self.geom.word_index(addr);
         if let Some(l) = self.lineage.as_mut() {
             l.note_read(node, block);
@@ -472,7 +432,6 @@ impl Classifier {
     /// for the false-sharing distinction.
     pub fn word_write_referenced(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
-        self.log_touch(block);
         let widx = self.geom.word_index(addr);
         if let Some(records) = self.live_updates.get_mut(&(node, block)) {
             for (&w, rec) in records.iter_mut() {
@@ -925,33 +884,6 @@ mod tests {
         let mut plain = Classifier::new(Geometry::new(4)); // no registrations
         let mut r = sim_engine::SnapReader::new(&bytes);
         assert!(plain.restore_state(&mut r).is_err(), "registration paths differ");
-    }
-
-    #[test]
-    fn touch_log_is_passive_and_drains_per_event() {
-        let mut plain = classifier();
-        let mut logged = classifier();
-        logged.enable_touch_log();
-        let mut drained = Vec::new();
-        for c in [&mut plain, &mut logged] {
-            c.classify_miss(0, W0, 0);
-            c.copy_acquired(0, BlockAddr(B));
-            c.word_written(1, W0, 100);
-            c.copy_lost(0, BlockAddr(B), LossCause::External { word_addr: W0, writer: 1 }, 101);
-            c.update_delivered(0, W1);
-            c.word_referenced(0, W1);
-            c.finish();
-        }
-        assert_eq!(plain.report().misses, logged.report().misses, "touch log is passive");
-        assert_eq!(plain.report().updates, logged.report().updates, "touch log is passive");
-        logged.drain_touch_log(&mut drained);
-        assert_eq!(drained.len(), 6, "one touch per mutating hook");
-        assert!(drained.iter().all(|&b| b == BlockAddr(B)));
-        drained.clear();
-        logged.drain_touch_log(&mut drained);
-        assert!(drained.is_empty(), "draining clears the log");
-        plain.drain_touch_log(&mut drained);
-        assert!(drained.is_empty(), "no-op when logging is off");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! compares two [`ObsReport`]s section by section — stall-class and phase
 //! cycle accounting, lineage sharing patterns and provenance counts,
 //! crit-path decomposition and per-lock handoff splits, netobs journey
-//! stages and per-home/per-link totals, hostobs dispatch categories and
-//! PDES shard stats — as paired [`Counter`]s carrying both absolute and
-//! relative deltas.
+//! stages and per-home/per-link totals, hostobs dispatch categories — as
+//! paired [`Counter`]s carrying both absolute and relative deltas.
 //!
 //! The closure discipline carries over delta-wise:
 //! [`ReportDelta::check_closure`] asserts that each section's deltas sum
@@ -285,38 +284,6 @@ pub struct HostCatDelta {
     pub nanos: Counter,
 }
 
-/// PDES sharded-core deltas.
-#[derive(Debug, Clone)]
-pub struct PdesDelta {
-    /// Shards the cores ran with.
-    pub shards: Counter,
-    /// Lockstep epochs executed.
-    pub epochs: Counter,
-    /// Cross-shard events routed through handoff buffers.
-    pub handoff_events: Counter,
-    /// Cross-shard events scheduled directly (inside lookahead).
-    pub direct_cross: Counter,
-    /// Nanoseconds at epoch barriers.
-    pub barrier_nanos: Counter,
-}
-
-/// Parallelism-observability deltas ([`crate::parobs`]), present when
-/// both sides ran with touch recording on.
-#[derive(Debug, Clone)]
-pub struct ParObsDelta {
-    /// Lookahead-aligned epochs recorded.
-    pub epochs: Counter,
-    /// Shared-state touch records logged.
-    pub touch_records: Counter,
-    /// Cross-shard conflicts under the actual plan.
-    pub conflicts_total: Counter,
-    /// Epochs with at least one conflict.
-    pub serialized_epochs: Counter,
-    /// Per-structure-kind conflicts, in [`crate::parobs::STRUCT_KINDS`]
-    /// order.
-    pub by_kind: Vec<(&'static str, Counter)>,
-}
-
 /// Host self-profile deltas.
 #[derive(Debug, Clone, Default)]
 pub struct HostDelta {
@@ -326,10 +293,6 @@ pub struct HostDelta {
     pub events: Counter,
     /// Per-dispatch-category splits.
     pub cats: Vec<HostCatDelta>,
-    /// Sharded-core stats, when both sides ran sharded.
-    pub pdes: Option<PdesDelta>,
-    /// Parallelism-observability stats, when both sides recorded them.
-    pub parobs: Option<ParObsDelta>,
 }
 
 /// Where two fingerprinted runs stopped being the same.
@@ -654,36 +617,10 @@ fn host_delta(a: &HostObsReport, b: &HostObsReport) -> HostDelta {
             }
         })
         .collect();
-    let pdes = match (&a.pdes, &b.pdes) {
-        (Some(pa), Some(pb)) => Some(PdesDelta {
-            shards: Counter::new(pa.shards as u64, pb.shards as u64),
-            epochs: Counter::new(pa.epochs, pb.epochs),
-            handoff_events: Counter::new(pa.handoff_events, pb.handoff_events),
-            direct_cross: Counter::new(pa.direct_cross, pb.direct_cross),
-            barrier_nanos: Counter::new(pa.barrier_nanos, pb.barrier_nanos),
-        }),
-        _ => None,
-    };
-    let parobs = match (&a.parobs, &b.parobs) {
-        (Some(pa), Some(pb)) => Some(ParObsDelta {
-            epochs: Counter::new(pa.epochs, pb.epochs),
-            touch_records: Counter::new(pa.touch_records, pb.touch_records),
-            conflicts_total: Counter::new(pa.conflicts_total, pb.conflicts_total),
-            serialized_epochs: Counter::new(pa.serialized_epochs, pb.serialized_epochs),
-            by_kind: crate::parobs::STRUCT_KINDS
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k.name(), Counter::new(pa.conflicts_by_kind[i], pb.conflicts_by_kind[i])))
-                .collect(),
-        }),
-        _ => None,
-    };
     HostDelta {
         wall_nanos: Counter::new(a.wall_nanos, b.wall_nanos),
         events: Counter::new(a.events, b.events),
         cats,
-        pdes,
-        parobs,
     }
 }
 
@@ -1100,35 +1037,11 @@ impl ReportDelta {
                     ])
                 })
                 .collect();
-            let mut host_pairs = vec![
+            let host_pairs = vec![
                 ("wall_nanos".to_string(), h.wall_nanos.to_json()),
                 ("events".to_string(), h.events.to_json()),
                 ("dispatch".to_string(), Json::Arr(cats)),
             ];
-            if let Some(p) = &h.pdes {
-                host_pairs.push((
-                    "pdes".to_string(),
-                    Json::obj([
-                        ("shards", p.shards.to_json()),
-                        ("epochs", p.epochs.to_json()),
-                        ("handoff_events", p.handoff_events.to_json()),
-                        ("direct_cross", p.direct_cross.to_json()),
-                        ("barrier_nanos", p.barrier_nanos.to_json()),
-                    ]),
-                ));
-            }
-            if let Some(p) = &h.parobs {
-                host_pairs.push((
-                    "parobs".to_string(),
-                    Json::obj([
-                        ("epochs", p.epochs.to_json()),
-                        ("touch_records", p.touch_records.to_json()),
-                        ("conflicts_total", p.conflicts_total.to_json()),
-                        ("serialized_epochs", p.serialized_epochs.to_json()),
-                        ("conflicts_by_kind", Json::obj(p.by_kind.iter().map(|(k, c)| (*k, c.to_json())))),
-                    ]),
-                ));
-            }
             pairs.push(("host".to_string(), Json::Obj(host_pairs)));
         }
         pairs.push((
@@ -1247,23 +1160,6 @@ impl ReportDelta {
                 if c.calls.a > 0 || c.calls.b > 0 {
                     let _ = writeln!(out, "    {:<13} {} calls", c.name, c.calls.display());
                 }
-            }
-            if let Some(p) = &host.pdes {
-                let _ = writeln!(
-                    out,
-                    "    pdes: shards {}, epochs {}, handoffs {}",
-                    p.shards.display(),
-                    p.epochs.display(),
-                    p.handoff_events.display()
-                );
-            }
-            if let Some(p) = &host.parobs {
-                let _ = writeln!(
-                    out,
-                    "    parobs: conflicts {}, serialized epochs {}",
-                    p.conflicts_total.display(),
-                    p.serialized_epochs.display()
-                );
             }
         }
         let _ = writeln!(out, "  fingerprint: {}", self.fingerprint.describe());

@@ -2,10 +2,9 @@
 //! turned on the instrument.
 //!
 //! Everything else in this crate measures the *simulated* machine; this
-//! module measures the simulator as a host program, which the ROADMAP's
-//! next arc (intra-run parallelism, 1024-node directories, a sweep
-//! service) needs before any of that work can be claimed as a quantified
-//! win. Three instruments share the [`HostObsConfig`] opt-in:
+//! module measures the simulator as a host program, so a claimed speedup
+//! can be quantified layer by layer. Three instruments share the
+//! [`HostObsConfig`] opt-in:
 //!
 //! * [`HostProfiler`] — wall-time breakdown of the event loop by dispatch
 //!   category (queue pops, CPU interpretation, protocol handlers, network
@@ -20,8 +19,8 @@
 //! * [`FingerprintChain`] — the sealed chain plus an end-of-run
 //!   machine-state digest. Two runs that were supposed to be identical
 //!   diff to their *first divergent epoch*
-//!   ([`FingerprintChain::first_divergence`]) — the audit tool the PDES
-//!   work will use to prove exact-order equivalence.
+//!   ([`FingerprintChain::first_divergence`]) — the audit tool that proves
+//!   exact-order equivalence.
 //!
 //! Like the simulated-machine observability, everything here is off by
 //! default and must not perturb the simulation: a hostobs-on run produces
@@ -32,7 +31,6 @@ use sim_engine::{Cycle, QueueStats, StableHasher};
 
 use crate::hist::LatencyHist;
 use crate::json::Json;
-use crate::parobs::ParObsReport;
 
 /// Host-observability switches. All off by default; the default path pays
 /// one `Option` check per popped event and nothing else.
@@ -222,117 +220,7 @@ impl HostProfiler {
                 occupied_slots: self.occupied_slots,
                 far_depth: self.far_depth,
             },
-            pdes: None,
-            parobs: None,
         }
-    }
-}
-
-/// One shard's slice of a sharded-core run.
-#[derive(Debug, Clone)]
-pub struct ShardObs {
-    /// Shard index (contiguous node blocks, ascending).
-    pub shard: usize,
-    /// Events committed (popped) from this shard's queue.
-    pub pops: u64,
-    /// Events scheduled into this shard's queue (handoffs included, once
-    /// drained).
-    pub scheduled: u64,
-    /// Host nanoseconds spent in handlers of this shard's events (the
-    /// per-category dispatch timers, resliced by shard).
-    pub handler_nanos: u64,
-    /// 128-bit sub-chain digest of this shard's committed event stream,
-    /// hashed incrementally on a dedicated host worker thread; `None`
-    /// when fingerprints are off. Sub-chains are a per-shard refinement
-    /// of the global [`FingerprintChain`]: comparable between runs with
-    /// the *same* shard count (the global chain is the cross-shard-count
-    /// invariant).
-    pub chain: Option<(u64, u64)>,
-}
-
-/// Analytics of the sharded conservative-PDES core: epoch/barrier
-/// accounting, cross-shard traffic split by route (handoff fabric vs
-/// direct magic-sync insertion), and per-shard breakdowns.
-#[derive(Debug, Clone)]
-pub struct PdesObs {
-    /// Shard count requested by the configuration.
-    pub requested_shards: usize,
-    /// Effective shard count (requested, clamped to the node count).
-    pub shards: usize,
-    /// Conservative lookahead bounding each epoch window, in cycles.
-    pub lookahead: u64,
-    /// Epoch barriers taken over the run.
-    pub epochs: u64,
-    /// Cross-shard network messages routed through handoff buffers.
-    pub handoff_events: u64,
-    /// Cross-shard events inserted directly (magic-sync wake-ups whose
-    /// fixed local cost may undercut the lookahead).
-    pub direct_cross: u64,
-    /// Host nanoseconds spent inside epoch barriers (handoff drains and
-    /// window advances).
-    pub barrier_nanos: u64,
-    /// Per-shard breakdowns, in shard order.
-    pub per_shard: Vec<ShardObs>,
-}
-
-impl PdesObs {
-    /// Simulated cycles per epoch on average (an epoch commits every
-    /// event in one lookahead window).
-    pub fn events_per_epoch(&self) -> f64 {
-        let events: u64 = self.per_shard.iter().map(|s| s.pops).sum();
-        events as f64 / self.epochs.max(1) as f64
-    }
-
-    /// A 32-hex digest folding every shard's sub-chain (in shard order),
-    /// or `None` when any shard lacks one. Two runs with the same shard
-    /// count must fold identically; the per-shard digests then localize
-    /// any divergence to the shard that moved.
-    pub fn folded_chain_hex(&self) -> Option<String> {
-        let mut h = StableHasher::new();
-        h.write_u64(self.shards as u64);
-        for s in &self.per_shard {
-            let (lo, hi) = s.chain?;
-            h.write_u64(lo);
-            h.write_u64(hi);
-        }
-        Some(h.finish_hex())
-    }
-
-    /// The report as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("requested_shards", Json::U64(self.requested_shards as u64)),
-            ("shards", Json::U64(self.shards as u64)),
-            ("lookahead", Json::U64(self.lookahead)),
-            ("epochs", Json::U64(self.epochs)),
-            ("events_per_epoch", Json::F64(self.events_per_epoch())),
-            ("handoff_events", Json::U64(self.handoff_events)),
-            ("direct_cross", Json::U64(self.direct_cross)),
-            ("barrier_ms", Json::F64(self.barrier_nanos as f64 / 1e6)),
-            ("folded_chain", self.folded_chain_hex().map(Json::from).unwrap_or(Json::Null)),
-            (
-                "per_shard",
-                Json::Arr(
-                    self.per_shard
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("shard", Json::U64(s.shard as u64)),
-                                ("pops", Json::U64(s.pops)),
-                                ("scheduled", Json::U64(s.scheduled)),
-                                ("handler_ms", Json::F64(s.handler_nanos as f64 / 1e6)),
-                                (
-                                    "chain",
-                                    s.chain
-                                        .map(|(lo, hi)| Json::from(format!("{lo:016x}{hi:016x}")))
-                                        .unwrap_or(Json::Null),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -381,12 +269,6 @@ pub struct HostObsReport {
     pub cats: Vec<HostCatReport>,
     /// Event-queue analytics.
     pub queue: QueueReport,
-    /// Sharded-PDES-core analytics; `None` under the serial core.
-    pub pdes: Option<PdesObs>,
-    /// Parallelism observability ([`crate::parobs`]): shared-state touch
-    /// analytics and the what-if shard-speedup projection. `None` unless
-    /// the run had `PPC_PAROBS` on.
-    pub parobs: Option<ParObsReport>,
 }
 
 impl HostObsReport {
@@ -441,8 +323,6 @@ impl HostObsReport {
                     ("far_depth", hist_json(&self.queue.far_depth)),
                 ]),
             ),
-            ("pdes", self.pdes.as_ref().map(|p| p.to_json()).unwrap_or(Json::Null)),
-            ("parobs", self.parobs.as_ref().map(|p| p.to_json()).unwrap_or(Json::Null)),
         ])
     }
 }

@@ -29,10 +29,8 @@
 //! and memory-back-end telemetry — message journeys, physical-link
 //! traffic, hot-home profiles ([`netobs`]) — Chrome `trace_event` export
 //! ([`chrome`]), host-side self-profiling and streaming determinism
-//! fingerprints ([`hostobs`]), shared-state touch tracing with epoch
-//! conflict analytics and what-if shard-speedup projection ([`parobs`]),
-//! and the dependency-free JSON value they all serialize through
-//! ([`json`]).
+//! fingerprints ([`hostobs`]), and the dependency-free JSON value they all
+//! serialize through ([`json`]).
 
 pub mod chrome;
 pub mod classify;
@@ -44,7 +42,6 @@ pub mod json;
 pub mod lineage;
 pub mod netobs;
 pub mod obs;
-pub mod parobs;
 pub mod report;
 pub mod sampler;
 
@@ -56,12 +53,12 @@ pub use crit::{
 };
 pub use diffobs::{
     Attribution, Counter, CritDelta, FingerprintCompare, HostDelta, LineageDelta, LockDelta, NetDelta,
-    ParObsDelta, ReportDelta, RunSide, StageDelta,
+    ReportDelta, RunSide, StageDelta,
 };
 pub use hist::LatencyHist;
 pub use hostobs::{
     DivergenceDetail, FingerprintChain, FingerprintDivergence, FingerprintRecorder, HostCat, HostCatReport,
-    HostObsConfig, HostObsReport, HostProfiler, PdesObs, QueueReport, ShardObs, HOST_CATS,
+    HostObsConfig, HostObsReport, HostProfiler, QueueReport, HOST_CATS,
 };
 pub use json::Json;
 pub use lineage::{
@@ -75,10 +72,6 @@ pub use netobs::{
 pub use obs::{
     CpuClass, CycleAccount, EndpointPairFlits, NodeGauges, NodeObs, ObsCollector, ObsConfig, ObsReport,
     StateSlice, CPU_CLASSES,
-};
-pub use parobs::{
-    KindStats, ParCollector, ParObsConfig, ParObsReport, PlanShape, ProjPoint, ShardLoad, StructId,
-    StructKind, STRUCT_KINDS,
 };
 pub use report::{MissClass, MissStats, StructureTraffic, TrafficReport, UpdateClass, UpdateStats};
 pub use sampler::{NodeSample, Sample, TimeSeries};

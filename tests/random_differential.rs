@@ -136,49 +136,6 @@ fn run_case(per_cpu_ops: &[Vec<Op>], protocol: Protocol) {
     }
 }
 
-/// Runs one random case on the serial core and on the sharded PDES core
-/// at every shard count, asserting the full result — cycles, classified
-/// traffic, network counters, instruction count, and the final
-/// shared-memory words — is identical. The shard counts sweep the edge
-/// cases: an even split, one where shard blocks hold a single node, and
-/// one *above* the processor count (which must clamp, not break).
-fn run_case_shard_invariant(per_cpu_ops: &[Vec<Op>], protocol: Protocol) {
-    let cpus = per_cpu_ops.len();
-    let mut outcomes = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let mut m = Machine::new(MachineConfig::paper(cpus, protocol).with_shards(shards));
-        let counter_addrs: Vec<u32> = (0..COUNTERS).map(|i| m.alloc().alloc_block_on(i % cpus, 1)).collect();
-        let slot_addrs: Vec<Vec<u32>> =
-            (0..cpus).map(|c| (0..SLOTS).map(|_| m.alloc().alloc_block_on(c, 1)).collect()).collect();
-        for (cpu, ops) in per_cpu_ops.iter().enumerate() {
-            m.set_program(cpu, build_program(ops, &counter_addrs, &slot_addrs[cpu]));
-        }
-        let r = m.run();
-        m.assert_coherent();
-        let words: Vec<u32> =
-            counter_addrs.iter().chain(slot_addrs.iter().flatten()).map(|&a| m.read_word(a)).collect();
-        outcomes.push((
-            shards,
-            format!("{:?} {:?} {:?} {} {words:?}", r.cycles, r.traffic, r.net, r.instructions),
-        ));
-    }
-    let (_, reference) = &outcomes[0];
-    for (shards, got) in &outcomes[1..] {
-        assert_eq!(got, reference, "{protocol:?}: {shards} shards diverged from serial");
-    }
-}
-
-#[test]
-fn pdes_core_is_shard_count_invariant() {
-    // 2–3 CPUs under every shard count up to 8: every multi-shard run has
-    // single-node shards, and shards=8 exceeds the node count.
-    let mut rng = SplitMix64::new(0xd1ff_5a4d);
-    for i in 0..9 {
-        let case = random_case(&mut rng);
-        run_case_shard_invariant(&case, PROTOCOLS[i % 3]);
-    }
-}
-
 const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
 
@@ -188,11 +145,10 @@ const PROTOCOLS: [Protocol; 3] =
 fn build_case_machine(
     per_cpu_ops: &[Vec<Op>],
     protocol: Protocol,
-    shards: usize,
     checkpoint_every: Option<u64>,
 ) -> (Machine, Vec<u32>) {
     let cpus = per_cpu_ops.len();
-    let mut cfg = MachineConfig::paper(cpus, protocol).with_shards(shards);
+    let mut cfg = MachineConfig::paper(cpus, protocol);
     // A tiny epoch keeps the epoch-aligned checkpoint grid fine enough
     // for these short random programs.
     cfg.hostobs.fingerprint_epoch = 32;
@@ -220,25 +176,20 @@ fn outcome(r: &sim_machine::RunResult, m: &mut Machine, addrs: &[u32]) -> String
 /// uninterrupted run. Returns whether a checkpoint fired (restores are
 /// only possible from mid-run snapshots — a machine restored before any
 /// event was queued would have nothing to dispatch).
-fn run_case_round_trip(per_cpu_ops: &[Vec<Op>], protocol: Protocol, shards: usize) -> bool {
-    let (mut full_m, addrs) = build_case_machine(per_cpu_ops, protocol, shards, None);
+fn run_case_round_trip(per_cpu_ops: &[Vec<Op>], protocol: Protocol) -> bool {
+    let (mut full_m, addrs) = build_case_machine(per_cpu_ops, protocol, None);
     let full_r = full_m.run();
     full_m.assert_coherent();
     let full = outcome(&full_r, &mut full_m, &addrs);
 
-    let (mut ck_m, _) = build_case_machine(per_cpu_ops, protocol, shards, Some(32));
+    let (mut ck_m, _) = build_case_machine(per_cpu_ops, protocol, Some(32));
     let ck_r = ck_m.run();
-    assert_eq!(outcome(&ck_r, &mut ck_m, &addrs), full, "{protocol:?}/{shards}: checkpointing perturbed");
+    assert_eq!(outcome(&ck_r, &mut ck_m, &addrs), full, "{protocol:?}: checkpointing perturbed");
     let Some(ck) = ck_m.take_checkpoints().pop() else { return false };
-    let (mut m, _) = build_case_machine(per_cpu_ops, protocol, shards, None);
+    let (mut m, _) = build_case_machine(per_cpu_ops, protocol, None);
     m.restore(&ck.blob).expect("checkpoint restores");
     let r = m.run();
-    assert_eq!(
-        outcome(&r, &mut m, &addrs),
-        full,
-        "{protocol:?}/{shards}: restore at event {} diverged",
-        ck.events
-    );
+    assert_eq!(outcome(&r, &mut m, &addrs), full, "{protocol:?}: restore at event {} diverged", ck.events);
     true
 }
 
@@ -248,7 +199,7 @@ fn snapshot_round_trip_is_exact_for_random_programs() {
     let mut restored = 0;
     for i in 0..12 {
         let case = random_case(&mut rng);
-        if run_case_round_trip(&case, PROTOCOLS[i % 3], if i % 2 == 0 { 1 } else { 4 }) {
+        if run_case_round_trip(&case, PROTOCOLS[i % 3]) {
             restored += 1;
         }
     }
@@ -259,28 +210,26 @@ fn snapshot_round_trip_is_exact_for_random_programs() {
 fn snapshot_restore_rejects_corruption_and_wrong_identity() {
     let mut rng = SplitMix64::new(0xd1ff_0005);
     let case = random_case(&mut rng);
-    let (m, _) = build_case_machine(&case, Protocol::WriteInvalidate, 1, None);
+    let (m, _) = build_case_machine(&case, Protocol::WriteInvalidate, None);
     let blob = m.snapshot();
 
     // Bit flip anywhere in the sealed frame.
     let mut bad = blob.clone();
     let mid = bad.len() / 2;
     bad[mid] ^= 0x08;
-    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, 1, None);
+    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, None);
     assert!(r.restore(&bad).is_err(), "corrupted snapshot must not restore");
 
     // Truncation.
-    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, 1, None);
+    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, None);
     assert!(r.restore(&blob[..blob.len() - 7]).is_err(), "truncated snapshot must not restore");
 
-    // Wrong machine identity: different protocol, different shard count.
-    let (mut r, _) = build_case_machine(&case, Protocol::PureUpdate, 1, None);
+    // Wrong machine identity: different protocol.
+    let (mut r, _) = build_case_machine(&case, Protocol::PureUpdate, None);
     assert!(r.restore(&blob).is_err(), "protocol mismatch must not restore");
-    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, 2, None);
-    assert!(r.restore(&blob).is_err(), "shard-count mismatch must not restore");
 
     // The original blob still restores fine afterwards.
-    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, 1, None);
+    let (mut r, _) = build_case_machine(&case, Protocol::WriteInvalidate, None);
     assert!(r.restore(&blob).is_ok(), "pristine snapshot restores");
 }
 

@@ -1,6 +1,5 @@
 //! Time-travel acceptance: restore-and-run-to-end is byte-identical to an
-//! uninterrupted run for **every** diagnostic kernel under every protocol,
-//! on the serial core and the sharded PDES core.
+//! uninterrupted run for **every** diagnostic kernel under every protocol.
 //!
 //! Each cell runs a small-but-real workload twice — once plain, once with
 //! epoch-aligned checkpoints — then restores the *last* checkpoint into a
@@ -97,10 +96,10 @@ fn digest(r: &RunResult) -> String {
     )
 }
 
-fn round_trip_cell(name: &str, shards: usize) {
+fn round_trip_cell(name: &str) {
     let kernel = tiny_spec(name);
     for protocol in PROTOCOLS {
-        let mut cfg = MachineConfig::paper(PROCS, protocol).with_shards(shards);
+        let mut cfg = MachineConfig::paper(PROCS, protocol);
         cfg.hostobs.fingerprint = true;
         cfg.hostobs.fingerprint_epoch = EPOCH;
 
@@ -112,7 +111,7 @@ fn round_trip_cell(name: &str, shards: usize) {
         // Checkpointed run: identical figures, plus snapshots mid-flight.
         let mut ck_m = Machine::new(cfg.clone().with_checkpoints(EPOCH));
         let ck_run = install_run_verify(&mut ck_m, &kernel, Machine::run);
-        let tag = format!("{name}/{}/{shards} shards", protocol_name(protocol));
+        let tag = format!("{name}/{}", protocol_name(protocol));
         assert_eq!(digest(&ck_run), digest(&full), "{tag}: checkpointing perturbed the run");
         let checkpoints = ck_m.take_checkpoints();
         assert!(!checkpoints.is_empty(), "{tag}: workload too short — no checkpoint fired");
@@ -145,14 +144,7 @@ fn round_trip_cell(name: &str, shards: usize) {
 #[test]
 fn every_kernel_resumes_byte_identically_serial() {
     for name in KERNEL_NAMES {
-        round_trip_cell(name, 1);
-    }
-}
-
-#[test]
-fn every_kernel_resumes_byte_identically_sharded() {
-    for name in KERNEL_NAMES {
-        round_trip_cell(name, 4);
+        round_trip_cell(name);
     }
 }
 
