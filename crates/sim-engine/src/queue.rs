@@ -5,10 +5,18 @@
 //! current cycle) and an overflow heap holds the far future. The simulator
 //! schedules almost exclusively a few tens of cycles ahead (network hops,
 //! memory service, spin re-checks), so in steady state every operation
-//! touches only the wheel: `schedule` is an append to a reusable bucket and
+//! touches only the wheel: `schedule` links a node onto a bucket's tail and
 //! `pop` is a bitmap scan to the next occupied slot — no comparisons
-//! against other pending events and no per-event allocation once the
-//! bucket capacity has warmed up.
+//! against other pending events.
+//!
+//! Every pending event lives exactly once, in one slab of nodes
+//! `{ next, seq, payload }`. A bucket is a `(head, tail)` pair of slab
+//! indices threading a singly linked FIFO through the slab, and the far
+//! heap orders small `(cycle, seq, index)` keys, so merging a far event
+//! into the wheel relinks an index instead of moving a whole event. Popped
+//! nodes go onto a LIFO free list and are reused by the next schedule, so
+//! the slab never grows past the peak number of pending events and, once
+//! it has reached that size, scheduling allocates nothing.
 //!
 //! The observable order is identical to a totally ordered heap: events pop
 //! in `(cycle, seq)` order, where `seq` is the global insertion number.
@@ -18,7 +26,7 @@
 //! cycle enters the wheel window exactly once, and the merge happens at
 //! that moment), so bucket FIFO order always equals `seq` order.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
@@ -30,6 +38,8 @@ const WHEEL: u64 = 1024;
 const WHEEL_MASK: u64 = WHEEL - 1;
 /// Occupancy bitmap: one bit per wheel slot, packed into u64 words.
 const BITMAP_WORDS: usize = (WHEEL / 64) as usize;
+/// The null slab index: end of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Lifetime counters maintained by the queue itself (trivially cheap, so
 /// always on): how much was scheduled, how often the far heap was
@@ -65,29 +75,43 @@ pub struct QueueSnapshot<E> {
     pub entries: Vec<(Cycle, u64, E)>,
 }
 
-/// A far-future entry: fires at `at`, carrying payload `E`.
-struct FarEntry<E> {
-    at: Cycle,
+/// One slab slot. `payload` is `Some` exactly while the node is pending;
+/// `next` links the node's bucket chain, or the free list once popped.
+struct Node<E> {
+    next: u32,
     seq: u64,
-    payload: E,
+    payload: Option<E>,
 }
 
-impl<E> PartialEq for FarEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// A wheel bucket: head and tail slab indices of its FIFO chain, both
+/// [`NIL`] when empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
-impl<E> Eq for FarEntry<E> {}
-impl<E> PartialOrd for FarEntry<E> {
+
+const EMPTY: Bucket = Bucket { head: NIL, tail: NIL };
+
+/// A far-future key: the node at slab index `idx` fires at `at`.
+#[derive(PartialEq, Eq)]
+struct FarKey {
+    at: Cycle,
+    seq: u64,
+    idx: u32,
+}
+
+impl PartialOrd for FarKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for FarEntry<E> {
+impl Ord for FarKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (cycle, seq)
-        // pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        // pops first. `seq` is unique, so `idx` only keeps `Ord` in step
+        // with the derived `Eq`.
+        (other.at, other.seq, other.idx).cmp(&(self.at, self.seq, self.idx))
     }
 }
 
@@ -110,15 +134,19 @@ impl<E> Ord for FarEntry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Wheel slot for cycle `c` is `slots[(c & WHEEL_MASK)]`; the wheel
+    /// Every pending event, plus popped nodes awaiting reuse.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list threaded through `Node::next`.
+    free: u32,
+    /// Wheel bucket for cycle `c` is `buckets[c & WHEEL_MASK]`; the wheel
     /// covers exactly `[now, horizon)`, so the mapping is injective.
-    slots: Vec<VecDeque<(u64, E)>>,
-    /// One occupancy bit per slot (bit set ⇔ slot non-empty).
+    buckets: Box<[Bucket; WHEEL as usize]>,
+    /// One occupancy bit per slot (bit set ⇔ bucket non-empty).
     occupied: [u64; BITMAP_WORDS],
-    /// Events in wheel slots.
+    /// Events in wheel buckets.
     wheel_len: usize,
-    /// Events at `horizon` or later.
-    far: BinaryHeap<FarEntry<E>>,
+    /// Keys of the events at `horizon` or later.
+    far: BinaryHeap<FarKey>,
     /// Exclusive upper bound of the wheel window (= `now + WHEEL`).
     horizon: Cycle,
     next_seq: u64,
@@ -136,7 +164,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at cycle 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: Box::new([EMPTY; WHEEL as usize]),
             occupied: [0; BITMAP_WORDS],
             wheel_len: 0,
             far: BinaryHeap::new(),
@@ -162,6 +192,41 @@ impl<E> EventQueue<E> {
         self.occupied[(slot / 64) as usize] &= !(1 << (slot % 64));
     }
 
+    /// Stores an event in a free slab node (reusing the most recently
+    /// freed one) and returns its index.
+    #[inline]
+    fn alloc_node(&mut self, seq: u64, payload: E) -> u32 {
+        if self.free != NIL {
+            let idx = self.free;
+            let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
+            node.next = NIL;
+            node.seq = seq;
+            node.payload = Some(payload);
+            idx
+        } else {
+            let idx = u32::try_from(self.nodes.len()).expect("fewer than 2^32 pending events");
+            assert!(idx != NIL, "slab index collides with the NIL sentinel");
+            self.nodes.push(Node { next: NIL, seq, payload: Some(payload) });
+            idx
+        }
+    }
+
+    /// Appends node `idx` to the bucket of in-window cycle `at`.
+    #[inline]
+    fn link(&mut self, at: Cycle, idx: u32) {
+        let slot = at & WHEEL_MASK;
+        let bucket = &mut self.buckets[slot as usize];
+        let tail = std::mem::replace(&mut bucket.tail, idx);
+        if tail == NIL {
+            bucket.head = idx;
+            self.mark(slot);
+        } else {
+            self.nodes[tail as usize].next = idx;
+        }
+        self.wheel_len += 1;
+    }
+
     /// Schedules `payload` to fire at absolute cycle `at`.
     ///
     /// # Panics
@@ -174,14 +239,12 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.scheduled += 1;
+        let idx = self.alloc_node(seq, payload);
         if at < self.horizon {
-            let slot = at & WHEEL_MASK;
-            self.slots[slot as usize].push_back((seq, payload));
-            self.mark(slot);
-            self.wheel_len += 1;
+            self.link(at, idx);
         } else {
             self.stats.far_spills += 1;
-            self.far.push(FarEntry { at, seq, payload });
+            self.far.push(FarKey { at, seq, idx });
         }
         self.stats.peak_len = self.stats.peak_len.max(self.len() as u64);
     }
@@ -202,11 +265,8 @@ impl<E> EventQueue<E> {
             if head.at >= self.horizon {
                 break;
             }
-            let FarEntry { at, seq, payload } = self.far.pop().unwrap();
-            let slot = at & WHEEL_MASK;
-            self.slots[slot as usize].push_back((seq, payload));
-            self.mark(slot);
-            self.wheel_len += 1;
+            let FarKey { at, idx, .. } = self.far.pop().expect("peeked");
+            self.link(at, idx);
             self.stats.far_merged += 1;
         }
     }
@@ -253,17 +313,25 @@ impl<E> EventQueue<E> {
             // pending event is in the wheel.
             self.next_occupied(self.now).expect("wheel_len > 0 but no occupied slot")
         } else {
-            let head = self.far.peek()?;
-            let at = head.at;
+            let at = self.far.peek()?.at;
             self.advance_window(at);
             at
         };
         let slot = at & WHEEL_MASK;
-        let (_, payload) = self.slots[slot as usize].pop_front().expect("occupied slot is empty");
-        self.wheel_len -= 1;
-        if self.slots[slot as usize].is_empty() {
+        let idx = self.buckets[slot as usize].head;
+        debug_assert!(idx != NIL, "occupied slot is empty");
+        let node = &mut self.nodes[idx as usize];
+        let payload = node.payload.take().expect("a linked node holds its payload");
+        let next = node.next;
+        node.next = self.free;
+        self.free = idx;
+        let bucket = &mut self.buckets[slot as usize];
+        bucket.head = next;
+        if next == NIL {
+            bucket.tail = NIL;
             self.clear(slot);
         }
+        self.wheel_len -= 1;
         debug_assert!(at >= self.now);
         self.now = at;
         if at + WHEEL > self.horizon {
@@ -276,7 +344,7 @@ impl<E> EventQueue<E> {
     pub fn peek_cycle(&self) -> Option<Cycle> {
         match self.next_occupied(self.now) {
             Some(c) => Some(c),
-            None => self.far.peek().map(|e| e.at),
+            None => self.far.peek().map(|k| k.at),
         }
     }
 
@@ -313,21 +381,25 @@ impl<E> EventQueue<E> {
         E: Clone,
     {
         let mut entries = Vec::with_capacity(self.len());
+        let payload = |idx: u32| self.nodes[idx as usize].payload.clone().expect("pending node");
         // The wheel covers exactly [now, horizon) and the cycle→slot
         // mapping is injective there, so every event in a non-empty
         // bucket belongs to the window cycle that maps to its slot.
         // Walking cycles in order (buckets are already seq-sorted) yields
         // the exact pop order of the wheel.
         for c in self.now..self.horizon {
-            for (seq, payload) in &self.slots[(c & WHEEL_MASK) as usize] {
-                entries.push((c, *seq, payload.clone()));
+            let mut idx = self.buckets[(c & WHEEL_MASK) as usize].head;
+            while idx != NIL {
+                let node = &self.nodes[idx as usize];
+                entries.push((c, node.seq, payload(idx)));
+                idx = node.next;
             }
         }
         // All wheel events precede all far events; the heap itself is
-        // unordered internally, so sort its entries by (cycle, seq).
-        let mut far: Vec<_> = self.far.iter().map(|e| (e.at, e.seq, e.payload.clone())).collect();
-        far.sort_by_key(|&(at, seq, _)| (at, seq));
-        entries.extend(far);
+        // unordered internally, so sort its keys by (cycle, seq).
+        let mut far: Vec<&FarKey> = self.far.iter().collect();
+        far.sort_by_key(|k| (k.at, k.seq));
+        entries.extend(far.into_iter().map(|k| (k.at, k.seq, payload(k.idx))));
         QueueSnapshot { now: self.now, next_seq: self.next_seq, stats: self.stats, entries }
     }
 
@@ -339,17 +411,16 @@ impl<E> EventQueue<E> {
         let mut q = EventQueue::new();
         q.now = snap.now;
         q.horizon = snap.now + WHEEL;
+        q.nodes.reserve_exact(snap.entries.len());
         for (at, seq, payload) in snap.entries {
             assert!(at >= q.now, "snapshot entry at {at} precedes its clock {}", q.now);
             // Entries arrive globally (cycle, seq)-sorted, so plain
             // bucket appends reproduce seq-sorted buckets.
+            let idx = q.alloc_node(seq, payload);
             if at < q.horizon {
-                let slot = at & WHEEL_MASK;
-                q.slots[slot as usize].push_back((seq, payload));
-                q.mark(slot);
-                q.wheel_len += 1;
+                q.link(at, idx);
             } else {
-                q.far.push(FarEntry { at, seq, payload });
+                q.far.push(FarKey { at, seq, idx });
             }
         }
         q.next_seq = snap.next_seq;
@@ -886,6 +957,58 @@ mod tests {
         #[test]
         fn long_dense_interleaving_matches_legacy_heap() {
             run_case(0xfeed_beef, 20_000);
+        }
+
+        /// One long seeded profile with delays up to 4× the wheel: slots
+        /// are reused across many windows, a quarter of the schedules
+        /// spill to the far heap and merge back, and the queue is rebuilt
+        /// from a snapshot mid-stream. The popped stream matches the heap
+        /// before and after the restore, and the node slab never holds
+        /// more nodes than the peak number of pending events.
+        #[test]
+        fn slab_reuse_spills_and_mid_stream_restore_match_legacy_heap() {
+            let mut rng = SplitMix64::new(0x51ab_0004);
+            let mut new_q: EventQueue<u64> = EventQueue::new();
+            let mut old_q: HeapQueue<u64> = HeapQueue::new();
+            let mut payload = 0u64;
+            for half in 0..2 {
+                for step in 0..20_000 {
+                    if new_q.len() < 32 || rng.next_below(2) == 0 {
+                        let delay = match rng.next_below(4) {
+                            0 => rng.next_below(8),
+                            1 | 2 => rng.next_below(WHEEL),
+                            _ => rng.next_below(4 * WHEEL),
+                        };
+                        payload += 1;
+                        new_q.schedule_in(delay, payload);
+                        old_q.schedule_in(delay, payload);
+                    } else {
+                        assert_eq!(new_q.pop(), old_q.pop(), "half {half} step {step}");
+                    }
+                    assert!(
+                        new_q.nodes.len() as u64 <= new_q.stats().peak_len,
+                        "half {half} step {step}: slab of {} nodes exceeds the peak of {} pending",
+                        new_q.nodes.len(),
+                        new_q.stats().peak_len
+                    );
+                }
+                if half == 0 {
+                    let snap = new_q.snapshot();
+                    new_q = EventQueue::restore(snap.clone());
+                    assert_eq!(new_q.nodes.len(), new_q.len(), "a restored slab holds only pending events");
+                    assert_eq!(new_q.snapshot(), snap, "re-snapshot differs");
+                }
+            }
+            let s = new_q.stats();
+            assert!(s.far_spills > 1000 && s.far_merged > 1000, "profile exercises the far heap: {s:?}");
+            loop {
+                let n = new_q.pop();
+                assert_eq!(n, old_q.pop(), "drain mismatch");
+                if n.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(new_q.stats().far_merged, new_q.stats().far_spills, "every spill merged back");
         }
 
         #[test]

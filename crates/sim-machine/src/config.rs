@@ -14,7 +14,7 @@ pub struct MachineConfig {
     pub num_procs: usize,
     /// Coherence protocol.
     pub protocol: Protocol,
-    /// Cache sizing (64 KB direct-mapped, 64-byte blocks).
+    /// Cache sizing (64 KB direct-mapped; blocks are always 64 bytes).
     pub cache: CacheConfig,
     /// Write-buffer entries (paper: 4).
     pub wb_entries: usize,
@@ -123,7 +123,6 @@ mod tests {
         assert_eq!(c.num_procs, 32);
         assert_eq!(c.wb_entries, 4);
         assert_eq!(c.cache.capacity_bytes, 64 * 1024);
-        assert_eq!(c.cache.block_bytes, 64);
         assert_eq!(c.mem.first_word, 20);
         assert_eq!(c.net.switch_delay, 2);
         assert_eq!(c.cu_threshold, 4);

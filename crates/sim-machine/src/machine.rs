@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 
 use sim_engine::{Cycle, EventQueue, FifoServer, NodeId};
 use sim_isa::{Instr, Program};
-use sim_mem::{Addr, Geometry, SharedAlloc, Word, WriteBuffer};
+use sim_mem::{Addr, Geometry, SharedAlloc, SharerSet, Word, WriteBuffer};
 use sim_net::Network;
 use sim_proto::{AtomicOp, Effects, MemService, Msg, ProtoNode};
 use sim_stats::{
@@ -120,6 +120,12 @@ pub struct Machine {
     /// Bounded recorder of decoded popped events within a window; `Some`
     /// only after [`Machine::record_events`].
     recorder: Option<EventRecorder>,
+    /// Drained [`Effects`] buffers awaiting reuse. A handler fills one
+    /// taken from here and [`Machine::process_effects`] drains it and puts
+    /// it back, so their vectors keep their capacity across events. More
+    /// than one is out only while effects nest (a flush after a write
+    /// retires, an atomic issued once a fence clears).
+    fx_pool: Vec<Effects>,
 }
 
 /// Bounded window recorder of decoded popped events (see
@@ -176,7 +182,18 @@ fn ev_label(ev: &Ev) -> String {
 impl Machine {
     /// Builds a machine; every processor starts with an empty (immediately
     /// halting) program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.num_procs` exceeds [`SharerSet::CAPACITY`]: the
+    /// directory's sharer bitmap could not tell the extra nodes apart.
     pub fn new(cfg: MachineConfig) -> Self {
+        assert!(
+            cfg.num_procs <= SharerSet::CAPACITY,
+            "{} processors exceed the {}-node limit of the directory's sharer bitmap",
+            cfg.num_procs,
+            SharerSet::CAPACITY
+        );
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
         let mut net = Network::new(cfg.num_procs, cfg.net.clone());
@@ -227,6 +244,7 @@ impl Machine {
             next_checkpoint: cfg.checkpoint_every.unwrap_or(u64::MAX),
             checkpoints: Vec::new(),
             recorder: None,
+            fx_pool: Vec::new(),
             cfg,
         }
     }
@@ -582,7 +600,8 @@ impl Machine {
                 MemService::None => {
                     self.trace_handle(&msg, now);
                     let dst = msg.dst;
-                    let fx = self.nodes[dst].handle_msg(msg, &mut self.clf, now);
+                    let mut fx = self.take_fx();
+                    self.nodes[dst].handle_msg(msg, &mut self.clf, now, &mut fx);
                     self.process_effects(dst, fx, now);
                 }
                 svc => {
@@ -602,7 +621,8 @@ impl Machine {
             Ev::HomeHandle(msg) => {
                 self.trace_handle(&msg, now);
                 let dst = msg.dst;
-                let fx = self.nodes[dst].handle_msg(msg, &mut self.clf, now);
+                let mut fx = self.take_fx();
+                self.nodes[dst].handle_msg(msg, &mut self.clf, now, &mut fx);
                 self.process_effects(dst, fx, now);
             }
             Ev::WbIssue(n) => self.try_issue_wb(n, now),
@@ -813,8 +833,10 @@ impl Machine {
                         t += 1;
                         continue;
                     }
-                    let fx = self.nodes[n].cpu_read(addr, &mut self.clf, t);
-                    if let Some(v) = fx.read_done {
+                    let mut fx = self.take_fx();
+                    self.nodes[n].cpu_read(addr, &mut self.clf, t, &mut fx);
+                    if let Some(v) = fx.read_done.take() {
+                        self.put_fx(fx);
                         self.cpus[n].regs[rd] = v;
                         self.cpus[n].pc += 1;
                         t += 1;
@@ -874,13 +896,14 @@ impl Machine {
                 Instr::Flush(ra) => {
                     let addr = self.cpus[n].regs[ra];
                     let block = self.geom.block_of(addr);
-                    if self.wbs[n].has_write_in_block(block.0, self.cfg.cache.block_bytes) {
+                    if self.wbs[n].has_write_in_block(block.0, self.geom.block_bytes) {
                         // The flush is ordered after this processor's own
                         // queued stores to the block.
                         self.set_state(n, CpuState::StallFlush { addr }, t);
                         return;
                     }
-                    let fx = self.nodes[n].cpu_flush(addr, &mut self.clf, t);
+                    let mut fx = self.take_fx();
+                    self.nodes[n].cpu_flush(addr, &mut self.clf, t, &mut fx);
                     self.cpus[n].pc += 1;
                     self.process_effects(n, fx, t);
                     t += 1;
@@ -979,9 +1002,13 @@ impl Machine {
         let (val, from_wb) = match self.wbs[n].forward(addr) {
             Some(v) => (v, true),
             None => {
-                let fx = self.nodes[n].cpu_read(addr, &mut self.clf, *t);
-                match fx.read_done {
-                    Some(v) => (v, false),
+                let mut fx = self.take_fx();
+                self.nodes[n].cpu_read(addr, &mut self.clf, *t, &mut fx);
+                match fx.read_done.take() {
+                    Some(v) => {
+                        self.put_fx(fx);
+                        (v, false)
+                    }
                     None => {
                         // Check missed: fetch the line, then re-execute.
                         self.set_state(n, CpuState::StallSpinRead, *t);
@@ -1039,14 +1066,14 @@ impl Machine {
         // Captured before the operation: once it completes, this processor
         // itself is the last writer and the causal predecessor is gone.
         let writer_before = if self.crit.is_some() { self.clf.last_writer_of(pai.addr) } else { None };
-        let fx = self.nodes[n].cpu_atomic(pai.op, pai.addr, pai.operand, pai.operand2, &mut self.clf, now);
-        if let Some(old) = fx.atomic_done {
+        let mut fx = self.take_fx();
+        self.nodes[n].cpu_atomic(pai.op, pai.addr, pai.operand, pai.operand2, &mut self.clf, now, &mut fx);
+        // Consume atomic_done before generic processing.
+        if let Some(old) = fx.atomic_done.take() {
             self.cpus[n].regs[pai.rd] = old;
             self.cpus[n].pc += 1;
             self.set_state(n, CpuState::Ready, now);
             self.queue.schedule(now + 1, Ev::CpuStep(n));
-            // Consume atomic_done before generic processing.
-            let fx = Effects { atomic_done: None, ..fx };
             self.process_effects(n, fx, now);
         } else {
             self.set_state(n, CpuState::StallAtomic { rd: pai.rd }, now);
@@ -1061,12 +1088,16 @@ impl Machine {
         let alive = self.cfg.num_procs - self.halted;
         if alive > 0 && self.barrier_waiting.len() == alive {
             let cost = self.cfg.magic_barrier_cycles;
-            for w in std::mem::take(&mut self.barrier_waiting) {
+            // Taken and handed back so the list keeps its capacity.
+            let mut waiting = std::mem::take(&mut self.barrier_waiting);
+            for &w in &waiting {
                 self.wake_cpu(w, now + cost);
                 if let Some(crit) = self.crit.as_mut() {
                     crit.barrier_depart(w, MAGIC_SYNC_BASE, now + cost);
                 }
             }
+            waiting.clear();
+            self.barrier_waiting = waiting;
         }
     }
 
@@ -1081,8 +1112,22 @@ impl Machine {
     // Effect processing
     // ------------------------------------------------------------------
 
-    fn process_effects(&mut self, x: NodeId, fx: Effects, now: Cycle) {
-        for m in fx.sends {
+    /// An empty effects buffer for the next handler call: a pooled one, or
+    /// a fresh (unallocated) one while every pooled buffer is in use.
+    fn take_fx(&mut self) -> Effects {
+        self.fx_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a drained buffer to the pool.
+    fn put_fx(&mut self, fx: Effects) {
+        debug_assert!(fx.is_empty(), "an effects buffer went back to the pool undrained: {fx:?}");
+        self.fx_pool.push(fx);
+    }
+
+    /// Applies node `x`'s handler effects in field order, draining `fx`,
+    /// and returns the buffer to the pool.
+    fn process_effects(&mut self, x: NodeId, mut fx: Effects, now: Cycle) {
+        for m in fx.sends.drain(..) {
             if let Some(t) = &mut self.trace {
                 t.push(crate::trace::TraceEvent::Send {
                     at: now,
@@ -1116,7 +1161,7 @@ impl Machine {
             }
             self.queue.schedule(at, Ev::Deliver(m));
         }
-        for m in fx.requeue_home {
+        for m in fx.requeue_home.drain(..) {
             // Deferred directory requests were charged their full memory
             // service on first arrival; re-dispatch after the blocking
             // transaction completes is a controller action, not a new DRAM
@@ -1124,7 +1169,7 @@ impl Machine {
             // requests cost O(n^2) memory occupancy).
             self.queue.schedule(now + 1, Ev::HomeHandle(m));
         }
-        if let Some(v) = fx.read_done {
+        if let Some(v) = fx.read_done.take() {
             match self.cpus[x].state {
                 CpuState::StallRead { rd } => {
                     self.read_latency.record(now.saturating_sub(self.cpus[x].stall_since));
@@ -1149,7 +1194,8 @@ impl Machine {
                 ref other => panic!("read completion in state {other:?}"),
             }
         }
-        if fx.write_retired {
+        let write_retired = std::mem::take(&mut fx.write_retired);
+        if write_retired {
             self.wbs[x].pop_head();
             self.queue.schedule(now + 1, Ev::WbIssue(x));
             match self.cpus[x].state {
@@ -1161,8 +1207,9 @@ impl Machine {
                 }
                 CpuState::StallFlush { addr } => {
                     let block = self.geom.block_of(addr);
-                    if !self.wbs[x].has_write_in_block(block.0, self.cfg.cache.block_bytes) {
-                        let fx2 = self.nodes[x].cpu_flush(addr, &mut self.clf, now);
+                    if !self.wbs[x].has_write_in_block(block.0, self.geom.block_bytes) {
+                        let mut fx2 = self.take_fx();
+                        self.nodes[x].cpu_flush(addr, &mut self.clf, now, &mut fx2);
                         self.cpus[x].pc += 1;
                         self.wake_cpu(x, now + 1);
                         self.process_effects(x, fx2, now);
@@ -1171,7 +1218,7 @@ impl Machine {
                 _ => {}
             }
         }
-        if let Some(old) = fx.atomic_done {
+        if let Some(old) = fx.atomic_done.take() {
             match self.cpus[x].state {
                 CpuState::StallAtomic { rd } => {
                     self.atomic_latency.record(now.saturating_sub(self.cpus[x].stall_since));
@@ -1201,8 +1248,11 @@ impl Machine {
                     self.queue.schedule(start + k * period, Ev::CpuStep(x));
                 }
             }
+            fx.touched_blocks.clear();
         }
-        if fx.sync_progress || fx.write_retired {
+        let sync_progress = std::mem::take(&mut fx.sync_progress);
+        self.put_fx(fx);
+        if sync_progress || write_retired {
             self.recheck_fence(x, now);
         }
     }
@@ -1224,7 +1274,8 @@ impl Machine {
     fn try_issue_wb(&mut self, n: NodeId, now: Cycle) {
         if let Some(w) = self.wbs[n].head_to_issue() {
             self.wbs[n].mark_head_issued();
-            let fx = self.nodes[n].issue_write(w.addr, w.val, &mut self.clf, now);
+            let mut fx = self.take_fx();
+            self.nodes[n].issue_write(w.addr, w.val, &mut self.clf, now, &mut fx);
             self.process_effects(n, fx, now);
         }
     }
@@ -1415,6 +1466,14 @@ mod tests {
         assert!(r.cycles > 0);
         assert_eq!(r.traffic.shared_writes, 80);
         assert_eq!(m.read_word(ctr), 80, "lock provided mutual exclusion");
+    }
+
+    /// The directory's sharer bitmap names 64 nodes; a bigger machine
+    /// would silently alias node `n` onto bit `n % 64`.
+    #[test]
+    #[should_panic(expected = "65 processors exceed the 64-node limit")]
+    fn rejects_more_processors_than_the_sharer_bitmap_holds() {
+        machine(65, Protocol::WriteInvalidate);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use sim_engine::snapshot::{open, SnapError, SnapReader, SnapWriter};
 use sim_engine::{EventQueue, FifoServer, QueueSnapshot, QueueStats, SplitMix64};
-use sim_mem::{BlockAddr, DirState, LineSnapshot, LineState, SharerSet, WriteBuffer};
+use sim_mem::{Block, BlockAddr, DirState, LineSnapshot, LineState, SharerSet, WriteBuffer, BLOCK_WORDS};
 use sim_proto::{AtomicOp, Msg, Protocol};
 use sim_stats::FingerprintRecorder;
 
@@ -218,6 +218,19 @@ fn decode_cpu_state(r: &mut SnapReader<'_>) -> Result<CpuState, SnapError> {
         11 => CpuState::Halted,
         _ => return Err(SnapError::Corrupt("unknown CpuState tag")),
     })
+}
+
+/// Reads one block as the encoder writes it — a length prefix, then the
+/// words — refusing any length other than one block.
+fn decode_block(r: &mut SnapReader<'_>, what: &'static str) -> Result<Block, SnapError> {
+    if r.usize()? != BLOCK_WORDS {
+        return Err(SnapError::Corrupt(what));
+    }
+    let mut data = [0; BLOCK_WORDS];
+    for word in &mut data {
+        *word = r.u32()?;
+    }
+    Ok(data)
 }
 
 fn encode_hist(w: &mut SnapWriter, h: &sim_stats::LatencyHist) {
@@ -484,7 +497,6 @@ impl Machine {
             cpu.rng = SplitMix64::from_state(r.u64()?);
         }
         // Protocol nodes.
-        let geom = self.geom;
         for node in &mut self.nodes {
             let n = r.usize()?;
             let mut lines = Vec::with_capacity(n.min(1 << 16));
@@ -492,15 +504,8 @@ impl Machine {
                 let block = BlockAddr(r.u32()?);
                 let state = line_state_from_tag(r.u8()?)?;
                 let update_ctr = r.u32()?;
-                let len = r.usize()?;
-                if len > 1 << 16 {
-                    return Err(SnapError::Corrupt("cache-line length is implausible"));
-                }
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(r.u32()?);
-                }
-                lines.push(LineSnapshot { block, state, update_ctr, data: data.into_boxed_slice() });
+                let data = decode_block(&mut r, "cache-line length is not one block")?;
+                lines.push(LineSnapshot { block, state, update_ctr, data });
             }
             node.cache.import_lines(lines);
             node.dir.clear();
@@ -522,15 +527,8 @@ impl Machine {
             let n = r.usize()?;
             for _ in 0..n {
                 let block = BlockAddr(r.u32()?);
-                let len = r.usize()?;
-                if len > 1 << 16 {
-                    return Err(SnapError::Corrupt("memory-block length is implausible"));
-                }
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(r.u32()?);
-                }
-                node.mem.write_block(&geom, block, &data);
+                let data = decode_block(&mut r, "memory-block length is not one block")?;
+                node.mem.write_block(block, &data);
             }
             node.pending_read = if r.bool()? {
                 Some(sim_proto::node::PendingRead { addr: r.u32()?, piggyback: r.bool()? })

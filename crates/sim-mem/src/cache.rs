@@ -1,6 +1,6 @@
 //! Direct-mapped data cache.
 
-use crate::geometry::{Addr, BlockAddr, Geometry, Word};
+use crate::geometry::{Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS};
 
 /// Coherence state of a cache line.
 ///
@@ -23,31 +23,30 @@ pub enum LineState {
     PrivateUpd,
 }
 
-/// One cache line.
+/// One cache line, its block held inline: a cache is one flat array, and
+/// filling or invalidating a line copies words instead of allocating.
 #[derive(Debug, Clone)]
 struct Line {
     tag: Addr,
     valid: bool,
     state: LineState,
-    data: Box<[Word]>,
     /// Competitive-update counter: arriving updates increment it, local
     /// references reset it; at the protocol threshold the line is dropped.
     update_ctr: u32,
+    data: Block,
 }
 
-/// Cache sizing parameters (defaults follow the paper: 64 KB direct-mapped,
-/// 64-byte blocks).
+/// Cache sizing (default follows the paper: 64 KB direct-mapped). The block
+/// size is the machine-wide [`BLOCK_BYTES`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u32,
-    /// Block (line) size in bytes.
-    pub block_bytes: u32,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { capacity_bytes: 64 * 1024, block_bytes: 64 }
+        CacheConfig { capacity_bytes: 64 * 1024 }
     }
 }
 
@@ -60,7 +59,7 @@ pub struct Evicted {
     /// written back by the protocol).
     pub state: LineState,
     /// The displaced data.
-    pub data: Box<[Word]>,
+    pub data: Block,
 }
 
 /// A direct-mapped, block-organized data cache.
@@ -69,8 +68,6 @@ pub struct Evicted {
 /// and leaves every coherence decision to the protocol layer.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig,
-    words_per_block: usize,
     index_mask: u32,
     lines: Vec<Line>,
 }
@@ -80,27 +77,15 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless capacity and block size are powers of two with at least
-    /// one line.
+    /// Panics unless the capacity is a power of two holding at least one
+    /// block.
     pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.block_bytes.is_power_of_two() && cfg.capacity_bytes.is_power_of_two());
-        assert!(cfg.capacity_bytes >= cfg.block_bytes);
-        let num_lines = (cfg.capacity_bytes / cfg.block_bytes) as usize;
-        let words_per_block = (cfg.block_bytes / 4) as usize;
-        Cache {
-            cfg,
-            words_per_block,
-            index_mask: num_lines as u32 - 1,
-            lines: (0..num_lines)
-                .map(|_| Line {
-                    tag: 0,
-                    valid: false,
-                    state: LineState::Shared,
-                    data: vec![0; words_per_block].into_boxed_slice(),
-                    update_ctr: 0,
-                })
-                .collect(),
-        }
+        assert!(cfg.capacity_bytes.is_power_of_two());
+        assert!(cfg.capacity_bytes >= BLOCK_BYTES);
+        let num_lines = (cfg.capacity_bytes / BLOCK_BYTES) as usize;
+        let empty =
+            Line { tag: 0, valid: false, state: LineState::Shared, update_ctr: 0, data: [0; BLOCK_WORDS] };
+        Cache { index_mask: num_lines as u32 - 1, lines: vec![empty; num_lines] }
     }
 
     /// Number of lines.
@@ -109,7 +94,7 @@ impl Cache {
     }
 
     fn index_of(&self, block: BlockAddr) -> usize {
-        ((block.0 / self.cfg.block_bytes) & self.index_mask) as usize
+        ((block.0 / BLOCK_BYTES) & self.index_mask) as usize
     }
 
     fn line(&self, block: BlockAddr) -> Option<&Line> {
@@ -153,25 +138,25 @@ impl Cache {
         }
     }
 
-    /// Installs `block` with `data` and `state`, returning any displaced
-    /// line (the victim of a direct-mapped conflict).
-    pub fn fill(&mut self, block: BlockAddr, data: Box<[Word]>, state: LineState) -> Option<Evicted> {
-        assert_eq!(data.len(), self.words_per_block);
+    /// Installs `block` with a copy of `data` and `state`, returning any
+    /// displaced line (the victim of a direct-mapped conflict).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data` holds exactly one block.
+    pub fn fill(&mut self, block: BlockAddr, data: &[Word], state: LineState) -> Option<Evicted> {
+        assert_eq!(data.len(), BLOCK_WORDS);
         let idx = self.index_of(block);
         let l = &mut self.lines[idx];
-        let evicted = if l.valid && l.tag != block.0 {
-            Some(Evicted {
-                block: BlockAddr(l.tag),
-                state: l.state,
-                data: std::mem::replace(&mut l.data, vec![0; self.words_per_block].into_boxed_slice()),
-            })
-        } else {
-            None
-        };
+        let evicted = (l.valid && l.tag != block.0).then_some(Evicted {
+            block: BlockAddr(l.tag),
+            state: l.state,
+            data: l.data,
+        });
         l.tag = block.0;
         l.valid = true;
         l.state = state;
-        l.data = data;
+        l.data.copy_from_slice(data);
         l.update_ctr = 0;
         evicted
     }
@@ -185,23 +170,18 @@ impl Cache {
         self.line_mut(block).expect("set_state on absent block").state = state;
     }
 
-    /// Removes `block` (invalidation, drop, or flush), returning its data if
-    /// it was present.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<(LineState, Box<[Word]>)> {
-        let words = self.words_per_block;
-        match self.line_mut(block) {
-            Some(l) => {
-                l.valid = false;
-                let state = l.state;
-                Some((state, std::mem::replace(&mut l.data, vec![0; words].into_boxed_slice())))
-            }
-            None => None,
-        }
+    /// Removes `block` (invalidation, drop, or flush), returning its state
+    /// and data if it was present.
+    pub fn invalidate(&mut self, block: BlockAddr) -> Option<(LineState, Block)> {
+        self.line_mut(block).map(|l| {
+            l.valid = false;
+            (l.state, l.data)
+        })
     }
 
     /// Copy of the block's data (protocol writebacks / forwards).
-    pub fn block_data(&self, block: BlockAddr) -> Option<Box<[Word]>> {
-        self.line(block).map(|l| l.data.clone())
+    pub fn block_data(&self, block: BlockAddr) -> Option<Block> {
+        self.line(block).map(|l| l.data)
     }
 
     /// Applies an incoming update-protocol word write without touching the
@@ -229,8 +209,6 @@ impl Cache {
         self.lines.iter().filter(|l| l.valid).map(|l| (BlockAddr(l.tag), l.state))
     }
 
-    /// Exports every valid line — tag, state, competitive-update counter,
-    /// and data — ordered by block address, for checkpointing.
     /// Valid lines in cache-index order, borrowed — the allocation-free
     /// counterpart of [`Cache::export_lines`] for the periodic-checkpoint
     /// hot path. Index order is deterministic for a given cache state
@@ -240,6 +218,8 @@ impl Cache {
         self.lines.iter().filter(|l| l.valid).map(|l| (BlockAddr(l.tag), l.state, l.update_ctr, &l.data[..]))
     }
 
+    /// Exports every valid line — tag, state, competitive-update counter,
+    /// and data — ordered by block address, for checkpointing.
     pub fn export_lines(&self) -> Vec<LineSnapshot> {
         let mut lines: Vec<LineSnapshot> = self
             .lines
@@ -249,7 +229,7 @@ impl Cache {
                 block: BlockAddr(l.tag),
                 state: l.state,
                 update_ctr: l.update_ctr,
-                data: l.data.clone(),
+                data: l.data,
             })
             .collect();
         lines.sort_by_key(|l| l.block);
@@ -264,7 +244,6 @@ impl Cache {
             l.valid = false;
         }
         for snap in lines {
-            assert_eq!(snap.data.len(), self.words_per_block, "line snapshot has the wrong block size");
             let idx = self.index_of(snap.block);
             let l = &mut self.lines[idx];
             assert!(!l.valid, "two line snapshots map to cache index {idx}");
@@ -287,7 +266,7 @@ pub struct LineSnapshot {
     /// Competitive-update counter at capture time.
     pub update_ctr: u32,
     /// Block contents.
-    pub data: Box<[Word]>,
+    pub data: Block,
 }
 
 #[cfg(test)]
@@ -298,8 +277,8 @@ mod tests {
         Geometry::new(4)
     }
 
-    fn block_data(fill: Word) -> Box<[Word]> {
-        vec![fill; 16].into_boxed_slice()
+    fn block_data(fill: Word) -> Block {
+        [fill; BLOCK_WORDS]
     }
 
     #[test]
@@ -314,7 +293,7 @@ mod tests {
         let mut c = Cache::new(CacheConfig::default());
         let b = g.block_of(0x40);
         assert!(!c.contains(b));
-        assert!(c.fill(b, block_data(7), LineState::Shared).is_none());
+        assert!(c.fill(b, &block_data(7), LineState::Shared).is_none());
         assert_eq!(c.read_word(&g, 0x44), Some(7));
         assert_eq!(c.state_of(b), Some(LineState::Shared));
     }
@@ -324,7 +303,7 @@ mod tests {
         let g = geom();
         let mut c = Cache::new(CacheConfig::default());
         let b = g.block_of(0x80);
-        c.fill(b, block_data(0), LineState::Modified);
+        c.fill(b, &block_data(0), LineState::Modified);
         assert!(c.write_word(&g, 0x84, 99));
         assert_eq!(c.read_word(&g, 0x84), Some(99));
         assert_eq!(c.read_word(&g, 0x80), Some(0));
@@ -338,8 +317,8 @@ mod tests {
         let b1 = g.block_of(0);
         // Same index, different tag: 64 KB apart.
         let b2 = g.block_of(64 * 1024);
-        c.fill(b1, block_data(1), LineState::Modified);
-        let ev = c.fill(b2, block_data(2), LineState::Shared).expect("conflict evicts");
+        c.fill(b1, &block_data(1), LineState::Modified);
+        let ev = c.fill(b2, &block_data(2), LineState::Shared).expect("conflict evicts");
         assert_eq!(ev.block, b1);
         assert_eq!(ev.state, LineState::Modified);
         assert_eq!(ev.data[0], 1);
@@ -352,8 +331,8 @@ mod tests {
         let g = geom();
         let mut c = Cache::new(CacheConfig::default());
         let b = g.block_of(0x140);
-        c.fill(b, block_data(1), LineState::Shared);
-        assert!(c.fill(b, block_data(2), LineState::Modified).is_none());
+        c.fill(b, &block_data(1), LineState::Shared);
+        assert!(c.fill(b, &block_data(2), LineState::Modified).is_none());
         assert_eq!(c.read_word(&g, 0x140), Some(2));
     }
 
@@ -362,7 +341,7 @@ mod tests {
         let g = geom();
         let mut c = Cache::new(CacheConfig::default());
         let b = g.block_of(0x200);
-        c.fill(b, block_data(5), LineState::Modified);
+        c.fill(b, &block_data(5), LineState::Modified);
         let (state, data) = c.invalidate(b).unwrap();
         assert_eq!(state, LineState::Modified);
         assert_eq!(data[0], 5);
@@ -375,13 +354,13 @@ mod tests {
         let g = geom();
         let mut c = Cache::new(CacheConfig::default());
         let b = g.block_of(0x300);
-        c.fill(b, block_data(0), LineState::Shared);
+        c.fill(b, &block_data(0), LineState::Shared);
         assert_eq!(c.bump_update_ctr(b), 1);
         assert_eq!(c.bump_update_ctr(b), 2);
         c.reset_update_ctr(b);
         assert_eq!(c.bump_update_ctr(b), 1);
         // Refill resets the counter too.
-        c.fill(b, block_data(0), LineState::Shared);
+        c.fill(b, &block_data(0), LineState::Shared);
         assert_eq!(c.bump_update_ctr(b), 1);
         let _ = g;
     }
@@ -390,8 +369,8 @@ mod tests {
     fn resident_blocks_enumerates() {
         let g = geom();
         let mut c = Cache::new(CacheConfig::default());
-        c.fill(g.block_of(0x0), block_data(0), LineState::Shared);
-        c.fill(g.block_of(0x40), block_data(0), LineState::Modified);
+        c.fill(g.block_of(0x0), &block_data(0), LineState::Shared);
+        c.fill(g.block_of(0x40), &block_data(0), LineState::Modified);
         let mut blocks: Vec<_> = c.resident_blocks().collect();
         blocks.sort();
         assert_eq!(blocks, vec![(BlockAddr(0x0), LineState::Shared), (BlockAddr(0x40), LineState::Modified)]);

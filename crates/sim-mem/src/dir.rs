@@ -1,16 +1,21 @@
 //! Full-map directory state.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sim_engine::NodeId;
+use sim_engine::{FastMap, NodeId};
 
 use crate::geometry::BlockAddr;
 
 /// A full-map sharer set (bitmap over nodes; the paper's machine has 32).
+/// It holds node ids below [`SharerSet::CAPACITY`]; the machine refuses
+/// larger configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharerSet(u64);
 
 impl SharerSet {
+    /// Nodes the bitmap can name: ids `0..CAPACITY`.
+    pub const CAPACITY: usize = 64;
+
     /// The empty set.
     pub fn empty() -> Self {
         SharerSet(0)
@@ -25,7 +30,7 @@ impl SharerSet {
 
     /// Adds a node.
     pub fn insert(&mut self, n: NodeId) {
-        debug_assert!(n < 64);
+        debug_assert!(n < Self::CAPACITY);
         self.0 |= 1 << n;
     }
 
@@ -49,9 +54,16 @@ impl SharerSet {
         self.0 == 0
     }
 
-    /// Iterates member node ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..64).filter(|&n| self.contains(n))
+    /// Iterates member node ids in ascending order, walking the set bits.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let n = bits.trailing_zeros() as NodeId;
+                bits &= bits - 1;
+                n
+            })
+        })
     }
 
     /// The raw bitmap, for checkpointing.
@@ -128,15 +140,21 @@ impl<M> Default for DirEntry<M> {
 /// The directory of one home node: block address → entry.
 ///
 /// Entries are created on demand; an absent entry means `Uncached`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Directory<M> {
-    entries: HashMap<BlockAddr, DirEntry<M>>,
+    entries: FastMap<BlockAddr, DirEntry<M>>,
+}
+
+impl<M> Default for Directory<M> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<M> Directory<M> {
     /// Creates an empty directory.
     pub fn new() -> Self {
-        Directory { entries: HashMap::new() }
+        Directory { entries: FastMap::default() }
     }
 
     /// Mutable entry for `block`, created as `Uncached` if absent.

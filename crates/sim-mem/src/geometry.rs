@@ -9,6 +9,15 @@ pub type Addr = u32;
 /// a 64-byte block holds 16 words).
 pub type Word = u32;
 
+/// Cache-block size in bytes (paper: 64). Every machine uses it.
+pub const BLOCK_BYTES: u32 = 64;
+
+/// Words in one block.
+pub const BLOCK_WORDS: usize = (BLOCK_BYTES / 4) as usize;
+
+/// The contents of one cache block, held inline by caches and memory.
+pub type Block = [Word; BLOCK_WORDS];
+
 /// The base address of a cache block (aligned to the block size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockAddr(pub Addr);
@@ -35,7 +44,7 @@ impl Geometry {
     /// Creates the geometry used throughout the paper: 64-byte blocks,
     /// 4 MB home regions.
     pub fn new(num_nodes: usize) -> Self {
-        Geometry { num_nodes, block_bytes: 64, region_shift: 22 }
+        Geometry { num_nodes, block_bytes: BLOCK_BYTES, region_shift: 22 }
     }
 
     /// Number of words in one block.

@@ -22,6 +22,6 @@ pub use alloc::SharedAlloc;
 pub use cache::{Cache, CacheConfig, LineSnapshot, LineState};
 pub use dir::{DirEntry, DirState, Directory, SharerSet};
 pub use dram::MemTiming;
-pub use geometry::{Addr, BlockAddr, Geometry, Word};
+pub use geometry::{Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS};
 pub use store::MemStore;
 pub use wbuf::{PendingWrite, WriteBuffer};

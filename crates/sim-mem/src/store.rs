@@ -1,18 +1,18 @@
 //! Backing store for shared memory.
 
-use std::collections::HashMap;
+use sim_engine::FastMap;
 
-use crate::geometry::{Addr, BlockAddr, Geometry, Word};
+use crate::geometry::{Addr, Block, BlockAddr, Geometry, Word, BLOCK_WORDS};
 
 /// The machine's main memory contents, kept at block granularity.
 ///
 /// The simulated address space is sparse (each node owns a multi-megabyte
 /// home region but kernels touch a few kilobytes), so blocks materialize on
 /// first touch, zero-filled — matching the usual zero-initialized shared
-/// segment the paper's kernels assume.
+/// segment the paper's kernels assume. Blocks are stored inline in the map.
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
-    blocks: HashMap<BlockAddr, Box<[Word]>>,
+    blocks: FastMap<BlockAddr, Block>,
 }
 
 impl MemStore {
@@ -21,9 +21,8 @@ impl MemStore {
         Self::default()
     }
 
-    fn block_mut(&mut self, geom: &Geometry, block: BlockAddr) -> &mut Box<[Word]> {
-        let words = geom.words_per_block() as usize;
-        self.blocks.entry(block).or_insert_with(|| vec![0; words].into_boxed_slice())
+    fn block_mut(&mut self, block: BlockAddr) -> &mut Block {
+        self.blocks.entry(block).or_insert([0; BLOCK_WORDS])
     }
 
     /// Reads the word at `addr`.
@@ -35,19 +34,22 @@ impl MemStore {
     /// Writes the word at `addr`.
     pub fn write_word(&mut self, geom: &Geometry, addr: Addr, val: Word) {
         let idx = geom.word_index(addr);
-        self.block_mut(geom, geom.block_of(addr))[idx] = val;
+        self.block_mut(geom.block_of(addr))[idx] = val;
     }
 
-    /// A copy of the whole block containing `addr` (for cache fills).
-    pub fn read_block(&mut self, geom: &Geometry, block: BlockAddr) -> Box<[Word]> {
-        self.block_mut(geom, block).clone()
+    /// A boxed copy of the whole block, ready to travel in a message (for
+    /// cache fills).
+    pub fn read_block(&mut self, block: BlockAddr) -> Box<[Word]> {
+        Box::new(*self.block_mut(block))
     }
 
     /// Overwrites the whole block (writebacks).
-    pub fn write_block(&mut self, geom: &Geometry, block: BlockAddr, data: &[Word]) {
-        let b = self.block_mut(geom, block);
-        assert_eq!(data.len(), b.len());
-        b.copy_from_slice(data);
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data` holds exactly one block.
+    pub fn write_block(&mut self, block: BlockAddr, data: &[Word]) {
+        self.block_mut(block).copy_from_slice(data);
     }
 
     /// Number of materialized blocks (diagnostics).
@@ -90,12 +92,12 @@ mod tests {
         let mut m = MemStore::new();
         m.write_word(&g, 0x40, 1);
         m.write_word(&g, 0x7c, 2);
-        let blk = m.read_block(&g, g.block_of(0x40));
+        let blk = m.read_block(g.block_of(0x40));
         assert_eq!(blk[0], 1);
         assert_eq!(blk[15], 2);
         let mut new = blk.clone();
         new[3] = 9;
-        m.write_block(&g, g.block_of(0x40), &new);
+        m.write_block(g.block_of(0x40), &new);
         assert_eq!(m.read_word(&g, 0x4c), 9);
     }
 }

@@ -13,6 +13,15 @@ use crate::msg::Msg;
 /// [`sim_stats::Classifier`] they are handed, which is a passive sink —
 /// recording never feeds back into the effects, so simulated time and
 /// traffic are identical whether provenance capture is on or off.
+///
+/// # The buffer contract
+///
+/// A handler takes `fx: &mut Effects` and only *appends* to it: it pushes
+/// onto the vectors and sets the scalar fields, and never reads or clears
+/// what is already there. The machine hands every handler an empty buffer,
+/// applies the effects in field order, and leaves the buffer empty again
+/// (see [`Effects::is_empty`]), so one buffer serves every event and its
+/// vectors' capacity is reused instead of reallocated.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Messages to inject into the network now.
@@ -36,50 +45,15 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// No-op effects.
-    pub fn none() -> Self {
-        Effects::default()
-    }
-
-    /// Effects consisting only of outgoing messages.
-    pub fn send(msgs: Vec<Msg>) -> Self {
-        Effects { sends: msgs, ..Default::default() }
-    }
-
-    /// Merges `other` into `self`.
-    pub fn merge(&mut self, other: Effects) {
-        self.sends.extend(other.sends);
-        self.requeue_home.extend(other.requeue_home);
-        debug_assert!(
-            !(self.read_done.is_some() && other.read_done.is_some()),
-            "two reads completed in one handler"
-        );
-        self.read_done = self.read_done.take().or(other.read_done);
-        self.write_retired |= other.write_retired;
-        debug_assert!(!(self.atomic_done.is_some() && other.atomic_done.is_some()));
-        self.atomic_done = self.atomic_done.take().or(other.atomic_done);
-        self.touched_blocks.extend(other.touched_blocks);
-        self.sync_progress |= other.sync_progress;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_combines_fields() {
-        let mut a = Effects { write_retired: true, ..Default::default() };
-        let b = Effects {
-            read_done: Some(7),
-            touched_blocks: vec![BlockAddr(0x40)],
-            sync_progress: true,
-            ..Default::default()
-        };
-        a.merge(b);
-        assert!(a.write_retired);
-        assert_eq!(a.read_done, Some(7));
-        assert_eq!(a.touched_blocks, vec![BlockAddr(0x40)]);
-        assert!(a.sync_progress);
+    /// Whether the buffer holds no effect (a drained buffer, ready for the
+    /// next handler).
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+            && self.requeue_home.is_empty()
+            && self.read_done.is_none()
+            && !self.write_retired
+            && self.atomic_done.is_none()
+            && self.touched_blocks.is_empty()
+            && !self.sync_progress
     }
 }

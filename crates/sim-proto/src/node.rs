@@ -160,22 +160,25 @@ impl ProtoNode {
             && self.acks_expected == self.acks_received
     }
 
-    /// Installs a block, handling the direct-mapped victim: classification,
-    /// dirty writeback, clean replacement notification.
+    /// Installs a copy of `data` as `block`, handling the direct-mapped
+    /// victim: classification, dirty writeback, clean replacement
+    /// notification.
     pub fn fill_block(
         &mut self,
         block: BlockAddr,
-        data: Box<[Word]>,
+        data: &[Word],
         state: LineState,
         clf: &mut Classifier,
         now: Cycle,
-    ) -> Effects {
-        let mut fx = Effects::none();
+        fx: &mut Effects,
+    ) {
         if let Some(victim) = self.cache.fill(block, data, state) {
             clf.copy_lost(self.id, victim.block, LossCause::Eviction, now);
             let home = self.home_of(victim.block.0);
             let kind = match victim.state {
-                LineState::Modified | LineState::PrivateUpd => MsgKind::WriteBack { data: victim.data },
+                LineState::Modified | LineState::PrivateUpd => {
+                    MsgKind::WriteBack { data: Box::new(victim.data) }
+                }
                 LineState::Shared => MsgKind::SharerDrop,
             };
             fx.sends.push(self.msg(home, victim.block.0, kind));
@@ -183,7 +186,6 @@ impl ProtoNode {
         }
         clf.copy_acquired(self.id, block);
         fx.touched_blocks.push(block);
-        fx
     }
 
     /// Completes a piggybacked read (one that waited on this block's fill
@@ -212,26 +214,27 @@ impl ProtoNode {
     // Protocol dispatch
     // ------------------------------------------------------------------
 
-    /// CPU issues a shared read of `addr`. Returns `read_done` on a hit;
+    /// CPU issues a shared read of `addr`. Sets `read_done` on a hit;
     /// otherwise records the pending read and emits the miss request.
     /// (The machine accounts the reference in the classifier.)
-    pub fn cpu_read(&mut self, addr: Addr, clf: &mut Classifier, now: Cycle) -> Effects {
+    pub fn cpu_read(&mut self, addr: Addr, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         match self.cfg.protocol {
-            Protocol::WriteInvalidate => wi::cpu_read(self, addr, clf, now),
-            _ => upd::cpu_read(self, addr, clf, now),
+            Protocol::WriteInvalidate => wi::cpu_read(self, addr, clf, now, fx),
+            _ => upd::cpu_read(self, addr, clf, now, fx),
         }
     }
 
     /// The write buffer issues its head write.
-    pub fn issue_write(&mut self, addr: Addr, val: Word, clf: &mut Classifier, now: Cycle) -> Effects {
+    pub fn issue_write(&mut self, addr: Addr, val: Word, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         match self.cfg.protocol {
-            Protocol::WriteInvalidate => wi::issue_write(self, addr, val, clf, now),
-            _ => upd::issue_write(self, addr, val, clf, now),
+            Protocol::WriteInvalidate => wi::issue_write(self, addr, val, clf, now, fx),
+            _ => upd::issue_write(self, addr, val, clf, now, fx),
         }
     }
 
     /// CPU issues an atomic operation (the machine has already drained the
     /// write buffer and settled acks — atomics fence first).
+    #[allow(clippy::too_many_arguments)]
     pub fn cpu_atomic(
         &mut self,
         op: AtomicOp,
@@ -240,49 +243,42 @@ impl ProtoNode {
         operand2: Word,
         clf: &mut Classifier,
         now: Cycle,
-    ) -> Effects {
+        fx: &mut Effects,
+    ) {
         match self.cfg.protocol {
-            Protocol::WriteInvalidate => wi::cpu_atomic(self, op, addr, operand, operand2, clf, now),
-            _ => upd::cpu_atomic(self, op, addr, operand, operand2, clf, now),
+            Protocol::WriteInvalidate => wi::cpu_atomic(self, op, addr, operand, operand2, clf, now, fx),
+            _ => upd::cpu_atomic(self, op, addr, operand, operand2, clf, now, fx),
         }
     }
 
     /// CPU issues a user-level block flush of the block containing `addr`
     /// (the PowerPC-style instruction the update-conscious MCS lock uses).
-    pub fn cpu_flush(&mut self, addr: Addr, clf: &mut Classifier, now: Cycle) -> Effects {
+    pub fn cpu_flush(&mut self, addr: Addr, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         let block = self.geom.block_of(addr);
-        let Some(state) = self.cache.state_of(block) else {
-            return Effects::none();
+        let Some((state, data)) = self.cache.invalidate(block) else {
+            return;
         };
-        let mut fx = Effects::none();
         let home = self.home_of(addr);
-        let (_, data) = self.cache.invalidate(block).expect("state_of implies presence");
         clf.copy_lost(self.id, block, LossCause::SelfInvalidate, now);
         let kind = match state {
-            LineState::Modified | LineState::PrivateUpd => MsgKind::WriteBack { data },
+            LineState::Modified | LineState::PrivateUpd => MsgKind::WriteBack { data: Box::new(data) },
             LineState::Shared => MsgKind::SharerDrop,
         };
         fx.sends.push(self.msg(home, block.0, kind));
         fx.touched_blocks.push(block);
-        fx
     }
 
     /// Handles a message delivered to this node (home-side messages arrive
     /// here after their memory-module service).
-    pub fn handle_msg(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+    pub fn handle_msg(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         // Messages whose handling is identical under every protocol.
         match &msg.kind {
-            MsgKind::SharerDrop | MsgKind::StopUpdate => {
-                return self.home_sharer_drop(msg, clf, now);
-            }
-            MsgKind::WriteBack { .. } => {
-                return self.home_writeback(msg, clf, now);
-            }
-            _ => {}
-        }
-        match self.cfg.protocol {
-            Protocol::WriteInvalidate => wi::handle_msg(self, msg, clf, now),
-            _ => upd::handle_msg(self, msg, clf, now),
+            MsgKind::SharerDrop | MsgKind::StopUpdate => self.home_sharer_drop(msg, clf, now, fx),
+            MsgKind::WriteBack { .. } => self.home_writeback(msg, clf, now, fx),
+            _ => match self.cfg.protocol {
+                Protocol::WriteInvalidate => wi::handle_msg(self, msg, clf, now, fx),
+                _ => upd::handle_msg(self, msg, clf, now, fx),
+            },
         }
     }
 
@@ -290,7 +286,7 @@ impl ProtoNode {
     // Shared home-side handlers
     // ------------------------------------------------------------------
 
-    fn home_sharer_drop(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+    fn home_sharer_drop(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         debug_assert_eq!(self.home_of(msg.addr), self.id);
         let block = self.geom.block_of(msg.addr);
         let mname = if matches!(msg.kind, MsgKind::StopUpdate) { "StopUpdate" } else { "SharerDrop" };
@@ -312,7 +308,6 @@ impl ProtoNode {
         // memory is current. Relinquish ownership — and release anything
         // waiting on that phantom owner — or later requests would wait
         // forever for a writeback that never comes.
-        let mut fx = Effects::none();
         if e.state == sim_mem::DirState::Owned && e.owner == msg.src {
             e.state = sim_mem::DirState::Uncached;
             e.sharers = sim_mem::SharerSet::empty();
@@ -326,19 +321,16 @@ impl ProtoNode {
             );
             if e.busy {
                 e.busy = false;
-                while let Some(m) = e.waiting.pop_front() {
-                    fx.requeue_home.push(m);
-                }
+                fx.requeue_home.extend(e.waiting.drain(..));
             }
         }
-        fx
     }
 
-    fn home_writeback(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+    fn home_writeback(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         debug_assert_eq!(self.home_of(msg.addr), self.id);
         let block = self.geom.block_of(msg.addr);
         let MsgKind::WriteBack { data } = &msg.kind else { unreachable!() };
-        self.mem.write_block(&self.geom, block, data);
+        self.mem.write_block(block, data);
         let e = self.dir.entry(block);
         if e.state == sim_mem::DirState::Owned && e.owner == msg.src {
             e.state = sim_mem::DirState::Uncached;
@@ -352,16 +344,12 @@ impl ProtoNode {
                 now,
             );
         }
-        let mut fx = Effects::none();
         if e.busy {
             // A recall raced this eviction; release anything the directory
             // deferred while waiting for the owner's data.
             e.busy = false;
-            while let Some(m) = e.waiting.pop_front() {
-                fx.requeue_home.push(m);
-            }
+            fx.requeue_home.extend(e.waiting.drain(..));
         }
-        fx
     }
 
     /// Defers `msg` on the busy block `block`, to be requeued when the
@@ -430,10 +418,12 @@ mod tests {
             e.state = DirState::Shared;
             e.sharers.insert(2);
         }
-        let fx = n.handle_msg(
+        let mut fx = Effects::default();
+        n.handle_msg(
             Msg { src: 2, dst: 0, addr, kind: MsgKind::SharerDrop },
             &mut Classifier::new(n.geom),
             0,
+            &mut fx,
         );
         assert!(fx.sends.is_empty());
         assert_eq!(n.dir.entry(block).state, DirState::Uncached);
@@ -452,10 +442,12 @@ mod tests {
             e.waiting.push_back(Msg { src: 1, dst: 0, addr, kind: MsgKind::ReadShared });
         }
         let data = vec![9u32; 16].into_boxed_slice();
-        let fx = n.handle_msg(
+        let mut fx = Effects::default();
+        n.handle_msg(
             Msg { src: 3, dst: 0, addr, kind: MsgKind::WriteBack { data } },
             &mut Classifier::new(n.geom),
             0,
+            &mut fx,
         );
         assert_eq!(n.dir.entry(block).state, DirState::Uncached);
         assert!(!n.dir.entry(block).busy);
@@ -466,7 +458,8 @@ mod tests {
     #[test]
     fn flush_of_absent_block_is_noop() {
         let mut n = node(Protocol::PureUpdate);
-        let fx = n.cpu_flush(0x123 & !3, &mut Classifier::new(n.geom), 0);
+        let mut fx = Effects::default();
+        n.cpu_flush(0x123 & !3, &mut Classifier::new(n.geom), 0, &mut fx);
         assert!(fx.sends.is_empty() && fx.touched_blocks.is_empty());
     }
 
@@ -476,9 +469,10 @@ mod tests {
         let mut clf = Classifier::new(n.geom);
         let addr = n.geom.region_base(2) + 0x40; // homed at node 2
         let block = n.geom.block_of(addr);
-        n.cache.fill(block, vec![0; 16].into_boxed_slice(), LineState::Shared);
+        n.cache.fill(block, &[0; 16], LineState::Shared);
         clf.copy_acquired(0, block);
-        let fx = n.cpu_flush(addr, &mut clf, 5);
+        let mut fx = Effects::default();
+        n.cpu_flush(addr, &mut clf, 5, &mut fx);
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 2);
         assert!(matches!(fx.sends[0].kind, MsgKind::SharerDrop));
@@ -493,8 +487,9 @@ mod tests {
         let mut clf = Classifier::new(n.geom);
         let addr = n.geom.region_base(1) + 0x40;
         let block = n.geom.block_of(addr);
-        n.cache.fill(block, vec![7; 16].into_boxed_slice(), LineState::PrivateUpd);
-        let fx = n.cpu_flush(addr, &mut clf, 5);
+        n.cache.fill(block, &[7; 16], LineState::PrivateUpd);
+        let mut fx = Effects::default();
+        n.cpu_flush(addr, &mut clf, 5, &mut fx);
         assert!(matches!(&fx.sends[0].kind, MsgKind::WriteBack { data } if data[0] == 7));
     }
 
@@ -505,7 +500,7 @@ mod tests {
         let addr = n.geom.region_base(1) + 0x40;
         let block = n.geom.block_of(addr);
         n.pending_read = Some(PendingRead { addr: addr + 4, piggyback: true });
-        n.fill_block(block, vec![5; 16].into_boxed_slice(), LineState::Modified, &mut clf, 0);
+        n.fill_block(block, &[5; 16], LineState::Modified, &mut clf, 0, &mut Effects::default());
         assert_eq!(n.complete_piggyback_read(block), Some(5));
         assert!(n.pending_read.is_none());
     }
@@ -519,8 +514,9 @@ mod tests {
         // Same cache index, different tag (64 KB apart).
         let a2 = a1 + 64 * 1024;
         let b2 = n.geom.block_of(a2);
-        n.fill_block(b1, vec![1; 16].into_boxed_slice(), LineState::Modified, &mut clf, 0);
-        let fx = n.fill_block(b2, vec![2; 16].into_boxed_slice(), LineState::Shared, &mut clf, 1);
+        n.fill_block(b1, &[1; 16], LineState::Modified, &mut clf, 0, &mut Effects::default());
+        let mut fx = Effects::default();
+        n.fill_block(b2, &[2; 16], LineState::Shared, &mut clf, 1, &mut fx);
         assert!(matches!(&fx.sends[0].kind, MsgKind::WriteBack { .. }));
         assert_eq!(fx.sends[0].dst, n.geom.home_of(a1));
         assert_eq!(clf.classify_miss(0, a1, 2), sim_stats::MissClass::Eviction);

@@ -23,26 +23,34 @@ use crate::msg::{AtomicOp, Msg, MsgKind};
 use crate::node::{PendingAtomic, PendingRead, PendingWrite, ProtoNode, Protocol};
 
 /// CPU shared read (see [`ProtoNode::cpu_read`]).
-pub fn cpu_read(n: &mut ProtoNode, addr: u32, clf: &mut Classifier, now: Cycle) -> Effects {
+pub fn cpu_read(n: &mut ProtoNode, addr: u32, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(addr);
     if let Some(v) = n.cache.read_word(&n.geom, addr) {
         // A local reference resets the competitive-update counter.
         n.cache.reset_update_ctr(block);
-        return Effects { read_done: Some(v), ..Default::default() };
+        fx.read_done = Some(v);
+        return;
     }
     clf.classify_miss(n.id, addr, now);
     debug_assert!(n.pending_read.is_none());
     if n.has_pending_store_on(block) {
         n.pending_read = Some(PendingRead { addr, piggyback: true });
-        return Effects::none();
+        return;
     }
     n.pending_read = Some(PendingRead { addr, piggyback: false });
     let home = n.home_of(addr);
-    Effects::send(vec![n.msg(home, addr, MsgKind::ReadShared)])
+    fx.sends.push(n.msg(home, addr, MsgKind::ReadShared));
 }
 
 /// Write-buffer head issue (see [`ProtoNode::issue_write`]).
-pub fn issue_write(n: &mut ProtoNode, addr: u32, val: Word, clf: &mut Classifier, now: Cycle) -> Effects {
+pub fn issue_write(
+    n: &mut ProtoNode,
+    addr: u32,
+    val: Word,
+    clf: &mut Classifier,
+    now: Cycle,
+    fx: &mut Effects,
+) {
     let block = n.geom.block_of(addr);
     match n.cache.state_of(block) {
         Some(LineState::PrivateUpd) => {
@@ -50,7 +58,8 @@ pub fn issue_write(n: &mut ProtoNode, addr: u32, val: Word, clf: &mut Classifier
             n.cache.write_word(&n.geom, addr, val);
             n.cache.reset_update_ctr(block);
             clf.word_written(n.id, addr, now);
-            Effects { write_retired: true, touched_blocks: vec![block], ..Default::default() }
+            fx.write_retired = true;
+            fx.touched_blocks.push(block);
         }
         Some(LineState::Shared) => {
             // Write through: update the local copy, send the word home.
@@ -58,12 +67,9 @@ pub fn issue_write(n: &mut ProtoNode, addr: u32, val: Word, clf: &mut Classifier
             n.cache.reset_update_ctr(block);
             n.update_infos_pending += 1;
             let home = n.home_of(addr);
-            Effects {
-                write_retired: true,
-                touched_blocks: vec![block],
-                sends: vec![n.msg(home, addr, MsgKind::UpdateWrite { val })],
-                ..Default::default()
-            }
+            fx.sends.push(n.msg(home, addr, MsgKind::UpdateWrite { val }));
+            fx.write_retired = true;
+            fx.touched_blocks.push(block);
         }
         Some(LineState::Modified) => unreachable!("Modified under update protocol"),
         None => {
@@ -72,13 +78,14 @@ pub fn issue_write(n: &mut ProtoNode, addr: u32, val: Word, clf: &mut Classifier
             clf.classify_miss(n.id, addr, now);
             n.pending_write = Some(PendingWrite { addr, val });
             let home = n.home_of(addr);
-            Effects::send(vec![n.msg(home, addr, MsgKind::UpdateWriteAlloc { val })])
+            fx.sends.push(n.msg(home, addr, MsgKind::UpdateWriteAlloc { val }));
         }
     }
 }
 
 /// CPU atomic operation: performed by the home memory (Section 3.1), which
 /// multicasts the new value to all sharers.
+#[allow(clippy::too_many_arguments)]
 pub fn cpu_atomic(
     n: &mut ProtoNode,
     op: AtomicOp,
@@ -87,26 +94,27 @@ pub fn cpu_atomic(
     operand2: Word,
     clf: &mut Classifier,
     now: Cycle,
-) -> Effects {
+    fx: &mut Effects,
+) {
     let _ = (clf, now);
     debug_assert!(n.pending_atomic.is_none());
     n.pending_atomic = Some(PendingAtomic { addr, op, operand, operand2 });
     let home = n.home_of(addr);
-    Effects::send(vec![n.msg(home, addr, MsgKind::AtomicReq { op, operand, operand2 })])
+    fx.sends.push(n.msg(home, addr, MsgKind::AtomicReq { op, operand, operand2 }));
 }
 
 /// Message handler for everything PU/CU-specific.
-pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     match msg.kind {
         // -------------------- home side --------------------
-        MsgKind::ReadShared => home_read(n, msg, clf, now),
-        MsgKind::UpdateWrite { .. } => home_update_write(n, msg, clf, now),
-        MsgKind::UpdateWriteAlloc { .. } => home_update_write_alloc(n, msg, clf, now),
-        MsgKind::AtomicReq { .. } => home_atomic(n, msg, clf, now),
-        MsgKind::RecallReply { .. } => home_recall_reply(n, msg, clf, now),
+        MsgKind::ReadShared => home_read(n, msg, clf, now, fx),
+        MsgKind::UpdateWrite { .. } => home_update_write(n, msg, clf, now, fx),
+        MsgKind::UpdateWriteAlloc { .. } => home_update_write_alloc(n, msg, clf, now, fx),
+        MsgKind::AtomicReq { .. } => home_atomic(n, msg, clf, now, fx),
+        MsgKind::RecallReply { .. } => home_recall_reply(n, msg, clf, now, fx),
         // -------------------- cache side --------------------
         MsgKind::UpdateMsg { val, writer, acks_to } => {
-            cache_update_msg(n, msg.addr, val, writer, acks_to, clf, now)
+            cache_update_msg(n, msg.addr, val, writer, acks_to, clf, now, fx)
         }
         MsgKind::UpdateInfo { acks, go_private } => {
             let block = n.geom.block_of(msg.addr);
@@ -116,26 +124,25 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle)
             if go_private && n.cache.state_of(block) == Some(LineState::Shared) {
                 n.cache.set_state(block, LineState::PrivateUpd);
             }
-            Effects { sync_progress: true, ..Default::default() }
+            fx.sync_progress = true;
         }
         MsgKind::UpdateAck => {
             n.acks_received += 1;
-            Effects { sync_progress: true, ..Default::default() }
+            fx.sync_progress = true;
         }
         MsgKind::Data { data } => {
             let block = n.geom.block_of(msg.addr);
-            let mut fx = n.fill_block(block, data, LineState::Shared, clf, now);
+            n.fill_block(block, &data, LineState::Shared, clf, now, fx);
             let pr = n.pending_read.take().expect("Data reply without pending read");
             debug_assert_eq!(n.geom.block_of(pr.addr), block);
             fx.read_done = Some(n.cache.read_word(&n.geom, pr.addr).expect("just filled"));
-            fx
         }
         MsgKind::DataUpd { data, acks } => {
             // Reply to an allocating write-through: the block (already
             // containing our write) plus the ack count for the multicast.
             let block = n.geom.block_of(msg.addr);
             n.acks_expected += acks as u64;
-            let mut fx = n.fill_block(block, data, LineState::Shared, clf, now);
+            n.fill_block(block, &data, LineState::Shared, clf, now, fx);
             fx.sync_progress = true;
             let pw = n.pending_write.take().expect("DataUpd without pending write");
             debug_assert_eq!(n.geom.block_of(pw.addr), block);
@@ -143,16 +150,15 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle)
             if let Some(v) = n.complete_piggyback_read(block) {
                 fx.read_done = Some(v);
             }
-            fx
         }
         MsgKind::AtomicReply { old, data, acks } => {
             let block = n.geom.block_of(msg.addr);
             n.acks_expected += acks as u64;
             let pa = n.pending_atomic.take().expect("AtomicReply without pending atomic");
             debug_assert_eq!(pa.addr, msg.addr);
-            let mut fx = Effects { sync_progress: true, ..Default::default() };
+            fx.sync_progress = true;
             if let Some(data) = data {
-                fx.merge(n.fill_block(block, data, LineState::Shared, clf, now));
+                n.fill_block(block, &data, LineState::Shared, clf, now, fx);
             } else if n.cache.contains(block) {
                 // We were already a sharer: the home's multicast excluded
                 // us, so apply the operation's result to our copy directly.
@@ -167,23 +173,21 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle)
             if let Some(v) = n.complete_piggyback_read(block) {
                 fx.read_done = Some(v);
             }
-            fx
         }
         MsgKind::RecallUpd { .. } => {
             // Home recalls our private-update block to shared write-through.
+            // If the block was evicted or flushed instead, its WriteBack is
+            // in flight and will release the home's busy state.
             let block = n.geom.block_of(msg.addr);
             if n.cache.state_of(block) == Some(LineState::PrivateUpd) {
                 n.cache.set_state(block, LineState::Shared);
-                let data = n.cache.block_data(block).expect("present");
-                Effects::send(vec![n.msg(
-                    n.home_of(msg.addr),
+                let data = Box::new(n.cache.block_data(block).expect("present"));
+                let home = n.home_of(msg.addr);
+                fx.sends.push(n.msg(
+                    home,
                     msg.addr,
                     MsgKind::RecallReply { data, requester: 0, for_atomic: false },
-                )])
-            } else {
-                // The block was evicted/flushed; its WriteBack is in flight
-                // and will release the home's busy state.
-                Effects::none()
+                ));
             }
         }
         other => unreachable!("update-protocol node {} got unexpected message {:?}", n.id, other),
@@ -191,6 +195,7 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle)
 }
 
 /// Applies an incoming multicast update at a sharer cache.
+#[allow(clippy::too_many_arguments)]
 fn cache_update_msg(
     n: &mut ProtoNode,
     addr: u32,
@@ -199,9 +204,9 @@ fn cache_update_msg(
     acks_to: sim_engine::NodeId,
     clf: &mut Classifier,
     now: Cycle,
-) -> Effects {
+    fx: &mut Effects,
+) {
     let block = n.geom.block_of(addr);
-    let mut fx = Effects::none();
     if n.cache.contains(block) {
         let drop = if n.cfg.protocol == Protocol::CompetitiveUpdate {
             n.cache.bump_update_ctr(block) >= n.cfg.cu_threshold
@@ -222,18 +227,17 @@ fn cache_update_msg(
     }
     // Always ack the writer: it counts acks against the home's UpdateInfo.
     fx.sends.push(n.msg(acks_to, addr, MsgKind::UpdateAck));
-    fx
 }
 
 // ----------------------------------------------------------------------
 // Home-side handlers
 // ----------------------------------------------------------------------
 
-fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let r = msg.src;
     let e = n.dir.entry(block);
@@ -243,52 +247,45 @@ fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> E
             e.state = DirState::Shared;
             e.sharers.insert(r);
             clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "ReadShared", now);
-            let data = n.mem.read_block(&n.geom, block);
-            Effects::send(vec![n.msg(r, msg.addr, MsgKind::Data { data })])
+            let data = n.mem.read_block(block);
+            fx.sends.push(n.msg(r, msg.addr, MsgKind::Data { data }));
         }
-        DirState::Owned if e.owner == r => {
-            n.wait_for_writeback(block, msg);
-            Effects::none()
-        }
-        DirState::Owned => recall_private(n, block, msg),
+        DirState::Owned if e.owner == r => n.wait_for_writeback(block, msg),
+        DirState::Owned => recall_private(n, block, msg, fx),
     }
 }
 
 /// Starts a recall of a private-update block, deferring `msg` until the
 /// owner's data arrives.
-fn recall_private(n: &mut ProtoNode, block: sim_mem::BlockAddr, msg: Msg) -> Effects {
+fn recall_private(n: &mut ProtoNode, block: sim_mem::BlockAddr, msg: Msg, fx: &mut Effects) {
     let e = n.dir.entry(block);
     debug_assert_eq!(e.state, DirState::Owned);
     let owner = e.owner;
     e.busy = true;
     let addr = msg.addr;
     e.waiting.push_back(msg);
-    Effects::send(vec![n.msg(owner, addr, MsgKind::RecallUpd { requester: 0, for_atomic: false })])
+    fx.sends.push(n.msg(owner, addr, MsgKind::RecallUpd { requester: 0, for_atomic: false }));
 }
 
-fn home_recall_reply(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_recall_reply(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::RecallReply { data, .. } = msg.kind else { unreachable!() };
-    n.mem.write_block(&n.geom, block, &data);
+    n.mem.write_block(block, &data);
     let e = n.dir.entry(block);
     let from = e.state;
     e.state = DirState::Shared;
     e.sharers = SharerSet::only(msg.src);
     e.busy = false;
     clf.dir_transition(block, from.name(), DirState::Shared.name(), msg.src, "RecallReply", now);
-    let mut fx = Effects::none();
-    while let Some(m) = e.waiting.pop_front() {
-        fx.requeue_home.push(m);
-    }
-    fx
+    fx.requeue_home.extend(e.waiting.drain(..));
 }
 
-fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     let MsgKind::UpdateWrite { val } = msg.kind else { unreachable!() };
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let w = msg.src;
     // The writer held a Shared copy when it issued this; if the directory
@@ -299,12 +296,14 @@ fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cyc
         debug_assert_eq!(e.owner, w, "foreign write-through to privately owned block");
         n.mem.write_word(&n.geom, msg.addr, val);
         clf.word_written(w, msg.addr, now);
-        return Effects::send(vec![n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: 0, go_private: true })]);
+        fx.sends.push(n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: 0, go_private: true }));
+        return;
     }
     n.mem.write_word(&n.geom, msg.addr, val);
     clf.word_written(w, msg.addr, now);
     let e = n.dir.entry(block);
-    let others: Vec<_> = e.sharers.iter().filter(|&s| s != w).collect();
+    let mut others = e.sharers;
+    others.remove(w);
     if others.is_empty() {
         let go_private = n.cfg.pu_private_opt
             && n.cfg.protocol == Protocol::PureUpdate
@@ -317,65 +316,64 @@ fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cyc
             e.sharers = SharerSet::empty();
             clf.dir_transition(block, DirState::Shared.name(), DirState::Owned.name(), w, "UpdateWrite", now);
         }
-        Effects::send(vec![n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: 0, go_private })])
+        fx.sends.push(n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: 0, go_private }));
     } else {
-        let mut sends =
-            vec![n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: others.len() as u32, go_private: false })];
-        for s in others {
-            sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w, acks_to: w }));
+        fx.sends.push(n.msg(
+            w,
+            msg.addr,
+            MsgKind::UpdateInfo { acks: others.len() as u32, go_private: false },
+        ));
+        for s in others.iter() {
+            fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w, acks_to: w }));
         }
-        Effects::send(sends)
     }
 }
 
-fn home_update_write_alloc(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_update_write_alloc(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     let MsgKind::UpdateWriteAlloc { val } = msg.kind else { unreachable!() };
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let w = msg.src;
     let e = n.dir.entry(block);
     match e.state {
-        DirState::Owned if e.owner == w => {
-            n.wait_for_writeback(block, msg);
-            Effects::none()
-        }
-        DirState::Owned => recall_private(n, block, msg),
+        DirState::Owned if e.owner == w => n.wait_for_writeback(block, msg),
+        DirState::Owned => recall_private(n, block, msg, fx),
         DirState::Uncached | DirState::Shared => {
             n.mem.write_word(&n.geom, msg.addr, val);
             clf.word_written(w, msg.addr, now);
             let e = n.dir.entry(block);
-            let others: Vec<_> = e.sharers.iter().filter(|&s| s != w).collect();
+            let mut others = e.sharers;
+            others.remove(w);
             let from = e.state;
             e.state = DirState::Shared;
             e.sharers.insert(w);
             clf.dir_transition(block, from.name(), DirState::Shared.name(), w, "UpdateWriteAlloc", now);
             let acks = others.len() as u32;
-            let data = n.mem.read_block(&n.geom, block);
-            let mut sends = vec![n.msg(w, msg.addr, MsgKind::DataUpd { data, acks })];
-            for s in others {
-                sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w, acks_to: w }));
+            let data = n.mem.read_block(block);
+            fx.sends.push(n.msg(w, msg.addr, MsgKind::DataUpd { data, acks }));
+            for s in others.iter() {
+                fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w, acks_to: w }));
             }
-            Effects::send(sends)
         }
     }
 }
 
-fn home_atomic(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_atomic(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     let MsgKind::AtomicReq { op, operand, operand2 } = msg.kind else { unreachable!() };
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let r = msg.src;
     let e = n.dir.entry(block);
     if e.state == DirState::Owned {
         // Memory is stale while a private owner exists (even if it is the
         // requester itself): recall first, then retry the atomic.
-        return recall_private(n, block, msg);
+        return recall_private(n, block, msg, fx);
     }
     let old = n.mem.read_word(&n.geom, msg.addr);
     let (new, wrote) = op.apply(old, operand, operand2);
@@ -384,21 +382,21 @@ fn home_atomic(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) ->
         clf.word_written(r, msg.addr, now);
     }
     let e = n.dir.entry(block);
-    let others: Vec<_> = e.sharers.iter().filter(|&s| s != r).collect();
+    let mut others = e.sharers;
+    others.remove(r);
     let was_sharer = e.sharers.contains(r);
     let from = e.state;
     e.state = DirState::Shared;
     e.sharers.insert(r);
     clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "AtomicReq", now);
     let acks = if wrote { others.len() as u32 } else { 0 };
-    let data = if was_sharer { None } else { Some(n.mem.read_block(&n.geom, block)) };
-    let mut sends = vec![n.msg(r, msg.addr, MsgKind::AtomicReply { old, data, acks })];
+    let data = if was_sharer { None } else { Some(n.mem.read_block(block)) };
+    fx.sends.push(n.msg(r, msg.addr, MsgKind::AtomicReply { old, data, acks }));
     if wrote {
-        for s in others {
-            sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val: new, writer: r, acks_to: r }));
+        for s in others.iter() {
+            fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val: new, writer: r, acks_to: r }));
         }
     }
-    Effects::send(sends)
 }
 
 #[cfg(test)]
@@ -423,7 +421,7 @@ mod tests {
         let block = n.geom.block_of(addr);
         let mut data = vec![0u32; 16].into_boxed_slice();
         data[n.geom.word_index(addr)] = val;
-        n.cache.fill(block, data, LineState::Shared);
+        n.cache.fill(block, &data, LineState::Shared);
         clf.copy_acquired(n.id, block);
     }
 
@@ -432,7 +430,8 @@ mod tests {
         let (mut n, mut clf) = node(1, Protocol::PureUpdate);
         let a = addr_on(&n.geom, 2);
         fill_shared(&mut n, &mut clf, a, 0);
-        let fx = n.issue_write(a, 9, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.issue_write(a, 9, &mut clf, 0, &mut fx);
         assert!(fx.write_retired, "write-through retires on send");
         assert_eq!(n.cache.read_word(&n.geom, a), Some(9), "local copy updated");
         assert!(matches!(fx.sends[0].kind, MsgKind::UpdateWrite { val: 9 }));
@@ -443,7 +442,8 @@ mod tests {
     fn write_miss_allocates() {
         let (mut n, mut clf) = node(1, Protocol::PureUpdate);
         let a = addr_on(&n.geom, 2);
-        let fx = n.issue_write(a, 9, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.issue_write(a, 9, &mut clf, 0, &mut fx);
         assert!(!fx.write_retired, "allocating write waits for the block");
         assert!(matches!(fx.sends[0].kind, MsgKind::UpdateWriteAlloc { val: 9 }));
         assert!(n.pending_write.is_some());
@@ -461,10 +461,12 @@ mod tests {
             e.sharers.insert(2);
             e.sharers.insert(3);
         }
-        let fx = home.handle_msg(
+        let mut fx = Effects::default();
+        home.handle_msg(
             Msg { src: 1, dst: 0, addr: a, kind: MsgKind::UpdateWrite { val: 5 } },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(home.mem.read_word(&home.geom, a), 5, "memory updated");
         let infos: Vec<_> =
@@ -489,10 +491,12 @@ mod tests {
             e.state = DirState::Shared;
             e.sharers.insert(1);
         }
-        let fx = home.handle_msg(
+        let mut fx = Effects::default();
+        home.handle_msg(
             Msg { src: 1, dst: 0, addr: a, kind: MsgKind::UpdateWrite { val: 5 } },
             &mut clf,
             0,
+            &mut fx,
         );
         let MsgKind::UpdateInfo { acks, go_private } = fx.sends[0].kind else { panic!() };
         assert_eq!((acks, go_private), (0, true));
@@ -511,10 +515,12 @@ mod tests {
             e.state = DirState::Shared;
             e.sharers.insert(1);
         }
-        let fx = home.handle_msg(
+        let mut fx = Effects::default();
+        home.handle_msg(
             Msg { src: 1, dst: 0, addr: a, kind: MsgKind::UpdateWrite { val: 5 } },
             &mut clf,
             0,
+            &mut fx,
         );
         let MsgKind::UpdateInfo { go_private, .. } = fx.sends[0].kind else { panic!() };
         assert!(!go_private, "the private-data optimization is a PU feature");
@@ -531,9 +537,11 @@ mod tests {
             Msg { src: 0, dst: 1, addr: a, kind: MsgKind::UpdateInfo { acks: 0, go_private: true } },
             &mut clf,
             0,
+            &mut Effects::default(),
         );
         assert_eq!(n.cache.state_of(block), Some(LineState::PrivateUpd));
-        let fx = n.issue_write(a, 7, &mut clf, 1);
+        let mut fx = Effects::default();
+        n.issue_write(a, 7, &mut clf, 1, &mut fx);
         assert!(fx.write_retired);
         assert!(fx.sends.is_empty(), "private-mode writes generate no traffic");
     }
@@ -543,10 +551,12 @@ mod tests {
         let (mut n, mut clf) = node(2, Protocol::PureUpdate);
         let a = addr_on(&n.geom, 0);
         fill_shared(&mut n, &mut clf, a, 0);
-        let fx = n.handle_msg(
+        let mut fx = Effects::default();
+        n.handle_msg(
             Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: 5, writer: 1, acks_to: 1 } },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(n.cache.read_word(&n.geom, a), Some(5));
         assert_eq!(fx.sends.len(), 1);
@@ -562,10 +572,12 @@ mod tests {
         let block = n.geom.block_of(a);
         fill_shared(&mut n, &mut clf, a, 0);
         for i in 0..4 {
-            let fx = n.handle_msg(
+            let mut fx = Effects::default();
+            n.handle_msg(
                 Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: i, writer: 1, acks_to: 1 } },
                 &mut clf,
                 i as u64,
+                &mut fx,
             );
             if i < 3 {
                 assert!(n.cache.contains(block), "update {i}");
@@ -594,9 +606,11 @@ mod tests {
                 Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: i, writer: 1, acks_to: 1 } },
                 &mut clf,
                 i as u64,
+                &mut Effects::default(),
             );
             // The processor reads the word between updates.
-            let fx = n.cpu_read(a, &mut clf, i as u64);
+            let mut fx = Effects::default();
+            n.cpu_read(a, &mut clf, i as u64, &mut fx);
             assert_eq!(fx.read_done, Some(i));
         }
         assert!(n.cache.contains(block), "references kept the line alive");
@@ -606,10 +620,12 @@ mod tests {
     fn update_to_absent_block_still_acks() {
         let (mut n, mut clf) = node(2, Protocol::PureUpdate);
         let a = addr_on(&n.geom, 0);
-        let fx = n.handle_msg(
+        let mut fx = Effects::default();
+        n.handle_msg(
             Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: 5, writer: 1, acks_to: 1 } },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(fx.sends.len(), 1);
         assert!(matches!(fx.sends[0].kind, MsgKind::UpdateAck));
@@ -627,7 +643,8 @@ mod tests {
             e.state = DirState::Shared;
             e.sharers.insert(2);
         }
-        let fx = home.handle_msg(
+        let mut fx = Effects::default();
+        home.handle_msg(
             Msg {
                 src: 1,
                 dst: 0,
@@ -636,6 +653,7 @@ mod tests {
             },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(home.mem.read_word(&home.geom, a), 13);
         let reply = fx.sends.iter().find(|m| m.dst == 1).unwrap();
@@ -655,7 +673,8 @@ mod tests {
         home.mem.write_word(&home.geom.clone(), a, 10);
         home.dir.entry(block).state = DirState::Shared;
         home.dir.entry(block).sharers.insert(2);
-        let fx = home.handle_msg(
+        let mut fx = Effects::default();
+        home.handle_msg(
             Msg {
                 src: 1,
                 dst: 0,
@@ -664,6 +683,7 @@ mod tests {
             },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(home.mem.read_word(&home.geom, a), 10, "swap must not happen");
         assert!(!fx.sends.iter().any(|m| matches!(m.kind, MsgKind::UpdateMsg { .. })));
@@ -685,7 +705,8 @@ mod tests {
             e.state = DirState::Owned;
             e.owner = 3;
         }
-        let fx = home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0);
+        let mut fx = Effects::default();
+        home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0, &mut fx);
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 3);
         assert!(matches!(fx.sends[0].kind, MsgKind::RecallUpd { .. }));
@@ -695,16 +716,22 @@ mod tests {
         let (mut owner, mut clf2) = node(3, Protocol::PureUpdate);
         let mut data = vec![0u32; 16].into_boxed_slice();
         data[owner.geom.word_index(a)] = 42;
-        owner.cache.fill(block, data, LineState::PrivateUpd);
+        owner.cache.fill(block, &data, LineState::PrivateUpd);
         clf2.copy_acquired(3, block);
-        let fx2 = owner.handle_msg(fx.sends[0].clone(), &mut clf2, 1);
+        let mut fx2 = Effects::default();
+        owner.handle_msg(fx.sends[0].clone(), &mut clf2, 1, &mut fx2);
         assert_eq!(owner.cache.state_of(block), Some(LineState::Shared));
         let MsgKind::RecallReply { ref data, .. } = fx2.sends[0].kind else { panic!() };
         assert_eq!(data[owner.geom.word_index(a)], 42);
 
         // Home absorbs the reply, unblocks, and requeues the read.
-        let fx3 =
-            home.handle_msg(Msg { src: 3, dst: 0, addr: a, kind: fx2.sends[0].kind.clone() }, &mut clf, 2);
+        let mut fx3 = Effects::default();
+        home.handle_msg(
+            Msg { src: 3, dst: 0, addr: a, kind: fx2.sends[0].kind.clone() },
+            &mut clf,
+            2,
+            &mut fx3,
+        );
         assert_eq!(home.mem.read_word(&home.geom, a), 42);
         assert!(!home.dir.get(block).unwrap().busy);
         assert_eq!(fx3.requeue_home.len(), 1);
@@ -715,13 +742,15 @@ mod tests {
     fn data_upd_completes_allocating_write() {
         let (mut n, mut clf) = node(1, Protocol::PureUpdate);
         let a = addr_on(&n.geom, 2);
-        n.issue_write(a, 9, &mut clf, 0);
+        n.issue_write(a, 9, &mut clf, 0, &mut Effects::default());
         let mut data = vec![0u32; 16].into_boxed_slice();
         data[n.geom.word_index(a)] = 9; // home already applied our write
-        let fx = n.handle_msg(
+        let mut fx = Effects::default();
+        n.handle_msg(
             Msg { src: 2, dst: 1, addr: a, kind: MsgKind::DataUpd { data, acks: 2 } },
             &mut clf,
             5,
+            &mut fx,
         );
         assert!(fx.write_retired);
         assert!(n.pending_write.is_none());
@@ -734,11 +763,13 @@ mod tests {
         let (mut n, mut clf) = node(1, Protocol::PureUpdate);
         let a = addr_on(&n.geom, 0);
         fill_shared(&mut n, &mut clf, a, 10);
-        n.cpu_atomic(AtomicOp::FetchAdd, a, 3, 0, &mut clf, 0);
-        let fx = n.handle_msg(
+        n.cpu_atomic(AtomicOp::FetchAdd, a, 3, 0, &mut clf, 0, &mut Effects::default());
+        let mut fx = Effects::default();
+        n.handle_msg(
             Msg { src: 0, dst: 1, addr: a, kind: MsgKind::AtomicReply { old: 10, data: None, acks: 0 } },
             &mut clf,
             1,
+            &mut fx,
         );
         assert_eq!(fx.atomic_done, Some(10));
         assert_eq!(n.cache.read_word(&n.geom, a), Some(13), "local copy got the result");

@@ -9,43 +9,52 @@ use crate::msg::{AtomicOp, Msg, MsgKind};
 use crate::node::{PendingAtomic, PendingRead, PendingWrite, ProtoNode};
 
 /// CPU shared read (see [`ProtoNode::cpu_read`]).
-pub fn cpu_read(n: &mut ProtoNode, addr: u32, clf: &mut Classifier, now: Cycle) -> Effects {
+pub fn cpu_read(n: &mut ProtoNode, addr: u32, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(addr);
     if let Some(v) = n.cache.read_word(&n.geom, addr) {
-        return Effects { read_done: Some(v), ..Default::default() };
+        fx.read_done = Some(v);
+        return;
     }
     clf.classify_miss(n.id, addr, now);
     debug_assert!(n.pending_read.is_none(), "one outstanding read per CPU");
     if n.has_pending_store_on(block) {
         n.pending_read = Some(PendingRead { addr, piggyback: true });
-        return Effects::none();
+        return;
     }
     n.pending_read = Some(PendingRead { addr, piggyback: false });
     let home = n.home_of(addr);
-    Effects::send(vec![n.msg(home, addr, MsgKind::ReadShared)])
+    fx.sends.push(n.msg(home, addr, MsgKind::ReadShared));
 }
 
 /// Write-buffer head issue (see [`ProtoNode::issue_write`]).
-pub fn issue_write(n: &mut ProtoNode, addr: u32, val: Word, clf: &mut Classifier, now: Cycle) -> Effects {
+pub fn issue_write(
+    n: &mut ProtoNode,
+    addr: u32,
+    val: Word,
+    clf: &mut Classifier,
+    now: Cycle,
+    fx: &mut Effects,
+) {
     let block = n.geom.block_of(addr);
     match n.cache.state_of(block) {
         Some(LineState::Modified) => {
             n.cache.write_word(&n.geom, addr, val);
             clf.word_written(n.id, addr, now);
-            Effects { write_retired: true, touched_blocks: vec![block], ..Default::default() }
+            fx.write_retired = true;
+            fx.touched_blocks.push(block);
         }
         Some(LineState::Shared) => {
             clf.exclusive_request(n.id, block);
             n.pending_write = Some(PendingWrite { addr, val });
             let home = n.home_of(addr);
-            Effects::send(vec![n.msg(home, addr, MsgKind::Upgrade)])
+            fx.sends.push(n.msg(home, addr, MsgKind::Upgrade));
         }
         Some(LineState::PrivateUpd) => unreachable!("PrivateUpd under WI"),
         None => {
             clf.classify_miss(n.id, addr, now);
             n.pending_write = Some(PendingWrite { addr, val });
             let home = n.home_of(addr);
-            Effects::send(vec![n.msg(home, addr, MsgKind::GetX)])
+            fx.sends.push(n.msg(home, addr, MsgKind::GetX));
         }
     }
 }
@@ -54,6 +63,7 @@ pub fn issue_write(n: &mut ProtoNode, addr: u32, val: Word, clf: &mut Classifier
 /// held block (Section 3.1: "the computational power of the atomic
 /// instructions is placed in the cache controllers when the coherence
 /// protocol is WI").
+#[allow(clippy::too_many_arguments)]
 pub fn cpu_atomic(
     n: &mut ProtoNode,
     op: AtomicOp,
@@ -62,7 +72,8 @@ pub fn cpu_atomic(
     operand2: Word,
     clf: &mut Classifier,
     now: Cycle,
-) -> Effects {
+    fx: &mut Effects,
+) {
     let block = n.geom.block_of(addr);
     match n.cache.state_of(block) {
         Some(LineState::Modified) => {
@@ -72,131 +83,112 @@ pub fn cpu_atomic(
                 n.cache.write_word(&n.geom, addr, new);
                 clf.word_written(n.id, addr, now);
             }
-            Effects { atomic_done: Some(old), touched_blocks: vec![block], ..Default::default() }
+            fx.atomic_done = Some(old);
+            fx.touched_blocks.push(block);
         }
         Some(LineState::Shared) => {
             clf.exclusive_request(n.id, block);
             n.pending_atomic = Some(PendingAtomic { addr, op, operand, operand2 });
             let home = n.home_of(addr);
-            Effects::send(vec![n.msg(home, addr, MsgKind::Upgrade)])
+            fx.sends.push(n.msg(home, addr, MsgKind::Upgrade));
         }
         Some(LineState::PrivateUpd) => unreachable!("PrivateUpd under WI"),
         None => {
             clf.classify_miss(n.id, addr, now);
             n.pending_atomic = Some(PendingAtomic { addr, op, operand, operand2 });
             let home = n.home_of(addr);
-            Effects::send(vec![n.msg(home, addr, MsgKind::GetX)])
+            fx.sends.push(n.msg(home, addr, MsgKind::GetX));
         }
     }
 }
 
 /// Message handler for everything WI-specific.
-pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     match msg.kind {
         // -------------------- home side --------------------
-        MsgKind::ReadShared => home_read(n, msg, clf, now),
-        MsgKind::GetX => home_getx(n, msg, clf, now),
-        MsgKind::Upgrade => home_upgrade(n, msg, clf, now),
-        MsgKind::SharingWB { .. } => home_sharing_wb(n, msg, clf, now),
-        MsgKind::OwnershipXfer { .. } => home_ownership_xfer(n, msg),
-        MsgKind::FetchMiss { .. } => home_fetch_miss(n, msg),
+        MsgKind::ReadShared => home_read(n, msg, clf, now, fx),
+        MsgKind::GetX => home_getx(n, msg, clf, now, fx),
+        MsgKind::Upgrade => home_upgrade(n, msg, clf, now, fx),
+        MsgKind::SharingWB { .. } => home_sharing_wb(n, msg, clf, now, fx),
+        MsgKind::OwnershipXfer { .. } => home_ownership_xfer(n, msg, fx),
+        MsgKind::FetchMiss { .. } => home_fetch_miss(n, msg, fx),
         // -------------------- cache side --------------------
         MsgKind::Inval { requester, writer } => {
             let block = n.geom.block_of(msg.addr);
-            let mut fx = Effects::none();
             if n.cache.invalidate(block).is_some() {
                 clf.copy_lost(n.id, block, LossCause::External { word_addr: msg.addr, writer }, now);
                 fx.touched_blocks.push(block);
             }
             fx.sends.push(n.msg(requester, msg.addr, MsgKind::InvAck));
-            fx
         }
         MsgKind::InvAck => {
             n.acks_received += 1;
-            Effects { sync_progress: true, ..Default::default() }
+            fx.sync_progress = true;
         }
         MsgKind::Fetch { requester } => {
             let block = n.geom.block_of(msg.addr);
+            let home = n.home_of(msg.addr);
             match n.cache.block_data(block) {
                 Some(data) => {
                     n.cache.set_state(block, LineState::Shared);
-                    Effects::send(vec![
-                        n.msg(requester, msg.addr, MsgKind::DataFwd { data: data.clone() }),
-                        n.msg(n.home_of(msg.addr), msg.addr, MsgKind::SharingWB { data, requester }),
-                    ])
+                    fx.sends.push(n.msg(requester, msg.addr, MsgKind::DataFwd { data: Box::new(data) }));
+                    fx.sends.push(n.msg(
+                        home,
+                        msg.addr,
+                        MsgKind::SharingWB { data: Box::new(data), requester },
+                    ));
                 }
                 None => {
-                    let original = Msg {
-                        src: requester,
-                        dst: n.home_of(msg.addr),
-                        addr: msg.addr,
-                        kind: MsgKind::ReadShared,
-                    };
-                    Effects::send(vec![n.msg(
-                        n.home_of(msg.addr),
-                        msg.addr,
-                        MsgKind::FetchMiss { original: Box::new(original) },
-                    )])
+                    let original =
+                        Msg { src: requester, dst: home, addr: msg.addr, kind: MsgKind::ReadShared };
+                    fx.sends.push(n.msg(home, msg.addr, MsgKind::FetchMiss { original: Box::new(original) }));
                 }
             }
         }
         MsgKind::FetchInv { requester, writer } => {
             let block = n.geom.block_of(msg.addr);
+            let home = n.home_of(msg.addr);
             match n.cache.invalidate(block) {
                 Some((_, data)) => {
                     clf.copy_lost(n.id, block, LossCause::External { word_addr: msg.addr, writer }, now);
-                    Effects {
-                        sends: vec![
-                            n.msg(requester, msg.addr, MsgKind::DataXFwd { data }),
-                            n.msg(n.home_of(msg.addr), msg.addr, MsgKind::OwnershipXfer { to: requester }),
-                        ],
-                        touched_blocks: vec![block],
-                        ..Default::default()
-                    }
+                    fx.sends.push(n.msg(requester, msg.addr, MsgKind::DataXFwd { data: Box::new(data) }));
+                    fx.sends.push(n.msg(home, msg.addr, MsgKind::OwnershipXfer { to: requester }));
+                    fx.touched_blocks.push(block);
                 }
                 None => {
-                    let original =
-                        Msg { src: requester, dst: n.home_of(msg.addr), addr: msg.addr, kind: MsgKind::GetX };
-                    Effects::send(vec![n.msg(
-                        n.home_of(msg.addr),
-                        msg.addr,
-                        MsgKind::FetchMiss { original: Box::new(original) },
-                    )])
+                    let original = Msg { src: requester, dst: home, addr: msg.addr, kind: MsgKind::GetX };
+                    fx.sends.push(n.msg(home, msg.addr, MsgKind::FetchMiss { original: Box::new(original) }));
                 }
             }
         }
         MsgKind::Data { data } | MsgKind::DataFwd { data } => {
             let block = n.geom.block_of(msg.addr);
-            let mut fx = n.fill_block(block, data, LineState::Shared, clf, now);
+            n.fill_block(block, &data, LineState::Shared, clf, now, fx);
             let pr = n.pending_read.take().expect("Data reply without pending read");
             debug_assert_eq!(n.geom.block_of(pr.addr), block);
             fx.read_done = Some(n.cache.read_word(&n.geom, pr.addr).expect("just filled"));
-            fx
         }
         MsgKind::DataX { data, acks } => {
             let block = n.geom.block_of(msg.addr);
             n.acks_expected += acks as u64;
-            let mut fx = n.fill_block(block, data, LineState::Modified, clf, now);
+            n.fill_block(block, &data, LineState::Modified, clf, now, fx);
             fx.sync_progress = true;
-            complete_store(n, block, clf, now, &mut fx);
-            fx
+            complete_store(n, block, clf, now, fx);
         }
         // DataXFwd carries no ack obligation: ownership came whole from the
         // previous (sole) owner, so there are no sharers to invalidate.
         MsgKind::DataXFwd { data } => {
             let block = n.geom.block_of(msg.addr);
-            let mut fx = n.fill_block(block, data, LineState::Modified, clf, now);
-            complete_store(n, block, clf, now, &mut fx);
-            fx
+            n.fill_block(block, &data, LineState::Modified, clf, now, fx);
+            complete_store(n, block, clf, now, fx);
         }
         MsgKind::UpgradeAck { acks } => {
             let block = n.geom.block_of(msg.addr);
             n.acks_expected += acks as u64;
             n.cache.set_state(block, LineState::Modified);
-            let mut fx = Effects { sync_progress: true, ..Default::default() };
+            fx.sync_progress = true;
             fx.touched_blocks.push(block);
-            complete_store(n, block, clf, now, &mut fx);
-            fx
+            complete_store(n, block, clf, now, fx);
         }
         other => unreachable!("WI node {} got unexpected message {:?}", n.id, other),
     }
@@ -240,11 +232,11 @@ fn complete_store(
 // Home-side handlers
 // ----------------------------------------------------------------------
 
-fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let r = msg.src;
     let e = n.dir.entry(block);
@@ -254,88 +246,86 @@ fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> E
             e.state = DirState::Shared;
             e.sharers.insert(r);
             clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "ReadShared", now);
-            let data = n.mem.read_block(&n.geom, block);
-            Effects::send(vec![n.msg(r, msg.addr, MsgKind::Data { data })])
+            let data = n.mem.read_block(block);
+            fx.sends.push(n.msg(r, msg.addr, MsgKind::Data { data }));
         }
         DirState::Owned if e.owner == r => {
             // Requester is the registered owner: its eviction writeback is
             // still in flight. Park the request until it lands.
             n.wait_for_writeback(block, msg);
-            Effects::none()
         }
         DirState::Owned => {
             let owner = e.owner;
             e.busy = true;
-            Effects::send(vec![n.msg(owner, msg.addr, MsgKind::Fetch { requester: r })])
+            fx.sends.push(n.msg(owner, msg.addr, MsgKind::Fetch { requester: r }));
         }
     }
 }
 
-fn home_getx(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_getx(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let r = msg.src;
     let e = n.dir.entry(block);
     match e.state {
         DirState::Uncached | DirState::Shared => {
             let from = e.state;
-            let others: Vec<_> = e.sharers.iter().filter(|&s| s != r).collect();
+            let mut others = e.sharers;
+            others.remove(r);
             e.state = DirState::Owned;
             e.owner = r;
             e.sharers = SharerSet::empty();
             clf.dir_transition(block, from.name(), DirState::Owned.name(), r, "GetX", now);
-            let data = n.mem.read_block(&n.geom, block);
-            let mut sends = vec![n.msg(r, msg.addr, MsgKind::DataX { data, acks: others.len() as u32 })];
-            for s in others {
-                sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r, writer: r }));
+            let data = n.mem.read_block(block);
+            fx.sends.push(n.msg(r, msg.addr, MsgKind::DataX { data, acks: others.len() as u32 }));
+            for s in others.iter() {
+                fx.sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r, writer: r }));
             }
-            Effects::send(sends)
         }
         DirState::Owned if e.owner == r => {
             n.wait_for_writeback(block, msg);
-            Effects::none()
         }
         DirState::Owned => {
             let owner = e.owner;
             e.busy = true;
-            Effects::send(vec![n.msg(owner, msg.addr, MsgKind::FetchInv { requester: r, writer: r })])
+            fx.sends.push(n.msg(owner, msg.addr, MsgKind::FetchInv { requester: r, writer: r }));
         }
     }
 }
 
-fn home_upgrade(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_upgrade(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     debug_assert_eq!(n.home_of(msg.addr), n.id);
     let block = n.geom.block_of(msg.addr);
     if n.defer_if_busy(block, &msg) {
-        return Effects::none();
+        return;
     }
     let r = msg.src;
     let e = n.dir.entry(block);
     if e.state == DirState::Shared && e.sharers.contains(r) {
-        let others: Vec<_> = e.sharers.iter().filter(|&s| s != r).collect();
+        let mut others = e.sharers;
+        others.remove(r);
         e.state = DirState::Owned;
         e.owner = r;
         e.sharers = SharerSet::empty();
         clf.dir_transition(block, DirState::Shared.name(), DirState::Owned.name(), r, "Upgrade", now);
-        let mut sends = vec![n.msg(r, msg.addr, MsgKind::UpgradeAck { acks: others.len() as u32 })];
-        for s in others {
-            sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r, writer: r }));
+        fx.sends.push(n.msg(r, msg.addr, MsgKind::UpgradeAck { acks: others.len() as u32 }));
+        for s in others.iter() {
+            fx.sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r, writer: r }));
         }
-        Effects::send(sends)
     } else {
         // The requester's copy was invalidated while the upgrade was in
         // flight; serve it as a full GetX instead.
-        home_getx(n, Msg { kind: MsgKind::GetX, ..msg }, clf, now)
+        home_getx(n, Msg { kind: MsgKind::GetX, ..msg }, clf, now, fx);
     }
 }
 
-fn home_sharing_wb(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle) -> Effects {
+fn home_sharing_wb(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::SharingWB { data, requester } = msg.kind else { unreachable!() };
-    n.mem.write_block(&n.geom, block, &data);
+    n.mem.write_block(block, &data);
     let e = n.dir.entry(block);
     debug_assert!(e.busy);
     let from = e.state;
@@ -345,14 +335,10 @@ fn home_sharing_wb(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle
     e.sharers.insert(requester);
     e.busy = false;
     clf.dir_transition(block, from.name(), DirState::Shared.name(), requester, "SharingWB", now);
-    let mut fx = Effects::none();
-    while let Some(m) = e.waiting.pop_front() {
-        fx.requeue_home.push(m);
-    }
-    fx
+    fx.requeue_home.extend(e.waiting.drain(..));
 }
 
-fn home_ownership_xfer(n: &mut ProtoNode, msg: Msg) -> Effects {
+fn home_ownership_xfer(n: &mut ProtoNode, msg: Msg, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::OwnershipXfer { to } = msg.kind else { unreachable!() };
     let e = n.dir.entry(block);
@@ -361,24 +347,16 @@ fn home_ownership_xfer(n: &mut ProtoNode, msg: Msg) -> Effects {
     e.owner = to;
     e.sharers = SharerSet::empty();
     e.busy = false;
-    let mut fx = Effects::none();
-    while let Some(m) = e.waiting.pop_front() {
-        fx.requeue_home.push(m);
-    }
-    fx
+    fx.requeue_home.extend(e.waiting.drain(..));
 }
 
-fn home_fetch_miss(n: &mut ProtoNode, msg: Msg) -> Effects {
+fn home_fetch_miss(n: &mut ProtoNode, msg: Msg, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::FetchMiss { original } = msg.kind else { unreachable!() };
     let e = n.dir.entry(block);
     e.busy = false;
-    let mut fx = Effects::none();
     fx.requeue_home.push(*original);
-    while let Some(m) = e.waiting.pop_front() {
-        fx.requeue_home.push(m);
-    }
-    fx
+    fx.requeue_home.extend(e.waiting.drain(..));
 }
 
 #[cfg(test)]
@@ -404,7 +382,8 @@ mod tests {
     fn read_miss_sends_read_shared_to_home() {
         let (mut n, mut clf) = node(1);
         let a = addr_on(&n.geom, 2);
-        let fx = n.cpu_read(a, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.cpu_read(a, &mut clf, 0, &mut fx);
         assert!(fx.read_done.is_none());
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 2);
@@ -417,7 +396,8 @@ mod tests {
         let (mut home, mut clf) = node(2);
         let a = addr_on(&home.geom, 2);
         home.mem.write_word(&home.geom.clone(), a, 77);
-        let fx = home.handle_msg(Msg { src: 1, dst: 2, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0);
+        let mut fx = Effects::default();
+        home.handle_msg(Msg { src: 1, dst: 2, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0, &mut fx);
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 1);
         let MsgKind::Data { ref data } = fx.sends[0].kind else { panic!() };
@@ -439,7 +419,8 @@ mod tests {
             e.sharers.insert(2);
             e.sharers.insert(3);
         }
-        let fx = home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::GetX }, &mut clf, 0);
+        let mut fx = Effects::default();
+        home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::GetX }, &mut clf, 0, &mut fx);
         // DataX to the requester + invals to the two other sharers.
         let mut dx = 0;
         let mut inv = vec![];
@@ -474,7 +455,8 @@ mod tests {
             e.state = DirState::Shared;
             e.sharers.insert(2); // requester 1 is NOT a sharer anymore
         }
-        let fx = home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::Upgrade }, &mut clf, 0);
+        let mut fx = Effects::default();
+        home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::Upgrade }, &mut clf, 0, &mut fx);
         assert!(
             fx.sends.iter().any(|m| matches!(m.kind, MsgKind::DataX { .. })),
             "served as a full GetX: {:?}",
@@ -492,13 +474,15 @@ mod tests {
             e.state = DirState::Owned;
             e.owner = 3;
         }
-        let fx = home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0);
+        let mut fx = Effects::default();
+        home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0, &mut fx);
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 3);
         assert!(matches!(fx.sends[0].kind, MsgKind::Fetch { requester: 1 }));
         assert!(home.dir.get(block).unwrap().busy);
         // A second request while busy is deferred.
-        let fx2 = home.handle_msg(Msg { src: 2, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 1);
+        let mut fx2 = Effects::default();
+        home.handle_msg(Msg { src: 2, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 1, &mut fx2);
         assert!(fx2.sends.is_empty());
         assert_eq!(home.dir.get(block).unwrap().waiting.len(), 1);
     }
@@ -508,12 +492,14 @@ mod tests {
         let (mut owner, mut clf) = node(3);
         let a = addr_on(&owner.geom, 0);
         let block = owner.geom.block_of(a);
-        owner.cache.fill(block, vec![9; 16].into_boxed_slice(), LineState::Modified);
+        owner.cache.fill(block, &[9; 16], LineState::Modified);
         clf.copy_acquired(3, block);
-        let fx = owner.handle_msg(
+        let mut fx = Effects::default();
+        owner.handle_msg(
             Msg { src: 0, dst: 3, addr: a, kind: MsgKind::Fetch { requester: 1 } },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(owner.cache.state_of(block), Some(LineState::Shared));
         assert!(fx.sends.iter().any(|m| m.dst == 1 && matches!(m.kind, MsgKind::DataFwd { .. })));
@@ -528,10 +514,12 @@ mod tests {
         let (mut owner, mut clf) = node(3);
         let a = addr_on(&owner.geom, 0);
         // Owner no longer caches the block (eviction raced the recall).
-        let fx = owner.handle_msg(
+        let mut fx = Effects::default();
+        owner.handle_msg(
             Msg { src: 0, dst: 3, addr: a, kind: MsgKind::FetchInv { requester: 1, writer: 1 } },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(fx.sends.len(), 1);
         let MsgKind::FetchMiss { ref original } = fx.sends[0].kind else { panic!() };
@@ -543,10 +531,12 @@ mod tests {
     fn sharer_invalidation_acks_the_requester_even_without_copy() {
         let (mut sharer, mut clf) = node(2);
         let a = addr_on(&sharer.geom, 0);
-        let fx = sharer.handle_msg(
+        let mut fx = Effects::default();
+        sharer.handle_msg(
             Msg { src: 0, dst: 2, addr: a, kind: MsgKind::Inval { requester: 1, writer: 1 } },
             &mut clf,
             0,
+            &mut fx,
         );
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 1);
@@ -557,16 +547,18 @@ mod tests {
     fn data_reply_completes_pending_read_and_write_path_acks() {
         let (mut n, mut clf) = node(1);
         let a = addr_on(&n.geom, 2);
-        n.cpu_read(a, &mut clf, 0);
+        n.cpu_read(a, &mut clf, 0, &mut Effects::default());
         let mut data = vec![0u32; 16].into_boxed_slice();
         data[n.geom.word_index(a)] = 55;
-        let fx = n.handle_msg(Msg { src: 2, dst: 1, addr: a, kind: MsgKind::Data { data } }, &mut clf, 5);
+        let mut fx = Effects::default();
+        n.handle_msg(Msg { src: 2, dst: 1, addr: a, kind: MsgKind::Data { data } }, &mut clf, 5, &mut fx);
         assert_eq!(fx.read_done, Some(55));
         assert!(n.pending_read.is_none());
         // Ack bookkeeping via InvAck.
         n.acks_expected += 1;
         assert!(!n.sync_complete());
-        let fx = n.handle_msg(Msg { src: 3, dst: 1, addr: a, kind: MsgKind::InvAck }, &mut clf, 6);
+        let mut fx = Effects::default();
+        n.handle_msg(Msg { src: 3, dst: 1, addr: a, kind: MsgKind::InvAck }, &mut clf, 6, &mut fx);
         assert!(fx.sync_progress);
         assert!(n.sync_complete());
     }
@@ -576,9 +568,10 @@ mod tests {
         let (mut n, mut clf) = node(1);
         let a = addr_on(&n.geom, 2);
         let block = n.geom.block_of(a);
-        n.cache.fill(block, vec![0; 16].into_boxed_slice(), LineState::Modified);
+        n.cache.fill(block, &[0; 16], LineState::Modified);
         clf.copy_acquired(1, block);
-        let fx = n.issue_write(a, 42, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.issue_write(a, 42, &mut clf, 0, &mut fx);
         assert!(fx.write_retired);
         assert!(fx.sends.is_empty());
         assert_eq!(n.cache.read_word(&n.geom, a), Some(42));
@@ -589,9 +582,10 @@ mod tests {
         let (mut n, mut clf) = node(1);
         let a = addr_on(&n.geom, 2);
         let block = n.geom.block_of(a);
-        n.cache.fill(block, vec![0; 16].into_boxed_slice(), LineState::Shared);
+        n.cache.fill(block, &[0; 16], LineState::Shared);
         clf.copy_acquired(1, block);
-        let fx = n.issue_write(a, 42, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.issue_write(a, 42, &mut clf, 0, &mut fx);
         assert!(!fx.write_retired);
         assert!(matches!(fx.sends[0].kind, MsgKind::Upgrade));
         assert_eq!(clf.report().misses.exclusive_requests, 1);
@@ -604,9 +598,10 @@ mod tests {
         let block = n.geom.block_of(a);
         let mut data = vec![0u32; 16].into_boxed_slice();
         data[n.geom.word_index(a)] = 10;
-        n.cache.fill(block, data, LineState::Modified);
+        n.cache.fill(block, &data, LineState::Modified);
         clf.copy_acquired(1, block);
-        let fx = n.cpu_atomic(AtomicOp::FetchAdd, a, 5, 0, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.cpu_atomic(AtomicOp::FetchAdd, a, 5, 0, &mut clf, 0, &mut fx);
         assert_eq!(fx.atomic_done, Some(10));
         assert_eq!(n.cache.read_word(&n.geom, a), Some(15));
         assert!(fx.sends.is_empty(), "no traffic for a local atomic");
@@ -619,9 +614,10 @@ mod tests {
         let block = n.geom.block_of(a);
         let mut data = vec![0u32; 16].into_boxed_slice();
         data[n.geom.word_index(a)] = 10;
-        n.cache.fill(block, data, LineState::Modified);
+        n.cache.fill(block, &data, LineState::Modified);
         clf.copy_acquired(1, block);
-        let fx = n.cpu_atomic(AtomicOp::CompareAndSwap, a, 99, 1, &mut clf, 0);
+        let mut fx = Effects::default();
+        n.cpu_atomic(AtomicOp::CompareAndSwap, a, 99, 1, &mut clf, 0, &mut fx);
         assert_eq!(fx.atomic_done, Some(10));
         assert_eq!(n.cache.read_word(&n.geom, a), Some(10), "swap must not happen");
     }

@@ -1,9 +1,7 @@
 //! The event-driven classifier.
 
-use std::collections::HashMap;
-
 use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
-use sim_engine::{Cycle, NodeId};
+use sim_engine::{Cycle, FastMap, NodeId};
 use sim_mem::{Addr, BlockAddr, Geometry};
 
 use crate::lineage::{Lineage, LineageReport};
@@ -52,10 +50,31 @@ struct CopyHistory {
     lost: Option<(Cycle, LossCause)>,
 }
 
-/// A live (delivered, not yet dead) update record.
-#[derive(Debug, Clone, Copy)]
-struct UpdateRec {
-    block_referenced: bool,
+/// The live (delivered, not yet dead) update records of one `(node,
+/// block)` copy, one bit per word: bit `w` of `live` is set while the
+/// update to word `w` waits to be consumed, and bit `w` of `referenced`
+/// records that some *other* word of the block was touched since that
+/// update arrived (the false-sharing evidence). `referenced` is always a
+/// subset of `live`.
+#[derive(Debug, Clone, Copy, Default)]
+struct LiveWords {
+    live: u16,
+    referenced: u16,
+}
+
+impl LiveWords {
+    /// Word indices with a live record, ascending, each with its
+    /// block-referenced flag.
+    fn records(self) -> impl Iterator<Item = (usize, bool)> {
+        let mut bits = self.live;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let w = bits.trailing_zeros();
+                bits &= bits - 1;
+                (w as usize, self.referenced & (1 << w) != 0)
+            })
+        })
+    }
 }
 
 /// Classifies every miss and update message of a run, given raw events from
@@ -68,11 +87,11 @@ struct UpdateRec {
 pub struct Classifier {
     geom: Geometry,
     /// Last globally-visible writer of each word.
-    last_writer: HashMap<Addr, (NodeId, Cycle)>,
+    last_writer: FastMap<Addr, (NodeId, Cycle)>,
     /// Copy history per (node, block).
-    copies: HashMap<(NodeId, BlockAddr), CopyHistory>,
-    /// Live update records per (node, block) → word index → record.
-    live_updates: HashMap<(NodeId, BlockAddr), HashMap<usize, UpdateRec>>,
+    copies: FastMap<(NodeId, BlockAddr), CopyHistory>,
+    /// Live update records per (node, block); no entry has an empty `live`.
+    live_updates: FastMap<(NodeId, BlockAddr), LiveWords>,
     /// Registered data-structure address ranges for attribution.
     structures: Vec<StructureRange>,
     report: TrafficReport,
@@ -100,9 +119,9 @@ impl Classifier {
     pub fn new(geom: Geometry) -> Self {
         Classifier {
             geom,
-            last_writer: HashMap::new(),
-            copies: HashMap::new(),
-            live_updates: HashMap::new(),
+            last_writer: FastMap::default(),
+            copies: FastMap::default(),
+            live_updates: FastMap::default(),
             structures: Vec::new(),
             report: TrafficReport::default(),
             finished: false,
@@ -306,7 +325,7 @@ impl Classifier {
             }
         }
         if let Some(records) = self.live_updates.remove(&(node, block)) {
-            for (widx, rec) in records {
+            for (widx, block_referenced) in records.records() {
                 let class = match cause {
                     LossCause::Eviction => UpdateClass::Replacement,
                     // Records still live when the block self-invalidates or
@@ -314,7 +333,7 @@ impl Classifier {
                     // consumed: useless. Active false sharing wins over
                     // proliferation, as in the paper's algorithm.
                     LossCause::SelfInvalidate | LossCause::External { .. } => {
-                        if rec.block_referenced {
+                        if block_referenced {
                             UpdateClass::FalseSharing
                         } else {
                             UpdateClass::Proliferation
@@ -386,11 +405,13 @@ impl Classifier {
     /// record.
     pub fn update_delivered(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
-        let widx = self.geom.word_index(addr);
+        let bit = 1u16 << self.geom.word_index(addr);
         let records = self.live_updates.entry((node, block)).or_default();
-        if let Some(old) = records.insert(widx, UpdateRec { block_referenced: false }) {
-            let class =
-                if old.block_referenced { UpdateClass::FalseSharing } else { UpdateClass::Proliferation };
+        let old = (records.live & bit != 0).then_some(records.referenced & bit != 0);
+        records.live |= bit;
+        records.referenced &= !bit;
+        if let Some(old_referenced) = old {
+            let class = if old_referenced { UpdateClass::FalseSharing } else { UpdateClass::Proliferation };
             self.bump_update(addr, class);
         }
     }
@@ -407,17 +428,16 @@ impl Classifier {
     /// blocks as referenced.
     pub fn word_referenced(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
-        let widx = self.geom.word_index(addr);
+        let bit = 1u16 << self.geom.word_index(addr);
         if let Some(l) = self.lineage.as_mut() {
             l.note_read(node, block);
         }
         let mut consumed = false;
         if let Some(records) = self.live_updates.get_mut(&(node, block)) {
-            consumed = records.remove(&widx).is_some();
-            for rec in records.values_mut() {
-                rec.block_referenced = true;
-            }
-            if records.is_empty() {
+            consumed = records.live & bit != 0;
+            records.live &= !bit;
+            records.referenced = records.live;
+            if records.live == 0 {
                 self.live_updates.remove(&(node, block));
             }
         }
@@ -432,13 +452,9 @@ impl Classifier {
     /// for the false-sharing distinction.
     pub fn word_write_referenced(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
-        let widx = self.geom.word_index(addr);
+        let bit = 1u16 << self.geom.word_index(addr);
         if let Some(records) = self.live_updates.get_mut(&(node, block)) {
-            for (&w, rec) in records.iter_mut() {
-                if w != widx {
-                    rec.block_referenced = true;
-                }
-            }
+            records.referenced |= records.live & !bit;
         }
     }
 
@@ -452,11 +468,10 @@ impl Classifier {
     pub fn finish(&mut self) -> &TrafficReport {
         assert!(!self.finished, "Classifier::finish called twice");
         self.finished = true;
-        let drained: Vec<_> = self.live_updates.drain().collect();
-        for ((_, block), records) in drained {
-            for (widx, rec) in records {
+        for ((_, block), records) in std::mem::take(&mut self.live_updates) {
+            for (widx, block_referenced) in records.records() {
                 let class =
-                    if rec.block_referenced { UpdateClass::FalseSharing } else { UpdateClass::Termination };
+                    if block_referenced { UpdateClass::FalseSharing } else { UpdateClass::Termination };
                 self.bump_update(block.0 + 4 * widx as Addr, class);
             }
         }
@@ -516,25 +531,17 @@ impl Classifier {
                 }
             }
         }
-        type LiveUpdateRow = ((NodeId, BlockAddr), Vec<(usize, UpdateRec)>);
-        let mut lu: Vec<LiveUpdateRow> = self
-            .live_updates
-            .iter()
-            .map(|(&k, recs)| {
-                let mut recs: Vec<(usize, UpdateRec)> = recs.iter().map(|(&widx, &r)| (widx, r)).collect();
-                recs.sort_by_key(|&(widx, _)| widx);
-                (k, recs)
-            })
-            .collect();
+        let mut lu: Vec<((NodeId, BlockAddr), LiveWords)> =
+            self.live_updates.iter().map(|(&k, &recs)| (k, recs)).collect();
         lu.sort_by_key(|&(k, _)| k);
         w.usize(lu.len());
         for ((n, b), recs) in lu {
             w.usize(n);
             w.u32(b.0);
-            w.usize(recs.len());
-            for (widx, rec) in recs {
+            w.usize(recs.live.count_ones() as usize);
+            for (widx, block_referenced) in recs.records() {
                 w.usize(widx);
-                w.bool(rec.block_referenced);
+                w.bool(block_referenced);
             }
         }
         encode_report(w, &self.report);
@@ -575,10 +582,20 @@ impl Classifier {
         for _ in 0..r.usize()? {
             let n = r.usize()?;
             let b = BlockAddr(r.u32()?);
-            let mut recs = HashMap::new();
+            let mut recs = LiveWords::default();
             for _ in 0..r.usize()? {
                 let widx = r.usize()?;
-                recs.insert(widx, UpdateRec { block_referenced: r.bool()? });
+                if widx >= sim_mem::BLOCK_WORDS {
+                    return Err(SnapError::Corrupt("live-update word index"));
+                }
+                let bit = 1u16 << widx;
+                recs.live |= bit;
+                if r.bool()? {
+                    recs.referenced |= bit;
+                }
+            }
+            if recs.live == 0 {
+                return Err(SnapError::Corrupt("empty live-update row"));
             }
             self.live_updates.insert((n, b), recs);
         }
@@ -872,6 +889,74 @@ mod tests {
         assert_eq!(a.report().updates, b.report().updates);
         assert_eq!(a.report().shared_reads, b.report().shared_reads);
         assert_eq!(a.report().by_structure[0].misses, b.report().by_structure[0].misses);
+    }
+
+    /// One `(node, block)` copy walked through every live-record
+    /// transition — deliver, re-deliver, read-consume, sibling read and
+    /// write, each [`LossCause`], and `finish` — with the counts checked
+    /// after each step. Midway, with records live on several words, the
+    /// checkpoint encoding must round-trip byte for byte.
+    #[test]
+    fn live_update_records_walk_every_transition() {
+        fn counts(c: &Classifier) -> [u64; 5] {
+            let u = c.report().updates;
+            [u.true_sharing, u.false_sharing, u.proliferation, u.replacement, u.termination]
+        }
+        let (w2, w3, w5) = (B + 8, B + 12, B + 20);
+        let mut c = classifier();
+        // Re-delivery kills the unreferenced older record: proliferation.
+        c.update_delivered(0, W0);
+        c.update_delivered(0, W0);
+        assert_eq!(counts(&c), [0, 0, 1, 0, 0]);
+        // A sibling read marks it referenced; re-delivery is false sharing.
+        c.word_referenced(0, W1);
+        c.update_delivered(0, W0);
+        assert_eq!(counts(&c), [0, 1, 1, 0, 0]);
+        // Reading the word consumes the record once: true sharing.
+        c.word_referenced(0, W0);
+        c.word_referenced(0, W0);
+        assert_eq!(counts(&c), [1, 1, 1, 0, 0]);
+        // A write marks only sibling records; an external invalidation
+        // then kills both, split by that evidence.
+        c.update_delivered(0, W1);
+        c.update_delivered(0, w2);
+        c.word_write_referenced(0, W1);
+        c.copy_lost(0, BlockAddr(B), LossCause::External { word_addr: w3, writer: 1 }, 10);
+        assert_eq!(counts(&c), [1, 2, 2, 0, 0]);
+        // Self-invalidation (a drop or flush) splits the same way.
+        c.update_delivered(0, w3);
+        c.update_delivered(0, w5);
+        c.word_write_referenced(0, w5);
+        c.copy_lost(0, BlockAddr(B), LossCause::SelfInvalidate, 20);
+        assert_eq!(counts(&c), [1, 3, 3, 0, 0]);
+        // Eviction turns every live record into a replacement update.
+        c.update_delivered(0, W0);
+        c.update_delivered(0, w2);
+        c.word_write_referenced(0, W0);
+        c.copy_lost(0, BlockAddr(B), LossCause::Eviction, 30);
+        assert_eq!(counts(&c), [1, 3, 3, 2, 0]);
+        // Live on several words of two copies at checkpoint time.
+        c.update_delivered(0, W1);
+        c.update_delivered(0, w3);
+        c.update_delivered(0, w5);
+        c.word_write_referenced(0, w3);
+        c.update_delivered(2, w2);
+        let mut w = sim_engine::SnapWriter::new();
+        c.encode_state(&mut w);
+        let bytes = w.into_vec();
+        let mut restored = classifier();
+        let mut r = sim_engine::SnapReader::new(&bytes);
+        restored.restore_state(&mut r).expect("restore");
+        r.finish().expect("no trailing bytes");
+        let mut again = sim_engine::SnapWriter::new();
+        restored.encode_state(&mut again);
+        assert_eq!(bytes, again.into_vec(), "encode → restore → encode is byte-identical");
+        // At the end, referenced records are false sharing, the rest
+        // terminate: W1 and w5 were referenced by the write to w3.
+        for c in [&mut c, &mut restored] {
+            c.finish();
+            assert_eq!(counts(c), [1, 5, 3, 2, 2]);
+        }
     }
 
     #[test]

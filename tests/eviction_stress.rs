@@ -17,7 +17,7 @@ const PROTOCOLS: [Protocol; 3] =
 /// A machine whose caches hold only `lines` blocks.
 fn tiny_cache_machine(procs: usize, protocol: Protocol, lines: u32) -> Machine {
     let mut cfg = MachineConfig::paper(procs, protocol);
-    cfg.cache = CacheConfig { capacity_bytes: 64 * lines, block_bytes: 64 };
+    cfg.cache = CacheConfig { capacity_bytes: 64 * lines };
     Machine::new(cfg)
 }
 
