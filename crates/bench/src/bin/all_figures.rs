@@ -1,7 +1,8 @@
 //! Regenerates every figure of the evaluation section in sequence.
 //! `PPC_SCALE=0.1` makes a quick pass; `--quick` additionally caps the
 //! machine-size sweep at 4 processors and runs the traffic tables at 4
-//! (the CI smoke configuration — see docs/HARNESS.md).
+//! (the configuration the CI `figures` job diffs against
+//! `tests/golden/all_figures_quick.txt` — see docs/HARNESS.md).
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,4 +1,4 @@
-//! Differential-run driver behind the `obs_diff` binary.
+//! Differential-run driver behind `ppc diff`.
 //!
 //! Three entry points, all testable in-process:
 //!
@@ -10,22 +10,15 @@
 //! * [`comparative`] — the sweep-level mode: one kernel across the whole
 //!   protocol axis, pairwise deltas against the WI baseline plus a
 //!   machine-size cycle table from the (memoized) sweep harness.
-//!
-//! [`gate_record`] produces the [`BenchRecord`] the CI gate compares:
-//! per-protocol cycle and instruction counts (exact-gated — the
-//! simulator is deterministic) and the host wall time (band-gated).
 
-use std::time::Instant;
-
-use kernels::runner::KernelSpec;
+use kernels::runner::{install_run_verify, KernelSpec};
 use sim_machine::{Machine, MachineConfig, RunResult};
 use sim_proto::Protocol;
 use sim_stats::{HostObsConfig, Json, ObsConfig, ReportDelta};
 
-use crate::observed::{protocol_name, run_kernel};
-use crate::registry::{host_json, spec_digest, BenchRecord, BENCH_SCHEMA};
+use crate::observed::protocol_name;
 use crate::sweep::{self, RunSpec};
-use crate::{scale, PROC_SWEEP, PROTOCOLS};
+use crate::{PROC_SWEEP, PROTOCOLS};
 
 /// Parses a protocol label as the CLI accepts it (`wi`/`pu`/`cu`, any
 /// case, or the paper's one-letter `i`/`u`/`c`).
@@ -50,8 +43,7 @@ pub fn run_diff(procs: usize, protocol: Protocol, kernel: &KernelSpec) -> RunRes
         hostobs.fingerprint_epoch = epoch;
     }
     let cfg = MachineConfig { obs: ObsConfig::enabled(), hostobs, ..MachineConfig::paper(procs, protocol) };
-    let mut m = Machine::new(cfg);
-    let mut r = run_kernel(&mut m, kernel);
+    let mut r = install_run_verify(&mut Machine::new(cfg), kernel, true, Machine::run);
     if let Some(obs) = r.obs.as_mut() {
         obs.set_phase_names(kernels::phase::names());
     }
@@ -142,49 +134,6 @@ pub fn comparative(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> (Str
     (text, doc)
 }
 
-/// The spec digest gate records carry: two records are comparable only
-/// for the same kernel, machine size, protocol axis, and workload scale.
-pub fn gate_spec_digest(kernel_name: &str, procs: usize) -> String {
-    spec_digest(&[kernel_name, &procs.to_string(), &format!("{:.6}", scale()), "axis:wi,pu,cu"])
-}
-
-/// Runs `kernel` under every protocol and wraps the headline numbers in
-/// a [`BenchRecord`]: `cycles_*` / `instructions_*` per protocol (exact
-/// metrics) and the total host wall time (band metric). The payload
-/// keeps the per-protocol summaries.
-pub fn gate_record(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> BenchRecord {
-    let started = Instant::now();
-    let runs: Vec<(Protocol, RunResult)> =
-        PROTOCOLS.into_iter().map(|p| (p, run_diff(procs, p, kernel))).collect();
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let mut metrics = Vec::new();
-    let mut payload_runs = Vec::new();
-    for (proto, r) in &runs {
-        let tag = protocol_name(*proto).to_ascii_lowercase();
-        metrics.push((format!("cycles_{tag}"), Json::U64(r.cycles)));
-        metrics.push((format!("instructions_{tag}"), Json::U64(r.instructions)));
-        payload_runs.push(Json::obj([
-            ("protocol", Json::from(protocol_name(*proto))),
-            ("cycles", Json::U64(r.cycles)),
-            ("instructions", Json::U64(r.instructions)),
-            ("misses", Json::U64(r.traffic.misses.total_misses())),
-            ("updates", Json::U64(r.traffic.updates.total())),
-        ]));
-    }
-    metrics.push(("wall_seconds".to_string(), Json::F64(wall_seconds)));
-    BenchRecord {
-        schema: BENCH_SCHEMA.to_string(),
-        bench: "gate".to_string(),
-        title: format!("CI gate baseline: {kernel_name} at {procs} procs across WI/PU/CU"),
-        command: format!("obs_diff {kernel_name} --write-baseline BENCH_gate.json {procs}"),
-        git_rev: crate::registry::git_rev(),
-        host: host_json(),
-        spec_digest: gate_spec_digest(kernel_name, procs),
-        metrics: Json::Obj(metrics),
-        payload: Json::obj([("runs", Json::Arr(payload_runs))]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,12 +144,5 @@ mod tests {
         assert_eq!(parse_protocol("pu"), Some(Protocol::PureUpdate));
         assert_eq!(parse_protocol("c"), Some(Protocol::CompetitiveUpdate));
         assert_eq!(parse_protocol("moesi"), None);
-    }
-
-    #[test]
-    fn gate_spec_digest_distinguishes_specs() {
-        assert_eq!(gate_spec_digest("mcs-lock", 8), gate_spec_digest("mcs-lock", 8));
-        assert_ne!(gate_spec_digest("mcs-lock", 8), gate_spec_digest("mcs-lock", 4));
-        assert_ne!(gate_spec_digest("mcs-lock", 8), gate_spec_digest("ticket-lock", 8));
     }
 }

@@ -55,23 +55,9 @@ where
     }
 }
 
-/// Reads and parses `name`, returning `None` when unset; garbage still
-/// aborts. For knobs with no default (e.g. an optional CI threshold).
-pub fn env_opt<T: FromStr>(name: &str) -> Option<T>
-where
-    T::Err: Display,
-{
-    match parse(name, std::env::var(name).ok().as_deref()) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`parse`] for a strictly positive, finite `f64` (ratios, thresholds):
-/// `0`, negatives, `NaN`, and `inf` are configuration errors, not values.
+/// [`parse`] for a strictly positive, finite `f64` (threshold ratios such
+/// as `ppc overhead --max-ratio`): `0`, negatives, `NaN`, and `inf` are
+/// errors, not values.
 pub fn parse_positive_f64(name: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
     match parse::<f64>(name, raw)? {
         Some(v) if v.is_finite() && v > 0.0 => Ok(Some(v)),
@@ -80,7 +66,7 @@ pub fn parse_positive_f64(name: &str, raw: Option<&str>) -> Result<Option<f64>, 
     }
 }
 
-/// [`parse`] for a strictly positive count (repeat counts, sample sizes):
+/// [`parse`] for a strictly positive count (epoch lengths, cadences):
 /// `0` is a configuration error, not "run nothing".
 pub fn parse_count(name: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
     match parse::<usize>(name, raw)? {
@@ -178,11 +164,11 @@ mod tests {
 
     #[test]
     fn positive_f64_accepts_thresholds_and_rejects_nonsense() {
-        assert_eq!(parse_positive_f64("PPC_OBS_MAX_RATIO", Some("3.0")), Ok(Some(3.0)));
-        assert_eq!(parse_positive_f64("PPC_OBS_MAX_RATIO", None), Ok(None));
+        assert_eq!(parse_positive_f64("--max-ratio", Some("3.0")), Ok(Some(3.0)));
+        assert_eq!(parse_positive_f64("--max-ratio", None), Ok(None));
         for bad in ["0", "-1.5", "nan", "inf", "fast"] {
-            let err = parse_positive_f64("PPC_OBS_MAX_RATIO", Some(bad)).unwrap_err();
-            assert!(err.contains("PPC_OBS_MAX_RATIO"), "{bad}: {err}");
+            let err = parse_positive_f64("--max-ratio", Some(bad)).unwrap_err();
+            assert!(err.contains("--max-ratio"), "{bad}: {err}");
         }
     }
 
@@ -207,11 +193,11 @@ mod tests {
 
     #[test]
     fn count_rejects_zero_by_name() {
-        assert_eq!(parse_count("PPC_OBS_REPEATS", Some("3")), Ok(Some(3)));
-        assert_eq!(parse_count("PPC_OBS_REPEATS", None), Ok(None));
-        let err = parse_count("PPC_OBS_REPEATS", Some("0")).unwrap_err();
-        assert!(err.contains("PPC_OBS_REPEATS"), "{err}");
-        assert!(parse_count("PPC_OBS_REPEATS", Some("two")).is_err());
+        assert_eq!(parse_count("PPC_FP_EPOCH", Some("3")), Ok(Some(3)));
+        assert_eq!(parse_count("PPC_FP_EPOCH", None), Ok(None));
+        let err = parse_count("PPC_FP_EPOCH", Some("0")).unwrap_err();
+        assert!(err.contains("PPC_FP_EPOCH"), "{err}");
+        assert!(parse_count("PPC_FP_EPOCH", Some("two")).is_err());
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! | `ablation_*` | design-choice studies listed in DESIGN.md |
 //! | `all_figures` | every figure in sequence |
 //!
+//! The `ppc` binary is the diagnostics front door: observed-run views,
+//! the harness self-profile, protocol diffs, replay, and observation
+//! overhead, all documented in docs/OBSERVABILITY.md.
+//!
 //! Run with `cargo run --release -p ppc-bench --bin <target>`. Set
 //! `PPC_SCALE` (e.g. `0.1`) to scale iteration counts down for a quick
 //! pass; the default is the paper's full workload (32000 lock acquisitions,
@@ -28,7 +32,6 @@
 pub mod diff;
 pub mod env_cfg;
 pub mod observed;
-pub mod registry;
 pub mod replay;
 pub mod sweep;
 

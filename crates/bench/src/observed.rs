@@ -1,8 +1,9 @@
-//! Fully-observed single runs, shared by the diagnostic binaries
-//! (`obs_report`, `line_profile`, `net_profile`): name → kernel lookup
-//! and a run helper that enables cycle accounting, line provenance,
-//! network telemetry, and message tracing.
+//! Fully-observed single runs, shared by the `ppc` diagnostic
+//! subcommands: the command-line shape, name → kernel lookup, and a run
+//! helper that enables cycle accounting, line provenance, network
+//! telemetry, and message tracing.
 
+use kernels::runner::install_run_verify;
 use kernels::runner::KernelSpec;
 use kernels::workloads::{BarrierKind, LockKind, ReductionKind};
 use sim_machine::{Machine, MachineConfig, RunResult, Trace, TraceEvent};
@@ -11,41 +12,31 @@ use sim_stats::Json;
 
 use crate::{barrier_workload, lock_workload, reduction_workload, PROTOCOLS};
 
-/// Command-line shape shared by the diagnostic binaries: positional
+/// Command-line shape shared by the `ppc` subcommands: positional
 /// arguments, an optional `--json` flag anywhere on the line, and any
-/// value-taking options the binary declares (e.g. `--window <c1>:<c2>`).
+/// switches and value-taking options the subcommand declares (e.g.
+/// `--sweep`, `--window <c1>:<c2>`).
 #[derive(Debug, Clone, Default)]
 pub struct DiagArgs {
     /// Whether `--json` was passed (machine-readable output to stdout).
     pub json: bool,
     /// The remaining positional arguments, in order.
     pub positional: Vec<String>,
+    /// The declared switches that were passed (read via [`DiagArgs::has`]).
+    pub switches: Vec<String>,
     /// Raw values of the declared value-taking options, keyed by flag
     /// name, in the order passed (read via [`DiagArgs::opt`]).
     pub options: Vec<(String, String)>,
 }
 
 impl DiagArgs {
-    /// Parses the process arguments. Unknown `--flags` are an error so a
-    /// typo (`--jsno`) fails loudly instead of being read as a kernel name.
-    pub fn parse() -> Result<DiagArgs, String> {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// [`DiagArgs::parse`] accepting the given value-taking options, each
-    /// of which consumes the following argument as its value.
-    pub fn parse_with(value_flags: &[&str]) -> Result<DiagArgs, String> {
-        Self::parse_from_with(std::env::args().skip(1), value_flags)
-    }
-
-    /// [`DiagArgs::parse`] over an explicit argument list (unit-testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<DiagArgs, String> {
-        Self::parse_from_with(args, &[])
-    }
-
-    /// [`DiagArgs::parse_with`] over an explicit argument list.
-    pub fn parse_from_with(
+    /// Parses an argument list, accepting `--json`, the given switches,
+    /// and the given value-taking options (each consumes the following
+    /// argument as its value). Unknown `--flags` are an error so a typo
+    /// (`--jsno`) fails loudly instead of being read as a kernel name.
+    pub fn parse(
         args: impl IntoIterator<Item = String>,
+        switches: &[&str],
         value_flags: &[&str],
     ) -> Result<DiagArgs, String> {
         let mut out = DiagArgs::default();
@@ -53,6 +44,7 @@ impl DiagArgs {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--json" => out.json = true,
+                s if switches.contains(&s) => out.switches.push(a),
                 s if value_flags.contains(&s) => {
                     let v = it.next().ok_or_else(|| format!("{s} needs a value"))?;
                     out.options.push((a, v));
@@ -64,10 +56,22 @@ impl DiagArgs {
         Ok(out)
     }
 
+    /// Whether declared switch `name` was passed.
+    pub fn has(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
     /// The value of value-taking option `name` (last one wins when
     /// repeated), or `None` when it was not passed.
     pub fn opt(&self, name: &str) -> Option<&str> {
         self.options.iter().rev().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+
+    /// Option `name` as a threshold ratio: `None` when it was not passed;
+    /// `0`, negatives, `NaN`, `inf` and garbage are errors naming the
+    /// flag (see [`crate::env_cfg::parse_positive_f64`]).
+    pub fn ratio_opt(&self, name: &str) -> Result<Option<f64>, String> {
+        crate::env_cfg::parse_positive_f64(name, self.opt(name))
     }
 
     /// Positional argument `i`, or `default` when absent.
@@ -88,21 +92,29 @@ impl DiagArgs {
 }
 
 /// Runs `kernel` under every protocol and assembles the full
-/// machine-readable document the diagnostic binaries share for `--json`:
-/// per-protocol cycles, instructions, classified traffic, and the complete
-/// observability report (stall accounts, lineage, critical path). The
-/// document is canonical (recursively sorted keys), so two runs of the
-/// same spec emit byte-identical output.
+/// machine-readable document the `report`, `lines`, `crit` and `net`
+/// subcommands share for `--json`; see [`observed_doc`].
 pub fn observed_json(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> Json {
-    let runs = PROTOCOLS
-        .into_iter()
-        .map(|protocol| {
-            let (r, _events) = run_observed(procs, protocol, kernel);
+    let runs: Vec<(Protocol, RunResult)> =
+        PROTOCOLS.into_iter().map(|protocol| (protocol, run_observed(procs, protocol, kernel).0)).collect();
+    observed_doc(kernel_name, procs, &runs)
+}
+
+/// The shared observed-run document: per-protocol cycles, instructions,
+/// dropped trace events, classified traffic, and the complete
+/// observability report (stall accounts, lineage, critical path, network
+/// telemetry). The document is canonical (recursively sorted keys), so
+/// two runs of the same spec emit byte-identical output.
+pub fn observed_doc(kernel_name: &str, procs: usize, runs: &[(Protocol, RunResult)]) -> Json {
+    let runs = runs
+        .iter()
+        .map(|(protocol, r)| {
             let obs = r.obs.as_ref().expect("machine ran observed");
             Json::obj([
-                ("protocol", Json::from(protocol_name(protocol))),
+                ("protocol", Json::from(protocol_name(*protocol))),
                 ("cycles", Json::U64(r.cycles)),
                 ("instructions", Json::U64(r.instructions)),
+                ("trace_dropped", Json::U64(r.trace_dropped)),
                 ("traffic", r.traffic.to_json()),
                 ("obs", obs.to_json()),
             ])
@@ -112,7 +124,7 @@ pub fn observed_json(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> Js
         .canonical()
 }
 
-/// The kernels the diagnostic binaries accept by name, at the current
+/// The kernels the diagnostic subcommands accept by name, at the current
 /// `PPC_SCALE` workload.
 pub fn kernel_by_name(name: &str) -> Option<KernelSpec> {
     Some(match name {
@@ -146,37 +158,12 @@ pub const KERNEL_NAMES: [&str; 11] = [
     "seq-reduction",
 ];
 
-/// Installs, runs, and verifies `kernel` on an already-configured machine.
-pub fn run_kernel(m: &mut Machine, kernel: &KernelSpec) -> RunResult {
-    use kernels::{barriers, locks, reductions};
-    match kernel {
-        KernelSpec::Lock(w) => {
-            let layout = locks::install(m, w);
-            let r = m.run();
-            locks::verify(m, w, &layout);
-            r
-        }
-        KernelSpec::Barrier(w) => {
-            let layout = barriers::install(m, w);
-            let r = m.run();
-            barriers::verify(m, w, &layout);
-            r
-        }
-        KernelSpec::Reduction(w) => {
-            let layout = reductions::install(m, w);
-            let r = m.run();
-            reductions::verify(m, w, &layout);
-            r
-        }
-    }
-}
-
 /// Runs `kernel` on an observed machine with full message tracing; returns
 /// the result (phase names installed) and the recorded event stream.
 pub fn run_observed(procs: usize, protocol: Protocol, kernel: &KernelSpec) -> (RunResult, Vec<TraceEvent>) {
     let mut m = Machine::new(MachineConfig::paper_observed(procs, protocol));
     m.enable_trace(Trace::new(Trace::MAX_CAPACITY));
-    let mut r = run_kernel(&mut m, kernel);
+    let mut r = install_run_verify(&mut m, kernel, true, Machine::run);
     if let Some(obs) = r.obs.as_mut() {
         obs.set_phase_names(kernels::phase::names());
     }
@@ -184,12 +171,11 @@ pub fn run_observed(procs: usize, protocol: Protocol, kernel: &KernelSpec) -> (R
     (r, trace.events().to_vec())
 }
 
-/// The grep-able per-run summary line every diagnostic binary prints:
-/// `== tag == N cycles, detail, detail`. One format across `obs_report`,
-/// `line_profile`, `crit_path`, `net_profile`, and `harness_profile`, so
-/// scripts (and the CI smoke jobs) can match `^== ` regardless of which
-/// tool produced the output. Empty detail strings are skipped, which lets
-/// callers pass conditional suffixes unconditionally.
+/// The grep-able per-run summary line every `ppc` subcommand prints:
+/// `== tag == N cycles, detail, detail`. One format across the views, so
+/// scripts can match `^== ` regardless of which view produced the output.
+/// Empty detail strings are skipped, which lets callers pass conditional
+/// suffixes unconditionally.
 pub fn summary_line<I>(tag: &str, cycles: u64, details: I) -> String
 where
     I: IntoIterator,
@@ -221,20 +207,21 @@ mod tests {
 
     #[test]
     fn diag_args_parse_flags_and_positionals() {
-        let a = DiagArgs::parse_from(["mcs-lock".into(), "--json".into(), "8".into()]).unwrap();
+        let a = DiagArgs::parse(["mcs-lock".into(), "--json".into(), "8".into()], &[], &[]).unwrap();
         assert!(a.json);
         assert_eq!(a.pos_or(0, "x"), "mcs-lock");
         assert_eq!(a.count_or(1, 4).unwrap(), 8);
         assert_eq!(a.pos_or(2, "fallback"), "fallback");
         assert_eq!(a.count_or(2, 7).unwrap(), 7);
-        assert!(DiagArgs::parse_from(["--jsno".into()]).is_err());
-        assert!(DiagArgs::parse_from(["k".into(), "0".into()]).unwrap().count_or(1, 4).is_err());
+        assert!(DiagArgs::parse(["--jsno".into()], &[], &[]).is_err());
+        assert!(DiagArgs::parse(["k".into(), "0".into()], &[], &[]).unwrap().count_or(1, 4).is_err());
     }
 
     #[test]
     fn diag_args_value_flags_consume_their_value() {
-        let a = DiagArgs::parse_from_with(
+        let a = DiagArgs::parse(
             ["mcs-lock".into(), "--window".into(), "100:200".into(), "--json".into()],
+            &[],
             &["--window"],
         )
         .unwrap();
@@ -243,17 +230,34 @@ mod tests {
         assert_eq!(a.opt("--record"), None);
         assert_eq!(a.positional, vec!["mcs-lock".to_string()]);
         // A declared flag with no value fails loudly.
-        let err = DiagArgs::parse_from_with(["--window".into()], &["--window"]).unwrap_err();
+        let err = DiagArgs::parse(["--window".into()], &[], &["--window"]).unwrap_err();
         assert!(err.contains("--window"), "{err}");
         // Undeclared value flags are still unknown flags.
-        assert!(DiagArgs::parse_from(["--window".into(), "1:2".into()]).is_err());
+        assert!(DiagArgs::parse(["--window".into(), "1:2".into()], &[], &[]).is_err());
         // Last repeat wins.
-        let a = DiagArgs::parse_from_with(
+        let a = DiagArgs::parse(
             ["--window".into(), "1:2".into(), "--window".into(), "3:4".into()],
+            &[],
             &["--window"],
         )
         .unwrap();
         assert_eq!(a.opt("--window"), Some("3:4"));
+    }
+
+    #[test]
+    fn diag_args_declared_switches_and_ratio_options() {
+        let a =
+            DiagArgs::parse(["mcs-lock".into(), "--sweep".into(), "4".into()], &["--sweep"], &[]).unwrap();
+        assert!(a.has("--sweep"));
+        assert!(!a.has("--json"));
+        assert_eq!(a.positional, vec!["mcs-lock".to_string(), "4".to_string()]);
+        assert!(
+            DiagArgs::parse(["--sweep".into()], &[], &[]).is_err(),
+            "undeclared switches are unknown flags"
+        );
+        let a = DiagArgs::parse(["--max-ratio".into(), "0".into()], &[], &["--max-ratio"]).unwrap();
+        assert!(a.ratio_opt("--max-ratio").unwrap_err().contains("--max-ratio"));
+        assert_eq!(DiagArgs::default().ratio_opt("--max-ratio"), Ok(None));
     }
 
     #[test]

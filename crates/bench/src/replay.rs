@@ -1,4 +1,4 @@
-//! Time-travel replay driver behind the `obs_replay` binary.
+//! Time-travel replay driver behind `ppc replay`.
 //!
 //! Two entry points, both testable in-process:
 //!
@@ -19,7 +19,7 @@
 //! `tests/replay_equivalence.rs`), so anything measured inside the window
 //! is a faithful measurement of the original run.
 
-use kernels::runner::KernelSpec;
+use kernels::runner::{install_run_verify, KernelSpec};
 use sim_engine::Cycle;
 use sim_machine::{Checkpoint, Machine, MachineConfig, RecordedEvent, RunResult};
 use sim_proto::Protocol;
@@ -63,30 +63,20 @@ fn replay_cfg(procs: usize, protocol: Protocol) -> MachineConfig {
     cfg
 }
 
-/// Installs `kernel` without running it (the replay path restores state
-/// and runs under its own control, so `run_kernel`'s run+verify shape
-/// does not fit).
-pub fn install_kernel(m: &mut Machine, kernel: &KernelSpec) {
-    use kernels::{barriers, locks, reductions};
-    match kernel {
-        KernelSpec::Lock(w) => {
-            locks::install(m, w);
-        }
-        KernelSpec::Barrier(w) => {
-            barriers::install(m, w);
-        }
-        KernelSpec::Reduction(w) => {
-            reductions::install(m, w);
-        }
-    }
-}
-
 /// One side's cheap recording pass: full run plus its checkpoints.
 fn record_side(procs: usize, protocol: Protocol, kernel: &KernelSpec) -> (RunResult, Vec<Checkpoint>) {
     let mut m = Machine::new(recording_cfg(procs, protocol));
-    let r = crate::observed::run_kernel(&mut m, kernel);
-    let cks = m.take_checkpoints();
-    (r, cks)
+    let r = install_run_verify(&mut m, kernel, true, Machine::run);
+    (r, m.take_checkpoints())
+}
+
+/// Restores `ck` into a freshly installed replay machine. The checkpoint
+/// came from an identically built machine in this process, so a failure
+/// is a snapshot bug, not an input error.
+fn restore(m: &mut Machine, ck: &Checkpoint) {
+    if let Err(e) = m.restore(&ck.blob) {
+        panic!("checkpoint at event {} failed to restore: {e:?}", ck.events);
+    }
 }
 
 /// Sums a window-scoped obs report into one `class=cycles ...` line.
@@ -201,21 +191,21 @@ pub fn divergence_replay(
 
     let window_lo = d.event_lo.saturating_sub(CONTEXT_BEFORE).max(start);
     let window_hi = d.event_hi.max(window_lo + 1);
-    let replay_side =
-        |protocol: Protocol, cks: &[Checkpoint]| -> Result<(RunResult, Vec<RecordedEvent>), String> {
-            let mut m = Machine::new(replay_cfg(procs, protocol));
-            install_kernel(&mut m, kernel);
+    let replay_side = |protocol: Protocol, cks: &[Checkpoint]| -> (RunResult, Vec<RecordedEvent>) {
+        let mut m = Machine::new(replay_cfg(procs, protocol));
+        let r = install_run_verify(&mut m, kernel, true, |m| {
             if start > 0 {
                 let ck = cks.iter().find(|c| c.events == start).expect("common checkpoint exists");
-                m.restore(&ck.blob).map_err(|e| format!("checkpoint restore failed: {e:?}"))?;
+                restore(m, ck);
             }
             m.record_events(window_lo, window_hi, (window_hi - window_lo) as usize);
-            let r = m.run();
-            let (events, _dropped) = m.take_recorded();
-            Ok((r, events))
-        };
-    let (wa, ev_a) = replay_side(proto_a, &cks_a)?;
-    let (wb, ev_b) = replay_side(proto_b, &cks_b)?;
+            m.run()
+        });
+        let (events, _dropped) = m.take_recorded();
+        (r, events)
+    };
+    let (wa, ev_a) = replay_side(proto_a, &cks_a);
+    let (wb, ev_b) = replay_side(proto_b, &cks_b);
     out.obs_a = obs_class_line(&wa);
     out.obs_b = obs_class_line(&wb);
 
@@ -254,7 +244,7 @@ pub struct WindowReplay {
     /// `obs` report covers `[replayed_from_cycle, window.1]`.
     pub window_result: RunResult,
     /// Cycles of a second restored run driven to completion — must equal
-    /// `original_cycles` (the determinism proof, printed by the binary).
+    /// `original_cycles` (the determinism proof, printed by `ppc replay`).
     pub revalidated_cycles: Cycle,
 }
 
@@ -271,22 +261,25 @@ pub fn window_replay(
     if c2 <= c1 {
         return Err(format!("empty window [{c1}, {c2}]"));
     }
-    let mut m = Machine::new(recording_cfg(procs, protocol));
-    let original = crate::observed::run_kernel(&mut m, kernel);
-    let cks = m.take_checkpoints();
+    let (original, cks) = record_side(procs, protocol, kernel);
     let ck = cks.iter().rev().find(|c| c.cycle <= c1);
     let (from_cycle, from_events) = ck.map(|c| (c.cycle, c.events)).unwrap_or((0, 0));
 
-    let replay = |to_end: bool| -> Result<RunResult, String> {
-        let mut m = Machine::new(replay_cfg(procs, protocol));
-        install_kernel(&mut m, kernel);
-        if let Some(ck) = ck {
-            m.restore(&ck.blob).map_err(|e| format!("checkpoint restore failed: {e:?}"))?;
-        }
-        Ok(if to_end { m.run() } else { m.run_to_cycle(c2) })
+    // Only the run driven to the end has a final memory image to verify.
+    let replay = |to_end: bool| -> RunResult {
+        install_run_verify(&mut Machine::new(replay_cfg(procs, protocol)), kernel, to_end, |m| {
+            if let Some(ck) = ck {
+                restore(m, ck);
+            }
+            if to_end {
+                m.run()
+            } else {
+                m.run_to_cycle(c2)
+            }
+        })
     };
-    let window_result = replay(false)?;
-    let revalidated = replay(true)?;
+    let window_result = replay(false);
+    let revalidated = replay(true);
     Ok(WindowReplay {
         original_cycles: original.cycles,
         replayed_from_cycle: from_cycle,
@@ -297,7 +290,7 @@ pub fn window_replay(
     })
 }
 
-/// Display line for one recorded event (shared by the binary's text
+/// Display line for one recorded event (shared by `ppc replay`'s text
 /// output and test assertions).
 pub fn event_line(e: &RecordedEvent) -> String {
     format!("event {:>8} @ cycle {:>10}: {}", e.index, e.cycle, e.label)
@@ -312,7 +305,7 @@ fn event_json(e: &RecordedEvent) -> Json {
 }
 
 /// The canonical machine-readable document for a divergence replay (what
-/// `obs_replay --json` prints). Canonical keys, so two identical replays
+/// `ppc replay --json` prints). Canonical keys, so two identical replays
 /// render byte-identically.
 pub fn divergence_json(kernel: &str, procs: usize, d: &DivergenceReplay) -> Json {
     Json::obj([
@@ -345,7 +338,7 @@ pub fn divergence_json(kernel: &str, procs: usize, d: &DivergenceReplay) -> Json
 }
 
 /// The canonical machine-readable document for a window replay (what
-/// `obs_replay --window ... --json` prints).
+/// `ppc replay --window ... --json` prints).
 pub fn window_json(kernel: &str, procs: usize, protocol: &str, w: &WindowReplay) -> Json {
     let obs = w.window_result.obs.as_ref();
     Json::obj([
@@ -408,7 +401,7 @@ mod tests {
     fn window_replay_reproduces_the_original_cycle_count() {
         let kernel = tiny_lock();
         let mut m = Machine::new(MachineConfig::paper(2, Protocol::WriteInvalidate));
-        let probe = crate::observed::run_kernel(&mut m, &kernel);
+        let probe = install_run_verify(&mut m, &kernel, true, Machine::run);
         let (c1, c2) = (probe.cycles / 4, probe.cycles / 2);
         let w = window_replay(2, Protocol::WriteInvalidate, &kernel, c1, c2).expect("window replays");
         assert_eq!(w.original_cycles, probe.cycles, "recording pass matches a plain run");
@@ -438,7 +431,7 @@ mod tests {
         assert!(j1.contains("\"first_divergent_event\""), "{j1}");
 
         let mut m = Machine::new(MachineConfig::paper(2, Protocol::WriteInvalidate));
-        let probe = crate::observed::run_kernel(&mut m, &kernel);
+        let probe = install_run_verify(&mut m, &kernel, true, Machine::run);
         let (c1, c2) = (probe.cycles / 4, probe.cycles / 2);
         let wrun = || window_replay(2, Protocol::WriteInvalidate, &kernel, c1, c2).expect("window replays");
         let (w1, w2) = (wrun(), wrun());

@@ -63,52 +63,62 @@ pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentOutcome {
 pub fn run_experiment_configured(spec: &ExperimentSpec, cfg: MachineConfig) -> ExperimentOutcome {
     assert_eq!(cfg.num_procs, spec.procs);
     assert_eq!(cfg.protocol, spec.protocol);
-    let mut m = Machine::new(cfg);
-    match spec.kernel {
+    let r = install_run_verify(&mut Machine::new(cfg), &spec.kernel, true, Machine::run);
+    // The figures' y-axis: execution time per episode, less the lock's
+    // critical-section work (Figure 8: execution time / 32000 − 50;
+    // Figures 11 and 14: execution time / 5000).
+    let (episodes, work) = match spec.kernel {
+        KernelSpec::Lock(w) => (w.total_acquires, w.cs_cycles),
+        KernelSpec::Barrier(w) => (w.episodes, 0),
+        KernelSpec::Reduction(w) => (w.episodes, 0),
+    };
+    ExperimentOutcome {
+        cycles: r.cycles,
+        avg_latency: r.avg_latency(episodes as u64, work as u64),
+        traffic: r.traffic,
+        net: r.net,
+        read_latency: r.read_latency,
+        atomic_latency: r.atomic_latency,
+        fingerprint: r.fingerprint,
+    }
+}
+
+/// Installs `kernel` on `m`, hands the installed machine to `run`, and,
+/// when `verify` is set, checks the kernel's postconditions on the final
+/// memory image. `run` may restore a checkpoint before it runs (the
+/// installed programs are what a checkpoint restores into); a `run` that
+/// stops short of the end — a cycle window, or no run at all — passes
+/// `verify: false`, since there is no final image to check.
+pub fn install_run_verify<T>(
+    m: &mut Machine,
+    kernel: &KernelSpec,
+    verify: bool,
+    run: impl FnOnce(&mut Machine) -> T,
+) -> T {
+    match kernel {
         KernelSpec::Lock(w) => {
-            let layout = locks::install(&mut m, &w);
-            let r = m.run();
-            locks::verify(&mut m, &w, &layout);
-            ExperimentOutcome {
-                cycles: r.cycles,
-                // Figure 8: execution time / 32000 − 50.
-                avg_latency: r.avg_latency(w.total_acquires as u64, w.cs_cycles as u64),
-                traffic: r.traffic,
-                net: r.net,
-                read_latency: r.read_latency,
-                atomic_latency: r.atomic_latency,
-                fingerprint: r.fingerprint,
+            let layout = locks::install(m, w);
+            let out = run(m);
+            if verify {
+                locks::verify(m, w, &layout);
             }
+            out
         }
         KernelSpec::Barrier(w) => {
-            let layout = barriers::install(&mut m, &w);
-            let r = m.run();
-            barriers::verify(&mut m, &w, &layout);
-            ExperimentOutcome {
-                cycles: r.cycles,
-                // Figure 11: execution time / 5000.
-                avg_latency: r.avg_latency(w.episodes as u64, 0),
-                traffic: r.traffic,
-                net: r.net,
-                read_latency: r.read_latency,
-                atomic_latency: r.atomic_latency,
-                fingerprint: r.fingerprint,
+            let layout = barriers::install(m, w);
+            let out = run(m);
+            if verify {
+                barriers::verify(m, w, &layout);
             }
+            out
         }
         KernelSpec::Reduction(w) => {
-            let layout = reductions::install(&mut m, &w);
-            let r = m.run();
-            reductions::verify(&mut m, &w, &layout);
-            ExperimentOutcome {
-                cycles: r.cycles,
-                // Figure 14: execution time / 5000.
-                avg_latency: r.avg_latency(w.episodes as u64, 0),
-                traffic: r.traffic,
-                net: r.net,
-                read_latency: r.read_latency,
-                atomic_latency: r.atomic_latency,
-                fingerprint: r.fingerprint,
+            let layout = reductions::install(m, w);
+            let out = run(m);
+            if verify {
+                reductions::verify(m, w, &layout);
             }
+            out
         }
     }
 }
@@ -121,19 +131,7 @@ pub fn run_experiment_configured(spec: &ExperimentSpec, cfg: MachineConfig) -> E
 /// level — protocol, memory, network — do not move this digest; see
 /// docs/HARNESS.md for the cache-invalidation rules.)
 pub fn kernel_fingerprint(spec: &ExperimentSpec, cfg: &MachineConfig) -> u64 {
-    let mut m = Machine::new(cfg.clone());
-    match spec.kernel {
-        KernelSpec::Lock(w) => {
-            locks::install(&mut m, &w);
-        }
-        KernelSpec::Barrier(w) => {
-            barriers::install(&mut m, &w);
-        }
-        KernelSpec::Reduction(w) => {
-            reductions::install(&mut m, &w);
-        }
-    }
-    m.program_digest()
+    install_run_verify(&mut Machine::new(cfg.clone()), &spec.kernel, false, |m| m.program_digest())
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! re-record by running the `golden_gen` bench binary and auditing the
 //! diff against EXPERIMENTS.md.
 
-use kernels::runner::{run_experiment, ExperimentSpec, KernelSpec};
+use kernels::runner::{install_run_verify, run_experiment, ExperimentSpec, KernelSpec};
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
 };
+use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
 
 /// (name, cycles, total misses, total updates, network messages)
@@ -57,6 +58,28 @@ fn golden_measurements_are_stable() {
         assert_eq!(out.traffic.misses.total_misses(), misses, "{name}: misses");
         assert_eq!(out.traffic.updates.total(), updates, "{name}: updates");
         assert_eq!(out.net.messages, messages, "{name}: messages");
+    }
+}
+
+/// The MCS lock on 8 processors at 640 acquires (the paper workload at
+/// `PPC_SCALE=0.02`): cycles and instructions per protocol, exactly. These
+/// six numbers were the exact metrics of the retired CI performance gate.
+#[test]
+fn mcs_lock_8_proc_cycles_and_instructions_are_stable() {
+    let kernel = KernelSpec::Lock(LockWorkload { total_acquires: 640, ..LockWorkload::paper(LockKind::Mcs) });
+    for (protocol, cycles, instructions) in [
+        (Protocol::WriteInvalidate, 128_777, 10_966),
+        (Protocol::PureUpdate, 60_491, 9_689),
+        (Protocol::CompetitiveUpdate, 61_326, 9_689),
+    ] {
+        let r = install_run_verify(
+            &mut Machine::new(MachineConfig::paper(8, protocol)),
+            &kernel,
+            true,
+            Machine::run,
+        );
+        assert_eq!(r.cycles, cycles, "{protocol:?}: cycles");
+        assert_eq!(r.instructions, instructions, "{protocol:?}: instructions");
     }
 }
 

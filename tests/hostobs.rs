@@ -15,9 +15,8 @@
 //! Workloads are deliberately small so the whole file runs in a
 //! debug-mode tier-1 pass; neither promise depends on scale.
 
-use kernels::runner::{ExperimentSpec, KernelSpec};
+use kernels::runner::{install_run_verify, ExperimentSpec, KernelSpec};
 use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
-use ppc_bench::observed::run_kernel;
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
@@ -42,7 +41,7 @@ fn small_barrier() -> KernelSpec {
 }
 
 fn run(cfg: MachineConfig, kernel: &KernelSpec) -> sim_machine::RunResult {
-    run_kernel(&mut Machine::new(cfg), kernel)
+    install_run_verify(&mut Machine::new(cfg), kernel, true, Machine::run)
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {

@@ -15,7 +15,7 @@ const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
 
 fn run_mcs(procs: usize, protocol: Protocol) -> RunResult {
-    // The paper workload at PPC_SCALE=0.02 — the scale the `line_profile`
+    // The paper workload at PPC_SCALE=0.02 — the scale the `ppc lines`
     // quick start documents. Long enough that the cold-start transient
     // (first fills create extra short-lived sharers) stops dominating the
     // per-write fanout, and with the paper's 50-cycle critical section so

@@ -3,7 +3,10 @@
 //! deterministic, phases attribute where the kernels say they do, and the
 //! Chrome-trace export is well-formed.
 
-use kernels::workloads::{LockKind, LockWorkload, PostRelease};
+use kernels::runner::{install_run_verify, KernelSpec};
+use kernels::workloads::{
+    BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
+};
 use kernels::{locks, phase};
 use sim_machine::{export_run, Machine, MachineConfig, RunResult, Trace};
 use sim_proto::Protocol;
@@ -133,18 +136,40 @@ fn observed_reruns_are_deterministic() {
     }
 }
 
+/// A tiny fixed workload for each of the 11 kernels the `ppc`
+/// subcommands accept by name (every lock, barrier and reduction kind).
+fn every_kernel() -> Vec<KernelSpec> {
+    let lock = |kind| KernelSpec::Lock(LockWorkload { kind, ..lock_workload(64) });
+    let barrier = |kind| KernelSpec::Barrier(BarrierWorkload { kind, episodes: 16 });
+    let reduction = |kind| KernelSpec::Reduction(ReductionWorkload { kind, episodes: 16, skew: 0 });
+    vec![
+        lock(LockKind::Ticket),
+        lock(LockKind::Mcs),
+        lock(LockKind::McsUpdateConscious),
+        lock(LockKind::TestAndSet),
+        lock(LockKind::TestAndTestAndSet),
+        lock(LockKind::AndersonQueue),
+        barrier(BarrierKind::Centralized),
+        barrier(BarrierKind::Dissemination),
+        barrier(BarrierKind::Tree),
+        reduction(ReductionKind::Parallel),
+        reduction(ReductionKind::Sequential),
+    ]
+}
+
 #[test]
 fn observing_does_not_change_results() {
-    for protocol in PROTOCOLS {
-        let w = lock_workload(64);
-        let mut plain = Machine::new(MachineConfig::paper(4, protocol));
-        locks::install(&mut plain, &w);
-        let rp = plain.run();
-        let ro = run_observed_lock(4, protocol);
-        assert_eq!(rp.cycles, ro.cycles, "{protocol:?}: observation is passive");
-        assert_eq!(rp.instructions, ro.instructions, "{protocol:?}");
-        assert_eq!(rp.traffic.misses, ro.traffic.misses, "{protocol:?}: per-class miss counts");
-        assert_eq!(rp.traffic.updates, ro.traffic.updates, "{protocol:?}: per-class update counts");
+    for kernel in every_kernel() {
+        for protocol in PROTOCOLS {
+            let run = |cfg| install_run_verify(&mut Machine::new(cfg), &kernel, true, Machine::run);
+            let rp = run(MachineConfig::paper(4, protocol));
+            let ro = run(MachineConfig::paper_observed(4, protocol));
+            let tag = format!("{kernel:?} {protocol:?}");
+            assert_eq!(rp.cycles, ro.cycles, "{tag}: observation is passive");
+            assert_eq!(rp.instructions, ro.instructions, "{tag}");
+            assert_eq!(rp.traffic.misses, ro.traffic.misses, "{tag}: per-class miss counts");
+            assert_eq!(rp.traffic.updates, ro.traffic.updates, "{tag}: per-class update counts");
+        }
     }
 }
 

@@ -1,0 +1,332 @@
+//! The `ppc` diagnostics binary, end to end.
+//!
+//! Each test runs the built binary as a child process with every `PPC_*`
+//! variable cleared, then sets only `PPC_SCALE` (the workload floor: 64
+//! acquires or episodes), `PPC_WORKERS`, and — for the window replay —
+//! a fingerprint epoch and checkpoint cadence small enough that the
+//! replay restores from a checkpoint past event 0.
+//!
+//! * The `--json` documents are compared against `tests/golden/ppc/*.json`
+//!   after masking the host-timed values ([`HOST_TIMED`]) on both sides;
+//!   every other value must match exactly. On a mismatch the masked
+//!   actual document is written next to the test binary and the failure
+//!   prints the `cp` command that re-blesses the golden.
+//! * Every subcommand mode also runs in text mode, where the lines the
+//!   paper's argument rests on (MCS qnodes migratory, the barrier counter
+//!   wide-shared, the hot barrier home, remote-miss lock handoffs, ...)
+//!   must appear.
+//!
+//! `ppc overhead` times every kernel against wall-clock thresholds, so
+//! it runs in CI's release `figures` job instead.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use sim_stats::Json;
+
+/// Keys whose values are host-timed (wall clock, throughput, worker
+/// scheduling). Their values are masked on both sides of a golden
+/// comparison; nothing else is.
+const HOST_TIMED: [&str; 8] =
+    ["nanos", "wall_nanos", "ms", "wall_ms", "events_per_sec", "utilization", "worker", "worker_busy_ms"];
+
+/// The workload floor: `scaled(n)` never goes below 64.
+const SCALE: &str = "0.001";
+
+/// Window replay settings: checkpoints every 256 events, and a window
+/// well past the first one.
+const WINDOW_ENV: [(&str, &str); 2] = [("PPC_FP_EPOCH", "256"), ("PPC_CHECKPOINT_EVERY", "256")];
+const WINDOW: &str = "6000:9000";
+
+/// `ppc-cli/<name>` next to the test binary (inside `target/`).
+fn target_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_BIN_EXE_ppc")).parent().unwrap().join("ppc-cli").join(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// [`target_dir`], emptied.
+fn scratch(name: &str) -> PathBuf {
+    let _ = std::fs::remove_dir_all(target_dir(name));
+    target_dir(name)
+}
+
+/// Runs `ppc args...` with a clean `PPC_*` environment plus `env`, from
+/// a working directory inside `target/` (where `diff --sweep` puts its
+/// default disk cache).
+fn ppc(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ppc"));
+    cmd.current_dir(target_dir("cwd"));
+    for (key, _) in std::env::vars() {
+        if key.starts_with("PPC_") {
+            cmd.env_remove(key);
+        }
+    }
+    cmd.env("PPC_SCALE", SCALE).env("PPC_WORKERS", "2").envs(env.iter().copied()).args(args);
+    cmd.output().expect("ppc runs")
+}
+
+/// [`ppc`], asserting exit 0; returns stdout.
+fn ppc_ok(args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = ppc(args, env);
+    assert!(
+        out.status.success(),
+        "ppc {} exited {}\nstderr:\n{}",
+        args.join(" "),
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+/// `doc` with every value under a [`HOST_TIMED`] key replaced by `null`.
+fn mask(doc: Json) -> Json {
+    match doc {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| {
+                    let v = if HOST_TIMED.contains(&k.as_str()) { Json::Null } else { mask(v) };
+                    (k, v)
+                })
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(mask).collect()),
+        other => other,
+    }
+}
+
+fn parse(text: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| panic!("not one JSON document ({e}):\n{text}"))
+}
+
+/// Compares the masked `actual` document with `tests/golden/ppc/<name>.json`.
+fn assert_golden(name: &str, actual: &str) {
+    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/ppc");
+    let golden_path = golden_dir.canonicalize().unwrap_or(golden_dir).join(format!("{name}.json"));
+    let actual = mask(parse(actual)).render_pretty();
+    let golden = std::fs::read_to_string(&golden_path).map(|g| mask(parse(&g)).render_pretty());
+    if golden.as_deref().ok() != Some(actual.as_str()) {
+        let out = target_dir("actual").join(format!("{name}.json"));
+        std::fs::write(&out, &actual).unwrap();
+        panic!(
+            "ppc {name} output differs from {}; if the change is intended, re-bless with:\n  cp {} {}",
+            golden_path.display(),
+            out.display(),
+            golden_path.display()
+        );
+    }
+}
+
+/// Lines of `text` containing every one of `parts`, in order.
+fn lines_with(text: &str, parts: &[&str]) -> usize {
+    text.lines()
+        .filter(|line| {
+            let mut rest = *line;
+            parts.iter().all(|p| match rest.find(p) {
+                Some(at) => {
+                    rest = &rest[at + p.len()..];
+                    true
+                }
+                None => false,
+            })
+        })
+        .count()
+}
+
+#[track_caller]
+fn assert_lines(text: &str, parts: &[&str], expected: usize) {
+    let n = lines_with(text, parts);
+    assert_eq!(n, expected, "lines containing {parts:?}:\n{text}");
+}
+
+#[track_caller]
+fn assert_some_line(text: &str, parts: &[&str]) {
+    assert!(lines_with(text, parts) > 0, "no line contains {parts:?}:\n{text}");
+}
+
+#[test]
+fn observed_views_share_one_document_matching_the_golden() {
+    let lines = ppc_ok(&["lines", "mcs-lock", "2", "--json"], &[]);
+    for view in ["crit", "net"] {
+        assert_eq!(ppc_ok(&[view, "mcs-lock", "2", "--json"], &[]), lines, "ppc {view} --json");
+    }
+    let dir = scratch("report-json");
+    let report = ppc_ok(&["report", "mcs-lock", "2", dir.to_str().unwrap(), "--json"], &[]);
+    assert_eq!(report, lines, "ppc report --json");
+    assert_eq!(std::fs::read_to_string(dir.join("report.json")).unwrap() + "\n", report);
+    assert_golden("lines", &lines);
+
+    // The MCS queue nodes migrate from requester to requester.
+    let doc = parse(&lines);
+    let qnodes = doc.get("runs").and_then(Json::as_arr).unwrap().iter().filter(|run| {
+        let structures = run.get("obs").and_then(|o| o.get("lineage")).and_then(|l| l.get("by_structure"));
+        structures.and_then(Json::as_arr).unwrap().iter().any(|s| {
+            s.get("name").and_then(Json::as_str) == Some("qnode[*]")
+                && s.get("pattern").and_then(Json::as_str) == Some("migratory")
+        })
+    });
+    assert_eq!(qnodes.count(), 3, "qnode[*] is migratory under WI, PU and CU");
+}
+
+#[test]
+fn diff_json_matches_the_golden() {
+    let out = ppc_ok(&["diff", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
+    assert!(parse(&out).get("delta").and_then(|d| d.get("crit")).is_some(), "delta carries crit");
+    assert_golden("diff", &out);
+}
+
+#[test]
+fn replay_json_matches_the_golden() {
+    let out = ppc_ok(&["replay", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
+    let doc = parse(&out);
+    let first = doc.get("first_divergent_event").expect("a first divergent event");
+    let index = first.get("index").and_then(Json::as_u64);
+    for side in ["a", "b"] {
+        let event = first.get(side).unwrap();
+        assert_eq!(event.get("index").and_then(Json::as_u64), index, "side {side}");
+        assert!(!event.get("label").and_then(Json::as_str).unwrap().is_empty(), "side {side}");
+    }
+    assert!(doc.get("fingerprint").and_then(Json::as_str).unwrap().contains("diverged"));
+    assert_golden("replay", &out);
+}
+
+#[test]
+fn window_replay_json_matches_the_golden() {
+    let out = ppc_ok(&["replay", "ticket-lock", "wi", "4", "--window", WINDOW, "--json"], &WINDOW_ENV);
+    let doc = parse(&out);
+    let field = |k| doc.get(k).and_then(Json::as_u64).unwrap();
+    assert!(field("replayed_from_events") > 0 && field("replayed_from_cycle") > 0, "restored mid-run");
+    assert_eq!(field("revalidated_cycles"), field("original_cycles"));
+    assert_golden("replay_window", &out);
+}
+
+#[test]
+fn harness_json_is_one_document_matching_the_golden() {
+    let dir = scratch("harness-json");
+    let out = ppc_ok(&["harness", "mcs-lock", "2", dir.to_str().unwrap(), "--json"], &[]);
+    assert_eq!(std::fs::read_to_string(dir.join("harness.json")).unwrap(), out);
+    let doc = parse(&out);
+    let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+    assert_eq!(runs.len(), 3);
+    for run in runs {
+        let host = run.get("host").unwrap();
+        let events_per_sec = match host.get("events_per_sec") {
+            Some(Json::F64(v)) => *v,
+            Some(Json::U64(v)) => *v as f64,
+            other => panic!("events_per_sec is not a number: {other:?}"),
+        };
+        assert!(events_per_sec > 0.0);
+        let dispatch = host.get("dispatch").and_then(Json::as_arr).unwrap();
+        let ms: f64 = dispatch
+            .iter()
+            .map(|c| match c.get("ms") {
+                Some(Json::F64(v)) => *v,
+                Some(Json::U64(v)) => *v as f64,
+                _ => 0.0,
+            })
+            .sum();
+        assert!(ms > 0.0, "dispatch categories account for some time");
+    }
+    assert_golden("harness", &out);
+}
+
+#[test]
+fn observed_views_run_in_text_mode() {
+    let dir = scratch("report-text");
+    let report = ppc_ok(&["report", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
+    assert_lines(&report, &["== ", " == ", " cycles, ", " flow pairs, ", " state slices"], 3);
+    assert_some_line(&report, &["wrote ", "report.json and ", "trace.json ("]);
+
+    let mcs = ppc_ok(&["lines", "mcs-lock", "4"], &[]);
+    assert_some_line(&mcs, &["qnode[*]", "migratory"]);
+    let central = ppc_ok(&["lines", "central-barrier", "4"], &[]);
+    assert_some_line(&central, &["count", "wide-shared"]);
+}
+
+#[test]
+fn crit_runs_in_text_mode() {
+    let mcs = ppc_ok(&["crit", "mcs-lock", "4"], &[]);
+    assert_lines(&mcs, &["lock 0: ", " acquires, ", " handoffs"], 3);
+    assert_some_line(&mcs, &["split: release-visibility ", "remote-miss"]);
+    assert_some_line(&mcs, &["handoff n", " -> n", ": latency"]);
+
+    // 64 episodes per protocol; the table shows 24 and counts the rest.
+    let central = ppc_ok(&["crit", "central-barrier", "4"], &[]);
+    assert_lines(&central, &["episode ", ": last-arriver n"], 72);
+    assert_lines(&central, &["64 episodes (0 incomplete)"], 3);
+    assert_lines(&central, &["last-arriver tally:"], 3);
+    assert_lines(&central, &["more episodes not shown"], 3);
+
+    let reduction = ppc_ok(&["crit", "par-reduction", "4"], &[]);
+    assert_lines(&reduction, &["lock 256: ", " acquires"], 3);
+    assert_lines(&reduction, &["barrier 256: ", " episodes (0 incomplete)"], 3);
+    assert_lines(&reduction, &["critical path: ends on node"], 3);
+}
+
+#[test]
+fn net_runs_in_text_mode() {
+    // `net`'s default machine: the 4x4 mesh, where the hot-home effect
+    // shows for the MCS lock too.
+    let central = ppc_ok(&["net", "central-barrier", "16"], &[]);
+    assert_lines(&central, &["journey accounting closes"], 3);
+    assert_some_line(&central, &["PU hot home: node 0 carries peak rx-port traffic"]);
+    assert_some_line(&central, &["majority-useless: yes"]);
+    assert_some_line(&central, &["CU useless updates at node 0: ", "(reduced: yes)"]);
+    assert_lines(&central, &["rx-port utilisation per node (4x4 mesh)"], 3);
+    assert_lines(&central, &["busiest physical links:"], 3);
+
+    let mcs = ppc_ok(&["net", "mcs-lock", "16"], &[]);
+    assert_lines(&mcs, &["journey accounting closes"], 3);
+    assert_some_line(&mcs, &["PU hot home: node 0", "majority-useless: yes"]);
+    assert_some_line(&mcs, &["CU useless updates at node 0: ", "(reduced: yes)"]);
+}
+
+#[test]
+fn harness_runs_in_text_mode() {
+    let dir = scratch("harness-text");
+    let out = ppc_ok(&["harness", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
+    assert_lines(&out, &["throughput: ", " events in ", " events/sec"], 3);
+    assert_lines(&out, &["fingerprint: ", " epochs x "], 3);
+    assert_lines(&out, &["dispatch breakdown (wall ", " accounted)"], 3);
+    assert_lines(&out, &["queue: ", " scheduled, peak depth "], 3);
+    assert_some_line(&out, &["determinism: WI re-run fingerprint chain identical"]);
+    assert_some_line(&out, &["golden guard: hostobs on/off simulated results identical"]);
+    assert_some_line(&out, &["sweep (cold): 6 cells"]);
+    assert_some_line(&out, &["determinism: sweep fingerprints match direct-run chains"]);
+    assert!(dir.join("harness.json").exists() && dir.join("sweep_trace.json").exists());
+
+    let central = ppc_ok(&["harness", "central-barrier", "2", dir.to_str().unwrap()], &[]);
+    assert_lines(&central, &["fingerprint: ", " epochs x "], 3);
+    assert_some_line(&central, &["determinism: sweep fingerprints match direct-run chains"]);
+}
+
+#[test]
+fn diff_and_replay_run_in_text_mode() {
+    let diff = ppc_ok(&["diff", "mcs-lock", "wi", "pu", "4"], &[]);
+    assert!(diff.lines().any(|l| l.starts_with("== PU ==")), "{diff}");
+    assert_some_line(&diff, &["remote-miss handoff cycles", "-> 0 "]);
+    let sweep = ppc_ok(&["diff", "mcs-lock", "--sweep", "2"], &[]);
+    assert_some_line(&sweep, &["comparative: mcs-lock across WI/PU/CU at 2 procs"]);
+
+    let replay = ppc_ok(&["replay", "mcs-lock", "wi", "pu", "4"], &[]);
+    assert_some_line(&replay, &["first divergent event: index "]);
+    assert_some_line(&replay, &["replayed both sides from checkpoint at event "]);
+    assert_some_line(&replay, &["window obs WI: ", "msgs="]);
+    assert_some_line(&replay, &["window obs PU: ", "msgs="]);
+
+    let window = ppc_ok(&["replay", "ticket-lock", "wi", "4", "--window", WINDOW], &WINDOW_ENV);
+    assert_some_line(&window, &["restored at cycle ", " (event "]);
+    assert_lines(&window, &["restored at cycle 0 "], 0);
+    assert_some_line(&window, &["matches the original run"]);
+}
+
+#[test]
+fn unknown_subcommand_fails_and_lists_all_eight() {
+    let out = ppc(&["obs_report"], &[]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for sub in ["report", "lines", "crit", "net", "harness", "diff", "replay", "overhead"] {
+        assert_some_line(&stderr, &[&format!("  {sub} ")]);
+    }
+}

@@ -9,11 +9,10 @@
 //! own correctness verifier, and extend the fingerprint chain with the
 //! identical epoch digests and final state digest.
 
-use kernels::runner::KernelSpec;
+use kernels::runner::{install_run_verify, KernelSpec};
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
 };
-use kernels::{barriers, locks, reductions};
 use ppc_bench::observed::{protocol_name, KERNEL_NAMES};
 use ppc_bench::PROTOCOLS;
 use sim_machine::{Machine, MachineConfig, RunResult};
@@ -53,36 +52,6 @@ fn tiny_spec(name: &str) -> KernelSpec {
     }
 }
 
-/// Installs `kernel`, runs the machine with `run`, and verifies the
-/// kernel's own postcondition on the final memory image — so a resumed
-/// machine is held to the same correctness bar as a fresh one.
-fn install_run_verify(
-    m: &mut Machine,
-    kernel: &KernelSpec,
-    run: impl FnOnce(&mut Machine) -> RunResult,
-) -> RunResult {
-    match kernel {
-        KernelSpec::Lock(w) => {
-            let layout = locks::install(m, w);
-            let r = run(m);
-            locks::verify(m, w, &layout);
-            r
-        }
-        KernelSpec::Barrier(w) => {
-            let layout = barriers::install(m, w);
-            let r = run(m);
-            barriers::verify(m, w, &layout);
-            r
-        }
-        KernelSpec::Reduction(w) => {
-            let layout = reductions::install(m, w);
-            let r = run(m);
-            reductions::verify(m, w, &layout);
-            r
-        }
-    }
-}
-
 /// Every figure a run produces, as one comparable string.
 fn digest(r: &RunResult) -> String {
     format!(
@@ -105,12 +74,12 @@ fn round_trip_cell(name: &str) {
 
         // Uninterrupted reference run (fingerprints on, checkpoints off).
         let mut full_m = Machine::new(cfg.clone());
-        let full = install_run_verify(&mut full_m, &kernel, Machine::run);
+        let full = install_run_verify(&mut full_m, &kernel, true, Machine::run);
         let full_chain = full.fingerprint.as_ref().expect("fingerprints on");
 
         // Checkpointed run: identical figures, plus snapshots mid-flight.
         let mut ck_m = Machine::new(cfg.clone().with_checkpoints(EPOCH));
-        let ck_run = install_run_verify(&mut ck_m, &kernel, Machine::run);
+        let ck_run = install_run_verify(&mut ck_m, &kernel, true, Machine::run);
         let tag = format!("{name}/{}", protocol_name(protocol));
         assert_eq!(digest(&ck_run), digest(&full), "{tag}: checkpointing perturbed the run");
         let checkpoints = ck_m.take_checkpoints();
@@ -120,7 +89,7 @@ fn round_trip_cell(name: &str) {
         // figures and a fingerprint tail that matches the full chain.
         let ck = checkpoints.last().unwrap();
         let mut resumed_m = Machine::new(cfg.clone());
-        let resumed = install_run_verify(&mut resumed_m, &kernel, |m| {
+        let resumed = install_run_verify(&mut resumed_m, &kernel, true, |m| {
             m.restore(&ck.blob).expect("restore failed");
             assert_eq!(m.events_dispatched(), ck.events);
             m.run()
@@ -155,7 +124,7 @@ fn windowed_replay_reproduces_the_original_run() {
     // reaches the original cycle count with a non-empty window report.
     let kernel = tiny_spec("ticket-lock");
     let mut probe_m = Machine::new(MachineConfig::paper(PROCS, sim_proto::Protocol::WriteInvalidate));
-    let probe = install_run_verify(&mut probe_m, &kernel, Machine::run);
+    let probe = install_run_verify(&mut probe_m, &kernel, true, Machine::run);
     let (c1, c2) = (probe.cycles / 3, 2 * probe.cycles / 3);
     let w = ppc_bench::replay::window_replay(PROCS, sim_proto::Protocol::WriteInvalidate, &kernel, c1, c2)
         .expect("window replays");

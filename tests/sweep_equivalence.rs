@@ -11,6 +11,8 @@
 //! the paper's thousands) so the whole file runs in a debug-mode tier-1
 //! pass; byte-identity does not depend on scale.
 
+use std::sync::{Mutex, MutexGuard};
+
 use kernels::runner::KernelSpec;
 use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
@@ -18,6 +20,15 @@ use ppc_bench::{render_latency_table, render_miss_table, render_update_table};
 use sim_proto::Protocol;
 
 const PROCS: [usize; 3] = [1, 2, 4];
+
+/// The memo table is process-wide and every test here clears it, so the
+/// tests take turns: run concurrently, one test's cells can come from
+/// another's memo entries and never reach the disk cache under test.
+static MEMO_TURN: Mutex<()> = Mutex::new(());
+
+fn memo_turn() -> MutexGuard<'static, ()> {
+    MEMO_TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 const TRAFFIC_AT: usize = 4;
 
 fn small_lock(kind: LockKind) -> KernelSpec {
@@ -64,6 +75,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn worker_count_does_not_change_a_single_byte() {
+    let _turn = memo_turn();
     let reference = render_all(&SweepOptions::serial_uncached());
     for workers in [2, 8] {
         sweep::clear_memo();
@@ -74,6 +86,7 @@ fn worker_count_does_not_change_a_single_byte() {
 
 #[test]
 fn warm_disk_cache_replays_byte_identical_tables() {
+    let _turn = memo_turn();
     let reference = render_all(&SweepOptions::serial_uncached());
     let dir = scratch_dir("warm");
     let opts = SweepOptions { workers: 4, disk_cache: Some(dir.clone()) };
@@ -96,6 +109,7 @@ fn warm_disk_cache_replays_byte_identical_tables() {
 /// never served as the other cell's result.
 #[test]
 fn poisoned_entry_under_stale_key_is_resimulated() {
+    let _turn = memo_turn();
     let dir = scratch_dir("poison");
     let opts = SweepOptions { workers: 1, disk_cache: Some(dir.clone()) };
     let victim = RunSpec::paper(2, Protocol::WriteInvalidate, small_lock(LockKind::Ticket));
@@ -126,6 +140,7 @@ fn poisoned_entry_under_stale_key_is_resimulated() {
 /// A corrupted payload (checksum no longer matches) is likewise a miss.
 #[test]
 fn corrupted_payload_is_resimulated() {
+    let _turn = memo_turn();
     let dir = scratch_dir("corrupt");
     let opts = SweepOptions { workers: 1, disk_cache: Some(dir.clone()) };
     let spec = RunSpec::paper(2, Protocol::PureUpdate, small_lock(LockKind::Mcs));
