@@ -310,9 +310,9 @@ fn export_netobs(
                 stats.slices += 1;
             }
         };
-        for s in &netobs.link_samples {
-            emit(trace, prev_at, s.at, s.flits[li].saturating_sub(prev_flits));
-            (prev_at, prev_flits) = (s.at, s.flits[li]);
+        for (at, flits) in netobs.link_samples.iter() {
+            emit(trace, prev_at, at, flits[li].saturating_sub(prev_flits));
+            (prev_at, prev_flits) = (at, flits[li]);
         }
         emit(trace, prev_at, run_end, l.flits.saturating_sub(prev_flits));
     }

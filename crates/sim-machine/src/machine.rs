@@ -6,10 +6,10 @@ use sim_engine::{Cycle, EventQueue, FifoServer, NodeId};
 use sim_isa::{Instr, Program};
 use sim_mem::{Addr, Geometry, SharedAlloc, SharerSet, Word, WriteBuffer};
 use sim_net::Network;
-use sim_proto::{AtomicOp, Effects, MemService, Msg, ProtoNode};
+use sim_proto::{AtomicOp, Effects, MemService, Msg, MsgKind, ProtoNode};
 use sim_stats::{
     Classifier, CpuClass, CritCollector, EndpointPairFlits, FingerprintRecorder, HostCat, HostProfiler,
-    NetObsCollector, NodeGauges, NodeSample, ObsCollector, Sample, WaitKind,
+    NetObsCollector, NodeGauges, NodeSample, ObsCollector, WaitKind,
 };
 
 use crate::config::MachineConfig;
@@ -197,22 +197,21 @@ impl Machine {
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
         let mut net = Network::new(cfg.num_procs, cfg.net.clone());
-        let obs = cfg.obs.enabled.then(|| ObsCollector::new(cfg.num_procs, cfg.obs));
+        let obs = cfg.obs.enabled.then(|| ObsCollector::new(cfg.num_procs, cfg.obs, &MsgKind::NAMES));
         let crit = cfg.obs.enabled.then(|| Box::new(CritCollector::new(cfg.num_procs)));
         let mut clf = Classifier::new(geom);
         if obs.is_some() {
-            net.enable_link_stats();
             // Network telemetry rides on the same opt-in: the network
-            // records per-message journeys and per-physical-link flits, the
-            // classifier buckets update classifications by home node.
-            net.enable_journeys();
-            net.enable_phys_link_stats();
+            // records endpoint-pair and per-physical-link flits and
+            // per-message journeys, the classifier buckets update
+            // classifications by home node.
+            net.enable_observation();
             clf.enable_home_stats();
             // Line provenance rides on the same opt-in: when observing, the
             // classifier also records per-block transition/causality events.
             clf.enable_lineage();
         }
-        let netobs = cfg.obs.enabled.then(|| Box::new(NetObsCollector::new(net.shape())));
+        let netobs = cfg.obs.enabled.then(|| Box::new(NetObsCollector::new(net.shape(), &MsgKind::NAMES)));
         Machine {
             geom,
             queue: EventQueue::new(),
@@ -432,10 +431,10 @@ impl Machine {
             let mut o = collector.finish(end, gauges.clone(), links);
             o.lineage = self.clf.take_lineage();
             o.crit = self.crit.take().map(|c| c.finish(end));
-            o.netobs = self
-                .netobs
-                .take()
-                .map(|c| c.finish(end, self.net.phys_link_flits(), &gauges, self.clf.take_home_stats()));
+            let structures: Vec<&str> = traffic.by_structure.iter().map(|s| s.name.as_str()).collect();
+            o.netobs = self.netobs.take().map(|c| {
+                c.finish(end, self.net.phys_link_flits(), &gauges, self.clf.take_home_stats(), &structures)
+            });
             o
         });
         let host = self.hostprof.take().map(|hp| {
@@ -637,20 +636,17 @@ impl Machine {
         if self.halted >= self.cfg.num_procs {
             return;
         }
-        let Some(obs) = self.obs.as_ref() else { return };
-        let nodes = (0..self.cfg.num_procs)
-            .map(|n| NodeSample {
-                class: obs.class_of(n),
-                phase: obs.phase_of(n),
-                wb_len: self.wbs[n].len(),
-                mem_busy: self.mem_srv[n].busy_cycles(),
-                tx_busy: self.net.tx_busy(n),
-                rx_busy: self.net.rx_busy(n),
-            })
-            .collect();
-        let c = self.net.counters();
-        let sample = Sample { at: now, nodes, msgs_sent: c.messages + c.local_messages, flits_sent: c.flits };
-        self.obs.as_mut().unwrap().record_sample(sample);
+        let Some(obs) = self.obs.as_mut() else { return };
+        let (wbs, mem_srv, net) = (&self.wbs, &self.mem_srv, &self.net);
+        let c = net.counters();
+        obs.record_sample(now, c.messages + c.local_messages, c.flits, |n, class, phase| NodeSample {
+            class,
+            phase,
+            wb_len: wbs[n].len(),
+            mem_busy: mem_srv[n].busy_cycles(),
+            tx_busy: net.tx_busy(n),
+            rx_busy: net.rx_busy(n),
+        });
         if let Some(no) = self.netobs.as_mut() {
             if let Some(flits) = self.net.phys_flits_raw() {
                 no.sample_links(now, flits);
@@ -661,6 +657,25 @@ impl Machine {
         // `run`, and sampling alone cannot keep a dead machine "alive".
         if !self.queue.is_empty() {
             self.queue.schedule(now + self.cfg.obs.sample_interval.max(1), Ev::Sample);
+        }
+    }
+
+    /// Counts message `m`, sent at `now` and delivered at `at`, and files
+    /// the journey the network recorded for it. Out of line, so that the
+    /// send loop stays small when nothing observes.
+    #[inline(never)]
+    fn observe_send(&mut self, m: &Msg, now: Cycle, at: Cycle) {
+        if let Some(obs) = self.obs.as_mut() {
+            obs.count_msg(m.kind.index(), at - now);
+        }
+        if let Some(no) = self.netobs.as_mut() {
+            match self.net.take_last_journey() {
+                Some(j) => {
+                    let home = self.geom.home_of(m.addr);
+                    no.record(m.kind.index(), self.clf.structure_of(m.addr), home, &j);
+                }
+                None => no.record_local(at - now),
+            }
         }
     }
 
@@ -1147,17 +1162,8 @@ impl Machine {
             } else {
                 self.net.send(now, m.src, m.dst, m.payload_bytes())
             };
-            if let Some(obs) = self.obs.as_mut() {
-                obs.count_msg(m.kind.name(), at - now);
-            }
-            if let Some(no) = self.netobs.as_mut() {
-                match self.net.take_last_journey() {
-                    Some(j) => {
-                        let home = self.geom.home_of(m.addr);
-                        no.record(m.kind.name(), self.clf.structure_name_of(m.addr), home, &j);
-                    }
-                    None => no.record_local(m.kind.name(), at - now),
-                }
+            if self.obs.is_some() {
+                self.observe_send(&m, now, at);
             }
             self.queue.schedule(at, Ev::Deliver(m));
         }

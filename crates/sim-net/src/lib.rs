@@ -22,8 +22,6 @@ pub mod mesh;
 
 pub use mesh::MeshShape;
 
-use std::collections::BTreeMap;
-
 use sim_engine::{Cycle, FifoServer, NodeId};
 
 /// Static network parameters (defaults follow the paper).
@@ -60,7 +58,7 @@ pub struct NetCounters {
 }
 
 /// The decomposed delivery record of one mesh message (an opt-in
-/// observability feature; see [`Network::enable_journeys`]).
+/// observability feature; see [`Network::enable_observation`]).
 ///
 /// The endpoint-contention model makes the decomposition exact:
 ///
@@ -120,14 +118,80 @@ impl Journey {
     }
 }
 
-/// Flit counters over the mesh's *physical* directed links (adjacent node
-/// pairs), as opposed to the per-(source, destination) endpoint pairs of
-/// [`Network::link_flits`]. Indexed per [`MeshShape::links`].
+/// The network's observation state, built by
+/// [`Network::enable_observation`]. Everything is indexed by node or link
+/// number, so recording a message neither allocates nor searches.
 #[derive(Debug, Clone)]
-struct PhysLinkStats {
+struct Observation {
+    /// Flits per (source, destination) endpoint pair, at
+    /// `src * nodes + dst`; `None` until the pair sends a message.
+    pair_flits: Vec<Option<u64>>,
+    /// Every directed physical link, in [`MeshShape::links`] order.
     links: Vec<(NodeId, NodeId)>,
-    index: BTreeMap<(NodeId, NodeId), usize>,
-    flits: Vec<u64>,
+    /// Flits carried per physical link, in the same order.
+    link_flits: Vec<u64>,
+    /// The index of the link leaving each node toward −x, +x, −y and +y
+    /// (`u32::MAX` where the mesh has no neighbour).
+    link_toward: Vec<[u32; 4]>,
+    /// The most recent mesh send's journey, until taken.
+    last_journey: Option<Journey>,
+}
+
+/// [`Observation::link_toward`] directions.
+const TO_LOWER_X: usize = 0;
+const TO_HIGHER_X: usize = 1;
+const TO_LOWER_Y: usize = 2;
+const TO_HIGHER_Y: usize = 3;
+
+impl Observation {
+    fn new(shape: MeshShape) -> Self {
+        let nodes = shape.nodes();
+        let links = shape.links();
+        let mut link_toward = vec![[u32::MAX; 4]; nodes];
+        for (i, &(a, b)) in links.iter().enumerate() {
+            let ((ax, ay), (bx, by)) = (shape.coords(a), shape.coords(b));
+            let dir = if bx < ax {
+                TO_LOWER_X
+            } else if bx > ax {
+                TO_HIGHER_X
+            } else if by < ay {
+                TO_LOWER_Y
+            } else {
+                TO_HIGHER_Y
+            };
+            link_toward[a][dir] = i as u32;
+        }
+        Observation {
+            pair_flits: vec![None; nodes * nodes],
+            link_flits: vec![0; links.len()],
+            links,
+            link_toward,
+            last_journey: None,
+        }
+    }
+
+    /// Records one mesh message: its flits on its endpoint pair and on
+    /// every link of its X-then-Y route, walked hop by hop through
+    /// `link_toward`, and its journey in the slot. Out of line, so that
+    /// `send` stays small when nothing observes.
+    #[inline(never)]
+    fn record(&mut self, shape: MeshShape, journey: Journey) {
+        let Journey { src, dst, flits, .. } = journey;
+        *self.pair_flits[src * shape.nodes() + dst].get_or_insert(0) += flits;
+        let ((sx, sy), (dx, dy)) = (shape.coords(src), shape.coords(dst));
+        let x_leg = (if dx < sx { TO_LOWER_X } else { TO_HIGHER_X }, sx.abs_diff(dx));
+        let y_leg = (if dy < sy { TO_LOWER_Y } else { TO_HIGHER_Y }, sy.abs_diff(dy));
+        let mut at = src;
+        for (dir, hops) in [x_leg, y_leg] {
+            for _ in 0..hops {
+                let link = self.link_toward[at][dir] as usize;
+                self.link_flits[link] += flits;
+                at = self.links[link].1;
+            }
+        }
+        debug_assert_eq!(at, dst, "the route ends at the destination");
+        self.last_journey = Some(journey);
+    }
 }
 
 /// The mesh network: topology plus per-node interface ports.
@@ -138,16 +202,9 @@ pub struct Network {
     tx: Vec<FifoServer>,
     rx: Vec<FifoServer>,
     counters: NetCounters,
-    /// Per-(src, dst) flit counts; `None` until enabled (the map costs a
-    /// lookup per message, so it is an opt-in observability feature).
-    link_flits: Option<BTreeMap<(NodeId, NodeId), u64>>,
-    /// When on, each mesh `send` leaves its decomposed delivery record in
-    /// `last_journey` for the caller to take and tag (opt-in).
-    record_journeys: bool,
-    last_journey: Option<Journey>,
-    /// Physical directed-link flit counters; `None` until enabled (each
-    /// message walks its route once when on).
-    phys: Option<PhysLinkStats>,
+    /// Endpoint-pair and physical-link flit counters and the journey slot;
+    /// `None` until [`Network::enable_observation`].
+    obs: Option<Box<Observation>>,
 }
 
 impl Network {
@@ -160,73 +217,52 @@ impl Network {
             tx: vec![FifoServer::new(); nodes],
             rx: vec![FifoServer::new(); nodes],
             counters: NetCounters::default(),
-            link_flits: None,
-            record_journeys: false,
-            last_journey: None,
-            phys: None,
+            obs: None,
         }
     }
 
-    /// Starts tracking per-(source, destination) flit counts (counts only
-    /// traffic sent after the call; node-local messages are excluded, as in
-    /// [`NetCounters::flits`]).
-    pub fn enable_link_stats(&mut self) {
-        if self.link_flits.is_none() {
-            self.link_flits = Some(BTreeMap::new());
+    /// Starts observing traffic sent after the call: flits per
+    /// (source, destination) endpoint pair, flits per physical directed
+    /// link, and a [`Journey`] per mesh message. A message of `f` flits
+    /// over `h` hops adds `f` to each of the `h` links of its
+    /// dimension-ordered route. Node-local messages bypass the mesh and
+    /// count toward none of these.
+    pub fn enable_observation(&mut self) {
+        if self.obs.is_none() {
+            self.obs = Some(Box::new(Observation::new(self.shape)));
         }
     }
 
-    /// Per-(source, destination) flit counts, in node order; empty unless
-    /// [`Network::enable_link_stats`] was called.
+    /// Per-(source, destination) flit counts for every pair that sent a
+    /// mesh message, in node order; empty unless observing.
     pub fn link_flits(&self) -> Vec<(NodeId, NodeId, u64)> {
-        self.link_flits
-            .as_ref()
-            .map(|m| m.iter().map(|(&(s, d), &f)| (s, d, f)).collect())
-            .unwrap_or_default()
+        let Some(o) = self.obs.as_deref() else { return Vec::new() };
+        let nodes = self.shape.nodes();
+        o.pair_flits.iter().enumerate().filter_map(|(i, f)| f.map(|f| (i / nodes, i % nodes, f))).collect()
     }
 
-    /// Starts recording a [`Journey`] per mesh message (counts only traffic
-    /// sent after the call). Take each record with
-    /// [`Network::take_last_journey`] right after the `send` that produced
-    /// it — the slot holds one journey and is overwritten by the next send.
-    pub fn enable_journeys(&mut self) {
-        self.record_journeys = true;
-    }
-
-    /// The journey of the most recent [`Network::send`], when journey
-    /// recording is on and that send crossed the mesh (node-local messages
-    /// leave `None`). Taking clears the slot.
+    /// The journey of the most recent [`Network::send`], when observing and
+    /// that send crossed the mesh (node-local messages leave `None`). The
+    /// slot holds one journey: take it right after the send that produced
+    /// it. Taking clears the slot.
     pub fn take_last_journey(&mut self) -> Option<Journey> {
-        self.last_journey.take()
-    }
-
-    /// Starts tracking flits over the mesh's physical directed links
-    /// (counts only traffic sent after the call). Each message then credits
-    /// its flit count to every link on its dimension-ordered route — a
-    /// message of `f` flits over `h` hops adds `f` to each of `h` links.
-    pub fn enable_phys_link_stats(&mut self) {
-        if self.phys.is_none() {
-            let links = self.shape.links();
-            let index = links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-            let flits = vec![0; links.len()];
-            self.phys = Some(PhysLinkStats { links, index, flits });
-        }
+        self.obs.as_mut().and_then(|o| o.last_journey.take())
     }
 
     /// Flits over every physical directed link, in the canonical
     /// [`MeshShape::links`] order (zero-traffic links included); empty
-    /// unless [`Network::enable_phys_link_stats`] was called.
+    /// unless observing.
     pub fn phys_link_flits(&self) -> Vec<(NodeId, NodeId, u64)> {
-        self.phys
-            .as_ref()
-            .map(|p| p.links.iter().zip(&p.flits).map(|(&(a, b), &f)| (a, b, f)).collect())
+        self.obs
+            .as_deref()
+            .map(|o| o.links.iter().zip(&o.link_flits).map(|(&(a, b), &f)| (a, b, f)).collect())
             .unwrap_or_default()
     }
 
     /// The raw per-link flit counters in [`MeshShape::links`] order, for
-    /// cheap periodic snapshots; `None` unless physical-link stats are on.
+    /// cheap periodic snapshots; `None` unless observing.
     pub fn phys_flits_raw(&self) -> Option<&[u64]> {
-        self.phys.as_ref().map(|p| p.flits.as_slice())
+        self.obs.as_deref().map(|o| o.link_flits.as_slice())
     }
 
     /// The mesh shape chosen for this node count.
@@ -253,8 +289,8 @@ impl Network {
     pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, payload_bytes: u32) -> Cycle {
         if src == dst {
             self.counters.local_messages += 1;
-            if self.record_journeys {
-                self.last_journey = None;
+            if let Some(o) = self.obs.as_mut() {
+                o.last_journey = None;
             }
             return now + self.cfg.local_delay;
         }
@@ -263,14 +299,6 @@ impl Network {
         self.counters.messages += 1;
         self.counters.flits += flits;
         self.counters.total_hops += hops;
-        if let Some(links) = self.link_flits.as_mut() {
-            *links.entry((src, dst)).or_insert(0) += flits;
-        }
-        if let Some(p) = self.phys.as_mut() {
-            for w in self.shape.route(src, dst).windows(2) {
-                p.flits[p.index[&(w[0], w[1])]] += flits;
-            }
-        }
 
         // Source port: all flits leave the NI back to back.
         let tx_start = self.tx[src].next_start(now);
@@ -281,8 +309,8 @@ impl Network {
         let head_arrival = tx_start + self.cfg.switch_delay * hops;
         // Destination port: accepts one message at a time at flit rate.
         let delivered = self.rx[dst].occupy(head_arrival, flits);
-        if self.record_journeys {
-            self.last_journey = Some(Journey {
+        if let Some(o) = self.obs.as_mut() {
+            let journey = Journey {
                 src,
                 dst,
                 flits,
@@ -292,7 +320,8 @@ impl Network {
                 wire: head_arrival - tx_start,
                 rx_wait: delivered - head_arrival - flits,
                 delivered,
-            });
+            };
+            o.record(self.shape, journey);
         }
         delivered
     }
@@ -314,8 +343,8 @@ impl Network {
 
     /// Exports the simulation-visible network state — every port server's
     /// raw parts plus the traffic counters — for checkpointing. The
-    /// observability opt-ins (link stats, journeys, physical-link stats)
-    /// are run-scoped instruments, not simulated state, and are excluded.
+    /// observation counters and journey slot are run-scoped instruments,
+    /// not simulated state, and are excluded.
     pub fn snapshot_core(&self) -> NetSnapshot {
         NetSnapshot {
             tx: self.tx.iter().map(FifoServer::to_raw_parts).collect(),
@@ -437,7 +466,7 @@ mod tests {
         let mut n = net(4); // 2x2
         n.send(0, 0, 1, 0);
         assert!(n.take_last_journey().is_none(), "disabled by default");
-        n.enable_journeys();
+        n.enable_observation();
         // Two back-to-back sends from the same source: the second waits at
         // the transmit port.
         let f = n.flits_for(0);
@@ -465,7 +494,7 @@ mod tests {
         assert!(n.take_last_journey().is_none(), "taking clears the slot");
         // Receive-port contention shows up as rx_wait.
         let mut m = net(9); // 3x3: nodes 1 and 7 are equidistant from 4
-        m.enable_journeys();
+        m.enable_observation();
         m.send(0, 1, 4, 0);
         m.send(0, 7, 4, 0);
         let contended = m.take_last_journey().unwrap();
@@ -473,7 +502,7 @@ mod tests {
         assert!(contended.closes());
         // Local messages leave no journey.
         let mut l = net(4);
-        l.enable_journeys();
+        l.enable_observation();
         l.send(5, 3, 3, 64);
         assert!(l.take_last_journey().is_none());
     }
@@ -484,7 +513,7 @@ mod tests {
         n.send(0, 0, 8, 0);
         assert!(n.phys_link_flits().is_empty(), "disabled by default");
         assert!(n.phys_flits_raw().is_none());
-        n.enable_phys_link_stats();
+        n.enable_observation();
         let f0 = n.flits_for(0);
         let f64 = n.flits_for(64);
         n.send(10, 0, 8, 0); // route 0,1,2,5,8 (X then Y)
@@ -503,12 +532,41 @@ mod tests {
         assert_eq!(n.phys_link_flits().len(), n.shape().links().len());
     }
 
+    /// One send credits exactly the links of `MeshShape::route`, each
+    /// once, for every (source, destination) pair of every mesh up to 64
+    /// nodes.
+    #[test]
+    fn table_walked_routes_credit_exactly_the_reference_route() {
+        for nodes in 1..=64 {
+            let mut n = net(nodes);
+            n.enable_observation();
+            let shape = n.shape();
+            let links = shape.links();
+            let flits = n.flits_for(0);
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    let before = n.phys_flits_raw().unwrap().to_vec();
+                    n.send(0, src, dst, 0);
+                    let route = shape.route(src, dst);
+                    let on_route: Vec<usize> = route
+                        .windows(2)
+                        .map(|w| links.binary_search(&(w[0], w[1])).expect("route hops are mesh links"))
+                        .collect();
+                    for (i, (&after, &was)) in n.phys_flits_raw().unwrap().iter().zip(&before).enumerate() {
+                        let want = if on_route.contains(&i) { flits } else { 0 };
+                        assert_eq!(after - was, want, "{nodes} nodes, {src}->{dst}, link {:?}", links[i]);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn link_stats_are_opt_in() {
         let mut n = net(4);
         n.send(0, 0, 1, 0);
         assert!(n.link_flits().is_empty(), "disabled by default");
-        n.enable_link_stats();
+        n.enable_observation();
         n.send(10, 0, 1, 0);
         n.send(20, 0, 1, 64);
         n.send(30, 1, 2, 0);

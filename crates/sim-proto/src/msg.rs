@@ -262,120 +262,64 @@ fn encode_opt_block(w: &mut SnapWriter, data: &Option<Box<[Word]>>) {
 }
 
 impl Msg {
-    /// Appends the message to a snapshot payload. Variant tags follow the
-    /// [`MsgKind`] declaration order; [`Msg::decode`] inverts exactly.
+    /// Appends the message to a snapshot payload. The variant tag is
+    /// [`MsgKind::index`]; [`Msg::decode`] inverts exactly.
     pub fn encode(&self, w: &mut SnapWriter) {
         use MsgKind::*;
         w.usize(self.src);
         w.usize(self.dst);
         w.u32(self.addr);
+        w.u8(self.kind.index() as u8);
         match &self.kind {
-            ReadShared => w.u8(0),
-            GetX => w.u8(1),
-            Upgrade => w.u8(2),
-            UpdateWrite { val } => {
-                w.u8(3);
-                w.u32(*val);
-            }
-            UpdateWriteAlloc { val } => {
-                w.u8(4);
-                w.u32(*val);
-            }
+            ReadShared | GetX | Upgrade | SharerDrop | StopUpdate | InvAck | UpdateAck => {}
+            UpdateWrite { val } | UpdateWriteAlloc { val } => w.u32(*val),
             AtomicReq { op, operand, operand2 } => {
-                w.u8(5);
                 w.u8(op.tag());
                 w.u32(*operand);
                 w.u32(*operand2);
             }
-            WriteBack { data } => {
-                w.u8(6);
-                encode_block(w, data);
+            WriteBack { data } | Data { data } | DataFwd { data } | DataXFwd { data } => {
+                encode_block(w, data)
             }
-            SharerDrop => w.u8(7),
-            StopUpdate => w.u8(8),
-            Data { data } => {
-                w.u8(9);
-                encode_block(w, data);
-            }
-            DataX { data, acks } => {
-                w.u8(10);
+            DataX { data, acks } | DataUpd { data, acks } => {
                 encode_block(w, data);
                 w.u32(*acks);
             }
-            UpgradeAck { acks } => {
-                w.u8(11);
-                w.u32(*acks);
-            }
+            UpgradeAck { acks } => w.u32(*acks),
             UpdateInfo { acks, go_private } => {
-                w.u8(12);
                 w.u32(*acks);
                 w.bool(*go_private);
             }
-            DataUpd { data, acks } => {
-                w.u8(13);
-                encode_block(w, data);
-                w.u32(*acks);
-            }
             UpdateMsg { val, writer, acks_to } => {
-                w.u8(14);
                 w.u32(*val);
                 w.usize(*writer);
                 w.usize(*acks_to);
             }
             AtomicReply { old, data, acks } => {
-                w.u8(15);
                 w.u32(*old);
                 encode_opt_block(w, data);
                 w.u32(*acks);
             }
-            Inval { requester, writer } => {
-                w.u8(16);
+            Inval { requester, writer } | FetchInv { requester, writer } => {
                 w.usize(*requester);
                 w.usize(*writer);
             }
-            Fetch { requester } => {
-                w.u8(17);
-                w.usize(*requester);
-            }
-            FetchInv { requester, writer } => {
-                w.u8(18);
-                w.usize(*requester);
-                w.usize(*writer);
-            }
+            Fetch { requester } => w.usize(*requester),
             RecallUpd { requester, for_atomic } => {
-                w.u8(19);
                 w.usize(*requester);
                 w.bool(*for_atomic);
-            }
-            InvAck => w.u8(20),
-            UpdateAck => w.u8(21),
-            DataFwd { data } => {
-                w.u8(22);
-                encode_block(w, data);
-            }
-            DataXFwd { data } => {
-                w.u8(23);
-                encode_block(w, data);
             }
             SharingWB { data, requester } => {
-                w.u8(24);
                 encode_block(w, data);
                 w.usize(*requester);
             }
-            OwnershipXfer { to } => {
-                w.u8(25);
-                w.usize(*to);
-            }
+            OwnershipXfer { to } => w.usize(*to),
             RecallReply { data, requester, for_atomic } => {
-                w.u8(26);
                 encode_block(w, data);
                 w.usize(*requester);
                 w.bool(*for_atomic);
             }
-            FetchMiss { original } => {
-                w.u8(27);
-                original.encode(w);
-            }
+            FetchMiss { original } => original.encode(w),
         }
     }
 
@@ -425,39 +369,81 @@ impl Msg {
 }
 
 impl MsgKind {
-    /// Short variant name (tracing / diagnostics).
-    pub fn name(&self) -> &'static str {
+    /// Number of message kinds; [`MsgKind::index`] is below it.
+    pub const COUNT: usize = 28;
+
+    /// Every kind's short variant name, by [`MsgKind::index`].
+    pub const NAMES: [&'static str; MsgKind::COUNT] = [
+        "ReadShared",
+        "GetX",
+        "Upgrade",
+        "UpdateWrite",
+        "UpdateWriteAlloc",
+        "AtomicReq",
+        "WriteBack",
+        "SharerDrop",
+        "StopUpdate",
+        "Data",
+        "DataX",
+        "UpgradeAck",
+        "UpdateInfo",
+        "DataUpd",
+        "UpdateMsg",
+        "AtomicReply",
+        "Inval",
+        "Fetch",
+        "FetchInv",
+        "RecallUpd",
+        "InvAck",
+        "UpdateAck",
+        "DataFwd",
+        "DataXFwd",
+        "SharingWB",
+        "OwnershipXfer",
+        "RecallReply",
+        "FetchMiss",
+    ];
+
+    /// Dense index of the variant in declaration order, `0..COUNT`. It is
+    /// also the variant's snapshot codec tag, and observability collectors
+    /// count per kind in arrays indexed by it.
+    pub fn index(&self) -> usize {
         use MsgKind::*;
         match self {
-            ReadShared => "ReadShared",
-            GetX => "GetX",
-            Upgrade => "Upgrade",
-            UpdateWrite { .. } => "UpdateWrite",
-            UpdateWriteAlloc { .. } => "UpdateWriteAlloc",
-            AtomicReq { .. } => "AtomicReq",
-            WriteBack { .. } => "WriteBack",
-            SharerDrop => "SharerDrop",
-            StopUpdate => "StopUpdate",
-            Data { .. } => "Data",
-            DataX { .. } => "DataX",
-            UpgradeAck { .. } => "UpgradeAck",
-            UpdateInfo { .. } => "UpdateInfo",
-            DataUpd { .. } => "DataUpd",
-            UpdateMsg { .. } => "UpdateMsg",
-            AtomicReply { .. } => "AtomicReply",
-            Inval { .. } => "Inval",
-            Fetch { .. } => "Fetch",
-            FetchInv { .. } => "FetchInv",
-            RecallUpd { .. } => "RecallUpd",
-            InvAck => "InvAck",
-            UpdateAck => "UpdateAck",
-            DataFwd { .. } => "DataFwd",
-            DataXFwd { .. } => "DataXFwd",
-            SharingWB { .. } => "SharingWB",
-            OwnershipXfer { .. } => "OwnershipXfer",
-            RecallReply { .. } => "RecallReply",
-            FetchMiss { .. } => "FetchMiss",
+            ReadShared => 0,
+            GetX => 1,
+            Upgrade => 2,
+            UpdateWrite { .. } => 3,
+            UpdateWriteAlloc { .. } => 4,
+            AtomicReq { .. } => 5,
+            WriteBack { .. } => 6,
+            SharerDrop => 7,
+            StopUpdate => 8,
+            Data { .. } => 9,
+            DataX { .. } => 10,
+            UpgradeAck { .. } => 11,
+            UpdateInfo { .. } => 12,
+            DataUpd { .. } => 13,
+            UpdateMsg { .. } => 14,
+            AtomicReply { .. } => 15,
+            Inval { .. } => 16,
+            Fetch { .. } => 17,
+            FetchInv { .. } => 18,
+            RecallUpd { .. } => 19,
+            InvAck => 20,
+            UpdateAck => 21,
+            DataFwd { .. } => 22,
+            DataXFwd { .. } => 23,
+            SharingWB { .. } => 24,
+            OwnershipXfer { .. } => 25,
+            RecallReply { .. } => 26,
+            FetchMiss { .. } => 27,
         }
+    }
+
+    /// Short variant name (tracing / diagnostics).
+    pub fn name(&self) -> &'static str {
+        Self::NAMES[self.index()]
     }
 }
 
@@ -548,6 +534,21 @@ mod tests {
             assert_eq!(&Msg::decode(&mut r).unwrap(), m);
         }
         assert_eq!(r.remaining(), 0);
+        // The index is the codec tag, and the name table follows it.
+        let mut seen = [false; MsgKind::COUNT];
+        for m in &originals {
+            let mut w = sim_engine::SnapWriter::new();
+            m.encode(&mut w);
+            let bytes = w.into_vec();
+            let mut r = sim_engine::SnapReader::new(&bytes);
+            let (_, _, _) = (r.usize().unwrap(), r.usize().unwrap(), r.u32().unwrap());
+            assert_eq!(usize::from(r.u8().unwrap()), m.kind.index());
+            let debug = format!("{:?}", m.kind);
+            let variant = debug.split(|c: char| !c.is_alphanumeric()).next().unwrap();
+            assert_eq!(m.kind.name(), variant);
+            seen[m.kind.index()] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every kind is exercised");
     }
 
     #[test]

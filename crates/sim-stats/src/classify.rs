@@ -106,10 +106,11 @@ pub struct Classifier {
     home_updates: Option<Box<HomeUpdates>>,
 }
 
-/// A named address range for per-structure traffic attribution.
+/// A registered address range for per-structure traffic attribution; its
+/// name is in the report's [`TrafficReport::by_structure`] row of the same
+/// index.
 #[derive(Debug, Clone)]
 struct StructureRange {
-    name: String,
     lo: Addr,
     hi: Addr,
 }
@@ -214,7 +215,7 @@ impl Classifier {
     /// half-open `[addr, addr + words*4)`; later registrations win on
     /// overlap.
     pub fn register_structure(&mut self, name: &str, addr: Addr, words: u32) {
-        self.structures.push(StructureRange { name: name.to_string(), lo: addr, hi: addr + 4 * words });
+        self.structures.push(StructureRange { lo: addr, hi: addr + 4 * words });
         self.report.by_structure.push(crate::report::StructureTraffic {
             name: name.to_string(),
             misses: Default::default(),
@@ -225,14 +226,11 @@ impl Classifier {
         }
     }
 
-    fn structure_of(&self, addr: Addr) -> Option<usize> {
+    /// The registration index of the structure covering `addr`, if any
+    /// (later registrations win on overlap). It indexes
+    /// [`TrafficReport::by_structure`].
+    pub fn structure_of(&self, addr: Addr) -> Option<usize> {
         self.structures.iter().rposition(|r| (r.lo..r.hi).contains(&addr))
-    }
-
-    /// The registered structure name covering `addr`, if any (later
-    /// registrations win on overlap, matching traffic attribution).
-    pub fn structure_name_of(&self, addr: Addr) -> Option<&str> {
-        self.structure_of(addr).map(|i| self.structures[i].name.as_str())
     }
 
     /// The last globally-visible writer of `addr` and the commit cycle —

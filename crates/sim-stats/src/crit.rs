@@ -41,7 +41,7 @@
 //! Everything is passive bookkeeping behind an `Option` in the machine:
 //! obs-off runs do not construct a collector and are byte-identical.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use sim_engine::{Cycle, NodeId};
 use sim_mem::Addr;
@@ -160,16 +160,36 @@ struct Seg {
     from: Option<NodeId>,
 }
 
+/// A small map kept as a `Vec` sorted by key. A key stays once added,
+/// even when its count drops back to 0, so reports list every key a chain
+/// ever carried.
+type SortedCounts<K> = Vec<(K, u64)>;
+
+/// Adds `dt` to `key`'s count, inserting the key at 0 first when absent.
+fn count_up<K: Ord + Copy>(counts: &mut SortedCounts<K>, key: K, dt: u64) {
+    match counts.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => counts[i].1 += dt,
+        Err(i) => counts.insert(i, (key, dt)),
+    }
+}
+
+/// Subtracts `dt` from `key`'s count (saturating; absent keys stay absent).
+fn count_down<K: Ord + Copy>(counts: &mut SortedCounts<K>, key: K, dt: u64) {
+    if let Ok(i) = counts.binary_search_by_key(&key, |&(k, _)| k) {
+        counts[i].1 = counts[i].1.saturating_sub(dt);
+    }
+}
+
 /// A streaming chain summary: a decomposition of `[0, head)` along one
 /// causal path, with whole-chain composition counters and a bounded
 /// segment tail.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Chain {
     head: Cycle,
     by_class: CycleAccount,
-    by_phase: BTreeMap<u16, u64>,
-    by_label: BTreeMap<u32, u64>,
-    by_edge: BTreeMap<&'static str, u64>,
+    by_phase: SortedCounts<u16>,
+    by_label: SortedCounts<u32>,
+    by_edge: SortedCounts<&'static str>,
     segments: VecDeque<Seg>,
     elided: u64,
     cross_edges: u64,
@@ -180,13 +200,27 @@ impl Chain {
         Chain {
             head: 0,
             by_class: CycleAccount::default(),
-            by_phase: BTreeMap::new(),
-            by_label: BTreeMap::new(),
-            by_edge: BTreeMap::new(),
+            by_phase: Vec::new(),
+            by_label: Vec::new(),
+            by_edge: Vec::new(),
             segments: VecDeque::new(),
             elided: 0,
             cross_edges: 0,
         }
+    }
+
+    /// Makes this chain a copy of `source` in its own buffers (`clone_from`
+    /// reuses them), so adopting a chain on every causal wait allocates
+    /// nothing once the buffers have grown.
+    fn copy_from(&mut self, source: &Chain) {
+        self.head = source.head;
+        self.by_class = source.by_class;
+        self.by_phase.clone_from(&source.by_phase);
+        self.by_label.clone_from(&source.by_label);
+        self.by_edge.clone_from(&source.by_edge);
+        self.segments.clone_from(&source.segments);
+        self.elided = source.elided;
+        self.cross_edges = source.cross_edges;
     }
 
     fn push(&mut self, seg: Seg) {
@@ -197,12 +231,12 @@ impl Chain {
         }
         self.head = seg.end;
         self.by_class.add(seg.class, dt);
-        *self.by_phase.entry(seg.phase).or_insert(0) += dt;
+        count_up(&mut self.by_phase, seg.phase, dt);
         if let Some(l) = seg.label {
-            *self.by_label.entry(l).or_insert(0) += dt;
+            count_up(&mut self.by_label, l, dt);
         }
         if let Some(e) = seg.edge {
-            *self.by_edge.entry(e).or_insert(0) += dt;
+            count_up(&mut self.by_edge, e, dt);
         }
         // Never extend across (or onto) an edge-carrying segment: keeping
         // edge segments unmerged means every counter contribution is
@@ -232,18 +266,12 @@ impl Chain {
     /// label, or edge boundaries).
     fn unaccount(&mut self, seg: &Seg, dt: u64) {
         self.by_class.sub(seg.class, dt);
-        if let Some(c) = self.by_phase.get_mut(&seg.phase) {
-            *c = c.saturating_sub(dt);
-        }
+        count_down(&mut self.by_phase, seg.phase, dt);
         if let Some(l) = seg.label {
-            if let Some(c) = self.by_label.get_mut(&l) {
-                *c = c.saturating_sub(dt);
-            }
+            count_down(&mut self.by_label, l, dt);
         }
         if let Some(e) = seg.edge {
-            if let Some(c) = self.by_edge.get_mut(&e) {
-                *c = c.saturating_sub(dt);
-            }
+            count_down(&mut self.by_edge, e, dt);
         }
     }
 
@@ -299,15 +327,26 @@ impl NodeCrit {
             chain: Chain::new(),
         }
     }
+
+    /// The cumulative account advanced (without mutation) to `at`.
+    fn account_at(&self, at: Cycle) -> CycleAccount {
+        let mut a = self.account;
+        if at > self.since {
+            a.add(self.class, at - self.since);
+        }
+        a
+    }
 }
 
 #[derive(Debug)]
 struct LockState {
+    /// Interned `lock<id>` label for handoff segments.
+    label: u32,
     holder: Option<(NodeId, Cycle)>,
-    /// Attempt start + account snapshot per contending node; the snapshot
-    /// is re-taken at each release so Acquired can delta the release→
-    /// acquire window by stall class.
-    attempts: BTreeMap<NodeId, (Cycle, CycleAccount)>,
+    /// Attempt start + account snapshot per contending node, by node; the
+    /// snapshot is re-taken at each release so Acquired can delta the
+    /// release→acquire window by stall class.
+    attempts: Vec<Option<(Cycle, CycleAccount)>>,
     last_release: Option<(NodeId, Cycle, u64)>,
     acquires: u64,
     hold_cycles: u64,
@@ -322,10 +361,11 @@ struct LockState {
 }
 
 impl LockState {
-    fn new() -> Self {
+    fn new(label: u32, num_nodes: usize) -> Self {
         LockState {
+            label,
             holder: None,
-            attempts: BTreeMap::new(),
+            attempts: vec![None; num_nodes],
             last_release: None,
             acquires: 0,
             hold_cycles: 0,
@@ -353,6 +393,8 @@ struct EpisodeAcc {
 
 #[derive(Debug)]
 struct BarrierState {
+    /// Interned `barrier<id>` label for release segments.
+    label: u32,
     arrive_epoch: Vec<u64>,
     depart_epoch: Vec<u64>,
     open: BTreeMap<u64, EpisodeAcc>,
@@ -367,8 +409,9 @@ struct BarrierState {
 }
 
 impl BarrierState {
-    fn new(num_nodes: usize) -> Self {
+    fn new(label: u32, num_nodes: usize) -> Self {
         BarrierState {
+            label,
             arrive_epoch: vec![0; num_nodes],
             depart_epoch: vec![0; num_nodes],
             open: BTreeMap::new(),
@@ -391,10 +434,24 @@ pub struct CritCollector {
     nodes: Vec<NodeCrit>,
     locks: BTreeMap<u32, LockState>,
     barriers: BTreeMap<u32, BarrierState>,
-    structures: Vec<(String, Addr, Addr)>,
+    /// Registered structure ranges `(label, lo, hi)`, in registration order.
+    structures: Vec<(u32, Addr, Addr)>,
+    /// Interned segment labels, by label id.
     labels: Vec<String>,
-    label_ids: HashMap<String, u32>,
+    /// The chain an adopting node is assembled in before it swaps with the
+    /// node's own, so adoption reuses buffers instead of cloning.
+    scratch: Chain,
     last_halt: Option<(Cycle, NodeId)>,
+}
+
+/// The id of label `name`, interning it on first sight. Labels are few and
+/// interned only at registration or a lock's or barrier's first event.
+fn intern(labels: &mut Vec<String>, name: &str) -> u32 {
+    let id = labels.iter().position(|l| l == name).unwrap_or_else(|| {
+        labels.push(name.to_string());
+        labels.len() - 1
+    });
+    id as u32
 }
 
 impl CritCollector {
@@ -406,7 +463,7 @@ impl CritCollector {
             barriers: BTreeMap::new(),
             structures: Vec::new(),
             labels: Vec::new(),
-            label_ids: HashMap::new(),
+            scratch: Chain::new(),
             last_halt: None,
         }
     }
@@ -414,37 +471,21 @@ impl CritCollector {
     /// Mirrors `Classifier::register_structure` so chain segments can carry
     /// structure labels. Ranges are half-open; later registrations win.
     pub fn register_structure(&mut self, name: &str, lo: Addr, hi: Addr) {
-        self.structures.push((name.to_string(), lo, hi));
+        let label = intern(&mut self.labels, name);
+        self.structures.push((label, lo, hi));
     }
 
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.label_ids.get(name) {
-            return id;
-        }
-        let id = self.labels.len() as u32;
-        self.labels.push(name.to_string());
-        self.label_ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn label_of_addr(&mut self, addr: Addr) -> Option<u32> {
-        let name = self
-            .structures
+    fn label_of_addr(&self, addr: Addr) -> Option<u32> {
+        self.structures
             .iter()
             .rev()
-            .find(|(_, lo, hi)| (*lo..*hi).contains(&addr))
-            .map(|(name, _, _)| name.clone())?;
-        Some(self.intern(&name))
+            .find(|&&(_, lo, hi)| (lo..hi).contains(&addr))
+            .map(|&(label, _, _)| label)
     }
 
     /// The node's cumulative account advanced (without mutation) to `at`.
     fn account_at(&self, n: NodeId, at: Cycle) -> CycleAccount {
-        let nc = &self.nodes[n];
-        let mut a = nc.account;
-        if at > nc.since {
-            a.add(nc.class, at - nc.since);
-        }
-        a
+        self.nodes[n].account_at(at)
     }
 
     /// Attributes node `n`'s open interval `[since, at)` to its current
@@ -523,10 +564,10 @@ impl CritCollector {
         label: Option<u32>,
     ) {
         self.attribute(n, now);
-        let (mut chain, src_class, src_phase) = {
-            let s = &self.nodes[src];
-            (s.chain.clone(), s.class, s.phase)
-        };
+        let s = &self.nodes[src];
+        let (src_class, src_phase) = (s.class, s.phase);
+        self.scratch.copy_from(&s.chain);
+        let chain = &mut self.scratch;
         if src_at > chain.head {
             let start = chain.head;
             chain.push(Seg {
@@ -582,7 +623,7 @@ impl CritCollector {
             });
         }
         chain.cross_edges += u64::from(src != n);
-        self.nodes[n].chain = chain;
+        std::mem::swap(&mut self.nodes[n].chain, &mut self.scratch);
     }
 
     /// A wait by `n` ended at `at`: a spin loop exited, a read miss filled,
@@ -611,13 +652,16 @@ impl CritCollector {
     // ------------------------------------------------------------------
 
     fn lock(&mut self, lock: u32) -> &mut LockState {
-        self.locks.entry(lock).or_insert_with(LockState::new)
+        let (labels, num_nodes) = (&mut self.labels, self.nodes.len());
+        self.locks
+            .entry(lock)
+            .or_insert_with(|| LockState::new(intern(labels, &format!("lock{lock}")), num_nodes))
     }
 
     /// Node `n` starts contending for `lock` at `at`.
     pub fn lock_attempt(&mut self, n: NodeId, lock: u32, at: Cycle) {
         let snap = self.account_at(n, at);
-        self.lock(lock).attempts.insert(n, (at, snap));
+        self.lock(lock).attempts[n] = Some((at, snap));
     }
 
     /// Node `n` observes itself as the holder of `lock` at `at`. Produces
@@ -627,7 +671,7 @@ impl CritCollector {
         let (attempt, release) = {
             let ls = self.lock(lock);
             ls.acquires += 1;
-            let attempt = ls.attempts.remove(&n);
+            let attempt = ls.attempts[n].take();
             let release = ls.last_release.take();
             ls.holder = Some((n, at));
             (attempt, release)
@@ -656,7 +700,7 @@ impl CritCollector {
             remote_miss,
             other,
         };
-        let label = self.intern(&format!("lock{lock}"));
+        let label = self.lock(lock).label;
         self.merge_from(
             n,
             from,
@@ -688,9 +732,8 @@ impl CritCollector {
     /// contender's account so the next acquire can split the handoff
     /// window by stall class.
     pub fn lock_released(&mut self, n: NodeId, lock: u32, at: Cycle) {
-        let waiters: Vec<NodeId> = self.lock(lock).attempts.keys().copied().collect();
-        let snaps: Vec<CycleAccount> = waiters.iter().map(|&w| self.account_at(w, at)).collect();
-        let ls = self.lock(lock);
+        self.lock(lock);
+        let ls = self.locks.get_mut(&lock).expect("created above");
         let hold = match ls.holder.take() {
             Some((h, since)) if h == n => at.saturating_sub(since),
             other => {
@@ -700,9 +743,9 @@ impl CritCollector {
         };
         ls.hold_cycles += hold;
         ls.last_release = Some((n, at, hold));
-        for (w, snap) in waiters.into_iter().zip(snaps) {
-            if let Some(entry) = ls.attempts.get_mut(&w) {
-                entry.1 = snap;
+        for (node, attempt) in self.nodes.iter().zip(&mut ls.attempts) {
+            if let Some((_, snap)) = attempt {
+                *snap = node.account_at(at);
             }
         }
     }
@@ -712,8 +755,10 @@ impl CritCollector {
     // ------------------------------------------------------------------
 
     fn barrier(&mut self, barrier: u32) -> &mut BarrierState {
-        let n = self.nodes.len();
-        self.barriers.entry(barrier).or_insert_with(|| BarrierState::new(n))
+        let (labels, num_nodes) = (&mut self.labels, self.nodes.len());
+        self.barriers
+            .entry(barrier)
+            .or_insert_with(|| BarrierState::new(intern(labels, &format!("barrier{barrier}")), num_nodes))
     }
 
     /// Node `n` reaches `barrier` at `at`.
@@ -750,6 +795,7 @@ impl CritCollector {
         acc.last_depart = acc.last_depart.max(at);
         let complete = acc.arrivals == num_nodes;
         let acc = *acc;
+        let label = bs.label;
         let done = acc.departs == acc.arrivals && complete;
         if done {
             let rec = Episode {
@@ -774,7 +820,6 @@ impl CritCollector {
             }
         }
         if complete && acc.last_arriver != n {
-            let label = self.intern(&format!("barrier{barrier}"));
             self.merge_from(
                 n,
                 acc.last_arriver,
@@ -804,9 +849,9 @@ impl CritCollector {
             node: crit_node,
             wall,
             by_class: chain.by_class,
-            by_phase: chain.by_phase.clone(),
-            by_label: chain.by_label.iter().map(|(id, &c)| (resolve(id), c)).collect(),
-            by_edge: chain.by_edge.clone(),
+            by_phase: chain.by_phase.iter().copied().collect(),
+            by_label: chain.by_label.iter().map(|(id, c)| (resolve(id), *c)).collect(),
+            by_edge: chain.by_edge.iter().copied().collect(),
             cross_edges: chain.cross_edges,
             elided_cycles: chain.elided,
             segments: chain

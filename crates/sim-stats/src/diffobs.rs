@@ -319,7 +319,7 @@ impl FingerprintCompare {
     /// One human-readable sentence: `absent`, `identical`, or a
     /// `diverged ...` description naming the epoch, its event-index
     /// range, and — when the chains pin it — the exact first divergent
-    /// event. `obs_diff`'s text output and `obs_replay`'s header both
+    /// event. `ppc diff`'s text output and `ppc replay`'s header both
     /// print this.
     pub fn describe(&self) -> String {
         match self {
@@ -1088,7 +1088,7 @@ impl ReportDelta {
         Json::Obj(pairs)
     }
 
-    /// A human-readable comparison table (the `obs_diff` stdout format).
+    /// A human-readable comparison table (the `ppc diff` stdout format).
     pub fn render_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -1180,8 +1180,8 @@ mod tests {
     use crate::obs::{CpuClass, EndpointPairFlits, NodeGauges, ObsCollector, ObsConfig};
 
     fn tiny_report(stall: u64) -> ObsReport {
-        let mut c = ObsCollector::new(2, ObsConfig::enabled());
-        c.count_msg("ReadShared", 30);
+        let mut c = ObsCollector::new(2, ObsConfig::enabled(), &["ReadShared"]);
+        c.count_msg(0, 30);
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 10 + stall);
         c.transition(0, CpuClass::Halted, 90);

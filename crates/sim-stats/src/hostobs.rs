@@ -25,7 +25,7 @@
 //! Like the simulated-machine observability, everything here is off by
 //! default and must not perturb the simulation: a hostobs-on run produces
 //! byte-identical simulated results to a hostobs-off run (enforced by
-//! `tests/hostobs.rs` and the `harness-smoke` CI golden diff).
+//! `tests/hostobs.rs` and the `ppc harness` golden in `tests/ppc_cli.rs`).
 
 use sim_engine::{Cycle, QueueStats, StableHasher};
 
@@ -462,7 +462,7 @@ pub enum FingerprintDivergence {
 ///
 /// Epoch digests are opaque, so a content mismatch inside a common epoch
 /// only bounds the divergence to the epoch's event range — replay
-/// (`obs_replay`) resolves the exact event. But when one stream is shorter
+/// (`ppc replay`) resolves the exact event. But when one stream is shorter
 /// and ends *inside* the divergent epoch, the earliest possible divergence
 /// is the first event the shorter stream lacks, and that index (global and
 /// in-epoch) is reported here.

@@ -66,12 +66,12 @@ pub use lineage::{
     SharingPattern, StructureLineage,
 };
 pub use netobs::{
-    check_net_reconciliation, HomeProfile, JourneyRec, JourneyTotals, LinkSample, NetObsCollector,
-    NetObsReport, PhysLinkFlits, JOURNEY_RECORD_CAP, LINK_SAMPLE_CAP, UNATTRIBUTED,
+    check_net_reconciliation, HomeProfile, JourneyRec, JourneyTotals, NetObsCollector, NetObsReport,
+    PhysLinkFlits, JOURNEY_RECORD_CAP, LINK_SAMPLE_CAP, UNATTRIBUTED,
 };
 pub use obs::{
     CpuClass, CycleAccount, EndpointPairFlits, NodeGauges, NodeObs, ObsCollector, ObsConfig, ObsReport,
     StateSlice, CPU_CLASSES,
 };
 pub use report::{MissClass, MissStats, StructureTraffic, TrafficReport, UpdateClass, UpdateStats};
-pub use sampler::{NodeSample, Sample, TimeSeries};
+pub use sampler::{NodeSample, Sample, SampleRows, TimeSeries};

@@ -40,9 +40,10 @@
 //! (the default) the classifier does not even branch into this module, and
 //! outputs are byte-identical to a build without it.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
-use sim_engine::{Cycle, NodeId};
+use sim_engine::{Cycle, FastMap, NodeId};
 use sim_mem::{Addr, BlockAddr};
 
 use crate::json::Json;
@@ -173,6 +174,15 @@ pub enum SharingPattern {
 }
 
 impl SharingPattern {
+    /// Every pattern, in declaration order.
+    pub const ALL: [SharingPattern; 5] = [
+        SharingPattern::ReadOnly,
+        SharingPattern::Private,
+        SharingPattern::ProducerConsumer,
+        SharingPattern::Migratory,
+        SharingPattern::WideShared,
+    ];
+
     /// Stable name used in reports, tables, and tests.
     pub fn name(self) -> &'static str {
         match self {
@@ -237,10 +247,10 @@ pub struct Lineage {
     phase: Vec<u16>,
     /// Bytes per cache block (for structure-label overlap tests).
     block_bytes: Addr,
-    blocks: HashMap<BlockAddr, BlockAcc>,
+    blocks: FastMap<BlockAddr, BlockAcc>,
     /// Last external invalidation per (victim, block); consumed by the
     /// victim's next miss on the block.
-    last_inval: HashMap<(NodeId, BlockAddr), InvalCause>,
+    last_inval: FastMap<(NodeId, BlockAddr), InvalCause>,
     events: Vec<LineEvent>,
     events_dropped: u64,
     /// Registered structure ranges `(name, lo, hi)`, in registration order.
@@ -253,8 +263,8 @@ impl Lineage {
         Lineage {
             phase: vec![0; num_nodes],
             block_bytes,
-            blocks: HashMap::new(),
-            last_inval: HashMap::new(),
+            blocks: FastMap::default(),
+            last_inval: FastMap::default(),
             events: Vec::new(),
             events_dropped: 0,
             structures: Vec::new(),
@@ -467,48 +477,48 @@ impl Lineage {
             .collect();
         blocks.sort_by(|a, b| b.traffic().cmp(&a.traffic()).then(a.block.cmp(&b.block)));
 
-        // Aggregate per structure base name (`qnode[3]` → `qnode[*]`).
-        let mut by_base: HashMap<String, StructureLineage> = HashMap::new();
-        for p in blocks.iter().filter(|p| p.label.is_some()) {
-            let base = base_name(p.label.as_deref().unwrap());
-            let s = by_base.entry(base.clone()).or_insert_with(|| StructureLineage {
-                name: base,
-                blocks: 0,
-                pattern: p.pattern,
-                pattern_blocks: 0,
-                misses: MissStats::default(),
-                updates: UpdateStats::default(),
-                invalidations: 0,
-                update_deliveries: 0,
+        // Aggregate per structure base name (`qnode[3]` → `qnode[*]`),
+        // counting member blocks per pattern. The list is traffic-sorted,
+        // so a structure's first block is its hottest, and its pattern
+        // seeds the row's.
+        let mut by_base: BTreeMap<String, (StructureLineage, [u64; SharingPattern::ALL.len()])> =
+            BTreeMap::new();
+        for p in &blocks {
+            let Some(label) = p.label.as_deref() else { continue };
+            let base = base_name(label);
+            let (s, counts) = by_base.entry(base.clone()).or_insert_with(|| {
+                let row = StructureLineage {
+                    name: base,
+                    blocks: 0,
+                    pattern: p.pattern,
+                    pattern_blocks: 0,
+                    misses: MissStats::default(),
+                    updates: UpdateStats::default(),
+                    invalidations: 0,
+                    update_deliveries: 0,
+                };
+                (row, [0; SharingPattern::ALL.len()])
             });
             s.blocks += 1;
             s.misses.merge(&p.misses);
             s.updates.merge(&p.updates);
             s.invalidations += p.invalidations;
             s.update_deliveries += p.update_deliveries + p.update_drops;
+            counts[p.pattern as usize] += 1;
         }
         // Dominant pattern per structure: the pattern shared by the most
-        // member blocks (ties broken toward the hotter block, which comes
-        // first in the traffic-sorted list).
-        for s in by_base.values_mut() {
-            let mut counts: HashMap<SharingPattern, u64> = HashMap::new();
-            for p in blocks.iter() {
-                if p.label.as_deref().map(base_name) == Some(s.name.clone()) {
-                    *counts.entry(p.pattern).or_insert(0) += 1;
-                }
-            }
-            if let Some(p) = blocks.iter().find(|p| p.label.as_deref().map(base_name) == Some(s.name.clone()))
-            {
-                let dominant = counts
-                    .iter()
-                    .max_by_key(|(pat, &n)| (n, u64::from(**pat == p.pattern)))
-                    .map(|(&pat, _)| pat)
-                    .unwrap_or(p.pattern);
-                s.pattern = dominant;
-                s.pattern_blocks = counts.get(&dominant).copied().unwrap_or(0);
-            }
+        // member blocks; ties go to the hottest block's pattern, then to
+        // the earlier pattern in declaration order.
+        for (s, counts) in by_base.values_mut() {
+            let hottest = s.pattern;
+            let dominant = SharingPattern::ALL
+                .into_iter()
+                .max_by_key(|&p| (counts[p as usize], p == hottest, Reverse(p)))
+                .expect("patterns exist");
+            s.pattern = dominant;
+            s.pattern_blocks = counts[dominant as usize];
         }
-        let mut by_structure: Vec<StructureLineage> = by_base.into_values().collect();
+        let mut by_structure: Vec<StructureLineage> = by_base.into_values().map(|(s, _)| s).collect();
         by_structure.sort_by(|a, b| {
             let ua = a.misses.useless() + a.updates.useless();
             let ub = b.misses.useless() + b.updates.useless();
@@ -848,6 +858,43 @@ mod tests {
         assert_eq!(s.misses.false_sharing, 2);
         assert_eq!(s.pattern, SharingPattern::Migratory);
         assert_eq!(s.pattern_blocks, 2);
+    }
+
+    /// Two patterns tie for the most member blocks and neither is the
+    /// hottest block's: the earlier pattern in declaration order wins, in
+    /// every report.
+    #[test]
+    fn dominant_pattern_ties_break_by_pattern_order() {
+        let block = |i: u32| BlockAddr(0x1000 * (i + 1));
+        for _ in 0..64 {
+            let mut l = lineage();
+            for i in 0..5 {
+                l.register_structure(&format!("s[{i}]"), block(i).0, block(i).0 + 4);
+            }
+            // s[0]: two writers, four update arrivals per two writes —
+            // wide-shared, and the hottest block.
+            l.note_write(0, block(0));
+            l.note_write(1, block(0));
+            for n in 2..6 {
+                l.update_arrival(n, block(0), 1, false, 10);
+            }
+            l.mirror_miss(block(0), MissClass::Cold);
+            // s[1], s[2]: one writer, another reader — producer-consumer.
+            for i in [1, 2] {
+                l.note_write(0, block(i));
+                l.note_read(1, block(i));
+            }
+            // s[3], s[4]: two writers, no fanout — migratory.
+            for i in [3, 4] {
+                l.note_write(0, block(i));
+                l.note_write(1, block(i));
+            }
+            let r = l.into_report();
+            assert_eq!(r.blocks[0].pattern, SharingPattern::WideShared, "the hottest block");
+            let s = r.structure("s[*]").expect("aggregated row");
+            assert_eq!(s.blocks, 5);
+            assert_eq!((s.pattern, s.pattern_blocks), (SharingPattern::ProducerConsumer, 2));
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The machine drives a [`NetObsCollector`] while it runs (only when
 //! `MachineConfig::obs` is on): every network send hands over the
 //! [`sim_net::Journey`] the network recorded, tagged with the protocol
-//! message kind and the structure label the classifier knows for the
-//! message's address; every directory/DRAM service interval lands in the
-//! destination home's bucket; the periodic sampler snapshots cumulative
-//! per-physical-link flit counters into a utilisation time series.
+//! message kind's index and the classifier's index of the structure
+//! registered over the message's address; every directory/DRAM service
+//! interval lands in the destination home's bucket; the periodic sampler
+//! snapshots cumulative per-physical-link flit counters into a
+//! utilisation time series.
 //!
 //! Everything here is passive bookkeeping on top of values the simulation
 //! computes anyway — the collector never schedules events, so enabling it
@@ -25,6 +26,7 @@ use crate::hist::LatencyHist;
 use crate::json::Json;
 use crate::obs::ObsReport;
 use crate::report::UpdateStats;
+use crate::sampler::SampleRows;
 
 /// Cap on retained per-journey records (for Chrome flow arrows); overflow
 /// is counted, not stored. Aggregates keep counting past the cap.
@@ -143,16 +145,6 @@ pub struct JourneyRec {
     pub delivered: Cycle,
 }
 
-/// One snapshot of the cumulative per-physical-link flit counters, in the
-/// canonical [`MeshShape::links`] order.
-#[derive(Debug, Clone)]
-pub struct LinkSample {
-    /// Sample cycle.
-    pub at: Cycle,
-    /// Cumulative flits per link at that cycle.
-    pub flits: Vec<u64>,
-}
-
 /// Directory/DRAM service accounting for one home node.
 #[derive(Debug, Clone, Copy, Default)]
 struct HomeService {
@@ -168,55 +160,67 @@ struct HomeService {
 #[derive(Debug, Clone)]
 pub struct NetObsCollector {
     shape: MeshShape,
-    by_class: BTreeMap<&'static str, JourneyTotals>,
-    by_structure: BTreeMap<String, JourneyTotals>,
+    /// Message-kind names, by the kind index [`NetObsCollector::record`]
+    /// takes.
+    msg_kinds: &'static [&'static str],
+    /// Journey totals by kind index.
+    by_class: Vec<JourneyTotals>,
+    /// Journey totals by structure registration index, grown on demand.
+    by_structure: Vec<JourneyTotals>,
+    /// Journeys outside every registered structure.
+    unattributed: JourneyTotals,
     records: Vec<JourneyRec>,
     records_dropped: u64,
     local_messages: u64,
     local_cycles: u64,
     homes: Vec<HomeService>,
-    link_samples: Vec<LinkSample>,
+    link_samples: SampleRows<Cycle, u64>,
     link_samples_dropped: u64,
 }
 
 impl NetObsCollector {
-    /// A collector for a machine on the given mesh.
-    pub fn new(shape: MeshShape) -> Self {
+    /// A collector for a machine on the given mesh whose messages come in
+    /// the kinds `msg_kinds` names, by kind index.
+    pub fn new(shape: MeshShape, msg_kinds: &'static [&'static str]) -> Self {
         NetObsCollector {
-            by_class: BTreeMap::new(),
-            by_structure: BTreeMap::new(),
+            msg_kinds,
+            by_class: vec![JourneyTotals::default(); msg_kinds.len()],
+            by_structure: Vec::new(),
+            unattributed: JourneyTotals::default(),
             records: Vec::new(),
             records_dropped: 0,
             local_messages: 0,
             local_cycles: 0,
             homes: vec![HomeService::default(); shape.nodes()],
-            link_samples: Vec::new(),
+            link_samples: SampleRows::new(shape.links().len()),
             link_samples_dropped: 0,
             shape,
         }
     }
 
     /// Folds in one remote message's journey, tagged with its protocol
-    /// message `class`, the `home` node of the address it concerns, and the
-    /// registered `structure` covering that address (if any). The flits are
-    /// credited to `home`'s profile regardless of which rx port they landed
-    /// on — this is the "whose traffic is it" view the paper's hot-spot
-    /// argument needs (a hot home's update storm occupies *other* nodes'
-    /// rx ports).
-    pub fn record(&mut self, class: &'static str, structure: Option<&str>, home: NodeId, j: &Journey) {
+    /// message kind index, the `home` node of the address it concerns, and
+    /// the registration index of the structure covering that address (if
+    /// any). The flits are credited to `home`'s profile regardless of which
+    /// rx port they landed on — this is the "whose traffic is it" view the
+    /// paper's hot-spot argument needs (a hot home's update storm occupies
+    /// *other* nodes' rx ports).
+    pub fn record(&mut self, kind: usize, structure: Option<usize>, home: NodeId, j: &Journey) {
         self.homes[home].homed_rx_flits += j.flits;
-        self.by_class.entry(class).or_default().add(j);
-        let key = structure.unwrap_or(UNATTRIBUTED);
-        if let Some(t) = self.by_structure.get_mut(key) {
-            t.add(j);
-        } else {
-            let mut t = JourneyTotals::default();
-            t.add(j);
-            self.by_structure.insert(key.to_string(), t);
-        }
+        self.by_class[kind].add(j);
+        let totals = match structure {
+            Some(i) => {
+                if i >= self.by_structure.len() {
+                    self.by_structure.resize_with(i + 1, JourneyTotals::default);
+                }
+                &mut self.by_structure[i]
+            }
+            None => &mut self.unattributed,
+        };
+        totals.add(j);
         if self.records.len() < JOURNEY_RECORD_CAP {
             self.records.push(JourneyRec {
-                class,
+                class: self.msg_kinds[kind],
                 src: j.src,
                 dst: j.dst,
                 flits: j.flits,
@@ -229,7 +233,7 @@ impl NetObsCollector {
     }
 
     /// Counts one node-local message (no journey: it bypasses the mesh).
-    pub fn record_local(&mut self, _class: &'static str, delay: Cycle) {
+    pub fn record_local(&mut self, delay: Cycle) {
         self.local_messages += 1;
         self.local_cycles += delay;
     }
@@ -251,7 +255,7 @@ impl NetObsCollector {
     /// (driven from the machine's periodic sampler).
     pub fn sample_links(&mut self, at: Cycle, flits: &[u64]) {
         if self.link_samples.len() < LINK_SAMPLE_CAP {
-            self.link_samples.push(LinkSample { at, flits: flits.to_vec() });
+            self.link_samples.push(at, flits.iter().copied());
         } else {
             self.link_samples_dropped += 1;
         }
@@ -260,13 +264,15 @@ impl NetObsCollector {
     /// Builds the report: journeys aggregated so far, final physical-link
     /// totals, and per-home profiles joining this collector's service
     /// accounting with the port gauges and the classifier's per-home update
-    /// accounting.
+    /// accounting. `structure_names` names the structures by registration
+    /// index; journeys merge by name.
     pub fn finish(
         self,
         wall: Cycle,
         phys_flits: Vec<(NodeId, NodeId, u64)>,
         gauges: &[crate::obs::NodeGauges],
         home_updates: Option<HomeUpdates>,
+        structure_names: &[&str],
     ) -> NetObsReport {
         assert_eq!(gauges.len(), self.homes.len());
         let homes = self
@@ -287,12 +293,24 @@ impl NetObsCollector {
                 update_drops: home_updates.as_ref().map(|u| u.deliveries[n].1).unwrap_or(0),
             })
             .collect();
+        let by_class = self
+            .msg_kinds
+            .iter()
+            .zip(self.by_class)
+            .filter(|(_, t)| t.count > 0)
+            .map(|(&kind, t)| (kind, t))
+            .collect();
+        let mut by_structure: BTreeMap<String, JourneyTotals> = BTreeMap::new();
+        let named = self.by_structure.iter().enumerate().map(|(i, t)| (structure_names[i], t));
+        for (name, t) in named.chain([(UNATTRIBUTED, &self.unattributed)]).filter(|(_, t)| t.count > 0) {
+            by_structure.entry(name.to_string()).or_default().merge(t);
+        }
         NetObsReport {
             cols: self.shape.cols,
             rows: self.shape.rows,
             wall_cycles: wall,
-            by_class: self.by_class,
-            by_structure: self.by_structure,
+            by_class,
+            by_structure,
             phys_links: phys_flits
                 .into_iter()
                 .map(|(src, dst, flits)| PhysLinkFlits { src, dst, flits })
@@ -377,8 +395,10 @@ pub struct NetObsReport {
     pub records: Vec<JourneyRec>,
     /// Journeys aggregated but not retained.
     pub records_dropped: u64,
-    /// Cumulative per-link flit snapshots (first [`LINK_SAMPLE_CAP`]).
-    pub link_samples: Vec<LinkSample>,
+    /// Cumulative per-link flit snapshots (first [`LINK_SAMPLE_CAP`]): the
+    /// sample cycle, then flits per link in canonical [`MeshShape::links`]
+    /// order.
+    pub link_samples: SampleRows<Cycle, u64>,
     /// Snapshots not retained.
     pub link_samples_dropped: u64,
 }
@@ -658,6 +678,10 @@ pub fn check_net_reconciliation(net: &NetObsReport, obs: &ObsReport) -> Result<(
 mod tests {
     use super::*;
 
+    const KINDS: &[&str] = &["ReadShared", "Update", "Data"];
+    const READ_SHARED: usize = 0;
+    const UPDATE: usize = 1;
+
     fn journey(src: NodeId, dst: NodeId, flits: u64, hops: u64, inject: Cycle) -> Journey {
         // An uncontended journey: wire = 2·hops, no queueing.
         let wire = 2 * hops;
@@ -692,24 +716,29 @@ mod tests {
 
     #[test]
     fn collector_aggregates_by_class_and_structure() {
-        let mut c = NetObsCollector::new(MeshShape::for_nodes(4));
-        c.record("Update", Some("counter"), 3, &journey(0, 1, 6, 1, 0));
-        c.record("Update", None, 0, &journey(1, 2, 6, 1, 10));
-        c.record("ReadShared", Some("counter"), 3, &journey(2, 3, 4, 1, 20));
-        c.record_local("Data", 1);
-        let r = c.finish(100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &[Default::default(); 4], None);
+        let mut c = NetObsCollector::new(MeshShape::for_nodes(4), KINDS);
+        c.record(UPDATE, Some(1), 3, &journey(0, 1, 6, 1, 0));
+        c.record(UPDATE, None, 0, &journey(1, 2, 6, 1, 10));
+        c.record(READ_SHARED, Some(1), 3, &journey(2, 3, 4, 1, 20));
+        c.record(READ_SHARED, Some(2), 3, &journey(2, 3, 4, 1, 30));
+        c.record_local(1);
+        let names = ["flag", "counter", "counter"];
+        let r = c.finish(100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &[Default::default(); 4], None, &names);
         assert_eq!(r.by_class["Update"].count, 2);
-        assert_eq!(r.by_class["ReadShared"].count, 1);
-        assert_eq!(r.by_structure["counter"].count, 2);
+        assert_eq!(r.by_class["ReadShared"].count, 2);
+        assert!(!r.by_class.contains_key("Data"), "kinds without journeys are not listed");
+        assert_eq!(r.by_structure["counter"].count, 3, "structures merge by name");
+        assert!(!r.by_structure.contains_key("flag"), "structures without journeys are not listed");
         assert_eq!(r.by_structure[UNATTRIBUTED].count, 1);
         assert_eq!(r.local_messages, 1);
         assert_eq!(r.local_cycles, 1);
-        assert_eq!(r.records.len(), 3);
+        assert_eq!(r.records.len(), 4);
+        assert_eq!(r.records[2].class, "ReadShared");
         let t = r.totals();
-        assert_eq!(t.count, 3);
-        assert_eq!(t.flits, 16);
+        assert_eq!(t.count, 4);
+        assert_eq!(t.flits, 20);
         assert!(t.closes());
-        assert_eq!(r.homes[3].homed_rx_flits, 10, "flits credited to the address's home");
+        assert_eq!(r.homes[3].homed_rx_flits, 14, "flits credited to the address's home");
         assert_eq!(r.homes[0].homed_rx_flits, 6);
         let homed: u64 = r.homes.iter().map(|h| h.homed_rx_flits).sum();
         assert_eq!(homed, t.flits, "home attribution partitions the flits");
@@ -717,8 +746,8 @@ mod tests {
 
     #[test]
     fn worst_links_sort_desc_with_stable_ties() {
-        let c = NetObsCollector::new(MeshShape::for_nodes(4));
-        let r = c.finish(10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[Default::default(); 4], None);
+        let c = NetObsCollector::new(MeshShape::for_nodes(4), KINDS);
+        let r = c.finish(10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[Default::default(); 4], None, &[]);
         let worst = r.worst_links(2);
         assert_eq!(worst[0], PhysLinkFlits { src: 1, dst: 0, flits: 9 });
         assert_eq!(worst[1], PhysLinkFlits { src: 0, dst: 1, flits: 5 });
@@ -727,13 +756,13 @@ mod tests {
     #[test]
     fn heatmap_renders_every_node_and_scales_links() {
         let shape = MeshShape::for_nodes(4); // 2x2
-        let mut c = NetObsCollector::new(shape);
+        let mut c = NetObsCollector::new(shape, KINDS);
         c.home_service(0, true, 35, 0);
         let phys: Vec<_> =
             shape.links().into_iter().map(|(a, b)| (a, b, if a == 0 { 90 } else { 1 })).collect();
         let mut gauges = [crate::obs::NodeGauges::default(); 4];
         gauges[0].rx_busy = 50;
-        let r = c.finish(100, phys, &gauges, None);
+        let r = c.finish(100, phys, &gauges, None, &[]);
         let map = r.heatmap();
         for n in 0..4 {
             assert!(map.contains(&format!("n{n:02}")), "node {n} missing from heatmap:\n{map}");
@@ -744,11 +773,11 @@ mod tests {
 
     #[test]
     fn record_cap_counts_overflow() {
-        let mut c = NetObsCollector::new(MeshShape::for_nodes(2));
+        let mut c = NetObsCollector::new(MeshShape::for_nodes(2), KINDS);
         for i in 0..(JOURNEY_RECORD_CAP as u64 + 10) {
-            c.record("Update", None, 0, &journey(0, 1, 4, 1, i));
+            c.record(UPDATE, None, 0, &journey(0, 1, 4, 1, i));
         }
-        let r = c.finish(1 << 20, vec![], &[Default::default(); 2], None);
+        let r = c.finish(1 << 20, vec![], &[Default::default(); 2], None, &[]);
         assert_eq!(r.records.len(), JOURNEY_RECORD_CAP);
         assert_eq!(r.records_dropped, 10);
         assert_eq!(r.by_class["Update"].count, JOURNEY_RECORD_CAP as u64 + 10, "aggregates keep counting");
@@ -756,10 +785,10 @@ mod tests {
 
     #[test]
     fn report_json_parses_and_omits_raw_records() {
-        let mut c = NetObsCollector::new(MeshShape::for_nodes(2));
-        c.record("Update", Some("counter"), 0, &journey(0, 1, 6, 1, 0));
+        let mut c = NetObsCollector::new(MeshShape::for_nodes(2), KINDS);
+        c.record(UPDATE, Some(0), 0, &journey(0, 1, 6, 1, 0));
         c.sample_links(500, &[6, 0]);
-        let r = c.finish(1000, vec![(0, 1, 6), (1, 0, 0)], &[Default::default(); 2], None);
+        let r = c.finish(1000, vec![(0, 1, 6), (1, 0, 0)], &[Default::default(); 2], None, &["counter"]);
         let parsed = Json::parse(&r.to_json().render_pretty()).expect("netobs JSON parses");
         assert_eq!(
             parsed.get("journeys").unwrap().get("Update").unwrap().get("count").and_then(Json::as_u64),

@@ -18,7 +18,7 @@ use sim_engine::Cycle;
 
 use crate::hist::LatencyHist;
 use crate::json::Json;
-use crate::sampler::{Sample, TimeSeries};
+use crate::sampler::{NodeSample, TimeSeries};
 
 /// Where a processor cycle went (the paper-level stall taxonomy; the
 /// machine maps its finer-grained `CpuState` onto these classes).
@@ -225,19 +225,25 @@ impl NodeAcct {
 pub struct ObsCollector {
     cfg: ObsConfig,
     nodes: Vec<NodeAcct>,
-    msg_counts: BTreeMap<&'static str, u64>,
+    /// Message-kind names, by the kind index [`ObsCollector::count_msg`]
+    /// takes.
+    msg_kinds: &'static [&'static str],
+    /// Messages sent, by kind index.
+    msg_counts: Vec<u64>,
     msg_latency: LatencyHist,
     samples: TimeSeries,
 }
 
 impl ObsCollector {
-    /// A collector for `num_nodes` processors.
-    pub fn new(num_nodes: usize, cfg: ObsConfig) -> Self {
+    /// A collector for `num_nodes` processors whose messages come in the
+    /// kinds `msg_kinds` names, by kind index.
+    pub fn new(num_nodes: usize, cfg: ObsConfig, msg_kinds: &'static [&'static str]) -> Self {
         ObsCollector {
             nodes: (0..num_nodes).map(|_| NodeAcct::new()).collect(),
-            msg_counts: BTreeMap::new(),
+            msg_kinds,
+            msg_counts: vec![0; msg_kinds.len()],
             msg_latency: LatencyHist::new(),
-            samples: TimeSeries::new(cfg.sample_interval),
+            samples: TimeSeries::new(cfg.sample_interval, num_nodes),
             cfg,
         }
     }
@@ -265,16 +271,6 @@ impl ObsCollector {
         node.since = at;
     }
 
-    /// Processor `n`'s current class (for sampling).
-    pub fn class_of(&self, n: usize) -> CpuClass {
-        self.nodes[n].class
-    }
-
-    /// Processor `n`'s current program phase (for sampling).
-    pub fn phase_of(&self, n: usize) -> u16 {
-        self.nodes[n].phase
-    }
-
     /// Processor `n` switches to program `phase` at cycle `at`.
     pub fn set_phase(&mut self, n: usize, phase: u16, at: Cycle) {
         let node = &mut self.nodes[n];
@@ -282,9 +278,10 @@ impl ObsCollector {
         node.phase = phase;
     }
 
-    /// Counts one protocol message of `kind` with the given network latency.
-    pub fn count_msg(&mut self, kind: &'static str, latency: Cycle) {
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
+    /// Counts one protocol message of kind index `kind` with the given
+    /// network latency.
+    pub fn count_msg(&mut self, kind: usize, latency: Cycle) {
+        self.msg_counts[kind] += 1;
         self.msg_latency.record(latency);
     }
 
@@ -293,9 +290,17 @@ impl ObsCollector {
         self.nodes[n].wb_full_stalls += 1;
     }
 
-    /// Appends one periodic sample.
-    pub fn record_sample(&mut self, sample: Sample) {
-        self.samples.push(sample);
+    /// Appends the periodic sample taken at `at`. `node` fills in each
+    /// node's entry given its index and its current class and phase.
+    pub fn record_sample(
+        &mut self,
+        at: Cycle,
+        msgs_sent: u64,
+        flits_sent: u64,
+        mut node: impl FnMut(usize, CpuClass, u16) -> NodeSample,
+    ) {
+        let nodes = self.nodes.iter().enumerate().map(|(n, acct)| node(n, acct.class, acct.phase));
+        self.samples.push(at, msgs_sent, flits_sent, nodes);
     }
 
     /// Closes every node's account at `wall` (attributing the tail interval
@@ -334,7 +339,13 @@ impl ObsCollector {
             per_node,
             phase_totals,
             phase_names: BTreeMap::new(),
-            msg_counts: self.msg_counts,
+            msg_counts: self
+                .msg_kinds
+                .iter()
+                .zip(&self.msg_counts)
+                .filter(|&(_, &n)| n > 0)
+                .map(|(&kind, &n)| (kind, n))
+                .collect(),
             msg_latency: self.msg_latency,
             endpoint_pair_flits,
             samples: self.samples,
@@ -555,7 +566,7 @@ mod tests {
 
     #[test]
     fn transitions_attribute_to_outgoing_class() {
-        let mut c = ObsCollector::new(1, ObsConfig::enabled());
+        let mut c = ObsCollector::new(1, ObsConfig::enabled(), &[]);
         // Busy [0,10), ReadStall [10,35), Busy [35,40), Halted [40,100).
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 35);
@@ -571,7 +582,7 @@ mod tests {
 
     #[test]
     fn phase_split_sums_to_class_totals() {
-        let mut c = ObsCollector::new(1, ObsConfig::enabled());
+        let mut c = ObsCollector::new(1, ObsConfig::enabled(), &[]);
         c.set_phase(0, 1, 20); // phase0 Busy [0,20), then phase 1
         c.transition(0, CpuClass::ReadStall, 30);
         c.transition(0, CpuClass::Halted, 50);
@@ -587,7 +598,7 @@ mod tests {
 
     #[test]
     fn timeline_merges_adjacent_same_class_slices() {
-        let mut c = ObsCollector::new(1, ObsConfig::enabled());
+        let mut c = ObsCollector::new(1, ObsConfig::enabled(), &[]);
         c.transition(0, CpuClass::Busy, 10); // Busy -> Busy: merge
         c.transition(0, CpuClass::ReadStall, 20);
         c.transition(0, CpuClass::Busy, 30);
@@ -605,10 +616,10 @@ mod tests {
 
     #[test]
     fn report_json_round_trips() {
-        let mut c = ObsCollector::new(2, ObsConfig::enabled());
-        c.count_msg("ReadShared", 30);
-        c.count_msg("Data", 42);
-        c.count_msg("ReadShared", 31);
+        let mut c = ObsCollector::new(2, ObsConfig::enabled(), &["ReadShared", "GetX", "Data"]);
+        c.count_msg(0, 30);
+        c.count_msg(2, 42);
+        c.count_msg(0, 31);
         c.transition(0, CpuClass::Halted, 5);
         c.transition(1, CpuClass::Halted, 7);
         let mut r = c.finish(
@@ -621,6 +632,7 @@ mod tests {
         let parsed = Json::parse(&rendered).expect("report JSON parses");
         assert_eq!(parsed.get("wall_cycles").and_then(Json::as_u64), Some(7));
         assert_eq!(parsed.get("msg_counts").unwrap().get("ReadShared").and_then(Json::as_u64), Some(2));
+        assert!(parsed.get("msg_counts").unwrap().get("GetX").is_none(), "unsent kinds are not listed");
         assert_eq!(parsed.get("per_node").unwrap().as_arr().unwrap().len(), 2);
         assert!(r.summary().contains("wall cycles: 7"));
     }
@@ -628,7 +640,7 @@ mod tests {
     #[test]
     fn disabled_timeline_records_nothing() {
         let cfg = ObsConfig { enabled: true, timeline: false, ..Default::default() };
-        let mut c = ObsCollector::new(1, cfg);
+        let mut c = ObsCollector::new(1, cfg, &[]);
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 20);
         let r = c.finish(30, vec![NodeGauges::default()], vec![]);

@@ -2,10 +2,12 @@
 //!
 //! Building the paper's 32-node machine must cost fewer than a thousand
 //! heap allocations, and a run must allocate nothing per event except the
-//! boxed payload of each message that carries a block. Both are checked by
-//! counting: this test binary installs its own global allocator, which
-//! counts each thread's allocations separately so that tests running on
-//! parallel threads do not mix their counts.
+//! boxed payload of each message that carries a block. With observation on
+//! (stall accounting, lineage, critical path, network journeys) the
+//! collectors may add at most one allocation per hundred events. All are
+//! checked by counting: this test binary installs its own global
+//! allocator, which counts each thread's allocations separately so that
+//! tests running on parallel threads do not mix their counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,22 +98,35 @@ fn pu_barrier_run_allocations_do_not_grow_with_episodes() {
 const BLOCK_SENDS: [&str; 6] = ["Data", "DataX", "DataFwd", "DataXFwd", "WriteBack", "SharingWB"];
 
 /// The ticket lock under write-invalidate, 16 processors, `acquires`
-/// acquires machine-wide.
-fn wi_ticket_machine(acquires: u32) -> (Machine, LockWorkload, locks::LockLayout) {
+/// acquires machine-wide, on the paper machine or its observed twin.
+fn wi_ticket_machine(acquires: u32, observed: bool) -> (Machine, LockWorkload, locks::LockLayout) {
     let w = LockWorkload { total_acquires: acquires, ..LockWorkload::paper(LockKind::Ticket) };
-    let mut m = Machine::new(MachineConfig::paper(16, Protocol::WriteInvalidate));
+    let cfg = if observed {
+        MachineConfig::paper_observed(16, Protocol::WriteInvalidate)
+    } else {
+        MachineConfig::paper(16, Protocol::WriteInvalidate)
+    };
+    let mut m = Machine::new(cfg);
     let layout = locks::install(&mut m, &w);
     (m, w, layout)
 }
 
-/// Untraced `Machine::run` allocations, and the block-carrying sends that
-/// a traced twin of the same (deterministic) run counts.
-fn wi_ticket_run(acquires: u32) -> (u64, u64) {
-    let (mut m, w, layout) = wi_ticket_machine(acquires);
+/// One untraced `Machine::run`: its allocations, its events, and the
+/// block-carrying sends that a traced plain twin of the same
+/// (deterministic) run counts.
+struct TicketRun {
+    allocs: u64,
+    events: u64,
+    block_sends: u64,
+}
+
+fn wi_ticket_run(acquires: u32, observed: bool) -> TicketRun {
+    let (mut m, w, layout) = wi_ticket_machine(acquires, observed);
     let (allocs, plain) = counted(|| m.run());
     locks::verify(&mut m, &w, &layout);
+    let events = m.events_dispatched();
 
-    let (mut twin, _, _) = wi_ticket_machine(acquires);
+    let (mut twin, _, _) = wi_ticket_machine(acquires, false);
     twin.enable_trace(Trace::new(Trace::MAX_CAPACITY));
     let traced = twin.run();
     assert_eq!(traced.trace_dropped, 0, "the trace holds the whole run");
@@ -122,20 +137,42 @@ fn wi_ticket_run(acquires: u32) -> (u64, u64) {
         .iter()
         .filter(|e| matches!(e, TraceEvent::Send { kind, .. } if BLOCK_SENDS.contains(kind)))
         .count() as u64;
-    (allocs, block_sends)
+    TicketRun { allocs, events, block_sends }
 }
 
 /// Every extra allocation of a longer run is the payload box of an extra
 /// block-carrying message, and nothing else.
 #[test]
 fn wi_ticket_run_allocates_once_per_block_carrying_message() {
-    let (short_allocs, short_sends) = wi_ticket_run(400);
-    let (long_allocs, long_sends) = wi_ticket_run(800);
-    assert!(long_sends > short_sends, "the longer run moves more blocks");
+    let short = wi_ticket_run(400, false);
+    let long = wi_ticket_run(800, false);
+    assert!(long.block_sends > short.block_sends, "the longer run moves more blocks");
     assert_eq!(
-        long_allocs - short_allocs,
-        long_sends - short_sends,
-        "400 acquires: {short_allocs} allocations, {short_sends} block sends; \
-         800 acquires: {long_allocs} allocations, {long_sends} block sends"
+        long.allocs - short.allocs,
+        long.block_sends - short.block_sends,
+        "400 acquires: {} allocations, {} block sends; 800 acquires: {} allocations, {} block sends",
+        short.allocs,
+        short.block_sends,
+        long.allocs,
+        long.block_sends
+    );
+}
+
+/// Observed, a longer run may allocate beyond its extra block payloads
+/// only as the collectors' buffers grow: at most one allocation per
+/// hundred extra events.
+#[test]
+fn observed_wi_ticket_run_allocates_at_most_once_per_hundred_extra_events() {
+    let short = wi_ticket_run(400, true);
+    let long = wi_ticket_run(800, true);
+    let extra_events = long.events - short.events;
+    let extra_allocs = (long.allocs - short.allocs).saturating_sub(long.block_sends - short.block_sends);
+    let per_event = extra_allocs as f64 / extra_events as f64;
+    assert!(
+        per_event <= 0.01,
+        "{extra_allocs} allocations beyond the extra block payloads over {extra_events} extra events \
+         ({per_event:.4} per event); 400 acquires: {} allocations, 800 acquires: {}",
+        short.allocs,
+        long.allocs
     );
 }

@@ -38,8 +38,7 @@ impl SplitMix64 {
 fn random_traffic_journeys_decompose_and_reconcile() {
     for nodes in [2, 7, 12, 16] {
         let mut net = Network::new(nodes, NetConfig::default());
-        net.enable_journeys();
-        net.enable_phys_link_stats();
+        net.enable_observation();
         let shape = MeshShape::for_nodes(nodes);
         let mut rng = SplitMix64(0xC0FF_EE00 + nodes as u64);
         let (mut flits, mut flit_hops, mut remote) = (0u64, 0u64, 0u64);
