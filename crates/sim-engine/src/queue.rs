@@ -1,43 +1,54 @@
 //! Deterministic event queue.
 //!
 //! [`EventQueue`] is a two-level indexed queue: a *bucket wheel* holds the
-//! near future (one FIFO bucket per cycle in a fixed window starting at the
-//! current cycle) and an overflow heap holds the far future. The simulator
-//! schedules almost exclusively a few tens of cycles ahead (network hops,
-//! memory service, spin re-checks), so in steady state every operation
-//! touches only the wheel: `schedule` links a node onto a bucket's tail and
-//! `pop` is a bitmap scan to the next occupied slot — no comparisons
-//! against other pending events.
+//! near future (one FIFO bucket per cycle in a window starting at the
+//! current cycle) and an overflow heap holds the far future. Most events
+//! are scheduled a few tens of cycles ahead (network hops, memory service,
+//! spin re-checks), but a home's transmit port sends a multicast's messages
+//! one after another, so under a 32-processor pure-update barrier 69% of
+//! events are scheduled 1,024 to 8,192 cycles ahead. The wheel therefore
+//! starts at `WHEEL` (1,024) slots and grows: a schedule at or past the
+//! horizon but less than `MAX_WHEEL` (16,384) cycles ahead grows the wheel
+//! to the next power of two that covers it, and the wheel never shrinks.
+//! Only schedules `MAX_WHEEL` or more cycles ahead go to the far heap,
+//! which the paper's full sweep never does, so whether an event spills
+//! depends on its delay alone, not on the queue's history. In steady state
+//! every operation touches only the wheel: `schedule` links a node onto a
+//! bucket's tail and `pop` is a bitmap scan to the next occupied slot — no
+//! comparisons against other pending events.
 //!
 //! Every pending event lives exactly once, in one slab of nodes
 //! `{ next, seq, payload }`. A bucket is a `(head, tail)` pair of slab
 //! indices threading a singly linked FIFO through the slab, and the far
 //! heap orders small `(cycle, seq, index)` keys, so merging a far event
-//! into the wheel relinks an index instead of moving a whole event. Popped
-//! nodes go onto a LIFO free list and are reused by the next schedule, so
-//! the slab never grows past the peak number of pending events and, once
-//! it has reached that size, scheduling allocates nothing.
+//! into the wheel, or moving a bucket into a grown wheel, relinks indices
+//! instead of moving whole events. Popped nodes go onto a LIFO free list
+//! and are reused by the next schedule, so the slab never grows past the
+//! peak number of pending events and, once it has reached that size,
+//! scheduling allocates nothing.
 //!
 //! The observable order is identical to a totally ordered heap: events pop
 //! in `(cycle, seq)` order, where `seq` is the global insertion number.
 //! Within a bucket events are appended in increasing `seq`; events that
 //! overflow to the far heap carry their `seq` and are merged back into the
-//! wheel *before* any same-cycle event could be scheduled directly (a
-//! cycle enters the wheel window exactly once, and the merge happens at
-//! that moment), so bucket FIFO order always equals `seq` order.
+//! wheel *before* any same-cycle event could be scheduled directly. A
+//! cycle enters the wheel window exactly once, when the window advances or
+//! grows over it, and the merge happens at that moment; a growth moves the
+//! old buckets and merges the far keys before it links the schedule that
+//! triggered it. So bucket FIFO order always equals `seq` order.
 
 use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
-/// Number of cycles covered by the near-future bucket wheel. Must be a
-/// power of two. The simulator's event horizon (DRAM block service, a
-/// full-diameter mesh traversal, spin wake-ups) sits well below this, so
-/// far-heap traffic is rare.
+/// Initial number of cycles covered by the bucket wheel, and so its
+/// number of slots. A power of two, and a multiple of 64 for the bitmap.
+/// Small machines never outgrow it; a 32-processor update storm does.
 const WHEEL: u64 = 1024;
-const WHEEL_MASK: u64 = WHEEL - 1;
-/// Occupancy bitmap: one bit per wheel slot, packed into u64 words.
-const BITMAP_WORDS: usize = (WHEEL / 64) as usize;
+/// The largest wheel: schedules this many cycles ahead or more go to the
+/// far heap. A power of two. The paper's full sweep never schedules this
+/// far ahead.
+const MAX_WHEEL: u64 = 16_384;
 /// The null slab index: end of a bucket chain or of the free list.
 const NIL: u32 = u32::MAX;
 
@@ -49,9 +60,11 @@ const NIL: u32 = u32::MAX;
 pub struct QueueStats {
     /// Events scheduled over the queue's lifetime.
     pub scheduled: u64,
-    /// Schedules that landed beyond the wheel horizon (far-heap pushes).
+    /// Schedules `MAX_WHEEL` (16,384) or more cycles ahead: far-heap
+    /// pushes. A property of the event stream alone.
     pub far_spills: u64,
-    /// Far-heap entries merged back into the wheel by window advances.
+    /// Far-heap entries merged into the wheel by window advances or
+    /// wheel growth.
     pub far_merged: u64,
     /// Peak pending-event count.
     pub peak_len: u64,
@@ -138,16 +151,20 @@ pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     /// Head of the LIFO free list threaded through `Node::next`.
     free: u32,
-    /// Wheel bucket for cycle `c` is `buckets[c & WHEEL_MASK]`; the wheel
-    /// covers exactly `[now, horizon)`, so the mapping is injective.
-    buckets: Box<[Bucket; WHEEL as usize]>,
+    /// Wheel bucket for cycle `c` is `buckets[c & mask]`; the wheel covers
+    /// exactly `[now, horizon)`, one cycle per slot, so the mapping is
+    /// injective.
+    buckets: Box<[Bucket]>,
     /// One occupancy bit per slot (bit set ⇔ bucket non-empty).
-    occupied: [u64; BITMAP_WORDS],
+    occupied: Box<[u64]>,
+    /// Wheel size minus one. The size is a power of two in
+    /// `[WHEEL, MAX_WHEEL]` that only grows.
+    mask: u64,
     /// Events in wheel buckets.
     wheel_len: usize,
     /// Keys of the events at `horizon` or later.
     far: BinaryHeap<FarKey>,
-    /// Exclusive upper bound of the wheel window (= `now + WHEEL`).
+    /// Exclusive upper bound of the wheel window (= `now` + wheel size).
     horizon: Cycle,
     next_seq: u64,
     now: Cycle,
@@ -163,16 +180,22 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at cycle 0.
     pub fn new() -> Self {
+        Self::with_window(0, WHEEL)
+    }
+
+    /// An empty queue at cycle `now` whose wheel has `slots` slots.
+    fn with_window(now: Cycle, slots: u64) -> Self {
         EventQueue {
             nodes: Vec::new(),
             free: NIL,
-            buckets: Box::new([EMPTY; WHEEL as usize]),
-            occupied: [0; BITMAP_WORDS],
+            buckets: vec![EMPTY; slots as usize].into_boxed_slice(),
+            occupied: vec![0; (slots / 64) as usize].into_boxed_slice(),
+            mask: slots - 1,
             wheel_len: 0,
             far: BinaryHeap::new(),
-            horizon: WHEEL,
+            horizon: now + slots,
             next_seq: 0,
-            now: 0,
+            now,
             stats: QueueStats::default(),
         }
     }
@@ -180,6 +203,12 @@ impl<E> EventQueue<E> {
     /// The cycle of the most recently popped event (0 before any pop).
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// The wheel size: the number of cycles, and of slots, it covers.
+    #[inline]
+    fn slots(&self) -> u64 {
+        self.mask + 1
     }
 
     #[inline]
@@ -215,7 +244,7 @@ impl<E> EventQueue<E> {
     /// Appends node `idx` to the bucket of in-window cycle `at`.
     #[inline]
     fn link(&mut self, at: Cycle, idx: u32) {
-        let slot = at & WHEEL_MASK;
+        let slot = at & self.mask;
         let bucket = &mut self.buckets[slot as usize];
         let tail = std::mem::replace(&mut bucket.tail, idx);
         if tail == NIL {
@@ -242,6 +271,12 @@ impl<E> EventQueue<E> {
         let idx = self.alloc_node(seq, payload);
         if at < self.horizon {
             self.link(at, idx);
+        } else if at - self.now < MAX_WHEEL {
+            // Growing moves the old buckets and merges the far keys the
+            // wider window covers before this event is linked, so a far
+            // event at `at` stays ahead of it.
+            self.grow(at - self.now + 1);
+            self.link(at, idx);
         } else {
             self.stats.far_spills += 1;
             self.far.push(FarKey { at, seq, idx });
@@ -254,13 +289,40 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, payload);
     }
 
-    /// Advances the wheel window so that it starts at `at`, merging
-    /// far-heap events that fall inside the new window into their buckets.
-    /// Far events merge in `(cycle, seq)` order, and any direct schedule
-    /// into those cycles can only happen afterwards (the cycles were
-    /// outside the window until now), so buckets stay sorted by `seq`.
+    /// Grows the wheel to the next power of two covering `span` cycles
+    /// from `now` (more than today's size, at most `MAX_WHEEL`). Each
+    /// occupied bucket's chain moves intact to its cycle's slot in the new
+    /// array, then the far keys the wider window covers merge in
+    /// `(cycle, seq)` order. Rare: a wheel grows at most four times.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, span: Cycle) {
+        let slots = span.next_power_of_two();
+        debug_assert!(slots > self.slots() && slots <= MAX_WHEEL, "bad growth to {slots} slots");
+        let (now, old_mask) = (self.now, self.mask);
+        let old = std::mem::replace(&mut self.buckets, vec![EMPTY; slots as usize].into_boxed_slice());
+        self.occupied = vec![0; (slots / 64) as usize].into_boxed_slice();
+        self.mask = slots - 1;
+        for (old_slot, bucket) in (0u64..).zip(old.iter()) {
+            if bucket.head != NIL {
+                // The old slot held the window cycle this far past `now`.
+                let at = now + (old_slot.wrapping_sub(now) & old_mask);
+                let slot = at & self.mask;
+                self.buckets[slot as usize] = *bucket;
+                self.mark(slot);
+            }
+        }
+        self.advance_window(now);
+    }
+
+    /// Moves the wheel window so that it starts at `at` (or, with `at` =
+    /// `now`, re-derives the horizon of a grown wheel), merging far-heap
+    /// events that fall inside the new window into their buckets. Far
+    /// events merge in `(cycle, seq)` order, and any direct schedule into
+    /// those cycles can only happen afterwards (the cycles were outside
+    /// the window until now), so buckets stay sorted by `seq`.
     fn advance_window(&mut self, at: Cycle) {
-        self.horizon = at + WHEEL;
+        self.horizon = at + self.slots();
         while let Some(head) = self.far.peek() {
             if head.at >= self.horizon {
                 break;
@@ -272,25 +334,27 @@ impl<E> EventQueue<E> {
     }
 
     /// The first cycle in `[from, horizon)` whose bucket is non-empty, or
-    /// `None` if the wheel is empty in that range. O(WHEEL/64) worst case.
+    /// `None` if the wheel is empty in that range. `from` lies in
+    /// `[now, horizon]`. O(wheel size / 64) worst case.
     fn next_occupied(&self, from: Cycle) -> Option<Cycle> {
         if self.wheel_len == 0 {
             return None;
         }
         // Scan the bitmap from `from`'s slot, wrapping once around the
         // wheel. Cycle values are reconstructed from the distance walked.
-        let start = from & WHEEL_MASK;
+        let words = self.occupied.len();
+        let start = from & self.mask;
         let mut word = (start / 64) as usize;
         let mut mask = !0u64 << (start % 64);
         let mut base = from - (start % 64); // cycle of bit 0 of `word`
-        for _ in 0..=BITMAP_WORDS {
+        for _ in 0..=words {
             let bits = self.occupied[word] & mask;
             if bits != 0 {
                 let bit = bits.trailing_zeros() as u64;
                 let slot_cycle = base + bit;
                 // A set bit before `from`'s slot belongs to the wrapped
-                // part of the window (cycle + WHEEL).
-                let c = if slot_cycle < from { slot_cycle + WHEEL } else { slot_cycle };
+                // part of the window (cycle + wheel size).
+                let c = if slot_cycle < from { slot_cycle + self.slots() } else { slot_cycle };
                 if c < self.horizon {
                     return Some(c);
                 }
@@ -298,9 +362,9 @@ impl<E> EventQueue<E> {
             mask = !0;
             word += 1;
             base += 64;
-            if word == BITMAP_WORDS {
+            if word == words {
                 word = 0;
-                base = from - (start % 64) - (start / 64) * 64 + WHEEL;
+                base = from - start + self.slots();
             }
         }
         None
@@ -317,7 +381,7 @@ impl<E> EventQueue<E> {
             self.advance_window(at);
             at
         };
-        let slot = at & WHEEL_MASK;
+        let slot = at & self.mask;
         let idx = self.buckets[slot as usize].head;
         debug_assert!(idx != NIL, "occupied slot is empty");
         let node = &mut self.nodes[idx as usize];
@@ -334,7 +398,7 @@ impl<E> EventQueue<E> {
         self.wheel_len -= 1;
         debug_assert!(at >= self.now);
         self.now = at;
-        if at + WHEEL > self.horizon {
+        if at + self.slots() > self.horizon {
             self.advance_window(at);
         }
         Some((at, payload))
@@ -363,7 +427,8 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Number of currently occupied bucket-wheel slots (of [`WHEEL`]).
+    /// Number of currently occupied bucket-wheel slots, out of a wheel of
+    /// `WHEEL` (1,024) slots that grows up to `MAX_WHEEL` (16,384).
     pub fn occupied_slots(&self) -> usize {
         self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -385,15 +450,17 @@ impl<E> EventQueue<E> {
         // The wheel covers exactly [now, horizon) and the cycle→slot
         // mapping is injective there, so every event in a non-empty
         // bucket belongs to the window cycle that maps to its slot.
-        // Walking cycles in order (buckets are already seq-sorted) yields
-        // the exact pop order of the wheel.
-        for c in self.now..self.horizon {
-            let mut idx = self.buckets[(c & WHEEL_MASK) as usize].head;
+        // Walking the occupied cycles in order (buckets are already
+        // seq-sorted) yields the exact pop order of the wheel.
+        let mut from = self.now;
+        while let Some(c) = self.next_occupied(from) {
+            let mut idx = self.buckets[(c & self.mask) as usize].head;
             while idx != NIL {
                 let node = &self.nodes[idx as usize];
                 entries.push((c, node.seq, payload(idx)));
                 idx = node.next;
             }
+            from = c + 1;
         }
         // All wheel events precede all far events; the heap itself is
         // unordered internally, so sort its keys by (cycle, seq).
@@ -406,11 +473,13 @@ impl<E> EventQueue<E> {
     /// Rebuilds a queue from a [`QueueSnapshot`]. The restored queue pops
     /// the byte-identical `(cycle, seq, payload)` stream the snapshotted
     /// queue would have popped, and continues assigning the same sequence
-    /// numbers to new events.
+    /// numbers to new events. Its wheel is sized to the snapshot's span,
+    /// capped at `MAX_WHEEL`, so a grown queue restores without far-heap
+    /// entries and, as in the original, only events `MAX_WHEEL` or more
+    /// cycles ahead wait in the far heap.
     pub fn restore(snap: QueueSnapshot<E>) -> Self {
-        let mut q = EventQueue::new();
-        q.now = snap.now;
-        q.horizon = snap.now + WHEEL;
+        let span = snap.entries.last().map_or(0, |&(at, _, _)| at.saturating_sub(snap.now) + 1);
+        let mut q = EventQueue::with_window(snap.now, span.min(MAX_WHEEL).next_power_of_two().max(WHEEL));
         q.nodes.reserve_exact(snap.entries.len());
         for (at, seq, payload) in snap.entries {
             assert!(at >= q.now, "snapshot entry at {at} precedes its clock {}", q.now);
@@ -591,49 +660,51 @@ mod tests {
     fn far_future_events_cross_the_wheel_horizon() {
         let mut q = EventQueue::new();
         q.schedule(3, "near");
-        q.schedule(5 * WHEEL, "far");
-        q.schedule(5 * WHEEL, "far2");
-        q.schedule(WHEEL + 7, "mid");
+        q.schedule(5 * MAX_WHEEL, "far");
+        q.schedule(5 * MAX_WHEEL, "far2");
+        q.schedule(MAX_WHEEL + 7, "mid");
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((3, "near")));
-        assert_eq!(q.pop(), Some((WHEEL + 7, "mid")));
-        assert_eq!(q.peek_cycle(), Some(5 * WHEEL));
+        assert_eq!(q.pop(), Some((MAX_WHEEL + 7, "mid")));
+        assert_eq!(q.peek_cycle(), Some(5 * MAX_WHEEL));
         // Same-cycle far events keep insertion order across the merge.
-        assert_eq!(q.pop(), Some((5 * WHEEL, "far")));
-        assert_eq!(q.pop(), Some((5 * WHEEL, "far2")));
+        assert_eq!(q.pop(), Some((5 * MAX_WHEEL, "far")));
+        assert_eq!(q.pop(), Some((5 * MAX_WHEEL, "far2")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn far_then_near_interleaving_preserves_order() {
         let mut q = EventQueue::new();
-        q.schedule(2 * WHEEL + 1, "early-seq"); // goes to the far heap
+        let target = 2 * MAX_WHEEL + 1;
+        q.schedule(target, "early-seq"); // goes to the far heap
         let mut t = 0;
-        // Walk time forward so 2*WHEEL+1 enters the wheel window, then
-        // schedule directly into the same cycle: the far event must still
-        // pop first (it has the smaller seq).
-        while t + WHEEL < 2 * WHEEL + 2 {
+        // Walk time forward so `target` enters the (initial-size) wheel
+        // window, then schedule directly into the same cycle: the far event
+        // must still pop first (it has the smaller seq).
+        while t + WHEEL < target + 1 {
             q.schedule(t + 10, "tick");
             let (at, _) = q.pop().unwrap();
             t = at;
         }
-        q.schedule(2 * WHEEL + 1, "late-seq");
-        assert_eq!(q.pop(), Some((2 * WHEEL + 1, "early-seq")));
-        assert_eq!(q.pop(), Some((2 * WHEEL + 1, "late-seq")));
+        q.schedule(target, "late-seq");
+        assert_eq!(q.pop(), Some((target, "early-seq")));
+        assert_eq!(q.pop(), Some((target, "late-seq")));
     }
 
     #[test]
     fn wheel_slot_reuse_across_windows() {
-        // The same physical slot serves cycles c, c+WHEEL, c+2*WHEEL, ...;
-        // popping must never see events from a later window early.
+        // The same physical slot serves cycles c, c+MAX_WHEEL,
+        // c+2*MAX_WHEEL, ... (MAX_WHEEL is a multiple of every wheel
+        // size); popping must never see events from a later window early.
         let mut q = EventQueue::new();
         q.schedule(5, 0u32);
         assert_eq!(q.pop(), Some((5, 0)));
         for round in 1..5u32 {
-            q.schedule(5 + round as u64 * WHEEL, round);
+            q.schedule(5 + round as u64 * MAX_WHEEL, round);
         }
         for round in 1..5u32 {
-            assert_eq!(q.pop(), Some((5 + round as u64 * WHEEL, round)));
+            assert_eq!(q.pop(), Some((5 + round as u64 * MAX_WHEEL, round)));
         }
         assert_eq!(q.pop(), None);
     }
@@ -643,8 +714,8 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!(q.stats(), QueueStats::default());
         q.schedule(3, "near");
-        q.schedule(WHEEL + 5, "far");
-        q.schedule(3 * WHEEL, "farther");
+        q.schedule(MAX_WHEEL + 5, "far");
+        q.schedule(3 * MAX_WHEEL, "farther");
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.far_spills, 2);
@@ -661,38 +732,100 @@ mod tests {
         assert_eq!(q.far_len(), 0);
     }
 
-    /// The exact horizon boundary: an event at `horizon - 1` goes to the
-    /// wheel, at `horizon` to the far heap, and both pop in time order
-    /// after the window advances across them.
+    /// The exact horizon boundary of the largest wheel: an event at
+    /// `MAX_WHEEL - 1` grows the wheel and lands in it, one at `MAX_WHEEL`
+    /// goes to the far heap, and both pop in time order after the window
+    /// advances across them.
     #[test]
     fn far_heap_migration_at_the_exact_horizon_boundary() {
         let mut q = EventQueue::new();
-        q.schedule(WHEEL - 1, "last-wheel");
-        q.schedule(WHEEL, "first-far");
+        q.schedule(MAX_WHEEL - 1, "last-wheel");
+        assert_eq!((q.slots(), q.far_len()), (MAX_WHEEL, 0), "one short of MAX_WHEEL grows the wheel");
+        q.schedule(MAX_WHEEL, "first-far");
         assert_eq!(q.far_len(), 1, "horizon cycle itself must spill");
         assert_eq!(q.stats().far_spills, 1);
-        assert_eq!(q.pop(), Some((WHEEL - 1, "last-wheel")));
-        // Popping at WHEEL-1 advanced the window; the spilled event is now
-        // a wheel resident.
+        assert_eq!(q.pop(), Some((MAX_WHEEL - 1, "last-wheel")));
+        // Popping at MAX_WHEEL-1 advanced the window; the spilled event is
+        // now a wheel resident.
         assert_eq!(q.far_len(), 0);
         assert_eq!(q.stats().far_merged, 1);
-        assert_eq!(q.pop(), Some((WHEEL, "first-far")));
+        assert_eq!(q.pop(), Some((MAX_WHEEL, "first-far")));
         assert_eq!(q.pop(), None);
     }
 
-    /// Slot 1023 is the last physical slot; cycles 1023 and 1023 + WHEEL
-    /// share it across consecutive windows. The wrap from slot 1023 back
-    /// to slot 0 must not reorder or lose events.
+    /// Growth rule: a schedule at or past the horizon but under
+    /// `MAX_WHEEL` cycles ahead grows the wheel to the next power of two
+    /// covering its delay, counts no spill, and keeps every event's
+    /// cycle; the wheel never shrinks.
+    #[test]
+    fn wheel_grows_to_the_next_power_of_two_covering_the_delay() {
+        let mut q = EventQueue::new();
+        q.schedule(WHEEL - 1, 0);
+        assert_eq!(q.slots(), WHEEL, "inside the initial window");
+        q.schedule(WHEEL, 1);
+        assert_eq!(q.slots(), 2 * WHEEL, "the horizon cycle doubles the wheel");
+        q.schedule(5 * WHEEL, 2);
+        assert_eq!(q.slots(), 8 * WHEEL, "covers a delay of 5,120");
+        assert_eq!((q.far_len(), q.stats().far_spills), (0, 0));
+        assert_eq!(q.occupied_slots(), 3, "each chain moved to its own slot");
+        assert_eq!(q.pop(), Some((WHEEL - 1, 0)));
+        assert_eq!(q.pop(), Some((WHEEL, 1)));
+        assert_eq!(q.pop(), Some((5 * WHEEL, 2)));
+        q.schedule_in(3, 3);
+        assert_eq!(q.slots(), 8 * WHEEL, "the wheel never shrinks");
+        assert_eq!(q.pop(), Some((5 * WHEEL + 3, 3)));
+    }
+
+    /// A same-cycle tie that straddles a growth: a far event at cycle `c`,
+    /// scheduled before the growth, pops before events scheduled directly
+    /// at `c` after it, whether the growth is triggered by the schedule at
+    /// `c` itself or by one at another cycle.
+    #[test]
+    fn same_cycle_tie_straddling_a_growth_pops_in_seq_order() {
+        for trigger_elsewhere in [false, true] {
+            let mut q = EventQueue::new();
+            let c = MAX_WHEEL + 100;
+            q.schedule(c, "far"); // delay MAX_WHEEL + 100: spills
+            q.schedule(200, "tick");
+            assert_eq!(q.pop(), Some((200, "tick")));
+            assert_eq!((q.slots(), q.far_len()), (WHEEL, 1), "{trigger_elsewhere}");
+            if trigger_elsewhere {
+                q.schedule(c + 1, "other"); // delay under MAX_WHEEL: grows
+                assert_eq!((q.slots(), q.far_len()), (MAX_WHEEL, 0));
+            }
+            // Delay MAX_WHEEL - 100: lands in (or grows) the wheel after the
+            // far event has merged.
+            q.schedule(c, "direct");
+            assert_eq!((q.slots(), q.far_len()), (MAX_WHEEL, 0), "{trigger_elsewhere}");
+            assert_eq!(q.stats().far_merged, 1);
+            assert_eq!(q.pop(), Some((c, "far")), "{trigger_elsewhere}");
+            assert_eq!(q.pop(), Some((c, "direct")), "{trigger_elsewhere}");
+            if trigger_elsewhere {
+                assert_eq!(q.pop(), Some((c + 1, "other")));
+            }
+            assert_eq!(q.pop(), None);
+        }
+    }
+
+    /// Slot 1023 is the initial wheel's last physical slot; cycles 1023
+    /// and 1023 + WHEEL share it across consecutive windows. The wrap from
+    /// slot 1023 back to slot 0 must not reorder or lose events. Each
+    /// event is scheduled once its cycle is inside the window, so the
+    /// wheel keeps its initial size.
     #[test]
     fn wrap_around_at_slot_1023() {
         let mut q = EventQueue::new();
         q.schedule(WHEEL - 1, "slot1023");
+        q.schedule(WHEEL - 2, "slot1022");
+        assert_eq!(q.pop(), Some((WHEEL - 2, "slot1022")));
         q.schedule(WHEEL + 1, "slot1-next-window");
-        q.schedule(2 * WHEEL - 1, "slot1023-next-window");
         assert_eq!(q.pop(), Some((WHEEL - 1, "slot1023")));
+        // The scan from slot 1023 wraps to slot 1.
         assert_eq!(q.pop(), Some((WHEEL + 1, "slot1-next-window")));
+        q.schedule(2 * WHEEL - 1, "slot1023-next-window");
         assert_eq!(q.pop(), Some((2 * WHEEL - 1, "slot1023-next-window")));
         assert_eq!(q.pop(), None);
+        assert_eq!(q.slots(), WHEEL);
 
         // Same boundary with the scan starting mid-window: an occupied
         // slot numerically *before* the current slot belongs to the
@@ -700,8 +833,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(WHEEL / 2, ());
         q.pop();
-        q.schedule(WHEEL / 2 + WHEEL_MASK, ()); // wraps to slot (WHEEL/2 - 1)
-        assert_eq!(q.pop(), Some((WHEEL / 2 + WHEEL_MASK, ())));
+        q.schedule(WHEEL / 2 + WHEEL - 1, ()); // wraps to slot (WHEEL/2 - 1)
+        assert_eq!(q.pop(), Some((WHEEL / 2 + WHEEL - 1, ())));
     }
 
     /// Seeded property test: under heavy same-slot load — hundreds of
@@ -712,7 +845,7 @@ mod tests {
         for seed in 0..20u64 {
             let mut rng = crate::SplitMix64::new(0x5105_0000 + seed);
             let mut q = EventQueue::new();
-            let target = 2 * WHEEL + 513; // reached only via a far spill
+            let target = 2 * MAX_WHEEL + 513; // reached only via a far spill
             let mut expect = Vec::new();
             let mut payload = 0u64;
             // Phase 1: pile events onto `target` while it is beyond the
@@ -773,7 +906,7 @@ mod tests {
                                 0 => 0,
                                 1..=5 => rng.next_below(64),
                                 6 => rng.next_below(2 * WHEEL),
-                                _ => WHEEL * (2 + rng.next_below(6)),
+                                _ => MAX_WHEEL * (2 + rng.next_below(6)),
                             };
                             payload += 1;
                             q.schedule(q.now() + delta, payload);
@@ -822,21 +955,55 @@ mod tests {
         fn far_heap_survives_the_round_trip() {
             let mut q: EventQueue<&str> = EventQueue::new();
             q.schedule(5, "near");
-            q.schedule(3 * WHEEL, "far-b"); // seq 1
-            q.schedule(3 * WHEEL, "far-c"); // seq 2
-            q.schedule(2 * WHEEL, "far-a");
+            q.schedule(3 * MAX_WHEEL, "far-b"); // seq 1
+            q.schedule(3 * MAX_WHEEL, "far-c"); // seq 2
+            q.schedule(2 * MAX_WHEEL, "far-a");
             let snap = q.snapshot();
             assert_eq!(snap.entries.len(), 4);
             // Pop order: wheel first, then far sorted by (cycle, seq).
             let keys: Vec<_> = snap.entries.iter().map(|&(at, seq, _)| (at, seq)).collect();
-            assert_eq!(keys, vec![(5, 0), (2 * WHEEL, 3), (3 * WHEEL, 1), (3 * WHEEL, 2)]);
+            assert_eq!(keys, vec![(5, 0), (2 * MAX_WHEEL, 3), (3 * MAX_WHEEL, 1), (3 * MAX_WHEEL, 2)]);
             let mut r = EventQueue::restore(snap);
             assert_eq!(r.far_len(), 3, "far events restore beyond the horizon");
             assert_eq!(r.pop(), Some((5, "near")));
-            assert_eq!(r.pop(), Some((2 * WHEEL, "far-a")));
-            assert_eq!(r.pop(), Some((3 * WHEEL, "far-b")));
-            assert_eq!(r.pop(), Some((3 * WHEEL, "far-c")));
+            assert_eq!(r.pop(), Some((2 * MAX_WHEEL, "far-a")));
+            assert_eq!(r.pop(), Some((3 * MAX_WHEEL, "far-b")));
+            assert_eq!(r.pop(), Some((3 * MAX_WHEEL, "far-c")));
             assert_eq!(r.pop(), None);
+        }
+
+        /// A grown wheel round-trips: the restored wheel is sized to the
+        /// snapshot's span, so nothing lands in the far heap, and the
+        /// restored queue pops the original's stream.
+        #[test]
+        fn grown_queue_round_trips_without_far_entries() {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.schedule(10, 0);
+            q.pop();
+            // A multicast's deliveries, one transmit slot apart, with a
+            // same-cycle tie at the far end.
+            for i in 1..=31 {
+                q.schedule_in(i * 250 + 7, i);
+            }
+            q.schedule_in(31 * 250 + 7, 32);
+            assert_eq!((q.slots(), q.far_len()), (8 * WHEEL, 0));
+            let snap = q.snapshot();
+            let mut r = EventQueue::restore(snap.clone());
+            assert_eq!((r.slots(), r.far_len()), (8 * WHEEL, 0), "restored wheel covers the span");
+            assert_eq!(r.snapshot(), snap, "re-snapshot differs");
+            for i in 0..40 {
+                assert_eq!(q.pop(), r.pop(), "pop {i}");
+                q.schedule_in(i * 97, 100 + i);
+                r.schedule_in(i * 97, 100 + i);
+            }
+            loop {
+                let a = q.pop();
+                assert_eq!(a, r.pop(), "drain mismatch");
+                if a.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(r.stats(), q.stats());
         }
 
         #[test]
@@ -846,11 +1013,11 @@ mod tests {
             let mut q: EventQueue<u64> = EventQueue::new();
             q.schedule(WHEEL / 2, 0);
             q.pop();
-            q.schedule(WHEEL / 2 + WHEEL_MASK, 1); // wraps to slot WHEEL/2 - 1
+            q.schedule(WHEEL / 2 + WHEEL - 1, 1); // wraps to slot WHEEL/2 - 1
             q.schedule(WHEEL / 2 + 1, 2);
             let mut r = EventQueue::restore(q.snapshot());
             assert_eq!(r.pop(), Some((WHEEL / 2 + 1, 2)));
-            assert_eq!(r.pop(), Some((WHEEL / 2 + WHEEL_MASK, 1)));
+            assert_eq!(r.pop(), Some((WHEEL / 2 + WHEEL - 1, 1)));
             assert_eq!(r.pop(), None);
         }
 
@@ -892,13 +1059,14 @@ mod tests {
                     // populated but drain regularly.
                     0..=2 => {
                         // Absolute schedule, biased to land near `now` so
-                        // same-cycle ties are common; occasionally far
-                        // beyond the wheel horizon.
+                        // same-cycle ties are common; occasionally past the
+                        // initial horizon (the wheel grows) or `MAX_WHEEL`
+                        // and more ahead (the far heap).
                         let delta = match rng.next_below(10) {
                             0 => 0, // exactly at `now`: a same-cycle tie
                             1..=6 => rng.next_below(64),
                             7..=8 => rng.next_below(2 * WHEEL),
-                            _ => WHEEL * (2 + rng.next_below(8)),
+                            _ => MAX_WHEEL * (2 + rng.next_below(8)),
                         };
                         payload += 1;
                         new_q.schedule(new_q.now() + delta, payload);
@@ -959,12 +1127,13 @@ mod tests {
             run_case(0xfeed_beef, 20_000);
         }
 
-        /// One long seeded profile with delays up to 4× the wheel: slots
-        /// are reused across many windows, a quarter of the schedules
-        /// spill to the far heap and merge back, and the queue is rebuilt
-        /// from a snapshot mid-stream. The popped stream matches the heap
-        /// before and after the restore, and the node slab never holds
-        /// more nodes than the peak number of pending events.
+        /// One long seeded profile with delays up to 4× the largest wheel:
+        /// the wheel grows to `MAX_WHEEL`, slots are reused across many
+        /// windows, about 3/16 of the schedules spill to the far heap and
+        /// merge back, and the queue is rebuilt from a snapshot mid-stream.
+        /// The popped stream matches the heap before and after the restore,
+        /// and the node slab never holds more nodes than the peak number of
+        /// pending events.
         #[test]
         fn slab_reuse_spills_and_mid_stream_restore_match_legacy_heap() {
             let mut rng = SplitMix64::new(0x51ab_0004);
@@ -976,8 +1145,8 @@ mod tests {
                     if new_q.len() < 32 || rng.next_below(2) == 0 {
                         let delay = match rng.next_below(4) {
                             0 => rng.next_below(8),
-                            1 | 2 => rng.next_below(WHEEL),
-                            _ => rng.next_below(4 * WHEEL),
+                            1 | 2 => rng.next_below(MAX_WHEEL),
+                            _ => rng.next_below(4 * MAX_WHEEL),
                         };
                         payload += 1;
                         new_q.schedule_in(delay, payload);
@@ -1001,6 +1170,50 @@ mod tests {
             }
             let s = new_q.stats();
             assert!(s.far_spills > 1000 && s.far_merged > 1000, "profile exercises the far heap: {s:?}");
+            assert_eq!(new_q.slots(), MAX_WHEEL, "profile grows the wheel to its largest size");
+            loop {
+                let n = new_q.pop();
+                assert_eq!(n, old_q.pop(), "drain mismatch");
+                if n.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(new_q.stats().far_merged, new_q.stats().far_spills, "every spill merged back");
+        }
+
+        /// The wheel grows mid-stream while the far heap is in use: the
+        /// first phase stays inside the initial wheel, each later phase
+        /// reaches further, and about one schedule in eight lands
+        /// `MAX_WHEEL` or more cycles ahead. Every pop matches the heap, at
+        /// least one growth merges far keys, and every spill merges back.
+        #[test]
+        fn mid_stream_growth_with_far_traffic_matches_legacy_heap() {
+            let mut rng = SplitMix64::new(0x6a0_0017);
+            let mut new_q: EventQueue<u64> = EventQueue::new();
+            let mut old_q: HeapQueue<u64> = HeapQueue::new();
+            let mut payload = 0u64;
+            let mut growth_merged = false;
+            for (reach, slots) in [(WHEEL, WHEEL), (3 * WHEEL, 4 * WHEEL), (MAX_WHEEL, MAX_WHEEL)] {
+                for step in 0..6_000 {
+                    if new_q.len() < 16 || rng.next_below(2) == 0 {
+                        let delay = match rng.next_below(8) {
+                            0 => MAX_WHEEL + rng.next_below(MAX_WHEEL),
+                            1 => 0,
+                            _ => rng.next_below(reach),
+                        };
+                        payload += 1;
+                        let (before, merged) = (new_q.slots(), new_q.stats().far_merged);
+                        new_q.schedule_in(delay, payload);
+                        old_q.schedule_in(delay, payload);
+                        growth_merged |= new_q.slots() > before && new_q.stats().far_merged > merged;
+                    } else {
+                        assert_eq!(new_q.pop(), old_q.pop(), "reach {reach} step {step}");
+                    }
+                }
+                assert_eq!(new_q.slots(), slots, "wheel size after the phase reaching {reach}");
+            }
+            assert!(growth_merged, "no growth merged a far key");
+            assert!(new_q.stats().far_spills > 500, "profile exercises the far heap: {:?}", new_q.stats());
             loop {
                 let n = new_q.pop();
                 assert_eq!(n, old_q.pop(), "drain mismatch");

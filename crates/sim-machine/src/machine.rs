@@ -467,11 +467,12 @@ impl Machine {
         let t0 = std::time::Instant::now();
         let popped = self.queue.pop();
         let nanos = t0.elapsed().as_nanos() as u64;
-        let (depth, occupied, far) = (self.queue.len(), self.queue.occupied_slots(), self.queue.far_len());
         let hp = self.hostprof.as_mut().expect("checked above");
         hp.add(HostCat::Pop, nanos);
         if popped.is_some() && hp.note_pop() {
-            hp.sample_queue(depth, occupied, far);
+            // Read only when due: counting occupied slots scans the whole
+            // wheel bitmap, which grows to 256 words.
+            hp.sample_queue(self.queue.len(), self.queue.occupied_slots(), self.queue.far_len());
         }
         popped
     }

@@ -241,15 +241,18 @@ pub struct HostCatReport {
 pub struct QueueReport {
     /// Events scheduled over the run.
     pub scheduled: u64,
-    /// Schedules that overflowed the bucket wheel into the far-future heap.
+    /// Schedules 16,384 (`MAX_WHEEL`) or more cycles ahead, which go to
+    /// the far-future heap instead of the bucket wheel.
     pub far_spills: u64,
-    /// Far-heap entries merged back into the wheel as the window advanced.
+    /// Far-heap entries merged into the wheel as its window advanced or
+    /// grew.
     pub far_merged: u64,
     /// Peak pending-event count.
     pub peak_depth: u64,
     /// Sampled pending-event counts.
     pub depth: LatencyHist,
-    /// Sampled occupied bucket-wheel slot counts (of 1024).
+    /// Sampled occupied bucket-wheel slot counts (the wheel starts at
+    /// 1,024 slots and grows up to 16,384).
     pub occupied_slots: LatencyHist,
     /// Sampled far-future-heap depths.
     pub far_depth: LatencyHist,

@@ -87,6 +87,22 @@ fn hostobs_never_perturbs_the_simulation() {
     }
 }
 
+/// Fig. 13's update storm at full width: under pure update each arrival
+/// at a 32-processor centralized barrier sends its update to 31 sharers,
+/// one after another from the home's transmit port, so deliveries land
+/// up to ~8,000 cycles ahead. The event wheel grows to cover them: no
+/// schedule reaches the far heap, and hostobs still moves no cycle.
+#[test]
+fn update_storm_at_32_processors_never_spills_to_the_far_heap() {
+    let kernel = KernelSpec::Barrier(BarrierWorkload { kind: BarrierKind::Centralized, episodes: 40 });
+    let bare = run(MachineConfig::paper(32, Protocol::PureUpdate), &kernel);
+    let obs = run(MachineConfig::paper_hostobs(32, Protocol::PureUpdate), &kernel);
+    assert_eq!(bare.cycles, obs.cycles, "cycles moved under hostobs");
+    let q = obs.host.expect("hostobs run carries a host profile").queue;
+    assert!(q.scheduled > 50_000, "the storm ran: {} events scheduled", q.scheduled);
+    assert_eq!((q.far_spills, q.far_merged), (0, 0), "far-heap traffic under the storm");
+}
+
 #[test]
 fn host_report_accounts_for_the_run() {
     let r = run(MachineConfig::paper_hostobs(4, Protocol::WriteInvalidate), &small_lock());

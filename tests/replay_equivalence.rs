@@ -9,13 +9,16 @@
 //! own correctness verifier, and extend the fingerprint chain with the
 //! identical epoch digests and final state digest.
 
+use std::collections::{HashMap, VecDeque};
+
 use kernels::runner::{install_run_verify, KernelSpec};
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
 };
 use ppc_bench::observed::{protocol_name, KERNEL_NAMES};
 use ppc_bench::PROTOCOLS;
-use sim_machine::{Machine, MachineConfig, RunResult};
+use sim_machine::{Checkpoint, Machine, MachineConfig, RunResult, Trace, TraceEvent};
+use sim_proto::Protocol;
 
 const PROCS: usize = 4;
 /// Small fingerprint epoch = checkpoint cadence, so even these short
@@ -75,7 +78,6 @@ fn round_trip_cell(name: &str) {
         // Uninterrupted reference run (fingerprints on, checkpoints off).
         let mut full_m = Machine::new(cfg.clone());
         let full = install_run_verify(&mut full_m, &kernel, true, Machine::run);
-        let full_chain = full.fingerprint.as_ref().expect("fingerprints on");
 
         // Checkpointed run: identical figures, plus snapshots mid-flight.
         let mut ck_m = Machine::new(cfg.clone().with_checkpoints(EPOCH));
@@ -85,29 +87,41 @@ fn round_trip_cell(name: &str) {
         let checkpoints = ck_m.take_checkpoints();
         assert!(!checkpoints.is_empty(), "{tag}: workload too short — no checkpoint fired");
 
-        // Restore the deepest checkpoint and run to the end: byte-identical
-        // figures and a fingerprint tail that matches the full chain.
-        let ck = checkpoints.last().unwrap();
-        let mut resumed_m = Machine::new(cfg.clone());
-        let resumed = install_run_verify(&mut resumed_m, &kernel, true, |m| {
-            m.restore(&ck.blob).expect("restore failed");
-            assert_eq!(m.events_dispatched(), ck.events);
-            m.run()
-        });
-        assert_eq!(
-            digest(&resumed),
-            digest(&full),
-            "{tag}: resumed run diverged from checkpoint at event {} (cycle {})",
-            ck.events,
-            ck.cycle
-        );
-        let tail = resumed.fingerprint.as_ref().expect("fingerprints on");
-        assert_eq!(tail.total_events, full_chain.total_events, "{tag}");
-        assert!(tail.epochs.len() < full_chain.epochs.len(), "{tag}: checkpoint was at event 0");
-        let offset = full_chain.epochs.len() - tail.epochs.len();
-        assert_eq!(&full_chain.epochs[offset..], &tail.epochs[..], "{tag}: fingerprint tail diverged");
-        assert_eq!(tail.state_digest, full_chain.state_digest, "{tag}: final state digest diverged");
+        // Restore the deepest checkpoint and run to the end.
+        assert_resumes_identically(&cfg, &kernel, checkpoints.last().unwrap(), &full, &tag);
     }
+}
+
+/// Restores `ck` into a fresh machine and runs it to the end: the resumed
+/// run must reproduce the uninterrupted run `full` byte for byte and
+/// extend the fingerprint chain with its tail and final state digest.
+fn assert_resumes_identically(
+    cfg: &MachineConfig,
+    kernel: &KernelSpec,
+    ck: &Checkpoint,
+    full: &RunResult,
+    tag: &str,
+) {
+    let mut resumed_m = Machine::new(cfg.clone());
+    let resumed = install_run_verify(&mut resumed_m, kernel, true, |m| {
+        m.restore(&ck.blob).expect("restore failed");
+        assert_eq!(m.events_dispatched(), ck.events);
+        m.run()
+    });
+    assert_eq!(
+        digest(&resumed),
+        digest(full),
+        "{tag}: resumed run diverged from checkpoint at event {} (cycle {})",
+        ck.events,
+        ck.cycle
+    );
+    let full_chain = full.fingerprint.as_ref().expect("fingerprints on");
+    let tail = resumed.fingerprint.as_ref().expect("fingerprints on");
+    assert_eq!(tail.total_events, full_chain.total_events, "{tag}");
+    assert!(tail.epochs.len() < full_chain.epochs.len(), "{tag}: checkpoint was at event 0");
+    let offset = full_chain.epochs.len() - tail.epochs.len();
+    assert_eq!(&full_chain.epochs[offset..], &tail.epochs[..], "{tag}: fingerprint tail diverged");
+    assert_eq!(tail.state_digest, full_chain.state_digest, "{tag}: final state digest diverged");
 }
 
 #[test]
@@ -115,6 +129,59 @@ fn every_kernel_resumes_byte_identically_serial() {
     for name in KERNEL_NAMES {
         round_trip_cell(name);
     }
+}
+
+/// Send cycle of the first `UpdateMsg` whose delivery was scheduled
+/// `min_delay` or more cycles after it was sent. A cache-bound message is
+/// handled at its delivery cycle, and messages of one (src, dst, address)
+/// arrive in send order.
+fn first_update_sent_at_least(trace: &Trace, min_delay: u64) -> Option<u64> {
+    let mut in_flight: HashMap<(usize, usize, u32), VecDeque<u64>> = HashMap::new();
+    for ev in trace.events() {
+        match *ev {
+            TraceEvent::Send { at, src, dst, kind: "UpdateMsg", addr } => {
+                in_flight.entry((src, dst, addr)).or_default().push_back(at);
+            }
+            TraceEvent::Handle { at, src, dst, kind: "UpdateMsg", addr } => {
+                let sent = in_flight.get_mut(&(src, dst, addr)).and_then(VecDeque::pop_front);
+                let sent = sent.expect("an update is handled after it is sent");
+                if at - sent >= min_delay {
+                    return Some(sent);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Fig. 13's update storm, 32 processors under pure update, resumes
+/// byte-identically from a checkpoint taken while the event wheel is
+/// grown. The wheel starts at 1,024 cycles, grows when a delivery is
+/// scheduled further ahead and never shrinks; the message trace shows such
+/// a delivery before the checkpoint, so the checkpoint captures a grown
+/// queue and the restore rebuilds one.
+#[test]
+fn update_storm_resumes_byte_identically_from_a_grown_wheel() {
+    let kernel = KernelSpec::Barrier(BarrierWorkload { kind: BarrierKind::Centralized, episodes: 40 });
+    let epoch = 4096;
+    let mut cfg = MachineConfig::paper(32, Protocol::PureUpdate);
+    cfg.hostobs.fingerprint = true;
+    cfg.hostobs.fingerprint_epoch = epoch;
+
+    let mut full_m = Machine::new(cfg.clone());
+    let full = install_run_verify(&mut full_m, &kernel, true, Machine::run);
+
+    let mut ck_m = Machine::new(cfg.clone().with_checkpoints(epoch));
+    ck_m.enable_trace(Trace::new(Trace::MAX_CAPACITY));
+    let ck_run = install_run_verify(&mut ck_m, &kernel, true, Machine::run);
+    assert_eq!(digest(&ck_run), digest(&full), "checkpointing or tracing perturbed the run");
+    let trace = ck_m.take_trace().expect("trace on");
+    assert_eq!(trace.dropped(), 0, "trace capacity too small");
+    let grown_at = first_update_sent_at_least(&trace, 1024).expect("a delivery 1,024+ cycles ahead");
+    let checkpoints = ck_m.take_checkpoints();
+    let ck = checkpoints.iter().find(|ck| ck.cycle > grown_at).expect("a checkpoint after the growth");
+    assert_resumes_identically(&cfg, &kernel, ck, &full, &format!("32p PU barrier, growth at {grown_at}"));
 }
 
 #[test]
