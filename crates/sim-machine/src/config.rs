@@ -151,7 +151,6 @@ mod tests {
     fn observed_variant_flips_only_obs() {
         let c = MachineConfig::paper_observed(8, Protocol::PureUpdate);
         assert!(c.obs.enabled);
-        assert_eq!(c.obs.sample_interval, 1000);
         assert_eq!(c.num_procs, 8);
         assert_eq!(c.seed, MachineConfig::paper(8, Protocol::PureUpdate).seed);
     }

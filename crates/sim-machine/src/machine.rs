@@ -3,13 +3,13 @@
 use std::collections::{HashMap, VecDeque};
 
 use sim_engine::{Cycle, EventQueue, FifoServer, NodeId};
-use sim_isa::{Instr, Program};
+use sim_isa::{Instr, Program, SyncOp};
 use sim_mem::{Addr, Geometry, SharedAlloc, SharerSet, Word, WriteBuffer};
 use sim_net::Network;
 use sim_proto::{AtomicOp, Effects, MemService, Msg, MsgKind, ProtoNode};
 use sim_stats::{
-    Classifier, CpuClass, CritCollector, EndpointPairFlits, FingerprintRecorder, HostCat, HostProfiler,
-    NetObsCollector, NodeGauges, NodeSample, ObsCollector, WaitKind,
+    Classifier, CpuClass, FingerprintRecorder, HostCat, HostProfiler, NodeGauges, NodeSample, ObsCollector,
+    WaitKind, SAMPLE_INTERVAL,
 };
 
 use crate::config::MachineConfig;
@@ -87,15 +87,10 @@ pub struct Machine {
     trace: Option<crate::trace::Trace>,
     read_latency: sim_stats::LatencyHist,
     atomic_latency: sim_stats::LatencyHist,
-    /// Cycle-accounting collector; `Some` only when `cfg.obs.enabled`, so
-    /// the default path pays nothing beyond a `None` check per transition.
+    /// The observability collector (stall accounts, critical path and sync
+    /// episodes, network journeys); `Some` only when `cfg.obs.enabled`, so
+    /// the default path pays nothing beyond a `None` check per fact.
     obs: Option<ObsCollector>,
-    /// Critical-path and sync-episode collector; rides on the same opt-in
-    /// as `obs` and is equally free when disabled.
-    crit: Option<Box<CritCollector>>,
-    /// Network/memory-back-end telemetry collector (message journeys,
-    /// physical-link traffic, hot-home profiles); same opt-in as `obs`.
-    netobs: Option<Box<NetObsCollector>>,
     /// Host self-profiler (dispatch-category wall timers, queue-analytics
     /// sampling); `Some` only when `cfg.hostobs.enabled`. Host time never
     /// feeds back into simulated time, so results are unchanged.
@@ -197,21 +192,15 @@ impl Machine {
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
         let mut net = Network::new(cfg.num_procs, cfg.net.clone());
-        let obs = cfg.obs.enabled.then(|| ObsCollector::new(cfg.num_procs, cfg.obs, &MsgKind::NAMES));
-        let crit = cfg.obs.enabled.then(|| Box::new(CritCollector::new(cfg.num_procs)));
         let mut clf = Classifier::new(geom);
-        if obs.is_some() {
-            // Network telemetry rides on the same opt-in: the network
-            // records endpoint-pair and per-physical-link flits and
-            // per-message journeys, the classifier buckets update
-            // classifications by home node.
+        let obs = cfg.obs.enabled.then(|| {
+            // Observing also turns on the network's endpoint-pair and
+            // per-physical-link flits and per-message journeys, and the
+            // classifier's line provenance and per-home update buckets.
             net.enable_observation();
-            clf.enable_home_stats();
-            // Line provenance rides on the same opt-in: when observing, the
-            // classifier also records per-block transition/causality events.
-            clf.enable_lineage();
-        }
-        let netobs = cfg.obs.enabled.then(|| Box::new(NetObsCollector::new(net.shape(), &MsgKind::NAMES)));
+            clf.enable_observation();
+            ObsCollector::new(net.shape(), &MsgKind::NAMES)
+        });
         Machine {
             geom,
             queue: EventQueue::new(),
@@ -230,9 +219,7 @@ impl Machine {
             read_latency: sim_stats::LatencyHist::new(),
             atomic_latency: sim_stats::LatencyHist::new(),
             obs,
-            crit,
-            netobs,
-            hostprof: cfg.hostobs.enabled.then(|| Box::new(HostProfiler::new(cfg.hostobs))),
+            hostprof: cfg.hostobs.enabled.then(|| Box::new(HostProfiler::new())),
             fp: cfg
                 .hostobs
                 .fingerprint
@@ -254,9 +241,6 @@ impl Machine {
     fn set_state(&mut self, n: NodeId, state: CpuState, at: Cycle) {
         if let Some(obs) = self.obs.as_mut() {
             obs.transition(n, class_of(&state), at);
-        }
-        if let Some(crit) = self.crit.as_mut() {
-            crit.transition(n, class_of(&state), at);
         }
         self.cpus[n].state = state;
     }
@@ -292,6 +276,15 @@ impl Machine {
     pub fn set_program(&mut self, n: NodeId, program: Program) {
         program.validate().expect("invalid program");
         self.cpus[n].program = program;
+    }
+
+    /// Registers a named shared-data structure (an address range) for
+    /// per-structure traffic attribution in the final report; an observed
+    /// run also labels critical-path segments, lineage blocks and journeys
+    /// by it. Call before [`Machine::run`]; see
+    /// `TrafficReport::by_structure`.
+    pub fn register_structure(&mut self, name: &str, addr: Addr, words: u32) {
+        self.clf.register_structure(name, addr, words);
     }
 
     /// Writes `val` directly into `addr`'s home memory (initialization).
@@ -358,8 +351,7 @@ impl Machine {
         if self.obs.is_some() {
             // Relative to `now` so restored runs sample on the same cadence;
             // for a fresh machine `now` is 0 and this is the original timing.
-            let interval = self.cfg.obs.sample_interval.max(1);
-            self.queue.schedule(self.queue.now() + interval, Ev::Sample);
+            self.queue.schedule(self.queue.now() + SAMPLE_INTERVAL, Ev::Sample);
         }
         let mut reached_limit = false;
         while self.halted < self.cfg.num_procs {
@@ -413,7 +405,7 @@ impl Machine {
             })
             .collect();
         let obs = self.obs.take().map(|collector| {
-            let gauges: Vec<NodeGauges> = (0..self.cfg.num_procs)
+            let gauges = (0..self.cfg.num_procs)
                 .map(|n| NodeGauges {
                     mem_queue_wait: self.mem_srv[n].wait_cycles(),
                     mem_busy: self.mem_srv[n].busy_cycles(),
@@ -422,20 +414,7 @@ impl Machine {
                     wb_high_water: self.wbs[n].high_water(),
                 })
                 .collect();
-            let links = self
-                .net
-                .link_flits()
-                .into_iter()
-                .map(|(src, dst, flits)| EndpointPairFlits { src, dst, flits })
-                .collect();
-            let mut o = collector.finish(end, gauges.clone(), links);
-            o.lineage = self.clf.take_lineage();
-            o.crit = self.crit.take().map(|c| c.finish(end));
-            let structures: Vec<&str> = traffic.by_structure.iter().map(|s| s.name.as_str()).collect();
-            o.netobs = self.netobs.take().map(|c| {
-                c.finish(end, self.net.phys_link_flits(), &gauges, self.clf.take_home_stats(), &structures)
-            });
-            o
+            collector.finish(end, gauges, &self.net, &mut self.clf)
         });
         let host = self.hostprof.take().map(|hp| {
             let wall = run_start.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
@@ -607,8 +586,8 @@ impl Machine {
                 svc => {
                     let cycles = self.service_cycles(svc);
                     let done = self.mem_srv[msg.dst].occupy(now, cycles);
-                    if let Some(no) = self.netobs.as_mut() {
-                        no.home_service(
+                    if let Some(obs) = self.obs.as_mut() {
+                        obs.home_service(
                             msg.dst,
                             matches!(svc, MemService::Block),
                             cycles,
@@ -640,7 +619,8 @@ impl Machine {
         let Some(obs) = self.obs.as_mut() else { return };
         let (wbs, mem_srv, net) = (&self.wbs, &self.mem_srv, &self.net);
         let c = net.counters();
-        obs.record_sample(now, c.messages + c.local_messages, c.flits, |n, class, phase| NodeSample {
+        let sent = c.messages + c.local_messages;
+        obs.record_sample(now, sent, c.flits, net.phys_flits_raw(), |n, class, phase| NodeSample {
             class,
             phase,
             wb_len: wbs[n].len(),
@@ -648,35 +628,52 @@ impl Machine {
             tx_busy: net.tx_busy(n),
             rx_busy: net.rx_busy(n),
         });
-        if let Some(no) = self.netobs.as_mut() {
-            if let Some(flits) = self.net.phys_flits_raw() {
-                no.sample_links(now, flits);
-            }
-        }
         // Reschedule only while other events are pending: an empty queue
         // with stalled processors must still trip the deadlock panic in
         // `run`, and sampling alone cannot keep a dead machine "alive".
         if !self.queue.is_empty() {
-            self.queue.schedule(now + self.cfg.obs.sample_interval.max(1), Ev::Sample);
+            self.queue.schedule(now + SAMPLE_INTERVAL, Ev::Sample);
         }
     }
 
-    /// Counts message `m`, sent at `now` and delivered at `at`, and files
-    /// the journey the network recorded for it. Out of line, so that the
-    /// send loop stays small when nothing observes.
+    /// Counts message `m`, sent at `now` and delivered at `at`, with the
+    /// journey the network recorded for it. Out of line, so that the send
+    /// loop stays small when nothing observes.
     #[inline(never)]
     fn observe_send(&mut self, m: &Msg, now: Cycle, at: Cycle) {
-        if let Some(obs) = self.obs.as_mut() {
-            obs.count_msg(m.kind.index(), at - now);
+        let Some(obs) = self.obs.as_mut() else { return };
+        let journey = self.net.take_last_journey();
+        let filed = journey.as_ref().map(|j| (j, self.geom.home_of(m.addr), self.clf.structure_of(m.addr)));
+        obs.message_sent(m.kind.index(), at - now, filed);
+    }
+
+    /// Hands node `n`'s sync-episode fact `op` on sync object `id` at `at`
+    /// to the collector: an [`Instr::Sync`] marker, or a magic primitive's
+    /// synthetic one.
+    fn observe_sync(&mut self, n: NodeId, op: SyncOp, id: u32, at: Cycle) {
+        let Some(obs) = self.obs.as_mut() else { return };
+        match op {
+            SyncOp::AcquireAttempt => obs.lock_attempt(n, id, at),
+            SyncOp::Acquired => obs.lock_acquired(n, id, at),
+            SyncOp::Released => obs.lock_released(n, id, at),
+            SyncOp::BarrierArrive => obs.barrier_arrive(n, id, at),
+            SyncOp::BarrierDepart => obs.barrier_depart(n, id, at),
         }
-        if let Some(no) = self.netobs.as_mut() {
-            match self.net.take_last_journey() {
-                Some(j) => {
-                    let home = self.geom.home_of(m.addr);
-                    no.record(m.kind.index(), self.clf.structure_of(m.addr), home, &j);
-                }
-                None => no.record_local(at - now),
-            }
+    }
+
+    /// Node `n`'s `kind` wait on `addr` ended at `at`: hands the collector
+    /// the causal edge from the word's last writer. An atomic's writer was
+    /// looked up before the atomic ran, since by completion the atomic's
+    /// own write is the last.
+    fn observe_wait_end(&mut self, n: NodeId, addr: Addr, kind: WaitKind, at: Cycle) {
+        let atomic_writer = self.cpus[n].stall_writer.take();
+        let Some(obs) = self.obs.as_mut() else { return };
+        let writer = match kind {
+            WaitKind::AtomicFill => atomic_writer,
+            WaitKind::SpinFill | WaitKind::ReadFill => self.clf.last_writer_of(addr),
+        };
+        if let Some((w, wt)) = writer {
+            obs.wait_ended(n, w, wt, self.clf.structure_of(addr), kind, at);
         }
     }
 
@@ -745,9 +742,6 @@ impl Machine {
                 if let Some(obs) = self.obs.as_mut() {
                     obs.set_phase(n, p, t);
                 }
-                if let Some(crit) = self.crit.as_mut() {
-                    crit.set_phase(n, p, t);
-                }
                 self.clf.set_phase(n, p);
                 self.cpus[n].pc += 1;
                 continue;
@@ -755,18 +749,9 @@ impl Machine {
             // Sync-episode markers are zero-cost like phase markers: they
             // retire no instruction and consume no cycle, so annotated
             // kernels time identically to unannotated ones. They feed the
-            // critical-path collector's lock/barrier episode analytics.
+            // collector's lock/barrier episode analytics.
             if let Instr::Sync(op, id) = instr {
-                if let Some(crit) = self.crit.as_mut() {
-                    use sim_isa::SyncOp;
-                    match op {
-                        SyncOp::AcquireAttempt => crit.lock_attempt(n, id, t),
-                        SyncOp::Acquired => crit.lock_acquired(n, id, t),
-                        SyncOp::Released => crit.lock_released(n, id, t),
-                        SyncOp::BarrierArrive => crit.barrier_arrive(n, id, t),
-                        SyncOp::BarrierDepart => crit.barrier_depart(n, id, t),
-                    }
-                }
+                self.observe_sync(n, op, id, t);
                 self.cpus[n].pc += 1;
                 continue;
             }
@@ -942,9 +927,7 @@ impl Machine {
                     }
                 }
                 Instr::MagicBarrier => {
-                    if let Some(crit) = self.crit.as_mut() {
-                        crit.barrier_arrive(n, MAGIC_SYNC_BASE, t);
-                    }
+                    self.observe_sync(n, SyncOp::BarrierArrive, MAGIC_SYNC_BASE, t);
                     self.cpus[n].pc += 1;
                     self.set_state(n, CpuState::InBarrier, t);
                     self.barrier_waiting.push(n);
@@ -952,17 +935,13 @@ impl Machine {
                     return;
                 }
                 Instr::MagicAcquire(l) => {
-                    if let Some(crit) = self.crit.as_mut() {
-                        crit.lock_attempt(n, MAGIC_SYNC_BASE + l, t);
-                    }
+                    self.observe_sync(n, SyncOp::AcquireAttempt, MAGIC_SYNC_BASE + l, t);
                     let lock = self.magic_locks.entry(l).or_default();
                     if lock.holder.is_none() {
                         lock.holder = Some(n);
                         self.cpus[n].pc += 1;
                         t += self.cfg.magic_lock_cycles;
-                        if let Some(crit) = self.crit.as_mut() {
-                            crit.lock_acquired(n, MAGIC_SYNC_BASE + l, t);
-                        }
+                        self.observe_sync(n, SyncOp::Acquired, MAGIC_SYNC_BASE + l, t);
                     } else {
                         lock.queue.push_back(n);
                         self.set_state(n, CpuState::WaitLock(l), t);
@@ -975,17 +954,13 @@ impl Machine {
                     assert_eq!(lock.holder, Some(n), "magic release of a lock not held");
                     let next = lock.queue.pop_front();
                     lock.holder = next;
-                    if let Some(crit) = self.crit.as_mut() {
-                        crit.lock_released(n, MAGIC_SYNC_BASE + l, t);
-                    }
+                    self.observe_sync(n, SyncOp::Released, MAGIC_SYNC_BASE + l, t);
                     if let Some(next) = next {
                         // The waiter parked on its acquire instruction; hand
                         // it the lock and move it past the acquire.
                         self.cpus[next].pc += 1;
                         self.wake_cpu(next, t + cost);
-                        if let Some(crit) = self.crit.as_mut() {
-                            crit.lock_acquired(next, MAGIC_SYNC_BASE + l, t + cost);
-                        }
+                        self.observe_sync(next, SyncOp::Acquired, MAGIC_SYNC_BASE + l, t + cost);
                     }
                     self.cpus[n].pc += 1;
                     t += cost;
@@ -1041,14 +1016,10 @@ impl Machine {
         let period = self.cfg.spin_check_period;
         if exit {
             // A spin that actually waited exits causally after the remote
-            // write that changed the watched word: hand the critical-path
-            // collector a spin-fill edge from that writer.
+            // write that changed the watched word: hand the collector a
+            // spin-fill edge from that writer.
             if self.cpus[n].spin_waited && !from_wb {
-                if let Some(crit) = self.crit.as_mut() {
-                    if let Some((w, wt)) = self.clf.last_writer_of(addr) {
-                        crit.wait_ended(n, w, wt, addr, WaitKind::SpinFill, *t);
-                    }
-                }
+                self.observe_wait_end(n, addr, WaitKind::SpinFill, *t);
             }
             self.cpus[n].spin_waited = false;
             self.cpus[n].pc += 1;
@@ -1081,7 +1052,7 @@ impl Machine {
     fn issue_atomic(&mut self, n: NodeId, pai: PendingAtomicIssue, now: Cycle) {
         // Captured before the operation: once it completes, this processor
         // itself is the last writer and the causal predecessor is gone.
-        let writer_before = if self.crit.is_some() { self.clf.last_writer_of(pai.addr) } else { None };
+        let writer_before = if self.obs.is_some() { self.clf.last_writer_of(pai.addr) } else { None };
         let mut fx = self.take_fx();
         self.nodes[n].cpu_atomic(pai.op, pai.addr, pai.operand, pai.operand2, &mut self.clf, now, &mut fx);
         // Consume atomic_done before generic processing.
@@ -1108,9 +1079,7 @@ impl Machine {
             let mut waiting = std::mem::take(&mut self.barrier_waiting);
             for &w in &waiting {
                 self.wake_cpu(w, now + cost);
-                if let Some(crit) = self.crit.as_mut() {
-                    crit.barrier_depart(w, MAGIC_SYNC_BASE, now + cost);
-                }
+                self.observe_sync(w, SyncOp::BarrierDepart, MAGIC_SYNC_BASE, now + cost);
             }
             waiting.clear();
             self.barrier_waiting = waiting;
@@ -1185,12 +1154,7 @@ impl Machine {
                     self.wake_cpu(x, now + 1);
                     // The filled value is causally after its last writer;
                     // record the read-fill edge for the critical path.
-                    let addr = self.cpus[x].stall_addr;
-                    if let Some(crit) = self.crit.as_mut() {
-                        if let Some((w, wt)) = self.clf.last_writer_of(addr) {
-                            crit.wait_ended(x, w, wt, addr, WaitKind::ReadFill, now + 1);
-                        }
-                    }
+                    self.observe_wait_end(x, self.cpus[x].stall_addr, WaitKind::ReadFill, now + 1);
                 }
                 CpuState::StallSpinRead => {
                     // Re-execute the spin instruction; the line is now
@@ -1232,12 +1196,7 @@ impl Machine {
                     self.cpus[x].regs[rd] = old;
                     self.cpus[x].pc += 1;
                     self.wake_cpu(x, now + 1);
-                    let addr = self.cpus[x].stall_addr;
-                    if let Some((w, wt)) = self.cpus[x].stall_writer.take() {
-                        if let Some(crit) = self.crit.as_mut() {
-                            crit.wait_ended(x, w, wt, addr, WaitKind::AtomicFill, now + 1);
-                        }
-                    }
+                    self.observe_wait_end(x, self.cpus[x].stall_addr, WaitKind::AtomicFill, now + 1);
                 }
                 ref other => panic!("atomic completion in state {other:?}"),
             }
@@ -1285,6 +1244,70 @@ impl Machine {
             self.nodes[n].issue_write(w.addr, w.val, &mut self.clf, now, &mut fx);
             self.process_effects(n, fx, now);
         }
+    }
+
+    /// Asserts machine-wide coherence invariants; call after [`Machine::run`]
+    /// (when in-flight traffic has drained):
+    ///
+    /// * at most one cache holds any block dirty (`Modified`/`PrivateUpd`),
+    ///   and no clean copy coexists with a dirty one;
+    /// * every directory entry is quiescent (not busy, no deferred work)
+    ///   and agrees with the caches about owners and sharers.
+    pub fn assert_coherent(&self) {
+        use sim_mem::LineState;
+        let geom = self.geom;
+        // Gather every cached copy per block.
+        let mut copies: std::collections::HashMap<sim_mem::BlockAddr, Vec<(usize, LineState)>> =
+            std::collections::HashMap::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            for (block, state) in node.cache.resident_blocks() {
+                copies.entry(block).or_default().push((i, state));
+            }
+        }
+        for (block, holders) in &copies {
+            let dirty: Vec<_> = holders
+                .iter()
+                .filter(|(_, s)| matches!(s, LineState::Modified | LineState::PrivateUpd))
+                .collect();
+            assert!(dirty.len() <= 1, "block {block:?} dirty in {dirty:?}");
+            if dirty.len() == 1 {
+                assert_eq!(
+                    holders.len(),
+                    1,
+                    "block {block:?} has a dirty copy alongside clean ones: {holders:?}"
+                );
+            }
+        }
+        for (h, node) in self.nodes.iter().enumerate() {
+            for (block, entry) in node.dir.iter() {
+                assert_eq!(geom.home_of(block.0), h, "directory entry on wrong home");
+                assert!(!entry.busy, "block {block:?} still busy at home {h}");
+                assert!(entry.waiting.is_empty(), "block {block:?} has deferred requests");
+                if entry.state == sim_mem::DirState::Owned {
+                    let owner_state = self.nodes[entry.owner].cache.state_of(*block);
+                    assert!(
+                        matches!(owner_state, Some(LineState::Modified) | Some(LineState::PrivateUpd)),
+                        "block {block:?}: home {h} says node {} owns it, cache says {owner_state:?}",
+                        entry.owner
+                    );
+                }
+            }
+        }
+    }
+
+    /// A stable digest over every processor's installed program — the
+    /// instruction stream as laid out, including the shared-memory
+    /// addresses embedded in it by the kernel installers. Together with
+    /// the [`MachineConfig`] this pins the simulation's entire input, so
+    /// the sweep harness can use it as a memoization-key component: a
+    /// change to a kernel's code generation changes the digest and
+    /// invalidates exactly that kernel's cached cells.
+    pub fn program_digest(&self) -> u64 {
+        let mut h = sim_engine::StableHasher::new();
+        for cpu in &self.cpus {
+            h.write_str(&format!("{:?}", cpu.program.code));
+        }
+        h.finish128().0
     }
 }
 
@@ -1492,131 +1515,6 @@ mod tests {
         b.imm(0, flag).imm(1, 1).spin_while_ne(0, 1).halt();
         m.set_program(0, b.build());
         m.run();
-    }
-}
-
-impl Machine {
-    /// Prints directory and cache state for the block of `addr` (debug aid).
-    pub fn debug_dump(&self, addr: Addr) {
-        let block = self.geom.block_of(addr);
-        let home = self.geom.home_of(addr);
-        if let Some(e) = self.nodes[home].dir.get(block) {
-            println!(
-                "dir[{block:?}]@{home}: state={:?} owner={} sharers={:?} busy={}",
-                e.state,
-                e.owner,
-                e.sharers.iter().collect::<Vec<_>>(),
-                e.busy
-            );
-        } else {
-            println!("dir[{block:?}]@{home}: absent");
-        }
-        println!("mem word = {}", self.nodes[home].mem.read_word(&self.geom, addr));
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(s) = n.cache.state_of(block) {
-                println!("cache[{i}]: {:?} val={:?}", s, n.cache.read_word(&self.geom, addr));
-            }
-        }
-    }
-}
-
-impl Machine {
-    /// Prints per-node sync counters and write-buffer occupancy (debug aid).
-    pub fn debug_sync(&self) {
-        for (i, n) in self.nodes.iter().enumerate() {
-            let wb = self.wbs.get(i).map(|w| w.len()).unwrap_or(0);
-            println!(
-                "node {i}: wb={} pend_w={:?} pend_a={:?} acks {}/{} infos={} state={:?} pc={}",
-                wb,
-                n.pending_write,
-                n.pending_atomic.is_some(),
-                n.acks_received,
-                n.acks_expected,
-                n.update_infos_pending,
-                self.cpus[i].state,
-                self.cpus[i].pc
-            );
-        }
-    }
-}
-
-impl Machine {
-    /// Asserts machine-wide coherence invariants; call after [`Machine::run`]
-    /// (when in-flight traffic has drained):
-    ///
-    /// * at most one cache holds any block dirty (`Modified`/`PrivateUpd`),
-    ///   and no clean copy coexists with a dirty one;
-    /// * every directory entry is quiescent (not busy, no deferred work)
-    ///   and agrees with the caches about owners and sharers.
-    pub fn assert_coherent(&self) {
-        use sim_mem::LineState;
-        let geom = self.geom;
-        // Gather every cached copy per block.
-        let mut copies: std::collections::HashMap<sim_mem::BlockAddr, Vec<(usize, LineState)>> =
-            std::collections::HashMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            for (block, state) in node.cache.resident_blocks() {
-                copies.entry(block).or_default().push((i, state));
-            }
-        }
-        for (block, holders) in &copies {
-            let dirty: Vec<_> = holders
-                .iter()
-                .filter(|(_, s)| matches!(s, LineState::Modified | LineState::PrivateUpd))
-                .collect();
-            assert!(dirty.len() <= 1, "block {block:?} dirty in {dirty:?}");
-            if dirty.len() == 1 {
-                assert_eq!(
-                    holders.len(),
-                    1,
-                    "block {block:?} has a dirty copy alongside clean ones: {holders:?}"
-                );
-            }
-        }
-        for (h, node) in self.nodes.iter().enumerate() {
-            for (block, entry) in node.dir.iter() {
-                assert_eq!(geom.home_of(block.0), h, "directory entry on wrong home");
-                assert!(!entry.busy, "block {block:?} still busy at home {h}");
-                assert!(entry.waiting.is_empty(), "block {block:?} has deferred requests");
-                if entry.state == sim_mem::DirState::Owned {
-                    let owner_state = self.nodes[entry.owner].cache.state_of(*block);
-                    assert!(
-                        matches!(owner_state, Some(LineState::Modified) | Some(LineState::PrivateUpd)),
-                        "block {block:?}: home {h} says node {} owns it, cache says {owner_state:?}",
-                        entry.owner
-                    );
-                }
-            }
-        }
-    }
-}
-
-impl Machine {
-    /// A stable digest over every processor's installed program — the
-    /// instruction stream as laid out, including the shared-memory
-    /// addresses embedded in it by the kernel installers. Together with
-    /// the [`MachineConfig`] this pins the simulation's entire input, so
-    /// the sweep harness can use it as a memoization-key component: a
-    /// change to a kernel's code generation changes the digest and
-    /// invalidates exactly that kernel's cached cells.
-    pub fn program_digest(&self) -> u64 {
-        let mut h = sim_engine::StableHasher::new();
-        for cpu in &self.cpus {
-            h.write_str(&format!("{:?}", cpu.program.code));
-        }
-        h.finish128().0
-    }
-}
-
-impl Machine {
-    /// Registers a named shared-data structure (an address range) for
-    /// per-structure traffic attribution in the final report. Call before
-    /// [`Machine::run`]; see `TrafficReport::by_structure`.
-    pub fn register_structure(&mut self, name: &str, addr: Addr, words: u32) {
-        self.clf.register_structure(name, addr, words);
-        if let Some(crit) = self.crit.as_mut() {
-            crit.register_structure(name, addr, addr + 4 * words);
-        }
     }
 }
 

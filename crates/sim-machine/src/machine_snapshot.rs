@@ -639,16 +639,12 @@ impl Machine {
             let epoch = self.cfg.hostobs.fingerprint_epoch.max(1);
             self.fp = Some(Box::new(FingerprintRecorder::resume(epoch, self.popped / epoch)));
         }
-        // ...the observability collectors open their accounts at the
-        // restore cycle (earlier cycles belong to the original run)...
-        let now = self.queue.now();
-        for n in 0..self.cfg.num_procs {
-            let class = class_of(&self.cpus[n].state);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.align(n, class, now);
-            }
-            if let Some(crit) = self.crit.as_mut() {
-                crit.align(n, class, now);
+        // ...the observability collector opens its accounts at the restore
+        // cycle (earlier cycles belong to the original run)...
+        if let Some(obs) = self.obs.as_mut() {
+            let now = self.queue.now();
+            for (n, cpu) in self.cpus.iter().enumerate() {
+                obs.align(n, class_of(&cpu.state), now);
             }
         }
         // ...and the next checkpoint is a full cadence away.
@@ -847,6 +843,28 @@ mod tests {
         assert_eq!(format!("{:?}", replayed.traffic), format!("{:?}", full.traffic));
         let obs = replayed.obs.expect("obs on");
         assert!(obs.per_node.iter().any(|n| n.cycles.total() > 0), "window-scoped obs report is empty");
+    }
+
+    /// Replay from a checkpoint opens every account and chain at the
+    /// restore cycle: each node's account and the critical path cover
+    /// exactly the replayed window.
+    #[test]
+    fn windowed_replay_accounts_cover_exactly_the_window() {
+        let mut cfg = MachineConfig::paper(8, Protocol::WriteInvalidate);
+        cfg.hostobs.fingerprint_epoch = 512;
+        let mut m = build_contended(&cfg.clone().with_checkpoints(512));
+        m.run();
+        let ck = m.take_checkpoints().remove(0);
+        let mut r = build_contended(&MachineConfig { obs: sim_stats::ObsConfig::enabled(), ..cfg });
+        r.restore(&ck.blob).expect("restore failed");
+        let replayed = r.run();
+        let window = replayed.cycles - ck.cycle;
+        let obs = replayed.obs.expect("obs on");
+        for (n, node) in obs.per_node.iter().enumerate() {
+            assert_eq!(node.cycles.total(), window, "node {n}");
+        }
+        let crit = obs.crit.expect("crit on");
+        assert_eq!(crit.critical_path.by_class.total(), window);
     }
 
     #[test]

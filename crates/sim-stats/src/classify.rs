@@ -96,14 +96,19 @@ pub struct Classifier {
     structures: Vec<StructureRange>,
     report: TrafficReport,
     finished: bool,
-    /// Per-line provenance recorder (PR 3). `None` — the default — keeps
-    /// every code path below branch-free on the lineage side, so the
+    /// What only an observed run records; `None` — the default — keeps
+    /// every code path below branch-free on the observation side, so the
     /// classifier behaves bit-identically to a build without it.
-    lineage: Option<Box<Lineage>>,
-    /// Per-home update accounting for network telemetry (PR 5). Same
-    /// passivity contract as `lineage`: `None` by default, pure mirror of
-    /// the classifications when on.
-    home_updates: Option<Box<HomeUpdates>>,
+    observation: Option<Box<Observation>>,
+}
+
+/// The classifier's passive instruments, on together when observing: per-
+/// line provenance, and per-home update accounting for network telemetry.
+/// Both only mirror the classifications.
+#[derive(Debug)]
+struct Observation {
+    lineage: Lineage,
+    homes: HomeUpdates,
 }
 
 /// A registered address range for per-structure traffic attribution; its
@@ -126,51 +131,44 @@ impl Classifier {
             structures: Vec::new(),
             report: TrafficReport::default(),
             finished: false,
-            lineage: None,
-            home_updates: None,
+            observation: None,
         }
     }
 
     // ------------------------------------------------------------------
-    // Lineage (per-line provenance; see [`crate::lineage`])
+    // Observation (per-line provenance, see [`crate::lineage`], and
+    // per-home update accounting)
     // ------------------------------------------------------------------
 
-    /// Switches on per-line provenance recording. Passive: the classified
-    /// totals are unchanged; lineage only mirrors and annotates them.
-    pub fn enable_lineage(&mut self) {
-        self.lineage = Some(Box::new(Lineage::new(self.geom.num_nodes, self.geom.block_bytes)));
+    /// Switches on per-line provenance recording and per-home-node update
+    /// accounting. Passive: the classified totals are unchanged; lineage
+    /// only mirrors and annotates them, and the per-home buckets only
+    /// mirror them.
+    pub fn enable_observation(&mut self) {
+        let n = self.geom.num_nodes;
+        self.observation =
+            Some(Box::new(Observation { lineage: Lineage::new(n), homes: HomeUpdates::new(n) }));
     }
 
-    /// The live lineage recorder, when enabled.
-    pub fn lineage(&self) -> Option<&Lineage> {
-        self.lineage.as_deref()
-    }
-
-    /// Freezes and detaches the lineage report. Call after
-    /// [`Classifier::finish`] so end-of-run update classifications are
-    /// mirrored in.
-    pub fn take_lineage(&mut self) -> Option<LineageReport> {
-        self.lineage.take().map(|l| l.into_report())
-    }
-
-    /// Switches on per-home-node update accounting. Passive like lineage:
-    /// classifications are mirrored into per-home buckets, nothing else
-    /// changes.
-    pub fn enable_home_stats(&mut self) {
-        self.home_updates = Some(Box::new(HomeUpdates::new(self.geom.num_nodes)));
-    }
-
-    /// Detaches the per-home update accounting. Call after
+    /// Detaches the lineage report, its blocks labelled with the registered
+    /// structures, and the per-home update accounting. Call after
     /// [`Classifier::finish`] so end-of-run classifications are included.
-    pub fn take_home_stats(&mut self) -> Option<HomeUpdates> {
-        self.home_updates.take().map(|h| *h)
+    pub fn take_observation(&mut self) -> Option<(LineageReport, HomeUpdates)> {
+        let o = self.observation.take()?;
+        let block_bytes = self.geom.block_bytes;
+        let label_of = |block: BlockAddr| {
+            let (lo, hi) = (block.0, block.0 + block_bytes);
+            let i = self.structures.iter().rposition(|r| r.lo < hi && lo < r.hi)?;
+            Some(self.report.by_structure[i].name.clone())
+        };
+        Some((o.lineage.into_report(label_of), o.homes))
     }
 
     /// `node` entered program `phase` (bridged from the machine's `Phase`
     /// markers so provenance events carry the acting node's phase).
     pub fn set_phase(&mut self, node: NodeId, phase: u16) {
-        if let Some(l) = self.lineage.as_mut() {
-            l.set_phase(node, phase);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.set_phase(node, phase);
         }
     }
 
@@ -185,8 +183,8 @@ impl Classifier {
         msg: &'static str,
         now: Cycle,
     ) {
-        if let Some(l) = self.lineage.as_mut() {
-            l.dir_transition(block, from, to, actor, msg, now);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.dir_transition(block, from, to, actor, msg, now);
         }
     }
 
@@ -194,12 +192,10 @@ impl Classifier {
     /// or a competitive-threshold `dropped`). Record the writer→victim edge
     /// before [`Classifier::update_delivered`] / `update_caused_drop` runs.
     pub fn update_arrival(&mut self, node: NodeId, addr: Addr, writer: NodeId, dropped: bool, now: Cycle) {
-        if let Some(l) = self.lineage.as_mut() {
+        if let Some(o) = self.observation.as_mut() {
             let block = self.geom.block_of(addr);
-            l.update_arrival(node, block, writer, dropped, now);
-        }
-        if let Some(h) = self.home_updates.as_mut() {
-            let d = &mut h.deliveries[self.geom.home_of(addr)];
+            o.lineage.update_arrival(node, block, writer, dropped, now);
+            let d = &mut o.homes.deliveries[self.geom.home_of(addr)];
             if dropped {
                 d.1 += 1;
             } else {
@@ -221,9 +217,6 @@ impl Classifier {
             misses: Default::default(),
             updates: Default::default(),
         });
-        if let Some(l) = self.lineage.as_mut() {
-            l.register_structure(name, addr, addr + 4 * words);
-        }
     }
 
     /// The registration index of the structure covering `addr`, if any
@@ -245,8 +238,8 @@ impl Classifier {
         if let Some(i) = self.structure_of(addr) {
             self.report.by_structure[i].misses.bump(class);
         }
-        if let Some(l) = self.lineage.as_mut() {
-            l.mirror_miss(self.geom.block_of(addr), class);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.mirror_miss(self.geom.block_of(addr), class);
         }
     }
 
@@ -255,11 +248,9 @@ impl Classifier {
         if let Some(i) = self.structure_of(addr) {
             self.report.by_structure[i].updates.bump(class);
         }
-        if let Some(l) = self.lineage.as_mut() {
-            l.mirror_update(self.geom.block_of(addr), class);
-        }
-        if let Some(h) = self.home_updates.as_mut() {
-            h.classified[self.geom.home_of(addr)].bump(class);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.mirror_update(self.geom.block_of(addr), class);
+            o.homes.classified[self.geom.home_of(addr)].bump(class);
         }
     }
 
@@ -293,8 +284,8 @@ impl Classifier {
     /// A write to `addr` by `writer` became globally visible.
     pub fn word_written(&mut self, writer: NodeId, addr: Addr, now: Cycle) {
         self.last_writer.insert(addr, (writer, now));
-        if let Some(l) = self.lineage.as_mut() {
-            l.note_write(writer, self.geom.block_of(addr));
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.note_write(writer, self.geom.block_of(addr));
         }
     }
 
@@ -314,12 +305,12 @@ impl Classifier {
     /// (replacement updates, or leftover records at a drop/flush).
     pub fn copy_lost(&mut self, node: NodeId, block: BlockAddr, cause: LossCause, now: Cycle) {
         self.copy(node, block).lost = Some((now, cause));
-        if let Some(l) = self.lineage.as_mut() {
+        if let Some(o) = self.observation.as_mut() {
             match cause {
                 LossCause::External { word_addr, writer } => {
-                    l.invalidation(node, block, writer, word_addr, now)
+                    o.lineage.invalidation(node, block, writer, word_addr, now)
                 }
-                LossCause::Eviction | LossCause::SelfInvalidate => l.copy_lost_local(node, block),
+                LossCause::Eviction | LossCause::SelfInvalidate => o.lineage.copy_lost_local(node, block),
             }
         }
         if let Some(records) = self.live_updates.remove(&(node, block)) {
@@ -350,8 +341,8 @@ impl Classifier {
         if let Some(i) = self.structure_of(block.0) {
             self.report.by_structure[i].misses.exclusive_requests += 1;
         }
-        if let Some(l) = self.lineage.as_mut() {
-            l.mirror_exclusive(block);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.mirror_exclusive(block);
         }
     }
 
@@ -387,8 +378,8 @@ impl Classifier {
                 }
             }
         };
-        if let Some(l) = self.lineage.as_mut() {
-            l.miss(node, block, addr, class, now);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.miss(node, block, addr, class, now);
         }
         self.bump_miss(addr, class);
         class
@@ -427,8 +418,8 @@ impl Classifier {
     pub fn word_referenced(&mut self, node: NodeId, addr: Addr) {
         let block = self.geom.block_of(addr);
         let bit = 1u16 << self.geom.word_index(addr);
-        if let Some(l) = self.lineage.as_mut() {
-            l.note_read(node, block);
+        if let Some(o) = self.observation.as_mut() {
+            o.lineage.note_read(node, block);
         }
         let mut consumed = false;
         if let Some(records) = self.live_updates.get_mut(&(node, block)) {
@@ -973,7 +964,8 @@ mod tests {
     fn lineage_is_passive_and_mirrors_balance() {
         let mut plain = classifier();
         let mut observed = classifier();
-        observed.enable_lineage();
+        observed.enable_observation();
+        observed.register_structure("w0", W0, 1);
         for c in [&mut plain, &mut observed] {
             c.classify_miss(0, W0, 0);
             c.copy_acquired(0, BlockAddr(B));
@@ -989,10 +981,15 @@ mod tests {
         assert_eq!(plain.report().updates, observed.report().updates);
         let misses = observed.report().misses;
         let updates = observed.report().updates;
-        let lin = observed.take_lineage().expect("lineage enabled");
+        let (lin, _) = observed.take_observation().expect("observation enabled");
         assert_eq!(lin.miss_totals(), misses, "per-block miss mirrors balance");
         assert_eq!(lin.update_totals(), updates, "per-block update mirrors balance");
         assert!(lin.blocks[0].provenance.is_some(), "true-sharing miss carries its chain");
+        assert_eq!(
+            lin.blocks[0].label.as_deref(),
+            Some("w0"),
+            "blocks take the classifier's structure names"
+        );
     }
 }
 
@@ -1043,7 +1040,7 @@ mod attribution_tests {
         let geom = Geometry::new(4);
         let mut plain = Classifier::new(geom);
         let mut observed = Classifier::new(geom);
-        observed.enable_home_stats();
+        observed.enable_observation();
         for c in [&mut plain, &mut observed] {
             c.update_arrival(0, B, 1, false, 5);
             c.update_delivered(0, B);
@@ -1055,7 +1052,7 @@ mod attribution_tests {
             c.finish();
         }
         assert_eq!(plain.report().updates, observed.report().updates, "home stats are passive");
-        let h = observed.take_home_stats().expect("home stats enabled");
+        let (_, h) = observed.take_observation().expect("observation enabled");
         let mut merged = UpdateStats::default();
         for s in &h.classified {
             merged.merge(s);
@@ -1063,7 +1060,7 @@ mod attribution_tests {
         assert_eq!(merged, observed.report().updates, "per-home buckets balance the totals");
         let home = geom.home_of(B);
         assert_eq!(h.deliveries[home], (2, 1), "applied and dropped arrivals bucket by home");
-        assert!(observed.take_home_stats().is_none(), "taking detaches");
+        assert!(observed.take_observation().is_none(), "taking detaches");
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Critical-path and synchronization-episode profiling.
 //!
-//! PR 1's stall accounting says how many cycles each processor lost to each
-//! stall class; the paper's argument (Sections 3–4) is about which of those
+//! Stall accounting says how many cycles each processor lost to each stall
+//! class; the paper's argument (Sections 3–4) is about which of those
 //! stalls *determined wall clock*: the handoff chain of a contended lock,
 //! the last arriver of a barrier, the remote miss a release had to fund.
 //! This module answers that question per run, with bounded memory.
 //!
-//! The [`CritCollector`] lives in the machine (enabled only when
-//! `MachineConfig::obs` is on) and is fed from three kinds of choke points:
+//! Its state lives in the one [`ObsCollector`] (built only when
+//! `MachineConfig::obs` is on), and its facts are `ObsCollector` methods
+//! defined here. They come from three kinds of choke points:
 //!
-//! * every processor state transition (the same `set_state` choke point
-//!   that feeds [`crate::ObsCollector`]), maintaining per-node cumulative
-//!   [`CycleAccount`]s used for windowed class deltas;
+//! * every processor state transition: the collector's one per-node
+//!   cursor extends each node's chain as it charges the stall account, and
+//!   yields the cumulative [`CycleAccount`]s used for windowed class
+//!   deltas;
 //! * the zero-cost `Instr::Sync` episode markers the kernels emit
 //!   (acquire-attempt / acquired / released / barrier-arrive /
 //!   barrier-depart), plus synthetic events for the magic lock/barrier
@@ -21,33 +23,34 @@
 //!   **episodes** (arrival imbalance, last-arriver identity,
 //!   release-broadcast fanout latency);
 //! * wait-ending causal edges (spin-loop exit, read-miss fill, atomic
-//!   completion), resolved to the last writer of the spun/missed word via
-//!   the classifier.
+//!   completion), resolved by the machine to the last writer of the
+//!   spun/missed word via the classifier.
 //!
 //! On top of the event stream each node carries a **streaming chain
 //! summary**: a decomposition of `[0, now)` into segments along the causal
 //! path that ends at that node, each segment attributed to a stall class, a
-//! program phase, a structure label, and the causal edge kind that started
-//! it. At a wait-ending edge the waiter *adopts* the source node's chain
+//! program phase, a label (a registered structure, by the classifier's
+//! index, or a lock or barrier), and the causal edge kind that started it.
+//! At a wait-ending edge the waiter *adopts* the source node's chain
 //! (last-to-arrive rule) plus a transfer segment covering the wait — no DAG
 //! is retained; the chain is a bounded ring of recent segments plus
 //! elided-cycle counters, and a whole-chain composition by class / phase /
-//! label / edge. By construction every chain's composition sums exactly to
-//! its head cycle, so the final critical path reconciles against the stall
+//! label / edge. Labels get their names, merged by name, when the report is
+//! built. By construction every chain's composition sums exactly to its
+//! head cycle, so the final critical path reconciles against the stall
 //! accounting: total chain cycles equal the wall clock and per-phase chain
 //! cycles never exceed the phase's accounted wall clock (asserted in
 //! `tests/crit_path.rs`).
 //!
-//! Everything is passive bookkeeping behind an `Option` in the machine:
-//! obs-off runs do not construct a collector and are byte-identical.
+//! Everything is passive bookkeeping: obs-off runs build no collector and
+//! are byte-identical.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use sim_engine::{Cycle, NodeId};
-use sim_mem::Addr;
 
 use crate::json::Json;
-use crate::obs::{CpuClass, CycleAccount, CPU_CLASSES};
+use crate::obs::{CpuClass, CycleAccount, ObsCollector, CPU_CLASSES};
 
 /// Cap on stored per-lock handoff and per-barrier episode records
 /// (aggregates keep accumulating past it; only the record lists are
@@ -148,16 +151,45 @@ impl Episode {
     }
 }
 
+/// What a chain segment is charged to besides its class and phase. Names
+/// are resolved, and merged by name, when the report is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Label {
+    /// A registered structure, by the classifier's registration index.
+    Structure(usize),
+    /// A lock (`lock<id>`).
+    Lock(u32),
+    /// A barrier (`barrier<id>`).
+    Barrier(u32),
+}
+
+impl Label {
+    fn name(self, structures: &[&str]) -> String {
+        match self {
+            Label::Structure(i) => structures[i].to_string(),
+            Label::Lock(id) => format!("lock{id}"),
+            Label::Barrier(id) => format!("barrier{id}"),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
-struct Seg {
+pub(crate) struct Seg {
     node: NodeId,
     class: CpuClass,
     start: Cycle,
     end: Cycle,
     phase: u16,
-    label: Option<u32>,
+    label: Option<Label>,
     edge: Option<&'static str>,
     from: Option<NodeId>,
+}
+
+impl Seg {
+    /// Node `node`'s own time `[start, end)` in `class` under `phase`.
+    pub(crate) fn plain(node: NodeId, class: CpuClass, start: Cycle, end: Cycle, phase: u16) -> Self {
+        Seg { node, class, start, end, phase, label: None, edge: None, from: None }
+    }
 }
 
 /// A small map kept as a `Vec` sorted by key. A key stays once added,
@@ -184,11 +216,11 @@ fn count_down<K: Ord + Copy>(counts: &mut SortedCounts<K>, key: K, dt: u64) {
 /// causal path, with whole-chain composition counters and a bounded
 /// segment tail.
 #[derive(Debug)]
-struct Chain {
-    head: Cycle,
+pub(crate) struct Chain {
+    pub(crate) head: Cycle,
     by_class: CycleAccount,
     by_phase: SortedCounts<u16>,
-    by_label: SortedCounts<u32>,
+    by_label: SortedCounts<Label>,
     by_edge: SortedCounts<&'static str>,
     segments: VecDeque<Seg>,
     elided: u64,
@@ -196,7 +228,7 @@ struct Chain {
 }
 
 impl Chain {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Chain {
             head: 0,
             by_class: CycleAccount::default(),
@@ -223,7 +255,7 @@ impl Chain {
         self.cross_edges = source.cross_edges;
     }
 
-    fn push(&mut self, seg: Seg) {
+    pub(crate) fn push(&mut self, seg: Seg) {
         debug_assert!(seg.start == self.head, "chain segments must be contiguous");
         let dt = seg.end.saturating_sub(seg.start);
         if dt == 0 {
@@ -307,41 +339,7 @@ impl Chain {
 }
 
 #[derive(Debug)]
-struct NodeCrit {
-    class: CpuClass,
-    prev_class: CpuClass,
-    phase: u16,
-    since: Cycle,
-    account: CycleAccount,
-    chain: Chain,
-}
-
-impl NodeCrit {
-    fn new() -> Self {
-        NodeCrit {
-            class: CpuClass::Busy,
-            prev_class: CpuClass::Busy,
-            phase: 0,
-            since: 0,
-            account: CycleAccount::default(),
-            chain: Chain::new(),
-        }
-    }
-
-    /// The cumulative account advanced (without mutation) to `at`.
-    fn account_at(&self, at: Cycle) -> CycleAccount {
-        let mut a = self.account;
-        if at > self.since {
-            a.add(self.class, at - self.since);
-        }
-        a
-    }
-}
-
-#[derive(Debug)]
 struct LockState {
-    /// Interned `lock<id>` label for handoff segments.
-    label: u32,
     holder: Option<(NodeId, Cycle)>,
     /// Attempt start + account snapshot per contending node, by node; the
     /// snapshot is re-taken at each release so Acquired can delta the
@@ -361,9 +359,8 @@ struct LockState {
 }
 
 impl LockState {
-    fn new(label: u32, num_nodes: usize) -> Self {
+    fn new(num_nodes: usize) -> Self {
         LockState {
-            label,
             holder: None,
             attempts: vec![None; num_nodes],
             last_release: None,
@@ -393,8 +390,6 @@ struct EpisodeAcc {
 
 #[derive(Debug)]
 struct BarrierState {
-    /// Interned `barrier<id>` label for release segments.
-    label: u32,
     arrive_epoch: Vec<u64>,
     depart_epoch: Vec<u64>,
     open: BTreeMap<u64, EpisodeAcc>,
@@ -409,9 +404,8 @@ struct BarrierState {
 }
 
 impl BarrierState {
-    fn new(label: u32, num_nodes: usize) -> Self {
+    fn new(num_nodes: usize) -> Self {
         BarrierState {
-            label,
             arrive_epoch: vec![0; num_nodes],
             depart_epoch: vec![0; num_nodes],
             open: BTreeMap::new(),
@@ -427,127 +421,44 @@ impl BarrierState {
     }
 }
 
-/// The live profiler the machine drives during an observed run. Turned
-/// into a [`CritReport`] by [`CritCollector::finish`].
+/// The profiler's state beyond the collector's per-node cursors and chains.
 #[derive(Debug)]
-pub struct CritCollector {
-    nodes: Vec<NodeCrit>,
+pub(crate) struct CritState {
     locks: BTreeMap<u32, LockState>,
     barriers: BTreeMap<u32, BarrierState>,
-    /// Registered structure ranges `(label, lo, hi)`, in registration order.
-    structures: Vec<(u32, Addr, Addr)>,
-    /// Interned segment labels, by label id.
-    labels: Vec<String>,
     /// The chain an adopting node is assembled in before it swaps with the
     /// node's own, so adoption reuses buffers instead of cloning.
     scratch: Chain,
     last_halt: Option<(Cycle, NodeId)>,
 }
 
-/// The id of label `name`, interning it on first sight. Labels are few and
-/// interned only at registration or a lock's or barrier's first event.
-fn intern(labels: &mut Vec<String>, name: &str) -> u32 {
-    let id = labels.iter().position(|l| l == name).unwrap_or_else(|| {
-        labels.push(name.to_string());
-        labels.len() - 1
-    });
-    id as u32
-}
-
-impl CritCollector {
-    /// A collector for a machine of `num_nodes` processors.
-    pub fn new(num_nodes: usize) -> Self {
-        CritCollector {
-            nodes: (0..num_nodes).map(|_| NodeCrit::new()).collect(),
+impl CritState {
+    pub(crate) fn new() -> Self {
+        CritState {
             locks: BTreeMap::new(),
             barriers: BTreeMap::new(),
-            structures: Vec::new(),
-            labels: Vec::new(),
             scratch: Chain::new(),
             last_halt: None,
         }
     }
 
-    /// Mirrors `Classifier::register_structure` so chain segments can carry
-    /// structure labels. Ranges are half-open; later registrations win.
-    pub fn register_structure(&mut self, name: &str, lo: Addr, hi: Addr) {
-        let label = intern(&mut self.labels, name);
-        self.structures.push((label, lo, hi));
-    }
-
-    fn label_of_addr(&self, addr: Addr) -> Option<u32> {
-        self.structures
-            .iter()
-            .rev()
-            .find(|&&(_, lo, hi)| (lo..hi).contains(&addr))
-            .map(|&(label, _, _)| label)
-    }
-
-    /// The node's cumulative account advanced (without mutation) to `at`.
-    fn account_at(&self, n: NodeId, at: Cycle) -> CycleAccount {
-        self.nodes[n].account_at(at)
-    }
-
-    /// Attributes node `n`'s open interval `[since, at)` to its current
-    /// class, extending both its cumulative account and its chain.
-    fn attribute(&mut self, n: NodeId, at: Cycle) {
-        let nc = &mut self.nodes[n];
-        debug_assert!(at >= nc.since, "crit accounting moved backwards");
-        if at > nc.since {
-            let dt = at - nc.since;
-            nc.account.add(nc.class, dt);
-            let seg = Seg {
-                node: n,
-                class: nc.class,
-                start: nc.since,
-                end: at,
-                phase: nc.phase,
-                label: None,
-                edge: None,
-                from: None,
-            };
-            nc.chain.push(seg);
-            nc.since = at;
+    /// Node `n` halted at `at`; the latest halt carries the critical path.
+    pub(crate) fn note_halt(&mut self, n: NodeId, at: Cycle) {
+        if self.last_halt.map_or(true, |(t, _)| at >= t) {
+            self.last_halt = Some((at, n));
         }
     }
 
-    /// Starts node `n`'s account at `class` as of `at` without charging
-    /// the elapsed interval — cursor alignment for windowed replay from a
-    /// restored checkpoint (mirrors [`ObsCollector::align`]).
-    ///
-    /// [`ObsCollector::align`]: crate::obs::ObsCollector::align
-    pub fn align(&mut self, n: NodeId, class: CpuClass, at: Cycle) {
-        let nc = &mut self.nodes[n];
-        nc.class = class;
-        nc.prev_class = class;
-        nc.since = at;
-        nc.chain.head = at;
+    fn lock(&mut self, lock: u32, num_nodes: usize) -> &mut LockState {
+        self.locks.entry(lock).or_insert_with(|| LockState::new(num_nodes))
     }
 
-    /// Processor `n` enters `class` at cycle `at` (mirrors the
-    /// `ObsCollector::transition` choke point).
-    pub fn transition(&mut self, n: NodeId, class: CpuClass, at: Cycle) {
-        self.attribute(n, at);
-        let nc = &mut self.nodes[n];
-        nc.prev_class = nc.class;
-        nc.class = class;
-        if class == CpuClass::Halted {
-            let newest = match self.last_halt {
-                Some((t, _)) => at >= t,
-                None => true,
-            };
-            if newest {
-                self.last_halt = Some((at, n));
-            }
-        }
+    fn barrier(&mut self, barrier: u32, num_nodes: usize) -> &mut BarrierState {
+        self.barriers.entry(barrier).or_insert_with(|| BarrierState::new(num_nodes))
     }
+}
 
-    /// Processor `n` switches to program `phase` at cycle `at`.
-    pub fn set_phase(&mut self, n: NodeId, phase: u16, at: Cycle) {
-        self.attribute(n, at);
-        self.nodes[n].phase = phase;
-    }
-
+impl ObsCollector {
     /// Replaces `n`'s chain with `src`'s chain filled to `src_at`, plus
     /// transfer segments covering `[.., now)` described by
     /// `(class, cycles)` pairs (in order; their sum is clamped to the
@@ -561,25 +472,16 @@ impl CritCollector {
         now: Cycle,
         splits: &[(CpuClass, u64)],
         edge: &'static str,
-        label: Option<u32>,
+        label: Option<Label>,
     ) {
-        self.attribute(n, now);
+        self.nodes[n].attribute(n, now, true);
         let s = &self.nodes[src];
         let (src_class, src_phase) = (s.class, s.phase);
-        self.scratch.copy_from(&s.chain);
-        let chain = &mut self.scratch;
+        self.crit.scratch.copy_from(&s.chain);
+        let chain = &mut self.crit.scratch;
         if src_at > chain.head {
             let start = chain.head;
-            chain.push(Seg {
-                node: src,
-                class: src_class,
-                start,
-                end: src_at,
-                phase: src_phase,
-                label: None,
-                edge: None,
-                from: None,
-            });
+            chain.push(Seg::plain(src, src_class, start, src_at, src_phase));
         } else if !chain.truncate(src_at) {
             // The source ran so far past the causal event that its chain's
             // retained tail no longer reaches back to it; keep the waiter's
@@ -623,27 +525,28 @@ impl CritCollector {
             });
         }
         chain.cross_edges += u64::from(src != n);
-        std::mem::swap(&mut self.nodes[n].chain, &mut self.scratch);
+        std::mem::swap(&mut self.nodes[n].chain, &mut self.crit.scratch);
     }
 
     /// A wait by `n` ended at `at`: a spin loop exited, a read miss filled,
-    /// or an atomic completed, on `addr`, causally after `writer`'s write
-    /// at `write_at` (from the classifier's last-writer map). Call after
-    /// the wait-ending `transition`.
+    /// or an atomic completed, on a word of the registered `structure` (the
+    /// classifier's index, if any), causally after `writer`'s write at
+    /// `write_at` (from the classifier's last-writer map). Call after the
+    /// wait-ending `transition`.
     pub fn wait_ended(
         &mut self,
         n: NodeId,
         writer: NodeId,
         write_at: Cycle,
-        addr: Addr,
+        structure: Option<usize>,
         kind: WaitKind,
         at: Cycle,
     ) {
         if writer == n || write_at > at {
             return;
         }
-        let label = self.label_of_addr(addr);
         let class = self.nodes[n].prev_class;
+        let label = structure.map(Label::Structure);
         self.merge_from(n, writer, write_at, at, &[(class, u64::MAX)], kind.edge(), label);
     }
 
@@ -651,34 +554,25 @@ impl CritCollector {
     // Lock episodes
     // ------------------------------------------------------------------
 
-    fn lock(&mut self, lock: u32) -> &mut LockState {
-        let (labels, num_nodes) = (&mut self.labels, self.nodes.len());
-        self.locks
-            .entry(lock)
-            .or_insert_with(|| LockState::new(intern(labels, &format!("lock{lock}")), num_nodes))
-    }
-
     /// Node `n` starts contending for `lock` at `at`.
     pub fn lock_attempt(&mut self, n: NodeId, lock: u32, at: Cycle) {
-        let snap = self.account_at(n, at);
-        self.lock(lock).attempts[n] = Some((at, snap));
+        let snap = self.nodes[n].account_at(at);
+        self.crit.lock(lock, self.nodes.len()).attempts[n] = Some((at, snap));
     }
 
     /// Node `n` observes itself as the holder of `lock` at `at`. Produces
     /// a handoff record (and a chain adoption from the releaser) when a
     /// release precedes this acquire.
     pub fn lock_acquired(&mut self, n: NodeId, lock: u32, at: Cycle) {
-        let (attempt, release) = {
-            let ls = self.lock(lock);
-            ls.acquires += 1;
-            let attempt = ls.attempts[n].take();
-            let release = ls.last_release.take();
-            ls.holder = Some((n, at));
-            (attempt, release)
-        };
+        let ls = self.crit.lock(lock, self.nodes.len());
+        ls.acquires += 1;
+        let attempt = ls.attempts[n].take();
+        let release = ls.last_release.take();
+        ls.holder = Some((n, at));
         let Some((from, released_at, hold)) = release else { return };
-        let (attempt_at, snap) = attempt.unwrap_or_else(|| (at, self.account_at(n, released_at.min(at))));
-        let end = self.account_at(n, at);
+        let node = &self.nodes[n];
+        let (attempt_at, snap) = attempt.unwrap_or_else(|| (at, node.account_at(released_at.min(at))));
+        let end = node.account_at(at);
         let delta = |c: CpuClass| end.get(c).saturating_sub(snap.get(c));
         // The split covers the whole release→acquire window; when the
         // acquirer only showed up after the release, the pre-attempt slack
@@ -700,7 +594,6 @@ impl CritCollector {
             remote_miss,
             other,
         };
-        let label = self.lock(lock).label;
         self.merge_from(
             n,
             from,
@@ -712,9 +605,9 @@ impl CritCollector {
                 (CpuClass::Busy, other),
             ],
             "handoff",
-            Some(label),
+            Some(Label::Lock(lock)),
         );
-        let ls = self.lock(lock);
+        let ls = self.crit.lock(lock, self.nodes.len());
         ls.handoff_count += 1;
         ls.queue_wait += rec.queue_wait;
         ls.release_visibility += release_visibility;
@@ -732,8 +625,7 @@ impl CritCollector {
     /// contender's account so the next acquire can split the handoff
     /// window by stall class.
     pub fn lock_released(&mut self, n: NodeId, lock: u32, at: Cycle) {
-        self.lock(lock);
-        let ls = self.locks.get_mut(&lock).expect("created above");
+        let ls = self.crit.lock(lock, self.nodes.len());
         let hold = match ls.holder.take() {
             Some((h, since)) if h == n => at.saturating_sub(since),
             other => {
@@ -754,16 +646,9 @@ impl CritCollector {
     // Barrier episodes
     // ------------------------------------------------------------------
 
-    fn barrier(&mut self, barrier: u32) -> &mut BarrierState {
-        let (labels, num_nodes) = (&mut self.labels, self.nodes.len());
-        self.barriers
-            .entry(barrier)
-            .or_insert_with(|| BarrierState::new(intern(labels, &format!("barrier{barrier}")), num_nodes))
-    }
-
     /// Node `n` reaches `barrier` at `at`.
     pub fn barrier_arrive(&mut self, n: NodeId, barrier: u32, at: Cycle) {
-        let bs = self.barrier(barrier);
+        let bs = self.crit.barrier(barrier, self.nodes.len());
         let epoch = bs.arrive_epoch[n];
         bs.arrive_epoch[n] += 1;
         let acc = bs.open.entry(epoch).or_insert(EpisodeAcc {
@@ -786,16 +671,15 @@ impl CritCollector {
     /// last arriver's chain (the node everyone waited for) and closes the
     /// episode once every participant departed.
     pub fn barrier_depart(&mut self, n: NodeId, barrier: u32, at: Cycle) {
-        let num_nodes = self.nodes.len() as u32;
-        let bs = self.barrier(barrier);
+        let num_nodes = self.nodes.len();
+        let bs = self.crit.barrier(barrier, num_nodes);
         let epoch = bs.depart_epoch[n];
         bs.depart_epoch[n] += 1;
         let Some(acc) = bs.open.get_mut(&epoch) else { return };
         acc.departs += 1;
         acc.last_depart = acc.last_depart.max(at);
-        let complete = acc.arrivals == num_nodes;
+        let complete = acc.arrivals == num_nodes as u32;
         let acc = *acc;
-        let label = bs.label;
         let done = acc.departs == acc.arrivals && complete;
         if done {
             let rec = Episode {
@@ -827,7 +711,7 @@ impl CritCollector {
                 at,
                 &[(CpuClass::BarrierWait, u64::MAX)],
                 "barrier-release",
-                Some(label),
+                Some(Label::Barrier(barrier)),
             );
         }
     }
@@ -836,21 +720,22 @@ impl CritCollector {
     // Finalization
     // ------------------------------------------------------------------
 
-    /// Closes every node's chain at `wall` and freezes the report. The
-    /// critical path is the chain of the last-halting node.
-    pub fn finish(mut self, wall: Cycle) -> CritReport {
-        for n in 0..self.nodes.len() {
-            self.attribute(n, wall);
-        }
-        let crit_node = self.last_halt.map(|(_, n)| n).unwrap_or(0);
+    /// Freezes the profile once every chain is closed at `wall`. The
+    /// critical path is the chain of the last-halting node; `structures`
+    /// names the classifier's registered structures, by index.
+    pub(crate) fn crit_report(&self, wall: Cycle, structures: &[&str]) -> CritReport {
+        let crit_node = self.crit.last_halt.map(|(_, n)| n).unwrap_or(0);
         let chain = &self.nodes[crit_node].chain;
-        let resolve = |id: &u32| self.labels[*id as usize].clone();
+        let mut by_label: BTreeMap<String, u64> = BTreeMap::new();
+        for &(label, cycles) in &chain.by_label {
+            *by_label.entry(label.name(structures)).or_default() += cycles;
+        }
         let critical_path = ChainReport {
             node: crit_node,
             wall,
             by_class: chain.by_class,
             by_phase: chain.by_phase.iter().copied().collect(),
-            by_label: chain.by_label.iter().map(|(id, c)| (resolve(id), *c)).collect(),
+            by_label,
             by_edge: chain.by_edge.iter().copied().collect(),
             cross_edges: chain.cross_edges,
             elided_cycles: chain.elided,
@@ -863,13 +748,14 @@ impl CritCollector {
                     start: s.start,
                     end: s.end,
                     phase: s.phase,
-                    label: s.label.map(|id| resolve(&id)),
+                    label: s.label.map(|l| l.name(structures)),
                     edge: s.edge,
                     from: s.from,
                 })
                 .collect(),
         };
         let locks = self
+            .crit
             .locks
             .iter()
             .map(|(&lock, ls)| LockReport {
@@ -887,6 +773,7 @@ impl CritCollector {
             })
             .collect();
         let barriers = self
+            .crit
             .barriers
             .iter()
             .map(|(&barrier, bs)| BarrierReport {
@@ -1161,8 +1048,12 @@ pub fn check_reconciliation(
 mod tests {
     use super::*;
 
-    fn crit(n: usize) -> CritCollector {
-        CritCollector::new(n)
+    fn crit(n: usize) -> ObsCollector {
+        ObsCollector::new(sim_net::MeshShape::for_nodes(n), &[])
+    }
+
+    fn finish(c: ObsCollector, wall: Cycle) -> CritReport {
+        c.finish_bare(wall).crit.expect("finish fills the profile in")
     }
 
     #[test]
@@ -1171,7 +1062,7 @@ mod tests {
         c.transition(0, CpuClass::ReadStall, 10);
         c.set_phase(0, 1, 20);
         c.transition(0, CpuClass::Busy, 35);
-        let r = c.finish(50);
+        let r = finish(c, 50);
         let cp = &r.critical_path;
         assert_eq!(cp.by_class.total(), 50);
         assert_eq!(cp.by_class.get(CpuClass::Busy), 10 + 15);
@@ -1182,17 +1073,21 @@ mod tests {
 
     #[test]
     fn wait_ended_adopts_writer_chain() {
+        let mut clf = crate::Classifier::new(sim_mem::Geometry::new(2));
+        clf.register_structure("flag", 0x100, 1);
+        clf.register_structure("counter", 0x80, 1);
         let mut c = crit(2);
-        c.register_structure("flag", 0x100, 0x104);
         // Node 1 spins from cycle 5; node 0 works, writes at 40.
         c.transition(1, CpuClass::BarrierWait, 5);
         c.transition(0, CpuClass::Busy, 40);
         // Spin exits at 60.
         c.transition(1, CpuClass::Busy, 60);
-        c.wait_ended(1, 0, 40, 0x100, WaitKind::SpinFill, 60);
+        c.wait_ended(1, 0, 40, clf.structure_of(0x100), WaitKind::SpinFill, 60);
         c.transition(0, CpuClass::Halted, 70);
         c.transition(1, CpuClass::Halted, 80);
-        let r = c.finish(80);
+        clf.finish();
+        let net = sim_net::Network::new(2, sim_net::NetConfig::default());
+        let r = c.finish(80, vec![Default::default(); 2], &net, &mut clf).crit.unwrap();
         let cp = &r.critical_path;
         assert_eq!(cp.node, 1, "last halter carries the path");
         assert_eq!(cp.by_class.total(), 80);
@@ -1201,6 +1096,7 @@ mod tests {
         assert_eq!(cp.by_class.get(CpuClass::BarrierWait), 20, "transfer keeps the waiter's class");
         assert_eq!(cp.cross_edges, 1);
         assert_eq!(cp.by_edge["spin-fill"], 20);
+        assert_eq!(cp.by_label.keys().collect::<Vec<_>>(), ["flag"], "labelled by the classifier's index");
         assert_eq!(cp.by_label["flag"], 20);
         let edge_seg = cp.segments.iter().find(|s| s.edge.is_some()).unwrap();
         assert_eq!(edge_seg.from, Some(0));
@@ -1220,7 +1116,7 @@ mod tests {
         c.transition(1, CpuClass::ReadStall, 120);
         c.transition(1, CpuClass::Busy, 150);
         c.lock_acquired(1, 7, 160);
-        let r = c.finish(200);
+        let r = finish(c, 200);
         let l = r.lock(7).expect("lock report");
         assert_eq!(l.acquires, 2);
         assert_eq!(l.handoffs, 1);
@@ -1234,6 +1130,28 @@ mod tests {
         assert_eq!(h.other, 10, "busy 150→160");
     }
 
+    /// Windowed replay aligns every cursor at the restore cycle: the
+    /// chains, including one adopted from a node that has not moved since,
+    /// cover the window and nothing before it.
+    #[test]
+    fn aligned_chains_cover_only_the_window() {
+        let mut c = crit(2);
+        c.align(0, CpuClass::Busy, 100);
+        c.align(1, CpuClass::BarrierWait, 100);
+        // Node 0 writes at 150 without a transition; node 1's spin exits.
+        c.transition(1, CpuClass::Busy, 160);
+        c.wait_ended(1, 0, 150, None, WaitKind::SpinFill, 160);
+        c.transition(0, CpuClass::Halted, 170);
+        c.transition(1, CpuClass::Halted, 180);
+        let r = finish(c, 180);
+        let cp = &r.critical_path;
+        assert_eq!(cp.node, 1);
+        assert_eq!(cp.by_class.total(), 80, "the window [100, 180)");
+        assert_eq!(cp.segments.first().map(|s| s.start), Some(100));
+        assert_eq!(cp.by_class.get(CpuClass::Busy), 50 + 20, "node 0 to the write, node 1 after the spin");
+        assert_eq!(cp.by_class.get(CpuClass::BarrierWait), 10, "the adopted wait");
+    }
+
     #[test]
     fn adopting_a_source_that_ran_ahead_rewinds_its_chain() {
         let mut c = crit(2);
@@ -1244,10 +1162,10 @@ mod tests {
         c.transition(0, CpuClass::ReadStall, 70);
         c.transition(0, CpuClass::Busy, 100);
         c.transition(1, CpuClass::Busy, 60);
-        c.wait_ended(1, 0, 40, 0x100, WaitKind::SpinFill, 60);
+        c.wait_ended(1, 0, 40, None, WaitKind::SpinFill, 60);
         c.transition(0, CpuClass::Halted, 110);
         c.transition(1, CpuClass::Halted, 120);
-        let r = c.finish(120);
+        let r = finish(c, 120);
         let cp = &r.critical_path;
         assert_eq!(cp.node, 1);
         assert_eq!(cp.by_class.total(), 120, "rewound adoption still covers the run");
@@ -1269,7 +1187,7 @@ mod tests {
         c.barrier_depart(1, 0, 55);
         c.barrier_depart(0, 0, 60);
         c.barrier_depart(2, 0, 70);
-        let r = c.finish(100);
+        let r = finish(c, 100);
         let b = r.barrier(0).expect("barrier report");
         assert_eq!(b.episodes, 1);
         assert_eq!(b.incomplete, 0);
@@ -1290,7 +1208,7 @@ mod tests {
             c.barrier_depart(0, 0, t + 40);
             c.barrier_depart(1, 0, t + 35);
         }
-        let r = c.finish(400);
+        let r = finish(c, 400);
         let b = r.barrier(0).unwrap();
         assert_eq!(b.episodes, 3);
         assert_eq!(b.imbalance_cycles, 3 * 20);
@@ -1306,7 +1224,7 @@ mod tests {
             c.transition(0, CpuClass::Busy, t + 10);
         }
         let wall = (CHAIN_SEGMENT_CAP as u64 + 20) * 10;
-        let r = c.finish(wall);
+        let r = finish(c, wall);
         let cp = &r.critical_path;
         assert_eq!(cp.segments.len(), CHAIN_SEGMENT_CAP);
         assert!(cp.elided_cycles > 0);
@@ -1320,7 +1238,7 @@ mod tests {
         let mut c = crit(1);
         c.set_phase(0, 1, 30);
         c.transition(0, CpuClass::Halted, 90);
-        let r = c.finish(100);
+        let r = finish(c, 100);
         let mut totals: BTreeMap<u16, CycleAccount> = BTreeMap::new();
         totals.entry(0).or_default().add(CpuClass::Busy, 30);
         let mut p1 = CycleAccount::default();
@@ -1346,7 +1264,7 @@ mod tests {
         c.barrier_arrive(1, 0, 65);
         c.barrier_depart(0, 0, 70);
         c.barrier_depart(1, 0, 72);
-        let r = c.finish(100);
+        let r = finish(c, 100);
         let json = r.to_json(&|p| format!("ph{p}"));
         let parsed = Json::parse(&json.render()).unwrap();
         assert_eq!(

@@ -1177,20 +1177,16 @@ impl ReportDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{CpuClass, EndpointPairFlits, NodeGauges, ObsCollector, ObsConfig};
+    use crate::obs::{CpuClass, ObsCollector};
 
     fn tiny_report(stall: u64) -> ObsReport {
-        let mut c = ObsCollector::new(2, ObsConfig::enabled(), &["ReadShared"]);
-        c.count_msg(0, 30);
+        let mut c = ObsCollector::new(sim_net::MeshShape::for_nodes(2), &["ReadShared"]);
+        c.message_sent(0, 30, None);
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 10 + stall);
         c.transition(0, CpuClass::Halted, 90);
         c.transition(1, CpuClass::Halted, 80);
-        c.finish(
-            100,
-            vec![NodeGauges::default(), NodeGauges::default()],
-            vec![EndpointPairFlits { src: 0, dst: 1, flits: 8 }],
-        )
+        c.finish_bare(100)
     }
 
     #[test]

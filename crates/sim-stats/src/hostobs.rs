@@ -45,20 +45,16 @@ pub struct HostObsConfig {
     pub fingerprint: bool,
     /// Events per fingerprint epoch (the diff granularity).
     pub fingerprint_epoch: u64,
-    /// Queue-analytics sampling period, in popped events.
-    pub queue_sample_every: u64,
 }
 
 impl Default for HostObsConfig {
     fn default() -> Self {
-        HostObsConfig {
-            enabled: false,
-            fingerprint: false,
-            fingerprint_epoch: 8192,
-            queue_sample_every: 1024,
-        }
+        HostObsConfig { enabled: false, fingerprint: false, fingerprint_epoch: 8192 }
     }
 }
+
+/// Queue-analytics sampling period, in popped events.
+pub const QUEUE_SAMPLE_EVERY: u64 = 1024;
 
 impl HostObsConfig {
     /// Everything on, default periods (mirrors `ObsConfig::enabled`).
@@ -114,8 +110,10 @@ impl HostCat {
         }
     }
 
+    /// Position in [`HOST_CATS`], which lists the categories in
+    /// declaration order.
     fn index(self) -> usize {
-        HOST_CATS.iter().position(|&c| c == self).expect("category listed")
+        self as usize
     }
 }
 
@@ -131,10 +129,9 @@ pub struct CatAcct {
 /// Accumulates the host self-profile during a run. The machine calls
 /// [`HostProfiler::add`] around each dispatched event and
 /// [`HostProfiler::add_inner`] around nested network routing; queue
-/// analytics are sampled every [`HostObsConfig::queue_sample_every`] pops.
-#[derive(Debug)]
+/// analytics are sampled every [`QUEUE_SAMPLE_EVERY`] pops.
+#[derive(Debug, Default)]
 pub struct HostProfiler {
-    cfg: HostObsConfig,
     cats: [CatAcct; HOST_CATS.len()],
     /// Nanos charged to nested categories since the last
     /// [`HostProfiler::take_inner`], subtracted from the enclosing
@@ -147,17 +144,9 @@ pub struct HostProfiler {
 }
 
 impl HostProfiler {
-    /// A fresh profiler under `cfg`.
-    pub fn new(cfg: HostObsConfig) -> Self {
-        HostProfiler {
-            cfg,
-            cats: [CatAcct::default(); HOST_CATS.len()],
-            inner_nanos: 0,
-            pops: 0,
-            depth: LatencyHist::new(),
-            occupied_slots: LatencyHist::new(),
-            far_depth: LatencyHist::new(),
-        }
+    /// A fresh profiler.
+    pub fn new() -> Self {
+        HostProfiler::default()
     }
 
     /// Charges `nanos` (one call) to `cat`.
@@ -180,10 +169,10 @@ impl HostProfiler {
     }
 
     /// Counts one popped event; returns `true` when a queue-analytics
-    /// sample is due (every `queue_sample_every` pops, first pop included
-    /// so short runs still produce a sample).
+    /// sample is due (every [`QUEUE_SAMPLE_EVERY`] pops, first pop
+    /// included so short runs still produce a sample).
     pub fn note_pop(&mut self) -> bool {
-        let due = self.pops % self.cfg.queue_sample_every.max(1) == 0;
+        let due = self.pops % QUEUE_SAMPLE_EVERY == 0;
         self.pops += 1;
         due
     }
@@ -733,7 +722,7 @@ mod tests {
 
     #[test]
     fn profiler_partitions_nested_time() {
-        let mut p = HostProfiler::new(HostObsConfig::enabled());
+        let mut p = HostProfiler::new();
         p.add_inner(HostCat::NetRoute, 30);
         let inner = p.take_inner();
         assert_eq!(inner, 30);
@@ -757,9 +746,15 @@ mod tests {
 
     #[test]
     fn queue_sampling_period_is_honored() {
-        let mut p =
-            HostProfiler::new(HostObsConfig { enabled: true, queue_sample_every: 4, ..Default::default() });
-        let due: Vec<bool> = (0..9).map(|_| p.note_pop()).collect();
-        assert_eq!(due, [true, false, false, false, true, false, false, false, true]);
+        let mut p = HostProfiler::new();
+        let due: Vec<u64> = (0..3 * QUEUE_SAMPLE_EVERY + 1).filter(|_| p.note_pop()).collect();
+        assert_eq!(due, [0, 1, 2, 3].map(|k| k * QUEUE_SAMPLE_EVERY), "first pop, then every period");
+    }
+
+    #[test]
+    fn categories_index_in_report_order() {
+        for (i, c) in HOST_CATS.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{}", c.name());
+        }
     }
 }

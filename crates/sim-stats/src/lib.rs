@@ -23,11 +23,15 @@
 //! protocol code stays free of bookkeeping.
 //!
 //! The crate also hosts the machine-independent half of the observability
-//! subsystem: per-processor cycle accounting and phase breakdowns
-//! ([`obs`]), periodic gauge sampling ([`sampler`]), per-cache-line
-//! provenance and sharing-pattern classification ([`lineage`]), network
-//! and memory-back-end telemetry — message journeys, physical-link
-//! traffic, hot-home profiles ([`netobs`]) — Chrome `trace_event` export
+//! subsystem. `MachineConfig::obs` builds one collector, [`ObsCollector`],
+//! that the machine calls once per fact; its finished [`ObsReport`]
+//! carries per-processor cycle accounting and phase breakdowns ([`obs`]),
+//! periodic gauge samples ([`sampler`]), the critical path and sync
+//! episodes ([`crit`]), and network and memory-back-end telemetry —
+//! message journeys, physical-link traffic, hot-home profiles
+//! ([`netobs`]). Per-cache-line provenance and sharing-pattern
+//! classification ([`lineage`]) ride in the classifier, whose registered
+//! structures label all of them. Alongside sit Chrome `trace_event` export
 //! ([`chrome`]), host-side self-profiling and streaming determinism
 //! fingerprints ([`hostobs`]), and the dependency-free JSON value they all
 //! serialize through ([`json`]).
@@ -48,8 +52,8 @@ pub mod sampler;
 pub use chrome::{ChromeTrace, FlowPairer};
 pub use classify::{Classifier, HomeUpdates, LossCause};
 pub use crit::{
-    check_reconciliation, BarrierReport, ChainReport, ChainSegment, CritCollector, CritReport, Episode,
-    Handoff, LockReport, WaitKind,
+    check_reconciliation, BarrierReport, ChainReport, ChainSegment, CritReport, Episode, Handoff, LockReport,
+    WaitKind,
 };
 pub use diffobs::{
     Attribution, Counter, CritDelta, FingerprintCompare, HostDelta, LineageDelta, LockDelta, NetDelta,
@@ -58,7 +62,7 @@ pub use diffobs::{
 pub use hist::LatencyHist;
 pub use hostobs::{
     DivergenceDetail, FingerprintChain, FingerprintDivergence, FingerprintRecorder, HostCat, HostCatReport,
-    HostObsConfig, HostObsReport, HostProfiler, QueueReport, HOST_CATS,
+    HostObsConfig, HostObsReport, HostProfiler, QueueReport, HOST_CATS, QUEUE_SAMPLE_EVERY,
 };
 pub use json::Json;
 pub use lineage::{
@@ -66,12 +70,12 @@ pub use lineage::{
     SharingPattern, StructureLineage,
 };
 pub use netobs::{
-    check_net_reconciliation, HomeProfile, JourneyRec, JourneyTotals, NetObsCollector, NetObsReport,
-    PhysLinkFlits, JOURNEY_RECORD_CAP, LINK_SAMPLE_CAP, UNATTRIBUTED,
+    check_net_reconciliation, HomeProfile, JourneyRec, JourneyTotals, NetObsReport, PhysLinkFlits,
+    JOURNEY_RECORD_CAP, LINK_SAMPLE_CAP, UNATTRIBUTED,
 };
 pub use obs::{
     CpuClass, CycleAccount, EndpointPairFlits, NodeGauges, NodeObs, ObsCollector, ObsConfig, ObsReport,
-    StateSlice, CPU_CLASSES,
+    StateSlice, CPU_CLASSES, SAMPLE_INTERVAL,
 };
 pub use report::{MissClass, MissStats, StructureTraffic, TrafficReport, UpdateClass, UpdateStats};
 pub use sampler::{NodeSample, Sample, SampleRows, TimeSeries};

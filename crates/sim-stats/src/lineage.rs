@@ -35,10 +35,12 @@
 //! Per-class miss/update counts are mirrored per block at the classifier's
 //! single bump choke points, so the lineage totals balance against the
 //! [`crate::TrafficReport`] *by construction* (checked in `tests/lineage.rs`).
+//! Blocks are labelled with the classifier's registered structures when
+//! the report is frozen.
 //!
-//! Everything is passive bookkeeping behind an `Option`: when lineage is off
-//! (the default) the classifier does not even branch into this module, and
-//! outputs are byte-identical to a build without it.
+//! Everything is passive bookkeeping behind an `Option`: when observation
+//! is off (the default) the classifier does not even branch into this
+//! module, and outputs are byte-identical to a build without it.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -245,29 +247,23 @@ impl BlockAcc {
 pub struct Lineage {
     /// Current program phase per node.
     phase: Vec<u16>,
-    /// Bytes per cache block (for structure-label overlap tests).
-    block_bytes: Addr,
     blocks: FastMap<BlockAddr, BlockAcc>,
     /// Last external invalidation per (victim, block); consumed by the
     /// victim's next miss on the block.
     last_inval: FastMap<(NodeId, BlockAddr), InvalCause>,
     events: Vec<LineEvent>,
     events_dropped: u64,
-    /// Registered structure ranges `(name, lo, hi)`, in registration order.
-    structures: Vec<(String, Addr, Addr)>,
 }
 
 impl Lineage {
-    /// A recorder for a machine of `num_nodes` with `block_bytes` blocks.
-    pub fn new(num_nodes: usize, block_bytes: Addr) -> Self {
+    /// A recorder for a machine of `num_nodes`.
+    pub fn new(num_nodes: usize) -> Self {
         Lineage {
             phase: vec![0; num_nodes],
-            block_bytes,
             blocks: FastMap::default(),
             last_inval: FastMap::default(),
             events: Vec::new(),
             events_dropped: 0,
-            structures: Vec::new(),
         }
     }
 
@@ -285,11 +281,6 @@ impl Lineage {
 
     fn phase_of(&self, node: NodeId) -> u16 {
         self.phase.get(node).copied().unwrap_or(0)
-    }
-
-    /// Mirrors [`crate::Classifier::register_structure`].
-    pub fn register_structure(&mut self, name: &str, lo: Addr, hi: Addr) {
-        self.structures.push((name.to_string(), lo, hi));
     }
 
     /// Node `node` entered program `phase`.
@@ -430,18 +421,9 @@ impl Lineage {
         self.acc(block).misses.exclusive_requests += 1;
     }
 
-    /// The label of `block`: the last-registered structure overlapping it.
-    fn label_of(&self, block: BlockAddr) -> Option<String> {
-        let (blo, bhi) = (block.0, block.0 + self.block_bytes);
-        self.structures
-            .iter()
-            .rev()
-            .find(|(_, lo, hi)| *lo < bhi && blo < *hi)
-            .map(|(name, _, _)| name.clone())
-    }
-
-    /// Freezes accumulation into the end-of-run report.
-    pub fn into_report(self) -> LineageReport {
+    /// Freezes accumulation into the end-of-run report; `label_of` names
+    /// the registered structure overlapping a block, if any.
+    pub fn into_report(self, label_of: impl Fn(BlockAddr) -> Option<String>) -> LineageReport {
         let mut blocks: Vec<BlockProfile> = self
             .blocks
             .iter()
@@ -449,7 +431,7 @@ impl Lineage {
                 let changes = acc.writer_changes.max(1);
                 BlockProfile {
                     block,
-                    label: self.label_of(block),
+                    label: label_of(block),
                     pattern: acc.pattern(),
                     readers: acc.readers.count_ones(),
                     writers: acc.writers.count_ones(),
@@ -741,7 +723,17 @@ mod tests {
     const B: BlockAddr = BlockAddr(0x1000);
 
     fn lineage() -> Lineage {
-        Lineage::new(8, 64)
+        Lineage::new(8)
+    }
+
+    /// No block overlaps a registered structure.
+    fn unlabelled(_: BlockAddr) -> Option<String> {
+        None
+    }
+
+    /// Labels the blocks at the listed base addresses.
+    fn labelled(named: &'static [(Addr, &'static str)]) -> impl Fn(BlockAddr) -> Option<String> {
+        move |b| named.iter().find(|&&(a, _)| a == b.0).map(|&(_, name)| name.to_string())
     }
 
     #[test]
@@ -749,7 +741,7 @@ mod tests {
         let mut l = lineage();
         l.note_read(0, B);
         l.note_read(1, B);
-        let r = l.into_report();
+        let r = l.into_report(unlabelled);
         assert_eq!(r.blocks.len(), 1);
         assert_eq!(r.blocks[0].pattern, SharingPattern::ReadOnly);
         assert_eq!(r.blocks[0].readers, 2);
@@ -790,7 +782,7 @@ mod tests {
         l.note_write(1, B); // change #1 after 3 accesses
         l.note_read(1, B);
         l.note_write(0, B); // change #2 after 2 accesses
-        let r = l.into_report();
+        let r = l.into_report(unlabelled);
         let b = &r.blocks[0];
         assert_eq!(b.writer_changes, 2);
         // (3 + 2 + trailing 1) / 2 changes = 3.0
@@ -800,11 +792,10 @@ mod tests {
     #[test]
     fn miss_consumes_invalidation_memo_into_provenance() {
         let mut l = lineage();
-        l.register_structure("count", 0x1000, 0x1004);
         l.set_phase(2, 1);
         l.invalidation(5, B, 2, 0x1000, 100);
         l.miss(5, B, 0x1000, MissClass::TrueSharing, 120);
-        let r = l.into_report();
+        let r = l.into_report(labelled(&[(0x1000, "count")]));
         let p = r.blocks[0].provenance.expect("provenance recorded");
         assert_eq!(p.node, 5);
         assert_eq!(p.cause.writer, 2);
@@ -822,7 +813,7 @@ mod tests {
         l.invalidation(5, B, 2, 0x1000, 100);
         l.copy_lost_local(5, B); // evicted afterwards
         l.miss(5, B, 0x1000, MissClass::Eviction, 120);
-        let r = l.into_report();
+        let r = l.into_report(unlabelled);
         assert!(r.blocks[0].provenance.is_none());
     }
 
@@ -833,7 +824,7 @@ mod tests {
         l.mirror_miss(B, MissClass::TrueSharing);
         l.mirror_update(BlockAddr(0x2000), UpdateClass::Proliferation);
         l.mirror_exclusive(B);
-        let r = l.into_report();
+        let r = l.into_report(unlabelled);
         let m = r.miss_totals();
         assert_eq!(m.cold, 1);
         assert_eq!(m.true_sharing, 1);
@@ -843,16 +834,14 @@ mod tests {
 
     #[test]
     fn structure_aggregation_groups_base_names() {
-        let mut l = Lineage::new(8, 64);
-        l.register_structure("qnode[0]", 0x1000, 0x1008);
-        l.register_structure("qnode[1]", 0x2000, 0x2008);
+        let mut l = lineage();
         l.mirror_miss(BlockAddr(0x1000), MissClass::FalseSharing);
         l.mirror_miss(BlockAddr(0x2000), MissClass::FalseSharing);
         l.note_write(0, BlockAddr(0x1000));
         l.note_write(1, BlockAddr(0x1000));
         l.note_write(1, BlockAddr(0x2000));
         l.note_write(2, BlockAddr(0x2000));
-        let r = l.into_report();
+        let r = l.into_report(labelled(&[(0x1000, "qnode[0]"), (0x2000, "qnode[1]")]));
         let s = r.structure("qnode[*]").expect("aggregated row");
         assert_eq!(s.blocks, 2);
         assert_eq!(s.misses.false_sharing, 2);
@@ -868,9 +857,6 @@ mod tests {
         let block = |i: u32| BlockAddr(0x1000 * (i + 1));
         for _ in 0..64 {
             let mut l = lineage();
-            for i in 0..5 {
-                l.register_structure(&format!("s[{i}]"), block(i).0, block(i).0 + 4);
-            }
             // s[0]: two writers, four update arrivals per two writes —
             // wide-shared, and the hottest block.
             l.note_write(0, block(0));
@@ -889,7 +875,7 @@ mod tests {
                 l.note_write(0, block(i));
                 l.note_write(1, block(i));
             }
-            let r = l.into_report();
+            let r = l.into_report(|b| Some(format!("s[{}]", b.0 / 0x1000 - 1)));
             assert_eq!(r.blocks[0].pattern, SharingPattern::WideShared, "the hottest block");
             let s = r.structure("s[*]").expect("aggregated row");
             assert_eq!(s.blocks, 5);
@@ -913,7 +899,7 @@ mod tests {
         for i in 0..(LINEAGE_EVENT_CAP + 10) {
             l.update_arrival(0, B, 1, false, i as Cycle);
         }
-        let r = l.into_report();
+        let r = l.into_report(unlabelled);
         assert_eq!(r.events.len(), LINEAGE_EVENT_CAP);
         assert_eq!(r.events_dropped, 10);
         assert_eq!(r.blocks[0].update_deliveries, (LINEAGE_EVENT_CAP + 10) as u64);
@@ -922,12 +908,11 @@ mod tests {
     #[test]
     fn report_json_renders_and_parses() {
         let mut l = lineage();
-        l.register_structure("count", 0x1000, 0x1004);
         l.note_write(0, B);
         l.invalidation(1, B, 0, 0x1000, 10);
         l.miss(1, B, 0x1000, MissClass::TrueSharing, 20);
         l.mirror_miss(B, MissClass::TrueSharing);
-        let r = l.into_report();
+        let r = l.into_report(labelled(&[(0x1000, "count")]));
         let json = r.to_json(&|p| format!("phase{p}"));
         let parsed = Json::parse(&json.render()).unwrap();
         let blocks = parsed.get("blocks").unwrap().as_arr().unwrap();

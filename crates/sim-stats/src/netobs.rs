@@ -1,18 +1,18 @@
 //! Network and memory-back-end telemetry: message-journey accounting,
 //! physical-link traffic attribution, and hot-home-node profiles.
 //!
-//! The machine drives a [`NetObsCollector`] while it runs (only when
-//! `MachineConfig::obs` is on): every network send hands over the
-//! [`sim_net::Journey`] the network recorded, tagged with the protocol
-//! message kind's index and the classifier's index of the structure
-//! registered over the message's address; every directory/DRAM service
-//! interval lands in the destination home's bucket; the periodic sampler
-//! snapshots cumulative per-physical-link flit counters into a
-//! utilisation time series.
+//! Its state lives in the one [`ObsCollector`] (built only when
+//! `MachineConfig::obs` is on), and its facts are `ObsCollector` methods
+//! defined here: every network send hands over the [`sim_net::Journey`]
+//! the network recorded, tagged with the protocol message kind's index and
+//! the classifier's index of the structure registered over the message's
+//! address; every directory/DRAM service interval lands in the destination
+//! home's bucket; the periodic sampler snapshots cumulative
+//! per-physical-link flit counters into a utilisation time series.
 //!
 //! Everything here is passive bookkeeping on top of values the simulation
 //! computes anyway — the collector never schedules events, so enabling it
-//! cannot perturb timing or results. [`check_reconciliation`] pins that
+//! cannot perturb timing or results. [`check_net_reconciliation`] pins that
 //! down: journey cycle totals must close *exactly* against the network
 //! latency accounting the observability layer already keeps.
 
@@ -24,7 +24,7 @@ use sim_net::{Journey, MeshShape};
 use crate::classify::HomeUpdates;
 use crate::hist::LatencyHist;
 use crate::json::Json;
-use crate::obs::ObsReport;
+use crate::obs::{ObsCollector, ObsReport};
 use crate::report::UpdateStats;
 use crate::sampler::SampleRows;
 
@@ -155,14 +155,11 @@ struct HomeService {
     homed_rx_flits: u64,
 }
 
-/// The live recorder the machine drives during a run. Turned into a
-/// [`NetObsReport`] by [`NetObsCollector::finish`].
-#[derive(Debug, Clone)]
-pub struct NetObsCollector {
+/// The telemetry's state inside the [`ObsCollector`]; message kinds are
+/// the collector's.
+#[derive(Debug)]
+pub(crate) struct NetState {
     shape: MeshShape,
-    /// Message-kind names, by the kind index [`NetObsCollector::record`]
-    /// takes.
-    msg_kinds: &'static [&'static str],
     /// Journey totals by kind index.
     by_class: Vec<JourneyTotals>,
     /// Journey totals by structure registration index, grown on demand.
@@ -178,13 +175,12 @@ pub struct NetObsCollector {
     link_samples_dropped: u64,
 }
 
-impl NetObsCollector {
-    /// A collector for a machine on the given mesh whose messages come in
-    /// the kinds `msg_kinds` names, by kind index.
-    pub fn new(shape: MeshShape, msg_kinds: &'static [&'static str]) -> Self {
-        NetObsCollector {
-            msg_kinds,
-            by_class: vec![JourneyTotals::default(); msg_kinds.len()],
+impl NetState {
+    /// Empty telemetry for a machine on the given mesh with `kinds`
+    /// message kinds.
+    pub(crate) fn new(shape: MeshShape, kinds: usize) -> Self {
+        NetState {
+            by_class: vec![JourneyTotals::default(); kinds],
             by_structure: Vec::new(),
             unattributed: JourneyTotals::default(),
             records: Vec::new(),
@@ -198,62 +194,8 @@ impl NetObsCollector {
         }
     }
 
-    /// Folds in one remote message's journey, tagged with its protocol
-    /// message kind index, the `home` node of the address it concerns, and
-    /// the registration index of the structure covering that address (if
-    /// any). The flits are credited to `home`'s profile regardless of which
-    /// rx port they landed on — this is the "whose traffic is it" view the
-    /// paper's hot-spot argument needs (a hot home's update storm occupies
-    /// *other* nodes' rx ports).
-    pub fn record(&mut self, kind: usize, structure: Option<usize>, home: NodeId, j: &Journey) {
-        self.homes[home].homed_rx_flits += j.flits;
-        self.by_class[kind].add(j);
-        let totals = match structure {
-            Some(i) => {
-                if i >= self.by_structure.len() {
-                    self.by_structure.resize_with(i + 1, JourneyTotals::default);
-                }
-                &mut self.by_structure[i]
-            }
-            None => &mut self.unattributed,
-        };
-        totals.add(j);
-        if self.records.len() < JOURNEY_RECORD_CAP {
-            self.records.push(JourneyRec {
-                class: self.msg_kinds[kind],
-                src: j.src,
-                dst: j.dst,
-                flits: j.flits,
-                inject: j.inject,
-                delivered: j.delivered,
-            });
-        } else {
-            self.records_dropped += 1;
-        }
-    }
-
-    /// Counts one node-local message (no journey: it bypasses the mesh).
-    pub fn record_local(&mut self, delay: Cycle) {
-        self.local_messages += 1;
-        self.local_cycles += delay;
-    }
-
-    /// The memory module at `home` serviced one directory/DRAM operation:
-    /// `busy` service cycles after `queue_wait` cycles in its FIFO.
-    pub fn home_service(&mut self, home: NodeId, is_block: bool, busy: Cycle, queue_wait: Cycle) {
-        let h = &mut self.homes[home];
-        if is_block {
-            h.block_ops += 1;
-        } else {
-            h.word_ops += 1;
-        }
-        h.busy += busy;
-        h.queue_wait += queue_wait;
-    }
-
-    /// Snapshots the cumulative per-physical-link flit counters at `at`
-    /// (driven from the machine's periodic sampler).
-    pub fn sample_links(&mut self, at: Cycle, flits: &[u64]) {
+    /// Snapshots the cumulative per-physical-link flit counters at `at`.
+    pub(crate) fn sample_links(&mut self, at: Cycle, flits: &[u64]) {
         if self.link_samples.len() < LINK_SAMPLE_CAP {
             self.link_samples.push(at, flits.iter().copied());
         } else {
@@ -261,13 +203,14 @@ impl NetObsCollector {
         }
     }
 
-    /// Builds the report: journeys aggregated so far, final physical-link
-    /// totals, and per-home profiles joining this collector's service
-    /// accounting with the port gauges and the classifier's per-home update
-    /// accounting. `structure_names` names the structures by registration
-    /// index; journeys merge by name.
-    pub fn finish(
+    /// Builds the report: journeys aggregated so far (classes named by
+    /// `msg_kinds`), final physical-link totals, and per-home profiles
+    /// joining this state's service accounting with the port gauges and
+    /// the classifier's per-home update accounting. `structure_names`
+    /// names the structures by registration index; journeys merge by name.
+    pub(crate) fn report(
         self,
+        msg_kinds: &[&'static str],
         wall: Cycle,
         phys_flits: Vec<(NodeId, NodeId, u64)>,
         gauges: &[crate::obs::NodeGauges],
@@ -293,8 +236,7 @@ impl NetObsCollector {
                 update_drops: home_updates.as_ref().map(|u| u.deliveries[n].1).unwrap_or(0),
             })
             .collect();
-        let by_class = self
-            .msg_kinds
+        let by_class = msg_kinds
             .iter()
             .zip(self.by_class)
             .filter(|(_, t)| t.count > 0)
@@ -323,6 +265,70 @@ impl NetObsCollector {
             link_samples: self.link_samples,
             link_samples_dropped: self.link_samples_dropped,
         }
+    }
+}
+
+impl ObsCollector {
+    /// Counts one protocol message of kind index `kind`, `latency` cycles
+    /// from send to delivery. A mesh message also files the `journey` the
+    /// network recorded, with the `home` node of the address it concerns
+    /// and the registration index of the structure covering that address
+    /// (if any); without a journey the message was node-local. The flits
+    /// are credited to `home`'s profile regardless of which rx port they
+    /// landed on — this is the "whose traffic is it" view the paper's
+    /// hot-spot argument needs (a hot home's update storm occupies *other*
+    /// nodes' rx ports).
+    pub fn message_sent(
+        &mut self,
+        kind: usize,
+        latency: Cycle,
+        journey: Option<(&Journey, NodeId, Option<usize>)>,
+    ) {
+        self.msg_counts[kind] += 1;
+        self.msg_latency.record(latency);
+        let net = &mut self.net;
+        let Some((j, home, structure)) = journey else {
+            net.local_messages += 1;
+            net.local_cycles += latency;
+            return;
+        };
+        net.homes[home].homed_rx_flits += j.flits;
+        net.by_class[kind].add(j);
+        let totals = match structure {
+            Some(i) => {
+                if i >= net.by_structure.len() {
+                    net.by_structure.resize_with(i + 1, JourneyTotals::default);
+                }
+                &mut net.by_structure[i]
+            }
+            None => &mut net.unattributed,
+        };
+        totals.add(j);
+        if net.records.len() < JOURNEY_RECORD_CAP {
+            net.records.push(JourneyRec {
+                class: self.msg_kinds[kind],
+                src: j.src,
+                dst: j.dst,
+                flits: j.flits,
+                inject: j.inject,
+                delivered: j.delivered,
+            });
+        } else {
+            net.records_dropped += 1;
+        }
+    }
+
+    /// The memory module at `home` serviced one directory/DRAM operation:
+    /// `busy` service cycles after `queue_wait` cycles in its FIFO.
+    pub fn home_service(&mut self, home: NodeId, is_block: bool, busy: Cycle, queue_wait: Cycle) {
+        let h = &mut self.net.homes[home];
+        if is_block {
+            h.block_ops += 1;
+        } else {
+            h.word_ops += 1;
+        }
+        h.busy += busy;
+        h.queue_wait += queue_wait;
     }
 }
 
@@ -682,6 +688,26 @@ mod tests {
     const READ_SHARED: usize = 0;
     const UPDATE: usize = 1;
 
+    fn collector(nodes: usize) -> ObsCollector {
+        ObsCollector::new(MeshShape::for_nodes(nodes), KINDS)
+    }
+
+    /// Files journey `j` of kind `kind` for `home`'s address in `structure`.
+    fn record(c: &mut ObsCollector, kind: usize, structure: Option<usize>, home: NodeId, j: &Journey) {
+        c.message_sent(kind, j.total(), Some((j, home, structure)));
+    }
+
+    /// The telemetry report with idle port gauges.
+    fn report(
+        c: ObsCollector,
+        wall: Cycle,
+        phys: Vec<(NodeId, NodeId, u64)>,
+        names: &[&str],
+    ) -> NetObsReport {
+        let gauges = vec![Default::default(); c.nodes.len()];
+        c.net.report(KINDS, wall, phys, &gauges, None, names)
+    }
+
     fn journey(src: NodeId, dst: NodeId, flits: u64, hops: u64, inject: Cycle) -> Journey {
         // An uncontended journey: wire = 2·hops, no queueing.
         let wire = 2 * hops;
@@ -716,14 +742,15 @@ mod tests {
 
     #[test]
     fn collector_aggregates_by_class_and_structure() {
-        let mut c = NetObsCollector::new(MeshShape::for_nodes(4), KINDS);
-        c.record(UPDATE, Some(1), 3, &journey(0, 1, 6, 1, 0));
-        c.record(UPDATE, None, 0, &journey(1, 2, 6, 1, 10));
-        c.record(READ_SHARED, Some(1), 3, &journey(2, 3, 4, 1, 20));
-        c.record(READ_SHARED, Some(2), 3, &journey(2, 3, 4, 1, 30));
-        c.record_local(1);
+        let mut c = collector(4);
+        record(&mut c, UPDATE, Some(1), 3, &journey(0, 1, 6, 1, 0));
+        record(&mut c, UPDATE, None, 0, &journey(1, 2, 6, 1, 10));
+        record(&mut c, READ_SHARED, Some(1), 3, &journey(2, 3, 4, 1, 20));
+        record(&mut c, READ_SHARED, Some(2), 3, &journey(2, 3, 4, 1, 30));
+        c.message_sent(UPDATE, 1, None);
         let names = ["flag", "counter", "counter"];
-        let r = c.finish(100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &[Default::default(); 4], None, &names);
+        assert_eq!(c.msg_counts[UPDATE], 3, "local messages count by kind too");
+        let r = report(c, 100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &names);
         assert_eq!(r.by_class["Update"].count, 2);
         assert_eq!(r.by_class["ReadShared"].count, 2);
         assert!(!r.by_class.contains_key("Data"), "kinds without journeys are not listed");
@@ -746,8 +773,7 @@ mod tests {
 
     #[test]
     fn worst_links_sort_desc_with_stable_ties() {
-        let c = NetObsCollector::new(MeshShape::for_nodes(4), KINDS);
-        let r = c.finish(10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[Default::default(); 4], None, &[]);
+        let r = report(collector(4), 10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[]);
         let worst = r.worst_links(2);
         assert_eq!(worst[0], PhysLinkFlits { src: 1, dst: 0, flits: 9 });
         assert_eq!(worst[1], PhysLinkFlits { src: 0, dst: 1, flits: 5 });
@@ -756,13 +782,13 @@ mod tests {
     #[test]
     fn heatmap_renders_every_node_and_scales_links() {
         let shape = MeshShape::for_nodes(4); // 2x2
-        let mut c = NetObsCollector::new(shape, KINDS);
+        let mut c = collector(4);
         c.home_service(0, true, 35, 0);
         let phys: Vec<_> =
             shape.links().into_iter().map(|(a, b)| (a, b, if a == 0 { 90 } else { 1 })).collect();
         let mut gauges = [crate::obs::NodeGauges::default(); 4];
         gauges[0].rx_busy = 50;
-        let r = c.finish(100, phys, &gauges, None, &[]);
+        let r = c.net.report(KINDS, 100, phys, &gauges, None, &[]);
         let map = r.heatmap();
         for n in 0..4 {
             assert!(map.contains(&format!("n{n:02}")), "node {n} missing from heatmap:\n{map}");
@@ -773,11 +799,11 @@ mod tests {
 
     #[test]
     fn record_cap_counts_overflow() {
-        let mut c = NetObsCollector::new(MeshShape::for_nodes(2), KINDS);
+        let mut c = collector(2);
         for i in 0..(JOURNEY_RECORD_CAP as u64 + 10) {
-            c.record(UPDATE, None, 0, &journey(0, 1, 4, 1, i));
+            record(&mut c, UPDATE, None, 0, &journey(0, 1, 4, 1, i));
         }
-        let r = c.finish(1 << 20, vec![], &[Default::default(); 2], None, &[]);
+        let r = report(c, 1 << 20, vec![], &[]);
         assert_eq!(r.records.len(), JOURNEY_RECORD_CAP);
         assert_eq!(r.records_dropped, 10);
         assert_eq!(r.by_class["Update"].count, JOURNEY_RECORD_CAP as u64 + 10, "aggregates keep counting");
@@ -785,10 +811,17 @@ mod tests {
 
     #[test]
     fn report_json_parses_and_omits_raw_records() {
-        let mut c = NetObsCollector::new(MeshShape::for_nodes(2), KINDS);
-        c.record(UPDATE, Some(0), 0, &journey(0, 1, 6, 1, 0));
-        c.sample_links(500, &[6, 0]);
-        let r = c.finish(1000, vec![(0, 1, 6), (1, 0, 0)], &[Default::default(); 2], None, &["counter"]);
+        let mut c = collector(2);
+        record(&mut c, UPDATE, Some(0), 0, &journey(0, 1, 6, 1, 0));
+        c.record_sample(500, 1, 6, Some(&[6, 0]), |_, class, phase| crate::sampler::NodeSample {
+            class,
+            phase,
+            wb_len: 0,
+            mem_busy: 0,
+            tx_busy: 0,
+            rx_busy: 0,
+        });
+        let r = report(c, 1000, vec![(0, 1, 6), (1, 0, 0)], &["counter"]);
         let parsed = Json::parse(&r.to_json().render_pretty()).expect("netobs JSON parses");
         assert_eq!(
             parsed.get("journeys").unwrap().get("Update").unwrap().get("count").and_then(Json::as_u64),

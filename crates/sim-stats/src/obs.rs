@@ -1,12 +1,22 @@
-//! End-to-end observability: per-processor cycle accounting, per-phase
-//! breakdowns, component gauges, and the aggregated [`ObsReport`].
+//! End-to-end observability: the one collector `MachineConfig::obs`
+//! turns on, per-processor cycle accounting, per-phase breakdowns,
+//! component gauges, and the aggregated [`ObsReport`].
 //!
-//! The machine drives an [`ObsCollector`] while it runs: every processor
-//! state transition calls [`ObsCollector::transition`], which attributes the
-//! elapsed interval to the *outgoing* state's [`CpuClass`] (and the current
-//! program phase), so per-node class totals always sum exactly to the wall
-//! clock. `Phase` marker instructions switch the active phase; periodic
-//! samples land in the collector's [`crate::sampler::TimeSeries`].
+//! The machine drives a single [`ObsCollector`] while it runs and calls it
+//! once per fact. Its fact methods live next to the state they feed: stall
+//! accounting and sampling here, critical-path chains and sync episodes in
+//! [`crate::crit`], message journeys and home service in
+//! [`crate::netobs`]. Every processor state transition calls
+//! [`ObsCollector::transition`], which attributes the elapsed interval to
+//! the *outgoing* state's [`CpuClass`] (and the current program phase)
+//! through one per-node cursor. That cursor feeds the stall account, the
+//! per-phase split, the timeline and the node's critical-path chain, so
+//! per-node class totals always sum exactly to the wall clock and the chain
+//! composition can never drift from them. `Phase` marker instructions
+//! switch the active phase; periodic samples land in the collector's
+//! [`crate::sampler::TimeSeries`]. [`ObsCollector::finish`] returns the
+//! whole report, with lineage, critical path and network telemetry filled
+//! in.
 //!
 //! Everything here is passive bookkeeping: the collector never schedules
 //! events or changes values the simulation reads, so enabling it cannot
@@ -14,10 +24,14 @@
 
 use std::collections::BTreeMap;
 
-use sim_engine::Cycle;
+use sim_engine::{Cycle, NodeId};
+use sim_net::{MeshShape, Network};
 
+use crate::classify::Classifier;
+use crate::crit::{Chain, CritState, Seg};
 use crate::hist::LatencyHist;
 use crate::json::Json;
+use crate::netobs::NetState;
 use crate::sampler::{NodeSample, TimeSeries};
 
 /// Where a processor cycle went (the paper-level stall taxonomy; the
@@ -63,15 +77,10 @@ impl CpuClass {
         }
     }
 
+    /// Position in [`CPU_CLASSES`], which lists the classes in declaration
+    /// order.
     fn index(self) -> usize {
-        match self {
-            CpuClass::Busy => 0,
-            CpuClass::ReadStall => 1,
-            CpuClass::WbFullStall => 2,
-            CpuClass::AtomicStall => 3,
-            CpuClass::BarrierWait => 4,
-            CpuClass::Halted => 5,
-        }
+        self as usize
     }
 }
 
@@ -140,186 +149,226 @@ pub struct StateSlice {
 /// overflow is counted, not stored).
 pub const TIMELINE_CAP: usize = 1 << 20;
 
-/// Observability switches carried in the machine configuration.
-#[derive(Debug, Clone, Copy)]
+/// Cycles between periodic gauge samples.
+pub const SAMPLE_INTERVAL: Cycle = 1000;
+
+/// The observability switch carried in the machine configuration.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ObsConfig {
     /// Master switch. Off (the default) leaves the default path untouched:
     /// no accounting, no sampling, no timeline.
     pub enabled: bool,
-    /// Cycles between periodic gauge samples.
-    pub sample_interval: Cycle,
-    /// Record per-processor state timelines (needed for Chrome traces).
-    pub timeline: bool,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig { enabled: false, sample_interval: 1000, timeline: true }
-    }
 }
 
 impl ObsConfig {
-    /// Enabled with default interval and timeline recording.
+    /// Observability on.
     pub fn enabled() -> Self {
-        ObsConfig { enabled: true, ..Default::default() }
+        ObsConfig { enabled: true }
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeAcct {
-    class: CpuClass,
-    phase: u16,
-    since: Cycle,
-    cycles: CycleAccount,
+/// One processor's cursor and everything it feeds: the open interval
+/// `[since, ..)` runs in `class` under `phase`, and each attribution
+/// charges it to the stall account, the per-phase split, the timeline and
+/// the critical-path chain at once.
+#[derive(Debug)]
+pub(crate) struct NodeAcct {
+    pub(crate) class: CpuClass,
+    /// The class before the latest transition: right after a wait ends,
+    /// the class of that wait.
+    pub(crate) prev_class: CpuClass,
+    pub(crate) phase: u16,
+    pub(crate) since: Cycle,
+    pub(crate) cycles: CycleAccount,
     by_phase: BTreeMap<u16, CycleAccount>,
     timeline: Vec<StateSlice>,
     timeline_dropped: u64,
+    /// A mid-interval split dropped part of the open slice: the drop is
+    /// counted once, when a transition or phase change closes the slice.
+    drop_pending: bool,
     wb_full_stalls: u64,
+    /// The causal chain ending at this node ([`crate::crit`]).
+    pub(crate) chain: Chain,
 }
 
 impl NodeAcct {
     fn new() -> Self {
         NodeAcct {
             class: CpuClass::Busy,
+            prev_class: CpuClass::Busy,
             phase: 0,
             since: 0,
             cycles: CycleAccount::default(),
             by_phase: BTreeMap::new(),
             timeline: Vec::new(),
             timeline_dropped: 0,
+            drop_pending: false,
             wb_full_stalls: 0,
+            chain: Chain::new(),
         }
     }
 
-    fn attribute(&mut self, upto: Cycle, timeline: bool) {
+    /// Charges node `n`'s open interval up to `upto` to its current class
+    /// and phase. A `split` attributes in the middle of an interval (at a
+    /// sync marker or a causal wait) without ending it, so the pieces
+    /// re-merge and every account comes out as if the interval were
+    /// charged whole.
+    pub(crate) fn attribute(&mut self, n: NodeId, upto: Cycle, split: bool) {
         debug_assert!(upto >= self.since, "cycle accounting moved backwards");
-        let dt = upto.saturating_sub(self.since);
-        if dt > 0 {
-            self.cycles.add(self.class, dt);
-            self.by_phase.entry(self.phase).or_default().add(self.class, dt);
-            if timeline {
-                let extends_last = self.timeline.last().is_some_and(|last| {
-                    last.end == self.since && last.class == self.class && last.phase == self.phase
-                });
-                if extends_last {
-                    self.timeline.last_mut().unwrap().end = upto;
-                } else if self.timeline.len() < TIMELINE_CAP {
-                    self.timeline.push(StateSlice {
-                        class: self.class,
-                        start: self.since,
-                        end: upto,
-                        phase: self.phase,
-                    });
-                } else {
-                    self.timeline_dropped += 1;
+        let mut dropped = false;
+        if upto > self.since {
+            let (class, phase, start) = (self.class, self.phase, self.since);
+            let dt = upto - start;
+            self.cycles.add(class, dt);
+            self.by_phase.entry(phase).or_default().add(class, dt);
+            let room = self.timeline.len() < TIMELINE_CAP;
+            match self.timeline.last_mut() {
+                Some(last) if last.end == start && last.class == class && last.phase == phase => {
+                    last.end = upto
                 }
+                _ if room => self.timeline.push(StateSlice { class, start, end: upto, phase }),
+                _ => dropped = true,
             }
+            self.chain.push(Seg::plain(n, class, start, upto, phase));
+            self.since = upto;
         }
-        self.since = upto;
+        if split {
+            self.drop_pending |= dropped;
+        } else {
+            self.timeline_dropped += u64::from(dropped || self.drop_pending);
+            self.drop_pending = false;
+        }
+    }
+
+    /// The cumulative account advanced (without mutation) to `at`.
+    pub(crate) fn account_at(&self, at: Cycle) -> CycleAccount {
+        let mut a = self.cycles;
+        if at > self.since {
+            a.add(self.class, at - self.since);
+        }
+        a
     }
 }
 
-/// The live recorder the machine drives during a run. Turned into an
-/// [`ObsReport`] by [`ObsCollector::finish`].
-#[derive(Debug, Clone)]
+/// The live recorder the machine drives during an observed run: stall
+/// accounts, samples, critical-path chains and sync episodes, and network
+/// journeys. Turned into an [`ObsReport`] by [`ObsCollector::finish`].
+#[derive(Debug)]
 pub struct ObsCollector {
-    cfg: ObsConfig,
-    nodes: Vec<NodeAcct>,
-    /// Message-kind names, by the kind index [`ObsCollector::count_msg`]
-    /// takes.
-    msg_kinds: &'static [&'static str],
+    pub(crate) nodes: Vec<NodeAcct>,
+    /// Message-kind names, by the kind index
+    /// [`ObsCollector::message_sent`] takes.
+    pub(crate) msg_kinds: &'static [&'static str],
     /// Messages sent, by kind index.
-    msg_counts: Vec<u64>,
-    msg_latency: LatencyHist,
+    pub(crate) msg_counts: Vec<u64>,
+    pub(crate) msg_latency: LatencyHist,
     samples: TimeSeries,
+    pub(crate) crit: CritState,
+    pub(crate) net: NetState,
 }
 
 impl ObsCollector {
-    /// A collector for `num_nodes` processors whose messages come in the
-    /// kinds `msg_kinds` names, by kind index.
-    pub fn new(num_nodes: usize, cfg: ObsConfig, msg_kinds: &'static [&'static str]) -> Self {
+    /// A collector for a machine on the mesh `shape` (one processor per
+    /// mesh node) whose messages come in the kinds `msg_kinds` names, by
+    /// kind index.
+    pub fn new(shape: MeshShape, msg_kinds: &'static [&'static str]) -> Self {
+        let num_nodes = shape.nodes();
         ObsCollector {
             nodes: (0..num_nodes).map(|_| NodeAcct::new()).collect(),
             msg_kinds,
             msg_counts: vec![0; msg_kinds.len()],
             msg_latency: LatencyHist::new(),
-            samples: TimeSeries::new(cfg.sample_interval, num_nodes),
-            cfg,
+            samples: TimeSeries::new(SAMPLE_INTERVAL, num_nodes),
+            crit: CritState::new(),
+            net: NetState::new(shape, msg_kinds.len()),
         }
-    }
-
-    /// The configuration this collector was built with.
-    pub fn config(&self) -> ObsConfig {
-        self.cfg
     }
 
     /// Processor `n` enters `class` at cycle `at`; the interval since the
     /// previous transition is attributed to the outgoing class.
-    pub fn transition(&mut self, n: usize, class: CpuClass, at: Cycle) {
+    pub fn transition(&mut self, n: NodeId, class: CpuClass, at: Cycle) {
         let node = &mut self.nodes[n];
-        node.attribute(at, self.cfg.timeline);
+        node.attribute(n, at, false);
+        node.prev_class = node.class;
         node.class = class;
+        if class == CpuClass::Halted {
+            self.crit.note_halt(n, at);
+        }
     }
 
-    /// Starts processor `n`'s account at `class` as of `at` without
-    /// charging the elapsed interval — cursor alignment for windowed
-    /// replay from a restored checkpoint, where cycles before `at` belong
-    /// to the original run's account.
-    pub fn align(&mut self, n: usize, class: CpuClass, at: Cycle) {
+    /// Starts processor `n`'s account and chain at `class` as of `at`
+    /// without charging the elapsed interval — cursor alignment for
+    /// windowed replay from a restored checkpoint, where cycles before `at`
+    /// belong to the original run's account.
+    pub fn align(&mut self, n: NodeId, class: CpuClass, at: Cycle) {
         let node = &mut self.nodes[n];
         node.class = class;
+        node.prev_class = class;
         node.since = at;
+        node.chain.head = at;
     }
 
     /// Processor `n` switches to program `phase` at cycle `at`.
-    pub fn set_phase(&mut self, n: usize, phase: u16, at: Cycle) {
+    pub fn set_phase(&mut self, n: NodeId, phase: u16, at: Cycle) {
         let node = &mut self.nodes[n];
-        node.attribute(at, self.cfg.timeline);
+        node.attribute(n, at, false);
         node.phase = phase;
     }
 
-    /// Counts one protocol message of kind index `kind` with the given
-    /// network latency.
-    pub fn count_msg(&mut self, kind: usize, latency: Cycle) {
-        self.msg_counts[kind] += 1;
-        self.msg_latency.record(latency);
-    }
-
     /// Counts one processor stall on a full write buffer.
-    pub fn wb_full_stall(&mut self, n: usize) {
+    pub fn wb_full_stall(&mut self, n: NodeId) {
         self.nodes[n].wb_full_stalls += 1;
     }
 
-    /// Appends the periodic sample taken at `at`. `node` fills in each
-    /// node's entry given its index and its current class and phase.
+    /// Appends the periodic sample taken at `at`, with the network's raw
+    /// per-physical-link flit counters when it observes them. `node` fills
+    /// in each node's entry given its index and its current class and
+    /// phase.
     pub fn record_sample(
         &mut self,
         at: Cycle,
         msgs_sent: u64,
         flits_sent: u64,
+        link_flits: Option<&[u64]>,
         mut node: impl FnMut(usize, CpuClass, u16) -> NodeSample,
     ) {
         let nodes = self.nodes.iter().enumerate().map(|(n, acct)| node(n, acct.class, acct.phase));
         self.samples.push(at, msgs_sent, flits_sent, nodes);
+        if let Some(flits) = link_flits {
+            self.net.sample_links(at, flits);
+        }
     }
 
-    /// Closes every node's account at `wall` (attributing the tail interval
-    /// to its current class) and builds the report. The per-node component
-    /// gauges are read out by the machine and passed in.
+    /// Closes every node's account and chain at `wall` (attributing the
+    /// tail interval to its current class) and builds the whole report:
+    /// stall accounts and samples, the critical path, network telemetry
+    /// from `net`'s link counters, and the lineage and per-home update
+    /// accounting detached from `clf`, whose registered structures name
+    /// the chain and journey labels. Call after [`Classifier::finish`].
+    /// The per-node component gauges are read out by the machine and
+    /// passed in.
     pub fn finish(
         mut self,
         wall: Cycle,
         gauges: Vec<NodeGauges>,
-        endpoint_pair_flits: Vec<EndpointPairFlits>,
+        net: &Network,
+        clf: &mut Classifier,
     ) -> ObsReport {
         assert_eq!(gauges.len(), self.nodes.len());
+        for (n, node) in self.nodes.iter_mut().enumerate() {
+            node.attribute(n, wall, false);
+        }
+        let (lineage, home_updates) = clf.take_observation().unzip();
+        let structures: Vec<&str> = clf.report().by_structure.iter().map(|s| s.name.as_str()).collect();
+        let crit = self.crit_report(wall, &structures);
+        let netobs =
+            self.net.report(self.msg_kinds, wall, net.phys_link_flits(), &gauges, home_updates, &structures);
         let mut phase_totals: BTreeMap<u16, CycleAccount> = BTreeMap::new();
         let per_node: Vec<NodeObs> = self
             .nodes
             .iter_mut()
             .zip(gauges)
             .map(|(node, g)| {
-                node.attribute(wall, self.cfg.timeline);
                 for (&phase, acct) in &node.by_phase {
                     phase_totals.entry(phase).or_default().merge(acct);
                 }
@@ -335,7 +384,7 @@ impl ObsCollector {
             .collect();
         ObsReport {
             wall_cycles: wall,
-            sample_interval: self.cfg.sample_interval,
+            sample_interval: SAMPLE_INTERVAL,
             per_node,
             phase_totals,
             phase_names: BTreeMap::new(),
@@ -347,11 +396,15 @@ impl ObsCollector {
                 .map(|(&kind, &n)| (kind, n))
                 .collect(),
             msg_latency: self.msg_latency,
-            endpoint_pair_flits,
+            endpoint_pair_flits: net
+                .link_flits()
+                .into_iter()
+                .map(|(src, dst, flits)| EndpointPairFlits { src, dst, flits })
+                .collect(),
             samples: self.samples,
-            lineage: None,
-            crit: None,
-            netobs: None,
+            lineage,
+            crit: Some(crit),
+            netobs: Some(netobs),
         }
     }
 }
@@ -396,7 +449,7 @@ pub struct NodeObs {
     pub cycles: CycleAccount,
     /// Cycle account split by program phase.
     pub by_phase: BTreeMap<u16, CycleAccount>,
-    /// Merged state timeline (empty when `ObsConfig::timeline` is off).
+    /// Merged state timeline.
     pub timeline: Vec<StateSlice>,
     /// Slices not recorded once [`TIMELINE_CAP`] was reached.
     pub timeline_dropped: u64,
@@ -434,16 +487,17 @@ pub struct ObsReport {
     /// The periodic gauge samples.
     pub samples: TimeSeries,
     /// Per-cache-line provenance (patterns, causal edges, per-structure
-    /// aggregation); attached by the machine from the classifier's
-    /// [`crate::lineage::Lineage`] recorder after the run.
+    /// aggregation), frozen from the classifier's
+    /// [`crate::lineage::Lineage`] recorder by [`ObsCollector::finish`];
+    /// `None` when the classifier was not observing.
     pub lineage: Option<crate::lineage::LineageReport>,
     /// Critical-path and sync-episode profile (lock handoffs, barrier
-    /// episodes, causal stall chains); attached by the machine from its
-    /// [`crate::crit::CritCollector`] after the run.
+    /// episodes, causal stall chains); always filled in by
+    /// [`ObsCollector::finish`].
     pub crit: Option<crate::crit::CritReport>,
     /// Network/memory-back-end telemetry (message journeys, physical-link
-    /// traffic, hot-home profiles); attached by the machine from its
-    /// [`crate::netobs::NetObsCollector`] after the run.
+    /// traffic, hot-home profiles); always filled in by
+    /// [`ObsCollector::finish`].
     pub netobs: Option<crate::netobs::NetObsReport>,
 }
 
@@ -561,17 +615,34 @@ impl ObsReport {
 }
 
 #[cfg(test)]
+impl ObsCollector {
+    /// Finishes with zero gauges, an unobserved network and a classifier
+    /// that registered no structure.
+    pub(crate) fn finish_bare(self, wall: Cycle) -> ObsReport {
+        let n = self.nodes.len();
+        let mut clf = Classifier::new(sim_mem::Geometry::new(n));
+        clf.finish();
+        let net = Network::new(n, sim_net::NetConfig::default());
+        self.finish(wall, vec![NodeGauges::default(); n], &net, &mut clf)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
+    fn collector(nodes: usize, msg_kinds: &'static [&'static str]) -> ObsCollector {
+        ObsCollector::new(MeshShape::for_nodes(nodes), msg_kinds)
+    }
+
     #[test]
     fn transitions_attribute_to_outgoing_class() {
-        let mut c = ObsCollector::new(1, ObsConfig::enabled(), &[]);
+        let mut c = collector(1, &[]);
         // Busy [0,10), ReadStall [10,35), Busy [35,40), Halted [40,100).
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 35);
         c.transition(0, CpuClass::Halted, 40);
-        let r = c.finish(100, vec![NodeGauges::default()], vec![]);
+        let r = c.finish_bare(100);
         let acct = &r.per_node[0].cycles;
         assert_eq!(acct.get(CpuClass::Busy), 15);
         assert_eq!(acct.get(CpuClass::ReadStall), 25);
@@ -582,11 +653,11 @@ mod tests {
 
     #[test]
     fn phase_split_sums_to_class_totals() {
-        let mut c = ObsCollector::new(1, ObsConfig::enabled(), &[]);
+        let mut c = collector(1, &[]);
         c.set_phase(0, 1, 20); // phase0 Busy [0,20), then phase 1
         c.transition(0, CpuClass::ReadStall, 30);
         c.transition(0, CpuClass::Halted, 50);
-        let r = c.finish(50, vec![NodeGauges::default()], vec![]);
+        let r = c.finish_bare(50);
         let node = &r.per_node[0];
         assert_eq!(node.by_phase[&0].get(CpuClass::Busy), 20);
         assert_eq!(node.by_phase[&1].get(CpuClass::Busy), 10);
@@ -598,11 +669,11 @@ mod tests {
 
     #[test]
     fn timeline_merges_adjacent_same_class_slices() {
-        let mut c = ObsCollector::new(1, ObsConfig::enabled(), &[]);
+        let mut c = collector(1, &[]);
         c.transition(0, CpuClass::Busy, 10); // Busy -> Busy: merge
         c.transition(0, CpuClass::ReadStall, 20);
         c.transition(0, CpuClass::Busy, 30);
-        let r = c.finish(40, vec![NodeGauges::default()], vec![]);
+        let r = c.finish_bare(40);
         let tl = &r.per_node[0].timeline;
         assert_eq!(
             tl.as_slice(),
@@ -614,37 +685,70 @@ mod tests {
         );
     }
 
+    /// A mid-interval split (a sync marker or a causal wait) re-merges:
+    /// the account, the phase split, the timeline and the dropped-slice
+    /// count equal an unsplit run's, also with the timeline already full.
+    #[test]
+    fn mid_interval_splits_leave_every_account_unchanged() {
+        fn run(split_at: &[Cycle], full: bool) -> NodeAcct {
+            let mut node = NodeAcct::new();
+            if full {
+                node.timeline =
+                    vec![StateSlice { class: CpuClass::Halted, start: 0, end: 0, phase: 9 }; TIMELINE_CAP];
+            }
+            let mut splits = split_at.iter().copied().peekable();
+            for (class, at) in [(CpuClass::ReadStall, 10), (CpuClass::Busy, 30), (CpuClass::Busy, 60)] {
+                while let Some(s) = splits.next_if(|&s| s <= at) {
+                    node.attribute(0, s, true);
+                }
+                node.attribute(0, at, false);
+                node.prev_class = node.class;
+                node.class = class;
+            }
+            node.attribute(0, 80, false);
+            node
+        }
+        for full in [false, true] {
+            let whole = run(&[], full);
+            for splits in [&[5][..], &[10, 10], &[12, 20, 30], &[45, 60], &[70, 75]] {
+                let split = run(splits, full);
+                assert_eq!(split.cycles, whole.cycles, "{splits:?}");
+                assert_eq!(split.by_phase, whole.by_phase, "{splits:?}");
+                assert_eq!(split.timeline, whole.timeline, "{splits:?}");
+                assert_eq!(split.timeline_dropped, whole.timeline_dropped, "full {full}, {splits:?}");
+                assert_eq!(split.chain.head, 80);
+            }
+            // Four slices: Busy, ReadStall, and the Busy→Busy transition at
+            // 60 counts as a new slice when nothing can be extended.
+            assert_eq!(whole.timeline_dropped, if full { 4 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn classes_index_in_serialization_order() {
+        for (i, c) in CPU_CLASSES.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{}", c.name());
+        }
+    }
+
     #[test]
     fn report_json_round_trips() {
-        let mut c = ObsCollector::new(2, ObsConfig::enabled(), &["ReadShared", "GetX", "Data"]);
-        c.count_msg(0, 30);
-        c.count_msg(2, 42);
-        c.count_msg(0, 31);
+        let mut c = collector(2, &["ReadShared", "GetX", "Data"]);
+        c.message_sent(0, 30, None);
+        c.message_sent(2, 42, None);
+        c.message_sent(0, 31, None);
         c.transition(0, CpuClass::Halted, 5);
         c.transition(1, CpuClass::Halted, 7);
-        let mut r = c.finish(
-            7,
-            vec![NodeGauges::default(), NodeGauges { wb_high_water: 3, ..Default::default() }],
-            vec![EndpointPairFlits { src: 0, dst: 1, flits: 12 }],
-        );
+        let mut r = c.finish_bare(7);
         r.set_phase_names([(0u16, "setup".to_string())]);
         let rendered = r.to_json().render_pretty();
         let parsed = Json::parse(&rendered).expect("report JSON parses");
         assert_eq!(parsed.get("wall_cycles").and_then(Json::as_u64), Some(7));
+        assert_eq!(parsed.get("sample_interval").and_then(Json::as_u64), Some(SAMPLE_INTERVAL));
         assert_eq!(parsed.get("msg_counts").unwrap().get("ReadShared").and_then(Json::as_u64), Some(2));
         assert!(parsed.get("msg_counts").unwrap().get("GetX").is_none(), "unsent kinds are not listed");
         assert_eq!(parsed.get("per_node").unwrap().as_arr().unwrap().len(), 2);
+        assert!(parsed.get("crit").is_some() && parsed.get("netobs").is_some(), "finish fills every part in");
         assert!(r.summary().contains("wall cycles: 7"));
-    }
-
-    #[test]
-    fn disabled_timeline_records_nothing() {
-        let cfg = ObsConfig { enabled: true, timeline: false, ..Default::default() };
-        let mut c = ObsCollector::new(1, cfg, &[]);
-        c.transition(0, CpuClass::ReadStall, 10);
-        c.transition(0, CpuClass::Busy, 20);
-        let r = c.finish(30, vec![NodeGauges::default()], vec![]);
-        assert!(r.per_node[0].timeline.is_empty());
-        assert_eq!(r.per_node[0].cycles.total(), 30, "accounting still runs");
     }
 }
