@@ -28,7 +28,7 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
     for protocol in PROTOCOLS {
         let (r, _events) = run_observed(ctx.procs, protocol, ctx.kernel());
         let obs = r.obs.as_ref().expect("machine ran observed");
-        let lineage = obs.lineage.as_ref().expect("observed runs carry lineage");
+        let lineage = &obs.lineage;
         let phase_label = |p: u16| obs.phase_names.get(&p).cloned().unwrap_or_else(|| format!("phase{p}"));
 
         println!(

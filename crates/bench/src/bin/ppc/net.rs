@@ -115,7 +115,7 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
     for protocol in PROTOCOLS {
         let (r, _events) = run_observed(ctx.procs, protocol, ctx.kernel());
         let obs = r.obs.as_ref().expect("machine ran observed");
-        let net = obs.netobs.as_ref().expect("observed runs carry network telemetry");
+        let net = &obs.netobs;
         let tag = protocol_name(protocol);
 
         println!("\n{}", summary_line(tag, r.cycles, std::iter::empty::<&str>()));

@@ -1,9 +1,10 @@
-//! Experiment harness shared by the per-figure binaries.
+//! Experiment harness shared by the two bench binaries.
 //!
-//! Every table and figure of the paper's evaluation section has a binary
-//! in `src/bin/` that regenerates it:
+//! `all_figures` prints every table and figure of the paper's evaluation
+//! section; with no argument it prints Figures 8–16, and
+//! `all_figures <table>...` prints the named tables:
 //!
-//! | target | reproduces |
+//! | table | reproduces |
 //! |---|---|
 //! | `fig08_lock_latency` | Figure 8: lock acquire–release latency vs. P |
 //! | `fig09_lock_misses` | Figure 9: lock miss traffic at 32 processors |
@@ -18,14 +19,17 @@
 //! | `text_lock_proportional` | §4.1 proportional-work lock variant |
 //! | `text_reduction_imbalance` | §4.3 load-imbalance reduction variant |
 //! | `ablation_*` | design-choice studies listed in DESIGN.md |
-//! | `all_figures` | every figure in sequence |
+//! | `ext_lock_family` | the lock family with TAS, TTAS and Anderson |
+//! | `latency_distribution` | stall-time histograms behind Figure 8 |
+//! | `traffic_by_structure` | traffic per shared data structure |
 //!
-//! The `ppc` binary is the diagnostics front door: observed-run views,
-//! the harness self-profile, protocol diffs, replay, and observation
-//! overhead, all documented in docs/OBSERVABILITY.md.
+//! An unknown table name lists them all. The `ppc` binary is the
+//! diagnostics front door: observed-run views, the harness self-profile,
+//! protocol diffs, replay, and observation overhead, all documented in
+//! docs/OBSERVABILITY.md.
 //!
-//! Run with `cargo run --release -p ppc-bench --bin <target>`. Set
-//! `PPC_SCALE` (e.g. `0.1`) to scale iteration counts down for a quick
+//! Run with `cargo run --release -p ppc-bench --bin all_figures [table...]`.
+//! Set `PPC_SCALE` (e.g. `0.1`) to scale iteration counts down for a quick
 //! pass; the default is the paper's full workload (32000 lock acquisitions,
 //! 5000 barrier/reduction episodes).
 
@@ -35,7 +39,7 @@ pub mod observed;
 pub mod replay;
 pub mod sweep;
 
-use kernels::runner::{ExperimentOutcome, KernelSpec};
+use kernels::runner::KernelSpec;
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, ReductionKind, ReductionWorkload,
 };
@@ -54,15 +58,16 @@ pub const TRAFFIC_PROCS: usize = 32;
 
 /// Workload scale factor from the `PPC_SCALE` environment variable
 /// (default 1.0 = the paper's full iteration counts). A value that is not
-/// a positive number is a configuration error, not a silent full-scale
-/// run (see [`env_cfg`]).
+/// a positive finite number is a configuration error, not a silent
+/// full-scale run (see [`env_cfg::parse_positive_f64`]).
 pub fn scale() -> f64 {
-    let s: f64 = env_cfg::env_or("PPC_SCALE", 1.0);
-    if !(s.is_finite() && s > 0.0) {
-        eprintln!("invalid PPC_SCALE={s}: expected a positive number");
-        std::process::exit(2);
+    match env_cfg::parse_positive_f64("PPC_SCALE", std::env::var("PPC_SCALE").ok().as_deref()) {
+        Ok(s) => s.unwrap_or(1.0),
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
     }
-    s
 }
 
 /// `n` scaled by [`scale`], with a sane floor.
@@ -85,15 +90,9 @@ pub fn reduction_workload(kind: ReductionKind) -> ReductionWorkload {
     ReductionWorkload { episodes: scaled(5_000), ..ReductionWorkload::paper(kind) }
 }
 
-/// Runs one kernel/protocol/size cell through the sweep harness (so the
-/// cell is memoized in-process and, by default, on disk).
-pub fn run_cell(procs: usize, protocol: Protocol, kernel: KernelSpec) -> ExperimentOutcome {
-    sweep::run_specs(&[RunSpec::paper(procs, protocol, kernel)]).pop().unwrap()
-}
-
 /// Writes `rows` (first row = header) as CSV into `$PPC_CSV_DIR/<name>.csv`
 /// when that environment variable is set; otherwise does nothing. Lets the
-/// figure binaries feed plotting scripts without changing their stdout.
+/// latency tables feed plotting scripts without changing their stdout.
 pub fn maybe_csv(name: &str, rows: &[Vec<String>]) {
     let Ok(dir) = std::env::var("PPC_CSV_DIR") else { return };
     let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
@@ -138,20 +137,6 @@ pub fn render_latency_table(
         csv.push(csv_row);
     }
     (text, csv)
-}
-
-/// Prints a latency table over [`PROC_SWEEP`] — the data behind Figures
-/// 8, 11, and 14 — and emits `$PPC_CSV_DIR/<title-slug>.csv` on request.
-pub fn latency_table(title: &str, rows: &[(String, KernelSpec, Protocol)]) {
-    latency_table_over(title, rows, &PROC_SWEEP);
-}
-
-/// [`latency_table`] over an explicit machine-size sweep (the `--quick`
-/// mode of `all_figures` caps it at 4 processors).
-pub fn latency_table_over(title: &str, rows: &[(String, KernelSpec, Protocol)], procs: &[usize]) {
-    let (text, csv) = render_latency_table(title, rows, procs, &SweepOptions::from_env());
-    print!("{text}");
-    maybe_csv(&slug(title), &csv);
 }
 
 /// Lower-cases and hyphenates a table title into a file stem.
@@ -199,16 +184,6 @@ pub fn render_miss_table(
     text
 }
 
-/// Prints a miss-classification table at [`TRAFFIC_PROCS`].
-pub fn miss_table(title: &str, rows: &[(String, KernelSpec, Protocol)]) {
-    miss_table_at(title, rows, TRAFFIC_PROCS);
-}
-
-/// [`miss_table`] at an explicit machine size (used by `--quick`).
-pub fn miss_table_at(title: &str, rows: &[(String, KernelSpec, Protocol)], procs: usize) {
-    print!("{}", render_miss_table(title, rows, procs, &SweepOptions::from_env()));
-}
-
 /// Renders an update-classification table at `procs` processors — the
 /// data behind Figures 10, 13, and 16. (Replacement updates are reported
 /// but, as in the paper, never observed.)
@@ -241,16 +216,6 @@ pub fn render_update_table(
         ));
     }
     text
-}
-
-/// Prints an update-classification table at [`TRAFFIC_PROCS`].
-pub fn update_table(title: &str, rows: &[(String, KernelSpec, Protocol)]) {
-    update_table_at(title, rows, TRAFFIC_PROCS);
-}
-
-/// [`update_table`] at an explicit machine size (used by `--quick`).
-pub fn update_table_at(title: &str, rows: &[(String, KernelSpec, Protocol)], procs: usize) {
-    print!("{}", render_update_table(title, rows, procs, &SweepOptions::from_env()));
 }
 
 /// Rows for the lock figures: {tk, MCS, uc} × {i, u, c}.

@@ -52,8 +52,8 @@ pub fn install(m: &mut Machine, w: &LockWorkload) -> LockLayout {
 /// Figure 1, and the paper's Figure 9 discussion of WI "constantly
 /// re-loading the ticket and now counters" implies they share a block),
 /// `next_ticket` and `now_serving` live in one cache block; otherwise each
-/// gets its own. The `ablation_counter_layout` bench quantifies the
-/// difference.
+/// gets its own. The `all_figures ablation_counter_layout` table
+/// quantifies the difference.
 pub fn install_with_layout(m: &mut Machine, w: &LockWorkload, colocate_counters: bool) -> LockLayout {
     let flush = match w.kind {
         LockKind::McsUpdateConscious => McsFlush { pred: true, succ: true },
@@ -63,8 +63,8 @@ pub fn install_with_layout(m: &mut Machine, w: &LockWorkload, colocate_counters:
 }
 
 /// Which neighbor queue nodes the MCS release/acquire paths flush. The
-/// paper's update-conscious MCS flushes both; the `ablation_uc_flush`
-/// bench measures each side separately.
+/// paper's update-conscious MCS flushes both; the `all_figures
+/// ablation_uc_flush` table measures each side separately.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct McsFlush {
     /// Flush the predecessor's queue node after linking behind it.

@@ -40,11 +40,6 @@ impl LockKind {
             LockKind::AndersonQueue => "and",
         }
     }
-
-    /// The three lock kinds the paper itself evaluates.
-    pub fn paper_kinds() -> [LockKind; 3] {
-        [LockKind::Ticket, LockKind::Mcs, LockKind::McsUpdateConscious]
-    }
 }
 
 /// Which barrier algorithm to run (Section 2.2).

@@ -78,11 +78,12 @@ pub struct ExportStats {
 
 /// Exports one run into `trace` as process `pid` labeled `label`.
 ///
-/// `result` supplies the per-node state timelines (recorded only when the
-/// machine ran with `MachineConfig::obs` enabled and `timeline` on — without
-/// them only flows and halts are emitted). `events` is the machine's message
-/// trace (see `Machine::take_trace`). `first_flow_id` offsets async-flow
-/// ids so multiple exports into one trace cannot collide.
+/// `result` supplies the per-node state timelines and the lineage,
+/// critical-path and network layers (recorded only when the machine ran
+/// with `MachineConfig::obs` enabled — without them only flows and halts
+/// are emitted). `events` is the machine's message trace (see
+/// `Machine::take_trace`). `first_flow_id` offsets async-flow ids so
+/// multiple exports into one trace cannot collide.
 pub fn export_run(
     trace: &mut ChromeTrace,
     pid: u64,
@@ -133,14 +134,10 @@ pub fn export_run(
     stats.unmatched_sends = pairer.unmatched_sends();
     stats.next_flow_id = first_flow_id + pairer.pairs();
 
-    if let Some(lineage) = result.obs.as_ref().and_then(|o| o.lineage.as_ref()) {
-        export_lineage(trace, pid, lineage, result.cycles, &mut stats);
-    }
-    if let Some(crit) = result.obs.as_ref().and_then(|o| o.crit.as_ref()) {
-        export_crit(trace, pid, crit, &mut stats);
-    }
-    if let Some(netobs) = result.obs.as_ref().and_then(|o| o.netobs.as_ref()) {
-        export_netobs(trace, pid, netobs, result.cycles, &mut stats);
+    if let Some(obs) = &result.obs {
+        export_lineage(trace, pid, &obs.lineage, result.cycles, &mut stats);
+        export_crit(trace, pid, &obs.crit, &mut stats);
+        export_netobs(trace, pid, &obs.netobs, result.cycles, &mut stats);
     }
     stats
 }
@@ -395,7 +392,7 @@ mod tests {
         }
         let r = m.run();
         let events = m.take_trace().unwrap();
-        let crit = r.obs.as_ref().and_then(|o| o.crit.as_ref()).expect("observed run carries crit");
+        let crit = &r.obs.as_ref().expect("observed run").crit;
         assert!(crit.locks.iter().any(|l| l.handoffs > 0), "magic lock recorded handoffs");
         assert!(crit.barriers.iter().any(|b| b.episodes == 3), "magic barrier recorded episodes");
 
@@ -447,7 +444,7 @@ mod tests {
         m.set_program(2, b2.build());
         let r = m.run();
         let events = m.take_trace().unwrap();
-        let netobs = r.obs.as_ref().and_then(|o| o.netobs.as_ref()).expect("observed run carries netobs");
+        let netobs = &r.obs.as_ref().expect("observed run").netobs;
         assert!(!netobs.records.is_empty(), "remote traffic retained journey records");
 
         let mut trace = ChromeTrace::new();

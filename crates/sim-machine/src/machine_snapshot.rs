@@ -863,8 +863,7 @@ mod tests {
         for (n, node) in obs.per_node.iter().enumerate() {
             assert_eq!(node.cycles.total(), window, "node {n}");
         }
-        let crit = obs.crit.expect("crit on");
-        assert_eq!(crit.critical_path.by_class.total(), window);
+        assert_eq!(obs.crit.critical_path.by_class.total(), window);
     }
 
     #[test]

@@ -17,17 +17,6 @@ pub struct NodeStats {
     pub rx_busy: Cycle,
 }
 
-impl NodeStats {
-    /// Utilization of the node's memory module over `total` cycles.
-    pub fn mem_utilization(&self, total: Cycle) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.mem_busy as f64 / total as f64
-        }
-    }
-}
-
 /// Everything measured over one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResult {

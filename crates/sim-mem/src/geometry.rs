@@ -72,12 +72,6 @@ impl Geometry {
         debug_assert!(n < self.num_nodes);
         (n as Addr) << self.region_shift
     }
-
-    /// Asserts `addr` is word-aligned and returns it (sanity helper).
-    pub fn check_word_aligned(&self, addr: Addr) -> Addr {
-        assert_eq!(addr % 4, 0, "address {addr:#x} is not word aligned");
-        addr
-    }
 }
 
 #[cfg(test)]

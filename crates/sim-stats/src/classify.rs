@@ -21,7 +21,7 @@ pub struct HomeUpdates {
 }
 
 impl HomeUpdates {
-    fn new(num_nodes: usize) -> Self {
+    pub(crate) fn new(num_nodes: usize) -> Self {
         HomeUpdates {
             classified: vec![UpdateStats::default(); num_nodes],
             deliveries: vec![(0, 0); num_nodes],

@@ -1053,7 +1053,7 @@ mod tests {
     }
 
     fn finish(c: ObsCollector, wall: Cycle) -> CritReport {
-        c.finish_bare(wall).crit.expect("finish fills the profile in")
+        c.finish_bare(wall).crit
     }
 
     #[test]
@@ -1074,6 +1074,7 @@ mod tests {
     #[test]
     fn wait_ended_adopts_writer_chain() {
         let mut clf = crate::Classifier::new(sim_mem::Geometry::new(2));
+        clf.enable_observation();
         clf.register_structure("flag", 0x100, 1);
         clf.register_structure("counter", 0x80, 1);
         let mut c = crit(2);
@@ -1087,7 +1088,7 @@ mod tests {
         c.transition(1, CpuClass::Halted, 80);
         clf.finish();
         let net = sim_net::Network::new(2, sim_net::NetConfig::default());
-        let r = c.finish(80, vec![Default::default(); 2], &net, &mut clf).crit.unwrap();
+        let r = c.finish(80, vec![Default::default(); 2], &net, &mut clf).crit;
         let cp = &r.critical_path;
         assert_eq!(cp.node, 1, "last halter carries the path");
         assert_eq!(cp.by_class.total(), 80);

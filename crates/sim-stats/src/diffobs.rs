@@ -399,12 +399,12 @@ pub struct ReportDelta {
     pub phases: BTreeMap<String, Counter>,
     /// Protocol messages by kind.
     pub msgs: BTreeMap<String, Counter>,
-    /// Lineage section, when both sides carried one.
-    pub lineage: Option<LineageDelta>,
-    /// Crit-path section, when both sides carried one.
-    pub crit: Option<CritDelta>,
-    /// Netobs section, when both sides carried one.
-    pub net: Option<NetDelta>,
+    /// Lineage section.
+    pub lineage: LineageDelta,
+    /// Crit-path section.
+    pub crit: CritDelta,
+    /// Netobs section.
+    pub net: NetDelta,
     /// Host self-profile section, when both sides carried one.
     pub host: Option<HostDelta>,
     /// Fingerprint-chain comparison.
@@ -478,7 +478,7 @@ fn lineage_delta(a: &LineageReport, b: &LineageReport) -> LineageDelta {
     }
 }
 
-fn crit_delta(a: &CritReport, b: &CritReport, pl_a: &ObsReport, pl_b: &ObsReport) -> CritDelta {
+fn crit_delta(a: &CritReport, b: &CritReport) -> CritDelta {
     let chain_classes = CPU_CLASSES
         .map(|c| (c.name(), Counter::new(a.critical_path.by_class.get(c), b.critical_path.by_class.get(c))))
         .into_iter()
@@ -499,9 +499,6 @@ fn crit_delta(a: &CritReport, b: &CritReport, pl_a: &ObsReport, pl_b: &ObsReport
         .into_iter()
         .map(|k| (k.clone(), Counter::new(ea.get(k).copied().unwrap_or(0), eb.get(k).copied().unwrap_or(0))))
         .collect();
-    // Phase labels (not raw ids) key the chain's phase composition in the
-    // report JSON, so resolve ids through each side's own names.
-    let _ = (pl_a, pl_b);
     let mut lock_ids: Vec<u32> =
         a.locks.iter().map(|l| l.lock).chain(b.locks.iter().map(|l| l.lock)).collect();
     lock_ids.sort_unstable();
@@ -625,10 +622,10 @@ fn host_delta(a: &HostObsReport, b: &HostObsReport) -> HostDelta {
 }
 
 impl ReportDelta {
-    /// Compares side `b` against baseline `a`, section by section.
-    /// Optional sections (lineage, crit, netobs, host) diff only when both
-    /// sides carry them; [`ReportDelta::check_closure`] then validates the
-    /// per-section sum equations.
+    /// Compares side `b` against baseline `a`, section by section. The
+    /// host section diffs only when both sides carry one;
+    /// [`ReportDelta::check_closure`] then validates the per-section sum
+    /// equations.
     pub fn between(a: &RunSide, b: &RunSide) -> ReportDelta {
         let (oa, ob) = (a.obs, b.obs);
         let classes = CPU_CLASSES
@@ -677,18 +674,9 @@ impl ReportDelta {
             classes,
             phases,
             msgs,
-            lineage: match (&oa.lineage, &ob.lineage) {
-                (Some(la), Some(lb)) => Some(lineage_delta(la, lb)),
-                _ => None,
-            },
-            crit: match (&oa.crit, &ob.crit) {
-                (Some(ca), Some(cb)) => Some(crit_delta(ca, cb, oa, ob)),
-                _ => None,
-            },
-            net: match (&oa.netobs, &ob.netobs) {
-                (Some(na), Some(nb)) => Some(net_delta(na, nb)),
-                _ => None,
-            },
+            lineage: lineage_delta(&oa.lineage, &ob.lineage),
+            crit: crit_delta(&oa.crit, &ob.crit),
+            net: net_delta(&oa.netobs, &ob.netobs),
             host: match (a.host, b.host) {
                 (Some(ha), Some(hb)) => Some(host_delta(ha, hb)),
                 _ => None,
@@ -729,79 +717,76 @@ impl ReportDelta {
                 phase_sum.a, phase_sum.b, nc.a, nc.b
             ));
         }
-        if let Some(crit) = &self.crit {
-            let chain_sum = Counter::new(
-                crit.chain_classes.values().map(|c| c.a).sum(),
-                crit.chain_classes.values().map(|c| c.b).sum(),
+        let crit = &self.crit;
+        let chain_sum = Counter::new(
+            crit.chain_classes.values().map(|c| c.a).sum(),
+            crit.chain_classes.values().map(|c| c.b).sum(),
+        );
+        if chain_sum != self.wall {
+            return Err(format!(
+                "crit chain classes sum to {}/{}, wall is {}/{}",
+                chain_sum.a, chain_sum.b, self.wall.a, self.wall.b
+            ));
+        }
+        if chain_sum.delta() != self.wall.delta() {
+            return Err("crit chain class deltas do not sum to the wall-clock delta".to_string());
+        }
+        for l in &crit.locks {
+            let split = Counter::new(
+                l.release_visibility.a + l.remote_miss.a + l.other.a,
+                l.release_visibility.b + l.remote_miss.b + l.other.b,
             );
-            if chain_sum != self.wall {
+            if split != l.handoff_cycles {
                 return Err(format!(
-                    "crit chain classes sum to {}/{}, wall is {}/{}",
-                    chain_sum.a, chain_sum.b, self.wall.a, self.wall.b
+                    "lock {} handoff split sums to {}/{}, handoff cycles are {}/{}",
+                    l.lock, split.a, split.b, l.handoff_cycles.a, l.handoff_cycles.b
                 ));
             }
-            if chain_sum.delta() != self.wall.delta() {
-                return Err("crit chain class deltas do not sum to the wall-clock delta".to_string());
-            }
-            for l in &crit.locks {
-                let split = Counter::new(
-                    l.release_visibility.a + l.remote_miss.a + l.other.a,
-                    l.release_visibility.b + l.remote_miss.b + l.other.b,
-                );
-                if split != l.handoff_cycles {
-                    return Err(format!(
-                        "lock {} handoff split sums to {}/{}, handoff cycles are {}/{}",
-                        l.lock, split.a, split.b, l.handoff_cycles.a, l.handoff_cycles.b
-                    ));
-                }
-            }
         }
-        if let Some(lineage) = &self.lineage {
-            let miss_sum = Counter::new(
-                lineage.misses.values().map(|c| c.a).sum(),
-                lineage.misses.values().map(|c| c.b).sum(),
-            );
-            if miss_sum != lineage.miss_total {
-                return Err("lineage miss classes do not sum to the miss total".to_string());
-            }
-            let upd_sum = Counter::new(
-                lineage.updates.values().map(|c| c.a).sum(),
-                lineage.updates.values().map(|c| c.b).sum(),
-            );
-            if upd_sum != lineage.update_total {
-                return Err("lineage update classes do not sum to the update total".to_string());
-            }
-            let pattern_sum = Counter::new(
-                lineage.patterns.values().map(|c| c.a).sum(),
-                lineage.patterns.values().map(|c| c.b).sum(),
-            );
-            if pattern_sum != lineage.blocks {
-                return Err("lineage pattern counts do not sum to the block count".to_string());
-            }
+        let lineage = &self.lineage;
+        let miss_sum = Counter::new(
+            lineage.misses.values().map(|c| c.a).sum(),
+            lineage.misses.values().map(|c| c.b).sum(),
+        );
+        if miss_sum != lineage.miss_total {
+            return Err("lineage miss classes do not sum to the miss total".to_string());
         }
-        if let Some(net) = &self.net {
-            let stage_sum = |s: &StageDelta| {
-                Counter::new(
-                    s.tx_wait.a + s.tx_service.a + s.wire.a + s.rx_wait.a,
-                    s.tx_wait.b + s.tx_service.b + s.wire.b + s.rx_wait.b,
-                )
-            };
-            if stage_sum(&net.totals) != net.totals.latency {
-                return Err("journey stages do not sum to journey latency".to_string());
+        let upd_sum = Counter::new(
+            lineage.updates.values().map(|c| c.a).sum(),
+            lineage.updates.values().map(|c| c.b).sum(),
+        );
+        if upd_sum != lineage.update_total {
+            return Err("lineage update classes do not sum to the update total".to_string());
+        }
+        let pattern_sum = Counter::new(
+            lineage.patterns.values().map(|c| c.a).sum(),
+            lineage.patterns.values().map(|c| c.b).sum(),
+        );
+        if pattern_sum != lineage.blocks {
+            return Err("lineage pattern counts do not sum to the block count".to_string());
+        }
+        let net = &self.net;
+        let stage_sum = |s: &StageDelta| {
+            Counter::new(
+                s.tx_wait.a + s.tx_service.a + s.wire.a + s.rx_wait.a,
+                s.tx_wait.b + s.tx_service.b + s.wire.b + s.rx_wait.b,
+            )
+        };
+        if stage_sum(&net.totals) != net.totals.latency {
+            return Err("journey stages do not sum to journey latency".to_string());
+        }
+        let mut class_total = StageDelta::default();
+        for s in net.by_class.values() {
+            if stage_sum(s) != s.latency {
+                return Err("a journey class's stages do not sum to its latency".to_string());
             }
-            let mut class_total = StageDelta::default();
-            for s in net.by_class.values() {
-                if stage_sum(s) != s.latency {
-                    return Err("a journey class's stages do not sum to its latency".to_string());
-                }
-                class_total.count =
-                    Counter::new(class_total.count.a + s.count.a, class_total.count.b + s.count.b);
-                class_total.latency =
-                    Counter::new(class_total.latency.a + s.latency.a, class_total.latency.b + s.latency.b);
-            }
-            if class_total.count != net.totals.count || class_total.latency != net.totals.latency {
-                return Err("per-class journeys do not sum to the journey totals".to_string());
-            }
+            class_total.count =
+                Counter::new(class_total.count.a + s.count.a, class_total.count.b + s.count.b);
+            class_total.latency =
+                Counter::new(class_total.latency.a + s.latency.a, class_total.latency.b + s.latency.b);
+        }
+        if class_total.count != net.totals.count || class_total.latency != net.totals.latency {
+            return Err("per-class journeys do not sum to the journey totals".to_string());
         }
         Ok(())
     }
@@ -816,53 +801,50 @@ impl ReportDelta {
             && self.classes.values().all(Counter::is_zero)
             && self.phases.values().all(Counter::is_zero)
             && self.msgs.values().all(Counter::is_zero);
-        let lineage = self.lineage.as_ref().map_or(true, |l| {
-            l.patterns.values().all(Counter::is_zero)
-                && l.blocks.is_zero()
-                && l.provenance_chains.is_zero()
-                && l.misses.values().all(Counter::is_zero)
-                && l.updates.values().all(Counter::is_zero)
-                && l.invalidations.is_zero()
-                && l.update_deliveries.is_zero()
-        });
-        let crit = self.crit.as_ref().map_or(true, |c| {
-            c.chain_classes.values().all(Counter::is_zero)
-                && c.chain_labels.values().all(Counter::is_zero)
-                && c.chain_edges.values().all(Counter::is_zero)
-                && c.locks.iter().all(|l| {
-                    l.acquires.is_zero()
-                        && l.handoffs.is_zero()
-                        && l.hold_cycles.is_zero()
-                        && l.queue_wait.is_zero()
-                        && l.release_visibility.is_zero()
-                        && l.remote_miss.is_zero()
-                        && l.other.is_zero()
-                })
-                && c.barriers.iter().all(|b| {
-                    b.episodes.is_zero() && b.imbalance_cycles.is_zero() && b.fanout_cycles.is_zero()
-                })
-        });
-        let net = self.net.as_ref().map_or(true, |n| {
-            let sd = |s: &StageDelta| {
-                s.count.is_zero()
-                    && s.flits.is_zero()
-                    && s.tx_wait.is_zero()
-                    && s.tx_service.is_zero()
-                    && s.wire.is_zero()
-                    && s.rx_wait.is_zero()
-                    && s.latency.is_zero()
-            };
-            sd(&n.totals)
-                && n.by_class.values().all(sd)
-                && n.homes.iter().all(|h| {
-                    h.homed_rx_flits.is_zero()
-                        && h.mem_busy.is_zero()
-                        && h.update_deliveries.is_zero()
-                        && h.update_drops.is_zero()
-                })
-                && n.links.iter().all(|l| l.flits.is_zero())
-                && n.local_messages.is_zero()
-        });
+        let l = &self.lineage;
+        let lineage = l.patterns.values().all(Counter::is_zero)
+            && l.blocks.is_zero()
+            && l.provenance_chains.is_zero()
+            && l.misses.values().all(Counter::is_zero)
+            && l.updates.values().all(Counter::is_zero)
+            && l.invalidations.is_zero()
+            && l.update_deliveries.is_zero();
+        let c = &self.crit;
+        let crit = c.chain_classes.values().all(Counter::is_zero)
+            && c.chain_labels.values().all(Counter::is_zero)
+            && c.chain_edges.values().all(Counter::is_zero)
+            && c.locks.iter().all(|l| {
+                l.acquires.is_zero()
+                    && l.handoffs.is_zero()
+                    && l.hold_cycles.is_zero()
+                    && l.queue_wait.is_zero()
+                    && l.release_visibility.is_zero()
+                    && l.remote_miss.is_zero()
+                    && l.other.is_zero()
+            })
+            && c.barriers
+                .iter()
+                .all(|b| b.episodes.is_zero() && b.imbalance_cycles.is_zero() && b.fanout_cycles.is_zero());
+        let n = &self.net;
+        let sd = |s: &StageDelta| {
+            s.count.is_zero()
+                && s.flits.is_zero()
+                && s.tx_wait.is_zero()
+                && s.tx_service.is_zero()
+                && s.wire.is_zero()
+                && s.rx_wait.is_zero()
+                && s.latency.is_zero()
+        };
+        let net = sd(&n.totals)
+            && n.by_class.values().all(sd)
+            && n.homes.iter().all(|h| {
+                h.homed_rx_flits.is_zero()
+                    && h.mem_busy.is_zero()
+                    && h.update_deliveries.is_zero()
+                    && h.update_drops.is_zero()
+            })
+            && n.links.iter().all(|l| l.flits.is_zero())
+            && n.local_messages.is_zero();
         let fp = !matches!(self.fingerprint, FingerprintCompare::Diverged { .. });
         base && lineage && crit && net && fp
     }
@@ -882,34 +864,32 @@ impl ReportDelta {
         for (&class, &c) in &self.classes {
             push("stall-class accounting".to_string(), format!("{class} stall"), c);
         }
-        if let Some(crit) = &self.crit {
-            for (&class, &c) in &crit.chain_classes {
-                push("the critical path".to_string(), format!("{class} chain"), c);
-            }
-            for (label, &c) in &crit.chain_labels {
-                push("the critical path".to_string(), format!("'{label}'"), c);
-            }
-            for l in &crit.locks {
-                let sec = format!("lock {} handoffs", l.lock);
-                push(sec.clone(), "remote-miss".to_string(), l.remote_miss);
-                push(sec.clone(), "release-visibility".to_string(), l.release_visibility);
-                push(sec.clone(), "queue-wait".to_string(), l.queue_wait);
-                push(sec, "other".to_string(), l.other);
-            }
-            for b in &crit.barriers {
-                let sec = format!("barrier {} episodes", b.barrier);
-                push(sec.clone(), "imbalance".to_string(), b.imbalance_cycles);
-                push(sec, "fanout".to_string(), b.fanout_cycles);
-            }
+        let crit = &self.crit;
+        for (&class, &c) in &crit.chain_classes {
+            push("the critical path".to_string(), format!("{class} chain"), c);
         }
-        if let Some(net) = &self.net {
-            for (class, s) in &net.by_class {
-                let sec = format!("{class} journeys");
-                push(sec.clone(), "tx-wait".to_string(), s.tx_wait);
-                push(sec.clone(), "tx-service".to_string(), s.tx_service);
-                push(sec.clone(), "wire".to_string(), s.wire);
-                push(sec, "rx-wait".to_string(), s.rx_wait);
-            }
+        for (label, &c) in &crit.chain_labels {
+            push("the critical path".to_string(), format!("'{label}'"), c);
+        }
+        for l in &crit.locks {
+            let sec = format!("lock {} handoffs", l.lock);
+            push(sec.clone(), "remote-miss".to_string(), l.remote_miss);
+            push(sec.clone(), "release-visibility".to_string(), l.release_visibility);
+            push(sec.clone(), "queue-wait".to_string(), l.queue_wait);
+            push(sec, "other".to_string(), l.other);
+        }
+        for b in &crit.barriers {
+            let sec = format!("barrier {} episodes", b.barrier);
+            push(sec.clone(), "imbalance".to_string(), b.imbalance_cycles);
+            push(sec, "fanout".to_string(), b.fanout_cycles);
+        }
+        let net = &self.net;
+        for (class, s) in &net.by_class {
+            let sec = format!("{class} journeys");
+            push(sec.clone(), "tx-wait".to_string(), s.tx_wait);
+            push(sec.clone(), "tx-service".to_string(), s.tx_service);
+            push(sec.clone(), "wire".to_string(), s.wire);
+            push(sec, "rx-wait".to_string(), s.rx_wait);
         }
         rows.sort_by_key(|r| std::cmp::Reverse(r.counter.delta().unsigned_abs()));
         rows.truncate(limit);
@@ -932,99 +912,96 @@ impl ReportDelta {
             ("phases".to_string(), map_json(&self.phases)),
             ("msg_counts".to_string(), map_json(&self.msgs)),
         ];
-        if let Some(l) = &self.lineage {
-            pairs.push((
-                "lineage".to_string(),
+        let l = &self.lineage;
+        pairs.push((
+            "lineage".to_string(),
+            Json::obj([
+                ("patterns", static_map_json(&l.patterns)),
+                ("blocks", l.blocks.to_json()),
+                ("provenance_chains", l.provenance_chains.to_json()),
+                ("misses", static_map_json(&l.misses)),
+                ("miss_total", l.miss_total.to_json()),
+                ("updates", static_map_json(&l.updates)),
+                ("update_total", l.update_total.to_json()),
+                ("invalidations", l.invalidations.to_json()),
+                ("update_deliveries", l.update_deliveries.to_json()),
+            ]),
+        ));
+        let c = &self.crit;
+        let locks = c
+            .locks
+            .iter()
+            .map(|l| {
                 Json::obj([
-                    ("patterns", static_map_json(&l.patterns)),
-                    ("blocks", l.blocks.to_json()),
-                    ("provenance_chains", l.provenance_chains.to_json()),
-                    ("misses", static_map_json(&l.misses)),
-                    ("miss_total", l.miss_total.to_json()),
-                    ("updates", static_map_json(&l.updates)),
-                    ("update_total", l.update_total.to_json()),
-                    ("invalidations", l.invalidations.to_json()),
-                    ("update_deliveries", l.update_deliveries.to_json()),
-                ]),
-            ));
-        }
-        if let Some(c) = &self.crit {
-            let locks = c
-                .locks
-                .iter()
-                .map(|l| {
-                    Json::obj([
-                        ("lock", Json::from(l.lock)),
-                        ("acquires", l.acquires.to_json()),
-                        ("handoffs", l.handoffs.to_json()),
-                        ("hold_cycles", l.hold_cycles.to_json()),
-                        ("queue_wait", l.queue_wait.to_json()),
-                        ("release_visibility", l.release_visibility.to_json()),
-                        ("remote_miss", l.remote_miss.to_json()),
-                        ("other", l.other.to_json()),
-                        ("handoff_cycles", l.handoff_cycles.to_json()),
-                    ])
-                })
-                .collect();
-            let barriers = c
-                .barriers
-                .iter()
-                .map(|b| {
-                    Json::obj([
-                        ("barrier", Json::from(b.barrier)),
-                        ("episodes", b.episodes.to_json()),
-                        ("imbalance_cycles", b.imbalance_cycles.to_json()),
-                        ("fanout_cycles", b.fanout_cycles.to_json()),
-                    ])
-                })
-                .collect();
-            pairs.push((
-                "crit".to_string(),
+                    ("lock", Json::from(l.lock)),
+                    ("acquires", l.acquires.to_json()),
+                    ("handoffs", l.handoffs.to_json()),
+                    ("hold_cycles", l.hold_cycles.to_json()),
+                    ("queue_wait", l.queue_wait.to_json()),
+                    ("release_visibility", l.release_visibility.to_json()),
+                    ("remote_miss", l.remote_miss.to_json()),
+                    ("other", l.other.to_json()),
+                    ("handoff_cycles", l.handoff_cycles.to_json()),
+                ])
+            })
+            .collect();
+        let barriers = c
+            .barriers
+            .iter()
+            .map(|b| {
                 Json::obj([
-                    ("chain_classes", static_map_json(&c.chain_classes)),
-                    ("chain_labels", map_json(&c.chain_labels)),
-                    ("chain_edges", map_json(&c.chain_edges)),
-                    ("locks", Json::Arr(locks)),
-                    ("barriers", Json::Arr(barriers)),
-                ]),
-            ));
-        }
-        if let Some(n) = &self.net {
-            let homes = n
-                .homes
-                .iter()
-                .map(|h| {
-                    Json::obj([
-                        ("node", Json::from(h.node)),
-                        ("homed_rx_flits", h.homed_rx_flits.to_json()),
-                        ("mem_busy", h.mem_busy.to_json()),
-                        ("update_deliveries", h.update_deliveries.to_json()),
-                        ("update_drops", h.update_drops.to_json()),
-                    ])
-                })
-                .collect();
-            let links = n
-                .links
-                .iter()
-                .map(|l| {
-                    Json::obj([
-                        ("src", Json::from(l.src)),
-                        ("dst", Json::from(l.dst)),
-                        ("flits", l.flits.to_json()),
-                    ])
-                })
-                .collect();
-            pairs.push((
-                "netobs".to_string(),
+                    ("barrier", Json::from(b.barrier)),
+                    ("episodes", b.episodes.to_json()),
+                    ("imbalance_cycles", b.imbalance_cycles.to_json()),
+                    ("fanout_cycles", b.fanout_cycles.to_json()),
+                ])
+            })
+            .collect();
+        pairs.push((
+            "crit".to_string(),
+            Json::obj([
+                ("chain_classes", static_map_json(&c.chain_classes)),
+                ("chain_labels", map_json(&c.chain_labels)),
+                ("chain_edges", map_json(&c.chain_edges)),
+                ("locks", Json::Arr(locks)),
+                ("barriers", Json::Arr(barriers)),
+            ]),
+        ));
+        let n = &self.net;
+        let homes = n
+            .homes
+            .iter()
+            .map(|h| {
                 Json::obj([
-                    ("totals", n.totals.to_json()),
-                    ("by_class", Json::obj(n.by_class.iter().map(|(k, s)| (k.clone(), s.to_json())))),
-                    ("homes", Json::Arr(homes)),
-                    ("links", Json::Arr(links)),
-                    ("local_messages", n.local_messages.to_json()),
-                ]),
-            ));
-        }
+                    ("node", Json::from(h.node)),
+                    ("homed_rx_flits", h.homed_rx_flits.to_json()),
+                    ("mem_busy", h.mem_busy.to_json()),
+                    ("update_deliveries", h.update_deliveries.to_json()),
+                    ("update_drops", h.update_drops.to_json()),
+                ])
+            })
+            .collect();
+        let links = n
+            .links
+            .iter()
+            .map(|l| {
+                Json::obj([
+                    ("src", Json::from(l.src)),
+                    ("dst", Json::from(l.dst)),
+                    ("flits", l.flits.to_json()),
+                ])
+            })
+            .collect();
+        pairs.push((
+            "netobs".to_string(),
+            Json::obj([
+                ("totals", n.totals.to_json()),
+                ("by_class", Json::obj(n.by_class.iter().map(|(k, s)| (k.clone(), s.to_json())))),
+                ("homes", Json::Arr(homes)),
+                ("links", Json::Arr(links)),
+                ("local_messages", n.local_messages.to_json()),
+            ]),
+        ));
         if let Some(h) = &self.host {
             let cats = h
                 .cats
@@ -1108,51 +1085,47 @@ impl ReportDelta {
                 let _ = writeln!(out, "    {phase:<13} {}", c.display());
             }
         }
-        if let Some(crit) = &self.crit {
-            let _ = writeln!(out, "  critical path (chain classes; deltas close to the wall delta):");
-            for (class, c) in &crit.chain_classes {
-                if c.a > 0 || c.b > 0 {
-                    let _ = writeln!(out, "    {class:<13} {}", c.display());
-                }
-            }
-            for l in &crit.locks {
-                let _ = writeln!(out, "  lock {} handoffs: {}", l.lock, l.handoffs.display());
-                let _ = writeln!(out, "    remote-miss handoff cycles        {}", l.remote_miss.display());
-                let _ =
-                    writeln!(out, "    release-visibility handoff cycles {}", l.release_visibility.display());
-                let _ = writeln!(out, "    queue-wait cycles                 {}", l.queue_wait.display());
-                let _ = writeln!(out, "    other handoff cycles              {}", l.other.display());
-            }
-            for b in &crit.barriers {
-                let _ = writeln!(
-                    out,
-                    "  barrier {}: imbalance {} / fanout {}",
-                    b.barrier,
-                    b.imbalance_cycles.display(),
-                    b.fanout_cycles.display()
-                );
+        let crit = &self.crit;
+        let _ = writeln!(out, "  critical path (chain classes; deltas close to the wall delta):");
+        for (class, c) in &crit.chain_classes {
+            if c.a > 0 || c.b > 0 {
+                let _ = writeln!(out, "    {class:<13} {}", c.display());
             }
         }
-        if let Some(lin) = &self.lineage {
-            let _ = writeln!(out, "  sharing patterns (blocks):");
-            for (pattern, c) in &lin.patterns {
-                if c.a > 0 || c.b > 0 {
-                    let _ = writeln!(out, "    {pattern:<17} {}", c.display());
-                }
+        for l in &crit.locks {
+            let _ = writeln!(out, "  lock {} handoffs: {}", l.lock, l.handoffs.display());
+            let _ = writeln!(out, "    remote-miss handoff cycles        {}", l.remote_miss.display());
+            let _ = writeln!(out, "    release-visibility handoff cycles {}", l.release_visibility.display());
+            let _ = writeln!(out, "    queue-wait cycles                 {}", l.queue_wait.display());
+            let _ = writeln!(out, "    other handoff cycles              {}", l.other.display());
+        }
+        for b in &crit.barriers {
+            let _ = writeln!(
+                out,
+                "  barrier {}: imbalance {} / fanout {}",
+                b.barrier,
+                b.imbalance_cycles.display(),
+                b.fanout_cycles.display()
+            );
+        }
+        let lin = &self.lineage;
+        let _ = writeln!(out, "  sharing patterns (blocks):");
+        for (pattern, c) in &lin.patterns {
+            if c.a > 0 || c.b > 0 {
+                let _ = writeln!(out, "    {pattern:<17} {}", c.display());
             }
-            let _ = writeln!(out, "    provenance chains {}", lin.provenance_chains.display());
-            let _ = writeln!(out, "  misses: {}", lin.miss_total.display());
-            let _ = writeln!(out, "  updates: {}", lin.update_total.display());
         }
-        if let Some(net) = &self.net {
-            let _ = writeln!(out, "  journeys (stage cycles; stages close to latency):");
-            let t = &net.totals;
-            let _ = writeln!(out, "    messages      {}", t.count.display());
-            let _ = writeln!(out, "    tx-wait       {}", t.tx_wait.display());
-            let _ = writeln!(out, "    tx-service    {}", t.tx_service.display());
-            let _ = writeln!(out, "    wire          {}", t.wire.display());
-            let _ = writeln!(out, "    rx-wait       {}", t.rx_wait.display());
-        }
+        let _ = writeln!(out, "    provenance chains {}", lin.provenance_chains.display());
+        let _ = writeln!(out, "  misses: {}", lin.miss_total.display());
+        let _ = writeln!(out, "  updates: {}", lin.update_total.display());
+        let net = &self.net;
+        let _ = writeln!(out, "  journeys (stage cycles; stages close to latency):");
+        let t = &net.totals;
+        let _ = writeln!(out, "    messages      {}", t.count.display());
+        let _ = writeln!(out, "    tx-wait       {}", t.tx_wait.display());
+        let _ = writeln!(out, "    tx-service    {}", t.tx_service.display());
+        let _ = writeln!(out, "    wire          {}", t.wire.display());
+        let _ = writeln!(out, "    rx-wait       {}", t.rx_wait.display());
         if let Some(host) = &self.host {
             let _ = writeln!(out, "  host profile:");
             let _ = writeln!(out, "    events        {}", host.events.display());

@@ -214,7 +214,7 @@ impl NetState {
         wall: Cycle,
         phys_flits: Vec<(NodeId, NodeId, u64)>,
         gauges: &[crate::obs::NodeGauges],
-        home_updates: Option<HomeUpdates>,
+        home_updates: &HomeUpdates,
         structure_names: &[&str],
     ) -> NetObsReport {
         assert_eq!(gauges.len(), self.homes.len());
@@ -231,9 +231,9 @@ impl NetState {
                 tx_busy: gauges[n].tx_busy,
                 rx_busy: gauges[n].rx_busy,
                 homed_rx_flits: h.homed_rx_flits,
-                updates: home_updates.as_ref().map(|u| u.classified[n]).unwrap_or_default(),
-                update_deliveries: home_updates.as_ref().map(|u| u.deliveries[n].0).unwrap_or(0),
-                update_drops: home_updates.as_ref().map(|u| u.deliveries[n].1).unwrap_or(0),
+                updates: home_updates.classified[n],
+                update_deliveries: home_updates.deliveries[n].0,
+                update_drops: home_updates.deliveries[n].1,
             })
             .collect();
         let by_class = msg_kinds
@@ -705,7 +705,7 @@ mod tests {
         names: &[&str],
     ) -> NetObsReport {
         let gauges = vec![Default::default(); c.nodes.len()];
-        c.net.report(KINDS, wall, phys, &gauges, None, names)
+        c.net.report(KINDS, wall, phys, &gauges, &HomeUpdates::new(c.nodes.len()), names)
     }
 
     fn journey(src: NodeId, dst: NodeId, flits: u64, hops: u64, inject: Cycle) -> Journey {
@@ -788,7 +788,7 @@ mod tests {
             shape.links().into_iter().map(|(a, b)| (a, b, if a == 0 { 90 } else { 1 })).collect();
         let mut gauges = [crate::obs::NodeGauges::default(); 4];
         gauges[0].rx_busy = 50;
-        let r = c.net.report(KINDS, 100, phys, &gauges, None, &[]);
+        let r = c.net.report(KINDS, 100, phys, &gauges, &HomeUpdates::new(4), &[]);
         let map = r.heatmap();
         for n in 0..4 {
             assert!(map.contains(&format!("n{n:02}")), "node {n} missing from heatmap:\n{map}");

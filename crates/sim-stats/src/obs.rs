@@ -344,7 +344,9 @@ impl ObsCollector {
     /// stall accounts and samples, the critical path, network telemetry
     /// from `net`'s link counters, and the lineage and per-home update
     /// accounting detached from `clf`, whose registered structures name
-    /// the chain and journey labels. Call after [`Classifier::finish`].
+    /// the chain and journey labels. `clf` must be observing (see
+    /// [`Classifier::enable_observation`]); call after
+    /// [`Classifier::finish`].
     /// The per-node component gauges are read out by the machine and
     /// passed in.
     pub fn finish(
@@ -358,11 +360,12 @@ impl ObsCollector {
         for (n, node) in self.nodes.iter_mut().enumerate() {
             node.attribute(n, wall, false);
         }
-        let (lineage, home_updates) = clf.take_observation().unzip();
+        let (lineage, home_updates) =
+            clf.take_observation().expect("an observing machine's classifier observes");
         let structures: Vec<&str> = clf.report().by_structure.iter().map(|s| s.name.as_str()).collect();
         let crit = self.crit_report(wall, &structures);
         let netobs =
-            self.net.report(self.msg_kinds, wall, net.phys_link_flits(), &gauges, home_updates, &structures);
+            self.net.report(self.msg_kinds, wall, net.phys_link_flits(), &gauges, &home_updates, &structures);
         let mut phase_totals: BTreeMap<u16, CycleAccount> = BTreeMap::new();
         let per_node: Vec<NodeObs> = self
             .nodes
@@ -403,8 +406,8 @@ impl ObsCollector {
                 .collect(),
             samples: self.samples,
             lineage,
-            crit: Some(crit),
-            netobs: Some(netobs),
+            crit,
+            netobs,
         }
     }
 }
@@ -488,17 +491,14 @@ pub struct ObsReport {
     pub samples: TimeSeries,
     /// Per-cache-line provenance (patterns, causal edges, per-structure
     /// aggregation), frozen from the classifier's
-    /// [`crate::lineage::Lineage`] recorder by [`ObsCollector::finish`];
-    /// `None` when the classifier was not observing.
-    pub lineage: Option<crate::lineage::LineageReport>,
+    /// [`crate::lineage::Lineage`] recorder by [`ObsCollector::finish`].
+    pub lineage: crate::lineage::LineageReport,
     /// Critical-path and sync-episode profile (lock handoffs, barrier
-    /// episodes, causal stall chains); always filled in by
-    /// [`ObsCollector::finish`].
-    pub crit: Option<crate::crit::CritReport>,
+    /// episodes, causal stall chains).
+    pub crit: crate::crit::CritReport,
     /// Network/memory-back-end telemetry (message journeys, physical-link
-    /// traffic, hot-home profiles); always filled in by
-    /// [`ObsCollector::finish`].
-    pub netobs: Option<crate::netobs::NetObsReport>,
+    /// traffic, hot-home profiles).
+    pub netobs: crate::netobs::NetObsReport,
 }
 
 impl ObsReport {
@@ -547,7 +547,7 @@ impl ObsReport {
                 ])
             })
             .collect();
-        let mut pairs = vec![
+        Json::obj([
             ("wall_cycles", Json::U64(self.wall_cycles)),
             ("sample_interval", Json::U64(self.sample_interval)),
             ("per_node", Json::Arr(per_node)),
@@ -575,17 +575,10 @@ impl ObsReport {
             ),
             ("endpoint_pair_flits", Json::Arr(endpoint_pair_flits)),
             ("samples", self.samples.to_json()),
-        ];
-        if let Some(lineage) = &self.lineage {
-            pairs.push(("lineage", lineage.to_json(&|p| self.phase_label(p))));
-        }
-        if let Some(crit) = &self.crit {
-            pairs.push(("crit", crit.to_json(&|p| self.phase_label(p))));
-        }
-        if let Some(netobs) = &self.netobs {
-            pairs.push(("netobs", netobs.to_json()));
-        }
-        Json::obj(pairs)
+            ("lineage", self.lineage.to_json(&|p| self.phase_label(p))),
+            ("crit", self.crit.to_json(&|p| self.phase_label(p))),
+            ("netobs", self.netobs.to_json()),
+        ])
     }
 
     /// A short human-readable summary (one line per node plus totals).
@@ -616,11 +609,12 @@ impl ObsReport {
 
 #[cfg(test)]
 impl ObsCollector {
-    /// Finishes with zero gauges, an unobserved network and a classifier
-    /// that registered no structure.
+    /// Finishes with zero gauges, an unobserved network and an observing
+    /// classifier that registered no structure.
     pub(crate) fn finish_bare(self, wall: Cycle) -> ObsReport {
         let n = self.nodes.len();
         let mut clf = Classifier::new(sim_mem::Geometry::new(n));
+        clf.enable_observation();
         clf.finish();
         let net = Network::new(n, sim_net::NetConfig::default());
         self.finish(wall, vec![NodeGauges::default(); n], &net, &mut clf)
@@ -748,7 +742,9 @@ mod tests {
         assert_eq!(parsed.get("msg_counts").unwrap().get("ReadShared").and_then(Json::as_u64), Some(2));
         assert!(parsed.get("msg_counts").unwrap().get("GetX").is_none(), "unsent kinds are not listed");
         assert_eq!(parsed.get("per_node").unwrap().as_arr().unwrap().len(), 2);
-        assert!(parsed.get("crit").is_some() && parsed.get("netobs").is_some(), "finish fills every part in");
+        for part in ["lineage", "crit", "netobs"] {
+            assert!(parsed.get(part).is_some(), "the report carries {part}");
+        }
         assert!(r.summary().contains("wall cycles: 7"));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The simulator is fully deterministic, so these fixed-scale runs must
 //! reproduce their recorded measurements *exactly*. Any intentional change
-//! to timing, protocol behavior, or classification shows up here first —
-//! re-record by running the `golden_gen` bench binary and auditing the
-//! diff against EXPERIMENTS.md.
+//! to timing, protocol behavior, or classification shows up here first:
+//! `golden_measurements_are_stable` then prints the re-recorded `GOLDEN`
+//! array, ready to paste once its diff is audited against EXPERIMENTS.md.
 
 use kernels::runner::{install_run_verify, run_experiment, ExperimentSpec, KernelSpec};
 use kernels::workloads::{
@@ -52,12 +52,21 @@ fn spec_of(name: &str) -> ExperimentSpec {
 
 #[test]
 fn golden_measurements_are_stable() {
-    for (name, cycles, misses, updates, messages) in GOLDEN {
+    let measured = GOLDEN.map(|(name, ..)| {
         let out = run_experiment(&spec_of(name));
-        assert_eq!(out.cycles, cycles, "{name}: cycles");
-        assert_eq!(out.traffic.misses.total_misses(), misses, "{name}: misses");
-        assert_eq!(out.traffic.updates.total(), updates, "{name}: updates");
-        assert_eq!(out.net.messages, messages, "{name}: messages");
+        (name, out.cycles, out.traffic.misses.total_misses(), out.traffic.updates.total(), out.net.messages)
+    });
+    if measured != GOLDEN {
+        let rows: String = measured
+            .iter()
+            .map(|(name, cycles, misses, updates, messages)| {
+                format!("    (\"{name}\", {cycles}, {misses}, {updates}, {messages}),\n")
+            })
+            .collect();
+        panic!(
+            "golden measurements moved; audit the change against EXPERIMENTS.md, then paste:\n\
+             const GOLDEN: [(&str, u64, u64, u64, u64); 8] = [\n{rows}];"
+        );
     }
 }
 
@@ -237,7 +246,8 @@ mod full_scale {
     }
 
     /// §4.1 text variant (random post-release delay), ticket/invalidate at
-    /// 32 processors — value recorded from `text_lock_random_delay`.
+    /// 32 processors — the `tk i` row at P=32 of `all_figures
+    /// text_lock_random_delay`.
     #[test]
     fn text_variant_lock_random_delay_row() {
         let kernel = KernelSpec::Lock(LockWorkload {
@@ -250,7 +260,8 @@ mod full_scale {
     }
 
     /// §4.1 text variant (outside/inside work ratio = P), ticket/invalidate
-    /// at 32 processors — value recorded from `text_lock_proportional`.
+    /// at 32 processors — the `tk i` row at P=32 of `all_figures
+    /// text_lock_proportional`.
     #[test]
     fn text_variant_lock_proportional_row() {
         let kernel = KernelSpec::Lock(LockWorkload {
@@ -263,7 +274,8 @@ mod full_scale {
     }
 
     /// §4.3 text variant (load imbalance), sequential reduction under
-    /// invalidate at 32 processors — recorded from `text_reduction_imbalance`.
+    /// invalidate at 32 processors — the `sr i` row at P=32 of
+    /// `all_figures text_reduction_imbalance`.
     #[test]
     fn text_variant_reduction_imbalance_row() {
         let kernel = KernelSpec::Reduction(ReductionWorkload {

@@ -43,7 +43,7 @@ fn run_central_barrier(procs: usize, protocol: Protocol) -> RunResult {
 }
 
 fn lineage(r: &RunResult) -> &LineageReport {
-    r.obs.as_ref().expect("observed config").lineage.as_ref().expect("observed runs capture line provenance")
+    &r.obs.as_ref().expect("observed config").lineage
 }
 
 #[test]

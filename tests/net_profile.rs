@@ -102,7 +102,7 @@ fn run_mcs(procs: usize, protocol: Protocol, total_acquires: u32) -> RunResult {
 }
 
 fn netobs(r: &RunResult) -> &NetObsReport {
-    r.obs.as_ref().expect("observed run").netobs.as_ref().expect("observed runs carry network telemetry")
+    &r.obs.as_ref().expect("observed run").netobs
 }
 
 /// The reconciliation check (journey stage sums, message/flit/cycle

@@ -93,8 +93,7 @@ fn zero_length_run_observes_cleanly() {
     for node in &obs.per_node {
         assert_eq!(node.cycles.total(), 0);
     }
-    let lineage = obs.lineage.as_ref().expect("lineage attaches even to empty runs");
-    assert!(lineage.blocks.is_empty(), "no accesses, no traced blocks");
+    assert!(obs.lineage.blocks.is_empty(), "no accesses, no traced blocks");
     Json::parse(&obs.to_json().render()).expect("empty report serializes");
 }
 

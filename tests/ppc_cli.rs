@@ -1,6 +1,7 @@
-//! The `ppc` diagnostics binary, end to end.
+//! The two bench binaries, end to end: the `ppc` diagnostics CLI and the
+//! `all_figures` tables.
 //!
-//! Each test runs the built binary as a child process with every `PPC_*`
+//! Each test runs a built binary as a child process with every `PPC_*`
 //! variable cleared, then sets only `PPC_SCALE` (the workload floor: 64
 //! acquires or episodes), `PPC_WORKERS`, and — for the window replay —
 //! a fingerprint epoch and checkpoint cadence small enough that the
@@ -15,9 +16,12 @@
 //!   paper's argument rests on (MCS qnodes migratory, the barrier counter
 //!   wide-shared, the hot barrier home, remote-miss lock handoffs, ...)
 //!   must appear.
+//! * Every `all_figures` table, run serially with no disk cache, must
+//!   reproduce `tests/golden/all_figures_tables.txt` byte for byte.
 //!
-//! `ppc overhead` times every kernel against wall-clock thresholds, so
-//! it runs in CI's release `figures` job instead.
+//! `ppc overhead` times every kernel against wall-clock thresholds, and
+//! `all_figures --quick` is diffed at a larger scale, so both run in
+//! CI's release `figures` job instead.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -38,9 +42,40 @@ const SCALE: &str = "0.001";
 const WINDOW_ENV: [(&str, &str); 2] = [("PPC_FP_EPOCH", "256"), ("PPC_CHECKPOINT_EVERY", "256")];
 const WINDOW: &str = "6000:9000";
 
+const PPC: &str = env!("CARGO_BIN_EXE_ppc");
+const ALL_FIGURES: &str = env!("CARGO_BIN_EXE_all_figures");
+
+/// Every `all_figures` table, in the golden's order: the nine figures
+/// first.
+const TABLES: [&str; 20] = [
+    "fig08_lock_latency",
+    "fig09_lock_misses",
+    "fig10_lock_updates",
+    "fig11_barrier_latency",
+    "fig12_barrier_misses",
+    "fig13_barrier_updates",
+    "fig14_reduction_latency",
+    "fig15_reduction_misses",
+    "fig16_reduction_updates",
+    "text_lock_random_delay",
+    "text_lock_proportional",
+    "text_reduction_imbalance",
+    "ablation_cu_threshold",
+    "ablation_pu_private",
+    "ablation_write_buffer",
+    "ablation_uc_flush",
+    "ablation_counter_layout",
+    "ext_lock_family",
+    "latency_distribution",
+    "traffic_by_structure",
+];
+
+/// The tables golden's settings: serial, and every cell simulated.
+const TABLES_ENV: [(&str, &str); 2] = [("PPC_WORKERS", "1"), ("PPC_SWEEP_CACHE", "off")];
+
 /// `ppc-cli/<name>` next to the test binary (inside `target/`).
 fn target_dir(name: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_BIN_EXE_ppc")).parent().unwrap().join("ppc-cli").join(name);
+    let dir = Path::new(PPC).parent().unwrap().join("ppc-cli").join(name);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -51,11 +86,11 @@ fn scratch(name: &str) -> PathBuf {
     target_dir(name)
 }
 
-/// Runs `ppc args...` with a clean `PPC_*` environment plus `env`, from
-/// a working directory inside `target/` (where `diff --sweep` puts its
-/// default disk cache).
-fn ppc(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ppc"));
+/// Runs `bin args...` with a clean `PPC_*` environment plus `env`, from
+/// a working directory inside `target/` (where `ppc diff --sweep` and
+/// `all_figures` put their default disk cache).
+fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(bin);
     cmd.current_dir(target_dir("cwd"));
     for (key, _) in std::env::vars() {
         if key.starts_with("PPC_") {
@@ -63,15 +98,15 @@ fn ppc(args: &[&str], env: &[(&str, &str)]) -> Output {
         }
     }
     cmd.env("PPC_SCALE", SCALE).env("PPC_WORKERS", "2").envs(env.iter().copied()).args(args);
-    cmd.output().expect("ppc runs")
+    cmd.output().unwrap_or_else(|e| panic!("{bin} does not run: {e}"))
 }
 
-/// [`ppc`], asserting exit 0; returns stdout.
-fn ppc_ok(args: &[&str], env: &[(&str, &str)]) -> String {
-    let out = ppc(args, env);
+/// [`run`], asserting exit 0; returns stdout.
+fn run_ok(bin: &str, args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = run(bin, args, env);
     assert!(
         out.status.success(),
-        "ppc {} exited {}\nstderr:\n{}",
+        "{bin} {} exited {}\nstderr:\n{}",
         args.join(" "),
         out.status,
         String::from_utf8_lossy(&out.stderr)
@@ -100,22 +135,32 @@ fn parse(text: &str) -> Json {
     Json::parse(text).unwrap_or_else(|e| panic!("not one JSON document ({e}):\n{text}"))
 }
 
-/// Compares the masked `actual` document with `tests/golden/ppc/<name>.json`.
-fn assert_golden(name: &str, actual: &str) {
-    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/ppc");
-    let golden_path = golden_dir.canonicalize().unwrap_or(golden_dir).join(format!("{name}.json"));
-    let actual = mask(parse(actual)).render_pretty();
-    let golden = std::fs::read_to_string(&golden_path).map(|g| mask(parse(&g)).render_pretty());
-    if golden.as_deref().ok() != Some(actual.as_str()) {
-        let out = target_dir("actual").join(format!("{name}.json"));
-        std::fs::write(&out, &actual).unwrap();
+/// `tests/golden/<file>`.
+fn golden_path(file: &str) -> PathBuf {
+    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    golden_dir.canonicalize().unwrap_or(golden_dir).join(file)
+}
+
+/// Fails unless `actual` equals the contents of `tests/golden/<file>`
+/// after `read` transforms them; on a mismatch it writes `actual` next to
+/// the test binary and prints the `cp` that re-blesses the golden.
+fn assert_matches_golden(file: &str, read: impl Fn(String) -> String, actual: &str) {
+    let path = golden_path(file);
+    if std::fs::read_to_string(&path).map(read).ok().as_deref() != Some(actual) {
+        let out = target_dir("actual").join(Path::new(file).file_name().unwrap());
+        std::fs::write(&out, actual).unwrap();
         panic!(
-            "ppc {name} output differs from {}; if the change is intended, re-bless with:\n  cp {} {}",
-            golden_path.display(),
+            "{file} differs from the output; if the change is intended, re-bless with:\n  cp {} {}",
             out.display(),
-            golden_path.display()
+            path.display()
         );
     }
+}
+
+/// Compares the masked `actual` document with `tests/golden/ppc/<name>.json`.
+fn assert_golden(name: &str, actual: &str) {
+    let masked = |doc: String| mask(parse(&doc)).render_pretty();
+    assert_matches_golden(&format!("ppc/{name}.json"), masked, &masked(actual.to_string()));
 }
 
 /// Lines of `text` containing every one of `parts`, in order.
@@ -147,12 +192,12 @@ fn assert_some_line(text: &str, parts: &[&str]) {
 
 #[test]
 fn observed_views_share_one_document_matching_the_golden() {
-    let lines = ppc_ok(&["lines", "mcs-lock", "2", "--json"], &[]);
+    let lines = run_ok(PPC, &["lines", "mcs-lock", "2", "--json"], &[]);
     for view in ["crit", "net"] {
-        assert_eq!(ppc_ok(&[view, "mcs-lock", "2", "--json"], &[]), lines, "ppc {view} --json");
+        assert_eq!(run_ok(PPC, &[view, "mcs-lock", "2", "--json"], &[]), lines, "ppc {view} --json");
     }
     let dir = scratch("report-json");
-    let report = ppc_ok(&["report", "mcs-lock", "2", dir.to_str().unwrap(), "--json"], &[]);
+    let report = run_ok(PPC, &["report", "mcs-lock", "2", dir.to_str().unwrap(), "--json"], &[]);
     assert_eq!(report, lines, "ppc report --json");
     assert_eq!(std::fs::read_to_string(dir.join("report.json")).unwrap() + "\n", report);
     assert_golden("lines", &lines);
@@ -171,14 +216,14 @@ fn observed_views_share_one_document_matching_the_golden() {
 
 #[test]
 fn diff_json_matches_the_golden() {
-    let out = ppc_ok(&["diff", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
+    let out = run_ok(PPC, &["diff", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
     assert!(parse(&out).get("delta").and_then(|d| d.get("crit")).is_some(), "delta carries crit");
     assert_golden("diff", &out);
 }
 
 #[test]
 fn replay_json_matches_the_golden() {
-    let out = ppc_ok(&["replay", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
+    let out = run_ok(PPC, &["replay", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
     let doc = parse(&out);
     let first = doc.get("first_divergent_event").expect("a first divergent event");
     let index = first.get("index").and_then(Json::as_u64);
@@ -193,7 +238,7 @@ fn replay_json_matches_the_golden() {
 
 #[test]
 fn window_replay_json_matches_the_golden() {
-    let out = ppc_ok(&["replay", "ticket-lock", "wi", "4", "--window", WINDOW, "--json"], &WINDOW_ENV);
+    let out = run_ok(PPC, &["replay", "ticket-lock", "wi", "4", "--window", WINDOW, "--json"], &WINDOW_ENV);
     let doc = parse(&out);
     let field = |k| doc.get(k).and_then(Json::as_u64).unwrap();
     assert!(field("replayed_from_events") > 0 && field("replayed_from_cycle") > 0, "restored mid-run");
@@ -204,7 +249,7 @@ fn window_replay_json_matches_the_golden() {
 #[test]
 fn harness_json_is_one_document_matching_the_golden() {
     let dir = scratch("harness-json");
-    let out = ppc_ok(&["harness", "mcs-lock", "2", dir.to_str().unwrap(), "--json"], &[]);
+    let out = run_ok(PPC, &["harness", "mcs-lock", "2", dir.to_str().unwrap(), "--json"], &[]);
     assert_eq!(std::fs::read_to_string(dir.join("harness.json")).unwrap(), out);
     let doc = parse(&out);
     let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
@@ -234,31 +279,31 @@ fn harness_json_is_one_document_matching_the_golden() {
 #[test]
 fn observed_views_run_in_text_mode() {
     let dir = scratch("report-text");
-    let report = ppc_ok(&["report", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
+    let report = run_ok(PPC, &["report", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
     assert_lines(&report, &["== ", " == ", " cycles, ", " flow pairs, ", " state slices"], 3);
     assert_some_line(&report, &["wrote ", "report.json and ", "trace.json ("]);
 
-    let mcs = ppc_ok(&["lines", "mcs-lock", "4"], &[]);
+    let mcs = run_ok(PPC, &["lines", "mcs-lock", "4"], &[]);
     assert_some_line(&mcs, &["qnode[*]", "migratory"]);
-    let central = ppc_ok(&["lines", "central-barrier", "4"], &[]);
+    let central = run_ok(PPC, &["lines", "central-barrier", "4"], &[]);
     assert_some_line(&central, &["count", "wide-shared"]);
 }
 
 #[test]
 fn crit_runs_in_text_mode() {
-    let mcs = ppc_ok(&["crit", "mcs-lock", "4"], &[]);
+    let mcs = run_ok(PPC, &["crit", "mcs-lock", "4"], &[]);
     assert_lines(&mcs, &["lock 0: ", " acquires, ", " handoffs"], 3);
     assert_some_line(&mcs, &["split: release-visibility ", "remote-miss"]);
     assert_some_line(&mcs, &["handoff n", " -> n", ": latency"]);
 
     // 64 episodes per protocol; the table shows 24 and counts the rest.
-    let central = ppc_ok(&["crit", "central-barrier", "4"], &[]);
+    let central = run_ok(PPC, &["crit", "central-barrier", "4"], &[]);
     assert_lines(&central, &["episode ", ": last-arriver n"], 72);
     assert_lines(&central, &["64 episodes (0 incomplete)"], 3);
     assert_lines(&central, &["last-arriver tally:"], 3);
     assert_lines(&central, &["more episodes not shown"], 3);
 
-    let reduction = ppc_ok(&["crit", "par-reduction", "4"], &[]);
+    let reduction = run_ok(PPC, &["crit", "par-reduction", "4"], &[]);
     assert_lines(&reduction, &["lock 256: ", " acquires"], 3);
     assert_lines(&reduction, &["barrier 256: ", " episodes (0 incomplete)"], 3);
     assert_lines(&reduction, &["critical path: ends on node"], 3);
@@ -268,7 +313,7 @@ fn crit_runs_in_text_mode() {
 fn net_runs_in_text_mode() {
     // `net`'s default machine: the 4x4 mesh, where the hot-home effect
     // shows for the MCS lock too.
-    let central = ppc_ok(&["net", "central-barrier", "16"], &[]);
+    let central = run_ok(PPC, &["net", "central-barrier", "16"], &[]);
     assert_lines(&central, &["journey accounting closes"], 3);
     assert_some_line(&central, &["PU hot home: node 0 carries peak rx-port traffic"]);
     assert_some_line(&central, &["majority-useless: yes"]);
@@ -276,7 +321,7 @@ fn net_runs_in_text_mode() {
     assert_lines(&central, &["rx-port utilisation per node (4x4 mesh)"], 3);
     assert_lines(&central, &["busiest physical links:"], 3);
 
-    let mcs = ppc_ok(&["net", "mcs-lock", "16"], &[]);
+    let mcs = run_ok(PPC, &["net", "mcs-lock", "16"], &[]);
     assert_lines(&mcs, &["journey accounting closes"], 3);
     assert_some_line(&mcs, &["PU hot home: node 0", "majority-useless: yes"]);
     assert_some_line(&mcs, &["CU useless updates at node 0: ", "(reduced: yes)"]);
@@ -285,7 +330,7 @@ fn net_runs_in_text_mode() {
 #[test]
 fn harness_runs_in_text_mode() {
     let dir = scratch("harness-text");
-    let out = ppc_ok(&["harness", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
+    let out = run_ok(PPC, &["harness", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
     assert_lines(&out, &["throughput: ", " events in ", " events/sec"], 3);
     assert_lines(&out, &["fingerprint: ", " epochs x "], 3);
     assert_lines(&out, &["dispatch breakdown (wall ", " accounted)"], 3);
@@ -296,26 +341,26 @@ fn harness_runs_in_text_mode() {
     assert_some_line(&out, &["determinism: sweep fingerprints match direct-run chains"]);
     assert!(dir.join("harness.json").exists() && dir.join("sweep_trace.json").exists());
 
-    let central = ppc_ok(&["harness", "central-barrier", "2", dir.to_str().unwrap()], &[]);
+    let central = run_ok(PPC, &["harness", "central-barrier", "2", dir.to_str().unwrap()], &[]);
     assert_lines(&central, &["fingerprint: ", " epochs x "], 3);
     assert_some_line(&central, &["determinism: sweep fingerprints match direct-run chains"]);
 }
 
 #[test]
 fn diff_and_replay_run_in_text_mode() {
-    let diff = ppc_ok(&["diff", "mcs-lock", "wi", "pu", "4"], &[]);
+    let diff = run_ok(PPC, &["diff", "mcs-lock", "wi", "pu", "4"], &[]);
     assert!(diff.lines().any(|l| l.starts_with("== PU ==")), "{diff}");
     assert_some_line(&diff, &["remote-miss handoff cycles", "-> 0 "]);
-    let sweep = ppc_ok(&["diff", "mcs-lock", "--sweep", "2"], &[]);
+    let sweep = run_ok(PPC, &["diff", "mcs-lock", "--sweep", "2"], &[]);
     assert_some_line(&sweep, &["comparative: mcs-lock across WI/PU/CU at 2 procs"]);
 
-    let replay = ppc_ok(&["replay", "mcs-lock", "wi", "pu", "4"], &[]);
+    let replay = run_ok(PPC, &["replay", "mcs-lock", "wi", "pu", "4"], &[]);
     assert_some_line(&replay, &["first divergent event: index "]);
     assert_some_line(&replay, &["replayed both sides from checkpoint at event "]);
     assert_some_line(&replay, &["window obs WI: ", "msgs="]);
     assert_some_line(&replay, &["window obs PU: ", "msgs="]);
 
-    let window = ppc_ok(&["replay", "ticket-lock", "wi", "4", "--window", WINDOW], &WINDOW_ENV);
+    let window = run_ok(PPC, &["replay", "ticket-lock", "wi", "4", "--window", WINDOW], &WINDOW_ENV);
     assert_some_line(&window, &["restored at cycle ", " (event "]);
     assert_lines(&window, &["restored at cycle 0 "], 0);
     assert_some_line(&window, &["matches the original run"]);
@@ -323,10 +368,39 @@ fn diff_and_replay_run_in_text_mode() {
 
 #[test]
 fn unknown_subcommand_fails_and_lists_all_eight() {
-    let out = ppc(&["obs_report"], &[]);
+    let out = run(PPC, &["obs_report"], &[]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     for sub in ["report", "lines", "crit", "net", "harness", "diff", "replay", "overhead"] {
         assert_some_line(&stderr, &[&format!("  {sub} ")]);
     }
+}
+
+#[test]
+fn all_figures_tables_match_the_golden() {
+    let out = run_ok(ALL_FIGURES, &TABLES, &TABLES_ENV);
+    assert_matches_golden("all_figures_tables.txt", |golden| golden, &out);
+}
+
+#[test]
+fn all_figures_prints_the_nine_figures_by_default() {
+    let out = run_ok(ALL_FIGURES, &[], &TABLES_ENV);
+    assert_lines(&out, &["Figure "], 9);
+    // Every table starts with a blank line and its title; the tenth is the
+    // first §4.1 variant.
+    let golden = std::fs::read_to_string(golden_path("all_figures_tables.txt")).unwrap();
+    let tenth = golden.find("\nSection 4.1 variant").expect("the golden holds the §4.1 variant");
+    assert_eq!(out, golden[..tenth], "all_figures with no table prints the golden's first nine");
+}
+
+#[test]
+fn all_figures_rejects_an_unknown_table_and_lists_all_twenty() {
+    let out = run(ALL_FIGURES, &["fig17_lock_misses"], &[]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for table in TABLES {
+        assert_some_line(&stderr, &[&format!("  {table} ")]);
+    }
+    let out = run(ALL_FIGURES, &["--quick", "ablation_uc_flush"], &[]);
+    assert_eq!(out.status.code(), Some(2), "--quick applies to the figures only");
 }

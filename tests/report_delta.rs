@@ -64,8 +64,7 @@ fn random_seeded_pairs_close_to_the_total_cycle_delta() {
         let delta = checked_delta(&a, "A", &b, "B");
         // The headline equation, asserted explicitly as well: the crit
         // chain's class deltas sum to the wall-clock (total-cycle) delta.
-        let crit = delta.crit.as_ref().expect("observed runs carry the crit section");
-        let chain_sum: i64 = crit.chain_classes.values().map(|c| c.delta()).sum();
+        let chain_sum: i64 = delta.crit.chain_classes.values().map(|c| c.delta()).sum();
         assert_eq!(
             chain_sum,
             delta.wall.delta(),
