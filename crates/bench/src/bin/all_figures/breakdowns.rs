@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use kernels::runner::{run_experiment, ExperimentSpec, KernelSpec};
+use kernels::runner::KernelSpec;
 use kernels::workloads::{BarrierKind, LockKind, ReductionKind};
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use ppc_bench::{barrier_workload, lock_rows, lock_workload, reduction_workload};
@@ -94,9 +94,9 @@ fn print_breakdown(title: &str, traffic: &TrafficReport) {
 /// majority of this useless traffic corresponds to changes in the
 /// centralized counter"; this table prints the update and miss breakdown
 /// *per shared data structure* under PU at 32 processors, so such
-/// statements can be read directly off it. Its five cells run outside the
-/// sweep harness.
-pub fn traffic_by_structure(_: &SweepOptions) {
+/// statements can be read directly off it. The five cells run as one
+/// sweep batch.
+pub fn traffic_by_structure(opts: &SweepOptions) {
     let cases: [(&str, KernelSpec); 5] = [
         ("ticket lock, 32p, PU", KernelSpec::Lock(lock_workload(LockKind::Ticket))),
         ("MCS lock, 32p, PU", KernelSpec::Lock(lock_workload(LockKind::Mcs))),
@@ -107,8 +107,10 @@ pub fn traffic_by_structure(_: &SweepOptions) {
             KernelSpec::Reduction(reduction_workload(ReductionKind::Sequential)),
         ),
     ];
-    for (name, kernel) in cases {
-        let out = run_experiment(&ExperimentSpec { procs: 32, protocol: Protocol::PureUpdate, kernel });
+    let specs: Vec<RunSpec> =
+        cases.iter().map(|&(_, kernel)| RunSpec::paper(32, Protocol::PureUpdate, kernel)).collect();
+    let outs = sweep::run_specs_with(&specs, opts).0;
+    for ((name, _), out) in cases.iter().zip(&outs) {
         print_breakdown(name, &out.traffic);
     }
 }

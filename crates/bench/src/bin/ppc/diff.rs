@@ -5,8 +5,9 @@
 //!   section-by-section [`ReportDelta`](sim_stats::ReportDelta):
 //!   stall-class and phase cycles, crit-path composition, per-lock
 //!   handoff splits, sharing patterns, journey stages, host dispatch,
-//!   fingerprint divergence, and the ranked attribution. Exact closure of
-//!   every section delta is asserted in-process before anything prints.
+//!   fingerprint divergence, and the ranked attribution. Each side's
+//!   exact closure is asserted in-process before anything prints, so
+//!   every section delta closes by subtraction.
 //! * **Comparative sweep** — `ppc diff <kernel> --sweep [procs]` runs the
 //!   whole WI/PU/CU axis: pairwise deltas against the WI baseline plus a
 //!   cycles-by-machine-size table from the memoized sweep harness.

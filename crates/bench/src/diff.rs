@@ -50,8 +50,8 @@ pub fn run_diff(procs: usize, protocol: Protocol, kernel: &KernelSpec) -> RunRes
     r
 }
 
-/// Builds the delta of two runs and asserts its exact-closure equations
-/// in-process — a diff that does not reconcile is a bug in the
+/// Builds the delta of two runs and asserts each side's exact-closure
+/// equations in-process — a diff that does not reconcile is a bug in the
 /// instruments, not a result.
 pub fn checked_delta(a: &RunResult, label_a: &str, b: &RunResult, label_b: &str) -> ReportDelta {
     let side_a = a.delta_side(label_a).expect("side A ran observed");
@@ -85,11 +85,9 @@ pub fn comparative(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> (Str
     let runs: Vec<(Protocol, RunResult)> =
         PROTOCOLS.into_iter().map(|p| (p, run_diff(procs, p, kernel))).collect();
     let baseline = &runs[0].1;
-    let deltas: Vec<(&'static str, ReportDelta)> = runs[1..]
+    let deltas: Vec<ReportDelta> = runs[1..]
         .iter()
-        .map(|(p, r)| {
-            (protocol_name(*p), checked_delta(baseline, protocol_name(runs[0].0), r, protocol_name(*p)))
-        })
+        .map(|(p, r)| checked_delta(baseline, protocol_name(runs[0].0), r, protocol_name(*p)))
         .collect();
 
     let axis: Vec<usize> = PROC_SWEEP.into_iter().filter(|&p| p <= procs).collect();
@@ -119,8 +117,7 @@ pub fn comparative(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> (Str
         ]));
     }
     text.push('\n');
-    for (label, delta) in &deltas {
-        let _ = label;
+    for delta in &deltas {
         text.push_str(&delta.render_text());
         text.push('\n');
     }
@@ -129,7 +126,7 @@ pub fn comparative(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> (Str
         ("procs", Json::from(procs)),
         ("procs_axis", Json::Arr(axis.iter().map(|&p| Json::from(p)).collect())),
         ("cycles_by_procs", Json::Arr(table)),
-        ("deltas", Json::Arr(deltas.iter().map(|(_, d)| d.to_json()).collect())),
+        ("deltas", Json::Arr(deltas.iter().map(ReportDelta::to_json).collect())),
     ]);
     (text, doc)
 }

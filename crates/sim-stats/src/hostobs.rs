@@ -448,16 +448,13 @@ pub enum FingerprintDivergence {
     StateOnly,
 }
 
-/// Fine-grained localization of an [`FingerprintDivergence::Epoch`]
-/// divergence: the divergent epoch's global event-index range, plus the
-/// exact first divergent event when the chain metadata pins it.
+/// Localization of an [`FingerprintDivergence::Epoch`] divergence: the
+/// divergent epoch's global event-index range.
 ///
-/// Epoch digests are opaque, so a content mismatch inside a common epoch
-/// only bounds the divergence to the epoch's event range — replay
-/// (`ppc replay`) resolves the exact event. But when one stream is shorter
-/// and ends *inside* the divergent epoch, the earliest possible divergence
-/// is the first event the shorter stream lacks, and that index (global and
-/// in-epoch) is reported here.
+/// Epoch digests are opaque, so the chains bound the first divergent event
+/// to the epoch's range and no tighter — even when one stream is shorter
+/// and ends inside the epoch, the streams may differ at any earlier event
+/// of it. Replay (`ppc replay`) resolves the exact event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DivergenceDetail {
     /// Index of the first divergent epoch.
@@ -466,12 +463,6 @@ pub struct DivergenceDetail {
     pub event_lo: u64,
     /// One past the epoch's last event index covered by either run.
     pub event_hi: u64,
-    /// Exact global index of the first event the chains can pin the
-    /// divergence to (`None` when only replay can resolve it).
-    pub first_event: Option<u64>,
-    /// `first_event` relative to the epoch start (the recorder's `in_epoch`
-    /// counter at that event).
-    pub in_epoch: Option<u64>,
 }
 
 /// The sealed fingerprint of one run: per-epoch event-stream digests plus
@@ -533,28 +524,15 @@ impl FingerprintChain {
     }
 
     /// Localizes an epoch divergence against `other` to its event-index
-    /// range, pinning the exact first divergent event when one stream is a
-    /// prefix ending inside the divergent epoch. `None` when the chains are
-    /// identical or the divergence is not epoch-shaped
-    /// ([`FingerprintDivergence::Parameters`] / `StateOnly`).
+    /// range. `None` when the chains are identical or the divergence is
+    /// not epoch-shaped ([`FingerprintDivergence::Parameters`] /
+    /// `StateOnly`).
     pub fn divergence_detail(&self, other: &FingerprintChain) -> Option<DivergenceDetail> {
         match self.first_divergence(other)? {
             FingerprintDivergence::Epoch(i) => {
                 let event_lo = i as u64 * self.epoch_events;
                 let event_hi = (event_lo + self.epoch_events).min(self.total_events.max(other.total_events));
-                let min_total = self.total_events.min(other.total_events);
-                // The shorter stream ends inside the divergent epoch: the
-                // first event it lacks is the earliest the chains can pin.
-                let first_event = (self.total_events != other.total_events
-                    && (event_lo..event_hi).contains(&min_total))
-                .then_some(min_total);
-                Some(DivergenceDetail {
-                    epoch: i,
-                    event_lo,
-                    event_hi,
-                    first_event,
-                    in_epoch: first_event.map(|e| e - event_lo),
-                })
+                Some(DivergenceDetail { epoch: i, event_lo, event_hi })
             }
             _ => None,
         }
@@ -690,8 +668,6 @@ mod tests {
         assert_eq!(d.epoch, 7);
         assert_eq!(d.event_lo, 7 * 64);
         assert_eq!(d.event_hi, 8 * 64);
-        assert_eq!(d.first_event, None, "content mismatch needs replay to pin");
-        assert_eq!(d.in_epoch, None);
     }
 
     #[test]
@@ -702,10 +678,25 @@ mod tests {
         feed(&mut b, 101, None);
         let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
         let d = a.divergence_detail(&b).expect("diverged");
-        assert_eq!(d.epoch, 1);
-        assert_eq!(d.first_event, Some(100), "shorter stream ends mid-epoch");
-        assert_eq!(d.in_epoch, Some(100 - 64));
+        assert_eq!((d.epoch, d.event_lo, d.event_hi), (1, 64, 101), "the epoch's range, to the longer end");
         assert_eq!(b.divergence_detail(&a), Some(d), "symmetric");
+    }
+
+    #[test]
+    fn early_divergence_in_a_shorter_stream_names_no_event() {
+        // The streams differ at event 70 and one ends at 100, inside the
+        // same epoch: the shorter stream's length is not the first
+        // divergent event, and the sentence names only the epoch's range.
+        let mut a = FingerprintRecorder::new(64);
+        let mut b = FingerprintRecorder::new(64);
+        feed(&mut a, 128, None);
+        feed(&mut b, 100, Some(70));
+        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let d = a.divergence_detail(&b).expect("diverged");
+        assert_eq!((d.epoch, d.event_lo, d.event_hi), (1, 64, 128));
+        let at = a.first_divergence(&b).expect("diverged");
+        let s = crate::FingerprintCompare::Diverged { at, detail: Some(d) }.describe();
+        assert_eq!(s, "diverged: first at epoch 1 (events [64, 128))");
     }
 
     #[test]

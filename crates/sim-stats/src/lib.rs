@@ -55,10 +55,7 @@ pub use crit::{
     check_reconciliation, BarrierReport, ChainReport, ChainSegment, CritReport, Episode, Handoff, LockReport,
     WaitKind,
 };
-pub use diffobs::{
-    Attribution, Counter, CritDelta, FingerprintCompare, HostDelta, LineageDelta, LockDelta, NetDelta,
-    ReportDelta, RunSide, StageDelta,
-};
+pub use diffobs::{Attribution, Counter, FingerprintCompare, ReportDelta, RunSide};
 pub use hist::LatencyHist;
 pub use hostobs::{
     DivergenceDetail, FingerprintChain, FingerprintDivergence, FingerprintRecorder, HostCat, HostCatReport,

@@ -15,7 +15,8 @@
 //! * Every subcommand mode also runs in text mode, where the lines the
 //!   paper's argument rests on (MCS qnodes migratory, the barrier counter
 //!   wide-shared, the hot barrier home, remote-miss lock handoffs, ...)
-//!   must appear.
+//!   must appear. `ppc diff`'s text, which prints no host-timed value,
+//!   must also match `tests/golden/ppc/diff.txt` byte for byte.
 //! * Every `all_figures` table, run serially with no disk cache, must
 //!   reproduce `tests/golden/all_figures_tables.txt` byte for byte.
 //!
@@ -219,6 +220,24 @@ fn diff_json_matches_the_golden() {
     let out = run_ok(PPC, &["diff", "mcs-lock", "wi", "pu", "4", "--json"], &[]);
     assert!(parse(&out).get("delta").and_then(|d| d.get("crit")).is_some(), "delta carries crit");
     assert_golden("diff", &out);
+
+    // A barrier kernel, so the crit section carries a barrier row.
+    let out = run_ok(PPC, &["diff", "central-barrier", "wi", "cu", "4", "--json"], &[]);
+    let crit = parse(&out).get("delta").and_then(|d| d.get("crit")).cloned().unwrap();
+    assert_eq!(crit.get("barriers").and_then(Json::as_arr).map(<[Json]>::len), Some(1), "one barrier row");
+    assert_golden("diff_barrier", &out);
+}
+
+#[test]
+fn diff_sweep_deltas_equal_the_pairwise_deltas() {
+    let sweep = parse(&run_ok(PPC, &["diff", "mcs-lock", "--sweep", "2", "--json"], &[]));
+    let deltas = sweep.get("deltas").and_then(Json::as_arr).unwrap().to_vec();
+    assert_eq!(deltas.len(), 2, "PU and CU against the WI baseline");
+    for (proto, swept) in ["pu", "cu"].into_iter().zip(deltas) {
+        let pair = parse(&run_ok(PPC, &["diff", "mcs-lock", "wi", proto, "2", "--json"], &[]));
+        let delta = pair.get("delta").cloned().unwrap();
+        assert_eq!(mask(swept).render_pretty(), mask(delta).render_pretty(), "WI vs {proto}");
+    }
 }
 
 #[test]
@@ -351,6 +370,9 @@ fn diff_and_replay_run_in_text_mode() {
     let diff = run_ok(PPC, &["diff", "mcs-lock", "wi", "pu", "4"], &[]);
     assert!(diff.lines().any(|l| l.starts_with("== PU ==")), "{diff}");
     assert_some_line(&diff, &["remote-miss handoff cycles", "-> 0 "]);
+    // The text is pinned byte for byte, with a barrier kernel's too.
+    let central = run_ok(PPC, &["diff", "central-barrier", "wi", "cu", "4"], &[]);
+    assert_matches_golden("ppc/diff.txt", |golden| golden, &(diff + &central));
     let sweep = run_ok(PPC, &["diff", "mcs-lock", "--sweep", "2"], &[]);
     assert_some_line(&sweep, &["comparative: mcs-lock across WI/PU/CU at 2 procs"]);
 
