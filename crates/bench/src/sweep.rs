@@ -32,17 +32,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use kernels::runner::{kernel_fingerprint, run_experiment_configured, ExperimentOutcome, ExperimentSpec};
-use sim_engine::{stable_hash64, StableHasher};
+use sim_engine::snapshot::{open, SnapReader, SnapWriter};
+use sim_engine::StableHasher;
 use sim_machine::MachineConfig;
-use sim_stats::{
-    ChromeTrace, FingerprintChain, Json, LatencyHist, MissStats, StructureTraffic, TrafficReport, UpdateStats,
-};
+use sim_stats::{ChromeTrace, Json};
 
-/// Bump when the on-disk entry format or the key derivation changes; old
-/// entries then miss instead of parsing wrong.
-const SCHEMA: &str = "ppc-sweep-v1";
-/// First line of every cache entry.
-const MAGIC: &str = "ppc-sweep-cache-v1";
+/// The entry-format version. Bump when the entry format or the key
+/// derivation changes: it feeds every key, so old entries then miss, and
+/// it is the version of every entry's sealed frame.
+const SCHEMA: u32 = 2;
 
 /// One simulation cell of a sweep: an experiment plus the full machine
 /// configuration it runs under.
@@ -85,7 +83,7 @@ impl RunSpec {
     /// toolchains for identical inputs.
     pub fn cache_key(&self) -> String {
         let mut h = StableHasher::new();
-        h.write_str(SCHEMA);
+        h.write_str(&format!("ppc-sweep-v{SCHEMA}"));
         h.write_str(env!("CARGO_PKG_VERSION"));
         // Debug formatting of the config and spec enumerates every field
         // (new fields change the string, hence the key — fail-safe).
@@ -139,8 +137,9 @@ pub struct SweepStats {
     pub from_memory: usize,
     /// Cells loaded from the on-disk cache.
     pub from_disk: usize,
-    /// Disk entries that were present but failed verification (bad magic,
-    /// stale key, checksum or decode failure) and forced re-simulation.
+    /// Disk entries that were present but failed verification (a frame
+    /// that does not open, a stale key, or a payload that does not decode)
+    /// and forced re-simulation.
     /// Included in `simulated`, counted separately here so a corrupted
     /// cache directory is visible instead of silently slow.
     pub disk_poisoned: usize,
@@ -402,194 +401,30 @@ fn entry_path(dir: &Path, key: &str) -> PathBuf {
 // On-disk entry format
 // ---------------------------------------------------------------------
 //
-// A plain-text, line-oriented format (no serialization crates in this
-// workspace). Every numeric field round-trips exactly: floats are stored
-// as their IEEE-754 bit patterns, so a table printed from a cached
-// outcome is byte-identical to one printed from a fresh simulation.
-// An entry is served only if its magic, embedded key, and payload
-// checksum all verify — a poisoned or stale entry is a cache miss and
-// the cell is re-simulated (and the entry rewritten).
+// One sealed snapshot frame (`sim_engine::snapshot`: magic, `SCHEMA`,
+// payload, digest) whose payload is the entry's key, then the outcome as
+// `ExperimentOutcome::encode` writes it. The latency is stored as its bit
+// pattern, so a table printed from a cached outcome is byte-identical to
+// one printed from a fresh simulation. An entry is served only if its
+// frame opens, its key matches, and the payload decodes to the last byte;
+// a poisoned or stale entry is a cache miss and the cell is re-simulated
+// (and the entry rewritten).
 
-fn encode_hist(h: &LatencyHist) -> String {
-    let (buckets, count, sum, max) = h.to_raw_parts();
-    let mut s = String::new();
-    for b in buckets {
-        s.push_str(&format!("{b} "));
-    }
-    s.push_str(&format!("{count} {sum} {max}"));
-    s
+fn entry_blob(key: &str, out: &ExperimentOutcome) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.str(key);
+    out.encode(&mut w);
+    w.seal(SCHEMA)
 }
 
-fn decode_hist(line: &str) -> Option<LatencyHist> {
-    let nums: Vec<u64> = line.split(' ').map(|t| t.parse().ok()).collect::<Option<_>>()?;
-    if nums.len() != 35 {
+fn decode_entry(blob: &[u8], key: &str) -> Option<ExperimentOutcome> {
+    let mut r = SnapReader::new(open(blob, SCHEMA).ok()?);
+    if r.str().ok()? != key {
         return None;
     }
-    let mut buckets = [0u64; 32];
-    buckets.copy_from_slice(&nums[..32]);
-    Some(LatencyHist::from_raw_parts(buckets, nums[32], nums[33], nums[34]))
-}
-
-fn encode_outcome(out: &ExperimentOutcome) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("cycles={}\n", out.cycles));
-    s.push_str(&format!("avg_latency_bits={:016x}\n", out.avg_latency.to_bits()));
-    let m = &out.traffic.misses;
-    s.push_str(&format!(
-        "miss={} {} {} {} {} {}\n",
-        m.cold, m.true_sharing, m.false_sharing, m.eviction, m.drop, m.exclusive_requests
-    ));
-    let u = &out.traffic.updates;
-    s.push_str(&format!(
-        "upd={} {} {} {} {} {}\n",
-        u.true_sharing, u.false_sharing, u.proliferation, u.replacement, u.termination, u.drop
-    ));
-    s.push_str(&format!(
-        "shared={} {} {}\n",
-        out.traffic.shared_reads, out.traffic.shared_writes, out.traffic.shared_atomics
-    ));
-    s.push_str(&format!("nstructs={}\n", out.traffic.by_structure.len()));
-    for st in &out.traffic.by_structure {
-        let m = &st.misses;
-        let u = &st.updates;
-        s.push_str(&format!(
-            "struct={} {} {} {} {} {} {} {} {} {} {} {} {}\n",
-            m.cold,
-            m.true_sharing,
-            m.false_sharing,
-            m.eviction,
-            m.drop,
-            m.exclusive_requests,
-            u.true_sharing,
-            u.false_sharing,
-            u.proliferation,
-            u.replacement,
-            u.termination,
-            u.drop,
-            st.name
-        ));
-    }
-    let n = &out.net;
-    s.push_str(&format!("net={} {} {} {}\n", n.messages, n.local_messages, n.flits, n.total_hops));
-    s.push_str(&format!("read_hist={}\n", encode_hist(&out.read_latency)));
-    s.push_str(&format!("atomic_hist={}\n", encode_hist(&out.atomic_latency)));
-    // Optional: hostobs runs carry their determinism fingerprint through
-    // the cache, so warm-cache sweeps replay the exact chain the original
-    // simulation produced (the fingerprint-determinism tests rely on it).
-    if let Some(fp) = &out.fingerprint {
-        s.push_str(&format!(
-            "fp={} {} {} {} {}",
-            fp.epoch_events,
-            fp.total_events,
-            fp.state_digest.0,
-            fp.state_digest.1,
-            fp.epochs.len()
-        ));
-        for (lo, hi) in &fp.epochs {
-            s.push_str(&format!(" {lo} {hi}"));
-        }
-        s.push('\n');
-    }
-    s
-}
-
-fn decode_fingerprint(line: &str) -> Option<FingerprintChain> {
-    let nums: Vec<u64> = line.split(' ').map(|t| t.parse().ok()).collect::<Option<_>>()?;
-    let [epoch_events, total_events, state_lo, state_hi, nepochs, ..] = nums[..] else {
-        return None;
-    };
-    let tail = &nums[5..];
-    if tail.len() != nepochs as usize * 2 {
-        return None;
-    }
-    Some(FingerprintChain {
-        epoch_events,
-        epochs: tail.chunks_exact(2).map(|c| (c[0], c[1])).collect(),
-        total_events,
-        state_digest: (state_lo, state_hi),
-    })
-}
-
-fn parse_u64s(line: &str, n: usize) -> Option<Vec<u64>> {
-    let nums: Vec<u64> = line.split(' ').map(|t| t.parse().ok()).collect::<Option<_>>()?;
-    (nums.len() == n).then_some(nums)
-}
-
-fn decode_outcome(payload: &str) -> Option<ExperimentOutcome> {
-    let mut fields: HashMap<&str, &str> = HashMap::new();
-    let mut structs: Vec<StructureTraffic> = Vec::new();
-    for line in payload.lines() {
-        let (k, v) = line.split_once('=')?;
-        if k == "struct" {
-            let mut toks = v.splitn(13, ' ');
-            let mut nums = [0u64; 12];
-            for slot in nums.iter_mut() {
-                *slot = toks.next()?.parse().ok()?;
-            }
-            let name = toks.next()?.to_string();
-            structs.push(StructureTraffic {
-                name,
-                misses: miss_stats(&nums[..6]),
-                updates: update_stats(&nums[6..]),
-            });
-        } else {
-            fields.insert(k, v);
-        }
-    }
-    let miss = parse_u64s(fields.get("miss")?, 6)?;
-    let upd = parse_u64s(fields.get("upd")?, 6)?;
-    let shared = parse_u64s(fields.get("shared")?, 3)?;
-    let net = parse_u64s(fields.get("net")?, 4)?;
-    let nstructs: usize = fields.get("nstructs")?.parse().ok()?;
-    if structs.len() != nstructs {
-        return None;
-    }
-    Some(ExperimentOutcome {
-        cycles: fields.get("cycles")?.parse().ok()?,
-        avg_latency: f64::from_bits(u64::from_str_radix(fields.get("avg_latency_bits")?, 16).ok()?),
-        traffic: TrafficReport {
-            misses: miss_stats(&miss),
-            updates: update_stats(&upd),
-            shared_reads: shared[0],
-            shared_writes: shared[1],
-            shared_atomics: shared[2],
-            by_structure: structs,
-        },
-        net: sim_net::NetCounters {
-            messages: net[0],
-            local_messages: net[1],
-            flits: net[2],
-            total_hops: net[3],
-        },
-        read_latency: decode_hist(fields.get("read_hist")?)?,
-        atomic_latency: decode_hist(fields.get("atomic_hist")?)?,
-        fingerprint: match fields.get("fp") {
-            Some(line) => Some(decode_fingerprint(line)?),
-            None => None,
-        },
-    })
-}
-
-fn miss_stats(n: &[u64]) -> MissStats {
-    MissStats {
-        cold: n[0],
-        true_sharing: n[1],
-        false_sharing: n[2],
-        eviction: n[3],
-        drop: n[4],
-        exclusive_requests: n[5],
-    }
-}
-
-fn update_stats(n: &[u64]) -> UpdateStats {
-    UpdateStats {
-        true_sharing: n[0],
-        false_sharing: n[1],
-        proliferation: n[2],
-        replacement: n[3],
-        termination: n[4],
-        drop: n[5],
-    }
+    let out = ExperimentOutcome::decode(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(out)
 }
 
 /// Result of probing the on-disk cache for one cell.
@@ -598,33 +433,19 @@ enum DiskLookup {
     Hit(Box<ExperimentOutcome>),
     /// No entry on disk (or unreadable): the expected cold-cache case.
     Miss,
-    /// An entry exists but failed verification (magic, key, checksum, or
-    /// decode): re-simulate, and count the corruption.
+    /// An entry exists but failed verification (frame, key, or decode):
+    /// re-simulate, and count the corruption.
     Poisoned,
 }
 
-/// Loads a cache entry, verifying magic, key, and checksum. Any mismatch
-/// or parse failure is a [`DiskLookup::Poisoned`] miss: the caller
-/// re-simulates and overwrites.
-fn load_entry(path: &Path, expect_key: &str) -> DiskLookup {
-    let Ok(body) = std::fs::read_to_string(path) else {
+/// Loads a cache entry, verifying its frame, key and payload. Any failure
+/// is a [`DiskLookup::Poisoned`] miss: the caller re-simulates and
+/// overwrites.
+fn load_entry(path: &Path, key: &str) -> DiskLookup {
+    let Ok(blob) = std::fs::read(path) else {
         return DiskLookup::Miss;
     };
-    let verified = || -> Option<ExperimentOutcome> {
-        let rest = body.strip_prefix(MAGIC)?.strip_prefix('\n')?;
-        let rest = rest.strip_prefix("key=")?;
-        let (key, rest) = rest.split_once('\n')?;
-        if key != expect_key {
-            return None;
-        }
-        let (payload, tail) = rest.split_once("end=")?;
-        let checksum = tail.trim_end_matches('\n');
-        if format!("{:016x}", stable_hash64(payload.as_bytes())) != checksum {
-            return None;
-        }
-        decode_outcome(payload)
-    };
-    match verified() {
+    match decode_entry(&blob, key) {
         Some(out) => DiskLookup::Hit(Box::new(out)),
         None => DiskLookup::Poisoned,
     }
@@ -634,10 +455,8 @@ fn load_entry(path: &Path, expect_key: &str) -> DiskLookup {
 /// and interrupted runs never leave a half-written entry to parse.
 fn store_entry(dir: &Path, key: &str, out: &ExperimentOutcome) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let payload = encode_outcome(out);
-    let body = format!("{MAGIC}\nkey={key}\n{payload}end={:016x}\n", stable_hash64(payload.as_bytes()));
     let tmp = dir.join(format!("{key}.tmp{}", std::process::id()));
-    std::fs::write(&tmp, body)?;
+    std::fs::write(&tmp, entry_blob(key, out))?;
     std::fs::rename(&tmp, entry_path(dir, key))
 }
 
@@ -672,18 +491,28 @@ mod tests {
         assert_ne!(a, other.cache_key(), "machine config feeds the key");
     }
 
+    /// A hostobs cell of a lock kernel: registered structures and a
+    /// fingerprint, so every optional part of the entry is present.
+    fn hostobs_outcome() -> (String, ExperimentOutcome) {
+        let mut rs = tiny_spec(64);
+        rs.cfg.hostobs = sim_stats::HostObsConfig::enabled();
+        let out = run_experiment_configured(&rs.spec, rs.cfg.clone());
+        assert!(!out.traffic.by_structure.is_empty(), "the lock registers its structures");
+        assert!(out.traffic.by_structure.iter().any(|s| s.misses.total_misses() > 0));
+        assert!(out.traffic.shared_reads > 0 && out.net.local_messages > 0);
+        (rs.cache_key(), out)
+    }
+
     #[test]
     fn outcome_roundtrips_through_entry_format() {
-        let rs = tiny_spec(64);
-        let out = run_experiment_configured(&rs.spec, rs.cfg.clone());
-        let decoded = decode_outcome(&encode_outcome(&out)).expect("decodes");
-        assert_eq!(decoded.cycles, out.cycles);
+        let (key, out) = hostobs_outcome();
+        let decoded = decode_entry(&entry_blob(&key, &out), &key).expect("decodes");
+        // Every field: structure names and counts, the shared reference
+        // counts, all four network counters, both histograms and the
+        // fingerprint; the latency to the bit.
+        assert_eq!(decoded, out);
         assert_eq!(decoded.avg_latency.to_bits(), out.avg_latency.to_bits());
-        assert_eq!(decoded.traffic.misses, out.traffic.misses);
-        assert_eq!(decoded.traffic.updates, out.traffic.updates);
-        assert_eq!(decoded.net.messages, out.net.messages);
-        assert_eq!(decoded.read_latency, out.read_latency);
-        assert_eq!(decoded.atomic_latency, out.atomic_latency);
+        assert!(decode_entry(&entry_blob(&key, &out), &tiny_spec(65).cache_key()).is_none(), "key checked");
     }
 
     #[test]
@@ -696,7 +525,7 @@ mod tests {
         store_entry(&dir, &key, &out).unwrap();
         let path = entry_path(&dir, &key);
         assert!(matches!(load_entry(&path, &key), DiskLookup::Hit(_)), "intact entry loads");
-        let body = std::fs::read_to_string(&path).unwrap();
+        let body = std::fs::read(&path).unwrap();
         std::fs::write(&path, &body[..body.len() / 2]).unwrap();
         assert!(
             matches!(load_entry(&path, &key), DiskLookup::Poisoned),
@@ -711,19 +540,17 @@ mod tests {
 
     #[test]
     fn fingerprint_rides_the_entry_format() {
-        let mut rs = tiny_spec(64);
-        rs.cfg.hostobs = sim_stats::HostObsConfig::enabled();
-        let out = run_experiment_configured(&rs.spec, rs.cfg.clone());
+        let (key, out) = hostobs_outcome();
         let fp = out.fingerprint.clone().expect("hostobs run carries a fingerprint");
         assert!(fp.total_events > 0 && !fp.epochs.is_empty());
-        let decoded = decode_outcome(&encode_outcome(&out)).expect("decodes");
+        let decoded = decode_entry(&entry_blob(&key, &out), &key).expect("decodes");
         assert_eq!(decoded.fingerprint, Some(fp), "fingerprint chain round-trips exactly");
 
         // A plain run has no fingerprint, and the field stays absent.
         let rs = tiny_spec(64);
         let out = run_experiment_configured(&rs.spec, rs.cfg.clone());
         assert!(out.fingerprint.is_none());
-        assert!(!encode_outcome(&out).contains("fp="));
-        assert_eq!(decode_outcome(&encode_outcome(&out)).expect("decodes").fingerprint, None);
+        let key = rs.cache_key();
+        assert_eq!(decode_entry(&entry_blob(&key, &out), &key).expect("decodes").fingerprint, None);
     }
 }

@@ -1,9 +1,10 @@
 //! Uniform experiment runner: spec in, paper-style measurements out.
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_machine::{Machine, MachineConfig};
 use sim_net::NetCounters;
 use sim_proto::Protocol;
-use sim_stats::TrafficReport;
+use sim_stats::{FingerprintChain, LatencyHist, StructureTraffic, TrafficReport};
 
 use crate::workloads::{BarrierWorkload, LockWorkload, ReductionWorkload};
 use crate::{barriers, locks, reductions};
@@ -31,7 +32,7 @@ pub struct ExperimentSpec {
 }
 
 /// Measurements from one experiment, in the paper's units.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOutcome {
     /// Total execution time in cycles.
     pub cycles: u64,
@@ -44,12 +45,55 @@ pub struct ExperimentOutcome {
     /// Raw network counters.
     pub net: NetCounters,
     /// Distribution of shared-read miss stall times.
-    pub read_latency: sim_stats::LatencyHist,
+    pub read_latency: LatencyHist,
     /// Distribution of atomic-operation stall times.
-    pub atomic_latency: sim_stats::LatencyHist,
+    pub atomic_latency: LatencyHist,
     /// Determinism fingerprint of the run; `None` unless the machine ran
     /// with `hostobs.fingerprint` set.
-    pub fingerprint: Option<sim_stats::FingerprintChain>,
+    pub fingerprint: Option<FingerprintChain>,
+}
+
+impl ExperimentOutcome {
+    /// Writes every field, the latency as its IEEE-754 bits so it reads
+    /// back exactly: cycles, latency, the structure names, the traffic
+    /// counters, the network counters, both histograms, and the
+    /// fingerprint behind a presence flag.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        w.u64(self.cycles);
+        w.u64(self.avg_latency.to_bits());
+        w.usize(self.traffic.by_structure.len());
+        for s in &self.traffic.by_structure {
+            w.str(&s.name);
+        }
+        self.traffic.encode(w);
+        self.net.encode(w);
+        self.read_latency.encode(w);
+        self.atomic_latency.encode(w);
+        w.bool(self.fingerprint.is_some());
+        if let Some(fp) = &self.fingerprint {
+            fp.encode(w);
+        }
+    }
+
+    /// Reads an outcome written by [`ExperimentOutcome::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let cycles = r.u64()?;
+        let avg_latency = f64::from_bits(r.u64()?);
+        let by_structure = (0..r.usize()?)
+            .map(|_| Ok(StructureTraffic { name: r.str()?.to_string(), ..Default::default() }))
+            .collect::<Result<_, SnapError>>()?;
+        let mut traffic = TrafficReport { by_structure, ..Default::default() };
+        traffic.decode(r)?;
+        Ok(ExperimentOutcome {
+            cycles,
+            avg_latency,
+            traffic,
+            net: NetCounters::decode(r)?,
+            read_latency: LatencyHist::decode(r)?,
+            atomic_latency: LatencyHist::decode(r)?,
+            fingerprint: if r.bool()? { Some(FingerprintChain::decode(r)?) } else { None },
+        })
+    }
 }
 
 /// Builds the machine, installs the kernel, runs it, verifies kernel

@@ -1,5 +1,6 @@
 //! Earliest-free-time FIFO resource servers.
 
+use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::Cycle;
 
 /// A single-occupancy FIFO resource.
@@ -68,15 +69,17 @@ impl FifoServer {
         self.requests
     }
 
-    /// The complete internal state `(free_at, busy_cycles, wait_cycles,
-    /// requests)`, for checkpointing.
-    pub fn to_raw_parts(&self) -> [u64; 4] {
-        [self.free_at, self.busy_cycles, self.wait_cycles, self.requests]
+    /// Writes the server's state to a checkpoint: free time, then the busy,
+    /// wait and request counters.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        for v in [self.free_at, self.busy_cycles, self.wait_cycles, self.requests] {
+            w.u64(v);
+        }
     }
 
-    /// Rebuilds a server from [`FifoServer::to_raw_parts`] output.
-    pub fn from_raw_parts(parts: [u64; 4]) -> Self {
-        FifoServer { free_at: parts[0], busy_cycles: parts[1], wait_cycles: parts[2], requests: parts[3] }
+    /// Reads a server written by [`FifoServer::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(FifoServer { free_at: r.u64()?, busy_cycles: r.u64()?, wait_cycles: r.u64()?, requests: r.u64()? })
     }
 }
 

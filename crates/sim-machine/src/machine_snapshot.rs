@@ -6,14 +6,21 @@
 //! the run byte-identically (`tests/replay_equivalence.rs` proves it for
 //! every kernel × protocol).
 //!
+//! Each saved component writes and reads itself through its own
+//! `encode`/`decode` pair next to its definition (`ProtoNode`,
+//! `WriteBuffer`, `FifoServer`, `Network`, `LatencyHist`, `Classifier`);
+//! this file keeps what only the machine owns: the identity guard, run
+//! progress, the event queue with its [`Ev`]s, the processors and the
+//! magic-sync structures.
+//!
 //! This is a child module of `machine` (so it can reach private fields)
 //! living in a sibling file to keep `machine.rs` readable.
 
 use sim_engine::snapshot::{open, SnapError, SnapReader, SnapWriter};
 use sim_engine::{EventQueue, FifoServer, QueueSnapshot, QueueStats, SplitMix64};
-use sim_mem::{Block, BlockAddr, DirState, LineSnapshot, LineState, SharerSet, WriteBuffer, BLOCK_WORDS};
+use sim_mem::WriteBuffer;
 use sim_proto::{AtomicOp, Msg, Protocol};
-use sim_stats::FingerprintRecorder;
+use sim_stats::{FingerprintRecorder, LatencyHist};
 
 use super::{class_of, Ev, Machine, MagicLock};
 use crate::cpu::{CpuState, PendingAtomicIssue};
@@ -90,7 +97,7 @@ fn decode_queue_snapshot(r: &mut SnapReader<'_>) -> Result<QueueSnapshot<Ev>, Sn
 }
 
 // ---------------------------------------------------------------------
-// Small-enum codecs
+// Protocol tag and processor-state codecs
 // ---------------------------------------------------------------------
 
 fn protocol_tag(p: Protocol) -> u8 {
@@ -99,40 +106,6 @@ fn protocol_tag(p: Protocol) -> u8 {
         Protocol::PureUpdate => 1,
         Protocol::CompetitiveUpdate => 2,
     }
-}
-
-fn line_state_tag(s: LineState) -> u8 {
-    match s {
-        LineState::Shared => 0,
-        LineState::Modified => 1,
-        LineState::PrivateUpd => 2,
-    }
-}
-
-fn line_state_from_tag(tag: u8) -> Result<LineState, SnapError> {
-    Ok(match tag {
-        0 => LineState::Shared,
-        1 => LineState::Modified,
-        2 => LineState::PrivateUpd,
-        _ => return Err(SnapError::Corrupt("unknown LineState tag")),
-    })
-}
-
-fn dir_state_tag(s: DirState) -> u8 {
-    match s {
-        DirState::Uncached => 0,
-        DirState::Shared => 1,
-        DirState::Owned => 2,
-    }
-}
-
-fn dir_state_from_tag(tag: u8) -> Result<DirState, SnapError> {
-    Ok(match tag {
-        0 => DirState::Uncached,
-        1 => DirState::Shared,
-        2 => DirState::Owned,
-        _ => return Err(SnapError::Corrupt("unknown DirState tag")),
-    })
 }
 
 fn encode_cpu_state(w: &mut SnapWriter, s: &CpuState) {
@@ -220,40 +193,6 @@ fn decode_cpu_state(r: &mut SnapReader<'_>) -> Result<CpuState, SnapError> {
     })
 }
 
-/// Reads one block as the encoder writes it — a length prefix, then the
-/// words — refusing any length other than one block.
-fn decode_block(r: &mut SnapReader<'_>, what: &'static str) -> Result<Block, SnapError> {
-    if r.usize()? != BLOCK_WORDS {
-        return Err(SnapError::Corrupt(what));
-    }
-    let mut data = [0; BLOCK_WORDS];
-    for word in &mut data {
-        *word = r.u32()?;
-    }
-    Ok(data)
-}
-
-fn encode_hist(w: &mut SnapWriter, h: &sim_stats::LatencyHist) {
-    let (buckets, count, sum, max) = h.to_raw_parts();
-    for b in buckets {
-        w.u64(b);
-    }
-    w.u64(count);
-    w.u64(sum);
-    w.u64(max);
-}
-
-fn decode_hist(r: &mut SnapReader<'_>) -> Result<sim_stats::LatencyHist, SnapError> {
-    let mut buckets = [0u64; 32];
-    for b in &mut buckets {
-        *b = r.u64()?;
-    }
-    let count = r.u64()?;
-    let sum = r.u64()?;
-    let max = r.u64()?;
-    Ok(sim_stats::LatencyHist::from_raw_parts(buckets, count, sum, max))
-}
-
 // ---------------------------------------------------------------------
 // Machine snapshot/restore
 // ---------------------------------------------------------------------
@@ -304,102 +243,21 @@ impl Machine {
         }
         // Protocol nodes: cache, directory, memory, in-flight transactions.
         for node in &self.nodes {
-            w.usize(node.cache.iter_valid_lines().count());
-            for (block, state, update_ctr, data) in node.cache.iter_valid_lines() {
-                w.u32(block.0);
-                w.u8(line_state_tag(state));
-                w.u32(update_ctr);
-                w.usize(data.len());
-                w.u32_slice(data);
-            }
-            let entries = node.dir.sorted_entries();
-            w.usize(entries.len());
-            for (block, e) in &entries {
-                w.u32(block.0);
-                w.u8(dir_state_tag(e.state));
-                w.u64(e.sharers.to_bits());
-                w.usize(e.owner);
-                w.bool(e.busy);
-                w.usize(e.waiting.len());
-                for m in &e.waiting {
-                    m.encode(&mut w);
-                }
-            }
-            let blocks = node.mem.sorted_blocks();
-            w.usize(blocks.len());
-            for (block, data) in &blocks {
-                w.u32(block.0);
-                w.usize(data.len());
-                w.u32_slice(data);
-            }
-            match &node.pending_read {
-                None => w.bool(false),
-                Some(p) => {
-                    w.bool(true);
-                    w.u32(p.addr);
-                    w.bool(p.piggyback);
-                }
-            }
-            match &node.pending_write {
-                None => w.bool(false),
-                Some(p) => {
-                    w.bool(true);
-                    w.u32(p.addr);
-                    w.u32(p.val);
-                }
-            }
-            match &node.pending_atomic {
-                None => w.bool(false),
-                Some(p) => {
-                    w.bool(true);
-                    w.u32(p.addr);
-                    w.u8(p.op.tag());
-                    w.u32(p.operand);
-                    w.u32(p.operand2);
-                }
-            }
-            w.u64(node.acks_expected);
-            w.u64(node.acks_received);
-            w.u64(node.update_infos_pending);
+            node.encode(&mut w);
         }
         // Write buffers (empty before `run` schedules them, `num_procs`
         // once running — checkpoints only happen while running).
         w.usize(self.wbs.len());
         for wb in &self.wbs {
-            let (entries, head_issued, high_water) = wb.export_state();
-            w.usize(entries.len());
-            for e in &entries {
-                w.u32(e.addr);
-                w.u32(e.val);
-            }
-            w.bool(head_issued);
-            w.usize(high_water);
+            wb.encode(&mut w);
         }
         // Memory-module port servers.
         w.usize(self.mem_srv.len());
         for srv in &self.mem_srv {
-            for part in srv.to_raw_parts() {
-                w.u64(part);
-            }
+            srv.encode(&mut w);
         }
         // Network: port servers + counters (instrument opt-ins excluded).
-        let net = self.net.snapshot_core();
-        w.usize(net.tx.len());
-        for parts in &net.tx {
-            for p in parts {
-                w.u64(*p);
-            }
-        }
-        w.usize(net.rx.len());
-        for parts in &net.rx {
-            for p in parts {
-                w.u64(*p);
-            }
-        }
-        w.u64(net.counters.messages);
-        w.u64(net.counters.local_messages);
-        w.u64(net.counters.flits);
-        w.u64(net.counters.total_hops);
+        self.net.encode(&mut w);
         // Magic-sync structures. Locks sorted by id for determinism; the
         // barrier list stays in arrival (push) order — release order
         // depends on it.
@@ -425,8 +283,8 @@ impl Machine {
             w.usize(n);
         }
         // Latency histograms (part of the figure-visible results).
-        encode_hist(&mut w, &self.read_latency);
-        encode_hist(&mut w, &self.atomic_latency);
+        self.read_latency.encode(&mut w);
+        self.atomic_latency.encode(&mut w);
         // The classifier: all cross-node traffic-classification knowledge.
         self.clf.encode_state(&mut w);
         w.seal(SNAPSHOT_VERSION)
@@ -498,116 +356,24 @@ impl Machine {
         }
         // Protocol nodes.
         for node in &mut self.nodes {
-            let n = r.usize()?;
-            let mut lines = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let block = BlockAddr(r.u32()?);
-                let state = line_state_from_tag(r.u8()?)?;
-                let update_ctr = r.u32()?;
-                let data = decode_block(&mut r, "cache-line length is not one block")?;
-                lines.push(LineSnapshot { block, state, update_ctr, data });
-            }
-            node.cache.import_lines(lines);
-            node.dir.clear();
-            let n = r.usize()?;
-            for _ in 0..n {
-                let block = BlockAddr(r.u32()?);
-                let e = node.dir.entry(block);
-                e.state = dir_state_from_tag(r.u8()?)?;
-                e.sharers = SharerSet::from_bits(r.u64()?);
-                e.owner = r.usize()?;
-                e.busy = r.bool()?;
-                let waiting = r.usize()?;
-                e.waiting.clear();
-                for _ in 0..waiting {
-                    let m = Msg::decode(&mut r)?;
-                    node.dir.entry(block).waiting.push_back(m);
-                }
-            }
-            let n = r.usize()?;
-            for _ in 0..n {
-                let block = BlockAddr(r.u32()?);
-                let data = decode_block(&mut r, "memory-block length is not one block")?;
-                node.mem.write_block(block, &data);
-            }
-            node.pending_read = if r.bool()? {
-                Some(sim_proto::node::PendingRead { addr: r.u32()?, piggyback: r.bool()? })
-            } else {
-                None
-            };
-            node.pending_write = if r.bool()? {
-                Some(sim_proto::node::PendingWrite { addr: r.u32()?, val: r.u32()? })
-            } else {
-                None
-            };
-            node.pending_atomic = if r.bool()? {
-                Some(sim_proto::node::PendingAtomic {
-                    addr: r.u32()?,
-                    op: AtomicOp::from_tag(r.u8()?)?,
-                    operand: r.u32()?,
-                    operand2: r.u32()?,
-                })
-            } else {
-                None
-            };
-            node.acks_expected = r.u64()?;
-            node.acks_received = r.u64()?;
-            node.update_infos_pending = r.u64()?;
+            node.decode(&mut r)?;
         }
         // Write buffers.
         let n = r.usize()?;
         if n != 0 && n != self.cfg.num_procs {
             return Err(SnapError::Corrupt("write-buffer count disagrees"));
         }
-        self.wbs = (0..n).map(|_| WriteBuffer::new(self.cfg.wb_entries)).collect();
-        for wb in &mut self.wbs {
-            let len = r.usize()?;
-            if len > self.cfg.wb_entries {
-                return Err(SnapError::Corrupt("write-buffer entry count overflows capacity"));
-            }
-            let mut entries = Vec::with_capacity(len);
-            for _ in 0..len {
-                entries.push(sim_mem::PendingWrite { addr: r.u32()?, val: r.u32()? });
-            }
-            let head_issued = r.bool()?;
-            let high_water = r.usize()?;
-            if head_issued && entries.is_empty() {
-                return Err(SnapError::Corrupt("head_issued without a head entry"));
-            }
-            wb.import_state(entries, head_issued, high_water);
-        }
+        self.wbs =
+            (0..n).map(|_| WriteBuffer::decode(&mut r, self.cfg.wb_entries)).collect::<Result<_, _>>()?;
         // Memory-module port servers.
         if r.usize()? != self.mem_srv.len() {
             return Err(SnapError::Corrupt("memory-server count disagrees"));
         }
         for srv in &mut self.mem_srv {
-            let parts = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            *srv = FifoServer::from_raw_parts(parts);
+            *srv = FifoServer::decode(&mut r)?;
         }
         // Network.
-        let tx_n = r.usize()?;
-        if tx_n != self.cfg.num_procs {
-            return Err(SnapError::Corrupt("network node count disagrees"));
-        }
-        let mut tx = Vec::with_capacity(tx_n);
-        for _ in 0..tx_n {
-            tx.push([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        }
-        let rx_n = r.usize()?;
-        if rx_n != self.cfg.num_procs {
-            return Err(SnapError::Corrupt("network node count disagrees"));
-        }
-        let mut rx = Vec::with_capacity(rx_n);
-        for _ in 0..rx_n {
-            rx.push([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        }
-        let counters = sim_net::NetCounters {
-            messages: r.u64()?,
-            local_messages: r.u64()?,
-            flits: r.u64()?,
-            total_hops: r.u64()?,
-        };
-        self.net.restore_core(sim_net::NetSnapshot { tx, rx, counters });
+        self.net.decode(&mut r)?;
         // Magic-sync structures.
         self.magic_locks.clear();
         let n = r.usize()?;
@@ -627,8 +393,8 @@ impl Machine {
             self.barrier_waiting.push(r.usize()?);
         }
         // Latency histograms.
-        self.read_latency = decode_hist(&mut r)?;
-        self.atomic_latency = decode_hist(&mut r)?;
+        self.read_latency = LatencyHist::decode(&mut r)?;
+        self.atomic_latency = LatencyHist::decode(&mut r)?;
         // The classifier.
         self.clf.restore_state(&mut r)?;
         r.finish()?;

@@ -69,7 +69,6 @@ impl RunResult {
     pub fn delta_side<'a>(&'a self, label: &'a str) -> Option<sim_stats::RunSide<'a>> {
         self.obs.as_ref().map(|obs| sim_stats::RunSide {
             label,
-            cycles: self.cycles,
             instructions: self.instructions,
             obs,
             host: self.host.as_deref(),

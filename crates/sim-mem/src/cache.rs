@@ -1,6 +1,10 @@
 //! Direct-mapped data cache.
 
-use crate::geometry::{Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS};
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
+
+use crate::geometry::{
+    decode_block, encode_block, Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS,
+};
 
 /// Coherence state of a cache line.
 ///
@@ -209,64 +213,50 @@ impl Cache {
         self.lines.iter().filter(|l| l.valid).map(|l| (BlockAddr(l.tag), l.state))
     }
 
-    /// Valid lines in cache-index order, borrowed — the allocation-free
-    /// counterpart of [`Cache::export_lines`] for the periodic-checkpoint
-    /// hot path. Index order is deterministic for a given cache state
-    /// (direct-mapped: one slot per block), which is all the snapshot
-    /// encoding needs.
-    pub fn iter_valid_lines(&self) -> impl Iterator<Item = (BlockAddr, LineState, u32, &[Word])> {
-        self.lines.iter().filter(|l| l.valid).map(|l| (BlockAddr(l.tag), l.state, l.update_ctr, &l.data[..]))
+    /// Writes every valid line to a checkpoint in cache-index order (one
+    /// slot per block, so the order is a function of the cache state): the
+    /// line count, then per line its block, state, competitive-update
+    /// counter and data.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        w.usize(self.resident_blocks().count());
+        for l in self.lines.iter().filter(|l| l.valid) {
+            w.u32(l.tag);
+            w.u8(match l.state {
+                LineState::Shared => 0,
+                LineState::Modified => 1,
+                LineState::PrivateUpd => 2,
+            });
+            w.u32(l.update_ctr);
+            encode_block(w, &l.data);
+        }
     }
 
-    /// Exports every valid line — tag, state, competitive-update counter,
-    /// and data — ordered by block address, for checkpointing.
-    pub fn export_lines(&self) -> Vec<LineSnapshot> {
-        let mut lines: Vec<LineSnapshot> = self
-            .lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| LineSnapshot {
-                block: BlockAddr(l.tag),
-                state: l.state,
-                update_ctr: l.update_ctr,
-                data: l.data,
-            })
-            .collect();
-        lines.sort_by_key(|l| l.block);
-        lines
-    }
-
-    /// Restores the cache to exactly the exported line set: every other
-    /// line is invalidated, and — unlike [`Cache::fill`] — the
+    /// Restores this cache to exactly the line set [`Cache::encode`] wrote:
+    /// every other line is invalidated, and, unlike [`Cache::fill`], the
     /// competitive-update counters are reinstated rather than reset.
-    pub fn import_lines(&mut self, lines: Vec<LineSnapshot>) {
+    pub fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         for l in &mut self.lines {
             l.valid = false;
         }
-        for snap in lines {
-            let idx = self.index_of(snap.block);
+        for _ in 0..r.usize()? {
+            let block = BlockAddr(r.u32()?);
+            let state = match r.u8()? {
+                0 => LineState::Shared,
+                1 => LineState::Modified,
+                2 => LineState::PrivateUpd,
+                _ => return Err(SnapError::Corrupt("unknown LineState tag")),
+            };
+            let update_ctr = r.u32()?;
+            let data = decode_block(r)?;
+            let idx = self.index_of(block);
             let l = &mut self.lines[idx];
-            assert!(!l.valid, "two line snapshots map to cache index {idx}");
-            l.tag = snap.block.0;
-            l.valid = true;
-            l.state = snap.state;
-            l.data = snap.data;
-            l.update_ctr = snap.update_ctr;
+            if l.valid {
+                return Err(SnapError::Corrupt("two cache lines map to one cache index"));
+            }
+            *l = Line { tag: block.0, valid: true, state, update_ctr, data };
         }
+        Ok(())
     }
-}
-
-/// One exported cache line, as produced by [`Cache::export_lines`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineSnapshot {
-    /// Block address (full tag).
-    pub block: BlockAddr,
-    /// Coherence state.
-    pub state: LineState,
-    /// Competitive-update counter at capture time.
-    pub update_ctr: u32,
-    /// Block contents.
-    pub data: Block,
 }
 
 #[cfg(test)]
@@ -374,5 +364,30 @@ mod tests {
         let mut blocks: Vec<_> = c.resident_blocks().collect();
         blocks.sort();
         assert_eq!(blocks, vec![(BlockAddr(0x0), LineState::Shared), (BlockAddr(0x40), LineState::Modified)]);
+    }
+
+    /// A checkpoint holding two lines for one cache index is refused as
+    /// corrupt; the same hand-written layout with distinct indices restores.
+    #[test]
+    fn decode_refuses_two_lines_on_one_index() {
+        let payload = |tags: [u32; 2]| {
+            let mut w = SnapWriter::new();
+            w.usize(tags.len());
+            for tag in tags {
+                w.u32(tag);
+                w.u8(0); // Shared
+                w.u32(0);
+                encode_block(&mut w, &block_data(tag));
+            }
+            w.into_vec()
+        };
+        let mut c = Cache::new(CacheConfig::default());
+        let distinct = payload([0, 0x40]);
+        c.decode(&mut SnapReader::new(&distinct)).unwrap();
+        assert!(c.contains(BlockAddr(0)) && c.contains(BlockAddr(0x40)));
+        // Same index, different tag: 64 KB apart.
+        let clashing = payload([0, 64 * 1024]);
+        let err = c.decode(&mut SnapReader::new(&clashing)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 }

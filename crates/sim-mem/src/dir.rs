@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{FastMap, NodeId};
 
 use crate::geometry::BlockAddr;
@@ -64,16 +65,6 @@ impl SharerSet {
                 n
             })
         })
-    }
-
-    /// The raw bitmap, for checkpointing.
-    pub fn to_bits(&self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a set from [`SharerSet::to_bits`] output.
-    pub fn from_bits(bits: u64) -> Self {
-        SharerSet(bits)
     }
 }
 
@@ -172,17 +163,53 @@ impl<M> Directory<M> {
         self.entries.iter()
     }
 
-    /// Materialized entries in ascending block order, for checkpointing
-    /// (the internal map iterates in arbitrary order).
-    pub fn sorted_entries(&self) -> Vec<(BlockAddr, &DirEntry<M>)> {
-        let mut entries: Vec<(BlockAddr, &DirEntry<M>)> = self.entries.iter().map(|(b, e)| (*b, e)).collect();
-        entries.sort_by_key(|&(b, _)| b);
-        entries
+    /// Writes every materialized entry to a checkpoint in ascending block
+    /// order (the map iterates in arbitrary order): block, state, sharers,
+    /// owner, busy flag, and the deferred requests, each written by
+    /// `encode_msg`.
+    pub fn encode(&self, w: &mut SnapWriter, encode_msg: impl Fn(&M, &mut SnapWriter)) {
+        let mut entries: Vec<(&BlockAddr, &DirEntry<M>)> = self.entries.iter().collect();
+        entries.sort_unstable_by_key(|&(b, _)| *b);
+        w.usize(entries.len());
+        for (block, e) in entries {
+            w.u32(block.0);
+            w.u8(match e.state {
+                DirState::Uncached => 0,
+                DirState::Shared => 1,
+                DirState::Owned => 2,
+            });
+            w.u64(e.sharers.0);
+            w.usize(e.owner);
+            w.bool(e.busy);
+            w.usize(e.waiting.len());
+            for m in &e.waiting {
+                encode_msg(m, w);
+            }
+        }
     }
 
-    /// Removes every entry (checkpoint restore starts from a clean map).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Reads a directory written by [`Directory::encode`], its deferred
+    /// requests read by `decode_msg`.
+    pub fn decode(
+        r: &mut SnapReader<'_>,
+        decode_msg: impl Fn(&mut SnapReader<'_>) -> Result<M, SnapError>,
+    ) -> Result<Self, SnapError> {
+        let mut dir = Directory::new();
+        for _ in 0..r.usize()? {
+            let block = BlockAddr(r.u32()?);
+            let state = match r.u8()? {
+                0 => DirState::Uncached,
+                1 => DirState::Shared,
+                2 => DirState::Owned,
+                _ => return Err(SnapError::Corrupt("unknown DirState tag")),
+            };
+            let sharers = SharerSet(r.u64()?);
+            let owner = r.usize()?;
+            let busy = r.bool()?;
+            let waiting = (0..r.usize()?).map(|_| decode_msg(r)).collect::<Result<_, _>>()?;
+            dir.entries.insert(block, DirEntry { state, sharers, owner, busy, waiting });
+        }
+        Ok(dir)
     }
 }
 

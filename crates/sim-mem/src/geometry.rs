@@ -1,5 +1,6 @@
 //! Address-space geometry: words, blocks, and home-node mapping.
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::NodeId;
 
 /// A shared-memory byte address.
@@ -17,6 +18,26 @@ pub const BLOCK_WORDS: usize = (BLOCK_BYTES / 4) as usize;
 
 /// The contents of one cache block, held inline by caches and memory.
 pub type Block = [Word; BLOCK_WORDS];
+
+/// Writes a block to a snapshot: its word count, then the words. Caches,
+/// memories and block-carrying messages all store blocks this way.
+pub fn encode_block(w: &mut SnapWriter, data: &[Word]) {
+    w.usize(data.len());
+    w.u32_slice(data);
+}
+
+/// Reads a block written by [`encode_block`], refusing any length but one
+/// block.
+pub fn decode_block(r: &mut SnapReader<'_>) -> Result<Block, SnapError> {
+    if r.usize()? != BLOCK_WORDS {
+        return Err(SnapError::Corrupt("stored block length is not one block"));
+    }
+    let mut data = [0; BLOCK_WORDS];
+    for word in &mut data {
+        *word = r.u32()?;
+    }
+    Ok(data)
+}
 
 /// The base address of a cache block (aligned to the block size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

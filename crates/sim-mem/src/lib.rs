@@ -19,9 +19,11 @@ pub mod store;
 pub mod wbuf;
 
 pub use alloc::SharedAlloc;
-pub use cache::{Cache, CacheConfig, LineSnapshot, LineState};
+pub use cache::{Cache, CacheConfig, LineState};
 pub use dir::{DirEntry, DirState, Directory, SharerSet};
 pub use dram::MemTiming;
-pub use geometry::{Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS};
+pub use geometry::{
+    decode_block, encode_block, Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS,
+};
 pub use store::MemStore;
 pub use wbuf::{PendingWrite, WriteBuffer};

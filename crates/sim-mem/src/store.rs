@@ -1,8 +1,9 @@
 //! Backing store for shared memory.
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::FastMap;
 
-use crate::geometry::{Addr, Block, BlockAddr, Geometry, Word, BLOCK_WORDS};
+use crate::geometry::{decode_block, encode_block, Addr, Block, BlockAddr, Geometry, Word, BLOCK_WORDS};
 
 /// The machine's main memory contents, kept at block granularity.
 ///
@@ -57,12 +58,27 @@ impl MemStore {
         self.blocks.len()
     }
 
-    /// Every materialized block in ascending address order, for
-    /// checkpointing (the internal map iterates in arbitrary order).
-    pub fn sorted_blocks(&self) -> Vec<(BlockAddr, &[Word])> {
-        let mut blocks: Vec<(BlockAddr, &[Word])> = self.blocks.iter().map(|(b, d)| (*b, &d[..])).collect();
-        blocks.sort_by_key(|&(b, _)| b);
-        blocks
+    /// Writes every materialized block to a checkpoint in ascending address
+    /// order (the map iterates in arbitrary order): the block count, then
+    /// each block's address and data.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        let mut blocks: Vec<(&BlockAddr, &Block)> = self.blocks.iter().collect();
+        blocks.sort_unstable_by_key(|&(b, _)| *b);
+        w.usize(blocks.len());
+        for (block, data) in blocks {
+            w.u32(block.0);
+            encode_block(w, data);
+        }
+    }
+
+    /// Reads a memory written by [`MemStore::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut mem = MemStore::new();
+        for _ in 0..r.usize()? {
+            let block = BlockAddr(r.u32()?);
+            mem.blocks.insert(block, decode_block(r)?);
+        }
+        Ok(mem)
     }
 }
 

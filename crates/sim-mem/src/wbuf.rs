@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
+
 use crate::geometry::{Addr, Word};
 
 /// A write waiting in the buffer.
@@ -118,21 +120,36 @@ impl WriteBuffer {
         self.entries.iter().any(|w| w.addr & !(block_bytes - 1) == block_base)
     }
 
-    /// Exports the complete state — queued writes in FIFO order, the
-    /// head-issued flag, and the high-water mark — for checkpointing.
-    pub fn export_state(&self) -> (Vec<PendingWrite>, bool, usize) {
-        (self.entries.iter().copied().collect(), self.head_issued, self.high_water)
+    /// Writes the buffer to a checkpoint: the queued writes in FIFO order,
+    /// the head-issued flag and the high-water mark.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        w.usize(self.entries.len());
+        for e in &self.entries {
+            w.u32(e.addr);
+            w.u32(e.val);
+        }
+        w.bool(self.head_issued);
+        w.usize(self.high_water);
     }
 
-    /// Restores state exported by [`WriteBuffer::export_state`], bypassing
-    /// [`WriteBuffer::push`] so the high-water mark is reinstated, not
-    /// recomputed.
-    pub fn import_state(&mut self, entries: Vec<PendingWrite>, head_issued: bool, high_water: usize) {
-        assert!(entries.len() <= self.capacity, "snapshot overflows the write buffer");
-        assert!(!head_issued || !entries.is_empty(), "head_issued without a head entry");
-        self.entries = entries.into();
-        self.head_issued = head_issued;
-        self.high_water = high_water;
+    /// Reads a buffer of `capacity` entries written by
+    /// [`WriteBuffer::encode`], bypassing [`WriteBuffer::push`] so the
+    /// high-water mark is reinstated, not recomputed.
+    pub fn decode(r: &mut SnapReader<'_>, capacity: usize) -> Result<Self, SnapError> {
+        let len = r.usize()?;
+        if len > capacity {
+            return Err(SnapError::Corrupt("write-buffer entry count overflows capacity"));
+        }
+        let mut wb = WriteBuffer::new(capacity);
+        for _ in 0..len {
+            wb.entries.push_back(PendingWrite { addr: r.u32()?, val: r.u32()? });
+        }
+        wb.head_issued = r.bool()?;
+        wb.high_water = r.usize()?;
+        if wb.head_issued && wb.entries.is_empty() {
+            return Err(SnapError::Corrupt("head_issued without a head entry"));
+        }
+        Ok(wb)
     }
 }
 

@@ -22,6 +22,7 @@ pub mod mesh;
 
 pub use mesh::MeshShape;
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{Cycle, FifoServer, NodeId};
 
 /// Static network parameters (defaults follow the paper).
@@ -45,7 +46,7 @@ impl Default for NetConfig {
 }
 
 /// Aggregate traffic counters for one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetCounters {
     /// Messages that traversed the mesh (excludes node-local messages).
     pub messages: u64,
@@ -55,6 +56,25 @@ pub struct NetCounters {
     pub flits: u64,
     /// Sum over messages of hop counts (for average-distance reporting).
     pub total_hops: u64,
+}
+
+impl NetCounters {
+    /// Writes the four counters in declaration order.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        for v in [self.messages, self.local_messages, self.flits, self.total_hops] {
+            w.u64(v);
+        }
+    }
+
+    /// Reads counters written by [`NetCounters::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(NetCounters {
+            messages: r.u64()?,
+            local_messages: r.u64()?,
+            flits: r.u64()?,
+            total_hops: r.u64()?,
+        })
+    }
 }
 
 /// The decomposed delivery record of one mesh message (an opt-in
@@ -341,44 +361,34 @@ impl Network {
         self.rx[n].busy_cycles()
     }
 
-    /// Exports the simulation-visible network state — every port server's
-    /// raw parts plus the traffic counters — for checkpointing. The
-    /// observation counters and journey slot are run-scoped instruments,
-    /// not simulated state, and are excluded.
-    pub fn snapshot_core(&self) -> NetSnapshot {
-        NetSnapshot {
-            tx: self.tx.iter().map(FifoServer::to_raw_parts).collect(),
-            rx: self.rx.iter().map(FifoServer::to_raw_parts).collect(),
-            counters: self.counters.clone(),
+    /// Writes the simulated network state to a checkpoint: the transmit
+    /// and receive port servers, each list with its node count, then the
+    /// traffic counters. The observation counters and journey slot are
+    /// run-scoped instruments, not simulated state, and are left out.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        for ports in [&self.tx, &self.rx] {
+            w.usize(ports.len());
+            for port in ports {
+                port.encode(w);
+            }
         }
+        self.counters.encode(w);
     }
 
-    /// Restores state exported by [`Network::snapshot_core`]. The mesh
-    /// shape and config must match the network this snapshot came from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's node count disagrees with this network.
-    pub fn restore_core(&mut self, snap: NetSnapshot) {
-        assert_eq!(snap.tx.len(), self.tx.len(), "snapshot node count disagrees with the network");
-        assert_eq!(snap.rx.len(), self.rx.len(), "snapshot node count disagrees with the network");
-        self.tx = snap.tx.into_iter().map(FifoServer::from_raw_parts).collect();
-        self.rx = snap.rx.into_iter().map(FifoServer::from_raw_parts).collect();
-        self.counters = snap.counters;
+    /// Restores into this network (same shape and config) the state
+    /// [`Network::encode`] wrote, refusing a different node count.
+    pub fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        for ports in [&mut self.tx, &mut self.rx] {
+            if r.usize()? != ports.len() {
+                return Err(SnapError::Corrupt("network node count disagrees"));
+            }
+            for port in ports.iter_mut() {
+                *port = FifoServer::decode(r)?;
+            }
+        }
+        self.counters = NetCounters::decode(r)?;
+        Ok(())
     }
-}
-
-/// The simulation-visible state of a [`Network`], as exported by
-/// [`Network::snapshot_core`]: per-node transmit/receive port servers
-/// (raw parts, in node order) and the aggregate traffic counters.
-#[derive(Debug, Clone)]
-pub struct NetSnapshot {
-    /// Transmit-port server states, in node order.
-    pub tx: Vec<[u64; 4]>,
-    /// Receive-port server states, in node order.
-    pub rx: Vec<[u64; 4]>,
-    /// Aggregate traffic counters.
-    pub counters: NetCounters,
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::NodeId;
-use sim_mem::{Addr, Word};
+use sim_mem::{decode_block, encode_block, Addr, Word};
 
 /// The three atomic instructions of the simulated machine (Section 3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,23 +232,8 @@ impl AtomicOp {
     }
 }
 
-fn encode_block(w: &mut SnapWriter, data: &[Word]) {
-    w.usize(data.len());
-    for &word in data {
-        w.u32(word);
-    }
-}
-
-fn decode_block(r: &mut SnapReader<'_>) -> Result<Box<[Word]>, SnapError> {
-    let len = r.usize()?;
-    if len > 1 << 16 {
-        return Err(SnapError::Corrupt("block length is implausible"));
-    }
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(r.u32()?);
-    }
-    Ok(data.into_boxed_slice())
+fn decode_boxed_block(r: &mut SnapReader<'_>) -> Result<Box<[Word]>, SnapError> {
+    Ok(Box::new(decode_block(r)?))
 }
 
 fn encode_opt_block(w: &mut SnapWriter, data: &Option<Box<[Word]>>) {
@@ -336,18 +321,18 @@ impl Msg {
             3 => UpdateWrite { val: r.u32()? },
             4 => UpdateWriteAlloc { val: r.u32()? },
             5 => AtomicReq { op: AtomicOp::from_tag(r.u8()?)?, operand: r.u32()?, operand2: r.u32()? },
-            6 => WriteBack { data: decode_block(r)? },
+            6 => WriteBack { data: decode_boxed_block(r)? },
             7 => SharerDrop,
             8 => StopUpdate,
-            9 => Data { data: decode_block(r)? },
-            10 => DataX { data: decode_block(r)?, acks: r.u32()? },
+            9 => Data { data: decode_boxed_block(r)? },
+            10 => DataX { data: decode_boxed_block(r)?, acks: r.u32()? },
             11 => UpgradeAck { acks: r.u32()? },
             12 => UpdateInfo { acks: r.u32()?, go_private: r.bool()? },
-            13 => DataUpd { data: decode_block(r)?, acks: r.u32()? },
+            13 => DataUpd { data: decode_boxed_block(r)?, acks: r.u32()? },
             14 => UpdateMsg { val: r.u32()?, writer: r.usize()?, acks_to: r.usize()? },
             15 => AtomicReply {
                 old: r.u32()?,
-                data: if r.bool()? { Some(decode_block(r)?) } else { None },
+                data: if r.bool()? { Some(decode_boxed_block(r)?) } else { None },
                 acks: r.u32()?,
             },
             16 => Inval { requester: r.usize()?, writer: r.usize()? },
@@ -356,11 +341,11 @@ impl Msg {
             19 => RecallUpd { requester: r.usize()?, for_atomic: r.bool()? },
             20 => InvAck,
             21 => UpdateAck,
-            22 => DataFwd { data: decode_block(r)? },
-            23 => DataXFwd { data: decode_block(r)? },
-            24 => SharingWB { data: decode_block(r)?, requester: r.usize()? },
+            22 => DataFwd { data: decode_boxed_block(r)? },
+            23 => DataXFwd { data: decode_boxed_block(r)? },
+            24 => SharingWB { data: decode_boxed_block(r)?, requester: r.usize()? },
             25 => OwnershipXfer { to: r.usize()? },
-            26 => RecallReply { data: decode_block(r)?, requester: r.usize()?, for_atomic: r.bool()? },
+            26 => RecallReply { data: decode_boxed_block(r)?, requester: r.usize()?, for_atomic: r.bool()? },
             27 => FetchMiss { original: Box::new(Msg::decode(r)?) },
             _ => return Err(SnapError::Corrupt("unknown MsgKind tag")),
         };
@@ -561,6 +546,32 @@ mod tests {
         let payload = w.into_vec();
         let mut r = sim_engine::SnapReader::new(&payload);
         assert!(Msg::decode(&mut r).is_err());
+    }
+
+    /// A block payload is exactly one block: a `Data` message whose length
+    /// prefix says 15 or 17 words is refused as corrupt.
+    #[test]
+    fn codec_rejects_blocks_of_the_wrong_length() {
+        let data_msg = |words: usize| {
+            let mut w = sim_engine::SnapWriter::new();
+            w.usize(0); // src
+            w.usize(1); // dst
+            w.u32(0x40); // addr
+            w.u8(MsgKind::Data { data: Box::new([]) }.index() as u8);
+            w.usize(words);
+            w.u32_slice(&vec![3; words]);
+            w.into_vec()
+        };
+        let ok = data_msg(16);
+        assert_eq!(
+            Msg::decode(&mut sim_engine::SnapReader::new(&ok)).unwrap(),
+            msg(MsgKind::Data { data: vec![3; 16].into_boxed_slice() })
+        );
+        for words in [15, 17] {
+            let bad = data_msg(words);
+            let err = Msg::decode(&mut sim_engine::SnapReader::new(&bad)).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)), "{words} words: {err:?}");
+        }
     }
 
     #[test]

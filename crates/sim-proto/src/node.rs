@@ -1,5 +1,6 @@
 //! Per-node protocol state and dispatch.
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{Cycle, NodeId};
 use sim_mem::{Addr, BlockAddr, Cache, CacheConfig, Directory, Geometry, LineState, MemStore, Word};
 use sim_stats::{Classifier, LossCause};
@@ -138,6 +139,61 @@ impl ProtoNode {
             acks_received: 0,
             update_infos_pending: 0,
         }
+    }
+
+    /// Writes the node's state to a checkpoint: cache, directory (its
+    /// deferred requests as [`Msg`]s), memory, the three in-flight
+    /// transactions and the ack counters. Identity, geometry and config
+    /// come from the restore target.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        self.cache.encode(w);
+        self.dir.encode(w, Msg::encode);
+        self.mem.encode(w);
+        w.bool(self.pending_read.is_some());
+        if let Some(p) = self.pending_read {
+            w.u32(p.addr);
+            w.bool(p.piggyback);
+        }
+        w.bool(self.pending_write.is_some());
+        if let Some(p) = self.pending_write {
+            w.u32(p.addr);
+            w.u32(p.val);
+        }
+        w.bool(self.pending_atomic.is_some());
+        if let Some(p) = self.pending_atomic {
+            w.u32(p.addr);
+            w.u8(p.op.tag());
+            w.u32(p.operand);
+            w.u32(p.operand2);
+        }
+        w.u64(self.acks_expected);
+        w.u64(self.acks_received);
+        w.u64(self.update_infos_pending);
+    }
+
+    /// Restores into this node the state [`ProtoNode::encode`] wrote.
+    pub fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.cache.decode(r)?;
+        self.dir = Directory::decode(r, Msg::decode)?;
+        self.mem = MemStore::decode(r)?;
+        self.pending_read =
+            if r.bool()? { Some(PendingRead { addr: r.u32()?, piggyback: r.bool()? }) } else { None };
+        self.pending_write =
+            if r.bool()? { Some(PendingWrite { addr: r.u32()?, val: r.u32()? }) } else { None };
+        self.pending_atomic = if r.bool()? {
+            Some(PendingAtomic {
+                addr: r.u32()?,
+                op: AtomicOp::from_tag(r.u8()?)?,
+                operand: r.u32()?,
+                operand2: r.u32()?,
+            })
+        } else {
+            None
+        };
+        self.acks_expected = r.u64()?;
+        self.acks_received = r.u64()?;
+        self.update_infos_pending = r.u64()?;
+        Ok(())
     }
 
     /// Home node of `addr`.

@@ -5,7 +5,7 @@ use sim_engine::{Cycle, FastMap, NodeId};
 use sim_mem::{Addr, BlockAddr, Geometry};
 
 use crate::lineage::{Lineage, LineageReport};
-use crate::report::{MissClass, MissStats, TrafficReport, UpdateClass, UpdateStats};
+use crate::report::{MissClass, TrafficReport, UpdateClass, UpdateStats};
 
 /// Per-home-node update accounting for the network telemetry layer: which
 /// home directory's traffic turned out useful vs useless, and how many
@@ -533,7 +533,7 @@ impl Classifier {
                 w.bool(block_referenced);
             }
         }
-        encode_report(w, &self.report);
+        self.report.encode(w);
     }
 
     /// Restores state captured by [`Classifier::encode_state`] into a
@@ -588,74 +588,8 @@ impl Classifier {
             }
             self.live_updates.insert((n, b), recs);
         }
-        decode_report(r, &mut self.report)
+        self.report.decode(r)
     }
-}
-
-fn encode_miss_stats(w: &mut SnapWriter, m: &MissStats) {
-    for v in [m.cold, m.true_sharing, m.false_sharing, m.eviction, m.drop, m.exclusive_requests] {
-        w.u64(v);
-    }
-}
-
-fn decode_miss_stats(r: &mut SnapReader<'_>) -> Result<MissStats, SnapError> {
-    Ok(MissStats {
-        cold: r.u64()?,
-        true_sharing: r.u64()?,
-        false_sharing: r.u64()?,
-        eviction: r.u64()?,
-        drop: r.u64()?,
-        exclusive_requests: r.u64()?,
-    })
-}
-
-fn encode_update_stats(w: &mut SnapWriter, u: &UpdateStats) {
-    for v in [u.true_sharing, u.false_sharing, u.proliferation, u.replacement, u.termination, u.drop] {
-        w.u64(v);
-    }
-}
-
-fn decode_update_stats(r: &mut SnapReader<'_>) -> Result<UpdateStats, SnapError> {
-    Ok(UpdateStats {
-        true_sharing: r.u64()?,
-        false_sharing: r.u64()?,
-        proliferation: r.u64()?,
-        replacement: r.u64()?,
-        termination: r.u64()?,
-        drop: r.u64()?,
-    })
-}
-
-/// Report counters travel by registration index; names come from the
-/// restore target's own registrations.
-fn encode_report(w: &mut SnapWriter, rep: &TrafficReport) {
-    encode_miss_stats(w, &rep.misses);
-    encode_update_stats(w, &rep.updates);
-    w.u64(rep.shared_reads);
-    w.u64(rep.shared_writes);
-    w.u64(rep.shared_atomics);
-    w.usize(rep.by_structure.len());
-    for s in &rep.by_structure {
-        encode_miss_stats(w, &s.misses);
-        encode_update_stats(w, &s.updates);
-    }
-}
-
-fn decode_report(r: &mut SnapReader<'_>, rep: &mut TrafficReport) -> Result<(), SnapError> {
-    rep.misses = decode_miss_stats(r)?;
-    rep.updates = decode_update_stats(r)?;
-    rep.shared_reads = r.u64()?;
-    rep.shared_writes = r.u64()?;
-    rep.shared_atomics = r.u64()?;
-    let n = r.usize()?;
-    if n != rep.by_structure.len() {
-        return Err(SnapError::Corrupt("structure registration count mismatch"));
-    }
-    for s in rep.by_structure.iter_mut() {
-        s.misses = decode_miss_stats(r)?;
-        s.updates = decode_update_stats(r)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -100,8 +100,6 @@ fn json_i64(v: i64) -> Json {
 pub struct RunSide<'a> {
     /// Display label ("WI", "PU", "baseline", a config digest, ...).
     pub label: &'a str,
-    /// Total simulated cycles of the run.
-    pub cycles: u64,
     /// Instructions retired.
     pub instructions: u64,
     /// The run's observability report.
@@ -792,8 +790,7 @@ mod tests {
     #[test]
     fn self_diff_is_all_zeros() {
         let r = tiny_report(20);
-        let side =
-            RunSide { label: "A", cycles: 100, instructions: 50, obs: &r, host: None, fingerprint: None };
+        let side = RunSide { label: "A", instructions: 50, obs: &r, host: None, fingerprint: None };
         let d = ReportDelta::between(&side, &side);
         assert!(d.is_zero(), "self-diff must be empty");
         d.check_closure().expect("self-diff closes");
@@ -804,10 +801,8 @@ mod tests {
     #[test]
     fn class_deltas_close_to_node_cycle_delta() {
         let (ra, rb) = (tiny_report(20), tiny_report(40));
-        let a =
-            RunSide { label: "A", cycles: 100, instructions: 50, obs: &ra, host: None, fingerprint: None };
-        let b =
-            RunSide { label: "B", cycles: 100, instructions: 55, obs: &rb, host: None, fingerprint: None };
+        let a = RunSide { label: "A", instructions: 50, obs: &ra, host: None, fingerprint: None };
+        let b = RunSide { label: "B", instructions: 55, obs: &rb, host: None, fingerprint: None };
         let d = ReportDelta::between(&a, &b);
         d.check_closure().expect("delta closes");
         assert!(!d.is_zero());

@@ -1,5 +1,6 @@
 //! Power-of-two latency histograms.
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::Cycle;
 
 /// A log₂-bucketed histogram of cycle latencies.
@@ -81,17 +82,29 @@ impl LatencyHist {
         self.max = self.max.max(other.max);
     }
 
-    /// Decomposes the histogram into `(buckets, count, sum, max)` for
-    /// external serialization (the sweep harness's on-disk result cache).
+    /// Decomposes the histogram into `(buckets, count, sum, max)`, for
+    /// comparing two histograms field by field.
     pub fn to_raw_parts(&self) -> ([u64; 32], u64, u64, Cycle) {
         (self.buckets, self.count, self.sum, self.max)
     }
 
-    /// Rebuilds a histogram from [`LatencyHist::to_raw_parts`] output.
-    /// The parts are trusted verbatim; feeding back anything other than a
-    /// `to_raw_parts` result produces a histogram that never existed.
-    pub fn from_raw_parts(buckets: [u64; 32], count: u64, sum: u64, max: Cycle) -> Self {
-        LatencyHist { buckets, count, sum, max }
+    /// Writes the 32 buckets, then the count, sum and max.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        for &b in &self.buckets {
+            w.u64(b);
+        }
+        w.u64(self.count);
+        w.u64(self.sum);
+        w.u64(self.max);
+    }
+
+    /// Reads a histogram written by [`LatencyHist::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut buckets = [0u64; 32];
+        for b in &mut buckets {
+            *b = r.u64()?;
+        }
+        Ok(LatencyHist { buckets, count: r.u64()?, sum: r.u64()?, max: r.u64()? })
     }
 
     /// `(bucket lower bound, sample count)` for each non-empty bucket.

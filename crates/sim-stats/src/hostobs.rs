@@ -27,6 +27,7 @@
 //! byte-identical simulated results to a hostobs-off run (enforced by
 //! `tests/hostobs.rs` and the `ppc harness` golden in `tests/ppc_cli.rs`).
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{Cycle, QueueStats, StableHasher};
 
 use crate::hist::LatencyHist;
@@ -483,6 +484,32 @@ pub struct FingerprintChain {
 }
 
 impl FingerprintChain {
+    /// Writes the chain in declaration order: the epoch length, the epoch
+    /// count and digests, the event total and the state digest.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        w.u64(self.epoch_events);
+        w.usize(self.epochs.len());
+        for &(lo, hi) in &self.epochs {
+            w.u64(lo);
+            w.u64(hi);
+        }
+        w.u64(self.total_events);
+        w.u64(self.state_digest.0);
+        w.u64(self.state_digest.1);
+    }
+
+    /// Reads a chain written by [`FingerprintChain::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let epoch_events = r.u64()?;
+        let epochs = (0..r.usize()?).map(|_| Ok((r.u64()?, r.u64()?))).collect::<Result<_, SnapError>>()?;
+        Ok(FingerprintChain {
+            epoch_events,
+            epochs,
+            total_events: r.u64()?,
+            state_digest: (r.u64()?, r.u64()?),
+        })
+    }
+
     /// A 32-hex-character digest of the whole chain (every epoch, the
     /// event count, and the state digest) — the one-line summary form.
     pub fn chain_digest_hex(&self) -> String {

@@ -1,5 +1,7 @@
 //! Classified-traffic counters and the per-run report.
 
+use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
+
 use crate::json::Json;
 
 /// The miss categories of Section 3.2 (plus exclusive requests).
@@ -62,6 +64,32 @@ impl MissStats {
             MissClass::Eviction => self.eviction += 1,
             MissClass::Drop => self.drop += 1,
         }
+    }
+
+    /// Writes the six counters in declaration order.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        for v in [
+            self.cold,
+            self.true_sharing,
+            self.false_sharing,
+            self.eviction,
+            self.drop,
+            self.exclusive_requests,
+        ] {
+            w.u64(v);
+        }
+    }
+
+    /// Reads counters written by [`MissStats::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(MissStats {
+            cold: r.u64()?,
+            true_sharing: r.u64()?,
+            false_sharing: r.u64()?,
+            eviction: r.u64()?,
+            drop: r.u64()?,
+            exclusive_requests: r.u64()?,
+        })
     }
 
     /// Adds another counter set into this one.
@@ -156,6 +184,32 @@ impl UpdateStats {
         }
     }
 
+    /// Writes the six counters in declaration order.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        for v in [
+            self.true_sharing,
+            self.false_sharing,
+            self.proliferation,
+            self.replacement,
+            self.termination,
+            self.drop,
+        ] {
+            w.u64(v);
+        }
+    }
+
+    /// Reads counters written by [`UpdateStats::encode`].
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(UpdateStats {
+            true_sharing: r.u64()?,
+            false_sharing: r.u64()?,
+            proliferation: r.u64()?,
+            replacement: r.u64()?,
+            termination: r.u64()?,
+            drop: r.u64()?,
+        })
+    }
+
     /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &UpdateStats) {
         self.true_sharing += other.true_sharing;
@@ -180,7 +234,7 @@ impl UpdateStats {
 }
 
 /// Classified traffic attributed to one registered data structure.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StructureTraffic {
     /// The name given at registration.
     pub name: String,
@@ -191,7 +245,7 @@ pub struct StructureTraffic {
 }
 
 /// Everything the classifier measured in one run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficReport {
     /// Machine-wide miss classification.
     pub misses: MissStats,
@@ -217,6 +271,41 @@ impl TrafficReport {
         } else {
             self.misses.total_misses() as f64 / refs as f64
         }
+    }
+
+    /// Writes every counter: the machine-wide misses and updates, the shared
+    /// reference counts, then each structure's misses and updates by
+    /// registration index. Names are not written: a checkpoint restores
+    /// into a report its machine registered identically.
+    pub fn encode(&self, w: &mut SnapWriter) {
+        self.misses.encode(w);
+        self.updates.encode(w);
+        w.u64(self.shared_reads);
+        w.u64(self.shared_writes);
+        w.u64(self.shared_atomics);
+        w.usize(self.by_structure.len());
+        for s in &self.by_structure {
+            s.misses.encode(w);
+            s.updates.encode(w);
+        }
+    }
+
+    /// Reads the counters [`TrafficReport::encode`] wrote into this report,
+    /// whose structures must already be registered under their names.
+    pub fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.misses = MissStats::decode(r)?;
+        self.updates = UpdateStats::decode(r)?;
+        self.shared_reads = r.u64()?;
+        self.shared_writes = r.u64()?;
+        self.shared_atomics = r.u64()?;
+        if r.usize()? != self.by_structure.len() {
+            return Err(SnapError::Corrupt("structure registration count mismatch"));
+        }
+        for s in &mut self.by_structure {
+            s.misses = MissStats::decode(r)?;
+            s.updates = UpdateStats::decode(r)?;
+        }
+        Ok(())
     }
 
     /// Serializes the whole report, including per-structure attribution.

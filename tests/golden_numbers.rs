@@ -10,6 +10,7 @@ use kernels::runner::{install_run_verify, run_experiment, ExperimentSpec, Kernel
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
 };
+use sim_engine::stable_hash64;
 use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
 
@@ -89,6 +90,50 @@ fn mcs_lock_8_proc_cycles_and_instructions_are_stable() {
         );
         assert_eq!(r.cycles, cycles, "{protocol:?}: cycles");
         assert_eq!(r.instructions, instructions, "{protocol:?}: instructions");
+    }
+}
+
+/// The checkpoint bytes of a contended 4-processor MCS-lock run with a
+/// checkpoint every 256 events, per protocol: the first blob's length and
+/// `stable_hash64`, and the `stable_hash64` of all the run's blobs in
+/// order (later blobs hold deferred directory requests and write-buffer
+/// entries the first may lack).
+const CHECKPOINT_PINS: [(Protocol, usize, u64, u64); 3] = [
+    (Protocol::WriteInvalidate, 70327, 0x5900b018add54c53, 0x5d464d902f88fa72),
+    (Protocol::PureUpdate, 71190, 0x0ecf01433aedaab6, 0xd26d3af838008f65),
+    (Protocol::CompetitiveUpdate, 71116, 0xa1f9357d3b8f036d, 0x44f1603514ecf605),
+];
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let kernel = KernelSpec::Lock(LockWorkload {
+        kind: LockKind::Mcs,
+        total_acquires: 96,
+        cs_cycles: 5,
+        post_release: PostRelease::None,
+    });
+    let measured = CHECKPOINT_PINS.map(|(protocol, ..)| {
+        let mut cfg = MachineConfig::paper(4, protocol).with_checkpoints(256);
+        cfg.hostobs.fingerprint_epoch = 256;
+        let mut m = Machine::new(cfg);
+        install_run_verify(&mut m, &kernel, true, Machine::run);
+        let checkpoints = m.take_checkpoints();
+        let first = &checkpoints[0].blob;
+        let all: Vec<u8> = checkpoints.iter().flat_map(|ck| ck.blob.iter().copied()).collect();
+        (protocol, first.len(), stable_hash64(first), stable_hash64(&all))
+    });
+    if measured != CHECKPOINT_PINS {
+        let rows: String = measured
+            .iter()
+            .map(|(p, len, first, all)| {
+                format!("    (Protocol::{p:?}, {len}, {first:#018x}, {all:#018x}),\n")
+            })
+            .collect();
+        panic!(
+            "checkpoint bytes moved. If the simulated run moved, the goldens moved with it; otherwise \
+             the snapshot format changed, so bump SNAPSHOT_VERSION (sim-machine) and re-pin:\n\
+             const CHECKPOINT_PINS: [(Protocol, usize, u64, u64); 3] = [\n{rows}];"
+        );
     }
 }
 

@@ -149,11 +149,14 @@ fn corrupted_payload_is_resimulated() {
     let (outs, _) = sweep::run_specs_with(std::slice::from_ref(&spec), &opts);
     let honest_cycles = outs[0].cycles;
 
+    // Flip one byte inside the sealed payload: past the 12-byte frame
+    // header (magic and version), short of the 16-byte trailing digest.
     let path = dir.join(format!("{}.run", spec.cache_key()));
-    let body = std::fs::read_to_string(&path).unwrap();
-    let tampered = body.replacen("cycles=", "cycles=9", 1);
-    assert_ne!(body, tampered);
-    std::fs::write(&path, tampered).unwrap();
+    let mut body = std::fs::read(&path).unwrap();
+    let at = body.len() / 2;
+    assert!(12 < at && at < body.len() - 16);
+    body[at] ^= 0x01;
+    std::fs::write(&path, body).unwrap();
 
     sweep::clear_memo();
     let (outs, stats) = sweep::run_specs_with(std::slice::from_ref(&spec), &opts);
