@@ -35,5 +35,5 @@ pub use chrome_export::{
 pub use config::MachineConfig;
 pub use cpu::{Cpu, CpuState};
 pub use machine::{Checkpoint, Machine, RecordedEvent, SNAPSHOT_VERSION};
-pub use result::{NodeStats, RunResult};
+pub use result::RunResult;
 pub use trace::{Trace, TraceEvent};

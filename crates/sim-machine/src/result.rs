@@ -4,19 +4,6 @@ use sim_engine::Cycle;
 use sim_net::NetCounters;
 use sim_stats::TrafficReport;
 
-/// Per-node resource accounting for one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NodeStats {
-    /// Instructions this processor retired.
-    pub instructions: u64,
-    /// Cycles this node's memory module spent servicing requests.
-    pub mem_busy: Cycle,
-    /// Cycles this node's transmit port spent moving flits.
-    pub tx_busy: Cycle,
-    /// Cycles this node's receive port spent accepting flits.
-    pub rx_busy: Cycle,
-}
-
 /// Everything measured over one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -29,9 +16,6 @@ pub struct RunResult {
     pub net: NetCounters,
     /// Instructions retired, summed over processors.
     pub instructions: u64,
-    /// Per-node resource accounting (hot homes and ports show up here —
-    /// e.g. node 0's memory under the centralized barrier).
-    pub per_node: Vec<NodeStats>,
     /// Distribution of shared-read miss stall times.
     pub read_latency: sim_stats::LatencyHist,
     /// Distribution of atomic-operation stall times (issue to completion,
@@ -88,7 +72,6 @@ mod tests {
             traffic: TrafficReport::default(),
             net: NetCounters::default(),
             instructions: 0,
-            per_node: Vec::new(),
             read_latency: Default::default(),
             atomic_latency: Default::default(),
             obs: None,

@@ -338,6 +338,7 @@ impl Chain {
     }
 }
 
+/// One lock's live state around the report it fills.
 #[derive(Debug)]
 struct LockState {
     holder: Option<(NodeId, Cycle)>,
@@ -346,34 +347,16 @@ struct LockState {
     /// release→acquire window by stall class.
     attempts: Vec<Option<(Cycle, CycleAccount)>>,
     last_release: Option<(NodeId, Cycle, u64)>,
-    acquires: u64,
-    hold_cycles: u64,
-    handoff_count: u64,
-    queue_wait: u64,
-    release_visibility: u64,
-    remote_miss: u64,
-    other: u64,
-    max_latency: u64,
-    records: Vec<Handoff>,
-    records_dropped: u64,
+    report: LockReport,
 }
 
 impl LockState {
-    fn new(num_nodes: usize) -> Self {
+    fn new(lock: u32, num_nodes: usize) -> Self {
         LockState {
             holder: None,
             attempts: vec![None; num_nodes],
             last_release: None,
-            acquires: 0,
-            hold_cycles: 0,
-            handoff_count: 0,
-            queue_wait: 0,
-            release_visibility: 0,
-            remote_miss: 0,
-            other: 0,
-            max_latency: 0,
-            records: Vec::new(),
-            records_dropped: 0,
+            report: LockReport { lock, ..Default::default() },
         }
     }
 }
@@ -388,35 +371,23 @@ struct EpisodeAcc {
     last_depart: Cycle,
 }
 
+/// One barrier's live state around the report it fills; the report's
+/// `incomplete` count is the episodes still `open` at the end.
 #[derive(Debug)]
 struct BarrierState {
     arrive_epoch: Vec<u64>,
     depart_epoch: Vec<u64>,
     open: BTreeMap<u64, EpisodeAcc>,
-    episodes: u64,
-    imbalance_cycles: u64,
-    fanout_cycles: u64,
-    max_imbalance: u64,
-    max_fanout: u64,
-    last_arriver_counts: Vec<u64>,
-    records: Vec<Episode>,
-    records_dropped: u64,
+    report: BarrierReport,
 }
 
 impl BarrierState {
-    fn new(num_nodes: usize) -> Self {
+    fn new(barrier: u32, num_nodes: usize) -> Self {
         BarrierState {
             arrive_epoch: vec![0; num_nodes],
             depart_epoch: vec![0; num_nodes],
             open: BTreeMap::new(),
-            episodes: 0,
-            imbalance_cycles: 0,
-            fanout_cycles: 0,
-            max_imbalance: 0,
-            max_fanout: 0,
-            last_arriver_counts: vec![0; num_nodes],
-            records: Vec::new(),
-            records_dropped: 0,
+            report: BarrierReport { barrier, last_arriver_counts: vec![0; num_nodes], ..Default::default() },
         }
     }
 }
@@ -450,11 +421,11 @@ impl CritState {
     }
 
     fn lock(&mut self, lock: u32, num_nodes: usize) -> &mut LockState {
-        self.locks.entry(lock).or_insert_with(|| LockState::new(num_nodes))
+        self.locks.entry(lock).or_insert_with(|| LockState::new(lock, num_nodes))
     }
 
     fn barrier(&mut self, barrier: u32, num_nodes: usize) -> &mut BarrierState {
-        self.barriers.entry(barrier).or_insert_with(|| BarrierState::new(num_nodes))
+        self.barriers.entry(barrier).or_insert_with(|| BarrierState::new(barrier, num_nodes))
     }
 }
 
@@ -565,7 +536,7 @@ impl ObsCollector {
     /// release precedes this acquire.
     pub fn lock_acquired(&mut self, n: NodeId, lock: u32, at: Cycle) {
         let ls = self.crit.lock(lock, self.nodes.len());
-        ls.acquires += 1;
+        ls.report.acquires += 1;
         let attempt = ls.attempts[n].take();
         let release = ls.last_release.take();
         ls.holder = Some((n, at));
@@ -607,17 +578,17 @@ impl ObsCollector {
             "handoff",
             Some(Label::Lock(lock)),
         );
-        let ls = self.crit.lock(lock, self.nodes.len());
-        ls.handoff_count += 1;
-        ls.queue_wait += rec.queue_wait;
-        ls.release_visibility += release_visibility;
-        ls.remote_miss += remote_miss;
-        ls.other += other;
-        ls.max_latency = ls.max_latency.max(rec.latency());
-        if ls.records.len() < CRIT_RECORD_CAP {
-            ls.records.push(rec);
+        let r = &mut self.crit.lock(lock, self.nodes.len()).report;
+        r.handoffs += 1;
+        r.queue_wait += rec.queue_wait;
+        r.release_visibility += release_visibility;
+        r.remote_miss += remote_miss;
+        r.other += other;
+        r.max_latency = r.max_latency.max(rec.latency());
+        if r.records.len() < CRIT_RECORD_CAP {
+            r.records.push(rec);
         } else {
-            ls.records_dropped += 1;
+            r.records_dropped += 1;
         }
     }
 
@@ -633,7 +604,7 @@ impl ObsCollector {
                 0
             }
         };
-        ls.hold_cycles += hold;
+        ls.report.hold_cycles += hold;
         ls.last_release = Some((n, at, hold));
         for (node, attempt) in self.nodes.iter().zip(&mut ls.attempts) {
             if let Some((_, snap)) = attempt {
@@ -691,16 +662,17 @@ impl ObsCollector {
                 last_depart: acc.last_depart,
             };
             bs.open.remove(&epoch);
-            bs.episodes += 1;
-            bs.imbalance_cycles += rec.imbalance();
-            bs.fanout_cycles += rec.fanout();
-            bs.max_imbalance = bs.max_imbalance.max(rec.imbalance());
-            bs.max_fanout = bs.max_fanout.max(rec.fanout());
-            bs.last_arriver_counts[rec.last_arriver] += 1;
-            if bs.records.len() < CRIT_RECORD_CAP {
-                bs.records.push(rec);
+            let r = &mut bs.report;
+            r.episodes += 1;
+            r.imbalance_cycles += rec.imbalance();
+            r.fanout_cycles += rec.fanout();
+            r.max_imbalance = r.max_imbalance.max(rec.imbalance());
+            r.max_fanout = r.max_fanout.max(rec.fanout());
+            r.last_arriver_counts[rec.last_arriver] += 1;
+            if r.records.len() < CRIT_RECORD_CAP {
+                r.records.push(rec);
             } else {
-                bs.records_dropped += 1;
+                r.records_dropped += 1;
             }
         }
         if complete && acc.last_arriver != n {
@@ -720,10 +692,11 @@ impl ObsCollector {
     // Finalization
     // ------------------------------------------------------------------
 
-    /// Freezes the profile once every chain is closed at `wall`. The
-    /// critical path is the chain of the last-halting node; `structures`
-    /// names the classifier's registered structures, by index.
-    pub(crate) fn crit_report(&self, wall: Cycle, structures: &[&str]) -> CritReport {
+    /// Freezes the profile once every chain is closed at `wall`, moving
+    /// each lock's and barrier's report out. The critical path is the
+    /// chain of the last-halting node; `structures` names the classifier's
+    /// registered structures, by index.
+    pub(crate) fn crit_report(&mut self, wall: Cycle, structures: &[&str]) -> CritReport {
         let crit_node = self.crit.last_halt.map(|(_, n)| n).unwrap_or(0);
         let chain = &self.nodes[crit_node].chain;
         let mut by_label: BTreeMap<String, u64> = BTreeMap::new();
@@ -754,40 +727,10 @@ impl ObsCollector {
                 })
                 .collect(),
         };
-        let locks = self
-            .crit
-            .locks
-            .iter()
-            .map(|(&lock, ls)| LockReport {
-                lock,
-                acquires: ls.acquires,
-                handoffs: ls.handoff_count,
-                hold_cycles: ls.hold_cycles,
-                queue_wait: ls.queue_wait,
-                release_visibility: ls.release_visibility,
-                remote_miss: ls.remote_miss,
-                other: ls.other,
-                max_latency: ls.max_latency,
-                records: ls.records.clone(),
-                records_dropped: ls.records_dropped,
-            })
-            .collect();
-        let barriers = self
-            .crit
-            .barriers
-            .iter()
-            .map(|(&barrier, bs)| BarrierReport {
-                barrier,
-                episodes: bs.episodes,
-                incomplete: bs.open.len() as u64,
-                imbalance_cycles: bs.imbalance_cycles,
-                fanout_cycles: bs.fanout_cycles,
-                max_imbalance: bs.max_imbalance,
-                max_fanout: bs.max_fanout,
-                last_arriver_counts: bs.last_arriver_counts.clone(),
-                records: bs.records.clone(),
-                records_dropped: bs.records_dropped,
-            })
+        let locks = std::mem::take(&mut self.crit.locks).into_values().map(|ls| ls.report).collect();
+        let barriers = std::mem::take(&mut self.crit.barriers)
+            .into_values()
+            .map(|bs| BarrierReport { incomplete: bs.open.len() as u64, ..bs.report })
             .collect();
         CritReport { wall_cycles: wall, locks, barriers, critical_path }
     }
@@ -841,7 +784,7 @@ pub struct ChainReport {
 }
 
 /// Per-lock handoff analytics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LockReport {
     /// The lock id.
     pub lock: u32,
@@ -875,7 +818,7 @@ impl LockReport {
 }
 
 /// Per-barrier episode analytics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BarrierReport {
     /// The barrier id.
     pub barrier: u32,

@@ -118,30 +118,33 @@ impl HostCat {
     }
 }
 
-/// Wall-time accumulator for one dispatch category.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CatAcct {
-    /// Timed invocations.
-    pub calls: u64,
-    /// Total host nanoseconds.
-    pub nanos: u64,
-}
-
 /// Accumulates the host self-profile during a run. The machine calls
 /// [`HostProfiler::add`] around each dispatched event and
 /// [`HostProfiler::add_inner`] around nested network routing; queue
-/// analytics are sampled every [`QUEUE_SAMPLE_EVERY`] pops.
-#[derive(Debug, Default)]
+/// analytics are sampled every [`QUEUE_SAMPLE_EVERY`] pops into the
+/// report's histograms.
+#[derive(Debug)]
 pub struct HostProfiler {
-    cats: [CatAcct; HOST_CATS.len()],
+    cats: [HostCatReport; HOST_CATS.len()],
     /// Nanos charged to nested categories since the last
     /// [`HostProfiler::take_inner`], subtracted from the enclosing
     /// handler's slice so categories partition the loop's wall time.
     inner_nanos: u64,
     pops: u64,
-    depth: LatencyHist,
-    occupied_slots: LatencyHist,
-    far_depth: LatencyHist,
+    /// The queue analytics; the queue's own lifetime counters are filled
+    /// in at the end.
+    queue: QueueReport,
+}
+
+impl Default for HostProfiler {
+    fn default() -> Self {
+        HostProfiler {
+            cats: HOST_CATS.map(|c| HostCatReport { name: c.name(), calls: 0, nanos: 0 }),
+            inner_nanos: 0,
+            pops: 0,
+            queue: QueueReport::default(),
+        }
+    }
 }
 
 impl HostProfiler {
@@ -181,9 +184,9 @@ impl HostProfiler {
     /// Records one queue-analytics sample (pending events, occupied wheel
     /// slots, far-future-heap entries).
     pub fn sample_queue(&mut self, depth: usize, occupied_slots: usize, far_depth: usize) {
-        self.depth.record(depth as u64);
-        self.occupied_slots.record(occupied_slots as u64);
-        self.far_depth.record(far_depth as u64);
+        self.queue.depth.record(depth as u64);
+        self.queue.occupied_slots.record(occupied_slots as u64);
+        self.queue.far_depth.record(far_depth as u64);
     }
 
     /// Seals the profile into a report. `wall_nanos` is the whole `run()`
@@ -193,22 +196,13 @@ impl HostProfiler {
             wall_nanos,
             events: self.pops,
             cycles,
-            cats: HOST_CATS
-                .iter()
-                .map(|&c| HostCatReport {
-                    name: c.name(),
-                    calls: self.cats[c.index()].calls,
-                    nanos: self.cats[c.index()].nanos,
-                })
-                .collect(),
+            cats: Vec::from(self.cats),
             queue: QueueReport {
                 scheduled: queue.scheduled,
                 far_spills: queue.far_spills,
                 far_merged: queue.far_merged,
                 peak_depth: queue.peak_len,
-                depth: self.depth,
-                occupied_slots: self.occupied_slots,
-                far_depth: self.far_depth,
+                ..self.queue
             },
         }
     }
@@ -227,7 +221,7 @@ pub struct HostCatReport {
 
 /// Event-queue analytics: lifetime counters from the queue itself plus
 /// histograms sampled by the profiler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueueReport {
     /// Events scheduled over the run.
     pub scheduled: u64,

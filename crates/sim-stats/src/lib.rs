@@ -50,7 +50,7 @@ pub mod report;
 pub mod sampler;
 
 pub use chrome::{ChromeTrace, FlowPairer};
-pub use classify::{Classifier, HomeUpdates, LossCause};
+pub use classify::{Classifier, LossCause};
 pub use crit::{
     check_reconciliation, BarrierReport, ChainReport, ChainSegment, CritReport, Episode, Handoff, LockReport,
     WaitKind,

@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 use sim_engine::{Cycle, NodeId};
 use sim_net::{Journey, MeshShape};
 
-use crate::classify::HomeUpdates;
 use crate::hist::LatencyHist;
 use crate::json::Json;
 use crate::obs::{ObsCollector, ObsReport};
@@ -145,16 +144,6 @@ pub struct JourneyRec {
     pub delivered: Cycle,
 }
 
-/// Directory/DRAM service accounting for one home node.
-#[derive(Debug, Clone, Copy, Default)]
-struct HomeService {
-    word_ops: u64,
-    block_ops: u64,
-    busy: Cycle,
-    queue_wait: Cycle,
-    homed_rx_flits: u64,
-}
-
 /// The telemetry's state inside the [`ObsCollector`]; message kinds are
 /// the collector's.
 #[derive(Debug)]
@@ -170,7 +159,9 @@ pub(crate) struct NetState {
     records_dropped: u64,
     local_messages: u64,
     local_cycles: u64,
-    homes: Vec<HomeService>,
+    /// Each home's profile; its port gauges and update columns are filled
+    /// in at the end.
+    pub(crate) homes: Vec<HomeProfile>,
     link_samples: SampleRows<Cycle, u64>,
     link_samples_dropped: u64,
 }
@@ -187,7 +178,7 @@ impl NetState {
             records_dropped: 0,
             local_messages: 0,
             local_cycles: 0,
-            homes: vec![HomeService::default(); shape.nodes()],
+            homes: (0..shape.nodes()).map(|node| HomeProfile { node, ..Default::default() }).collect(),
             link_samples: SampleRows::new(shape.links().len()),
             link_samples_dropped: 0,
             shape,
@@ -204,38 +195,22 @@ impl NetState {
     }
 
     /// Builds the report: journeys aggregated so far (classes named by
-    /// `msg_kinds`), final physical-link totals, and per-home profiles
-    /// joining this state's service accounting with the port gauges and
-    /// the classifier's per-home update accounting. `structure_names`
-    /// names the structures by registration index; journeys merge by name.
+    /// `msg_kinds`), final physical-link totals, and the per-home profiles
+    /// with their port gauges filled in. `structure_names` names the
+    /// structures by registration index; journeys merge by name.
     pub(crate) fn report(
-        self,
+        mut self,
         msg_kinds: &[&'static str],
         wall: Cycle,
         phys_flits: Vec<(NodeId, NodeId, u64)>,
         gauges: &[crate::obs::NodeGauges],
-        home_updates: &HomeUpdates,
         structure_names: &[&str],
     ) -> NetObsReport {
         assert_eq!(gauges.len(), self.homes.len());
-        let homes = self
-            .homes
-            .iter()
-            .enumerate()
-            .map(|(n, h)| HomeProfile {
-                node: n,
-                word_ops: h.word_ops,
-                block_ops: h.block_ops,
-                mem_busy: h.busy,
-                mem_queue_wait: h.queue_wait,
-                tx_busy: gauges[n].tx_busy,
-                rx_busy: gauges[n].rx_busy,
-                homed_rx_flits: h.homed_rx_flits,
-                updates: home_updates.classified[n],
-                update_deliveries: home_updates.deliveries[n].0,
-                update_drops: home_updates.deliveries[n].1,
-            })
-            .collect();
+        for (h, g) in self.homes.iter_mut().zip(gauges) {
+            h.tx_busy = g.tx_busy;
+            h.rx_busy = g.rx_busy;
+        }
         let by_class = msg_kinds
             .iter()
             .zip(self.by_class)
@@ -257,7 +232,7 @@ impl NetState {
                 .into_iter()
                 .map(|(src, dst, flits)| PhysLinkFlits { src, dst, flits })
                 .collect(),
-            homes,
+            homes: self.homes,
             local_messages: self.local_messages,
             local_cycles: self.local_cycles,
             records: self.records,
@@ -327,13 +302,13 @@ impl ObsCollector {
         } else {
             h.word_ops += 1;
         }
-        h.busy += busy;
-        h.queue_wait += queue_wait;
+        h.mem_busy += busy;
+        h.mem_queue_wait += queue_wait;
     }
 }
 
 /// Everything network telemetry measured for one home node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HomeProfile {
     /// The node.
     pub node: NodeId,
@@ -355,12 +330,14 @@ pub struct HomeProfile {
     /// cycle, so summed over homes this equals total rx-port busy cycles —
     /// the per-home partition of rx-port occupancy.
     pub homed_rx_flits: u64,
-    /// End-of-lifetime classification of updates homed at this node.
+    /// End-of-lifetime classification of updates homed at this node,
+    /// summed over lineage's blocks homed here.
     pub updates: UpdateStats,
-    /// Update arrivals applied at sharer caches for addresses homed here.
+    /// Update arrivals applied at sharer caches for addresses homed here
+    /// (summed over lineage's blocks).
     pub update_deliveries: u64,
     /// Update arrivals dropped (competitive threshold) for addresses homed
-    /// here.
+    /// here (summed over lineage's blocks).
     pub update_drops: u64,
 }
 
@@ -705,7 +682,7 @@ mod tests {
         names: &[&str],
     ) -> NetObsReport {
         let gauges = vec![Default::default(); c.nodes.len()];
-        c.net.report(KINDS, wall, phys, &gauges, &HomeUpdates::new(c.nodes.len()), names)
+        c.net.report(KINDS, wall, phys, &gauges, names)
     }
 
     fn journey(src: NodeId, dst: NodeId, flits: u64, hops: u64, inject: Cycle) -> Journey {
@@ -788,7 +765,7 @@ mod tests {
             shape.links().into_iter().map(|(a, b)| (a, b, if a == 0 { 90 } else { 1 })).collect();
         let mut gauges = [crate::obs::NodeGauges::default(); 4];
         gauges[0].rx_busy = 50;
-        let r = c.net.report(KINDS, 100, phys, &gauges, &HomeUpdates::new(4), &[]);
+        let r = c.net.report(KINDS, 100, phys, &gauges, &[]);
         let map = r.heatmap();
         for n in 0..4 {
             assert!(map.contains(&format!("n{n:02}")), "node {n} missing from heatmap:\n{map}");

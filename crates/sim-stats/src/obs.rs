@@ -169,8 +169,8 @@ impl ObsConfig {
 
 /// One processor's cursor and everything it feeds: the open interval
 /// `[since, ..)` runs in `class` under `phase`, and each attribution
-/// charges it to the stall account, the per-phase split, the timeline and
-/// the critical-path chain at once.
+/// charges it to the stall account, the per-phase split and the timeline
+/// of the node's report, and to the critical-path chain, at once.
 #[derive(Debug)]
 pub(crate) struct NodeAcct {
     pub(crate) class: CpuClass,
@@ -179,16 +179,13 @@ pub(crate) struct NodeAcct {
     pub(crate) prev_class: CpuClass,
     pub(crate) phase: u16,
     pub(crate) since: Cycle,
-    pub(crate) cycles: CycleAccount,
-    by_phase: BTreeMap<u16, CycleAccount>,
-    timeline: Vec<StateSlice>,
-    timeline_dropped: u64,
     /// A mid-interval split dropped part of the open slice: the drop is
     /// counted once, when a transition or phase change closes the slice.
     drop_pending: bool,
-    wb_full_stalls: u64,
     /// The causal chain ending at this node ([`crate::crit`]).
     pub(crate) chain: Chain,
+    /// The node's report; its gauges are filled in at the end.
+    pub(crate) obs: NodeObs,
 }
 
 impl NodeAcct {
@@ -198,13 +195,9 @@ impl NodeAcct {
             prev_class: CpuClass::Busy,
             phase: 0,
             since: 0,
-            cycles: CycleAccount::default(),
-            by_phase: BTreeMap::new(),
-            timeline: Vec::new(),
-            timeline_dropped: 0,
             drop_pending: false,
-            wb_full_stalls: 0,
             chain: Chain::new(),
+            obs: NodeObs::default(),
         }
     }
 
@@ -219,14 +212,15 @@ impl NodeAcct {
         if upto > self.since {
             let (class, phase, start) = (self.class, self.phase, self.since);
             let dt = upto - start;
-            self.cycles.add(class, dt);
-            self.by_phase.entry(phase).or_default().add(class, dt);
-            let room = self.timeline.len() < TIMELINE_CAP;
-            match self.timeline.last_mut() {
+            let obs = &mut self.obs;
+            obs.cycles.add(class, dt);
+            obs.by_phase.entry(phase).or_default().add(class, dt);
+            let room = obs.timeline.len() < TIMELINE_CAP;
+            match obs.timeline.last_mut() {
                 Some(last) if last.end == start && last.class == class && last.phase == phase => {
                     last.end = upto
                 }
-                _ if room => self.timeline.push(StateSlice { class, start, end: upto, phase }),
+                _ if room => obs.timeline.push(StateSlice { class, start, end: upto, phase }),
                 _ => dropped = true,
             }
             self.chain.push(Seg::plain(n, class, start, upto, phase));
@@ -235,14 +229,14 @@ impl NodeAcct {
         if split {
             self.drop_pending |= dropped;
         } else {
-            self.timeline_dropped += u64::from(dropped || self.drop_pending);
+            self.obs.timeline_dropped += u64::from(dropped || self.drop_pending);
             self.drop_pending = false;
         }
     }
 
     /// The cumulative account advanced (without mutation) to `at`.
     pub(crate) fn account_at(&self, at: Cycle) -> CycleAccount {
-        let mut a = self.cycles;
+        let mut a = self.obs.cycles;
         if at > self.since {
             a.add(self.class, at - self.since);
         }
@@ -317,7 +311,7 @@ impl ObsCollector {
 
     /// Counts one processor stall on a full write buffer.
     pub fn wb_full_stall(&mut self, n: NodeId) {
-        self.nodes[n].wb_full_stalls += 1;
+        self.nodes[n].obs.wb_full_stalls += 1;
     }
 
     /// Appends the periodic sample taken at `at`, with the network's raw
@@ -340,15 +334,15 @@ impl ObsCollector {
     }
 
     /// Closes every node's account and chain at `wall` (attributing the
-    /// tail interval to its current class) and builds the whole report:
-    /// stall accounts and samples, the critical path, network telemetry
-    /// from `net`'s link counters, and the lineage and per-home update
-    /// accounting detached from `clf`, whose registered structures name
-    /// the chain and journey labels. `clf` must be observing (see
+    /// tail interval to its current class) and builds the whole report,
+    /// moving each accumulated record into it: stall accounts and samples,
+    /// the critical path, network telemetry from `net`'s link counters,
+    /// and the lineage detached from `clf`. Lineage's blocks give each home
+    /// its update columns, and `clf`'s registered structures name the
+    /// chain and journey labels. `clf` must be observing (see
     /// [`Classifier::enable_observation`]); call after
-    /// [`Classifier::finish`].
-    /// The per-node component gauges are read out by the machine and
-    /// passed in.
+    /// [`Classifier::finish`]. The per-node component gauges are read out
+    /// by the machine and passed in.
     pub fn finish(
         mut self,
         wall: Cycle,
@@ -360,29 +354,27 @@ impl ObsCollector {
         for (n, node) in self.nodes.iter_mut().enumerate() {
             node.attribute(n, wall, false);
         }
-        let (lineage, home_updates) =
-            clf.take_observation().expect("an observing machine's classifier observes");
+        let lineage = clf.take_observation().expect("an observing machine's classifier observes");
         let structures: Vec<&str> = clf.report().by_structure.iter().map(|s| s.name.as_str()).collect();
         let crit = self.crit_report(wall, &structures);
-        let netobs =
-            self.net.report(self.msg_kinds, wall, net.phys_link_flits(), &gauges, &home_updates, &structures);
+        let geom = clf.geometry();
+        for b in &lineage.blocks {
+            let home = &mut self.net.homes[geom.home_of(b.block.0)];
+            home.updates.merge(&b.updates);
+            home.update_deliveries += b.update_deliveries;
+            home.update_drops += b.update_drops;
+        }
+        let netobs = self.net.report(self.msg_kinds, wall, net.phys_link_flits(), &gauges, &structures);
         let mut phase_totals: BTreeMap<u16, CycleAccount> = BTreeMap::new();
         let per_node: Vec<NodeObs> = self
             .nodes
-            .iter_mut()
+            .into_iter()
             .zip(gauges)
-            .map(|(node, g)| {
-                for (&phase, acct) in &node.by_phase {
+            .map(|(node, gauges)| {
+                for (&phase, acct) in &node.obs.by_phase {
                     phase_totals.entry(phase).or_default().merge(acct);
                 }
-                NodeObs {
-                    cycles: node.cycles,
-                    by_phase: std::mem::take(&mut node.by_phase),
-                    timeline: std::mem::take(&mut node.timeline),
-                    timeline_dropped: node.timeline_dropped,
-                    wb_full_stalls: node.wb_full_stalls,
-                    gauges: g,
-                }
+                NodeObs { gauges, ..node.obs }
             })
             .collect();
         ObsReport {
@@ -446,7 +438,7 @@ pub struct EndpointPairFlits {
 }
 
 /// Everything observability measured for one node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeObs {
     /// Cycle account over the whole run; sums to the wall clock.
     pub cycles: CycleAccount,
@@ -687,7 +679,7 @@ mod tests {
         fn run(split_at: &[Cycle], full: bool) -> NodeAcct {
             let mut node = NodeAcct::new();
             if full {
-                node.timeline =
+                node.obs.timeline =
                     vec![StateSlice { class: CpuClass::Halted, start: 0, end: 0, phase: 9 }; TIMELINE_CAP];
             }
             let mut splits = split_at.iter().copied().peekable();
@@ -706,15 +698,15 @@ mod tests {
             let whole = run(&[], full);
             for splits in [&[5][..], &[10, 10], &[12, 20, 30], &[45, 60], &[70, 75]] {
                 let split = run(splits, full);
-                assert_eq!(split.cycles, whole.cycles, "{splits:?}");
-                assert_eq!(split.by_phase, whole.by_phase, "{splits:?}");
-                assert_eq!(split.timeline, whole.timeline, "{splits:?}");
-                assert_eq!(split.timeline_dropped, whole.timeline_dropped, "full {full}, {splits:?}");
+                assert_eq!(split.obs.cycles, whole.obs.cycles, "{splits:?}");
+                assert_eq!(split.obs.by_phase, whole.obs.by_phase, "{splits:?}");
+                assert_eq!(split.obs.timeline, whole.obs.timeline, "{splits:?}");
+                assert_eq!(split.obs.timeline_dropped, whole.obs.timeline_dropped, "full {full}, {splits:?}");
                 assert_eq!(split.chain.head, 80);
             }
             // Four slices: Busy, ReadStall, and the Busy→Busy transition at
             // 60 counts as a new slice when nothing can be extended.
-            assert_eq!(whole.timeline_dropped, if full { 4 } else { 0 });
+            assert_eq!(whole.obs.timeline_dropped, if full { 4 } else { 0 });
         }
     }
 

@@ -12,7 +12,7 @@ use kernels::{barriers, locks};
 use sim_machine::{Machine, MachineConfig, RunResult};
 use sim_net::{MeshShape, NetConfig, Network};
 use sim_proto::Protocol;
-use sim_stats::{check_net_reconciliation, NetObsReport};
+use sim_stats::{check_net_reconciliation, NetObsReport, UpdateStats};
 
 const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
@@ -105,18 +105,39 @@ fn netobs(r: &RunResult) -> &NetObsReport {
     &r.obs.as_ref().expect("observed run").netobs
 }
 
+/// The homes' update columns, summed from lineage's blocks, balance: the
+/// homes' classes merge to the classified totals, and their arrivals to
+/// the blocks' arrivals. Under the update protocols both are nonzero.
+fn assert_home_updates_balance(r: &RunResult, protocol: Protocol, what: &str) {
+    let obs = r.obs.as_ref().unwrap();
+    let mut merged = UpdateStats::default();
+    for h in &obs.netobs.homes {
+        merged.merge(&h.updates);
+    }
+    assert_eq!(merged, r.traffic.updates, "{what} under {protocol:?}: homes' updates merge to the totals");
+    let home_arrivals: u64 = obs.netobs.homes.iter().map(|h| h.update_deliveries + h.update_drops).sum();
+    let block_arrivals: u64 = obs.lineage.blocks.iter().map(|b| b.update_deliveries + b.update_drops).sum();
+    assert_eq!(home_arrivals, block_arrivals, "{what} under {protocol:?}: homes' arrivals are the blocks'");
+    if protocol != Protocol::WriteInvalidate {
+        assert!(merged.total() > 0 && home_arrivals > 0, "{what} under {protocol:?}: updates flowed");
+    }
+}
+
 /// The reconciliation check (journey stage sums, message/flit/cycle
 /// totals, physical-link and per-home partitions) holds exactly under
-/// every protocol for both a barrier and a lock kernel.
+/// every protocol for both a barrier and a lock kernel, and the homes'
+/// update columns balance.
 #[test]
 fn journey_accounting_reconciles_under_every_protocol() {
     for protocol in PROTOCOLS {
         let r = run_barrier(8, protocol, central_barrier(24));
         check_net_reconciliation(netobs(&r), r.obs.as_ref().unwrap())
             .unwrap_or_else(|e| panic!("central-barrier under {protocol:?}: {e}"));
+        assert_home_updates_balance(&r, protocol, "central-barrier");
         let r = run_mcs(8, protocol, 64);
         check_net_reconciliation(netobs(&r), r.obs.as_ref().unwrap())
             .unwrap_or_else(|e| panic!("mcs-lock under {protocol:?}: {e}"));
+        assert_home_updates_balance(&r, protocol, "mcs-lock");
     }
 }
 
