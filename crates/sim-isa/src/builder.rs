@@ -86,16 +86,6 @@ impl ProgramBuilder {
         self.raw(Instr::Store(ra, off, rs))
     }
 
-    /// Private load (word-indexed).
-    pub fn load_priv(&mut self, rd: Reg, ra: Reg, off: u32) -> &mut Self {
-        self.raw(Instr::LoadPriv(rd, ra, off))
-    }
-
-    /// Private store (word-indexed).
-    pub fn store_priv(&mut self, ra: Reg, off: u32, rs: Reg) -> &mut Self {
-        self.raw(Instr::StorePriv(ra, off, rs))
-    }
-
     /// `rd ← fetch_and_add(mem[ra], rb)`.
     pub fn fetch_add(&mut self, rd: Reg, ra: Reg, rb: Reg) -> &mut Self {
         self.raw(Instr::FetchAdd(rd, ra, rb))

@@ -33,8 +33,6 @@ impl fmt::Display for Instr {
             Instr::AluI(op, rd, ra, imm) => write!(f, "{op:<5} r{rd}, r{ra}, {imm:#x}"),
             Instr::Load(rd, ra, off) => write!(f, "load  r{rd}, [r{ra}+{off:#x}]"),
             Instr::Store(ra, off, rs) => write!(f, "store [r{ra}+{off:#x}], r{rs}"),
-            Instr::LoadPriv(rd, ra, off) => write!(f, "loadp r{rd}, p[r{ra}+{off:#x}]"),
-            Instr::StorePriv(ra, off, rs) => write!(f, "storep p[r{ra}+{off:#x}], r{rs}"),
             Instr::FetchAdd(rd, ra, rb) => write!(f, "fetch_add r{rd}, [r{ra}], r{rb}"),
             Instr::FetchStore(rd, ra, rb) => write!(f, "fetch_store r{rd}, [r{ra}], r{rb}"),
             Instr::Cas(rd, ra, rb, rc) => write!(f, "cas   r{rd}, [r{ra}], r{rb}, r{rc}"),

@@ -104,10 +104,6 @@ pub enum Instr {
     Load(Reg, Reg, u32),
     /// Shared store: `mem[ra + off] ← rs` (through the write buffer).
     Store(Reg, u32, Reg),
-    /// Private load: `rd ← priv[ra + off]` (word-indexed, 1 cycle).
-    LoadPriv(Reg, Reg, u32),
-    /// Private store: `priv[ra + off] ← rs` (word-indexed, 1 cycle).
-    StorePriv(Reg, u32, Reg),
     /// `rd ← fetch_and_add(mem[ra], rb)` — returns the old value.
     FetchAdd(Reg, Reg, Reg),
     /// `rd ← fetch_and_store(mem[ra], rb)` — returns the old value.
@@ -204,8 +200,6 @@ impl Program {
                 | Instr::SpinWhileNe(a, b)
                 | Instr::Load(a, b, _)
                 | Instr::Store(a, _, b)
-                | Instr::LoadPriv(a, b, _)
-                | Instr::StorePriv(a, _, b)
                 | Instr::AluI(_, a, b, _) => {
                     ck_reg(i, a)?;
                     ck_reg(i, b)?;

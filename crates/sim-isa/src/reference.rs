@@ -36,7 +36,6 @@ struct Thread {
     prog: Program,
     pc: usize,
     regs: [u32; NUM_REGS],
-    private: HashMap<u32, u32>,
     halted: bool,
     blocked_in_barrier: bool,
     waiting_lock: Option<u32>,
@@ -63,7 +62,6 @@ impl RefMachine {
                     prog,
                     pc: 0,
                     regs: [0; NUM_REGS],
-                    private: HashMap::new(),
                     halted: false,
                     blocked_in_barrier: false,
                     waiting_lock: None,
@@ -144,15 +142,6 @@ impl RefMachine {
                 let addr = self.threads[tid].regs[ra].wrapping_add(off);
                 let val = self.threads[tid].regs[rs];
                 self.memory.insert(addr, val);
-            }
-            Instr::LoadPriv(rd, ra, off) => {
-                let addr = self.threads[tid].regs[ra].wrapping_add(off);
-                self.threads[tid].regs[rd] = *self.threads[tid].private.get(&addr).unwrap_or(&0);
-            }
-            Instr::StorePriv(ra, off, rs) => {
-                let addr = self.threads[tid].regs[ra].wrapping_add(off);
-                let val = self.threads[tid].regs[rs];
-                self.threads[tid].private.insert(addr, val);
             }
             Instr::FetchAdd(rd, ra, rb) => {
                 let addr = self.threads[tid].regs[ra];

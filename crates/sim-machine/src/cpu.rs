@@ -88,8 +88,6 @@ pub struct Cpu {
     pub pc: usize,
     /// Register file.
     pub regs: [Word; NUM_REGS],
-    /// Private (unshared, 1-cycle) memory, word-indexed.
-    pub private: Vec<Word>,
     /// Execution state.
     pub state: CpuState,
     /// The program this processor runs.
@@ -112,13 +110,11 @@ pub struct Cpu {
 }
 
 impl Cpu {
-    /// Creates a processor with `program`, private memory of `priv_words`
-    /// words, and a derived random stream.
-    pub fn new(program: Program, seed: u64, id: usize, priv_words: usize) -> Self {
+    /// Creates a processor with `program` and a derived random stream.
+    pub fn new(program: Program, seed: u64, id: usize) -> Self {
         Cpu {
             pc: 0,
             regs: [0; NUM_REGS],
-            private: vec![0; priv_words],
             state: CpuState::Ready,
             program,
             rng: SplitMix64::derive(seed, id as u64),
@@ -142,17 +138,16 @@ mod tests {
 
     #[test]
     fn fresh_cpu_is_ready_at_zero() {
-        let cpu = Cpu::new(Program::default(), 1, 0, 64);
+        let cpu = Cpu::new(Program::default(), 1, 0);
         assert_eq!(cpu.pc, 0);
         assert!(matches!(cpu.state, CpuState::Ready));
         assert!(!cpu.is_halted());
-        assert_eq!(cpu.private.len(), 64);
     }
 
     #[test]
     fn rng_streams_differ_per_cpu() {
-        let mut a = Cpu::new(Program::default(), 1, 0, 0);
-        let mut b = Cpu::new(Program::default(), 1, 1, 0);
+        let mut a = Cpu::new(Program::default(), 1, 0);
+        let mut b = Cpu::new(Program::default(), 1, 1);
         assert_ne!(a.rng.next_u64(), b.rng.next_u64());
     }
 }

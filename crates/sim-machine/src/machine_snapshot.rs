@@ -27,7 +27,7 @@ use crate::cpu::{CpuState, PendingAtomicIssue};
 
 /// Format version written by [`Machine::snapshot`]; [`Machine::restore`]
 /// rejects anything else. Bump on any change to the payload schema.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Event codec
@@ -224,8 +224,6 @@ impl Machine {
             w.usize(cpu.pc);
             w.usize(cpu.regs.len());
             w.u32_slice(&cpu.regs);
-            w.usize(cpu.private.len());
-            w.u32_slice(&cpu.private);
             encode_cpu_state(&mut w, &cpu.state);
             w.u64(cpu.instructions);
             w.u64(cpu.stall_since);
@@ -338,13 +336,6 @@ impl Machine {
             }
             for reg in &mut cpu.regs {
                 *reg = r.u32()?;
-            }
-            let priv_len = r.usize()?;
-            if priv_len != cpu.private.len() {
-                return Err(SnapError::Corrupt("private-memory size disagrees"));
-            }
-            for word in &mut cpu.private {
-                *word = r.u32()?;
             }
             cpu.state = decode_cpu_state(&mut r)?;
             cpu.instructions = r.u64()?;
@@ -559,7 +550,10 @@ mod tests {
         let payload = open(&ck.blob, SNAPSHOT_VERSION).expect("the checkpoint opens");
         let stale = seal(SNAPSHOT_VERSION - 1, payload);
         let mut r = build_contended(&base);
-        assert_eq!(r.restore(&stale), Err(SnapError::Version { found: 1, expected: 2 }));
+        assert_eq!(
+            r.restore(&stale),
+            Err(SnapError::Version { found: SNAPSHOT_VERSION - 1, expected: SNAPSHOT_VERSION })
+        );
     }
 
     #[test]

@@ -99,9 +99,9 @@ fn mcs_lock_8_proc_cycles_and_instructions_are_stable() {
 /// order (later blobs hold deferred directory requests and write-buffer
 /// entries the first may lack).
 const CHECKPOINT_PINS: [(Protocol, usize, u64, u64); 3] = [
-    (Protocol::WriteInvalidate, 70327, 0x5900b018add54c53, 0x5d464d902f88fa72),
-    (Protocol::PureUpdate, 71190, 0x0ecf01433aedaab6, 0xd26d3af838008f65),
-    (Protocol::CompetitiveUpdate, 71116, 0xa1f9357d3b8f036d, 0x44f1603514ecf605),
+    (Protocol::WriteInvalidate, 4759, 0x5a78500a4f2d97e1, 0x20ebafa8c57796b6),
+    (Protocol::PureUpdate, 5622, 0x6b26405250ee9c64, 0x90799a012a1bab58),
+    (Protocol::CompetitiveUpdate, 5548, 0x3e3c92ee2f33298e, 0x445ce9688cf51718),
 ];
 
 #[test]
