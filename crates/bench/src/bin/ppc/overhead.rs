@@ -8,13 +8,16 @@
 //!
 //! Along the way it asserts the zero-cost contract: every cell must
 //! simulate the identical cycle and instruction counts with observability
-//! on and off (the markers and collectors may not perturb timing).
+//! on and off (the markers and collectors may not perturb timing), and
+//! dispatch exactly as many events (samples are not events, so both runs
+//! share one event stream).
 //!
 //! The run also measures the time-travel layer: every cell re-runs
 //! obs-off with periodic deterministic checkpoints at each cadence in
 //! [`CHECKPOINT_CADENCES`], reporting the wall-clock ratio against the
-//! bare runs plus snapshot counts and sizes. Cycle equality is asserted
-//! for these cells too (checkpointing may not perturb the simulation).
+//! bare runs plus snapshot counts and sizes. Cycle and event-count
+//! equality are asserted for these cells too (checkpointing may not
+//! perturb the simulation).
 //!
 //! `--max-ratio` fails the run when obs-on wall-clock exceeds that
 //! multiple of obs-off; `--checkpoint-max-ratio` gates the *densest*
@@ -50,21 +53,22 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
     let checkpoint_max_ratio = ctx.args.ratio_opt("--checkpoint-max-ratio")?;
 
     let mut rows = Vec::new();
-    let mut bare_cycles = Vec::new();
+    // Each bare cell's cycles and dispatched events, in cell order.
+    let mut bare_runs = Vec::new();
     let (mut off_total, mut on_total) = (0.0_f64, 0.0_f64);
     for name in KERNEL_NAMES {
         for protocol in PROTOCOLS {
-            let (bare, off_s, _) = timed(name, MachineConfig::paper(procs, protocol));
-            let (observed, on_s, _) = timed(name, MachineConfig::paper_observed(procs, protocol));
+            let (bare, off_s, bare_m) = timed(name, MachineConfig::paper(procs, protocol));
+            let (observed, on_s, observed_m) = timed(name, MachineConfig::paper_observed(procs, protocol));
             assert_eq!(
-                (bare.cycles, bare.instructions),
-                (observed.cycles, observed.instructions),
-                "{name}/{}: observability must not perturb the simulation",
+                (bare.cycles, bare.instructions, bare_m.events_dispatched()),
+                (observed.cycles, observed.instructions, observed_m.events_dispatched()),
+                "{name}/{}: observability must not perturb the simulation or its event stream",
                 protocol_name(protocol)
             );
             off_total += off_s;
             on_total += on_s;
-            bare_cycles.push(bare.cycles);
+            bare_runs.push((bare.cycles, bare_m.events_dispatched()));
             rows.push(Json::obj([
                 ("kernel", Json::from(name)),
                 ("protocol", Json::from(protocol_name(protocol))),
@@ -83,13 +87,13 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
         let mut wall = 0.0_f64;
         let (mut count, mut bytes_total, mut bytes_max) = (0u64, 0u64, 0u64);
         let cells = KERNEL_NAMES.iter().flat_map(|&name| PROTOCOLS.map(|protocol| (name, protocol)));
-        for ((name, protocol), &bare) in cells.zip(&bare_cycles) {
+        for ((name, protocol), &bare) in cells.zip(&bare_runs) {
             let cfg = MachineConfig::paper(procs, protocol).with_checkpoints(every);
             let (r, cell_s, mut m) = timed(name, cfg);
             assert_eq!(
-                r.cycles,
+                (r.cycles, m.events_dispatched()),
                 bare,
-                "{name}/{}: checkpointing must not perturb the simulation",
+                "{name}/{}: checkpointing must not perturb the simulation or its event stream",
                 protocol_name(protocol)
             );
             let sizes: Vec<u64> = m.take_checkpoints().iter().map(|c| c.blob.len() as u64).collect();

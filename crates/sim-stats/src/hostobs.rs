@@ -78,7 +78,10 @@ pub enum HostCat {
     HomeHandle,
     /// Write-buffer head issue (`Ev::WbIssue`).
     WbIssue,
-    /// Periodic observability sampling (`Ev::Sample` — the stats hooks).
+    /// Periodic observability sampling (the stats hooks): one call per
+    /// sample, which the run loop takes before dispatching the first event
+    /// at or past its cycle — samples are not events, so they are not
+    /// popped, counted or fingerprinted.
     Sample,
     /// Network hop routing and port occupancy (`Network::send`), timed
     /// inside whichever handler sent and subtracted from its category so

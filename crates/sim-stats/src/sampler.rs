@@ -1,10 +1,12 @@
 //! Phase-aware periodic sampling: an in-memory time series of gauge
 //! snapshots taken every `sample_interval` cycles.
 //!
-//! The machine schedules a recurring sampler event on its own event queue;
-//! at each tick it snapshots per-node instantaneous state (CPU class, write
-//! buffer depth) and cumulative component counters (memory/port busy
-//! cycles, messages sent) into a [`Sample`] and appends it here. Samples
+//! The machine's run loop takes a sample every `sample_interval` cycles,
+//! before it dispatches the first event at or past the sample's cycle (a
+//! sample is not an event: it is never queued, popped or fingerprinted).
+//! Each snapshots per-node instantaneous state (CPU class, write buffer
+//! depth) and cumulative component counters (memory/port busy cycles,
+//! messages sent) into a [`Sample`] appended here. Samples
 //! are plain data with `PartialEq`, so two identical runs can assert their
 //! series are identical — sampling is part of the deterministic simulation,
 //! not a wall-clock profiler.

@@ -16,11 +16,14 @@
 //! debug-mode tier-1 pass; neither promise depends on scale.
 
 use kernels::runner::{install_run_verify, ExperimentSpec, KernelSpec};
-use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
+use kernels::workloads::{
+    BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionWorkload,
+};
+use ppc_bench::observed::{kernel_by_name, KERNEL_NAMES};
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
-use sim_stats::FingerprintChain;
+use sim_stats::{FingerprintChain, ObsConfig};
 
 const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
@@ -180,4 +183,37 @@ fn different_runs_diff_to_a_concrete_divergence() {
     // Protocols diverge in the very first event epoch, and the reported
     // divergence must point there — not merely at the final state.
     assert_eq!(d, sim_stats::FingerprintDivergence::Epoch(0));
+}
+
+/// `ppc` kernel `name` at a size a debug build runs in moments.
+fn tiny(name: &str) -> KernelSpec {
+    match kernel_by_name(name).expect("listed kernel resolves") {
+        KernelSpec::Lock(w) => KernelSpec::Lock(LockWorkload { total_acquires: 64, ..w }),
+        KernelSpec::Barrier(w) => KernelSpec::Barrier(BarrierWorkload { episodes: 16, ..w }),
+        KernelSpec::Reduction(w) => KernelSpec::Reduction(ReductionWorkload { episodes: 8, ..w }),
+    }
+}
+
+/// Observation samples ride the run loop, not the event queue: an
+/// observed run dispatches exactly the plain run's events, so pop indices
+/// and fingerprint chains mean the same on both.
+#[test]
+fn observed_and_plain_runs_dispatch_one_event_stream() {
+    for name in KERNEL_NAMES {
+        let kernel = tiny(name);
+        for protocol in PROTOCOLS {
+            let mut plain = MachineConfig::paper(4, protocol);
+            plain.hostobs.fingerprint = true;
+            let observed = MachineConfig { obs: ObsConfig::enabled(), ..plain.clone() };
+            let [(p, p_events), (o, o_events)] = [plain, observed].map(|cfg| {
+                let mut m = Machine::new(cfg);
+                let r = install_run_verify(&mut m, &kernel, true, Machine::run);
+                (r, m.events_dispatched())
+            });
+            let samples = o.obs.as_ref().expect("observed").samples.len();
+            assert!(samples > 0, "{name}/{protocol:?}: the observed run took no sample");
+            assert_eq!(o_events, p_events, "{name}/{protocol:?}: events dispatched");
+            assert_eq!(o.fingerprint, p.fingerprint, "{name}/{protocol:?}: fingerprint chains");
+        }
+    }
 }
