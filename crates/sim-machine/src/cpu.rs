@@ -107,6 +107,10 @@ pub struct Cpu {
     /// Whether the spin loop currently being executed has actually waited
     /// (missed, parked, or slept) rather than exiting on its first check.
     pub spin_waited: bool,
+    /// Program phase set by the latest `Instr::Phase` marker (0 before
+    /// the first), saved in checkpoints so a restored run's observation
+    /// resumes in it.
+    pub phase: u16,
 }
 
 impl Cpu {
@@ -123,6 +127,7 @@ impl Cpu {
             stall_addr: 0,
             stall_writer: None,
             spin_waited: false,
+            phase: 0,
         }
     }
 

@@ -1080,8 +1080,8 @@ mod tests {
     #[test]
     fn aligned_chains_cover_only_the_window() {
         let mut c = crit(2);
-        c.align(0, CpuClass::Busy, 100);
-        c.align(1, CpuClass::BarrierWait, 100);
+        c.align(0, CpuClass::Busy, 0, 100);
+        c.align(1, CpuClass::BarrierWait, 0, 100);
         // Node 0 writes at 150 without a transition; node 1's spin exits.
         c.transition(1, CpuClass::Busy, 160);
         c.wait_ended(1, 0, 150, None, WaitKind::SpinFill, 160);

@@ -99,9 +99,9 @@ fn mcs_lock_8_proc_cycles_and_instructions_are_stable() {
 /// order (later blobs hold deferred directory requests and write-buffer
 /// entries the first may lack).
 const CHECKPOINT_PINS: [(Protocol, usize, u64, u64); 3] = [
-    (Protocol::WriteInvalidate, 4759, 0x5a78500a4f2d97e1, 0x20ebafa8c57796b6),
-    (Protocol::PureUpdate, 5622, 0x6b26405250ee9c64, 0x90799a012a1bab58),
-    (Protocol::CompetitiveUpdate, 5548, 0x3e3c92ee2f33298e, 0x445ce9688cf51718),
+    (Protocol::WriteInvalidate, 4775, 0x8013630db737f02a, 0x34115155b1fa0c0c),
+    (Protocol::PureUpdate, 5638, 0x45b2d04978bb32d4, 0x4349c4569a703c03),
+    (Protocol::CompetitiveUpdate, 5564, 0x780ced2863173401, 0x0e72f2da938e0599),
 ];
 
 #[test]
