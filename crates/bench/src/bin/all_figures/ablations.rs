@@ -153,9 +153,9 @@ pub fn uc_flush(_: &SweepOptions) {
 }
 
 /// A6: colocating the ticket lock's two counters in one cache block (one
-/// record, as Figure 1 declares them) versus giving each its own block
-/// (the protocol-conscious layout the experiments use). Runs each machine
-/// directly, like [`uc_flush`].
+/// record, as Figure 1 declares them, and the layout the experiments use)
+/// versus giving each its own block (a protocol-conscious layout). Runs
+/// each machine directly, like [`uc_flush`].
 pub fn counter_layout(_: &SweepOptions) {
     println!("\nAblation A6: ticket-counter layout (32 processors)");
     println!("{:<10}{:>12}{:>12}{:>12}{:>12}", "protocol", "layout", "latency", "misses", "updates");

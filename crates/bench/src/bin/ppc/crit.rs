@@ -193,7 +193,7 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
 
     println!("critical-path profile: {}, {} procs", ctx.kernel_name, ctx.procs);
     for protocol in PROTOCOLS {
-        let (r, _events) = run_observed(ctx.procs, protocol, ctx.kernel());
+        let (r, _) = run_observed(ctx.procs, protocol, ctx.kernel(), false);
         let obs = r.obs.as_ref().expect("machine ran observed");
         println!("\n{}", summary_line(protocol_name(protocol), r.cycles, std::iter::empty::<&str>()));
         print_report(&obs.crit, obs);

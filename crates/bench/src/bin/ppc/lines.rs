@@ -26,7 +26,7 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
 
     println!("line profile: {}, {} procs", ctx.kernel_name, ctx.procs);
     for protocol in PROTOCOLS {
-        let (r, _events) = run_observed(ctx.procs, protocol, ctx.kernel());
+        let (r, _) = run_observed(ctx.procs, protocol, ctx.kernel(), false);
         let obs = r.obs.as_ref().expect("machine ran observed");
         let lineage = &obs.lineage;
         let phase_label = |p: u16| obs.phase_names.get(&p).cloned().unwrap_or_else(|| format!("phase{p}"));

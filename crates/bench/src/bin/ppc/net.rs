@@ -113,7 +113,7 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
     // (node, useless updates homed there) under PU, for the CU comparison.
     let mut pu_hot: Option<(usize, u64)> = None;
     for protocol in PROTOCOLS {
-        let (r, _events) = run_observed(ctx.procs, protocol, ctx.kernel());
+        let (r, _) = run_observed(ctx.procs, protocol, ctx.kernel(), false);
         let obs = r.obs.as_ref().expect("machine ran observed");
         let net = &obs.netobs;
         let tag = protocol_name(protocol);

@@ -9,7 +9,8 @@
 //!   flits, time series) per protocol;
 //! * `trace.json` — a Chrome `trace_event` array (open in Perfetto or
 //!   `chrome://tracing`) with one process per protocol: CPU state
-//!   timelines as tracks, matched send→handle async flows, halt markers.
+//!   timelines as tracks, one async flow per message from injection to
+//!   delivery, halt markers.
 //!
 //! With `--json` the report document is also printed to stdout (the
 //! per-protocol status lines move to stderr).
@@ -29,10 +30,11 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
     let mut trace = ChromeTrace::new();
     let mut next_flow_id = 0;
     for (i, protocol) in PROTOCOLS.into_iter().enumerate() {
-        let (r, events) = run_observed(ctx.procs, protocol, ctx.kernel());
+        let (r, traced) = run_observed(ctx.procs, protocol, ctx.kernel(), true);
+        let traced = traced.expect("the run was traced");
         let pid = i as u64 + 1;
         let label = protocol_name(protocol);
-        let stats = export_run(&mut trace, pid, label, &r, &events, next_flow_id);
+        let stats = export_run(&mut trace, pid, label, &r, traced.events(), next_flow_id);
         next_flow_id = stats.next_flow_id;
         let status = summary_line(
             label,
@@ -40,8 +42,8 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
             [
                 format!("{} flow pairs", stats.flow_pairs),
                 format!("{} state slices", stats.slices),
-                if r.trace_dropped > 0 {
-                    format!("{} trace events dropped", r.trace_dropped)
+                if traced.dropped() > 0 {
+                    format!("{} trace events dropped", traced.dropped())
                 } else {
                     String::new()
                 },

@@ -1,12 +1,12 @@
 //! Fully-observed single runs, shared by the `ppc` diagnostic
 //! subcommands: the command-line shape, name → kernel lookup, and a run
-//! helper that enables cycle accounting, line provenance, network
-//! telemetry, and message tracing.
+//! helper that enables cycle accounting, line provenance and network
+//! telemetry, and message tracing when the caller reads the trace.
 
 use kernels::runner::install_run_verify;
 use kernels::runner::KernelSpec;
 use kernels::workloads::{BarrierKind, LockKind, ReductionKind};
-use sim_machine::{Machine, MachineConfig, RunResult, Trace, TraceEvent};
+use sim_machine::{Machine, MachineConfig, RunResult, Trace};
 use sim_proto::Protocol;
 use sim_stats::Json;
 
@@ -95,13 +95,15 @@ impl DiagArgs {
 /// machine-readable document the `report`, `lines`, `crit` and `net`
 /// subcommands share for `--json`; see [`observed_doc`].
 pub fn observed_json(kernel_name: &str, procs: usize, kernel: &KernelSpec) -> Json {
-    let runs: Vec<(Protocol, RunResult)> =
-        PROTOCOLS.into_iter().map(|protocol| (protocol, run_observed(procs, protocol, kernel).0)).collect();
+    let runs: Vec<(Protocol, RunResult)> = PROTOCOLS
+        .into_iter()
+        .map(|protocol| (protocol, run_observed(procs, protocol, kernel, false).0))
+        .collect();
     observed_doc(kernel_name, procs, &runs)
 }
 
 /// The shared observed-run document: per-protocol cycles, instructions,
-/// dropped trace events, classified traffic, and the complete
+/// classified traffic, and the complete
 /// observability report (stall accounts, lineage, critical path, network
 /// telemetry). The document is canonical (recursively sorted keys), so
 /// two runs of the same spec emit byte-identical output.
@@ -114,7 +116,6 @@ pub fn observed_doc(kernel_name: &str, procs: usize, runs: &[(Protocol, RunResul
                 ("protocol", Json::from(protocol_name(*protocol))),
                 ("cycles", Json::U64(r.cycles)),
                 ("instructions", Json::U64(r.instructions)),
-                ("trace_dropped", Json::U64(r.trace_dropped)),
                 ("traffic", r.traffic.to_json()),
                 ("obs", obs.to_json()),
             ])
@@ -158,17 +159,24 @@ pub const KERNEL_NAMES: [&str; 11] = [
     "seq-reduction",
 ];
 
-/// Runs `kernel` on an observed machine with full message tracing; returns
-/// the result (phase names installed) and the recorded event stream.
-pub fn run_observed(procs: usize, protocol: Protocol, kernel: &KernelSpec) -> (RunResult, Vec<TraceEvent>) {
+/// Runs `kernel` on an observed machine; returns the result (phase names
+/// installed) and, when `trace` is set, the message trace (up to
+/// [`Trace::MAX_CAPACITY`] events).
+pub fn run_observed(
+    procs: usize,
+    protocol: Protocol,
+    kernel: &KernelSpec,
+    trace: bool,
+) -> (RunResult, Option<Trace>) {
     let mut m = Machine::new(MachineConfig::paper_observed(procs, protocol));
-    m.enable_trace(Trace::new(Trace::MAX_CAPACITY));
+    if trace {
+        m.enable_trace(Trace::new(Trace::MAX_CAPACITY));
+    }
     let mut r = install_run_verify(&mut m, kernel, true, Machine::run);
     if let Some(obs) = r.obs.as_mut() {
         obs.set_phase_names(kernels::phase::names());
     }
-    let trace = m.take_trace().expect("tracing was enabled");
-    (r, trace.events().to_vec())
+    (r, m.take_trace())
 }
 
 /// The grep-able per-run summary line every `ppc` subcommand prints:

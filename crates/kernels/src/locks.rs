@@ -42,24 +42,18 @@ pub struct LockLayout {
 }
 
 /// Lays out lock data and installs the Section 4.1 synthetic program on
-/// every processor of `m`.
+/// every processor of `m`. The ticket lock's `next_ticket` and
+/// `now_serving` share one cache block: they are one record in Figure 1,
+/// and the paper's Figure 9 discussion of WI "constantly re-loading the
+/// ticket and now counters" implies they do. The `all_figures
+/// ablation_counter_layout` table compares giving each its own block
+/// ([`install_with_options`]).
 pub fn install(m: &mut Machine, w: &LockWorkload) -> LockLayout {
-    install_with_layout(m, w, true)
-}
-
-/// [`install`] with control over the ticket-counter layout: when
-/// `colocate_counters` is set (the default — they are one record in
-/// Figure 1, and the paper's Figure 9 discussion of WI "constantly
-/// re-loading the ticket and now counters" implies they share a block),
-/// `next_ticket` and `now_serving` live in one cache block; otherwise each
-/// gets its own. The `all_figures ablation_counter_layout` table
-/// quantifies the difference.
-pub fn install_with_layout(m: &mut Machine, w: &LockWorkload, colocate_counters: bool) -> LockLayout {
     let flush = match w.kind {
         LockKind::McsUpdateConscious => McsFlush { pred: true, succ: true },
         _ => McsFlush { pred: false, succ: false },
     };
-    install_with_options(m, w, colocate_counters, flush)
+    install_with_options(m, w, true, flush)
 }
 
 /// Which neighbor queue nodes the MCS release/acquire paths flush. The

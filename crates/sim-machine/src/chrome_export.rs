@@ -6,9 +6,10 @@
 //! - each node's state timeline becomes a track of `"X"` slices (track id =
 //!   node id) named by [`sim_stats::CpuClass`], with the program phase as an
 //!   argument;
-//! - every traced send→handle message pair becomes a matched `"b"`/`"e"`
-//!   async flow (via [`FlowPairer`], so truncated traces never produce
-//!   dangling arrows);
+//! - every traced send becomes one `"b"`/`"e"` async flow in category
+//!   `"msg"` from the sender's cpu track at injection to the receiver's at
+//!   network delivery (the send carries both cycles, so a truncated trace
+//!   never produces a dangling arrow; handles are not drawn);
 //! - processor halts become `"i"` instant markers;
 //! - when the run carried line provenance (`ObsReport::lineage`), the
 //!   hottest blocks each get their own track (ids from
@@ -24,10 +25,7 @@
 //!   category `"crit"` from the source cpu track to the dependent one;
 //! - when the run carried network telemetry (`ObsReport::netobs`), the
 //!   busiest physical mesh links each get a utilisation track (ids from
-//!   [`NET_TRACK_BASE`]) of per-sample-interval flit slices, and every
-//!   retained message journey becomes a `"b"`/`"e"` flow in category
-//!   `"net"` from the sender's cpu track (at inject) to the receiver's (at
-//!   delivery).
+//!   [`NET_TRACK_BASE`]) of per-sample-interval flit slices.
 //!
 //! Several runs (e.g. the three protocols on the same kernel) can share one
 //! trace by exporting each under a distinct `pid` — the viewer shows them
@@ -37,7 +35,7 @@ use std::collections::HashMap;
 
 use sim_engine::Cycle;
 use sim_mem::BlockAddr;
-use sim_stats::{ChromeTrace, CritReport, FlowPairer, Json, LineEventKind, LineageReport};
+use sim_stats::{ChromeTrace, CritReport, Json, LineEventKind, LineageReport};
 
 use crate::result::RunResult;
 use crate::trace::TraceEvent;
@@ -65,13 +63,8 @@ pub const NET_TRACKS_MAX: usize = 8;
 pub struct ExportStats {
     /// CPU state and directory-state slices emitted as `"X"` events.
     pub slices: usize,
-    /// Matched send→handle flow pairs emitted.
+    /// Message flows emitted: one per traced send.
     pub flow_pairs: u64,
-    /// Handles whose send was missing from the event stream (nonzero means
-    /// the message trace overflowed; see `RunResult::trace_dropped`).
-    pub unmatched_handles: u64,
-    /// Sends whose handle was missing from the event stream.
-    pub unmatched_sends: u64,
     /// First flow id not used, to pass as the next export's `first_flow_id`.
     pub next_flow_id: u64,
 }
@@ -80,10 +73,12 @@ pub struct ExportStats {
 ///
 /// `result` supplies the per-node state timelines and the lineage,
 /// critical-path and network layers (recorded only when the machine ran
-/// with `MachineConfig::obs` enabled — without them only flows and halts
-/// are emitted). `events` is the machine's message trace (see
-/// `Machine::take_trace`). `first_flow_id` offsets async-flow ids so
-/// multiple exports into one trace cannot collide.
+/// with `MachineConfig::obs` enabled — without them only message flows and
+/// halts are emitted). `events` is the machine's message trace (see
+/// `Machine::take_trace`): each `Send` becomes one `msg` flow from
+/// injection to delivery, each `Halt` an instant, and `Handle`s are not
+/// drawn. `first_flow_id` offsets async-flow ids so multiple exports into
+/// one trace cannot collide.
 pub fn export_run(
     trace: &mut ChromeTrace,
     pid: u64,
@@ -115,24 +110,20 @@ pub fn export_run(
         }
     }
 
-    let mut pairer = FlowPairer::new(first_flow_id);
     for ev in events {
-        match ev {
-            TraceEvent::Send { at, src, dst, kind, addr } => {
-                pairer.send(*src, *dst, kind, *addr, *at);
+        match *ev {
+            TraceEvent::Send { at, delivered, src, dst, kind, addr } => {
+                let name = format!("{kind} @{addr:#x}");
+                let id = stats.next_flow_id;
+                stats.next_flow_id += 1;
+                stats.flow_pairs += 1;
+                trace.async_begin(pid, src as u64, &name, "msg", id, at);
+                trace.async_end(pid, dst as u64, &name, "msg", id, delivered);
             }
-            TraceEvent::Handle { at, src, dst, kind, addr } => {
-                pairer.handle(trace, pid, *src, *dst, kind, *addr, *at);
-            }
-            TraceEvent::Halt { at, node } => {
-                trace.instant(pid, *node as u64, "halt", *at);
-            }
+            TraceEvent::Handle { .. } => {}
+            TraceEvent::Halt { at, node } => trace.instant(pid, node as u64, "halt", at),
         }
     }
-    stats.flow_pairs = pairer.pairs();
-    stats.unmatched_handles = pairer.unmatched_handles();
-    stats.unmatched_sends = pairer.unmatched_sends();
-    stats.next_flow_id = first_flow_id + pairer.pairs();
 
     if let Some(obs) = &result.obs {
         export_lineage(trace, pid, &obs.lineage, result.cycles, &mut stats);
@@ -269,8 +260,7 @@ fn export_crit(trace: &mut ChromeTrace, pid: u64, crit: &CritReport, stats: &mut
 }
 
 /// Adds the network-telemetry layer: per-physical-link utilisation tracks
-/// (flits moved per sample interval on the busiest links) and a journey
-/// arrow per retained message record.
+/// (flits moved per sample interval on the busiest links).
 fn export_netobs(
     trace: &mut ChromeTrace,
     pid: u64,
@@ -313,15 +303,6 @@ fn export_netobs(
         }
         emit(trace, prev_at, run_end, l.flits.saturating_sub(prev_flits));
     }
-
-    // Journey arrows: sender's cpu track at inject → receiver's at delivery.
-    for r in &netobs.records {
-        let name = format!("net:{}", r.class);
-        let id = stats.next_flow_id;
-        stats.next_flow_id += 1;
-        trace.async_begin(pid, r.src as u64, &name, "net", id, r.inject);
-        trace.async_end(pid, r.dst as u64, &name, "net", id, r.delivered.max(r.inject));
-    }
 }
 
 #[cfg(test)]
@@ -332,6 +313,28 @@ mod tests {
     use crate::trace::Trace;
     use sim_isa::ProgramBuilder;
     use sim_proto::Protocol;
+
+    /// Each traced send's `(src, dst, injection, delivery)`, in trace order.
+    fn sends(events: &[TraceEvent]) -> Vec<(usize, usize, Cycle, Cycle)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Send { at, delivered, src, dst, .. } => Some((src, dst, at, delivered)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `ph` events of category `cat`, in trace order.
+    fn of<'a>(events: &'a [Json], ph: &str, cat: &str) -> Vec<&'a Json> {
+        events
+            .iter()
+            .filter(|e| {
+                e.get("ph").and_then(Json::as_str) == Some(ph)
+                    && e.get("cat").and_then(Json::as_str) == Some(cat)
+            })
+            .collect()
+    }
 
     #[test]
     fn exports_timelines_flows_and_halts() {
@@ -351,7 +354,7 @@ mod tests {
         let stats = export_run(&mut trace, 1, "WI", &r, events.events(), 0);
         assert!(stats.slices > 0, "observed run has state slices");
         assert!(stats.flow_pairs > 0, "the handoff sent messages");
-        assert_eq!(stats.unmatched_handles, 0);
+        assert_eq!(stats.flow_pairs, sends(events.events()).len() as u64, "one flow per traced send");
         assert!(stats.next_flow_id >= stats.flow_pairs, "inval flows extend the id space");
 
         let parsed = Json::parse(&trace.render()).expect("valid JSON array");
@@ -443,12 +446,15 @@ mod tests {
         b2.imm(0, addr).imm(1, 7).spin_while_ne(0, 1).halt();
         m.set_program(2, b2.build());
         let r = m.run();
-        let events = m.take_trace().unwrap();
+        let traced = m.take_trace().unwrap();
+        let sent = sends(traced.events());
         let netobs = &r.obs.as_ref().expect("observed run").netobs;
-        assert!(!netobs.records.is_empty(), "remote traffic retained journey records");
+        let remote = sent.iter().filter(|(src, dst, ..)| src != dst).count() as u64;
+        assert!(remote > 0, "the run crossed the mesh");
+        assert_eq!(netobs.totals().count, remote, "the journeys are the traced remote sends");
 
         let mut trace = ChromeTrace::new();
-        export_run(&mut trace, 1, "PU", &r, events.events(), 0);
+        export_run(&mut trace, 1, "PU", &r, traced.events(), 0);
         let parsed = Json::parse(&trace.render()).expect("valid JSON array");
         let events = parsed.as_arr().unwrap();
         let net_tracks = events
@@ -468,16 +474,22 @@ mod tests {
             })
             .count();
         assert!(net_slices > 0, "nonzero links draw at least the tail slice");
-        let begins = |cat: &str| {
-            events
-                .iter()
-                .filter(|e| {
-                    e.get("ph").and_then(Json::as_str) == Some("b")
-                        && e.get("cat").and_then(Json::as_str) == Some(cat)
-                })
-                .count()
-        };
-        assert_eq!(begins("net"), netobs.records.len(), "one arrow per retained journey");
+        assert!(of(events, "b", "net").is_empty() && of(events, "e", "net").is_empty(), "no journey arrows");
+        // Each message's journey is its `msg` arrow: injection to delivery.
+        let (begins, ends) = (of(events, "b", "msg"), of(events, "e", "msg"));
+        assert_eq!(begins.len(), sent.len(), "one arrow per traced send");
+        assert_eq!(ends.len(), sent.len());
+        for ((b, e), &(src, dst, at, delivered)) in begins.iter().zip(&ends).zip(&sent) {
+            assert_eq!(b.get("id"), e.get("id"));
+            assert_eq!(
+                (b.get("tid").and_then(Json::as_u64), b.get("ts").and_then(Json::as_u64)),
+                (Some(src as u64), Some(at))
+            );
+            assert_eq!(
+                (e.get("tid").and_then(Json::as_u64), e.get("ts").and_then(Json::as_u64)),
+                (Some(dst as u64), Some(delivered))
+            );
+        }
         let count =
             |ph: &str| events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph)).count();
         assert_eq!(count("b"), count("e"), "every arrow is matched");
@@ -498,5 +510,6 @@ mod tests {
         let stats = export_run(&mut trace, 0, "bare", &r, events.events(), 0);
         assert_eq!(stats.slices, 0);
         assert!(stats.flow_pairs > 0);
+        assert_eq!(stats.flow_pairs, sends(events.events()).len() as u64, "one flow per traced send");
     }
 }

@@ -1,13 +1,27 @@
 //! Machine configuration.
 
 use sim_engine::Cycle;
-use sim_mem::{CacheConfig, MemTiming};
-use sim_net::NetConfig;
+use sim_mem::CacheConfig;
 use sim_proto::{ProtoConfig, Protocol};
 use sim_stats::{HostObsConfig, ObsConfig};
 
+/// Cycles per busy-wait re-check (load + compare + branch).
+pub(crate) const SPIN_CHECK_PERIOD: Cycle = 3;
+
+/// Local cost of a zero-traffic magic lock acquire/release, modeling the
+/// lock-manipulation instructions the paper's Section 2.3 analysis counts
+/// without generating coherence traffic.
+pub(crate) const MAGIC_LOCK_CYCLES: Cycle = 10;
+
+/// Local cost of a zero-traffic magic barrier.
+pub(crate) const MAGIC_BARRIER_CYCLES: Cycle = 10;
+
+/// A run aborts if the clock passes this (deadlock/livelock guard).
+pub(crate) const MAX_CYCLES: Cycle = 2_000_000_000;
+
 /// Full configuration of a simulated machine. Defaults reproduce the
-/// paper's 32-node DASH-like multiprocessor (Section 3.1).
+/// paper's 32-node DASH-like multiprocessor (Section 3.1); its memory and
+/// network timings are the constants of `sim_mem::dram` and `sim_net`.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Number of nodes/processors (paper experiments: 1–32).
@@ -18,28 +32,14 @@ pub struct MachineConfig {
     pub cache: CacheConfig,
     /// Write-buffer entries (paper: 4).
     pub wb_entries: usize,
-    /// Memory-module timing (20 cycles to the first word, 1/word after).
-    pub mem: MemTiming,
-    /// Network parameters (2-cycle switches, 16-bit datapath).
-    pub net: NetConfig,
     /// Competitive-update drop threshold (paper: 4).
     pub cu_threshold: u32,
     /// Pure-update private-data optimization (paper: on).
     pub pu_private_opt: bool,
-    /// Cycles per busy-wait re-check (load + compare + branch).
-    pub spin_check_period: Cycle,
     /// Park quiescent spinners (simulator fast-forward; no result change).
     pub spin_parking: bool,
-    /// Local cost of a zero-traffic magic lock acquire/release, modeling
-    /// the lock-manipulation instructions the paper's Section 2.3 analysis
-    /// counts without generating coherence traffic.
-    pub magic_lock_cycles: Cycle,
-    /// Local cost of a zero-traffic magic barrier.
-    pub magic_barrier_cycles: Cycle,
     /// Seed for per-processor `RandDelay` streams.
     pub seed: u64,
-    /// Abort the run if the clock passes this (deadlock/livelock guard).
-    pub max_cycles: Cycle,
     /// Observability switches (cycle accounting, sampling, timelines).
     /// Disabled by default: the default path performs no accounting and
     /// produces bit-identical results to a build without the subsystem.
@@ -66,16 +66,10 @@ impl MachineConfig {
             protocol,
             cache: CacheConfig::default(),
             wb_entries: 4,
-            mem: MemTiming::default(),
-            net: NetConfig::default(),
             cu_threshold: 4,
             pu_private_opt: true,
-            spin_check_period: 3,
             spin_parking: true,
-            magic_lock_cycles: 10,
-            magic_barrier_cycles: 10,
             seed: 0x5eed,
-            max_cycles: 2_000_000_000,
             obs: ObsConfig::default(),
             hostobs: HostObsConfig::default(),
             checkpoint_every: None,
@@ -123,8 +117,6 @@ mod tests {
         assert_eq!(c.num_procs, 32);
         assert_eq!(c.wb_entries, 4);
         assert_eq!(c.cache.capacity_bytes, 64 * 1024);
-        assert_eq!(c.mem.first_word, 20);
-        assert_eq!(c.net.switch_delay, 2);
         assert_eq!(c.cu_threshold, 4);
         assert!(!c.obs.enabled, "observability is opt-in");
         assert!(!c.hostobs.enabled && !c.hostobs.fingerprint, "host observability is opt-in");

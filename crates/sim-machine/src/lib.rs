@@ -15,7 +15,7 @@
 //! invalidation/update acknowledgements arrive.
 //!
 //! Busy-wait loops are first-class: the `SpinWhile*` instructions re-check
-//! every [`MachineConfig::spin_check_period`] cycles, and — when
+//! every 3 cycles (a load, a compare and a branch), and — when
 //! [`MachineConfig::spin_parking`] is on — a spinner whose watched line is
 //! cached and quiet is *parked* and woken by the next coherence event on
 //! that line, then re-checks on its original period grid. Parking is a pure

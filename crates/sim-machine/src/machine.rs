@@ -5,7 +5,7 @@ use std::collections::{HashMap, VecDeque};
 
 use sim_engine::{Cycle, EventQueue, FifoServer, NodeId};
 use sim_isa::{Instr, Program, SyncOp};
-use sim_mem::{Addr, Geometry, SharedAlloc, SharerSet, Word, WriteBuffer};
+use sim_mem::{dram, Addr, Geometry, SharedAlloc, SharerSet, Word, WriteBuffer};
 use sim_net::Network;
 use sim_proto::{AtomicOp, Effects, MemService, Msg, MsgKind, ProtoNode};
 use sim_stats::{
@@ -13,7 +13,7 @@ use sim_stats::{
     WaitKind, SAMPLE_INTERVAL,
 };
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, MAGIC_BARRIER_CYCLES, MAGIC_LOCK_CYCLES, MAX_CYCLES, SPIN_CHECK_PERIOD};
 use crate::cpu::{Cpu, CpuState, PendingAtomicIssue};
 use crate::result::RunResult;
 
@@ -191,7 +191,7 @@ impl Machine {
         );
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
-        let mut net = Network::new(cfg.num_procs, cfg.net.clone());
+        let mut net = Network::new(cfg.num_procs);
         let mut clf = Classifier::new(geom);
         let obs = cfg.obs.enabled.then(|| {
             // Observing also turns on the network's endpoint-pair and
@@ -324,8 +324,8 @@ impl Machine {
     /// # Panics
     ///
     /// Panics on deadlock (no events pending while processors are stalled),
-    /// when the clock exceeds [`MachineConfig::max_cycles`], or on a second
-    /// `run` call.
+    /// when the clock exceeds two billion cycles (a livelock guard), or on a
+    /// second `run` call.
     pub fn run(&mut self) -> RunResult {
         self.run_bounded(None)
     }
@@ -381,11 +381,7 @@ impl Machine {
                 reached_limit = true;
                 break;
             }
-            assert!(
-                now <= self.cfg.max_cycles,
-                "exceeded max_cycles ({}): possible livelock",
-                self.cfg.max_cycles
-            );
+            assert!(now <= MAX_CYCLES, "exceeded {MAX_CYCLES} cycles: possible livelock");
             self.dispatch(now, ev);
             if self.popped >= self.next_checkpoint
                 && self.popped % self.cfg.hostobs.fingerprint_epoch.max(1) == 0
@@ -429,7 +425,6 @@ impl Machine {
             obs,
             host,
             fingerprint,
-            trace_dropped: self.trace.as_ref().map(|t| t.dropped()).unwrap_or(0),
         }
     }
 
@@ -680,8 +675,8 @@ impl Machine {
     fn service_cycles(&self, svc: MemService) -> Cycle {
         match svc {
             MemService::None => 0,
-            MemService::Word => self.cfg.mem.word_service(),
-            MemService::Block => self.cfg.mem.block_service(self.geom.words_per_block()),
+            MemService::Word => dram::FIRST_WORD_CYCLES,
+            MemService::Block => dram::block_service(self.geom.words_per_block()),
         }
     }
 
@@ -916,7 +911,7 @@ impl Machine {
                     if lock.holder.is_none() {
                         lock.holder = Some(n);
                         self.cpus[n].pc += 1;
-                        t += self.cfg.magic_lock_cycles;
+                        t += MAGIC_LOCK_CYCLES;
                         self.observe_sync(n, SyncOp::Acquired, MAGIC_SYNC_BASE + l, t);
                     } else {
                         lock.queue.push_back(n);
@@ -925,7 +920,6 @@ impl Machine {
                     }
                 }
                 Instr::MagicRelease(l) => {
-                    let cost = self.cfg.magic_lock_cycles;
                     let lock = self.magic_locks.entry(l).or_default();
                     assert_eq!(lock.holder, Some(n), "magic release of a lock not held");
                     let next = lock.queue.pop_front();
@@ -935,11 +929,11 @@ impl Machine {
                         // The waiter parked on its acquire instruction; hand
                         // it the lock and move it past the acquire.
                         self.cpus[next].pc += 1;
-                        self.wake_cpu(next, t + cost);
-                        self.observe_sync(next, SyncOp::Acquired, MAGIC_SYNC_BASE + l, t + cost);
+                        self.wake_cpu(next, t + MAGIC_LOCK_CYCLES);
+                        self.observe_sync(next, SyncOp::Acquired, MAGIC_SYNC_BASE + l, t + MAGIC_LOCK_CYCLES);
                     }
                     self.cpus[n].pc += 1;
-                    t += cost;
+                    t += MAGIC_LOCK_CYCLES;
                 }
                 Instr::Phase(_) | Instr::Sync(..) => {
                     unreachable!("handled before instruction retirement")
@@ -989,7 +983,6 @@ impl Machine {
             }
         };
         let exit = if spin_while_ne { val == cmp } else { val != cmp };
-        let period = self.cfg.spin_check_period;
         if exit {
             // A spin that actually waited exits causally after the remote
             // write that changed the watched word: hand the collector a
@@ -999,14 +992,14 @@ impl Machine {
             }
             self.cpus[n].spin_waited = false;
             self.cpus[n].pc += 1;
-            *t += period; // the successful check still costs one iteration
+            *t += SPIN_CHECK_PERIOD; // the successful check still costs one iteration
             return true;
         }
         self.cpus[n].spin_waited = true;
         if from_wb || !self.cfg.spin_parking {
             // Re-check on the period grid without parking.
             self.set_state(n, CpuState::SpinSleep, *t);
-            self.queue.schedule(*t + period, Ev::CpuStep(n));
+            self.queue.schedule(*t + SPIN_CHECK_PERIOD, Ev::CpuStep(n));
         } else {
             self.set_state(n, CpuState::SpinParked { addr, cmp, spin_while_ne, start: *t }, *t);
         }
@@ -1027,8 +1020,10 @@ impl Machine {
 
     fn issue_atomic(&mut self, n: NodeId, pai: PendingAtomicIssue, now: Cycle) {
         // Captured before the operation: once it completes, this processor
-        // itself is the last writer and the causal predecessor is gone.
-        let writer_before = if self.obs.is_some() { self.clf.last_writer_of(pai.addr) } else { None };
+        // itself is the last writer and the causal predecessor is gone. It
+        // is captured on plain runs too, since checkpoints save it and a
+        // window replay restores a plain recording into an observed machine.
+        let writer_before = self.clf.last_writer_of(pai.addr);
         let mut fx = self.take_fx();
         self.nodes[n].cpu_atomic(pai.op, pai.addr, pai.operand, pai.operand2, &mut self.clf, now, &mut fx);
         // Consume atomic_done before generic processing.
@@ -1050,12 +1045,11 @@ impl Machine {
     fn release_barrier_if_full(&mut self, now: Cycle) {
         let alive = self.cfg.num_procs - self.halted;
         if alive > 0 && self.barrier_waiting.len() == alive {
-            let cost = self.cfg.magic_barrier_cycles;
             // Taken and handed back so the list keeps its capacity.
             let mut waiting = std::mem::take(&mut self.barrier_waiting);
             for &w in &waiting {
-                self.wake_cpu(w, now + cost);
-                self.observe_sync(w, SyncOp::BarrierDepart, MAGIC_SYNC_BASE, now + cost);
+                self.wake_cpu(w, now + MAGIC_BARRIER_CYCLES);
+                self.observe_sync(w, SyncOp::BarrierDepart, MAGIC_SYNC_BASE, now + MAGIC_BARRIER_CYCLES);
             }
             waiting.clear();
             self.barrier_waiting = waiting;
@@ -1089,15 +1083,6 @@ impl Machine {
     /// and returns the buffer to the pool.
     fn process_effects(&mut self, x: NodeId, mut fx: Effects, now: Cycle) {
         for m in fx.sends.drain(..) {
-            if let Some(t) = &mut self.trace {
-                t.push(crate::trace::TraceEvent::Send {
-                    at: now,
-                    src: m.src,
-                    dst: m.dst,
-                    kind: m.kind.name(),
-                    addr: m.addr,
-                });
-            }
             let at = if let Some(hp) = self.hostprof.as_deref_mut() {
                 // Nested slice: charged to NetRoute and subtracted from the
                 // enclosing handler's category in `dispatch`.
@@ -1108,6 +1093,16 @@ impl Machine {
             } else {
                 self.net.send(now, m.src, m.dst, m.payload_bytes())
             };
+            if let Some(t) = &mut self.trace {
+                t.push(crate::trace::TraceEvent::Send {
+                    at: now,
+                    delivered: at,
+                    src: m.src,
+                    dst: m.dst,
+                    kind: m.kind.name(),
+                    addr: m.addr,
+                });
+            }
             if self.obs.is_some() {
                 self.observe_send(&m, now, at);
             }
@@ -1183,11 +1178,10 @@ impl Machine {
                 if fx.touched_blocks.contains(&block) {
                     // Wake onto the original re-check grid, strictly after
                     // the touching event.
-                    let period = self.cfg.spin_check_period;
                     let elapsed = now + 1 - start;
-                    let k = elapsed.div_ceil(period).max(1);
+                    let k = elapsed.div_ceil(SPIN_CHECK_PERIOD).max(1);
                     self.set_state(x, CpuState::SpinSleep, now);
-                    self.queue.schedule(start + k * period, Ev::CpuStep(x));
+                    self.queue.schedule(start + k * SPIN_CHECK_PERIOD, Ev::CpuStep(x));
                 }
             }
             fx.touched_blocks.clear();

@@ -632,6 +632,33 @@ mod tests {
         assert!(at.windows(2).all(|w| w[1] - w[0] == sim_stats::SAMPLE_INTERVAL), "{at:?}");
     }
 
+    /// Observation is not simulated state: observed and plain runs write
+    /// the same checkpoint bytes, so a window replay that restores a plain
+    /// recording into an observed machine starts from the observed run's
+    /// state (atomics in flight keep their causal writer).
+    #[test]
+    fn observed_and_plain_runs_write_the_same_checkpoint_bytes() {
+        let mut cfg = MachineConfig::paper(8, Protocol::WriteInvalidate).with_checkpoints(512);
+        cfg.hostobs.fingerprint_epoch = 512;
+        let mut plain = build_contended(&cfg);
+        plain.run();
+        let mut observed = build_contended(&MachineConfig { obs: sim_stats::ObsConfig::enabled(), ..cfg });
+        observed.run();
+        let (plain, observed) = (plain.take_checkpoints(), observed.take_checkpoints());
+        assert!(plain.len() >= 2, "several checkpoints: {}", plain.len());
+        assert_eq!(plain.len(), observed.len());
+        for (p, o) in plain.iter().zip(&observed) {
+            assert_eq!((p.events, p.cycle), (o.events, o.cycle));
+            assert!(
+                p.blob == o.blob,
+                "checkpoint at event {} differs ({} vs {} bytes)",
+                p.events,
+                p.blob.len(),
+                o.blob.len()
+            );
+        }
+    }
+
     #[test]
     fn windowed_replay_with_obs_reproduces_cycles() {
         // Original: obs OFF, checkpoints on.

@@ -30,10 +30,6 @@ pub struct RunResult {
     /// Determinism fingerprint of this run's event stream and final state;
     /// `None` unless `MachineConfig::hostobs.fingerprint` was set.
     pub fingerprint: Option<sim_stats::FingerprintChain>,
-    /// Events the message trace dropped after its buffer filled (0 when
-    /// tracing was off or the buffer sufficed). A nonzero value warns that
-    /// trace-derived artifacts (e.g. Chrome flow events) are incomplete.
-    pub trace_dropped: u64,
 }
 
 impl RunResult {
@@ -77,7 +73,6 @@ mod tests {
             obs: None,
             host: None,
             fingerprint: None,
-            trace_dropped: 0,
         };
         // 32000 episodes of (50 work + 50 latency) = 3.2M cycles.
         assert!((r.avg_latency(32_000, 50) - 50.0).abs() < 1e-9);

@@ -1,14 +1,15 @@
 //! Message-level tracing.
 //!
 //! When enabled (see [`crate::Machine::enable_trace`]), the machine records
-//! every protocol message injection and handling, plus processor halts,
-//! into a bounded buffer — the first tool to reach for when a protocol
-//! interaction looks wrong. Rendering is one line per event:
+//! every protocol message injection (with the cycle the network delivers
+//! it) and every handling, plus processor halts, into a bounded buffer —
+//! the first tool to reach for when a protocol interaction looks wrong.
+//! Rendering is one line per event:
 //!
 //! ```text
-//!      12  0->2  send   ReadShared      @0x800040
-//!      61  0->2  handle ReadShared      @0x800040
-//!      96  2->0  send   Data            @0x800040
+//!      12  0->2  send   ReadShared       @0x800040 -> 40
+//!      61  0->2  handle ReadShared       @0x800040
+//!      96  2->0  send   Data             @0x800040 -> 136
 //! ```
 
 use std::fmt;
@@ -16,13 +17,17 @@ use std::fmt;
 use sim_engine::{Cycle, NodeId};
 use sim_mem::Addr;
 
-/// One traced event.
+/// One traced event. Each message has exactly one `Send`, which carries
+/// its delivery cycle; a message may have several `Handle`s, since a home
+/// re-handles a request it deferred while the block was busy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message entered the network.
     Send {
         /// Injection cycle.
         at: Cycle,
+        /// Cycle the network delivers the message at its destination.
+        delivered: Cycle,
         /// Sender.
         src: NodeId,
         /// Destination.
@@ -32,8 +37,9 @@ pub enum TraceEvent {
         /// Word address of the transaction.
         addr: Addr,
     },
-    /// A message was handled at its destination (after memory service for
-    /// home-side messages).
+    /// A message was handled at its destination: after memory service for
+    /// home-side messages, and once more each time a home re-runs a request
+    /// it deferred.
     Handle {
         /// Handling cycle.
         at: Cycle,
@@ -58,8 +64,8 @@ pub enum TraceEvent {
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceEvent::Send { at, src, dst, kind, addr } => {
-                write!(f, "{at:>8}  {src}->{dst}  send   {kind:<16} @{addr:#x}")
+            TraceEvent::Send { at, delivered, src, dst, kind, addr } => {
+                write!(f, "{at:>8}  {src}->{dst}  send   {kind:<16} @{addr:#x} -> {delivered}")
             }
             TraceEvent::Handle { at, src, dst, kind, addr } => {
                 write!(f, "{at:>8}  {src}->{dst}  handle {kind:<16} @{addr:#x}")
@@ -151,7 +157,7 @@ mod tests {
     use super::*;
 
     fn send(at: Cycle, addr: Addr) -> TraceEvent {
-        TraceEvent::Send { at, src: 0, dst: 1, kind: "ReadShared", addr }
+        TraceEvent::Send { at, delivered: at + 10, src: 0, dst: 1, kind: "ReadShared", addr }
     }
 
     #[test]

@@ -1,39 +1,24 @@
-//! DRAM service timing.
+//! DRAM service timing (paper: first word after 20 processor cycles,
+//! remaining words streamed at one per cycle).
+//!
+//! Directory manipulation happens in the memory module, so directory-only
+//! transactions (e.g. recording a new sharer, posting invalidations) cost a
+//! first-word access as well.
 
 use sim_engine::Cycle;
 
-/// Memory-module service times (paper: first word after 20 processor
-/// cycles, remaining words streamed at one per cycle).
-///
-/// Directory manipulation happens in the memory module, so directory-only
-/// transactions (e.g. recording a new sharer, posting invalidations) cost a
-/// first-word access as well.
-#[derive(Debug, Clone, Copy)]
-pub struct MemTiming {
-    /// Cycles until the first word of a request is available.
-    pub first_word: Cycle,
-    /// Cycles per additional word.
-    pub per_word: Cycle,
-}
+/// Cycles until the first word of a request is available; also the service
+/// time of a single-word access (updates, atomic operations, directory
+/// bookkeeping).
+pub const FIRST_WORD_CYCLES: Cycle = 20;
 
-impl Default for MemTiming {
-    fn default() -> Self {
-        MemTiming { first_word: 20, per_word: 1 }
-    }
-}
+/// Cycles per additional word of a block access.
+const PER_WORD_CYCLES: Cycle = 1;
 
-impl MemTiming {
-    /// Service time for a whole-block access of `words` words.
-    pub fn block_service(&self, words: u32) -> Cycle {
-        debug_assert!(words > 0);
-        self.first_word + self.per_word * (words as Cycle - 1)
-    }
-
-    /// Service time for a single-word access (updates, atomic operations,
-    /// directory bookkeeping).
-    pub fn word_service(&self) -> Cycle {
-        self.first_word
-    }
+/// Service time for a whole-block access of `words` words.
+pub fn block_service(words: u32) -> Cycle {
+    debug_assert!(words > 0);
+    FIRST_WORD_CYCLES + PER_WORD_CYCLES * (words as Cycle - 1)
 }
 
 #[cfg(test)]
@@ -42,15 +27,13 @@ mod tests {
 
     #[test]
     fn paper_block_timing() {
-        let t = MemTiming::default();
         // A 64-byte block of 16 words: 20 + 15 = 35 cycles.
-        assert_eq!(t.block_service(16), 35);
-        assert_eq!(t.word_service(), 20);
+        assert_eq!(block_service(16), 35);
+        assert_eq!(FIRST_WORD_CYCLES, 20);
     }
 
     #[test]
     fn single_word_block() {
-        let t = MemTiming::default();
-        assert_eq!(t.block_service(1), 20);
+        assert_eq!(block_service(1), 20);
     }
 }

@@ -21,7 +21,6 @@ pub mod wbuf;
 pub use alloc::SharedAlloc;
 pub use cache::{Cache, CacheConfig, LineState};
 pub use dir::{DirEntry, DirState, Directory, SharerSet};
-pub use dram::MemTiming;
 pub use geometry::{
     decode_block, encode_block, Addr, Block, BlockAddr, Geometry, Word, BLOCK_BYTES, BLOCK_WORDS,
 };

@@ -25,25 +25,18 @@ pub use mesh::MeshShape;
 use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{Cycle, FifoServer, NodeId};
 
-/// Static network parameters (defaults follow the paper).
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Cycles a switch delays the header of a message at each hop.
-    pub switch_delay: Cycle,
-    /// Bytes carried per flit (16-bit datapath = 2 bytes).
-    pub flit_bytes: u32,
-    /// Bytes of header prepended to every message (routing + command info).
-    pub header_bytes: u32,
-    /// Latency of a node sending a message to itself (protocol transactions
-    /// whose home is the local node bypass the mesh entirely).
-    pub local_delay: Cycle,
-}
+/// Cycles a switch delays the header of a message at each hop.
+const SWITCH_DELAY: Cycle = 2;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig { switch_delay: 2, flit_bytes: 2, header_bytes: 8, local_delay: 1 }
-    }
-}
+/// Bytes carried per flit (16-bit datapath = 2 bytes).
+const FLIT_BYTES: u32 = 2;
+
+/// Bytes of header prepended to every message (routing + command info).
+const HEADER_BYTES: u32 = 8;
+
+/// Latency of a node sending a message to itself (protocol transactions
+/// whose home is the local node bypass the mesh entirely).
+const LOCAL_DELAY: Cycle = 1;
 
 /// Aggregate traffic counters for one simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,7 +85,7 @@ impl NetCounters {
 ///   message's flits; wormhole pipelining means the same span also covers
 ///   the tail flit's lag behind the header at every later stage, so it
 ///   appears exactly once in the identity;
-/// * `wire` — `switch_delay · hops` of uncontended header pipelining
+/// * `wire` — `SWITCH_DELAY · hops` of uncontended header pipelining
 ///   through the mesh;
 /// * `rx_wait` — cycles the header waited for the destination receive
 ///   port beyond its uncontended arrival.
@@ -112,7 +105,7 @@ pub struct Journey {
     pub inject: Cycle,
     /// Cycles spent queued at the source transmit port.
     pub tx_wait: Cycle,
-    /// Cycles of header pipelining through the mesh (`switch_delay · hops`).
+    /// Cycles of header pipelining through the mesh (`SWITCH_DELAY · hops`).
     pub wire: Cycle,
     /// Cycles the header queued at the destination receive port.
     pub rx_wait: Cycle,
@@ -218,7 +211,6 @@ impl Observation {
 #[derive(Debug, Clone)]
 pub struct Network {
     shape: MeshShape,
-    cfg: NetConfig,
     tx: Vec<FifoServer>,
     rx: Vec<FifoServer>,
     counters: NetCounters,
@@ -229,11 +221,10 @@ pub struct Network {
 
 impl Network {
     /// Builds a network for `nodes` nodes using the squarest mesh shape.
-    pub fn new(nodes: usize, cfg: NetConfig) -> Self {
+    pub fn new(nodes: usize) -> Self {
         let shape = MeshShape::for_nodes(nodes);
         Network {
             shape,
-            cfg,
             tx: vec![FifoServer::new(); nodes],
             rx: vec![FifoServer::new(); nodes],
             counters: NetCounters::default(),
@@ -290,15 +281,9 @@ impl Network {
         self.shape
     }
 
-    /// Network configuration in use.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// Number of flits a message with `payload_bytes` of payload occupies.
     pub fn flits_for(&self, payload_bytes: u32) -> u64 {
-        let total = self.cfg.header_bytes + payload_bytes;
-        total.div_ceil(self.cfg.flit_bytes) as u64
+        (HEADER_BYTES + payload_bytes).div_ceil(FLIT_BYTES) as u64
     }
 
     /// Injects a message at cycle `now` and returns its delivery cycle at
@@ -312,7 +297,7 @@ impl Network {
             if let Some(o) = self.obs.as_mut() {
                 o.last_journey = None;
             }
-            return now + self.cfg.local_delay;
+            return now + LOCAL_DELAY;
         }
         let flits = self.flits_for(payload_bytes);
         let hops = self.shape.hops(src, dst) as Cycle;
@@ -326,7 +311,7 @@ impl Network {
         debug_assert_eq!(tx_done, tx_start + flits);
         // Header pipelines through `hops` switches; the tail flit reaches the
         // destination `flits` cycles after the header started out.
-        let head_arrival = tx_start + self.cfg.switch_delay * hops;
+        let head_arrival = tx_start + SWITCH_DELAY * hops;
         // Destination port: accepts one message at a time at flit rate.
         let delivered = self.rx[dst].occupy(head_arrival, flits);
         if let Some(o) = self.obs.as_mut() {
@@ -375,7 +360,7 @@ impl Network {
         self.counters.encode(w);
     }
 
-    /// Restores into this network (same shape and config) the state
+    /// Restores into this network (same shape) the state
     /// [`Network::encode`] wrote, refusing a different node count.
     pub fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         for ports in [&mut self.tx, &mut self.rx] {
@@ -396,7 +381,7 @@ mod tests {
     use super::*;
 
     fn net(nodes: usize) -> Network {
-        Network::new(nodes, NetConfig::default())
+        Network::new(nodes)
     }
 
     #[test]

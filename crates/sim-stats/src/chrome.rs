@@ -2,17 +2,11 @@
 //!
 //! Builds the JSON-array flavor of the trace format: `"X"` complete events
 //! for CPU state slices (one track per processor), `"b"`/`"e"` async pairs
-//! for protocol-message flows (send → handle), `"i"` instants for one-shot
-//! markers, and `"M"` metadata records naming processes and threads.
-//! Timestamps are simulated cycles written into the format's microsecond
-//! field — absolute units don't matter to the viewers, only ordering and
-//! duration do.
-//!
-//! The [`FlowPairer`] turns the machine's raw send/handle event stream into
-//! guaranteed-matched async pairs: a begin is emitted only together with
-//! its end, so a truncated trace never produces dangling flow arrows.
-
-use std::collections::HashMap;
+//! for flows between tracks (a protocol message from injection to
+//! delivery, a causal edge), `"i"` instants for one-shot markers, and
+//! `"M"` metadata records naming processes and threads. Timestamps are
+//! simulated cycles written into the format's microsecond field — absolute
+//! units don't matter to the viewers, only ordering and duration do.
 
 use sim_engine::Cycle;
 
@@ -75,7 +69,8 @@ impl ChromeTrace {
     }
 
     /// Adds an async begin (`"b"`). Viewers match it to the async end with
-    /// the same `(cat, id)`; always emit both (see [`FlowPairer`]).
+    /// the same `(cat, id)`; emit the two together, once both ends are
+    /// known, so no begin is left dangling.
     pub fn async_begin(&mut self, pid: u64, tid: u64, name: &str, cat: &str, id: u64, ts: Cycle) {
         self.push(
             "b",
@@ -155,84 +150,6 @@ impl ChromeTrace {
     }
 }
 
-/// Pairs protocol-message sends with their handles into matched async flow
-/// events.
-///
-/// Sends are buffered keyed by `(src, dst, kind, addr)`; when the matching
-/// handle arrives, the oldest buffered send of that key is consumed and a
-/// `"b"`/`"e"` pair is emitted atomically. FIFO matching per key is exact
-/// for this machine: the network delivers same-(src,dst) messages in send
-/// order, and handlers run at delivery. Sends never handled (e.g. the trace
-/// ring overflowed) are dropped, never emitted as dangling begins.
-#[derive(Debug, Default)]
-pub struct FlowPairer {
-    pending: HashMap<(usize, usize, String, u32), Vec<Cycle>>,
-    next_id: u64,
-    pairs: u64,
-    unmatched_handles: u64,
-}
-
-impl FlowPairer {
-    /// A pairer with no buffered sends. `first_id` offsets flow ids so
-    /// several pairers (one per run) can share one trace without id
-    /// collisions.
-    pub fn new(first_id: u64) -> Self {
-        FlowPairer { next_id: first_id, ..Default::default() }
-    }
-
-    /// Records a message send.
-    pub fn send(&mut self, src: usize, dst: usize, kind: &str, addr: u32, at: Cycle) {
-        self.pending.entry((src, dst, kind.to_string(), addr)).or_default().push(at);
-    }
-
-    /// Records a message handle; emits the matched flow pair into `trace`
-    /// (source track `src`, destination track `dst`) when the corresponding
-    /// send was seen.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle(
-        &mut self,
-        trace: &mut ChromeTrace,
-        pid: u64,
-        src: usize,
-        dst: usize,
-        kind: &str,
-        addr: u32,
-        at: Cycle,
-    ) {
-        let key = (src, dst, kind.to_string(), addr);
-        let Some(queue) = self.pending.get_mut(&key) else {
-            self.unmatched_handles += 1;
-            return;
-        };
-        if queue.is_empty() {
-            self.unmatched_handles += 1;
-            return;
-        }
-        let sent_at = queue.remove(0);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pairs += 1;
-        let name = format!("{kind} @{addr:#x}");
-        trace.async_begin(pid, src as u64, &name, "msg", id, sent_at);
-        trace.async_end(pid, dst as u64, &name, "msg", id, at.max(sent_at));
-    }
-
-    /// Flow pairs emitted.
-    pub fn pairs(&self) -> u64 {
-        self.pairs
-    }
-
-    /// Handles that arrived with no buffered send (trace ring overflow).
-    pub fn unmatched_handles(&self) -> u64 {
-        self.unmatched_handles
-    }
-
-    /// Sends still buffered (their handles never appeared).
-    pub fn unmatched_sends(&self) -> u64 {
-        self.pending.values().map(|q| q.len() as u64).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,45 +167,5 @@ mod tests {
         assert_eq!(events[2].get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(events[2].get("dur").and_then(Json::as_u64), Some(50));
         assert_eq!(events[2].get("args").unwrap().get("phase").and_then(Json::as_str), Some("hold"));
-    }
-
-    #[test]
-    fn pairer_emits_only_matched_pairs() {
-        let mut t = ChromeTrace::new();
-        let mut p = FlowPairer::new(0);
-        p.send(0, 1, "ReadShared", 0x40, 10);
-        p.send(0, 1, "ReadShared", 0x40, 12); // second in-flight, same key
-        p.send(1, 0, "Data", 0x40, 30); // never handled
-        p.handle(&mut t, 7, 0, 1, "ReadShared", 0x40, 25); // matches the @10 send
-        p.handle(&mut t, 7, 0, 1, "Invalidate", 0x80, 40); // no send seen
-        assert_eq!(p.pairs(), 1);
-        assert_eq!(p.unmatched_handles(), 1);
-        assert_eq!(p.unmatched_sends(), 2);
-        let parsed = Json::parse(&t.render()).unwrap();
-        let events = parsed.as_arr().unwrap();
-        assert_eq!(events.len(), 2, "exactly one b/e pair");
-        assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("b"));
-        assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("e"));
-        assert_eq!(events[0].get("id"), events[1].get("id"));
-        assert_eq!(events[0].get("cat"), events[1].get("cat"));
-        assert_eq!(events[0].get("ts").and_then(Json::as_u64), Some(10));
-        assert_eq!(events[1].get("ts").and_then(Json::as_u64), Some(25));
-    }
-
-    #[test]
-    fn fifo_matching_per_key() {
-        let mut t = ChromeTrace::new();
-        let mut p = FlowPairer::new(100);
-        p.send(2, 3, "Update", 0x100, 5);
-        p.send(2, 3, "Update", 0x100, 9);
-        p.handle(&mut t, 0, 2, 3, "Update", 0x100, 20);
-        p.handle(&mut t, 0, 2, 3, "Update", 0x100, 24);
-        let parsed = Json::parse(&t.render()).unwrap();
-        let events = parsed.as_arr().unwrap();
-        // First pair begins at 5 (oldest send), second at 9.
-        assert_eq!(events[0].get("ts").and_then(Json::as_u64), Some(5));
-        assert_eq!(events[2].get("ts").and_then(Json::as_u64), Some(9));
-        assert_eq!(events[0].get("id").and_then(Json::as_u64), Some(100));
-        assert_eq!(events[2].get("id").and_then(Json::as_u64), Some(101));
     }
 }

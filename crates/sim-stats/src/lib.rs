@@ -28,11 +28,13 @@
 //! carries per-processor cycle accounting and phase breakdowns ([`obs`]),
 //! periodic gauge samples ([`sampler`]), the critical path and sync
 //! episodes ([`crit`]), and network and memory-back-end telemetry —
-//! message journeys, physical-link traffic, hot-home profiles
+//! message-journey totals, physical-link traffic, hot-home profiles
 //! ([`netobs`]). Per-cache-line provenance and sharing-pattern
 //! classification ([`lineage`]) ride in the classifier, whose registered
-//! structures label all of them. Alongside sit Chrome `trace_event` export
-//! ([`chrome`]), host-side self-profiling and streaming determinism
+//! structures label all of them. None of them keeps a record per message:
+//! the machine's message trace is that record, and its sends become the
+//! message arrows of the Chrome `trace_event` writer ([`chrome`]).
+//! Alongside sit host-side self-profiling and streaming determinism
 //! fingerprints ([`hostobs`]), and the dependency-free JSON value they all
 //! serialize through ([`json`]).
 
@@ -49,7 +51,7 @@ pub mod obs;
 pub mod report;
 pub mod sampler;
 
-pub use chrome::{ChromeTrace, FlowPairer};
+pub use chrome::ChromeTrace;
 pub use classify::{Classifier, LossCause};
 pub use crit::{
     check_reconciliation, BarrierReport, ChainReport, ChainSegment, CritReport, Episode, Handoff, LockReport,
@@ -67,8 +69,8 @@ pub use lineage::{
     SharingPattern, StructureLineage,
 };
 pub use netobs::{
-    check_net_reconciliation, HomeProfile, JourneyRec, JourneyTotals, NetObsReport, PhysLinkFlits,
-    JOURNEY_RECORD_CAP, LINK_SAMPLE_CAP, UNATTRIBUTED,
+    check_net_reconciliation, HomeProfile, JourneyTotals, NetObsReport, PhysLinkFlits, LINK_SAMPLE_CAP,
+    UNATTRIBUTED,
 };
 pub use obs::{
     CpuClass, CycleAccount, EndpointPairFlits, NodeGauges, NodeObs, ObsCollector, ObsConfig, ObsReport,

@@ -6,7 +6,9 @@
 //! defined here: every network send hands over the [`sim_net::Journey`]
 //! the network recorded, tagged with the protocol message kind's index and
 //! the classifier's index of the structure registered over the message's
-//! address; every directory/DRAM operation is counted at its home, whose
+//! address, and the journey is folded into totals (no journey is kept
+//! individually; the machine's message trace is the per-message record);
+//! every directory/DRAM operation is counted at its home, whose
 //! memory and port busy cycles are that node's gauges; the periodic
 //! sampler snapshots cumulative per-physical-link flit counters into a
 //! utilisation time series.
@@ -27,10 +29,6 @@ use crate::json::Json;
 use crate::obs::{ObsCollector, ObsReport};
 use crate::report::UpdateStats;
 use crate::sampler::SampleRows;
-
-/// Cap on retained per-journey records (for Chrome flow arrows); overflow
-/// is counted, not stored. Aggregates keep counting past the cap.
-pub const JOURNEY_RECORD_CAP: usize = 4096;
 
 /// Cap on retained per-link flit snapshots; overflow is counted, not
 /// stored.
@@ -128,23 +126,6 @@ pub struct PhysLinkFlits {
     pub flits: u64,
 }
 
-/// One retained journey (for Chrome flow arrows).
-#[derive(Debug, Clone, Copy)]
-pub struct JourneyRec {
-    /// Protocol message kind.
-    pub class: &'static str,
-    /// Sending node.
-    pub src: NodeId,
-    /// Receiving node.
-    pub dst: NodeId,
-    /// Flits carried.
-    pub flits: u64,
-    /// Send cycle.
-    pub inject: Cycle,
-    /// Delivery cycle.
-    pub delivered: Cycle,
-}
-
 /// The telemetry's state inside the [`ObsCollector`]; message kinds are
 /// the collector's.
 #[derive(Debug)]
@@ -156,8 +137,6 @@ pub(crate) struct NetState {
     by_structure: Vec<JourneyTotals>,
     /// Journeys outside every registered structure.
     unattributed: JourneyTotals,
-    records: Vec<JourneyRec>,
-    records_dropped: u64,
     local_messages: u64,
     local_cycles: u64,
     /// Each home's profile; its memory and port gauges and update columns
@@ -175,8 +154,6 @@ impl NetState {
             by_class: vec![JourneyTotals::default(); kinds],
             by_structure: Vec::new(),
             unattributed: JourneyTotals::default(),
-            records: Vec::new(),
-            records_dropped: 0,
             local_messages: 0,
             local_cycles: 0,
             homes: (0..shape.nodes()).map(|node| HomeProfile { node, ..Default::default() }).collect(),
@@ -238,8 +215,6 @@ impl NetState {
             homes: self.homes,
             local_messages: self.local_messages,
             local_cycles: self.local_cycles,
-            records: self.records,
-            records_dropped: self.records_dropped,
             link_samples: self.link_samples,
             link_samples_dropped: self.link_samples_dropped,
         }
@@ -282,18 +257,6 @@ impl ObsCollector {
             None => &mut net.unattributed,
         };
         totals.add(j);
-        if net.records.len() < JOURNEY_RECORD_CAP {
-            net.records.push(JourneyRec {
-                class: self.msg_kinds[kind],
-                src: j.src,
-                dst: j.dst,
-                flits: j.flits,
-                inject: j.inject,
-                delivered: j.delivered,
-            });
-        } else {
-            net.records_dropped += 1;
-        }
     }
 
     /// The memory module at `home` serviced one block-sized (`is_block`)
@@ -378,10 +341,6 @@ pub struct NetObsReport {
     pub local_messages: u64,
     /// Cycles spent by node-local messages.
     pub local_cycles: u64,
-    /// Retained journeys for trace export (first [`JOURNEY_RECORD_CAP`]).
-    pub records: Vec<JourneyRec>,
-    /// Journeys aggregated but not retained.
-    pub records_dropped: u64,
     /// Cumulative per-link flit snapshots (first [`LINK_SAMPLE_CAP`]): the
     /// sample cycle, then flits per link in canonical [`MeshShape::links`]
     /// order.
@@ -491,9 +450,8 @@ impl NetObsReport {
         out
     }
 
-    /// Serializes the report. Raw journey records and link-sample matrices
-    /// stay out of the JSON (they exist for trace export); only their
-    /// counts are reported.
+    /// Serializes the report. The link-sample matrix stays out of the JSON
+    /// (it exists for trace export); only its counts are reported.
     pub fn to_json(&self) -> Json {
         let totals_map =
             |m: &BTreeMap<&'static str, JourneyTotals>| Json::obj(m.iter().map(|(&k, v)| (k, v.to_json())));
@@ -548,13 +506,6 @@ impl NetObsReport {
                 Json::obj([
                     ("messages", Json::U64(self.local_messages)),
                     ("cycles", Json::U64(self.local_cycles)),
-                ]),
-            ),
-            (
-                "journey_records",
-                Json::obj([
-                    ("kept", Json::from(self.records.len())),
-                    ("dropped", Json::U64(self.records_dropped)),
                 ]),
             ),
             (
@@ -740,8 +691,6 @@ mod tests {
         assert_eq!(r.by_structure[UNATTRIBUTED].count, 1);
         assert_eq!(r.local_messages, 1);
         assert_eq!(r.local_cycles, 1);
-        assert_eq!(r.records.len(), 4);
-        assert_eq!(r.records[2].class, "ReadShared");
         let t = r.totals();
         assert_eq!(t.count, 4);
         assert_eq!(t.flits, 20);
@@ -779,15 +728,16 @@ mod tests {
     }
 
     #[test]
-    fn record_cap_counts_overflow() {
+    fn link_sample_cap_counts_overflow() {
         let mut c = collector(2);
-        for i in 0..(JOURNEY_RECORD_CAP as u64 + 10) {
-            record(&mut c, UPDATE, None, 0, &journey(0, 1, 4, 1, i));
+        for i in 0..(LINK_SAMPLE_CAP as u64 + 10) {
+            c.net.sample_links(i, &[i, 0]);
         }
         let r = report(c, 1 << 20, vec![], &[]);
-        assert_eq!(r.records.len(), JOURNEY_RECORD_CAP);
-        assert_eq!(r.records_dropped, 10);
-        assert_eq!(r.by_class["Update"].count, JOURNEY_RECORD_CAP as u64 + 10, "aggregates keep counting");
+        assert_eq!(r.link_samples.len(), LINK_SAMPLE_CAP);
+        assert_eq!(r.link_samples_dropped, 10);
+        let last = r.link_samples.iter().last().expect("snapshots kept");
+        assert_eq!(last.0, LINK_SAMPLE_CAP as u64 - 1, "the first snapshots are the ones kept");
     }
 
     #[test]
@@ -808,8 +758,7 @@ mod tests {
             parsed.get("journeys").unwrap().get("Update").unwrap().get("count").and_then(Json::as_u64),
             Some(1)
         );
-        assert_eq!(parsed.get("journey_records").unwrap().get("kept").and_then(Json::as_u64), Some(1));
         assert_eq!(parsed.get("link_samples").unwrap().get("kept").and_then(Json::as_u64), Some(1));
-        assert!(parsed.get("records").is_none(), "raw records stay out of the JSON");
+        assert!(parsed.get("journey_records").is_none(), "no per-message records are kept");
     }
 }

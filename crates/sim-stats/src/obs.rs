@@ -626,7 +626,7 @@ impl ObsCollector {
         let mut clf = Classifier::new(sim_mem::Geometry::new(n));
         clf.enable_observation();
         clf.finish();
-        let net = Network::new(n, sim_net::NetConfig::default());
+        let net = Network::new(n);
         self.finish(wall, vec![NodeGauges::default(); n], &net, &mut clf)
     }
 }

@@ -129,9 +129,9 @@ fn wi_ticket_run(acquires: u32, observed: bool) -> TicketRun {
     let (mut twin, _, _) = wi_ticket_machine(acquires, false);
     twin.enable_trace(Trace::new(Trace::MAX_CAPACITY));
     let traced = twin.run();
-    assert_eq!(traced.trace_dropped, 0, "the trace holds the whole run");
     assert_eq!(traced.cycles, plain.cycles, "the traced twin replays the measured run");
     let trace = twin.take_trace().expect("tracing was enabled");
+    assert_eq!(trace.dropped(), 0, "the trace holds the whole run");
     let block_sends = trace
         .events()
         .iter()

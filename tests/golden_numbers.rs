@@ -99,9 +99,9 @@ fn mcs_lock_8_proc_cycles_and_instructions_are_stable() {
 /// order (later blobs hold deferred directory requests and write-buffer
 /// entries the first may lack).
 const CHECKPOINT_PINS: [(Protocol, usize, u64, u64); 3] = [
-    (Protocol::WriteInvalidate, 4775, 0x8013630db737f02a, 0x34115155b1fa0c0c),
-    (Protocol::PureUpdate, 5638, 0x45b2d04978bb32d4, 0x4349c4569a703c03),
-    (Protocol::CompetitiveUpdate, 5564, 0x780ced2863173401, 0x0e72f2da938e0599),
+    (Protocol::WriteInvalidate, 4775, 0x8013630db737f02a, 0x211628a5f177aac1),
+    (Protocol::PureUpdate, 5638, 0x45b2d04978bb32d4, 0xa9845adbe9f5d94f),
+    (Protocol::CompetitiveUpdate, 5580, 0xb9f2588786066879, 0x372d0331c79fb937),
 ];
 
 #[test]

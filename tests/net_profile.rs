@@ -10,7 +10,7 @@
 use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
 use kernels::{barriers, locks};
 use sim_machine::{Machine, MachineConfig, RunResult};
-use sim_net::{MeshShape, NetConfig, Network};
+use sim_net::{MeshShape, Network};
 use sim_proto::Protocol;
 use sim_stats::{check_net_reconciliation, NetObsReport, UpdateStats};
 
@@ -37,7 +37,7 @@ impl SplitMix64 {
 #[test]
 fn random_traffic_journeys_decompose_and_reconcile() {
     for nodes in [2, 7, 12, 16] {
-        let mut net = Network::new(nodes, NetConfig::default());
+        let mut net = Network::new(nodes);
         net.enable_observation();
         let shape = MeshShape::for_nodes(nodes);
         let mut rng = SplitMix64(0xC0FF_EE00 + nodes as u64);

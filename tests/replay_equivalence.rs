@@ -9,8 +9,6 @@
 //! own correctness verifier, and extend the fingerprint chain with the
 //! identical epoch digests and final state digest.
 
-use std::collections::{HashMap, VecDeque};
-
 use kernels::runner::{install_run_verify, KernelSpec};
 use kernels::workloads::{
     BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease, ReductionKind, ReductionWorkload,
@@ -131,30 +129,6 @@ fn every_kernel_resumes_byte_identically_serial() {
     }
 }
 
-/// Send cycle of the first `UpdateMsg` whose delivery was scheduled
-/// `min_delay` or more cycles after it was sent. A cache-bound message is
-/// handled at its delivery cycle, and messages of one (src, dst, address)
-/// arrive in send order.
-fn first_update_sent_at_least(trace: &Trace, min_delay: u64) -> Option<u64> {
-    let mut in_flight: HashMap<(usize, usize, u32), VecDeque<u64>> = HashMap::new();
-    for ev in trace.events() {
-        match *ev {
-            TraceEvent::Send { at, src, dst, kind: "UpdateMsg", addr } => {
-                in_flight.entry((src, dst, addr)).or_default().push_back(at);
-            }
-            TraceEvent::Handle { at, src, dst, kind: "UpdateMsg", addr } => {
-                let sent = in_flight.get_mut(&(src, dst, addr)).and_then(VecDeque::pop_front);
-                let sent = sent.expect("an update is handled after it is sent");
-                if at - sent >= min_delay {
-                    return Some(sent);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Fig. 13's update storm, 32 processors under pure update, resumes
 /// byte-identically from a checkpoint taken while the event wheel is
 /// grown. The wheel starts at 1,024 cycles, grows when a delivery is
@@ -178,7 +152,14 @@ fn update_storm_resumes_byte_identically_from_a_grown_wheel() {
     assert_eq!(digest(&ck_run), digest(&full), "checkpointing or tracing perturbed the run");
     let trace = ck_m.take_trace().expect("trace on");
     assert_eq!(trace.dropped(), 0, "trace capacity too small");
-    let grown_at = first_update_sent_at_least(&trace, 1024).expect("a delivery 1,024+ cycles ahead");
+    let grown_at = trace
+        .events()
+        .iter()
+        .find_map(|ev| match *ev {
+            TraceEvent::Send { at, delivered, .. } if delivered - at >= 1024 => Some(at),
+            _ => None,
+        })
+        .expect("a delivery 1,024+ cycles ahead");
     let checkpoints = ck_m.take_checkpoints();
     let ck = checkpoints.iter().find(|ck| ck.cycle > grown_at).expect("a checkpoint after the growth");
     assert_resumes_identically(&cfg, &kernel, ck, &full, &format!("32p PU barrier, growth at {grown_at}"));
