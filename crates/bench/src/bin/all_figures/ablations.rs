@@ -1,12 +1,11 @@
 //! Design-choice ablations (the A-numbers of DESIGN.md), all at 32
 //! processors except where a table sweeps the machine size.
 
-use kernels::locks::{self, McsFlush};
 use kernels::runner::{ExperimentOutcome, ExperimentSpec, KernelSpec};
 use kernels::workloads::{BarrierKind, LockKind};
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use ppc_bench::{barrier_workload, lock_workload, PROTOCOLS};
-use sim_machine::{Machine, MachineConfig};
+use sim_machine::MachineConfig;
 use sim_proto::Protocol;
 use sim_stats::TrafficReport;
 
@@ -131,44 +130,47 @@ pub fn write_buffer(opts: &SweepOptions) {
 
 /// A4: which side of the update-conscious MCS flush matters — flushing
 /// only the predecessor's queue node, only the successor's, or both (the
-/// paper's variant). Runs each machine directly: the flush sides are a
-/// kernel install option, not a sweep cell.
-pub fn uc_flush(_: &SweepOptions) {
-    println!("\nAblation A4: update-conscious MCS flush sides (32 processors, PU)");
-    println!("{:<18}{:>12}{:>12}{:>12}", "flush", "latency", "misses", "updates");
-    for (name, flush) in [
-        ("none (plain MCS)", McsFlush { pred: false, succ: false }),
-        ("pred only", McsFlush { pred: true, succ: false }),
-        ("succ only", McsFlush { pred: false, succ: true }),
-        ("both (paper uc)", McsFlush { pred: true, succ: true }),
-    ] {
-        let w = lock_workload(LockKind::Mcs);
-        let mut m = Machine::new(MachineConfig::paper(32, Protocol::PureUpdate));
-        let layout = locks::install_with_options(&mut m, &w, false, flush);
-        let r = m.run();
-        locks::verify(&mut m, &w, &layout);
-        let latency = r.avg_latency(w.total_acquires as u64, w.cs_cycles as u64);
-        println!("{name:<18}{}", columns(latency, &r.traffic));
-    }
+/// paper's variant). The "none" and "both" rows are Figures 8–10's `MCS u`
+/// and `uc u` cells.
+pub fn uc_flush(opts: &SweepOptions) {
+    let cells = [
+        ("none (plain MCS)", LockKind::Mcs),
+        ("pred only", LockKind::McsFlushPred),
+        ("succ only", LockKind::McsFlushSucc),
+        ("both (paper uc)", LockKind::McsUpdateConscious),
+    ]
+    .into_iter()
+    .map(|(name, kind)| {
+        let kernel = KernelSpec::Lock(lock_workload(kind));
+        (format!("{name:<18}"), RunSpec::paper(32, Protocol::PureUpdate, kernel))
+    })
+    .collect();
+    sweep_table(
+        opts,
+        "Ablation A4: update-conscious MCS flush sides (32 processors, PU)",
+        format!("{:<18}{:>12}{:>12}{:>12}", "flush", "latency", "misses", "updates"),
+        cells,
+        |out| columns(out.avg_latency, &out.traffic),
+    );
 }
 
 /// A6: colocating the ticket lock's two counters in one cache block (one
 /// record, as Figure 1 declares them, and the layout the experiments use)
-/// versus giving each its own block (a protocol-conscious layout). Runs
-/// each machine directly, like [`uc_flush`].
-pub fn counter_layout(_: &SweepOptions) {
-    println!("\nAblation A6: ticket-counter layout (32 processors)");
-    println!("{:<10}{:>12}{:>12}{:>12}{:>12}", "protocol", "layout", "latency", "misses", "updates");
+/// versus giving each its own block (a protocol-conscious layout). The
+/// colocated rows are Figures 8–10's `tk` cells.
+pub fn counter_layout(opts: &SweepOptions) {
+    let mut cells = Vec::new();
     for proto in PROTOCOLS {
-        for colocated in [false, true] {
-            let w = lock_workload(LockKind::Ticket);
-            let mut m = Machine::new(MachineConfig::paper(32, proto));
-            let layout = locks::install_with_options(&mut m, &w, colocated, McsFlush::default());
-            let r = m.run();
-            locks::verify(&mut m, &w, &layout);
-            let latency = r.avg_latency(w.total_acquires as u64, w.cs_cycles as u64);
-            let name = if colocated { "colocated" } else { "padded" };
-            println!("{:<10}{name:>12}{}", proto.label(), columns(latency, &r.traffic));
+        for (layout, kind) in [("padded", LockKind::TicketPadded), ("colocated", LockKind::Ticket)] {
+            let kernel = KernelSpec::Lock(lock_workload(kind));
+            cells.push((format!("{:<10}{layout:>12}", proto.label()), RunSpec::paper(32, proto, kernel)));
         }
     }
+    sweep_table(
+        opts,
+        "Ablation A6: ticket-counter layout (32 processors)",
+        format!("{:<10}{:>12}{:>12}{:>12}{:>12}", "protocol", "layout", "latency", "misses", "updates"),
+        cells,
+        |out| columns(out.avg_latency, &out.traffic),
+    );
 }

@@ -14,7 +14,7 @@
 //!
 //! `--json` prints the machine-readable document (canonical keys —
 //! byte-identical across identical replays). `PPC_FP_EPOCH` sets the
-//! epoch grid and `PPC_CHECKPOINT_EVERY` the checkpoint cadence.
+//! epoch grid; the recording runs checkpoint once per epoch.
 
 use ppc_bench::observed::{protocol_name, summary_line};
 use ppc_bench::replay::{

@@ -12,8 +12,11 @@
 //!   timelines as tracks, one async flow per message from injection to
 //!   delivery, halt markers.
 //!
-//! With `--json` the report document is also printed to stdout (the
-//! per-protocol status lines move to stderr).
+//! Each protocol's status line names every layer that reached its record
+//! cap and how much it dropped (trace events, timeline slices, samples,
+//! lineage events, lock and barrier records, link samples). With `--json`
+//! the report document is also printed to stdout (the per-protocol status
+//! lines move to stderr).
 
 use ppc_bench::observed::{observed_doc, protocol_name, run_observed, summary_line};
 use ppc_bench::PROTOCOLS;
@@ -36,18 +39,15 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
         let label = protocol_name(protocol);
         let stats = export_run(&mut trace, pid, label, &r, traced.events(), next_flow_id);
         next_flow_id = stats.next_flow_id;
+        // Every layer that filled up says how much it dropped.
+        let obs = r.obs.as_ref().expect("the run was observed");
+        let dropped = [("trace events", traced.dropped())].into_iter().chain(obs.dropped());
         let status = summary_line(
             label,
             r.cycles,
-            [
-                format!("{} flow pairs", stats.flow_pairs),
-                format!("{} state slices", stats.slices),
-                if traced.dropped() > 0 {
-                    format!("{} trace events dropped", traced.dropped())
-                } else {
-                    String::new()
-                },
-            ],
+            [format!("{} flow pairs", stats.flow_pairs), format!("{} state slices", stats.slices)]
+                .into_iter()
+                .chain(dropped.filter(|&(_, n)| n > 0).map(|(layer, n)| format!("{n} {layer} dropped"))),
         );
         if ctx.args.json {
             eprintln!("{status}");

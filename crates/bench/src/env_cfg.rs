@@ -8,6 +8,13 @@
 //! itself is the pure [`parse`] function, unit-testable without mutating
 //! process state (env-var mutation is racy under the parallel test
 //! runner).
+//!
+//! The five knobs: `PPC_SCALE` (workload size), `PPC_WORKERS` and
+//! `PPC_SWEEP_CACHE` (how a sweep runs, read by
+//! [`crate::sweep::SweepOptions::from_env`]), `PPC_CSV_DIR` (where the
+//! latency tables also write CSV) and `PPC_FP_EPOCH` (`ppc replay` and
+//! `ppc diff` only). None of them changes the machine a sweep cell runs
+//! on: a [`crate::sweep::RunSpec`] is the cell's whole input.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -76,52 +83,13 @@ pub fn parse_count(name: &str, raw: Option<&str>) -> Result<Option<usize>, Strin
 }
 
 /// Reads `PPC_FP_EPOCH` — events per determinism-fingerprint epoch
-/// (default [`sim_stats::HostObsConfig::default`]'s 8192). Checkpoint
-/// cadence and divergence localization both quantize to this. `0` and
-/// garbage are configuration errors.
+/// (default [`sim_stats::HostObsConfig::default`]'s 8192) for `ppc
+/// replay` and `ppc diff`. Replay checkpoints once per epoch, and
+/// divergence localization quantizes to it. `0` and garbage are
+/// configuration errors.
 pub fn env_fp_epoch() -> Option<u64> {
     match parse_count("PPC_FP_EPOCH", std::env::var("PPC_FP_EPOCH").ok().as_deref()) {
         Ok(v) => v.map(|n| n as u64),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Reads `PPC_CHECKPOINT_EVERY` — deterministic-checkpoint cadence in
-/// dispatched events (rounded up to the fingerprint-epoch grid by the
-/// machine). Unset means no checkpoints; `0` and garbage are
-/// configuration errors.
-pub fn env_checkpoint_every() -> Option<u64> {
-    match parse_count("PPC_CHECKPOINT_EVERY", std::env::var("PPC_CHECKPOINT_EVERY").ok().as_deref()) {
-        Ok(v) => v.map(|n| n as u64),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`parse`] for a boolean switch: `1`/`on`/`true`/`yes` and
-/// `0`/`off`/`false`/`no` (case-insensitive); anything else is garbage.
-pub fn parse_flag(name: &str, raw: Option<&str>) -> Result<Option<bool>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) if s.trim().is_empty() => Ok(None),
-        Some(s) => match s.trim().to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" | "yes" => Ok(Some(true)),
-            "0" | "off" | "false" | "no" => Ok(Some(false)),
-            _ => Err(format!("invalid {name}={s:?}: expected 1/on/true or 0/off/false")),
-        },
-    }
-}
-
-/// Reads a boolean switch from the environment (default off); garbage
-/// aborts like every other knob.
-pub fn env_flag(name: &str) -> bool {
-    match parse_flag(name, std::env::var(name).ok().as_deref()) {
-        Ok(v) => v.unwrap_or(false),
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
@@ -174,20 +142,17 @@ mod tests {
 
     #[test]
     fn fp_epoch_and_checkpoint_knobs_reject_zero_and_garbage() {
-        // Both time-travel knobs route through `parse_count`; the pure
-        // layer is what's testable without racing on process-global env.
+        // `PPC_FP_EPOCH` is the one time-travel knob: it sets the epoch
+        // grid and, for `ppc replay`, the checkpoint cadence. It routes
+        // through `parse_count`; the pure layer is what's testable without
+        // racing on process-global env.
         assert_eq!(parse_count("PPC_FP_EPOCH", None), Ok(None), "unset keeps the 8192 default");
         assert_eq!(parse_count("PPC_FP_EPOCH", Some("512")), Ok(Some(512)));
         let err = parse_count("PPC_FP_EPOCH", Some("0")).unwrap_err();
         assert!(err.contains("PPC_FP_EPOCH"), "{err}");
         assert!(err.contains("positive count"), "{err}");
         assert!(parse_count("PPC_FP_EPOCH", Some("8k")).is_err());
-
-        assert_eq!(parse_count("PPC_CHECKPOINT_EVERY", None), Ok(None), "unset means no checkpoints");
-        assert_eq!(parse_count("PPC_CHECKPOINT_EVERY", Some("65536")), Ok(Some(65536)));
-        let err = parse_count("PPC_CHECKPOINT_EVERY", Some("0")).unwrap_err();
-        assert!(err.contains("PPC_CHECKPOINT_EVERY"), "{err}");
-        let err = parse_count("PPC_CHECKPOINT_EVERY", Some("often")).unwrap_err();
+        let err = parse_count("PPC_FP_EPOCH", Some("often")).unwrap_err();
         assert!(err.contains("often"), "{err}");
     }
 
@@ -198,20 +163,5 @@ mod tests {
         let err = parse_count("PPC_FP_EPOCH", Some("0")).unwrap_err();
         assert!(err.contains("PPC_FP_EPOCH"), "{err}");
         assert!(parse_count("PPC_FP_EPOCH", Some("two")).is_err());
-    }
-
-    #[test]
-    fn flags_accept_spellings_and_reject_maybes() {
-        for on in ["1", "on", "true", "YES", " On "] {
-            assert_eq!(parse_flag("PPC_HOSTOBS", Some(on)), Ok(Some(true)), "{on}");
-        }
-        for off in ["0", "off", "False", "no"] {
-            assert_eq!(parse_flag("PPC_HOSTOBS", Some(off)), Ok(Some(false)), "{off}");
-        }
-        assert_eq!(parse_flag("PPC_HOSTOBS", None), Ok(None));
-        assert_eq!(parse_flag("PPC_HOSTOBS", Some("  ")), Ok(None));
-        let err = parse_flag("PPC_HOSTOBS", Some("maybe")).unwrap_err();
-        assert!(err.contains("PPC_HOSTOBS"), "{err}");
-        assert!(err.contains("maybe"), "{err}");
     }
 }

@@ -36,20 +36,16 @@ pub fn fp_epoch() -> u64 {
     crate::env_cfg::env_fp_epoch().unwrap_or_else(|| HostObsConfig::default().fingerprint_epoch)
 }
 
-/// The checkpoint cadence replay runs use: `PPC_CHECKPOINT_EVERY`, or one
-/// checkpoint per fingerprint epoch by default (replay wants checkpoints
-/// dense enough that the divergent epoch is never far from one).
-pub fn checkpoint_cadence() -> u64 {
-    crate::env_cfg::env_checkpoint_every().unwrap_or_else(fp_epoch)
-}
-
-/// The cheap first-pass configuration: fingerprint chain and periodic
-/// checkpoints on, deep observability *off* (the run costs ~1x).
+/// The cheap first-pass configuration: fingerprint chain on, one
+/// checkpoint per fingerprint epoch (dense enough that the divergent
+/// epoch is never far from one), deep observability *off* (the run costs
+/// ~1x).
 fn recording_cfg(procs: usize, protocol: Protocol) -> MachineConfig {
+    let epoch = fp_epoch();
     let mut cfg = MachineConfig::paper(procs, protocol);
     cfg.hostobs.fingerprint = true;
-    cfg.hostobs.fingerprint_epoch = fp_epoch();
-    cfg.checkpoint_every = Some(checkpoint_cadence());
+    cfg.hostobs.fingerprint_epoch = epoch;
+    cfg.checkpoint_every = Some(epoch);
     cfg
 }
 

@@ -54,24 +54,15 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A cell on the paper's machine. With `PPC_HOSTOBS=1` in the
-    /// environment the cell runs with host observability (self-profiling
-    /// and determinism fingerprints) — simulated results are unchanged,
-    /// which the CI golden diff enforces; the cache key changes, so
-    /// hostobs and plain entries never alias. `PPC_FP_EPOCH=n` overrides
-    /// the fingerprint-epoch length and `PPC_CHECKPOINT_EVERY=n` arms
-    /// periodic deterministic checkpoints; both feed the cache key the
-    /// same way.
+    /// A cell on the paper's machine. The spec is the cell's whole input:
+    /// nothing in the environment changes the machine it runs on (host
+    /// profiling, fingerprints and checkpoints are [`MachineConfig`]
+    /// fields, set through [`RunSpec::with_config`]).
     pub fn paper(procs: usize, protocol: sim_proto::Protocol, kernel: kernels::runner::KernelSpec) -> Self {
-        let mut cfg = MachineConfig::paper(procs, protocol);
-        if crate::env_cfg::env_flag("PPC_HOSTOBS") {
-            cfg.hostobs = sim_stats::HostObsConfig::enabled();
+        RunSpec {
+            spec: ExperimentSpec { procs, protocol, kernel },
+            cfg: MachineConfig::paper(procs, protocol),
         }
-        if let Some(epoch) = crate::env_cfg::env_fp_epoch() {
-            cfg.hostobs.fingerprint_epoch = epoch;
-        }
-        cfg.checkpoint_every = crate::env_cfg::env_checkpoint_every();
-        RunSpec { spec: ExperimentSpec { procs, protocol, kernel }, cfg }
     }
 
     /// A cell with an explicit machine configuration.

@@ -27,7 +27,7 @@ use sim_mem::Addr;
 use crate::barriers::{emit_dissemination_episode, emit_dissemination_prologue, log2_ceil};
 use crate::locks::{
     emit_mcs_acquire, emit_mcs_prologue, emit_mcs_release, emit_ticket_acquire, emit_ticket_prologue,
-    emit_ticket_release, McsFlush,
+    emit_ticket_release, mcs_flush,
 };
 use crate::regs::*;
 use crate::workloads::LockKind;
@@ -149,8 +149,9 @@ pub fn verify_grid(m: &mut Machine, app: &GridApp, layout: &GridLayout) {
 pub struct TaskFarmApp {
     /// Total tasks to execute.
     pub tasks: u32,
-    /// Which lock protects the shared accumulator (`Ticket` or `Mcs`
-    /// variants; others fall back to `Ticket`).
+    /// Which lock protects the shared accumulator: the MCS kinds run MCS
+    /// with their flush sides ([`crate::locks::mcs_flush`]); every other
+    /// kind falls back to the ticket lock with its counters in one block.
     pub lock: LockKind,
     /// Upper bound on per-task work cycles (task `t` costs
     /// `(t * 2654435761) >> 24` capped to this bound).
@@ -193,15 +194,10 @@ pub fn install_task_farm(m: &mut Machine, app: &TaskFarmApp) -> TaskFarmLayout {
     m.register_structure("next_task", next_task, 1);
     m.register_structure("sum", sum, 1);
 
-    let use_mcs = matches!(app.lock, LockKind::Mcs | LockKind::McsUpdateConscious);
-    let flush = if app.lock == LockKind::McsUpdateConscious {
-        McsFlush { pred: true, succ: true }
-    } else {
-        McsFlush::default()
-    };
+    let mcs = mcs_flush(app.lock);
     for i in 0..p {
         let mut b = ProgramBuilder::new();
-        if use_mcs {
+        if mcs.is_some() {
             emit_mcs_prologue(&mut b, mcs_tail, qnodes[i]);
         } else {
             emit_ticket_prologue(&mut b, tkt_next, tkt_next + 4);
@@ -218,7 +214,7 @@ pub fn install_task_farm(m: &mut Machine, app: &TaskFarmApp) -> TaskFarmLayout {
         b.alui(AluOp::And, A2, A1, app.work_bound.next_power_of_two() - 1);
         b.delay_reg(A2); // simulate the task
                          // Fold into the shared accumulator under the lock.
-        if use_mcs {
+        if let Some(flush) = mcs {
             emit_mcs_acquire(&mut b, flush, "t");
         } else {
             emit_ticket_acquire(&mut b);
@@ -227,7 +223,7 @@ pub fn install_task_farm(m: &mut Machine, app: &TaskFarmApp) -> TaskFarmLayout {
         b.load(A0, A2, 0);
         b.alu(AluOp::Add, A0, A0, A1);
         b.store(A2, 0, A0);
-        if use_mcs {
+        if let Some(flush) = mcs {
             emit_mcs_release(&mut b, flush, "t");
         } else {
             emit_ticket_release(&mut b);

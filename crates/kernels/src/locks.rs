@@ -41,24 +41,7 @@ pub struct LockLayout {
     pub iters: Vec<u32>,
 }
 
-/// Lays out lock data and installs the Section 4.1 synthetic program on
-/// every processor of `m`. The ticket lock's `next_ticket` and
-/// `now_serving` share one cache block: they are one record in Figure 1,
-/// and the paper's Figure 9 discussion of WI "constantly re-loading the
-/// ticket and now counters" implies they do. The `all_figures
-/// ablation_counter_layout` table compares giving each its own block
-/// ([`install_with_options`]).
-pub fn install(m: &mut Machine, w: &LockWorkload) -> LockLayout {
-    let flush = match w.kind {
-        LockKind::McsUpdateConscious => McsFlush { pred: true, succ: true },
-        _ => McsFlush { pred: false, succ: false },
-    };
-    install_with_options(m, w, true, flush)
-}
-
-/// Which neighbor queue nodes the MCS release/acquire paths flush. The
-/// paper's update-conscious MCS flushes both; the `all_figures
-/// ablation_uc_flush` table measures each side separately.
+/// Which neighbor queue nodes the MCS release/acquire paths flush.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct McsFlush {
     /// Flush the predecessor's queue node after linking behind it.
@@ -67,19 +50,40 @@ pub struct McsFlush {
     pub succ: bool,
 }
 
-/// Fully parameterized install (layout + flush sides).
-pub fn install_with_options(
-    m: &mut Machine,
-    w: &LockWorkload,
-    colocate_counters: bool,
-    flush: McsFlush,
-) -> LockLayout {
+/// The flush sides of an MCS kind: none for plain MCS, both for the
+/// paper's update-conscious MCS, one for each of the two variants the
+/// `all_figures ablation_uc_flush` table measures. `None` for the kinds
+/// that are not MCS.
+pub fn mcs_flush(kind: LockKind) -> Option<McsFlush> {
+    let (pred, succ) = match kind {
+        LockKind::Mcs => (false, false),
+        LockKind::McsFlushPred => (true, false),
+        LockKind::McsFlushSucc => (false, true),
+        LockKind::McsUpdateConscious => (true, true),
+        LockKind::Ticket
+        | LockKind::TicketPadded
+        | LockKind::TestAndSet
+        | LockKind::TestAndTestAndSet
+        | LockKind::AndersonQueue => return None,
+    };
+    Some(McsFlush { pred, succ })
+}
+
+/// Lays out lock data and installs the Section 4.1 synthetic program on
+/// every processor of `m`. The ticket lock's `next_ticket` and
+/// `now_serving` share one cache block: they are one record in Figure 1,
+/// and the paper's Figure 9 discussion of WI "constantly re-loading the
+/// ticket and now counters" implies they do. [`LockKind::TicketPadded`]
+/// gives each its own block instead, and each MCS kind flushes the queue
+/// nodes [`mcs_flush`] names; the `all_figures ablation_counter_layout`
+/// and `ablation_uc_flush` tables compare them.
+pub fn install(m: &mut Machine, w: &LockWorkload) -> LockLayout {
     let p = m.config().num_procs;
-    let (next_ticket, now_serving) = if colocate_counters {
+    let (next_ticket, now_serving) = if w.kind == LockKind::TicketPadded {
+        (m.alloc().alloc_block_on(0, 1), m.alloc().alloc_block_on(0, 1))
+    } else {
         let base = m.alloc().alloc_block_on(0, 2);
         (base, base + 4)
-    } else {
-        (m.alloc().alloc_block_on(0, 1), m.alloc().alloc_block_on(0, 1))
     };
     let tail = m.alloc().alloc_block_on(0, 1);
     // Anderson slots: P contiguous blocks on node 0, one flag per block.
@@ -102,15 +106,19 @@ pub fn install_with_options(
     let iters: Vec<u32> = (0..p)
         .map(|i| w.total_acquires / p as u32 + u32::from((i as u32) < w.total_acquires % p as u32))
         .collect();
+    let flush = mcs_flush(w.kind).unwrap_or_default();
     for i in 0..p {
         let prog = match w.kind {
-            LockKind::Ticket => ticket_program(w, next_ticket, now_serving, iters[i], done[i]),
-            LockKind::Mcs | LockKind::McsUpdateConscious => {
-                mcs_program(w, tail, qnodes[i], iters[i], done[i], flush)
+            LockKind::Ticket | LockKind::TicketPadded => {
+                ticket_program(w, next_ticket, now_serving, iters[i], done[i])
             }
             LockKind::TestAndSet => tas_program(w, tail, iters[i], done[i], false),
             LockKind::TestAndTestAndSet => tas_program(w, tail, iters[i], done[i], true),
             LockKind::AndersonQueue => anderson_program(w, tail, slots, p as u32, iters[i], done[i]),
+            LockKind::Mcs
+            | LockKind::McsFlushPred
+            | LockKind::McsFlushSucc
+            | LockKind::McsUpdateConscious => mcs_program(w, tail, qnodes[i], iters[i], done[i], flush),
         };
         m.set_program(i, prog);
     }
@@ -390,11 +398,11 @@ pub fn verify(m: &mut Machine, w: &LockWorkload, layout: &LockLayout) {
         assert_eq!(m.read_word(layout.done[i]), layout.iters[i], "processor {i} completed");
     }
     match w.kind {
-        LockKind::Ticket => {
+        LockKind::Ticket | LockKind::TicketPadded => {
             assert_eq!(m.read_word(layout.next_ticket), w.total_acquires, "every ticket was taken");
             assert_eq!(m.read_word(layout.now_serving), w.total_acquires, "every ticket was served");
         }
-        LockKind::Mcs | LockKind::McsUpdateConscious => {
+        LockKind::Mcs | LockKind::McsFlushPred | LockKind::McsFlushSucc | LockKind::McsUpdateConscious => {
             // The final release must have found no successor and swung the
             // tail back to nil. (Queue nodes keep stale `next` values by
             // design — acquire resets them.)
@@ -434,9 +442,11 @@ mod tests {
 
     #[test]
     fn ticket_lock_all_protocols() {
-        for p in [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate] {
-            let (cycles, _) = run(LockKind::Ticket, p, 4, 64);
-            assert!(cycles > 64 * 20, "{p:?}: at least the critical sections");
+        for kind in [LockKind::Ticket, LockKind::TicketPadded] {
+            for p in [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate] {
+                let (cycles, _) = run(kind, p, 4, 64);
+                assert!(cycles > 64 * 20, "{kind:?} {p:?}: at least the critical sections");
+            }
         }
     }
 
@@ -450,10 +460,33 @@ mod tests {
 
     #[test]
     fn update_conscious_mcs_all_protocols() {
-        for p in [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate] {
-            let (cycles, _) = run(LockKind::McsUpdateConscious, p, 4, 64);
-            assert!(cycles > 64 * 20, "{p:?}");
+        for kind in [LockKind::McsUpdateConscious, LockKind::McsFlushPred, LockKind::McsFlushSucc] {
+            for p in [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate] {
+                let (cycles, _) = run(kind, p, 4, 64);
+                assert!(cycles > 64 * 20, "{kind:?} {p:?}");
+            }
         }
+    }
+
+    #[test]
+    fn the_kind_fixes_flush_sides_and_counter_layout() {
+        // Under PU only a flush drops a line, so each one-sided variant
+        // shows drop misses and plain MCS shows none.
+        let drops = |kind| run(kind, Protocol::PureUpdate, 4, 256).1.misses.drop;
+        assert_eq!(drops(LockKind::Mcs), 0);
+        assert!(drops(LockKind::McsFlushPred) > 0);
+        assert!(drops(LockKind::McsFlushSucc) > 0);
+
+        let block = |kind| {
+            let w = LockWorkload { kind, total_acquires: 4, cs_cycles: 1, post_release: PostRelease::None };
+            let mut m = Machine::new(MachineConfig::paper(2, Protocol::WriteInvalidate));
+            let l = install(&mut m, &w);
+            (l.next_ticket / 64, l.now_serving / 64)
+        };
+        let (next, now) = block(LockKind::Ticket);
+        assert_eq!(next, now, "Figure 1's record: one block");
+        let (next, now) = block(LockKind::TicketPadded);
+        assert_ne!(next, now, "padded: one block each");
     }
 
     #[test]

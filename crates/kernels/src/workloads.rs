@@ -6,6 +6,8 @@
 /// subjects; `TestAndSet` and `TestAndTestAndSet` are the classic
 /// baselines from Mellor-Crummey & Scott's study (which the paper's
 /// experiments are modelled on), included as an extension.
+/// `McsFlushPred`, `McsFlushSucc` and `TicketPadded` are the variants the
+/// `all_figures` ablations A4 and A6 measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockKind {
     /// Centralized ticket lock (Figure 1).
@@ -25,11 +27,20 @@ pub enum LockKind {
     /// waiter its own (block-padded) slot to spin on; release passes the
     /// flag to the next slot.
     AndersonQueue,
+    /// MCS flushing only the predecessor's queue node after linking
+    /// (one side of the update-conscious flush).
+    McsFlushPred,
+    /// MCS flushing only the successor's queue node after handoff (the
+    /// other side).
+    McsFlushSucc,
+    /// The ticket lock with each counter in a cache block of its own (a
+    /// protocol-conscious layout; `Ticket` keeps Figure 1's one record).
+    TicketPadded,
 }
 
 impl LockKind {
     /// Label used in the paper's figures ("tk", "MCS", "uc") and this
-    /// repository's extensions ("tas", "ttas").
+    /// repository's extensions ("tas", "ttas", ...).
     pub fn label(self) -> &'static str {
         match self {
             LockKind::Ticket => "tk",
@@ -38,6 +49,9 @@ impl LockKind {
             LockKind::TestAndSet => "tas",
             LockKind::TestAndTestAndSet => "ttas",
             LockKind::AndersonQueue => "and",
+            LockKind::McsFlushPred => "uc-pred",
+            LockKind::McsFlushSucc => "uc-succ",
+            LockKind::TicketPadded => "tk-pad",
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Disassembly and static program statistics.
+//! Disassembly: instructions and whole programs as text.
 
 use std::fmt;
 
@@ -56,29 +56,6 @@ impl fmt::Display for Instr {
     }
 }
 
-/// Static instruction-mix statistics for a [`Program`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Total instructions.
-    pub total: usize,
-    /// Shared loads (`Load`).
-    pub loads: usize,
-    /// Shared stores (`Store`).
-    pub stores: usize,
-    /// Atomic operations.
-    pub atomics: usize,
-    /// Busy-wait spin instructions.
-    pub spins: usize,
-    /// Fences.
-    pub fences: usize,
-    /// Block flushes.
-    pub flushes: usize,
-    /// Branches and jumps.
-    pub branches: usize,
-    /// Magic (zero-traffic) synchronization instructions.
-    pub magic: usize,
-}
-
 impl Program {
     /// Renders the whole program, one numbered instruction per line.
     pub fn disassemble(&self) -> String {
@@ -88,25 +65,6 @@ impl Program {
             let _ = writeln!(out, "{i:>4}: {ins}");
         }
         out
-    }
-
-    /// Counts the static instruction mix.
-    pub fn stats(&self) -> ProgramStats {
-        let mut s = ProgramStats { total: self.code.len(), ..Default::default() };
-        for ins in &self.code {
-            match ins {
-                Instr::Load(..) => s.loads += 1,
-                Instr::Store(..) => s.stores += 1,
-                Instr::FetchAdd(..) | Instr::FetchStore(..) | Instr::Cas(..) => s.atomics += 1,
-                Instr::SpinWhileEq(..) | Instr::SpinWhileNe(..) => s.spins += 1,
-                Instr::Fence => s.fences += 1,
-                Instr::Flush(..) => s.flushes += 1,
-                Instr::Jmp(..) | Instr::Bez(..) | Instr::Bnz(..) => s.branches += 1,
-                Instr::MagicBarrier | Instr::MagicAcquire(..) | Instr::MagicRelease(..) => s.magic += 1,
-                _ => {}
-            }
-        }
-        s
     }
 }
 
@@ -139,20 +97,6 @@ mod tests {
         assert!(d.contains("fetch_add"));
         assert!(d.contains("spin_while_ne"));
         assert!(d.contains("halt"));
-    }
-
-    #[test]
-    fn stats_count_the_mix() {
-        let s = sample().stats();
-        assert_eq!(s.total, 12);
-        assert_eq!(s.loads, 0);
-        assert_eq!(s.stores, 1);
-        assert_eq!(s.atomics, 1);
-        assert_eq!(s.spins, 1);
-        assert_eq!(s.fences, 1);
-        assert_eq!(s.flushes, 1);
-        assert_eq!(s.branches, 1);
-        assert_eq!(s.magic, 1);
     }
 
     #[test]

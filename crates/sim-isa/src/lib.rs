@@ -19,5 +19,4 @@ pub mod instr;
 pub mod reference;
 
 pub use builder::ProgramBuilder;
-pub use disasm::ProgramStats;
 pub use instr::{AluOp, Instr, Program, Reg, SyncOp, NUM_REGS};

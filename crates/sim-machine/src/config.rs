@@ -52,9 +52,9 @@ pub struct MachineConfig {
     /// state roughly every this many dispatched events (rounded up to the
     /// next `hostobs.fingerprint_epoch` boundary so fingerprint chains can
     /// resume at an exact epoch seam). `None` — the default — takes no
-    /// checkpoints and pays nothing on the event path. Set via
-    /// `PPC_CHECKPOINT_EVERY` for the harness binaries; collect with
-    /// [`crate::Machine::take_checkpoints`].
+    /// checkpoints and pays nothing on the event path. `ppc replay` sets
+    /// it to one fingerprint epoch and `ppc overhead` times a few
+    /// cadences; collect with [`crate::Machine::take_checkpoints`].
     pub checkpoint_every: Option<u64>,
 }
 

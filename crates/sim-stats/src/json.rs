@@ -219,7 +219,7 @@ impl Json {
     /// Parses a JSON document (the subset this module emits, which is the
     /// standard grammar minus exotic number forms like `1e999`).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -269,6 +269,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -408,11 +409,13 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let text = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or escape. Both are ASCII, which never occurs inside
+                    // a multi-byte character, so the run ends on a
+                    // character boundary.
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -481,6 +484,16 @@ mod tests {
         let v = Json::parse(" { \"x\" : [ 1 , -2.5 , \"\\u0041\" ] } ").unwrap();
         assert_eq!(v.get("x").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("x").unwrap().as_arr().unwrap()[2].as_str(), Some("A"));
+    }
+
+    #[test]
+    fn parses_a_multi_megabyte_string() {
+        // A string is copied run by run: decoding each character from the
+        // whole remaining input made a 5 MB trace take minutes to parse.
+        let long = "slice é → ".repeat(400_000);
+        assert!(long.len() > 4_000_000);
+        let doc = Json::Arr(vec![Json::from(long.as_str()), Json::from("after \"quote\" and \\")]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]

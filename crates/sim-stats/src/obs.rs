@@ -523,6 +523,20 @@ impl ObsReport {
         self.phase_names.get(&phase).cloned().unwrap_or_else(|| format!("phase{phase}"))
     }
 
+    /// How many records each capped layer dropped once it was full, by
+    /// layer: timeline slices, time-series samples, lineage events, lock
+    /// and barrier handoff records, and link samples.
+    pub fn dropped(&self) -> [(&'static str, u64); 6] {
+        [
+            ("timeline slices", self.per_node.iter().map(|n| n.timeline_dropped).sum()),
+            ("samples", self.samples.dropped()),
+            ("lineage events", self.lineage.events_dropped),
+            ("lock records", self.crit.locks.iter().map(|l| l.records_dropped).sum()),
+            ("barrier records", self.crit.barriers.iter().map(|b| b.records_dropped).sum()),
+            ("link samples", self.netobs.link_samples_dropped),
+        ]
+    }
+
     /// Serializes the whole report.
     pub fn to_json(&self) -> Json {
         let per_node = self

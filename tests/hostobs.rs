@@ -196,24 +196,45 @@ fn tiny(name: &str) -> KernelSpec {
 
 /// Observation samples ride the run loop, not the event queue: an
 /// observed run dispatches exactly the plain run's events, so pop indices
-/// and fingerprint chains mean the same on both.
+/// and fingerprint chains mean the same on both. Host profiling and
+/// periodic checkpoints are held to the same promise: all four runs of
+/// each cell agree on every simulated result and on the event stream.
 #[test]
 fn observed_and_plain_runs_dispatch_one_event_stream() {
+    /// Small enough that every tiny run takes a checkpoint (they are cut
+    /// on epoch seams, so the epoch shrinks with the cadence).
+    const EVERY: u64 = 64;
     for name in KERNEL_NAMES {
         let kernel = tiny(name);
         for protocol in PROTOCOLS {
             let mut plain = MachineConfig::paper(4, protocol);
             plain.hostobs.fingerprint = true;
+            plain.hostobs.fingerprint_epoch = EVERY;
             let observed = MachineConfig { obs: ObsConfig::enabled(), ..plain.clone() };
-            let [(p, p_events), (o, o_events)] = [plain, observed].map(|cfg| {
+            let mut profiled = plain.clone();
+            profiled.hostobs.enabled = true;
+            let checkpointed = plain.clone().with_checkpoints(EVERY);
+            let runs = [plain, observed, profiled, checkpointed].map(|cfg| {
                 let mut m = Machine::new(cfg);
                 let r = install_run_verify(&mut m, &kernel, true, Machine::run);
-                (r, m.events_dispatched())
+                (r, m.events_dispatched(), m.take_checkpoints().len())
             });
+            let [(p, p_events, _), (o, _, _), (h, _, _), (_, _, checkpoints)] = &runs;
             let samples = o.obs.as_ref().expect("observed").samples.len();
             assert!(samples > 0, "{name}/{protocol:?}: the observed run took no sample");
-            assert_eq!(o_events, p_events, "{name}/{protocol:?}: events dispatched");
-            assert_eq!(o.fingerprint, p.fingerprint, "{name}/{protocol:?}: fingerprint chains");
+            assert!(h.host.is_some(), "{name}/{protocol:?}: the profiled run carries a host profile");
+            assert!(*checkpoints > 0, "{name}/{protocol:?}: the checkpointed run took no checkpoint");
+            for ((r, events, _), run) in runs[1..].iter().zip(["observed", "profiled", "checkpointed"]) {
+                let cell = format!("{name}/{protocol:?}/{run}");
+                assert_eq!(r.cycles, p.cycles, "{cell}: cycles");
+                assert_eq!(r.instructions, p.instructions, "{cell}: instructions");
+                assert_eq!(r.traffic, p.traffic, "{cell}: traffic report");
+                assert_eq!(r.net, p.net, "{cell}: network counters");
+                assert_eq!(r.read_latency, p.read_latency, "{cell}: read-latency histogram");
+                assert_eq!(r.atomic_latency, p.atomic_latency, "{cell}: atomic-latency histogram");
+                assert_eq!(events, p_events, "{cell}: events dispatched");
+                assert_eq!(r.fingerprint, p.fingerprint, "{cell}: fingerprint chains");
+            }
         }
     }
 }

@@ -267,7 +267,7 @@ fn contended_trace_draws_one_arrow_per_send_despite_deferred_handles() {
     let mut trace = ChromeTrace::new();
     let stats = export_run(&mut trace, 1, "WI", &r, traced.events(), 0);
     assert_eq!(stats.flow_pairs, sends.len() as u64, "one arrow per traced send");
-    let exported = trace.to_json();
+    let exported = Json::parse(&trace.render()).expect("the rendered trace parses");
     let msg = |ph: &str| -> Vec<(u64, u64, u64)> {
         let events = exported.as_arr().unwrap().iter();
         events

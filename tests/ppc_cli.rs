@@ -4,8 +4,8 @@
 //! Each test runs a built binary as a child process with every `PPC_*`
 //! variable cleared, then sets only `PPC_SCALE` (the workload floor: 64
 //! acquires or episodes), `PPC_WORKERS`, and — for the window replay —
-//! a fingerprint epoch and checkpoint cadence small enough that the
-//! replay restores from a checkpoint past event 0.
+//! a fingerprint epoch small enough that the replay, which checkpoints
+//! once per epoch, restores from a checkpoint past event 0.
 //!
 //! * The `--json` documents are compared against `tests/golden/ppc/*.json`
 //!   after masking the host-timed values ([`HOST_TIMED`]) on both sides;
@@ -18,7 +18,8 @@
 //!   must appear. `ppc diff`'s text, which prints no host-timed value,
 //!   must also match `tests/golden/ppc/diff.txt` byte for byte.
 //! * Every `all_figures` table, run serially with no disk cache, must
-//!   reproduce `tests/golden/all_figures_tables.txt` byte for byte.
+//!   reproduce `tests/golden/all_figures_tables.txt` byte for byte, and
+//!   the ablations run through the sweep's disk cache like the figures.
 //!
 //! `ppc overhead` times every kernel against wall-clock thresholds, and
 //! `all_figures --quick` is diffed at a larger scale, so both run in
@@ -38,9 +39,9 @@ const HOST_TIMED: [&str; 8] =
 /// The workload floor: `scaled(n)` never goes below 64.
 const SCALE: &str = "0.001";
 
-/// Window replay settings: checkpoints every 256 events, and a window
-/// well past the first one.
-const WINDOW_ENV: [(&str, &str); 2] = [("PPC_FP_EPOCH", "256"), ("PPC_CHECKPOINT_EVERY", "256")];
+/// Window replay settings: a 256-event epoch, so a checkpoint every 256
+/// events, and a window well past the first one.
+const WINDOW_ENV: [(&str, &str); 1] = [("PPC_FP_EPOCH", "256")];
 const WINDOW: &str = "6000:9000";
 
 const PPC: &str = env!("CARGO_BIN_EXE_ppc");
@@ -308,6 +309,45 @@ fn observed_views_run_in_text_mode() {
     assert_some_line(&central, &["count", "wide-shared"]);
 }
 
+/// The drop counts of every capped layer in one `report.json` run, named
+/// as `ppc report`'s status line names them.
+fn dropped_in(run: &Json) -> Vec<(&'static str, u64)> {
+    let obs = run.get("obs").unwrap();
+    let at = |path: &[&str]| path.iter().try_fold(obs, |v, k| v.get(k)).unwrap();
+    let count = |path: &[&str]| at(path).as_u64().unwrap();
+    let sum = |path: &[&str], key| {
+        at(path).as_arr().unwrap().iter().map(|item| item.get(key).and_then(Json::as_u64).unwrap()).sum()
+    };
+    vec![
+        ("timeline slices", sum(&["per_node"], "timeline_dropped")),
+        ("samples", count(&["samples", "dropped"])),
+        ("lineage events", count(&["lineage", "events_dropped"])),
+        ("lock records", sum(&["crit", "locks"], "records_dropped")),
+        ("barrier records", sum(&["crit", "barriers"], "records_dropped")),
+        ("link samples", count(&["netobs", "link_samples", "dropped"])),
+    ]
+}
+
+/// Under PU every arrival at a 16-processor centralized barrier updates
+/// 15 sharers, which overflows the lineage log even at the workload
+/// floor: the status line says so, with the count `report.json` records,
+/// and names no layer that dropped nothing.
+#[test]
+fn report_names_every_layer_it_cut_short() {
+    let dir = scratch("report-dropped");
+    let out = run_ok(PPC, &["report", "central-barrier", "16", dir.to_str().unwrap()], &[]);
+    let doc = parse(&std::fs::read_to_string(dir.join("report.json")).unwrap());
+    for run in doc.get("runs").and_then(Json::as_arr).unwrap() {
+        let protocol = run.get("protocol").and_then(Json::as_str).unwrap();
+        let status = out.lines().find(|l| l.starts_with(&format!("== {protocol} == "))).unwrap();
+        for (layer, n) in dropped_in(run) {
+            let named = status.contains(&format!(", {n} {layer} dropped"));
+            assert_eq!(named, n > 0, "{protocol}: {n} {layer} dropped; status line: {status}");
+        }
+    }
+    assert_eq!(lines_with(&out, &["PU", " lineage events dropped"]), 1, "{out}");
+}
+
 #[test]
 fn crit_runs_in_text_mode() {
     let mcs = run_ok(PPC, &["crit", "mcs-lock", "4"], &[]);
@@ -402,6 +442,31 @@ fn unknown_subcommand_fails_and_lists_all_eight() {
 fn all_figures_tables_match_the_golden() {
     let out = run_ok(ALL_FIGURES, &TABLES, &TABLES_ENV);
     assert_matches_golden("all_figures_tables.txt", |golden| golden, &out);
+}
+
+/// A4 and A6 are sweep cells like every other table's: a first run
+/// writes one disk entry per distinct cell, and a second process, with an
+/// empty memo, decodes them all, rewrites none and prints the same bytes.
+#[test]
+fn ablations_use_the_disk_cache() {
+    let cache = scratch("ablation-cache");
+    let env = [("PPC_WORKERS", "2"), ("PPC_SWEEP_CACHE", cache.to_str().unwrap())];
+    let tables = ["ablation_uc_flush", "ablation_counter_layout"];
+    let entries = || {
+        let mut files: Vec<_> = std::fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name(), e.metadata().unwrap().modified().unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    let cold = run_ok(ALL_FIGURES, &tables, &env);
+    let written = entries();
+    assert_eq!(written.len(), 10, "one entry per distinct cell: {written:?}");
+    let warm = run_ok(ALL_FIGURES, &tables, &env);
+    assert_eq!(warm, cold, "the warm run prints the same bytes");
+    assert_eq!(entries(), written, "the warm run rewrote no entry");
 }
 
 #[test]
