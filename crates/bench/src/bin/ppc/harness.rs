@@ -37,11 +37,7 @@ fn hist_line(h: &LatencyHist) -> String {
 
 fn host_report(r: &HostObsReport) -> String {
     let wall_ms = r.wall_nanos as f64 / 1e6;
-    let accounted = r.accounted_nanos();
-    let mut s = format!(
-        "dispatch breakdown (wall {wall_ms:.1} ms, {:.1}% accounted):\n",
-        accounted as f64 / r.wall_nanos.max(1) as f64 * 100.0
-    );
+    let mut s = format!("dispatch breakdown (wall {wall_ms:.1} ms):\n");
     for c in &r.cats {
         if c.calls == 0 {
             continue;
@@ -54,13 +50,6 @@ fn host_report(r: &HostObsReport) -> String {
             c.nanos as f64 / r.wall_nanos.max(1) as f64 * 100.0
         ));
     }
-    s.push_str(&format!(
-        "  {:<14}{:>10}      {:>9.1} ms{:>6.1}%\n",
-        "loop overhead",
-        "",
-        r.wall_nanos.saturating_sub(accounted) as f64 / 1e6,
-        r.wall_nanos.saturating_sub(accounted) as f64 / r.wall_nanos.max(1) as f64 * 100.0
-    ));
     let q = &r.queue;
     s.push_str(&format!(
         "queue: {} scheduled, peak depth {}, {} far spills, {} far merged\n",

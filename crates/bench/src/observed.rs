@@ -125,39 +125,40 @@ pub fn observed_doc(kernel_name: &str, procs: usize, runs: &[(Protocol, RunResul
         .canonical()
 }
 
-/// The kernels the diagnostic subcommands accept by name, at the current
-/// `PPC_SCALE` workload.
+/// Builds a kernel's workload at the current `PPC_SCALE`.
+type KernelFn = fn() -> KernelSpec;
+
+/// The kernels the diagnostic subcommands accept, by name.
+const KERNELS: [(&str, KernelFn); 11] = [
+    ("ticket-lock", || KernelSpec::Lock(lock_workload(LockKind::Ticket))),
+    ("mcs-lock", || KernelSpec::Lock(lock_workload(LockKind::Mcs))),
+    ("uc-mcs-lock", || KernelSpec::Lock(lock_workload(LockKind::McsUpdateConscious))),
+    ("tas-lock", || KernelSpec::Lock(lock_workload(LockKind::TestAndSet))),
+    ("ttas-lock", || KernelSpec::Lock(lock_workload(LockKind::TestAndTestAndSet))),
+    ("anderson-lock", || KernelSpec::Lock(lock_workload(LockKind::AndersonQueue))),
+    ("central-barrier", || KernelSpec::Barrier(barrier_workload(BarrierKind::Centralized))),
+    ("dissemination-barrier", || KernelSpec::Barrier(barrier_workload(BarrierKind::Dissemination))),
+    ("tree-barrier", || KernelSpec::Barrier(barrier_workload(BarrierKind::Tree))),
+    ("par-reduction", || KernelSpec::Reduction(reduction_workload(ReductionKind::Parallel))),
+    ("seq-reduction", || KernelSpec::Reduction(reduction_workload(ReductionKind::Sequential))),
+];
+
+/// The kernel named `name`, at the current `PPC_SCALE` workload.
 pub fn kernel_by_name(name: &str) -> Option<KernelSpec> {
-    Some(match name {
-        "ticket-lock" => KernelSpec::Lock(lock_workload(LockKind::Ticket)),
-        "mcs-lock" => KernelSpec::Lock(lock_workload(LockKind::Mcs)),
-        "uc-mcs-lock" => KernelSpec::Lock(lock_workload(LockKind::McsUpdateConscious)),
-        "tas-lock" => KernelSpec::Lock(lock_workload(LockKind::TestAndSet)),
-        "ttas-lock" => KernelSpec::Lock(lock_workload(LockKind::TestAndTestAndSet)),
-        "anderson-lock" => KernelSpec::Lock(lock_workload(LockKind::AndersonQueue)),
-        "central-barrier" => KernelSpec::Barrier(barrier_workload(BarrierKind::Centralized)),
-        "dissemination-barrier" => KernelSpec::Barrier(barrier_workload(BarrierKind::Dissemination)),
-        "tree-barrier" => KernelSpec::Barrier(barrier_workload(BarrierKind::Tree)),
-        "par-reduction" => KernelSpec::Reduction(reduction_workload(ReductionKind::Parallel)),
-        "seq-reduction" => KernelSpec::Reduction(reduction_workload(ReductionKind::Sequential)),
-        _ => return None,
-    })
+    KERNELS.iter().find(|(n, _)| *n == name).map(|(_, kernel)| kernel())
 }
 
-/// The kernel names [`kernel_by_name`] accepts (for usage messages).
-pub const KERNEL_NAMES: [&str; 11] = [
-    "ticket-lock",
-    "mcs-lock",
-    "uc-mcs-lock",
-    "tas-lock",
-    "ttas-lock",
-    "anderson-lock",
-    "central-barrier",
-    "dissemination-barrier",
-    "tree-barrier",
-    "par-reduction",
-    "seq-reduction",
-];
+/// The kernel names [`kernel_by_name`] accepts, in table order (for usage
+/// messages).
+pub const KERNEL_NAMES: [&str; KERNELS.len()] = {
+    let mut names = [""; KERNELS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = KERNELS[i].0;
+        i += 1;
+    }
+    names
+};
 
 /// Runs `kernel` on an observed machine; returns the result (phase names
 /// installed) and, when `trace` is set, the message trace (up to

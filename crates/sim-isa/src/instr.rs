@@ -74,19 +74,6 @@ pub enum SyncOp {
     BarrierDepart,
 }
 
-impl SyncOp {
-    /// Stable name used in disassembly, reports, and tests.
-    pub fn name(self) -> &'static str {
-        match self {
-            SyncOp::AcquireAttempt => "acquire-attempt",
-            SyncOp::Acquired => "acquired",
-            SyncOp::Released => "released",
-            SyncOp::BarrierArrive => "barrier-arrive",
-            SyncOp::BarrierDepart => "barrier-depart",
-        }
-    }
-}
-
 /// One instruction. All instructions execute in one cycle unless they touch
 /// shared memory or explicitly consume time (`Delay*`, `Spin*`, `Fence`,
 /// magic synchronization).

@@ -14,7 +14,6 @@
 //! simulator to validate kernel logic independently of protocol timing.
 
 pub mod builder;
-pub mod disasm;
 pub mod instr;
 pub mod reference;
 

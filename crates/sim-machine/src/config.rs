@@ -49,10 +49,11 @@ pub struct MachineConfig {
     /// `obs`, enabling it never changes simulated results.
     pub hostobs: HostObsConfig,
     /// Periodic deterministic checkpoints: snapshot the complete machine
-    /// state roughly every this many dispatched events (rounded up to the
-    /// next `hostobs.fingerprint_epoch` boundary so fingerprint chains can
-    /// resume at an exact epoch seam). `None` — the default — takes no
-    /// checkpoints and pays nothing on the event path. `ppc replay` sets
+    /// state after every this many dispatched events. The cadence must be a
+    /// positive multiple of `hostobs.fingerprint_epoch` ([`crate::Machine::new`]
+    /// panics otherwise), so each checkpoint sits on an exact epoch seam
+    /// where a fingerprint chain can resume. `None` — the default — takes
+    /// no checkpoints and pays nothing on the event path. `ppc replay` sets
     /// it to one fingerprint epoch and `ppc overhead` times a few
     /// cadences; collect with [`crate::Machine::take_checkpoints`].
     pub checkpoint_every: Option<u64>,
@@ -76,8 +77,8 @@ impl MachineConfig {
         }
     }
 
-    /// The same configuration taking a checkpoint roughly every `events`
-    /// dispatched events (epoch-aligned; see
+    /// The same configuration taking a checkpoint every `events`
+    /// dispatched events (a multiple of the fingerprint epoch; see
     /// [`MachineConfig::checkpoint_every`]).
     pub fn with_checkpoints(mut self, events: u64) -> Self {
         self.checkpoint_every = Some(events);
@@ -125,8 +126,8 @@ mod tests {
 
     #[test]
     fn with_checkpoints_flips_only_the_cadence() {
-        let c = MachineConfig::paper(8, Protocol::PureUpdate).with_checkpoints(10_000);
-        assert_eq!(c.checkpoint_every, Some(10_000));
+        let c = MachineConfig::paper(8, Protocol::PureUpdate).with_checkpoints(16_384);
+        assert_eq!(c.checkpoint_every, Some(16_384));
         assert_eq!(c.seed, MachineConfig::paper(8, Protocol::PureUpdate).seed);
         assert!(!c.obs.enabled && !c.hostobs.enabled);
     }

@@ -10,7 +10,7 @@ use sim_net::Network;
 use sim_proto::{AtomicOp, Effects, MemService, Msg, MsgKind, ProtoNode};
 use sim_stats::{
     Classifier, CpuClass, FingerprintRecorder, HostCat, HostProfiler, NodeGauges, NodeSample, ObsCollector,
-    WaitKind, SAMPLE_INTERVAL,
+    WaitKind, QUEUE_SAMPLE_EVERY, SAMPLE_INTERVAL,
 };
 
 use crate::config::{MachineConfig, MAGIC_BARRIER_CYCLES, MAGIC_LOCK_CYCLES, MAX_CYCLES, SPIN_CHECK_PERIOD};
@@ -90,8 +90,9 @@ pub struct Machine {
     /// episodes, network journeys); `Some` only when `cfg.obs.enabled`, so
     /// the default path pays nothing beyond a `None` check per fact.
     obs: Option<ObsCollector>,
-    /// Host self-profiler (dispatch-category wall timers, queue-analytics
-    /// sampling); `Some` only when `cfg.hostobs.enabled`. Host time never
+    /// Host self-profiler (the dispatch-category stopwatch, queue-analytics
+    /// sampling); `Some` only while a run with `cfg.hostobs.enabled` is in
+    /// progress, since its clock starts with the run. Host time never
     /// feeds back into simulated time, so results are unchanged.
     hostprof: Option<Box<HostProfiler>>,
     /// Determinism-fingerprint recorder; `Some` only when
@@ -103,12 +104,10 @@ pub struct Machine {
     /// must not re-create write buffers or schedule the initial events.
     restored: bool,
     /// Events dispatched so far — the global `(cycle, seq)` pop index that
-    /// checkpoints and the event recorder are keyed by. Restored from
-    /// snapshots so indices line up with the original run.
+    /// checkpoints, queue-analytics samples, the event recorder, the host
+    /// profile's event count and the fingerprint's total are keyed by.
+    /// Restored from snapshots so indices line up with the original run.
     popped: u64,
-    /// Next `popped` value at (or after) which a checkpoint is due; `u64::MAX`
-    /// when checkpointing is off.
-    next_checkpoint: u64,
     /// Checkpoints taken so far (collect with [`Machine::take_checkpoints`]).
     checkpoints: Vec<Checkpoint>,
     /// Recorder of decoded popped events within a window; `Some` only
@@ -181,7 +180,10 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `cfg.num_procs` exceeds [`SharerSet::CAPACITY`]: the
-    /// directory's sharer bitmap could not tell the extra nodes apart.
+    /// directory's sharer bitmap could not tell the extra nodes apart. Also
+    /// panics if `cfg.checkpoint_every` is not a positive multiple of
+    /// `cfg.hostobs.fingerprint_epoch`, so that every checkpoint sits on a
+    /// fingerprint-epoch seam.
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(
             cfg.num_procs <= SharerSet::CAPACITY,
@@ -189,6 +191,13 @@ impl Machine {
             cfg.num_procs,
             SharerSet::CAPACITY
         );
+        if let Some(every) = cfg.checkpoint_every {
+            let epoch = cfg.hostobs.fingerprint_epoch.max(1);
+            assert!(
+                every > 0 && every % epoch == 0,
+                "checkpoint cadence {every} is not a positive multiple of the {epoch}-event fingerprint epoch"
+            );
+        }
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
         let mut net = Network::new(cfg.num_procs);
@@ -219,7 +228,7 @@ impl Machine {
             read_latency: sim_stats::LatencyHist::new(),
             atomic_latency: sim_stats::LatencyHist::new(),
             obs,
-            hostprof: cfg.hostobs.enabled.then(|| Box::new(HostProfiler::new())),
+            hostprof: None,
             fp: cfg
                 .hostobs
                 .fingerprint
@@ -227,7 +236,6 @@ impl Machine {
             ran: false,
             restored: false,
             popped: 0,
-            next_checkpoint: cfg.checkpoint_every.unwrap_or(u64::MAX),
             checkpoints: Vec::new(),
             recorder: None,
             program_digest: OnceCell::new(),
@@ -343,7 +351,10 @@ impl Machine {
     fn run_bounded(&mut self, limit: Option<Cycle>) -> RunResult {
         assert!(!self.ran, "Machine::run called twice");
         self.ran = true;
-        let run_start = self.hostprof.as_ref().map(|_| std::time::Instant::now());
+        // The stopwatch opens in `event-pop`, which covers the loop's own
+        // work between events; `dispatch` re-enters it after each event.
+        self.hostprof = self.cfg.hostobs.enabled.then(|| Box::new(HostProfiler::start(HostCat::Pop)));
+        let first_event = self.popped;
         if !self.restored {
             self.wbs = (0..self.cfg.num_procs).map(|_| WriteBuffer::new(self.cfg.wb_entries)).collect();
             for n in 0..self.cfg.num_procs {
@@ -360,7 +371,7 @@ impl Machine {
         let start_gauges = if self.obs.is_some() { self.gauges() } else { Vec::new() };
         let mut reached_limit = false;
         while self.halted < self.cfg.num_procs {
-            let Some((now, ev)) = self.pop_timed() else {
+            let Some((now, ev)) = self.queue.pop() else {
                 panic!(
                     "deadlock at cycle {}: {} of {} processors halted; states: {:?}",
                     self.queue.now(),
@@ -383,8 +394,7 @@ impl Machine {
             }
             assert!(now <= MAX_CYCLES, "exceeded {MAX_CYCLES} cycles: possible livelock");
             self.dispatch(now, ev);
-            if self.popped >= self.next_checkpoint
-                && self.popped % self.cfg.hostobs.fingerprint_epoch.max(1) == 0
+            if self.cfg.checkpoint_every.is_some_and(|every| self.popped % every == 0)
                 && self.halted < self.cfg.num_procs
             {
                 self.take_checkpoint(now);
@@ -394,7 +404,7 @@ impl Machine {
             // Drain in-flight protocol traffic so memory, directories, and
             // the update classification settle (execution time is already
             // fixed at the last halt; these events cost no measured cycles).
-            while let Some((now, ev)) = self.pop_timed() {
+            while let Some((now, ev)) = self.queue.pop() {
                 if !matches!(ev, Ev::CpuStep(_)) {
                     self.dispatch(now, ev);
                 }
@@ -403,6 +413,10 @@ impl Machine {
         // Measurements run to the last halt, or to the window end when a
         // cycle limit cut the run short.
         let end = if reached_limit { limit.expect("limit set") } else { self.last_halt };
+        let host = self
+            .hostprof
+            .take()
+            .map(|hp| Box::new(hp.finish(end, self.popped - first_event, self.queue.stats())));
         let instructions = self.cpus.iter().map(|c| c.instructions).sum();
         let traffic = self.clf.finish().clone();
         let obs = self.obs.take().map(|collector| {
@@ -410,11 +424,7 @@ impl Machine {
                 self.gauges().into_iter().zip(start_gauges).map(|(g, start)| g.since(start)).collect();
             collector.finish(end, gauges, &self.net, &mut self.clf)
         });
-        let host = self.hostprof.take().map(|hp| {
-            let wall = run_start.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            Box::new(hp.finish(end, wall, self.queue.stats()))
-        });
-        let fingerprint = self.fp.take().map(|fp| fp.finish(self.state_digest(&traffic)));
+        let fingerprint = self.fp.take().map(|fp| fp.finish(self.popped, self.state_digest(&traffic)));
         RunResult {
             cycles: end,
             traffic,
@@ -441,29 +451,10 @@ impl Machine {
             .collect()
     }
 
-    /// Pops the next event, charging the pop to [`HostCat::Pop`] and
-    /// sampling queue analytics when the profiler is on. The default path
-    /// is a single `None` check around the plain pop.
-    fn pop_timed(&mut self) -> Option<(Cycle, Ev)> {
-        if self.hostprof.is_none() {
-            return self.queue.pop();
-        }
-        let t0 = std::time::Instant::now();
-        let popped = self.queue.pop();
-        let nanos = t0.elapsed().as_nanos() as u64;
-        let hp = self.hostprof.as_mut().expect("checked above");
-        hp.add(HostCat::Pop, nanos);
-        if popped.is_some() && hp.note_pop() {
-            // Read only when due: counting occupied slots scans the whole
-            // wheel bitmap, which grows to 256 words.
-            hp.sample_queue(self.queue.len(), self.queue.occupied_slots(), self.queue.far_len());
-        }
-        popped
-    }
-
-    /// Fingerprints `ev` and dispatches it to [`Machine::handle_event`],
-    /// charging the handler's wall time to its dispatch category (minus
-    /// nested slices already charged elsewhere, e.g. network routing).
+    /// Fingerprints `ev` and dispatches it to [`Machine::handle_event`].
+    /// With the profiler on, it samples queue analytics when the event's
+    /// pop index is due, runs the handler in the event's category and
+    /// re-enters [`HostCat::Pop`] after it.
     fn dispatch(&mut self, now: Cycle, ev: Ev) {
         let index = self.popped;
         self.popped += 1;
@@ -483,31 +474,31 @@ impl Machine {
             };
             fp.record(now, kind, a, b);
         }
-        if self.hostprof.is_none() {
+        let Some(hp) = self.hostprof.as_deref_mut() else {
             self.handle_event(now, ev);
             return;
+        };
+        if index % QUEUE_SAMPLE_EVERY == 0 {
+            // Read only when due: counting occupied slots scans the whole
+            // wheel bitmap, which grows to 256 words.
+            hp.sample_queue(self.queue.len(), self.queue.occupied_slots(), self.queue.far_len());
         }
-        let cat = match &ev {
+        hp.enter(match &ev {
             Ev::CpuStep(_) => HostCat::CpuStep,
             Ev::Deliver(_) => HostCat::Deliver,
             Ev::HomeHandle(_) => HostCat::HomeHandle,
             Ev::WbIssue(_) => HostCat::WbIssue,
-        };
-        let t0 = std::time::Instant::now();
+        });
         self.handle_event(now, ev);
-        let total = t0.elapsed().as_nanos() as u64;
-        let hp = self.hostprof.as_mut().expect("checked above");
-        let inner = hp.take_inner();
-        hp.add(cat, total.saturating_sub(inner));
+        self.hostprof.as_deref_mut().expect("entered above").enter(HostCat::Pop);
     }
 
     /// Takes a checkpoint: seals the complete machine state into a blob and
-    /// stores it with its pop index and cycle. Called on epoch-aligned
-    /// event counts from the main loop when `cfg.checkpoint_every` is set.
+    /// stores it with its pop index and cycle. Called from the main loop
+    /// whenever the pop index is a multiple of `cfg.checkpoint_every`.
     fn take_checkpoint(&mut self, now: Cycle) {
         let blob = self.snapshot();
         self.checkpoints.push(Checkpoint { events: self.popped, cycle: now, blob });
-        self.next_checkpoint = self.popped + self.cfg.checkpoint_every.expect("checkpointing enabled");
     }
 
     /// Takes the checkpoints accumulated so far (typically after `run`).
@@ -598,10 +589,12 @@ impl Machine {
         }
     }
 
-    /// Records the periodic observability sample due at `at`, charging its
-    /// wall time to [`HostCat::Sample`] when the profiler is on.
+    /// Records the periodic observability sample due at `at`, entering
+    /// [`HostCat::Sample`] first when the profiler is on.
     fn take_sample(&mut self, at: Cycle) {
-        let t0 = self.hostprof.as_ref().map(|_| std::time::Instant::now());
+        if let Some(hp) = self.hostprof.as_deref_mut() {
+            hp.enter(HostCat::Sample);
+        }
         let obs = self.obs.as_mut().expect("samples are due only while observing");
         let (wbs, mem_srv, net) = (&self.wbs, &self.mem_srv, &self.net);
         let c = net.counters();
@@ -614,9 +607,6 @@ impl Machine {
             tx_busy: net.tx_busy(n),
             rx_busy: net.rx_busy(n),
         });
-        if let (Some(hp), Some(t0)) = (self.hostprof.as_mut(), t0) {
-            hp.add(HostCat::Sample, t0.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Counts message `m`, sent at `now` and delivered at `at`, with the
@@ -1084,11 +1074,11 @@ impl Machine {
     fn process_effects(&mut self, x: NodeId, mut fx: Effects, now: Cycle) {
         for m in fx.sends.drain(..) {
             let at = if let Some(hp) = self.hostprof.as_deref_mut() {
-                // Nested slice: charged to NetRoute and subtracted from the
-                // enclosing handler's category in `dispatch`.
-                let t0 = std::time::Instant::now();
+                // A nested slice: the handler's category resumes, without a
+                // new call, once the send returns.
+                let outer = hp.enter(HostCat::NetRoute);
                 let at = self.net.send(now, m.src, m.dst, m.payload_bytes());
-                hp.add_inner(HostCat::NetRoute, t0.elapsed().as_nanos() as u64);
+                hp.resume(outer);
                 at
             } else {
                 self.net.send(now, m.src, m.dst, m.payload_bytes())
@@ -1496,6 +1486,20 @@ mod tests {
     #[should_panic(expected = "65 processors exceed the 64-node limit")]
     fn rejects_more_processors_than_the_sharer_bitmap_holds() {
         machine(65, Protocol::WriteInvalidate);
+    }
+
+    /// Checkpoints land where the pop index is a multiple of the cadence,
+    /// which must put every one of them on a fingerprint-epoch seam.
+    #[test]
+    #[should_panic(expected = "checkpoint cadence 0 is not a positive multiple")]
+    fn rejects_a_checkpoint_cadence_of_zero() {
+        Machine::new(MachineConfig::paper(2, Protocol::WriteInvalidate).with_checkpoints(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint cadence 12288 is not a positive multiple of the 8192-event")]
+    fn rejects_a_checkpoint_cadence_off_the_epoch_grid() {
+        Machine::new(MachineConfig::paper(2, Protocol::WriteInvalidate).with_checkpoints(12_288));
     }
 
     #[test]

@@ -401,20 +401,15 @@ impl Machine {
             let epoch = self.cfg.hostobs.fingerprint_epoch.max(1);
             self.fp = Some(Box::new(FingerprintRecorder::resume(epoch, self.popped / epoch)));
         }
-        // ...the observability collector opens its accounts at the restore
-        // cycle (earlier cycles belong to the original run), and it and
-        // lineage resume in each processor's program phase...
+        // ...and the observability collector opens its accounts at the
+        // restore cycle (earlier cycles belong to the original run), and it
+        // and lineage resume in each processor's program phase.
         for (n, cpu) in self.cpus.iter().enumerate() {
             if let Some(obs) = self.obs.as_mut() {
                 obs.align(n, class_of(&cpu.state), cpu.phase, self.queue.now());
             }
             self.clf.set_phase(n, cpu.phase);
         }
-        // ...and the next checkpoint is a full cadence away.
-        self.next_checkpoint = match self.cfg.checkpoint_every {
-            Some(every) => self.popped + every,
-            None => u64::MAX,
-        };
         self.restored = true;
         Ok(())
     }

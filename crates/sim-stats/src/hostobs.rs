@@ -10,8 +10,8 @@
 //!   category (queue pops, CPU interpretation, protocol handlers, network
 //!   hop routing, stats hooks), plus sampled event-queue analytics: queue
 //!   depth, bucket-wheel slot occupancy, and far-future-heap depth
-//!   histograms. The machine drives the scoped timers; this module owns
-//!   the accumulators and the report.
+//!   histograms. The machine switches the stopwatch between categories;
+//!   this module owns the accumulators and the report.
 //! * [`FingerprintRecorder`] — a streaming [`StableHasher`] digest of the
 //!   popped `(cycle, seq, event-kind)` stream, sealed into per-epoch
 //!   digests. Events are fed in pop order, which *is* `(cycle, seq)`
@@ -27,6 +27,8 @@
 //! byte-identical simulated results to a hostobs-off run (enforced by
 //! `tests/hostobs.rs` and the `ppc harness` golden in `tests/ppc_cli.rs`).
 
+use std::time::Instant;
+
 use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{Cycle, QueueStats, StableHasher};
 
@@ -34,17 +36,19 @@ use crate::hist::LatencyHist;
 use crate::json::Json;
 
 /// Host-observability switches. All off by default; the default path pays
-/// one `Option` check per popped event and nothing else.
+/// a few `Option` checks per dispatched event and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostObsConfig {
-    /// Master switch for the host self-profiler (dispatch-category wall
-    /// timers and event-queue analytics).
+    /// Master switch for the host self-profiler: a stopwatch charging the
+    /// run loop's wall time to dispatch categories (two clock reads per
+    /// dispatched event, two per network send, one per observation
+    /// sample), and event-queue analytics.
     pub enabled: bool,
     /// Record a streaming determinism fingerprint of the event stream.
-    /// Independent of `enabled`, so a fingerprint-only run skips the
-    /// per-event `Instant` calls.
+    /// Independent of `enabled`, so a fingerprint-only run reads no clock.
     pub fingerprint: bool,
-    /// Events per fingerprint epoch (the diff granularity).
+    /// Events per fingerprint epoch (the diff granularity). A checkpoint
+    /// cadence must be a multiple of it, so checkpoints sit on epoch seams.
     pub fingerprint_epoch: u64,
 }
 
@@ -54,7 +58,8 @@ impl Default for HostObsConfig {
     }
 }
 
-/// Queue-analytics sampling period, in popped events.
+/// Queue-analytics sampling period, in dispatched events: the queue is
+/// sampled before each event whose pop index is a multiple of it.
 pub const QUEUE_SAMPLE_EVERY: u64 = 1024;
 
 impl HostObsConfig {
@@ -67,7 +72,13 @@ impl HostObsConfig {
 /// The dispatch category a slice of host wall-time is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostCat {
-    /// `EventQueue::pop` (bitmap scan, window advance, far-heap merge).
+    /// `EventQueue::pop` (bitmap scan, window advance, far-heap merge) and
+    /// the run loop's work between events: the halt, sample and
+    /// checkpoint checks, the fingerprint and event-recorder feeds,
+    /// queue-analytics samples, any checkpoint taken, and undispatched
+    /// pops (the drain's stale processor wakes). Entered once at the start
+    /// of the run and once after each dispatched event, so its calls are
+    /// the events dispatched plus one.
     Pop,
     /// Processor interpretation (`Ev::CpuStep` handling).
     CpuStep,
@@ -83,9 +94,9 @@ pub enum HostCat {
     /// at or past its cycle — samples are not events, so they are not
     /// popped, counted or fingerprinted.
     Sample,
-    /// Network hop routing and port occupancy (`Network::send`), timed
-    /// inside whichever handler sent and subtracted from its category so
-    /// the breakdown partitions instead of double-counting.
+    /// Network hop routing and port occupancy (`Network::send`), a slice
+    /// nested inside whichever handler sent: the handler's category
+    /// resumes, without a new call, once the send returns.
     NetRoute,
 }
 
@@ -121,67 +132,60 @@ impl HostCat {
     }
 }
 
-/// Accumulates the host self-profile during a run. The machine calls
-/// [`HostProfiler::add`] around each dispatched event and
-/// [`HostProfiler::add_inner`] around nested network routing; queue
-/// analytics are sampled every [`QUEUE_SAMPLE_EVERY`] pops into the
-/// report's histograms.
+/// The host self-profile of a run, kept as a stopwatch: one category is
+/// open at a time, and each switch reads the clock once and charges the
+/// time since the previous switch to the category it closes. The run loop
+/// enters [`HostCat::Pop`] before each pop, the event's category before
+/// its dispatch and [`HostCat::Sample`] before each sample; a network send
+/// enters [`HostCat::NetRoute`] and then resumes the handler it is nested
+/// in. So every nanosecond from [`HostProfiler::start`] to
+/// [`HostProfiler::finish`] is charged to exactly one category. Queue
+/// analytics are sampled every [`QUEUE_SAMPLE_EVERY`] dispatched events
+/// into the report's histograms.
 #[derive(Debug)]
 pub struct HostProfiler {
     cats: [HostCatReport; HOST_CATS.len()],
-    /// Nanos charged to nested categories since the last
-    /// [`HostProfiler::take_inner`], subtracted from the enclosing
-    /// handler's slice so categories partition the loop's wall time.
-    inner_nanos: u64,
-    pops: u64,
+    /// The category the clock is running for, and when it was opened.
+    open: HostCat,
+    since: Instant,
     /// The queue analytics; the queue's own lifetime counters are filled
     /// in at the end.
     queue: QueueReport,
 }
 
-impl Default for HostProfiler {
-    fn default() -> Self {
-        HostProfiler {
-            cats: HOST_CATS.map(|c| HostCatReport { name: c.name(), calls: 0, nanos: 0 }),
-            inner_nanos: 0,
-            pops: 0,
-            queue: QueueReport::default(),
-        }
-    }
-}
-
 impl HostProfiler {
-    /// A fresh profiler.
-    pub fn new() -> Self {
-        HostProfiler::default()
+    /// Starts the clock in `cat`, counting one call of it.
+    pub fn start(cat: HostCat) -> Self {
+        let mut p = HostProfiler {
+            cats: HOST_CATS.map(|c| HostCatReport { name: c.name(), calls: 0, nanos: 0 }),
+            open: cat,
+            since: Instant::now(),
+            queue: QueueReport::default(),
+        };
+        p.cats[cat.index()].calls = 1;
+        p
     }
 
-    /// Charges `nanos` (one call) to `cat`.
-    pub fn add(&mut self, cat: HostCat, nanos: u64) {
-        let a = &mut self.cats[cat.index()];
-        a.calls += 1;
-        a.nanos += nanos;
+    /// Charges the time since the last switch to the open category, counts
+    /// one call of `cat` and opens it. Returns the category it closed, for
+    /// [`HostProfiler::resume`] once a nested slice ends.
+    pub fn enter(&mut self, cat: HostCat) -> HostCat {
+        self.cats[cat.index()].calls += 1;
+        self.switch(cat)
     }
 
-    /// Charges a *nested* slice: counted under `cat` and remembered so the
-    /// enclosing handler can subtract it via [`HostProfiler::take_inner`].
-    pub fn add_inner(&mut self, cat: HostCat, nanos: u64) {
-        self.add(cat, nanos);
-        self.inner_nanos += nanos;
+    /// Charges the time since the last switch to the open category and
+    /// reopens `cat` without counting a call: the enclosing category, after
+    /// a nested slice.
+    pub fn resume(&mut self, cat: HostCat) {
+        self.switch(cat);
     }
 
-    /// Takes the nested nanos accumulated since the last call.
-    pub fn take_inner(&mut self) -> u64 {
-        std::mem::take(&mut self.inner_nanos)
-    }
-
-    /// Counts one popped event; returns `true` when a queue-analytics
-    /// sample is due (every [`QUEUE_SAMPLE_EVERY`] pops, first pop
-    /// included so short runs still produce a sample).
-    pub fn note_pop(&mut self) -> bool {
-        let due = self.pops % QUEUE_SAMPLE_EVERY == 0;
-        self.pops += 1;
-        due
+    fn switch(&mut self, cat: HostCat) -> HostCat {
+        let now = Instant::now();
+        self.cats[self.open.index()].nanos += now.duration_since(self.since).as_nanos() as u64;
+        self.since = now;
+        std::mem::replace(&mut self.open, cat)
     }
 
     /// Records one queue-analytics sample (pending events, occupied wheel
@@ -192,12 +196,15 @@ impl HostProfiler {
         self.queue.far_depth.record(far_depth as u64);
     }
 
-    /// Seals the profile into a report. `wall_nanos` is the whole `run()`
-    /// wall time; `queue` the event queue's lifetime counters.
-    pub fn finish(self, cycles: Cycle, wall_nanos: u64, queue: QueueStats) -> HostObsReport {
+    /// Stops the clock and seals the profile into a report, whose
+    /// `wall_nanos` is the sum of the categories. `events` is the number of
+    /// events the run dispatched; `queue` the event queue's lifetime
+    /// counters.
+    pub fn finish(mut self, cycles: Cycle, events: u64, queue: QueueStats) -> HostObsReport {
+        self.switch(self.open);
         HostObsReport {
-            wall_nanos,
-            events: self.pops,
+            wall_nanos: self.cats.iter().map(|c| c.nanos).sum(),
+            events,
             cycles,
             cats: Vec::from(self.cats),
             queue: QueueReport {
@@ -249,9 +256,11 @@ pub struct QueueReport {
 /// went, and how the event queue behaved.
 #[derive(Debug, Clone)]
 pub struct HostObsReport {
-    /// Wall time of the whole `run()` call, in host nanoseconds.
+    /// Wall time of the run loop, in host nanoseconds: the sum of the
+    /// categories' nanoseconds.
     pub wall_nanos: u64,
-    /// Events popped and dispatched (including the post-halt drain).
+    /// Events this run dispatched (including the post-halt drain; a run
+    /// restored from a checkpoint counts from its restore point).
     pub events: u64,
     /// Simulated execution time (the last halt).
     pub cycles: Cycle,
@@ -262,12 +271,6 @@ pub struct HostObsReport {
 }
 
 impl HostObsReport {
-    /// Nanoseconds accounted to some dispatch category; the remainder up
-    /// to [`HostObsReport::wall_nanos`] is loop overhead plus timer cost.
-    pub fn accounted_nanos(&self) -> u64 {
-        self.cats.iter().map(|c| c.nanos).sum()
-    }
-
     /// Host throughput in simulated events per wall second.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / (self.wall_nanos.max(1) as f64 / 1e9)
@@ -343,7 +346,6 @@ pub struct FingerprintRecorder {
     epoch_events: u64,
     hasher: StableHasher,
     in_epoch: u64,
-    total: u64,
     epochs: Vec<(u64, u64)>,
     /// Epochs that ran before this recorder took over (checkpoint resume).
     /// Epoch hashers are seeded with the *global* epoch index, so a resumed
@@ -363,15 +365,13 @@ impl FingerprintRecorder {
     /// only seals the tail epochs, but seeds each with its global index, so
     /// a full run's chain and a resumed run's chain satisfy
     /// `full.epochs[epoch_offset..] == resumed.epochs` when the replayed
-    /// event stream is identical. `total_events` counts the skipped events
-    /// as recorded, keeping end-of-run totals comparable.
+    /// event stream is identical.
     pub fn resume(epoch_events: u64, epoch_offset: u64) -> Self {
         let epoch_events = epoch_events.max(1);
         FingerprintRecorder {
             epoch_events,
             hasher: epoch_hasher(epoch_offset),
             in_epoch: 0,
-            total: epoch_offset * epoch_events,
             epochs: Vec::new(),
             epoch_offset,
         }
@@ -391,7 +391,6 @@ impl FingerprintRecorder {
         self.hasher.write_u64(a);
         self.hasher.write_u64(b);
         self.in_epoch += 1;
-        self.total += 1;
         if self.in_epoch == self.epoch_events {
             self.seal_epoch();
         }
@@ -403,23 +402,15 @@ impl FingerprintRecorder {
         self.in_epoch = 0;
     }
 
-    /// Events absorbed so far.
-    pub fn total_events(&self) -> u64 {
-        self.total
-    }
-
-    /// Seals the trailing partial epoch (if any) and attaches the
-    /// end-of-run machine-state digest.
-    pub fn finish(mut self, state_digest: (u64, u64)) -> FingerprintChain {
+    /// Seals the trailing partial epoch (if any) and attaches the run's
+    /// event count (the global pop index at its end, so a resumed run
+    /// counts the events before its checkpoint too) and the end-of-run
+    /// machine-state digest.
+    pub fn finish(mut self, total_events: u64, state_digest: (u64, u64)) -> FingerprintChain {
         if self.in_epoch > 0 {
             self.seal_epoch();
         }
-        FingerprintChain {
-            epoch_events: self.epoch_events,
-            epochs: self.epochs,
-            total_events: self.total,
-            state_digest,
-        }
+        FingerprintChain { epoch_events: self.epoch_events, epochs: self.epochs, total_events, state_digest }
     }
 }
 
@@ -599,7 +590,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 640, None);
         feed(&mut b, 640, None);
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(640, (1, 2)), b.finish(640, (1, 2)));
         assert_eq!(a, b);
         assert_eq!(a.first_divergence(&b), None);
         assert_eq!(a.epochs.len(), 10);
@@ -613,7 +604,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 640, None);
         feed(&mut b, 640, Some(7 * 64 + 13));
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(640, (1, 2)), b.finish(640, (1, 2)));
         assert_eq!(a.first_divergence(&b), Some(FingerprintDivergence::Epoch(7)));
         // Epochs before the perturbation are untouched; the one holding it
         // differs (later epochs are independent by construction).
@@ -628,7 +619,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 640, None);
         feed(&mut b, 640 + 100, None);
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(640, (1, 2)), b.finish(640 + 100, (1, 2)));
         assert_eq!(a.first_divergence(&b), Some(FingerprintDivergence::Epoch(10)));
     }
 
@@ -640,7 +631,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 100, None);
         feed(&mut b, 101, None);
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(100, (1, 2)), b.finish(101, (1, 2)));
         assert_eq!(a.epochs.len(), b.epochs.len());
         assert_eq!(a.first_divergence(&b), Some(FingerprintDivergence::Epoch(1)));
     }
@@ -651,7 +642,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 640, None);
         feed(&mut b, 640, None);
-        let (a, b) = (a.finish((1, 2)), b.finish((9, 9)));
+        let (a, b) = (a.finish(640, (1, 2)), b.finish(640, (9, 9)));
         assert_eq!(a.first_divergence(&b), Some(FingerprintDivergence::StateOnly));
         assert_ne!(a.chain_digest_hex(), b.chain_digest_hex());
     }
@@ -662,7 +653,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(32);
         feed(&mut a, 128, None);
         feed(&mut b, 128, None);
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(128, (1, 2)), b.finish(128, (1, 2)));
         assert_eq!(a.first_divergence(&b), Some(FingerprintDivergence::Parameters));
     }
 
@@ -676,9 +667,8 @@ mod tests {
         for i in 256..640 {
             tail.record(i / 3, "ev", i % 7, i % 5);
         }
-        let (full, tail) = (full.finish((1, 2)), tail.finish((1, 2)));
+        let (full, tail) = (full.finish(640, (1, 2)), tail.finish(640, (1, 2)));
         assert_eq!(full.epochs[4..], tail.epochs, "tail epochs line up globally");
-        assert_eq!(full.total_events, tail.total_events, "skipped events counted as recorded");
     }
 
     #[test]
@@ -687,7 +677,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 640, None);
         feed(&mut b, 640, Some(7 * 64 + 13));
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(640, (1, 2)), b.finish(640, (1, 2)));
         let d = a.divergence_detail(&b).expect("diverged");
         assert_eq!(d.epoch, 7);
         assert_eq!(d.event_lo, 7 * 64);
@@ -700,7 +690,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 100, None);
         feed(&mut b, 101, None);
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(100, (1, 2)), b.finish(101, (1, 2)));
         let d = a.divergence_detail(&b).expect("diverged");
         assert_eq!((d.epoch, d.event_lo, d.event_hi), (1, 64, 101), "the epoch's range, to the longer end");
         assert_eq!(b.divergence_detail(&a), Some(d), "symmetric");
@@ -715,7 +705,7 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 128, None);
         feed(&mut b, 100, Some(70));
-        let (a, b) = (a.finish((1, 2)), b.finish((1, 2)));
+        let (a, b) = (a.finish(128, (1, 2)), b.finish(100, (1, 2)));
         let d = a.divergence_detail(&b).expect("diverged");
         assert_eq!((d.epoch, d.event_lo, d.event_hi), (1, 64, 128));
         let at = a.first_divergence(&b).expect("diverged");
@@ -729,41 +719,64 @@ mod tests {
         let mut b = FingerprintRecorder::new(64);
         feed(&mut a, 640, None);
         feed(&mut b, 640, None);
-        let (a, b2) = (a.finish((1, 2)), b.finish((9, 9)));
+        let (a, b2) = (a.finish(640, (1, 2)), b.finish(640, (9, 9)));
         assert_eq!(a.first_divergence(&b2), Some(FingerprintDivergence::StateOnly));
         assert_eq!(a.divergence_detail(&b2), None, "state-only has no epoch range");
         assert_eq!(a.divergence_detail(&a.clone()), None, "identical chains");
     }
 
+    /// A scripted run: the stopwatch counts one call per `enter`, none per
+    /// `resume`, charges a nested slice to the nested category alone, and
+    /// its categories sum exactly to the wall time.
     #[test]
-    fn profiler_partitions_nested_time() {
-        let mut p = HostProfiler::new();
-        p.add_inner(HostCat::NetRoute, 30);
-        let inner = p.take_inner();
-        assert_eq!(inner, 30);
-        p.add(HostCat::Deliver, 100 - inner);
-        assert_eq!(p.take_inner(), 0, "inner scratch resets");
-        p.add(HostCat::Pop, 10);
-        assert!(p.note_pop(), "first pop samples");
+    fn stopwatch_charges_every_slice_to_one_category() {
+        let nap = std::time::Duration::from_millis(2);
+        let mut p = HostProfiler::start(HostCat::Pop);
         p.sample_queue(5, 3, 1);
-        let r = p.finish(1_000, 200, QueueStats::default());
-        assert_eq!(r.accounted_nanos(), 110, "net-route + deliver + pop partition");
-        let by_name = |n: &str| r.cats.iter().find(|c| c.name == n).unwrap().nanos;
-        assert_eq!(by_name("net-route"), 30);
-        assert_eq!(by_name("proto-deliver"), 70);
-        assert_eq!(r.events, 1);
+        assert_eq!(p.enter(HostCat::Deliver), HostCat::Pop);
+        let outer = p.enter(HostCat::NetRoute);
+        assert_eq!(outer, HostCat::Deliver, "enter names the category it closed");
+        std::thread::sleep(nap);
+        p.resume(outer);
+        p.enter(HostCat::Pop);
+        p.enter(HostCat::Sample);
+        p.enter(HostCat::Sample);
+        p.enter(HostCat::CpuStep);
+        let outer = p.enter(HostCat::NetRoute);
+        p.resume(outer);
+        p.enter(HostCat::Pop);
+        std::thread::sleep(nap);
+        let r = p.finish(1_000, 2, QueueStats::default());
+        let cat = |n: &str| r.cats.iter().find(|c| c.name == n).unwrap();
+        let calls: Vec<(&str, u64)> = r.cats.iter().map(|c| (c.name, c.calls)).collect();
+        assert_eq!(
+            calls,
+            [
+                ("event-pop", 3),
+                ("cpu-step", 1),
+                ("proto-deliver", 1),
+                ("proto-home", 0),
+                ("wb-issue", 0),
+                ("stats-sample", 2),
+                ("net-route", 2),
+            ],
+            "one call per enter, none per resume"
+        );
+        assert_eq!(
+            r.wall_nanos,
+            r.cats.iter().map(|c| c.nanos).sum::<u64>(),
+            "categories partition the wall"
+        );
+        let nap = nap.as_nanos() as u64;
+        assert!(cat("net-route").nanos >= nap, "the nested nap is net-route's");
+        assert!(cat("event-pop").nanos >= nap, "finish charges the open category its last slice");
+        assert!(r.wall_nanos >= 2 * nap);
+        assert_eq!(r.events, 2);
         assert_eq!(r.queue.depth.count(), 1);
         assert!(r.events_per_sec() > 0.0);
         let rendered = r.to_json().render_pretty();
         assert!(rendered.contains("events_per_sec"));
         assert!(rendered.contains("net-route"));
-    }
-
-    #[test]
-    fn queue_sampling_period_is_honored() {
-        let mut p = HostProfiler::new();
-        let due: Vec<u64> = (0..3 * QUEUE_SAMPLE_EVERY + 1).filter(|_| p.note_pop()).collect();
-        assert_eq!(due, [0, 1, 2, 3].map(|k| k * QUEUE_SAMPLE_EVERY), "first pop, then every period");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use ppc_bench::observed::{kernel_by_name, KERNEL_NAMES};
 use ppc_bench::sweep::{self, RunSpec, SweepOptions};
 use sim_machine::{Machine, MachineConfig};
 use sim_proto::Protocol;
-use sim_stats::{FingerprintChain, ObsConfig};
+use sim_stats::{FingerprintChain, HostObsReport, ObsConfig, QUEUE_SAMPLE_EVERY, SAMPLE_INTERVAL};
 
 const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
@@ -45,6 +45,19 @@ fn small_barrier() -> KernelSpec {
 
 fn run(cfg: MachineConfig, kernel: &KernelSpec) -> sim_machine::RunResult {
     install_run_verify(&mut Machine::new(cfg), kernel, true, Machine::run)
+}
+
+/// The stopwatch's promises on one host-profiled run that dispatched
+/// `events` events: every nanosecond is charged to exactly one category,
+/// the profile counts the machine's events, and `event-pop` is entered
+/// once at the start and once after each dispatched event (the last slice
+/// holds the final, empty poll).
+fn assert_stopwatch_accounts(host: &HostObsReport, events: u64, cell: &str) {
+    let nanos: u64 = host.cats.iter().map(|c| c.nanos).sum();
+    assert_eq!(nanos, host.wall_nanos, "{cell}: the categories sum to the wall time");
+    assert_eq!(host.events, events, "{cell}: the profile's event count");
+    let pops = host.cats.iter().find(|c| c.name == "event-pop").expect("pop category present");
+    assert_eq!(pops.calls, events + 1, "{cell}: event-pop calls");
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -108,21 +121,22 @@ fn update_storm_at_32_processors_never_spills_to_the_far_heap() {
 
 #[test]
 fn host_report_accounts_for_the_run() {
-    let r = run(MachineConfig::paper_hostobs(4, Protocol::WriteInvalidate), &small_lock());
+    let mut m = Machine::new(MachineConfig::paper_hostobs(4, Protocol::WriteInvalidate));
+    let r = install_run_verify(&mut m, &small_lock(), true, Machine::run);
     let host = r.host.expect("hostobs run carries a host profile");
     assert_eq!(host.cycles, r.cycles);
     assert!(host.events > 0, "no events popped?");
-    let pops = host.cats.iter().find(|c| c.name == "event-pop").expect("pop category present");
-    // Every successful pop is timed; empty polls at the end of the run
-    // are timed too, so calls can exceed the event count slightly.
-    assert!(pops.calls >= host.events, "every pop is timed");
-    assert!(host.accounted_nanos() <= host.wall_nanos, "categories partition wall time");
+    assert_stopwatch_accounts(&host, m.events_dispatched(), "WI/4");
     assert!(host.events_per_cycle() > 0.0);
 
     let q = &host.queue;
     assert!(q.scheduled >= host.events, "every popped event was scheduled");
     assert!(q.peak_depth >= 1);
-    assert!(q.depth.count() > 0, "queue occupancy was sampled");
+    assert_eq!(
+        q.depth.count(),
+        host.events.div_ceil(QUEUE_SAMPLE_EVERY),
+        "queue occupancy is sampled at the first event and every period after"
+    );
 
     let fp = r.fingerprint.expect("hostobs run carries a fingerprint");
     assert_eq!(fp.total_events, host.events, "fingerprint saw every event");
@@ -196,44 +210,65 @@ fn tiny(name: &str) -> KernelSpec {
 
 /// Observation samples ride the run loop, not the event queue: an
 /// observed run dispatches exactly the plain run's events, so pop indices
-/// and fingerprint chains mean the same on both. Host profiling and
-/// periodic checkpoints are held to the same promise: all four runs of
-/// each cell agree on every simulated result and on the event stream.
+/// and fingerprint chains mean the same on both. Host profiling, with and
+/// without observation, and periodic checkpoints are held to the same
+/// promise: all five runs of each cell agree on every simulated result
+/// and on the event stream, at 1, 2 and 4 processors.
 #[test]
 fn observed_and_plain_runs_dispatch_one_event_stream() {
-    /// Small enough that every tiny run takes a checkpoint (they are cut
-    /// on epoch seams, so the epoch shrinks with the cadence).
-    const EVERY: u64 = 64;
-    for name in KERNEL_NAMES {
-        let kernel = tiny(name);
-        for protocol in PROTOCOLS {
-            let mut plain = MachineConfig::paper(4, protocol);
-            plain.hostobs.fingerprint = true;
-            plain.hostobs.fingerprint_epoch = EVERY;
-            let observed = MachineConfig { obs: ObsConfig::enabled(), ..plain.clone() };
-            let mut profiled = plain.clone();
-            profiled.hostobs.enabled = true;
-            let checkpointed = plain.clone().with_checkpoints(EVERY);
-            let runs = [plain, observed, profiled, checkpointed].map(|cfg| {
-                let mut m = Machine::new(cfg);
-                let r = install_run_verify(&mut m, &kernel, true, Machine::run);
-                (r, m.events_dispatched(), m.take_checkpoints().len())
-            });
-            let [(p, p_events, _), (o, _, _), (h, _, _), (_, _, checkpoints)] = &runs;
-            let samples = o.obs.as_ref().expect("observed").samples.len();
-            assert!(samples > 0, "{name}/{protocol:?}: the observed run took no sample");
-            assert!(h.host.is_some(), "{name}/{protocol:?}: the profiled run carries a host profile");
-            assert!(*checkpoints > 0, "{name}/{protocol:?}: the checkpointed run took no checkpoint");
-            for ((r, events, _), run) in runs[1..].iter().zip(["observed", "profiled", "checkpointed"]) {
-                let cell = format!("{name}/{protocol:?}/{run}");
-                assert_eq!(r.cycles, p.cycles, "{cell}: cycles");
-                assert_eq!(r.instructions, p.instructions, "{cell}: instructions");
-                assert_eq!(r.traffic, p.traffic, "{cell}: traffic report");
-                assert_eq!(r.net, p.net, "{cell}: network counters");
-                assert_eq!(r.read_latency, p.read_latency, "{cell}: read-latency histogram");
-                assert_eq!(r.atomic_latency, p.atomic_latency, "{cell}: atomic-latency histogram");
-                assert_eq!(events, p_events, "{cell}: events dispatched");
-                assert_eq!(r.fingerprint, p.fingerprint, "{cell}: fingerprint chains");
+    for procs in [1, 2, 4] {
+        // Small enough that every tiny run takes a checkpoint (they are
+        // cut on epoch seams, so the epoch shrinks with the cadence): the
+        // shortest 1-processor cells dispatch 25 events, the shortest
+        // 2-processor ones 184.
+        let every = if procs == 1 { 8 } else { 64 };
+        for name in KERNEL_NAMES {
+            let kernel = tiny(name);
+            for protocol in PROTOCOLS {
+                let mut plain = MachineConfig::paper(procs, protocol);
+                plain.hostobs.fingerprint = true;
+                plain.hostobs.fingerprint_epoch = every;
+                let observed = MachineConfig { obs: ObsConfig::enabled(), ..plain.clone() };
+                let mut profiled = plain.clone();
+                profiled.hostobs.enabled = true;
+                let observed_profiled = MachineConfig { obs: ObsConfig::enabled(), ..profiled.clone() };
+                let checkpointed = plain.clone().with_checkpoints(every);
+                let runs = [plain, observed, profiled, observed_profiled, checkpointed].map(|cfg| {
+                    let mut m = Machine::new(cfg);
+                    let r = install_run_verify(&mut m, &kernel, true, Machine::run);
+                    (r, m.events_dispatched(), m.take_checkpoints().len())
+                });
+                let cell = format!("{name}/{protocol:?}/{procs}");
+                let [(p, p_events, _), (o, ..), (h, ..), (oh, ..), (_, _, checkpoints)] = &runs;
+                let samples = o.obs.as_ref().expect("observed").samples.len() as u64;
+                assert!(
+                    samples > 0 || p.cycles <= SAMPLE_INTERVAL,
+                    "{cell}: the observed run took no sample in {} cycles",
+                    p.cycles
+                );
+                for (r, tag, samples) in [(h, "profiled", 0), (oh, "observed and profiled", samples)] {
+                    let cell = format!("{cell}/{tag}");
+                    let host = r.host.as_ref().expect("the profiled run carries a host profile");
+                    assert_stopwatch_accounts(host, *p_events, &cell);
+                    let sample =
+                        host.cats.iter().find(|c| c.name == "stats-sample").expect("sample category");
+                    assert_eq!(sample.calls, samples, "{cell}: one stats-sample call per sample");
+                }
+                assert!(*checkpoints > 0, "{cell}: the checkpointed run took no checkpoint");
+                let p_total = p.fingerprint.as_ref().expect("fingerprinted").total_events;
+                assert_eq!(p_total, *p_events, "{cell}: the fingerprint counts the events dispatched");
+                let tags = ["observed", "profiled", "observed and profiled", "checkpointed"];
+                for ((r, events, _), tag) in runs[1..].iter().zip(tags) {
+                    let cell = format!("{cell}/{tag}");
+                    assert_eq!(r.cycles, p.cycles, "{cell}: cycles");
+                    assert_eq!(r.instructions, p.instructions, "{cell}: instructions");
+                    assert_eq!(r.traffic, p.traffic, "{cell}: traffic report");
+                    assert_eq!(r.net, p.net, "{cell}: network counters");
+                    assert_eq!(r.read_latency, p.read_latency, "{cell}: read-latency histogram");
+                    assert_eq!(r.atomic_latency, p.atomic_latency, "{cell}: atomic-latency histogram");
+                    assert_eq!(events, p_events, "{cell}: events dispatched");
+                    assert_eq!(r.fingerprint, p.fingerprint, "{cell}: fingerprint chains");
+                }
             }
         }
     }

@@ -392,7 +392,7 @@ fn harness_runs_in_text_mode() {
     let out = run_ok(PPC, &["harness", "mcs-lock", "2", dir.to_str().unwrap()], &[]);
     assert_lines(&out, &["throughput: ", " events in ", " events/sec"], 3);
     assert_lines(&out, &["fingerprint: ", " epochs x "], 3);
-    assert_lines(&out, &["dispatch breakdown (wall ", " accounted)"], 3);
+    assert_lines(&out, &["dispatch breakdown (wall ", " ms):"], 3);
     assert_lines(&out, &["queue: ", " scheduled, peak depth "], 3);
     assert_some_line(&out, &["determinism: WI re-run fingerprint chain identical"]);
     assert_some_line(&out, &["golden guard: hostobs on/off simulated results identical"]);
