@@ -6,7 +6,7 @@ use std::collections::{HashMap, VecDeque};
 use sim_engine::{Cycle, EventQueue, FifoServer, NodeId};
 use sim_isa::{Instr, Program, SyncOp};
 use sim_mem::{dram, Addr, Geometry, SharedAlloc, SharerSet, Word, WriteBuffer};
-use sim_net::Network;
+use sim_net::{Journey, NetCounters, Network};
 use sim_proto::{AtomicOp, Effects, MemService, Msg, MsgKind, ProtoNode};
 use sim_stats::{
     Classifier, CpuClass, FingerprintRecorder, HostCat, HostProfiler, NodeGauges, NodeSample, ObsCollector,
@@ -200,13 +200,10 @@ impl Machine {
         }
         let geom = Geometry::new(cfg.num_procs);
         let proto_cfg = cfg.proto_config();
-        let mut net = Network::new(cfg.num_procs);
+        let net = Network::new(cfg.num_procs);
         let mut clf = Classifier::new(geom);
         let obs = cfg.obs.enabled.then(|| {
-            // Observing also turns on the network's endpoint-pair and
-            // per-physical-link flits and per-message journeys, and the
-            // classifier's line provenance.
-            net.enable_observation();
+            // Observing also turns on the classifier's line provenance.
             clf.enable_observation();
             ObsCollector::new(net.shape(), &MsgKind::NAMES)
         });
@@ -366,9 +363,11 @@ impl Machine {
         // `SAMPLE_INTERVAL` from its restore cycle (a fresh machine's is 0).
         let mut next_sample =
             if self.obs.is_some() { self.queue.now() + SAMPLE_INTERVAL } else { Cycle::MAX };
-        // The gauges at the start, so a restored run reports only its own
-        // range (all zero on a fresh machine).
+        // The gauges and traffic counters at the start, so a restored run's
+        // samples and report count only its own range (all zero on a fresh
+        // machine).
         let start_gauges = if self.obs.is_some() { self.gauges() } else { Vec::new() };
+        let start_net = self.net.counters().clone();
         let mut reached_limit = false;
         while self.halted < self.cfg.num_procs {
             let Some((now, ev)) = self.queue.pop() else {
@@ -385,7 +384,7 @@ impl Machine {
             let past_limit = limit.filter(|&l| now > l);
             let due = past_limit.unwrap_or(now);
             while next_sample <= due {
-                self.take_sample(next_sample);
+                self.take_sample(next_sample, &start_gauges, &start_net);
                 next_sample += SAMPLE_INTERVAL;
             }
             if past_limit.is_some() {
@@ -422,7 +421,7 @@ impl Machine {
         let obs = self.obs.take().map(|collector| {
             let gauges =
                 self.gauges().into_iter().zip(start_gauges).map(|(g, start)| g.since(start)).collect();
-            collector.finish(end, gauges, &self.net, &mut self.clf)
+            collector.finish(end, gauges, &mut self.clf)
         });
         let fingerprint = self.fp.take().map(|fp| fp.finish(self.popped, self.state_digest(&traffic)));
         RunResult {
@@ -590,34 +589,35 @@ impl Machine {
     }
 
     /// Records the periodic observability sample due at `at`, entering
-    /// [`HostCat::Sample`] first when the profiler is on.
-    fn take_sample(&mut self, at: Cycle) {
+    /// [`HostCat::Sample`] first when the profiler is on. Its counts run
+    /// from the run's start, whose gauges and traffic counters are `start`
+    /// and `start_net`: a restored run counts from its restore point.
+    fn take_sample(&mut self, at: Cycle, start: &[NodeGauges], start_net: &NetCounters) {
         if let Some(hp) = self.hostprof.as_deref_mut() {
             hp.enter(HostCat::Sample);
         }
         let obs = self.obs.as_mut().expect("samples are due only while observing");
         let (wbs, mem_srv, net) = (&self.wbs, &self.mem_srv, &self.net);
         let c = net.counters();
-        let sent = c.messages + c.local_messages;
-        obs.record_sample(at, sent, c.flits, net.phys_flits_raw(), |n, class, phase| NodeSample {
+        let sent = c.messages + c.local_messages - start_net.messages - start_net.local_messages;
+        obs.record_sample(at, sent, c.flits - start_net.flits, |n, class, phase| NodeSample {
             class,
             phase,
             wb_len: wbs[n].len(),
-            mem_busy: mem_srv[n].busy_cycles(),
-            tx_busy: net.tx_busy(n),
-            rx_busy: net.rx_busy(n),
+            mem_busy: mem_srv[n].busy_cycles() - start[n].mem_busy,
+            tx_busy: net.tx_busy(n) - start[n].tx_busy,
+            rx_busy: net.rx_busy(n) - start[n].rx_busy,
         });
     }
 
-    /// Counts message `m`, sent at `now` and delivered at `at`, with the
-    /// journey the network recorded for it. Out of line, so that the send
-    /// loop stays small when nothing observes.
+    /// Files message `m`'s `journey` with the collector; the address's
+    /// home and structure are looked up for mesh messages only. Out of
+    /// line, so that the send loop stays small when nothing observes.
     #[inline(never)]
-    fn observe_send(&mut self, m: &Msg, now: Cycle, at: Cycle) {
+    fn observe_send(&mut self, m: &Msg, journey: &Journey) {
         let Some(obs) = self.obs.as_mut() else { return };
-        let journey = self.net.take_last_journey();
-        let filed = journey.as_ref().map(|j| (j, self.geom.home_of(m.addr), self.clf.structure_of(m.addr)));
-        obs.message_sent(m.kind.index(), at - now, filed);
+        let (geom, clf) = (self.geom, &self.clf);
+        obs.message_sent(m.kind.index(), journey, || (geom.home_of(m.addr), clf.structure_of(m.addr)));
     }
 
     /// Hands node `n`'s sync-episode fact `op` on sync object `id` at `at`
@@ -1073,16 +1073,15 @@ impl Machine {
     /// and returns the buffer to the pool.
     fn process_effects(&mut self, x: NodeId, mut fx: Effects, now: Cycle) {
         for m in fx.sends.drain(..) {
-            let at = if let Some(hp) = self.hostprof.as_deref_mut() {
-                // A nested slice: the handler's category resumes, without a
-                // new call, once the send returns.
-                let outer = hp.enter(HostCat::NetRoute);
-                let at = self.net.send(now, m.src, m.dst, m.payload_bytes());
+            // With the profiler on, the send is a nested slice: the
+            // handler's category resumes, without a new call, once it
+            // returns.
+            let outer = self.hostprof.as_deref_mut().map(|hp| hp.enter(HostCat::NetRoute));
+            let journey = self.net.send(now, m.src, m.dst, m.payload_bytes());
+            if let (Some(hp), Some(outer)) = (self.hostprof.as_deref_mut(), outer) {
                 hp.resume(outer);
-                at
-            } else {
-                self.net.send(now, m.src, m.dst, m.payload_bytes())
-            };
+            }
+            let at = journey.delivered;
             if let Some(t) = &mut self.trace {
                 t.push(crate::trace::TraceEvent::Send {
                     at: now,
@@ -1094,7 +1093,7 @@ impl Machine {
                 });
             }
             if self.obs.is_some() {
-                self.observe_send(&m, now, at);
+                self.observe_send(&m, &journey);
             }
             self.queue.schedule(at, Ev::Deliver(m));
         }

@@ -253,7 +253,7 @@ impl Machine {
         for srv in &self.mem_srv {
             srv.encode(&mut w);
         }
-        // Network: port servers + counters (instrument opt-ins excluded).
+        // Network: port servers + counters.
         self.net.encode(&mut w);
         // Magic-sync structures. Locks sorted by id for determinism; the
         // barrier list stays in arrival (push) order — release order

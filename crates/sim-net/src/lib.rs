@@ -70,8 +70,7 @@ impl NetCounters {
     }
 }
 
-/// The decomposed delivery record of one mesh message (an opt-in
-/// observability feature; see [`Network::enable_observation`]).
+/// The delivery record of one message, as [`Network::send`] returns it.
 ///
 /// The endpoint-contention model makes the decomposition exact:
 ///
@@ -90,7 +89,9 @@ impl NetCounters {
 /// * `rx_wait` — cycles the header waited for the destination receive
 ///   port beyond its uncontended arrival.
 ///
-/// Node-local messages bypass the mesh and produce no journey.
+/// A node-local message bypasses the mesh: zero hops and zero flits, and
+/// its one-cycle local delay is its `wire`, so the identity holds for it
+/// too. The network keeps no journey; observers file the returned one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Journey {
     /// Sending node.
@@ -105,7 +106,8 @@ pub struct Journey {
     pub inject: Cycle,
     /// Cycles spent queued at the source transmit port.
     pub tx_wait: Cycle,
-    /// Cycles of header pipelining through the mesh (`SWITCH_DELAY · hops`).
+    /// Cycles of header pipelining through the mesh (`SWITCH_DELAY · hops`),
+    /// or a node-local message's local delay.
     pub wire: Cycle,
     /// Cycles the header queued at the destination receive port.
     pub rx_wait: Cycle,
@@ -131,82 +133,6 @@ impl Journey {
     }
 }
 
-/// The network's observation state, built by
-/// [`Network::enable_observation`]. Everything is indexed by node or link
-/// number, so recording a message neither allocates nor searches.
-#[derive(Debug, Clone)]
-struct Observation {
-    /// Flits per (source, destination) endpoint pair, at
-    /// `src * nodes + dst`; `None` until the pair sends a message.
-    pair_flits: Vec<Option<u64>>,
-    /// Every directed physical link, in [`MeshShape::links`] order.
-    links: Vec<(NodeId, NodeId)>,
-    /// Flits carried per physical link, in the same order.
-    link_flits: Vec<u64>,
-    /// The index of the link leaving each node toward −x, +x, −y and +y
-    /// (`u32::MAX` where the mesh has no neighbour).
-    link_toward: Vec<[u32; 4]>,
-    /// The most recent mesh send's journey, until taken.
-    last_journey: Option<Journey>,
-}
-
-/// [`Observation::link_toward`] directions.
-const TO_LOWER_X: usize = 0;
-const TO_HIGHER_X: usize = 1;
-const TO_LOWER_Y: usize = 2;
-const TO_HIGHER_Y: usize = 3;
-
-impl Observation {
-    fn new(shape: MeshShape) -> Self {
-        let nodes = shape.nodes();
-        let links = shape.links();
-        let mut link_toward = vec![[u32::MAX; 4]; nodes];
-        for (i, &(a, b)) in links.iter().enumerate() {
-            let ((ax, ay), (bx, by)) = (shape.coords(a), shape.coords(b));
-            let dir = if bx < ax {
-                TO_LOWER_X
-            } else if bx > ax {
-                TO_HIGHER_X
-            } else if by < ay {
-                TO_LOWER_Y
-            } else {
-                TO_HIGHER_Y
-            };
-            link_toward[a][dir] = i as u32;
-        }
-        Observation {
-            pair_flits: vec![None; nodes * nodes],
-            link_flits: vec![0; links.len()],
-            links,
-            link_toward,
-            last_journey: None,
-        }
-    }
-
-    /// Records one mesh message: its flits on its endpoint pair and on
-    /// every link of its X-then-Y route, walked hop by hop through
-    /// `link_toward`, and its journey in the slot. Out of line, so that
-    /// `send` stays small when nothing observes.
-    #[inline(never)]
-    fn record(&mut self, shape: MeshShape, journey: Journey) {
-        let Journey { src, dst, flits, .. } = journey;
-        *self.pair_flits[src * shape.nodes() + dst].get_or_insert(0) += flits;
-        let ((sx, sy), (dx, dy)) = (shape.coords(src), shape.coords(dst));
-        let x_leg = (if dx < sx { TO_LOWER_X } else { TO_HIGHER_X }, sx.abs_diff(dx));
-        let y_leg = (if dy < sy { TO_LOWER_Y } else { TO_HIGHER_Y }, sy.abs_diff(dy));
-        let mut at = src;
-        for (dir, hops) in [x_leg, y_leg] {
-            for _ in 0..hops {
-                let link = self.link_toward[at][dir] as usize;
-                self.link_flits[link] += flits;
-                at = self.links[link].1;
-            }
-        }
-        debug_assert_eq!(at, dst, "the route ends at the destination");
-        self.last_journey = Some(journey);
-    }
-}
-
 /// The mesh network: topology plus per-node interface ports.
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -214,9 +140,6 @@ pub struct Network {
     tx: Vec<FifoServer>,
     rx: Vec<FifoServer>,
     counters: NetCounters,
-    /// Endpoint-pair and physical-link flit counters and the journey slot;
-    /// `None` until [`Network::enable_observation`].
-    obs: Option<Box<Observation>>,
 }
 
 impl Network {
@@ -228,52 +151,7 @@ impl Network {
             tx: vec![FifoServer::new(); nodes],
             rx: vec![FifoServer::new(); nodes],
             counters: NetCounters::default(),
-            obs: None,
         }
-    }
-
-    /// Starts observing traffic sent after the call: flits per
-    /// (source, destination) endpoint pair, flits per physical directed
-    /// link, and a [`Journey`] per mesh message. A message of `f` flits
-    /// over `h` hops adds `f` to each of the `h` links of its
-    /// dimension-ordered route. Node-local messages bypass the mesh and
-    /// count toward none of these.
-    pub fn enable_observation(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(Box::new(Observation::new(self.shape)));
-        }
-    }
-
-    /// Per-(source, destination) flit counts for every pair that sent a
-    /// mesh message, in node order; empty unless observing.
-    pub fn link_flits(&self) -> Vec<(NodeId, NodeId, u64)> {
-        let Some(o) = self.obs.as_deref() else { return Vec::new() };
-        let nodes = self.shape.nodes();
-        o.pair_flits.iter().enumerate().filter_map(|(i, f)| f.map(|f| (i / nodes, i % nodes, f))).collect()
-    }
-
-    /// The journey of the most recent [`Network::send`], when observing and
-    /// that send crossed the mesh (node-local messages leave `None`). The
-    /// slot holds one journey: take it right after the send that produced
-    /// it. Taking clears the slot.
-    pub fn take_last_journey(&mut self) -> Option<Journey> {
-        self.obs.as_mut().and_then(|o| o.last_journey.take())
-    }
-
-    /// Flits over every physical directed link, in the canonical
-    /// [`MeshShape::links`] order (zero-traffic links included); empty
-    /// unless observing.
-    pub fn phys_link_flits(&self) -> Vec<(NodeId, NodeId, u64)> {
-        self.obs
-            .as_deref()
-            .map(|o| o.links.iter().zip(&o.link_flits).map(|(&(a, b), &f)| (a, b, f)).collect())
-            .unwrap_or_default()
-    }
-
-    /// The raw per-link flit counters in [`MeshShape::links`] order, for
-    /// cheap periodic snapshots; `None` unless observing.
-    pub fn phys_flits_raw(&self) -> Option<&[u64]> {
-        self.obs.as_deref().map(|o| o.link_flits.as_slice())
     }
 
     /// The mesh shape chosen for this node count.
@@ -286,18 +164,25 @@ impl Network {
         (HEADER_BYTES + payload_bytes).div_ceil(FLIT_BYTES) as u64
     }
 
-    /// Injects a message at cycle `now` and returns its delivery cycle at
-    /// the destination.
+    /// Injects a message at cycle `now` and returns its [`Journey`], whose
+    /// `delivered` is the cycle the destination accepts its last flit.
     ///
     /// Endpoint contention is modeled by the two FIFO port servers; the mesh
     /// in between is an uncontended pipeline (per the paper's methodology).
-    pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, payload_bytes: u32) -> Cycle {
+    pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, payload_bytes: u32) -> Journey {
         if src == dst {
             self.counters.local_messages += 1;
-            if let Some(o) = self.obs.as_mut() {
-                o.last_journey = None;
-            }
-            return now + LOCAL_DELAY;
+            return Journey {
+                src,
+                dst,
+                flits: 0,
+                hops: 0,
+                inject: now,
+                tx_wait: 0,
+                wire: LOCAL_DELAY,
+                rx_wait: 0,
+                delivered: now + LOCAL_DELAY,
+            };
         }
         let flits = self.flits_for(payload_bytes);
         let hops = self.shape.hops(src, dst) as Cycle;
@@ -314,21 +199,17 @@ impl Network {
         let head_arrival = tx_start + SWITCH_DELAY * hops;
         // Destination port: accepts one message at a time at flit rate.
         let delivered = self.rx[dst].occupy(head_arrival, flits);
-        if let Some(o) = self.obs.as_mut() {
-            let journey = Journey {
-                src,
-                dst,
-                flits,
-                hops,
-                inject: now,
-                tx_wait: tx_start - now,
-                wire: head_arrival - tx_start,
-                rx_wait: delivered - head_arrival - flits,
-                delivered,
-            };
-            o.record(self.shape, journey);
+        Journey {
+            src,
+            dst,
+            flits,
+            hops,
+            inject: now,
+            tx_wait: tx_start - now,
+            wire: head_arrival - tx_start,
+            rx_wait: delivered - head_arrival - flits,
+            delivered,
         }
-        delivered
     }
 
     /// Traffic counters accumulated so far.
@@ -348,8 +229,9 @@ impl Network {
 
     /// Writes the simulated network state to a checkpoint: the transmit
     /// and receive port servers, each list with its node count, then the
-    /// traffic counters. The observation counters and journey slot are
-    /// run-scoped instruments, not simulated state, and are left out.
+    /// traffic counters. That is all the network holds: per-link and
+    /// endpoint-pair flits are counted by the observing collector from
+    /// the journeys [`Network::send`] returns.
     pub fn encode(&self, w: &mut SnapWriter) {
         for ports in [&self.tx, &self.rx] {
             w.usize(ports.len());
@@ -401,14 +283,14 @@ mod tests {
         let mut n = net(32); // 8x4 mesh
         let hops = n.shape().hops(0, 31) as u64;
         let flits = n.flits_for(0);
-        let delivered = n.send(1000, 0, 31, 0);
+        let delivered = n.send(1000, 0, 31, 0).delivered;
         assert_eq!(delivered, 1000 + 2 * hops + flits);
     }
 
     #[test]
     fn local_messages_bypass_mesh() {
         let mut n = net(4);
-        assert_eq!(n.send(10, 2, 2, 64), 11);
+        assert_eq!(n.send(10, 2, 2, 64).delivered, 11);
         assert_eq!(n.counters().messages, 0);
         assert_eq!(n.counters().local_messages, 1);
     }
@@ -417,8 +299,8 @@ mod tests {
     fn source_port_serializes() {
         let mut n = net(4);
         let f = n.flits_for(0);
-        let first = n.send(0, 0, 1, 0);
-        let second = n.send(0, 0, 2, 0);
+        let first = n.send(0, 0, 1, 0).delivered;
+        let second = n.send(0, 0, 2, 0).delivered;
         // The second message cannot start transmitting until the first's
         // flits have left the source port.
         assert_eq!(second, first + f);
@@ -429,8 +311,8 @@ mod tests {
         let mut n = net(9); // 3x3
         let f = n.flits_for(0);
         // Two different sources, equidistant from destination 4 (center).
-        let a = n.send(0, 1, 4, 0);
-        let b = n.send(0, 7, 4, 0);
+        let a = n.send(0, 1, 4, 0).delivered;
+        let b = n.send(0, 7, 4, 0).delivered;
         assert_eq!(n.shape().hops(1, 4), n.shape().hops(7, 4));
         // Same head arrival; the receive port takes them one after another.
         assert_eq!(b, a + f);
@@ -440,8 +322,8 @@ mod tests {
     fn longer_distance_takes_longer() {
         let mut a = net(32);
         let mut b = net(32);
-        let near = a.send(0, 0, 1, 16);
-        let far = b.send(0, 0, 31, 16);
+        let near = a.send(0, 0, 1, 16).delivered;
+        let far = b.send(0, 0, 31, 16).delivered;
         assert!(far > near);
     }
 
@@ -457,16 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn journeys_decompose_exactly_and_are_opt_in() {
-        let mut n = net(4); // 2x2
-        n.send(0, 0, 1, 0);
-        assert!(n.take_last_journey().is_none(), "disabled by default");
-        n.enable_observation();
-        // Two back-to-back sends from the same source: the second waits at
-        // the transmit port.
+    fn journeys_decompose_exactly() {
+        // Two back-to-back sends from the same source of a 2x2 mesh: the
+        // second waits at the transmit port.
+        let mut n = net(4);
         let f = n.flits_for(0);
-        n.send(100, 0, 1, 0);
-        let first = n.take_last_journey().unwrap();
+        let first = n.send(100, 0, 1, 0);
         assert_eq!(
             first,
             Journey {
@@ -481,91 +359,33 @@ mod tests {
                 delivered: 100 + 2 + f,
             }
         );
-        n.send(100, 0, 2, 0);
-        let second = n.take_last_journey().unwrap();
+        let second = n.send(100, 0, 2, 0);
         assert_eq!(second.tx_wait, f, "queued behind the first message's flits");
         assert!(first.closes() && second.closes());
         assert_eq!(second.total(), second.tx_wait + second.tx_service() + second.wire + second.rx_wait);
-        assert!(n.take_last_journey().is_none(), "taking clears the slot");
         // Receive-port contention shows up as rx_wait.
         let mut m = net(9); // 3x3: nodes 1 and 7 are equidistant from 4
-        m.enable_observation();
         m.send(0, 1, 4, 0);
-        m.send(0, 7, 4, 0);
-        let contended = m.take_last_journey().unwrap();
+        let contended = m.send(0, 7, 4, 0);
         assert_eq!(contended.rx_wait, m.flits_for(0));
         assert!(contended.closes());
-        // Local messages leave no journey.
-        let mut l = net(4);
-        l.enable_observation();
-        l.send(5, 3, 3, 64);
-        assert!(l.take_last_journey().is_none());
-    }
-
-    #[test]
-    fn phys_link_flits_follow_routes() {
-        let mut n = net(9); // 3x3
-        n.send(0, 0, 8, 0);
-        assert!(n.phys_link_flits().is_empty(), "disabled by default");
-        assert!(n.phys_flits_raw().is_none());
-        n.enable_observation();
-        let f0 = n.flits_for(0);
-        let f64 = n.flits_for(64);
-        n.send(10, 0, 8, 0); // route 0,1,2,5,8 (X then Y)
-        n.send(20, 1, 2, 64); // route 1,2
-        n.send(30, 4, 4, 64); // local: no physical links
-        let flits: std::collections::BTreeMap<(NodeId, NodeId), u64> =
-            n.phys_link_flits().into_iter().filter(|&(_, _, f)| f > 0).map(|(a, b, f)| ((a, b), f)).collect();
+        // A local message crosses no link and carries no flit: its one
+        // cycle is its wire.
+        let local = net(4).send(5, 3, 3, 64);
         assert_eq!(
-            flits,
-            std::collections::BTreeMap::from([((0, 1), f0), ((1, 2), f0 + f64), ((2, 5), f0), ((5, 8), f0),])
-        );
-        // Flit·hop conservation: per-link sums equal Σ flits·hops.
-        let total: u64 = n.phys_link_flits().iter().map(|&(_, _, f)| f).sum();
-        assert_eq!(total, f0 * 4 + f64);
-        // The canonical order covers every directed mesh link, zeros kept.
-        assert_eq!(n.phys_link_flits().len(), n.shape().links().len());
-    }
-
-    /// One send credits exactly the links of `MeshShape::route`, each
-    /// once, for every (source, destination) pair of every mesh up to 64
-    /// nodes.
-    #[test]
-    fn table_walked_routes_credit_exactly_the_reference_route() {
-        for nodes in 1..=64 {
-            let mut n = net(nodes);
-            n.enable_observation();
-            let shape = n.shape();
-            let links = shape.links();
-            let flits = n.flits_for(0);
-            for src in 0..nodes {
-                for dst in 0..nodes {
-                    let before = n.phys_flits_raw().unwrap().to_vec();
-                    n.send(0, src, dst, 0);
-                    let route = shape.route(src, dst);
-                    let on_route: Vec<usize> = route
-                        .windows(2)
-                        .map(|w| links.binary_search(&(w[0], w[1])).expect("route hops are mesh links"))
-                        .collect();
-                    for (i, (&after, &was)) in n.phys_flits_raw().unwrap().iter().zip(&before).enumerate() {
-                        let want = if on_route.contains(&i) { flits } else { 0 };
-                        assert_eq!(after - was, want, "{nodes} nodes, {src}->{dst}, link {:?}", links[i]);
-                    }
-                }
+            local,
+            Journey {
+                src: 3,
+                dst: 3,
+                flits: 0,
+                hops: 0,
+                inject: 5,
+                tx_wait: 0,
+                wire: 1,
+                rx_wait: 0,
+                delivered: 6
             }
-        }
-    }
-
-    #[test]
-    fn link_stats_are_opt_in() {
-        let mut n = net(4);
-        n.send(0, 0, 1, 0);
-        assert!(n.link_flits().is_empty(), "disabled by default");
-        n.enable_observation();
-        n.send(10, 0, 1, 0);
-        n.send(20, 0, 1, 64);
-        n.send(30, 1, 2, 0);
-        n.send(40, 3, 3, 64); // local: not a mesh link
-        assert_eq!(n.link_flits(), vec![(0, 1, n.flits_for(0) + n.flits_for(64)), (1, 2, n.flits_for(0)),]);
+        );
+        assert!(local.closes());
     }
 }

@@ -98,7 +98,7 @@ impl MeshShape {
 
     /// The dimension-ordered route from `a` to `b`, inclusive of both
     /// endpoints. Provided for tests and tooling: the latency model only
-    /// needs [`MeshShape::hops`], and the network's observation walks the
+    /// needs [`MeshShape::hops`], and the observing collector walks the
     /// same route through a per-node link table, checked against this.
     pub fn route(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
         let (ax, ay) = self.coords(a);

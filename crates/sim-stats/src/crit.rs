@@ -1030,8 +1030,7 @@ mod tests {
         c.transition(0, CpuClass::Halted, 70);
         c.transition(1, CpuClass::Halted, 80);
         clf.finish();
-        let net = sim_net::Network::new(2);
-        let r = c.finish(80, vec![Default::default(); 2], &net, &mut clf).crit;
+        let r = c.finish(80, vec![Default::default(); 2], &mut clf).crit;
         let cp = &r.critical_path;
         assert_eq!(cp.node, 1, "last halter carries the path");
         assert_eq!(cp.by_class.total(), 80);

@@ -779,7 +779,7 @@ mod tests {
 
     fn tiny_report(stall: u64) -> ObsReport {
         let mut c = ObsCollector::new(sim_net::MeshShape::for_nodes(2), &["ReadShared"]);
-        c.message_sent(0, 30, None);
+        c.message_sent(0, &sim_net::Network::new(2).send(30, 0, 0, 0), || (0, None));
         c.transition(0, CpuClass::ReadStall, 10);
         c.transition(0, CpuClass::Busy, 10 + stall);
         c.transition(0, CpuClass::Halted, 90);

@@ -96,7 +96,9 @@ pub enum HostCat {
     Sample,
     /// Network hop routing and port occupancy (`Network::send`), a slice
     /// nested inside whichever handler sent: the handler's category
-    /// resumes, without a new call, once the send returns.
+    /// resumes, without a new call, once the send returns. An observed
+    /// run files the returned journey (its endpoint-pair and link walk)
+    /// after that, so the sending handler's category is charged for it.
     NetRoute,
 }
 

@@ -4,14 +4,17 @@
 //! Its state lives in the one [`ObsCollector`] (built only when
 //! `MachineConfig::obs` is on), and its facts are `ObsCollector` methods
 //! defined here: every network send hands over the [`sim_net::Journey`]
-//! the network recorded, tagged with the protocol message kind's index and
-//! the classifier's index of the structure registered over the message's
-//! address, and the journey is folded into totals (no journey is kept
-//! individually; the machine's message trace is the per-message record);
-//! every directory/DRAM operation is counted at its home, whose
-//! memory and port busy cycles are that node's gauges; the periodic
-//! sampler snapshots cumulative per-physical-link flit counters into a
-//! utilisation time series.
+//! that `Network::send` returned, tagged with the protocol message kind's
+//! index and the classifier's index of the structure registered over the
+//! message's address, and the journey is folded into totals (no journey
+//! is kept individually; the machine's message trace is the per-message
+//! record). A mesh message's flits are credited to its endpoint pair and
+//! to every physical link of its dimension-ordered route, walked through
+//! a per-node link table built once from the mesh shape; the network
+//! itself keeps no instrument. Every directory/DRAM operation is counted
+//! at its home, whose memory and port busy cycles are that node's gauges;
+//! the periodic sampler snapshots the cumulative per-physical-link flit
+//! counters into a utilisation time series.
 //!
 //! Everything here is passive bookkeeping on top of values the simulation
 //! computes anyway — the collector never schedules events, so enabling it
@@ -26,7 +29,7 @@ use sim_net::{Journey, MeshShape};
 
 use crate::hist::LatencyHist;
 use crate::json::Json;
-use crate::obs::{ObsCollector, ObsReport};
+use crate::obs::{EndpointPairFlits, ObsCollector, ObsReport};
 use crate::report::UpdateStats;
 use crate::sampler::SampleRows;
 
@@ -126,11 +129,29 @@ pub struct PhysLinkFlits {
     pub flits: u64,
 }
 
+/// [`NetState::link_toward`] directions.
+const TO_LOWER_X: usize = 0;
+const TO_HIGHER_X: usize = 1;
+const TO_LOWER_Y: usize = 2;
+const TO_HIGHER_Y: usize = 3;
+
 /// The telemetry's state inside the [`ObsCollector`]; message kinds are
-/// the collector's.
+/// the collector's. The pair and link counters are flat arrays allocated
+/// up front, so crediting a route neither allocates nor searches.
 #[derive(Debug)]
 pub(crate) struct NetState {
     shape: MeshShape,
+    /// Flits per (source, destination) endpoint pair, at
+    /// `src * nodes + dst`. Every mesh message carries at least a header
+    /// flit, so a pair sent a message exactly when its count is nonzero.
+    pair_flits: Vec<u64>,
+    /// Every directed physical link, in [`MeshShape::links`] order.
+    links: Vec<(NodeId, NodeId)>,
+    /// Flits carried per physical link, in the same order.
+    link_flits: Vec<u64>,
+    /// The index of the link leaving each node toward −x, +x, −y and +y
+    /// (`u32::MAX` where the mesh has no neighbour).
+    link_toward: Vec<[u32; 4]>,
     /// Journey totals by kind index.
     by_class: Vec<JourneyTotals>,
     /// Journey totals by structure registration index, grown on demand.
@@ -150,26 +171,77 @@ impl NetState {
     /// Empty telemetry for a machine on the given mesh with `kinds`
     /// message kinds.
     pub(crate) fn new(shape: MeshShape, kinds: usize) -> Self {
+        let nodes = shape.nodes();
+        let links = shape.links();
+        let mut link_toward = vec![[u32::MAX; 4]; nodes];
+        for (i, &(a, b)) in links.iter().enumerate() {
+            let ((ax, ay), (bx, by)) = (shape.coords(a), shape.coords(b));
+            let dir = if bx < ax {
+                TO_LOWER_X
+            } else if bx > ax {
+                TO_HIGHER_X
+            } else if by < ay {
+                TO_LOWER_Y
+            } else {
+                TO_HIGHER_Y
+            };
+            link_toward[a][dir] = i as u32;
+        }
         NetState {
+            pair_flits: vec![0; nodes * nodes],
+            link_flits: vec![0; links.len()],
+            link_samples: SampleRows::new(links.len()),
+            links,
+            link_toward,
             by_class: vec![JourneyTotals::default(); kinds],
             by_structure: Vec::new(),
             unattributed: JourneyTotals::default(),
             local_messages: 0,
             local_cycles: 0,
-            homes: (0..shape.nodes()).map(|node| HomeProfile { node, ..Default::default() }).collect(),
-            link_samples: SampleRows::new(shape.links().len()),
+            homes: (0..nodes).map(|node| HomeProfile { node, ..Default::default() }).collect(),
             link_samples_dropped: 0,
             shape,
         }
     }
 
+    /// Credits mesh message `j`'s flits to its endpoint pair and to every
+    /// link of its X-then-Y route, walked hop by hop through
+    /// `link_toward`.
+    fn credit_route(&mut self, j: &Journey) {
+        let Journey { src, dst, flits, .. } = *j;
+        self.pair_flits[src * self.shape.nodes() + dst] += flits;
+        let ((sx, sy), (dx, dy)) = (self.shape.coords(src), self.shape.coords(dst));
+        let x_leg = (if dx < sx { TO_LOWER_X } else { TO_HIGHER_X }, sx.abs_diff(dx));
+        let y_leg = (if dy < sy { TO_LOWER_Y } else { TO_HIGHER_Y }, sy.abs_diff(dy));
+        let mut at = src;
+        for (dir, hops) in [x_leg, y_leg] {
+            for _ in 0..hops {
+                let link = self.link_toward[at][dir] as usize;
+                self.link_flits[link] += flits;
+                at = self.links[link].1;
+            }
+        }
+        debug_assert_eq!(at, dst, "the route ends at the destination");
+    }
+
     /// Snapshots the cumulative per-physical-link flit counters at `at`.
-    pub(crate) fn sample_links(&mut self, at: Cycle, flits: &[u64]) {
+    pub(crate) fn sample_links(&mut self, at: Cycle) {
         if self.link_samples.len() < LINK_SAMPLE_CAP {
-            self.link_samples.push(at, flits.iter().copied());
+            self.link_samples.push(at, self.link_flits.iter().copied());
         } else {
             self.link_samples_dropped += 1;
         }
+    }
+
+    /// Flits per endpoint pair that sent a mesh message, in node order.
+    pub(crate) fn endpoint_pair_flits(&self) -> Vec<EndpointPairFlits> {
+        let nodes = self.shape.nodes();
+        self.pair_flits
+            .iter()
+            .enumerate()
+            .filter(|&(_, &flits)| flits > 0)
+            .map(|(i, &flits)| EndpointPairFlits { src: i / nodes, dst: i % nodes, flits })
+            .collect()
     }
 
     /// Builds the report: journeys aggregated so far (classes named by
@@ -180,7 +252,6 @@ impl NetState {
         mut self,
         msg_kinds: &[&'static str],
         wall: Cycle,
-        phys_flits: Vec<(NodeId, NodeId, u64)>,
         gauges: &[crate::obs::NodeGauges],
         structure_names: &[&str],
     ) -> NetObsReport {
@@ -208,9 +279,11 @@ impl NetState {
             wall_cycles: wall,
             by_class,
             by_structure,
-            phys_links: phys_flits
-                .into_iter()
-                .map(|(src, dst, flits)| PhysLinkFlits { src, dst, flits })
+            phys_links: self
+                .links
+                .iter()
+                .zip(&self.link_flits)
+                .map(|(&(src, dst), &flits)| PhysLinkFlits { src, dst, flits })
                 .collect(),
             homes: self.homes,
             local_messages: self.local_messages,
@@ -222,29 +295,33 @@ impl NetState {
 }
 
 impl ObsCollector {
-    /// Counts one protocol message of kind index `kind`, `latency` cycles
-    /// from send to delivery. A mesh message also files the `journey` the
-    /// network recorded, with the `home` node of the address it concerns
-    /// and the registration index of the structure covering that address
-    /// (if any); without a journey the message was node-local. The flits
-    /// are credited to `home`'s profile regardless of which rx port they
+    /// Counts one protocol message of kind index `kind` and files the
+    /// journey `j` that `Network::send` returned for it; its latency is
+    /// the journey's total. A node-local message stops there. A mesh
+    /// message's flits are credited to its endpoint pair and route links,
+    /// and `place` — called for mesh messages only — gives the `home` node
+    /// of the address the message concerns and the registration index of
+    /// the structure covering that address (if any). The flits are
+    /// credited to `home`'s profile regardless of which rx port they
     /// landed on — this is the "whose traffic is it" view the paper's
     /// hot-spot argument needs (a hot home's update storm occupies *other*
     /// nodes' rx ports).
     pub fn message_sent(
         &mut self,
         kind: usize,
-        latency: Cycle,
-        journey: Option<(&Journey, NodeId, Option<usize>)>,
+        j: &Journey,
+        place: impl FnOnce() -> (NodeId, Option<usize>),
     ) {
         self.msg_counts[kind] += 1;
-        self.msg_latency.record(latency);
+        self.msg_latency.record(j.total());
         let net = &mut self.net;
-        let Some((j, home, structure)) = journey else {
+        if j.src == j.dst {
             net.local_messages += 1;
-            net.local_cycles += latency;
+            net.local_cycles += j.total();
             return;
-        };
+        }
+        let (home, structure) = place();
+        net.credit_route(j);
         net.homes[home].homed_rx_flits += j.flits;
         net.by_class[kind].add(j);
         let totals = match structure {
@@ -615,6 +692,7 @@ pub fn check_net_reconciliation(net: &NetObsReport, obs: &ObsReport) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_net::Network;
 
     const KINDS: &[&str] = &["ReadShared", "Update", "Data"];
     const READ_SHARED: usize = 0;
@@ -626,18 +704,19 @@ mod tests {
 
     /// Files journey `j` of kind `kind` for `home`'s address in `structure`.
     fn record(c: &mut ObsCollector, kind: usize, structure: Option<usize>, home: NodeId, j: &Journey) {
-        c.message_sent(kind, j.total(), Some((j, home, structure)));
+        c.message_sent(kind, j, || (home, structure));
     }
 
     /// The telemetry report with idle memory and port gauges.
-    fn report(
-        c: ObsCollector,
-        wall: Cycle,
-        phys: Vec<(NodeId, NodeId, u64)>,
-        names: &[&str],
-    ) -> NetObsReport {
+    fn report(c: ObsCollector, wall: Cycle, names: &[&str]) -> NetObsReport {
         let gauges = vec![Default::default(); c.nodes.len()];
-        c.net.report(KINDS, wall, phys, &gauges, names)
+        c.net.report(KINDS, wall, &gauges, names)
+    }
+
+    /// Sets the collector's flit count on the physical link `a → b`.
+    fn set_link(c: &mut ObsCollector, a: NodeId, b: NodeId, flits: u64) {
+        let i = c.net.links.iter().position(|&l| l == (a, b)).expect("a mesh link");
+        c.net.link_flits[i] = flits;
     }
 
     fn journey(src: NodeId, dst: NodeId, flits: u64, hops: u64, inject: Cycle) -> Journey {
@@ -679,10 +758,10 @@ mod tests {
         record(&mut c, UPDATE, None, 0, &journey(1, 2, 6, 1, 10));
         record(&mut c, READ_SHARED, Some(1), 3, &journey(2, 3, 4, 1, 20));
         record(&mut c, READ_SHARED, Some(2), 3, &journey(2, 3, 4, 1, 30));
-        c.message_sent(UPDATE, 1, None);
+        c.message_sent(UPDATE, &Network::new(4).send(40, 2, 2, 0), || panic!("a local message has no place"));
         let names = ["flag", "counter", "counter"];
         assert_eq!(c.msg_counts[UPDATE], 3, "local messages count by kind too");
-        let r = report(c, 100, vec![(0, 1, 6), (1, 2, 6), (2, 3, 4)], &names);
+        let r = report(c, 100, &names);
         assert_eq!(r.by_class["Update"].count, 2);
         assert_eq!(r.by_class["ReadShared"].count, 2);
         assert!(!r.by_class.contains_key("Data"), "kinds without journeys are not listed");
@@ -701,9 +780,86 @@ mod tests {
         assert_eq!(homed, t.flits, "home attribution partitions the flits");
     }
 
+    /// A mesh message's flits land on every link of its X-then-Y route; a
+    /// local message credits no link.
+    #[test]
+    fn phys_link_flits_follow_routes() {
+        let mut net = Network::new(9); // 3x3
+        let mut c = collector(9);
+        let f0 = net.flits_for(0);
+        let f64 = net.flits_for(64);
+        record(&mut c, UPDATE, None, 0, &net.send(10, 0, 8, 0)); // route 0,1,2,5,8
+        record(&mut c, UPDATE, None, 0, &net.send(20, 1, 2, 64)); // route 1,2
+        record(&mut c, UPDATE, None, 0, &net.send(30, 4, 4, 64)); // local: no links
+        let r = c.finish_bare(100);
+        let links = &r.netobs.phys_links;
+        let flits: BTreeMap<(NodeId, NodeId), u64> =
+            links.iter().filter(|l| l.flits > 0).map(|l| ((l.src, l.dst), l.flits)).collect();
+        assert_eq!(flits, BTreeMap::from([((0, 1), f0), ((1, 2), f0 + f64), ((2, 5), f0), ((5, 8), f0)]));
+        // Flit·hop conservation: per-link sums equal Σ flits·hops.
+        let total: u64 = links.iter().map(|l| l.flits).sum();
+        assert_eq!(total, f0 * 4 + f64);
+        assert_eq!(total, r.netobs.totals().flit_hops);
+        // The canonical order covers every directed mesh link, zeros kept.
+        let order: Vec<_> = links.iter().map(|l| (l.src, l.dst)).collect();
+        assert_eq!(order, net.shape().links());
+    }
+
+    /// One filed journey credits exactly the links of `MeshShape::route`,
+    /// each once, for every (source, destination) pair of every mesh up to
+    /// 64 nodes.
+    #[test]
+    fn table_walked_routes_credit_exactly_the_reference_route() {
+        for nodes in 1..=64 {
+            let mut net = Network::new(nodes);
+            let mut c = collector(nodes);
+            let shape = net.shape();
+            let links = shape.links();
+            let flits = net.flits_for(0);
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    let before = c.net.link_flits.clone();
+                    record(&mut c, UPDATE, None, 0, &net.send(0, src, dst, 0));
+                    let route = shape.route(src, dst);
+                    let on_route: Vec<usize> = route
+                        .windows(2)
+                        .map(|w| links.binary_search(&(w[0], w[1])).expect("route hops are mesh links"))
+                        .collect();
+                    for (i, (&after, &was)) in c.net.link_flits.iter().zip(&before).enumerate() {
+                        let want = if on_route.contains(&i) { flits } else { 0 };
+                        assert_eq!(after - was, want, "{nodes} nodes, {src}->{dst}, link {:?}", links[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Flits sum per (source, destination) pair, listed in node order for
+    /// the pairs that sent a mesh message; a local message is no pair.
+    #[test]
+    fn endpoint_pair_flits_count_mesh_messages_only() {
+        let mut net = Network::new(4);
+        let mut c = collector(4);
+        for (at, src, dst, payload) in [(10, 0, 1, 0), (20, 0, 1, 64), (30, 1, 2, 0), (40, 3, 3, 64)] {
+            record(&mut c, UPDATE, None, 0, &net.send(at, src, dst, payload));
+        }
+        let (f0, f64) = (net.flits_for(0), net.flits_for(64));
+        assert_eq!(
+            c.finish_bare(100).endpoint_pair_flits,
+            vec![
+                EndpointPairFlits { src: 0, dst: 1, flits: f0 + f64 },
+                EndpointPairFlits { src: 1, dst: 2, flits: f0 }
+            ]
+        );
+    }
+
     #[test]
     fn worst_links_sort_desc_with_stable_ties() {
-        let r = report(collector(4), 10, vec![(0, 1, 5), (1, 0, 9), (2, 3, 5)], &[]);
+        let mut c = collector(4);
+        for (a, b, flits) in [(0, 1, 5), (1, 0, 9), (2, 3, 5)] {
+            set_link(&mut c, a, b, flits);
+        }
+        let r = report(c, 10, &[]);
         let worst = r.worst_links(2);
         assert_eq!(worst[0], PhysLinkFlits { src: 1, dst: 0, flits: 9 });
         assert_eq!(worst[1], PhysLinkFlits { src: 0, dst: 1, flits: 5 });
@@ -714,11 +870,12 @@ mod tests {
         let shape = MeshShape::for_nodes(4); // 2x2
         let mut c = collector(4);
         c.home_service(0, true);
-        let phys: Vec<_> =
-            shape.links().into_iter().map(|(a, b)| (a, b, if a == 0 { 90 } else { 1 })).collect();
+        for (a, b) in shape.links() {
+            set_link(&mut c, a, b, if a == 0 { 90 } else { 1 });
+        }
         let mut gauges = [crate::obs::NodeGauges::default(); 4];
         gauges[0].rx_busy = 50;
-        let r = c.net.report(KINDS, 100, phys, &gauges, &[]);
+        let r = c.net.report(KINDS, 100, &gauges, &[]);
         let map = r.heatmap();
         for n in 0..4 {
             assert!(map.contains(&format!("n{n:02}")), "node {n} missing from heatmap:\n{map}");
@@ -731,20 +888,22 @@ mod tests {
     fn link_sample_cap_counts_overflow() {
         let mut c = collector(2);
         for i in 0..(LINK_SAMPLE_CAP as u64 + 10) {
-            c.net.sample_links(i, &[i, 0]);
+            set_link(&mut c, 0, 1, i);
+            c.net.sample_links(i);
         }
-        let r = report(c, 1 << 20, vec![], &[]);
+        let r = report(c, 1 << 20, &[]);
         assert_eq!(r.link_samples.len(), LINK_SAMPLE_CAP);
         assert_eq!(r.link_samples_dropped, 10);
         let last = r.link_samples.iter().last().expect("snapshots kept");
         assert_eq!(last.0, LINK_SAMPLE_CAP as u64 - 1, "the first snapshots are the ones kept");
+        assert_eq!(last.1, [LINK_SAMPLE_CAP as u64 - 1, 0], "a snapshot holds the counters it was taken at");
     }
 
     #[test]
     fn report_json_parses_and_omits_raw_records() {
         let mut c = collector(2);
         record(&mut c, UPDATE, Some(0), 0, &journey(0, 1, 6, 1, 0));
-        c.record_sample(500, 1, 6, Some(&[6, 0]), |_, class, phase| crate::sampler::NodeSample {
+        c.record_sample(500, 1, 6, |_, class, phase| crate::sampler::NodeSample {
             class,
             phase,
             wb_len: 0,
@@ -752,7 +911,11 @@ mod tests {
             tx_busy: 0,
             rx_busy: 0,
         });
-        let r = report(c, 1000, vec![(0, 1, 6), (1, 0, 0)], &["counter"]);
+        let r = report(c, 1000, &["counter"]);
+        assert_eq!(
+            r.link_samples.iter().last().map(|(at, flits)| (at, flits.to_vec())),
+            Some((500, vec![6, 0]))
+        );
         let parsed = Json::parse(&r.to_json().render_pretty()).expect("netobs JSON parses");
         assert_eq!(
             parsed.get("journeys").unwrap().get("Update").unwrap().get("count").and_then(Json::as_u64),

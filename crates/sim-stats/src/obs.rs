@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use sim_engine::{Cycle, NodeId};
-use sim_net::{MeshShape, Network};
+use sim_net::MeshShape;
 
 use crate::classify::Classifier;
 use crate::crit::{Chain, CritState, Seg};
@@ -315,42 +315,34 @@ impl ObsCollector {
         self.nodes[n].obs.wb_full_stalls += 1;
     }
 
-    /// Appends the periodic sample taken at `at`, with the network's raw
-    /// per-physical-link flit counters when it observes them. `node` fills
-    /// in each node's entry given its index and its current class and
-    /// phase.
+    /// Appends the periodic sample taken at `at`, `msgs_sent` messages
+    /// and `flits_sent` flits into the run, and snapshots the collector's
+    /// own per-physical-link flit counters. `node` fills in each node's
+    /// entry given its index and its current class and phase.
     pub fn record_sample(
         &mut self,
         at: Cycle,
         msgs_sent: u64,
         flits_sent: u64,
-        link_flits: Option<&[u64]>,
         mut node: impl FnMut(usize, CpuClass, u16) -> NodeSample,
     ) {
         let nodes = self.nodes.iter().enumerate().map(|(n, acct)| node(n, acct.class, acct.phase));
         self.samples.push(at, msgs_sent, flits_sent, nodes);
-        if let Some(flits) = link_flits {
-            self.net.sample_links(at, flits);
-        }
+        self.net.sample_links(at);
     }
 
     /// Closes every node's account and chain at `wall` (attributing the
     /// tail interval to its current class) and builds the whole report,
     /// moving each accumulated record into it: stall accounts and samples,
-    /// the critical path, network telemetry from `net`'s link counters,
-    /// and the lineage detached from `clf`. Lineage's blocks give each home
-    /// its update columns, and `clf`'s registered structures name the
-    /// chain and journey labels. `clf` must be observing (see
+    /// the critical path, network telemetry with the endpoint-pair and
+    /// physical-link flits counted from the filed journeys, and the
+    /// lineage detached from `clf`. Lineage's blocks give each home its
+    /// update columns, and `clf`'s registered structures name the chain
+    /// and journey labels. `clf` must be observing (see
     /// [`Classifier::enable_observation`]); call after
     /// [`Classifier::finish`]. The per-node component gauges are read out
     /// by the machine and passed in.
-    pub fn finish(
-        mut self,
-        wall: Cycle,
-        gauges: Vec<NodeGauges>,
-        net: &Network,
-        clf: &mut Classifier,
-    ) -> ObsReport {
+    pub fn finish(mut self, wall: Cycle, gauges: Vec<NodeGauges>, clf: &mut Classifier) -> ObsReport {
         assert_eq!(gauges.len(), self.nodes.len());
         for (n, node) in self.nodes.iter_mut().enumerate() {
             node.attribute(n, wall, false);
@@ -365,7 +357,8 @@ impl ObsCollector {
             home.update_deliveries += b.update_deliveries;
             home.update_drops += b.update_drops;
         }
-        let netobs = self.net.report(self.msg_kinds, wall, net.phys_link_flits(), &gauges, &structures);
+        let endpoint_pair_flits = self.net.endpoint_pair_flits();
+        let netobs = self.net.report(self.msg_kinds, wall, &gauges, &structures);
         let mut phase_totals: BTreeMap<u16, CycleAccount> = BTreeMap::new();
         let per_node: Vec<NodeObs> = self
             .nodes
@@ -392,11 +385,7 @@ impl ObsCollector {
                 .map(|(&kind, &n)| (kind, n))
                 .collect(),
             msg_latency: self.msg_latency,
-            endpoint_pair_flits: net
-                .link_flits()
-                .into_iter()
-                .map(|(src, dst, flits)| EndpointPairFlits { src, dst, flits })
-                .collect(),
+            endpoint_pair_flits,
             samples: self.samples,
             lineage,
             crit,
@@ -442,9 +431,6 @@ impl NodeGauges {
 /// (message source and final destination), regardless of the physical mesh
 /// links the message crossed in between. For per-physical-link traffic see
 /// [`crate::netobs::PhysLinkFlits`].
-///
-/// Known as `LinkFlits` (JSON key `link_flits`) before the physical-link
-/// stats existed; renamed to make the endpoint-pair semantics explicit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndpointPairFlits {
     /// Sending node.
@@ -493,9 +479,7 @@ pub struct ObsReport {
     pub msg_latency: LatencyHist,
     /// Flits by directed message endpoint pair (source node → final
     /// destination node). Physical per-mesh-link traffic lives in
-    /// [`ObsReport::netobs`]. This field carried the JSON key `link_flits`
-    /// before the physical-link stats existed; it is now serialized as
-    /// `endpoint_pair_flits`.
+    /// [`ObsReport::netobs`].
     pub endpoint_pair_flits: Vec<EndpointPairFlits>,
     /// The periodic gauge samples.
     pub samples: TimeSeries,
@@ -633,15 +617,14 @@ impl ObsReport {
 
 #[cfg(test)]
 impl ObsCollector {
-    /// Finishes with zero gauges, an unobserved network and an observing
-    /// classifier that registered no structure.
+    /// Finishes with zero gauges and an observing classifier that
+    /// registered no structure.
     pub(crate) fn finish_bare(self, wall: Cycle) -> ObsReport {
         let n = self.nodes.len();
         let mut clf = Classifier::new(sim_mem::Geometry::new(n));
         clf.enable_observation();
         clf.finish();
-        let net = Network::new(n);
-        self.finish(wall, vec![NodeGauges::default(); n], &net, &mut clf)
+        self.finish(wall, vec![NodeGauges::default(); n], &mut clf)
     }
 }
 
@@ -752,9 +735,10 @@ mod tests {
     #[test]
     fn report_json_round_trips() {
         let mut c = collector(2, &["ReadShared", "GetX", "Data"]);
-        c.message_sent(0, 30, None);
-        c.message_sent(2, 42, None);
-        c.message_sent(0, 31, None);
+        let mut net = sim_net::Network::new(2);
+        for (kind, at) in [(0, 30), (2, 42), (0, 31)] {
+            c.message_sent(kind, &net.send(at, 1, 1, 0), || (1, None));
+        }
         c.transition(0, CpuClass::Halted, 5);
         c.transition(1, CpuClass::Halted, 7);
         let mut r = c.finish_bare(7);

@@ -6,10 +6,12 @@
 //! sample is not an event: it is never queued, popped or fingerprinted).
 //! Each snapshots per-node instantaneous state (CPU class, write buffer
 //! depth) and cumulative component counters (memory/port busy cycles,
-//! messages sent) into a [`Sample`] appended here. Samples
-//! are plain data with `PartialEq`, so two identical runs can assert their
-//! series are identical — sampling is part of the deterministic simulation,
-//! not a wall-clock profiler.
+//! messages sent) into a [`Sample`] appended here. The counters run from
+//! the run's start: a run restored from a checkpoint counts from its
+//! restore point, like the rest of its report. Samples are plain data
+//! with `PartialEq`, so two identical runs can assert their series are
+//! identical — sampling is part of the deterministic simulation, not a
+//! wall-clock profiler.
 
 use sim_engine::Cycle;
 

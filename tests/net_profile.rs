@@ -9,52 +9,35 @@
 
 use kernels::workloads::{BarrierKind, BarrierWorkload, LockKind, LockWorkload, PostRelease};
 use kernels::{barriers, locks};
+use sim_engine::SplitMix64;
 use sim_machine::{Machine, MachineConfig, RunResult};
+use sim_mem::Geometry;
 use sim_net::{MeshShape, Network};
 use sim_proto::Protocol;
-use sim_stats::{check_net_reconciliation, NetObsReport, UpdateStats};
+use sim_stats::{check_net_reconciliation, Classifier, NetObsReport, NodeGauges, ObsCollector, UpdateStats};
 
 const PROTOCOLS: [Protocol; 3] =
     [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate];
 
-/// Deterministic 64-bit generator (SplitMix64) for the property test.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// Journey invariants on the raw network under random traffic: every
-/// remote send's stage decomposition reproduces `delivered − inject`
-/// exactly, the journeys' flit totals match `NetCounters::flits`, and the
-/// per-physical-link sums match the journeys' flit·hop totals.
+/// send's stage decomposition reproduces `delivered − inject` exactly, the
+/// mesh journeys' flit totals match `NetCounters::flits`, and, filed into a
+/// collector, the per-physical-link sums match their flit·hop totals.
 #[test]
 fn random_traffic_journeys_decompose_and_reconcile() {
     for nodes in [2, 7, 12, 16] {
         let mut net = Network::new(nodes);
-        net.enable_observation();
+        let mut collector = ObsCollector::new(net.shape(), &["Msg"]);
         let shape = MeshShape::for_nodes(nodes);
-        let mut rng = SplitMix64(0xC0FF_EE00 + nodes as u64);
+        let mut rng = SplitMix64::new(0xC0FF_EE00 + nodes as u64);
         let (mut flits, mut flit_hops, mut remote) = (0u64, 0u64, 0u64);
         let mut now = 0;
         for _ in 0..500 {
-            now += rng.next() % 7;
-            let src = (rng.next() % nodes as u64) as usize;
-            let dst = (rng.next() % nodes as u64) as usize;
-            let payload = (rng.next() % 65) as u32;
-            let delivered = net.send(now, src, dst, payload);
-            let j = net.take_last_journey();
-            if src == dst {
-                assert!(j.is_none(), "local sends record no journey");
-                continue;
-            }
-            let j = j.expect("every remote send records a journey");
+            now += rng.next_u64() % 7;
+            let src = (rng.next_u64() % nodes as u64) as usize;
+            let dst = (rng.next_u64() % nodes as u64) as usize;
+            let payload = (rng.next_u64() % 65) as u32;
+            let j = net.send(now, src, dst, payload);
             assert!(
                 j.closes(),
                 "journey {src}->{dst} at {now}: {} + {} + {} + {} != {}",
@@ -65,8 +48,12 @@ fn random_traffic_journeys_decompose_and_reconcile() {
                 j.total()
             );
             assert_eq!(j.inject, now);
-            assert_eq!(j.delivered, delivered);
             assert_eq!(j.hops, shape.hops(src, dst) as u64);
+            collector.message_sent(0, &j, || (dst, None));
+            if src == dst {
+                assert_eq!((j.flits, j.total()), (0, 1), "a local send carries no flit");
+                continue;
+            }
             remote += 1;
             flits += j.flits;
             flit_hops += j.flits * j.hops;
@@ -74,7 +61,11 @@ fn random_traffic_journeys_decompose_and_reconcile() {
         let c = net.counters();
         assert_eq!(c.messages, remote, "{nodes} nodes");
         assert_eq!(c.flits, flits, "{nodes} nodes: journey flits match the run counters");
-        let phys: u64 = net.phys_link_flits().iter().map(|&(_, _, f)| f).sum();
+        let mut clf = Classifier::new(Geometry::new(nodes));
+        clf.enable_observation();
+        clf.finish();
+        let report = collector.finish(now, vec![NodeGauges::default(); nodes], &mut clf);
+        let phys: u64 = report.netobs.phys_links.iter().map(|l| l.flits).sum();
         assert_eq!(phys, flit_hops, "{nodes} nodes: each flit is counted once per hop");
     }
 }

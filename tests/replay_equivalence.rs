@@ -17,6 +17,7 @@ use ppc_bench::observed::{protocol_name, KERNEL_NAMES};
 use ppc_bench::PROTOCOLS;
 use sim_machine::{Checkpoint, Machine, MachineConfig, RunResult, Trace, TraceEvent};
 use sim_proto::Protocol;
+use sim_stats::{ObsConfig, SAMPLE_INTERVAL};
 
 const PROCS: usize = 4;
 /// Small fingerprint epoch = checkpoint cadence, so even these short
@@ -181,4 +182,44 @@ fn windowed_replay_reproduces_the_original_run() {
     assert_eq!(w.window_result.cycles, c2, "window run stops at the requested end");
     let obs = w.window_result.obs.as_ref().expect("window ran observed");
     assert!(obs.per_node.iter().any(|n| n.cycles.total() > 0), "window obs report is empty");
+}
+
+/// A window report counts from its restore point, its samples too: the
+/// last sample reports no more messages than the window sent, and no node
+/// more port or memory busy cycles than its window gauges.
+#[test]
+fn window_samples_count_from_the_restore_point() {
+    let kernel = tiny_spec("ticket-lock");
+    let mut cfg = MachineConfig::paper(PROCS, Protocol::WriteInvalidate);
+    cfg.hostobs.fingerprint = true;
+    cfg.hostobs.fingerprint_epoch = EPOCH;
+    let mut ck_m = Machine::new(cfg.clone().with_checkpoints(EPOCH));
+    let full = install_run_verify(&mut ck_m, &kernel, true, Machine::run);
+    let checkpoints = ck_m.take_checkpoints();
+    let ck = &checkpoints[checkpoints.len() / 2];
+    let end = ck.cycle + 3 * SAMPLE_INTERVAL;
+    assert!(ck.cycle > 0 && end < full.cycles, "the window lies inside the run");
+    cfg.obs = ObsConfig::enabled();
+    let window = install_run_verify(&mut Machine::new(cfg), &kernel, false, |m| {
+        m.restore(&ck.blob).expect("restore failed");
+        m.run_to_cycle(end)
+    });
+    let obs = window.obs.as_ref().expect("window ran observed");
+    let samples = obs.samples.samples();
+    let last = samples.last().expect("the window took samples");
+    let sent: u64 = obs.msg_counts.values().sum();
+    assert!(last.msgs_sent <= sent, "sampled {} messages, the window sent {sent}", last.msgs_sent);
+    for (n, node) in obs.per_node.iter().enumerate() {
+        let (s, g) = (last.nodes[n], node.gauges);
+        assert!(
+            s.tx_busy <= g.tx_busy && s.rx_busy <= g.rx_busy && s.mem_busy <= g.mem_busy,
+            "node {n}: sampled tx/rx/mem busy {}/{}/{} exceed the window gauges {}/{}/{}",
+            s.tx_busy,
+            s.rx_busy,
+            s.mem_busy,
+            g.tx_busy,
+            g.rx_busy,
+            g.mem_busy
+        );
+    }
 }
