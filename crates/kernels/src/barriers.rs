@@ -17,6 +17,7 @@ use sim_isa::{AluOp, Program, ProgramBuilder, SyncOp};
 use sim_machine::Machine;
 use sim_mem::Addr;
 
+use crate::emit_epilogue;
 use crate::regs::*;
 use crate::workloads::{BarrierKind, BarrierWorkload};
 
@@ -36,8 +37,6 @@ pub struct BarrierLayout {
     /// Tree: `tree_nodes[i][j]` is processor `i`'s `childnotready[j]`
     /// slot, one cache block per slot.
     pub tree_nodes: Vec<Vec<Addr>>,
-    /// Tree: the global sense flag.
-    pub global_sense: Addr,
     /// Per-processor completion counters.
     pub done: Vec<Addr>,
     /// Episodes each processor runs.
@@ -118,15 +117,7 @@ pub fn install(m: &mut Machine, w: &BarrierWorkload) -> BarrierLayout {
         };
         m.set_program(i, prog);
     }
-    BarrierLayout { count, sense, flags, tree_nodes, global_sense, done, episodes: w.episodes }
-}
-
-fn emit_epilogue(b: &mut ProgramBuilder, done: Addr, episodes: u32) {
-    b.imm(T0, done);
-    b.imm(T1, episodes);
-    b.store(T0, 0, T1);
-    b.fence();
-    b.halt();
+    BarrierLayout { count, sense, flags, tree_nodes, done, episodes: w.episodes }
 }
 
 /// The sense-reversing centralized barrier (Figure 3).

@@ -38,6 +38,9 @@ pub mod workloads;
 pub use runner::{run_experiment, ExperimentOutcome, ExperimentSpec, KernelSpec};
 pub use workloads::{BarrierKind, LockKind, PostRelease, ReductionKind};
 
+use sim_isa::ProgramBuilder;
+use sim_mem::Addr;
+
 /// Register allocation conventions shared by the kernel builders.
 ///
 /// Builders use registers from the top down for long-lived values (loop
@@ -68,4 +71,15 @@ pub(crate) mod regs {
     pub const K1: usize = 9;
     /// Kernel-specific long-lived value.
     pub const K2: usize = 8;
+}
+
+/// Emits the tail every lock, barrier and reduction program ends with:
+/// store `count` (the iterations or episodes run) to `done`, fence so the
+/// verifier sees it, halt. Clobbers `T0` and `T1`.
+pub(crate) fn emit_epilogue(b: &mut ProgramBuilder, done: Addr, count: u32) {
+    b.imm(regs::T0, done);
+    b.imm(regs::T1, count);
+    b.store(regs::T0, 0, regs::T1);
+    b.fence();
+    b.halt();
 }

@@ -13,9 +13,9 @@ use sim_isa::{AluOp, Program, ProgramBuilder, SyncOp};
 use sim_machine::Machine;
 use sim_mem::Addr;
 
-use crate::phase;
 use crate::regs::*;
 use crate::workloads::{LockKind, LockWorkload, PostRelease};
+use crate::{emit_epilogue, phase};
 
 /// The sync-object id every lock kernel reports its episodes under (each
 /// kernel has a single lock; the per-lock analytics key on this).
@@ -32,8 +32,6 @@ pub struct LockLayout {
     pub tail: Addr,
     /// Anderson queue lock: base of the P block-padded slots.
     pub anderson_slots: Addr,
-    /// MCS: per-processor queue nodes (`next` at +0, `locked` at +4).
-    pub qnodes: Vec<Addr>,
     /// Per-processor completion counters (each processor stores its
     /// executed iteration count here before halting).
     pub done: Vec<Addr>,
@@ -122,7 +120,7 @@ pub fn install(m: &mut Machine, w: &LockWorkload) -> LockLayout {
         };
         m.set_program(i, prog);
     }
-    LockLayout { next_ticket, now_serving, tail, anderson_slots: slots, qnodes, done, iters }
+    LockLayout { next_ticket, now_serving, tail, anderson_slots: slots, done, iters }
 }
 
 /// Emits the post-release behavior of the Section 4.1 variants.
@@ -141,15 +139,6 @@ fn emit_post_release(b: &mut ProgramBuilder, w: &LockWorkload) {
             b.rand_delay(jitter);
         }
     }
-}
-
-/// Emits the common tail: publish the executed iteration count, halt.
-fn emit_epilogue(b: &mut ProgramBuilder, done: Addr, iters: u32) {
-    b.imm(T0, done);
-    b.imm(T1, iters);
-    b.store(T0, 0, T1);
-    b.fence();
-    b.halt();
 }
 
 /// The centralized ticket lock (Figure 1) in the synthetic loop.

@@ -35,6 +35,7 @@ use sim_isa::{AluOp, Program, ProgramBuilder};
 use sim_machine::Machine;
 use sim_mem::Addr;
 
+use crate::emit_epilogue;
 use crate::regs::*;
 use crate::workloads::{ReductionKind, ReductionWorkload};
 
@@ -122,14 +123,11 @@ fn emit_prologue(b: &mut ProgramBuilder, w: &ReductionWorkload, max: Addr, pid: 
     emit_value(b);
 }
 
-fn emit_epilogue(b: &mut ProgramBuilder, done: Addr, episodes: u32) {
+/// Closes the episode loop [`emit_prologue`] opened, then ends the program.
+fn emit_loop_close(b: &mut ProgramBuilder, done: Addr, episodes: u32) {
     b.alui(AluOp::Sub, ITER, ITER, 1);
     b.bnz(ITER, "loop");
-    b.imm(T0, done);
-    b.imm(T1, episodes);
-    b.store(T0, 0, T1);
-    b.fence();
-    b.halt();
+    emit_epilogue(b, done, episodes);
 }
 
 /// The parallel reduction (Figure 6).
@@ -149,7 +147,7 @@ fn parallel_program(w: &ReductionWorkload, max: Addr, pid: usize, done: Addr) ->
     b.magic_barrier();
     b.load(T3, BASE, 0);
     b.magic_barrier();
-    emit_epilogue(&mut b, done, w.episodes);
+    emit_loop_close(&mut b, done, w.episodes);
     b.build()
 }
 
@@ -187,7 +185,7 @@ fn sequential_program(
     }
     b.magic_barrier();
     b.load(T3, BASE, 0); // code that uses max
-    emit_epilogue(&mut b, done, w.episodes);
+    emit_loop_close(&mut b, done, w.episodes);
     b.build()
 }
 

@@ -27,7 +27,7 @@ use crate::cpu::{CpuState, PendingAtomicIssue};
 
 /// Format version written by [`Machine::snapshot`]; [`Machine::restore`]
 /// rejects anything else. Bump on any change to the payload schema.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Event codec
@@ -420,6 +420,7 @@ mod tests {
     use sim_engine::snapshot::{open, seal, SnapError};
     use sim_isa::{AluOp, ProgramBuilder};
     use sim_proto::Protocol;
+    use sim_stats::LineEventKind;
 
     use super::SNAPSHOT_VERSION;
     use crate::config::MachineConfig;
@@ -560,6 +561,34 @@ mod tests {
             r.restore(&stale),
             Err(SnapError::Version { found: SNAPSHOT_VERSION - 1, expected: SNAPSHOT_VERSION })
         );
+    }
+
+    /// Lineage sees every directory state change. Per block, the recorded
+    /// `DirTransition`s chain from `Uncached` (each `from` is the previous
+    /// `to`), and the last `to` is the block's final directory state.
+    #[test]
+    fn lineage_records_every_directory_state_change() {
+        for protocol in [Protocol::WriteInvalidate, Protocol::PureUpdate, Protocol::CompetitiveUpdate] {
+            let mut m = build_contended(&MachineConfig::paper_observed(8, protocol));
+            let result = m.run();
+            let lineage = &result.obs.as_ref().expect("an observed run reports").lineage;
+            assert_eq!(lineage.events_dropped, 0, "{protocol:?}: the event list is complete");
+            let mut last_to = std::collections::HashMap::new();
+            for ev in &lineage.events {
+                if let LineEventKind::DirTransition { from, to, .. } = ev.kind {
+                    let prev = last_to.insert(ev.block, to).unwrap_or("Uncached");
+                    assert_eq!(from, prev, "{protocol:?}: block {:#x} at cycle {}", ev.block.0, ev.at);
+                }
+            }
+            assert!(!last_to.is_empty(), "{protocol:?}: the workload moves directory entries");
+            let mut checked = 0;
+            for (block, entry) in m.nodes.iter().flat_map(|n| n.dir.iter()) {
+                let recorded = last_to.get(block).copied().unwrap_or("Uncached");
+                assert_eq!(recorded, entry.state.name(), "{protocol:?}: block {:#x} ends", block.0);
+                checked += usize::from(last_to.contains_key(block));
+            }
+            assert_eq!(checked, last_to.len(), "{protocol:?}: every recorded block has a home entry");
+        }
     }
 
     #[test]

@@ -128,6 +128,17 @@ impl Cache {
         self.line(block).map(|l| l.data[geom.word_index(addr)])
     }
 
+    /// The local processor's read of the word at `addr`: the word if its
+    /// block is cached, and, as a local reference, a reset of the line's
+    /// competitive-update counter, in one line lookup.
+    pub fn reference_word(&mut self, geom: &Geometry, addr: Addr) -> Option<Word> {
+        let idx = geom.word_index(addr);
+        self.line_mut(geom.block_of(addr)).map(|l| {
+            l.update_ctr = 0;
+            l.data[idx]
+        })
+    }
+
     /// Writes the word at `addr` if its block is cached; returns whether it
     /// hit. Does **not** change the line state — protocols decide that.
     pub fn write_word(&mut self, geom: &Geometry, addr: Addr, val: Word) -> bool {
@@ -186,12 +197,6 @@ impl Cache {
     /// Copy of the block's data (protocol writebacks / forwards).
     pub fn block_data(&self, block: BlockAddr) -> Option<Block> {
         self.line(block).map(|l| l.data)
-    }
-
-    /// Applies an incoming update-protocol word write without touching the
-    /// CU counter bookkeeping (the protocol layer drives that separately).
-    pub fn apply_update(&mut self, geom: &Geometry, addr: Addr, val: Word) -> bool {
-        self.write_word(geom, addr, val)
     }
 
     /// Increments the competitive-update counter; returns the new value.

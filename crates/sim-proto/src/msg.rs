@@ -87,21 +87,22 @@ pub enum MsgKind {
     UpdateInfo { acks: u32, go_private: bool },
     /// PU/CU reply to `UpdateWriteAlloc`: block data plus ack count.
     DataUpd { data: Box<[Word]>, acks: u32 },
-    /// An update multicast to a sharer; `writer` performed the write.
-    UpdateMsg { val: Word, writer: NodeId, acks_to: NodeId },
+    /// An update multicast to a sharer; `writer` performed the write and
+    /// collects the ack.
+    UpdateMsg { val: Word, writer: NodeId },
     /// PU/CU atomic reply: the old value; block data included when the
     /// requester was not yet a sharer (atomics allocate), plus the ack
     /// count for the updates the operation multicast.
     AtomicReply { old: Word, data: Option<Box<[Word]>>, acks: u32 },
-    /// WI invalidation demand; the ack goes to `requester`. Carries the
-    /// word address of the causing write for classification.
-    Inval { requester: NodeId, writer: NodeId },
+    /// WI invalidation demand; the ack goes to `requester`, whose write
+    /// (at the enclosing word address) caused it.
+    Inval { requester: NodeId },
     /// WI read recall: owner must demote to shared and supply data.
     Fetch { requester: NodeId },
     /// WI write recall: owner must invalidate and hand data to `requester`.
-    FetchInv { requester: NodeId, writer: NodeId },
+    FetchInv { requester: NodeId },
     /// PU/CU recall of a private-update block back to shared write-through.
-    RecallUpd { requester: NodeId, for_atomic: bool },
+    RecallUpd,
 
     // ---- cache → cache / completion messages -------------------------
     /// Invalidation ack, sent to the writing requester.
@@ -117,7 +118,7 @@ pub enum MsgKind {
     /// Owner → home: ownership transferred to `to` (write recall done).
     OwnershipXfer { to: NodeId },
     /// Private-update owner → home: block data; home resumes write-through.
-    RecallReply { data: Box<[Word]>, requester: NodeId, for_atomic: bool },
+    RecallReply { data: Box<[Word]> },
     /// Owner no longer held the block (it raced an eviction); the home must
     /// retry the embedded original request once the writeback lands.
     FetchMiss { original: Box<Msg> },
@@ -167,7 +168,7 @@ impl Msg {
             | Inval { .. }
             | Fetch { .. }
             | FetchInv { .. }
-            | RecallUpd { .. }
+            | RecallUpd
             | InvAck
             | UpdateAck
             | OwnershipXfer { .. } => 0,
@@ -202,7 +203,7 @@ impl Msg {
             | Inval { .. }
             | Fetch { .. }
             | FetchInv { .. }
-            | RecallUpd { .. }
+            | RecallUpd
             | InvAck
             | UpdateAck
             | DataFwd { .. }
@@ -256,16 +257,18 @@ impl Msg {
         w.u32(self.addr);
         w.u8(self.kind.index() as u8);
         match &self.kind {
-            ReadShared | GetX | Upgrade | SharerDrop | StopUpdate | InvAck | UpdateAck => {}
+            ReadShared | GetX | Upgrade | SharerDrop | StopUpdate | RecallUpd | InvAck | UpdateAck => {}
             UpdateWrite { val } | UpdateWriteAlloc { val } => w.u32(*val),
             AtomicReq { op, operand, operand2 } => {
                 w.u8(op.tag());
                 w.u32(*operand);
                 w.u32(*operand2);
             }
-            WriteBack { data } | Data { data } | DataFwd { data } | DataXFwd { data } => {
-                encode_block(w, data)
-            }
+            WriteBack { data }
+            | Data { data }
+            | DataFwd { data }
+            | DataXFwd { data }
+            | RecallReply { data } => encode_block(w, data),
             DataX { data, acks } | DataUpd { data, acks } => {
                 encode_block(w, data);
                 w.u32(*acks);
@@ -275,35 +278,21 @@ impl Msg {
                 w.u32(*acks);
                 w.bool(*go_private);
             }
-            UpdateMsg { val, writer, acks_to } => {
+            UpdateMsg { val, writer } => {
                 w.u32(*val);
                 w.usize(*writer);
-                w.usize(*acks_to);
             }
             AtomicReply { old, data, acks } => {
                 w.u32(*old);
                 encode_opt_block(w, data);
                 w.u32(*acks);
             }
-            Inval { requester, writer } | FetchInv { requester, writer } => {
-                w.usize(*requester);
-                w.usize(*writer);
-            }
-            Fetch { requester } => w.usize(*requester),
-            RecallUpd { requester, for_atomic } => {
-                w.usize(*requester);
-                w.bool(*for_atomic);
-            }
+            Inval { requester } | Fetch { requester } | FetchInv { requester } => w.usize(*requester),
             SharingWB { data, requester } => {
                 encode_block(w, data);
                 w.usize(*requester);
             }
             OwnershipXfer { to } => w.usize(*to),
-            RecallReply { data, requester, for_atomic } => {
-                encode_block(w, data);
-                w.usize(*requester);
-                w.bool(*for_atomic);
-            }
             FetchMiss { original } => original.encode(w),
         }
     }
@@ -329,23 +318,23 @@ impl Msg {
             11 => UpgradeAck { acks: r.u32()? },
             12 => UpdateInfo { acks: r.u32()?, go_private: r.bool()? },
             13 => DataUpd { data: decode_boxed_block(r)?, acks: r.u32()? },
-            14 => UpdateMsg { val: r.u32()?, writer: r.usize()?, acks_to: r.usize()? },
+            14 => UpdateMsg { val: r.u32()?, writer: r.usize()? },
             15 => AtomicReply {
                 old: r.u32()?,
                 data: if r.bool()? { Some(decode_boxed_block(r)?) } else { None },
                 acks: r.u32()?,
             },
-            16 => Inval { requester: r.usize()?, writer: r.usize()? },
+            16 => Inval { requester: r.usize()? },
             17 => Fetch { requester: r.usize()? },
-            18 => FetchInv { requester: r.usize()?, writer: r.usize()? },
-            19 => RecallUpd { requester: r.usize()?, for_atomic: r.bool()? },
+            18 => FetchInv { requester: r.usize()? },
+            19 => RecallUpd,
             20 => InvAck,
             21 => UpdateAck,
             22 => DataFwd { data: decode_boxed_block(r)? },
             23 => DataXFwd { data: decode_boxed_block(r)? },
             24 => SharingWB { data: decode_boxed_block(r)?, requester: r.usize()? },
             25 => OwnershipXfer { to: r.usize()? },
-            26 => RecallReply { data: decode_boxed_block(r)?, requester: r.usize()?, for_atomic: r.bool()? },
+            26 => RecallReply { data: decode_boxed_block(r)? },
             27 => FetchMiss { original: Box::new(Msg::decode(r)?) },
             _ => return Err(SnapError::Corrupt("unknown MsgKind tag")),
         };
@@ -414,7 +403,7 @@ impl MsgKind {
             Inval { .. } => 16,
             Fetch { .. } => 17,
             FetchInv { .. } => 18,
-            RecallUpd { .. } => 19,
+            RecallUpd => 19,
             InvAck => 20,
             UpdateAck => 21,
             DataFwd { .. } => 22,
@@ -487,20 +476,20 @@ mod tests {
             msg(MsgKind::UpgradeAck { acks: 4 }),
             msg(MsgKind::UpdateInfo { acks: 5, go_private: true }),
             msg(MsgKind::DataUpd { data: block(), acks: 6 }),
-            msg(MsgKind::UpdateMsg { val: 9, writer: 2, acks_to: 3 }),
+            msg(MsgKind::UpdateMsg { val: 9, writer: 2 }),
             msg(MsgKind::AtomicReply { old: 10, data: Some(block()), acks: 7 }),
             msg(MsgKind::AtomicReply { old: 11, data: None, acks: 0 }),
-            msg(MsgKind::Inval { requester: 4, writer: 5 }),
+            msg(MsgKind::Inval { requester: 4 }),
             msg(MsgKind::Fetch { requester: 6 }),
-            msg(MsgKind::FetchInv { requester: 7, writer: 8 }),
-            msg(MsgKind::RecallUpd { requester: 9, for_atomic: true }),
+            msg(MsgKind::FetchInv { requester: 7 }),
+            msg(MsgKind::RecallUpd),
             msg(MsgKind::InvAck),
             msg(MsgKind::UpdateAck),
             msg(MsgKind::DataFwd { data: block() }),
             msg(MsgKind::DataXFwd { data: block() }),
             msg(MsgKind::SharingWB { data: block(), requester: 10 }),
             msg(MsgKind::OwnershipXfer { to: 11 }),
-            msg(MsgKind::RecallReply { data: block(), requester: 12, for_atomic: false }),
+            msg(MsgKind::RecallReply { data: block() }),
             msg(MsgKind::FetchMiss { original: Box::new(msg(MsgKind::GetX)) }),
             // Nested FetchMiss (eviction race during a forwarded miss).
             msg(MsgKind::FetchMiss {
@@ -579,7 +568,7 @@ mod tests {
         let block = vec![0u32; 16].into_boxed_slice();
         assert_eq!(msg(MsgKind::ReadShared).mem_service(), MemService::Block);
         assert_eq!(msg(MsgKind::Upgrade).mem_service(), MemService::Word);
-        assert_eq!(msg(MsgKind::Inval { requester: 0, writer: 0 }).mem_service(), MemService::None);
+        assert_eq!(msg(MsgKind::Inval { requester: 0 }).mem_service(), MemService::None);
         assert_eq!(msg(MsgKind::WriteBack { data: block }).mem_service(), MemService::Block);
         assert_eq!(msg(MsgKind::UpdateWrite { val: 0 }).mem_service(), MemService::Word);
         assert_eq!(msg(MsgKind::InvAck).mem_service(), MemService::None);

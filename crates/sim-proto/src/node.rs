@@ -2,12 +2,33 @@
 
 use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::{Cycle, NodeId};
-use sim_mem::{Addr, BlockAddr, Cache, CacheConfig, Directory, Geometry, LineState, MemStore, Word};
+use sim_mem::{
+    Addr, BlockAddr, Cache, CacheConfig, DirEntry, DirState, Directory, Geometry, LineState, MemStore,
+    SharerSet, Word,
+};
 use sim_stats::{Classifier, LossCause};
 
 use crate::effects::Effects;
 use crate::msg::{AtomicOp, Msg, MsgKind};
 use crate::{upd, wi};
+
+/// Moves `block`'s directory entry `e` to `to` and reports the change,
+/// caused by `actor`'s `cause` message, to lineage (which skips a
+/// self-loop). Every directory state write goes through here, so lineage
+/// sees every stable-state change.
+pub(crate) fn set_dir_state(
+    e: &mut DirEntry<Msg>,
+    block: BlockAddr,
+    to: DirState,
+    actor: NodeId,
+    cause: &'static str,
+    clf: &mut Classifier,
+    now: Cycle,
+) {
+    let from = e.state;
+    e.state = to;
+    clf.dir_transition(block, from.name(), to.name(), actor, cause, now);
+}
 
 /// Which coherence protocol the machine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -272,11 +293,20 @@ impl ProtoNode {
 
     /// CPU issues a shared read of `addr`. Sets `read_done` on a hit;
     /// otherwise records the pending read and emits the miss request.
-    /// (The machine accounts the reference in the classifier.)
+    /// (The machine accounts the reference in the classifier.) Every
+    /// protocol reads alike: a hit also resets the line's competitive-update
+    /// counter, which only CU ever raises.
     pub fn cpu_read(&mut self, addr: Addr, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
-        match self.cfg.protocol {
-            Protocol::WriteInvalidate => wi::cpu_read(self, addr, clf, now, fx),
-            _ => upd::cpu_read(self, addr, clf, now, fx),
+        if let Some(v) = self.cache.reference_word(&self.geom, addr) {
+            fx.read_done = Some(v);
+            return;
+        }
+        clf.classify_miss(self.id, addr, now);
+        debug_assert!(self.pending_read.is_none(), "one outstanding read per CPU");
+        let piggyback = self.has_pending_store_on(self.geom.block_of(addr));
+        self.pending_read = Some(PendingRead { addr, piggyback });
+        if !piggyback {
+            fx.sends.push(self.msg(self.home_of(addr), addr, MsgKind::ReadShared));
         }
     }
 
@@ -331,6 +361,17 @@ impl ProtoNode {
         match &msg.kind {
             MsgKind::SharerDrop | MsgKind::StopUpdate => self.home_sharer_drop(msg, clf, now, fx),
             MsgKind::WriteBack { .. } => self.home_writeback(msg, clf, now, fx),
+            MsgKind::Data { data } | MsgKind::DataFwd { data } => {
+                let block = self.geom.block_of(msg.addr);
+                self.fill_block(block, data, LineState::Shared, clf, now, fx);
+                let pr = self.pending_read.take().expect("Data reply without pending read");
+                debug_assert_eq!(self.geom.block_of(pr.addr), block);
+                fx.read_done = Some(self.cache.read_word(&self.geom, pr.addr).expect("just filled"));
+            }
+            MsgKind::InvAck | MsgKind::UpdateAck => {
+                self.acks_received += 1;
+                fx.sync_progress = true;
+            }
             _ => match self.cfg.protocol {
                 Protocol::WriteInvalidate => wi::handle_msg(self, msg, clf, now, fx),
                 _ => upd::handle_msg(self, msg, clf, now, fx),
@@ -345,36 +386,20 @@ impl ProtoNode {
     fn home_sharer_drop(&mut self, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
         debug_assert_eq!(self.home_of(msg.addr), self.id);
         let block = self.geom.block_of(msg.addr);
-        let mname = if matches!(msg.kind, MsgKind::StopUpdate) { "StopUpdate" } else { "SharerDrop" };
+        let cause = msg.kind.name();
         let e = self.dir.entry(block);
         e.sharers.remove(msg.src);
-        if e.state == sim_mem::DirState::Shared && e.sharers.is_empty() {
-            e.state = sim_mem::DirState::Uncached;
-            clf.dir_transition(
-                block,
-                sim_mem::DirState::Shared.name(),
-                sim_mem::DirState::Uncached.name(),
-                msg.src,
-                mname,
-                now,
-            );
+        if e.state == DirState::Shared && e.sharers.is_empty() {
+            set_dir_state(e, block, DirState::Uncached, msg.src, cause, clf, now);
         }
         // A drop can cross a private-mode grant in flight: the home just
         // promoted the dropper to owner, but its (clean) copy is gone and
         // memory is current. Relinquish ownership — and release anything
         // waiting on that phantom owner — or later requests would wait
         // forever for a writeback that never comes.
-        if e.state == sim_mem::DirState::Owned && e.owner == msg.src {
-            e.state = sim_mem::DirState::Uncached;
-            e.sharers = sim_mem::SharerSet::empty();
-            clf.dir_transition(
-                block,
-                sim_mem::DirState::Owned.name(),
-                sim_mem::DirState::Uncached.name(),
-                msg.src,
-                mname,
-                now,
-            );
+        if e.state == DirState::Owned && e.owner == msg.src {
+            e.sharers = SharerSet::empty();
+            set_dir_state(e, block, DirState::Uncached, msg.src, cause, clf, now);
             if e.busy {
                 e.busy = false;
                 fx.requeue_home.extend(e.waiting.drain(..));
@@ -388,17 +413,9 @@ impl ProtoNode {
         let MsgKind::WriteBack { data } = &msg.kind else { unreachable!() };
         self.mem.write_block(block, data);
         let e = self.dir.entry(block);
-        if e.state == sim_mem::DirState::Owned && e.owner == msg.src {
-            e.state = sim_mem::DirState::Uncached;
-            e.sharers = sim_mem::SharerSet::empty();
-            clf.dir_transition(
-                block,
-                sim_mem::DirState::Owned.name(),
-                sim_mem::DirState::Uncached.name(),
-                msg.src,
-                "WriteBack",
-                now,
-            );
+        if e.state == DirState::Owned && e.owner == msg.src {
+            e.sharers = SharerSet::empty();
+            set_dir_state(e, block, DirState::Uncached, msg.src, "WriteBack", clf, now);
         }
         if e.busy {
             // A recall raced this eviction; release anything the directory
@@ -432,7 +449,6 @@ impl ProtoNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_mem::DirState;
 
     fn node(protocol: Protocol) -> ProtoNode {
         let geom = Geometry::new(4);

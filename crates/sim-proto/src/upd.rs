@@ -20,27 +20,7 @@ use sim_stats::{Classifier, LossCause};
 
 use crate::effects::Effects;
 use crate::msg::{AtomicOp, Msg, MsgKind};
-use crate::node::{PendingAtomic, PendingRead, PendingWrite, ProtoNode, Protocol};
-
-/// CPU shared read (see [`ProtoNode::cpu_read`]).
-pub fn cpu_read(n: &mut ProtoNode, addr: u32, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
-    let block = n.geom.block_of(addr);
-    if let Some(v) = n.cache.read_word(&n.geom, addr) {
-        // A local reference resets the competitive-update counter.
-        n.cache.reset_update_ctr(block);
-        fx.read_done = Some(v);
-        return;
-    }
-    clf.classify_miss(n.id, addr, now);
-    debug_assert!(n.pending_read.is_none());
-    if n.has_pending_store_on(block) {
-        n.pending_read = Some(PendingRead { addr, piggyback: true });
-        return;
-    }
-    n.pending_read = Some(PendingRead { addr, piggyback: false });
-    let home = n.home_of(addr);
-    fx.sends.push(n.msg(home, addr, MsgKind::ReadShared));
-}
+use crate::node::{set_dir_state, PendingAtomic, PendingWrite, ProtoNode, Protocol};
 
 /// Write-buffer head issue (see [`ProtoNode::issue_write`]).
 pub fn issue_write(
@@ -113,9 +93,7 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
         MsgKind::AtomicReq { .. } => home_atomic(n, msg, clf, now, fx),
         MsgKind::RecallReply { .. } => home_recall_reply(n, msg, clf, now, fx),
         // -------------------- cache side --------------------
-        MsgKind::UpdateMsg { val, writer, acks_to } => {
-            cache_update_msg(n, msg.addr, val, writer, acks_to, clf, now, fx)
-        }
+        MsgKind::UpdateMsg { val, writer } => cache_update_msg(n, msg.addr, val, writer, clf, now, fx),
         MsgKind::UpdateInfo { acks, go_private } => {
             let block = n.geom.block_of(msg.addr);
             debug_assert!(n.update_infos_pending > 0);
@@ -125,17 +103,6 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
                 n.cache.set_state(block, LineState::PrivateUpd);
             }
             fx.sync_progress = true;
-        }
-        MsgKind::UpdateAck => {
-            n.acks_received += 1;
-            fx.sync_progress = true;
-        }
-        MsgKind::Data { data } => {
-            let block = n.geom.block_of(msg.addr);
-            n.fill_block(block, &data, LineState::Shared, clf, now, fx);
-            let pr = n.pending_read.take().expect("Data reply without pending read");
-            debug_assert_eq!(n.geom.block_of(pr.addr), block);
-            fx.read_done = Some(n.cache.read_word(&n.geom, pr.addr).expect("just filled"));
         }
         MsgKind::DataUpd { data, acks } => {
             // Reply to an allocating write-through: the block (already
@@ -174,7 +141,7 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
                 fx.read_done = Some(v);
             }
         }
-        MsgKind::RecallUpd { .. } => {
+        MsgKind::RecallUpd => {
             // Home recalls our private-update block to shared write-through.
             // If the block was evicted or flushed instead, its WriteBack is
             // in flight and will release the home's busy state.
@@ -183,11 +150,7 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
                 n.cache.set_state(block, LineState::Shared);
                 let data = Box::new(n.cache.block_data(block).expect("present"));
                 let home = n.home_of(msg.addr);
-                fx.sends.push(n.msg(
-                    home,
-                    msg.addr,
-                    MsgKind::RecallReply { data, requester: 0, for_atomic: false },
-                ));
+                fx.sends.push(n.msg(home, msg.addr, MsgKind::RecallReply { data }));
             }
         }
         other => unreachable!("update-protocol node {} got unexpected message {:?}", n.id, other),
@@ -195,13 +158,11 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
 }
 
 /// Applies an incoming multicast update at a sharer cache.
-#[allow(clippy::too_many_arguments)]
 fn cache_update_msg(
     n: &mut ProtoNode,
     addr: u32,
     val: Word,
     writer: sim_engine::NodeId,
-    acks_to: sim_engine::NodeId,
     clf: &mut Classifier,
     now: Cycle,
     fx: &mut Effects,
@@ -215,18 +176,18 @@ fn cache_update_msg(
         };
         clf.update_arrival(n.id, addr, writer, drop, now);
         if drop {
-            clf.update_caused_drop(n.id, addr);
+            clf.update_caused_drop(addr);
             n.cache.invalidate(block);
             clf.copy_lost(n.id, block, LossCause::SelfInvalidate, now);
             fx.sends.push(n.msg(n.home_of(addr), addr, MsgKind::StopUpdate));
         } else {
-            n.cache.apply_update(&n.geom, addr, val);
+            n.cache.write_word(&n.geom, addr, val);
             clf.update_delivered(n.id, addr);
         }
         fx.touched_blocks.push(block);
     }
     // Always ack the writer: it counts acks against the home's UpdateInfo.
-    fx.sends.push(n.msg(acks_to, addr, MsgKind::UpdateAck));
+    fx.sends.push(n.msg(writer, addr, MsgKind::UpdateAck));
 }
 
 // ----------------------------------------------------------------------
@@ -243,10 +204,8 @@ fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
     let e = n.dir.entry(block);
     match e.state {
         DirState::Uncached | DirState::Shared => {
-            let from = e.state;
-            e.state = DirState::Shared;
             e.sharers.insert(r);
-            clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "ReadShared", now);
+            set_dir_state(e, block, DirState::Shared, r, "ReadShared", clf, now);
             let data = n.mem.read_block(block);
             fx.sends.push(n.msg(r, msg.addr, MsgKind::Data { data }));
         }
@@ -264,19 +223,17 @@ fn recall_private(n: &mut ProtoNode, block: sim_mem::BlockAddr, msg: Msg, fx: &m
     e.busy = true;
     let addr = msg.addr;
     e.waiting.push_back(msg);
-    fx.sends.push(n.msg(owner, addr, MsgKind::RecallUpd { requester: 0, for_atomic: false }));
+    fx.sends.push(n.msg(owner, addr, MsgKind::RecallUpd));
 }
 
 fn home_recall_reply(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
-    let MsgKind::RecallReply { data, .. } = msg.kind else { unreachable!() };
+    let MsgKind::RecallReply { data } = msg.kind else { unreachable!() };
     n.mem.write_block(block, &data);
     let e = n.dir.entry(block);
-    let from = e.state;
-    e.state = DirState::Shared;
     e.sharers = SharerSet::only(msg.src);
     e.busy = false;
-    clf.dir_transition(block, from.name(), DirState::Shared.name(), msg.src, "RecallReply", now);
+    set_dir_state(e, block, DirState::Shared, msg.src, "RecallReply", clf, now);
     fx.requeue_home.extend(e.waiting.drain(..));
 }
 
@@ -311,10 +268,9 @@ fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cyc
             && e.sharers.contains(w)
             && e.sharers.len() == 1;
         if go_private {
-            e.state = DirState::Owned;
             e.owner = w;
             e.sharers = SharerSet::empty();
-            clf.dir_transition(block, DirState::Shared.name(), DirState::Owned.name(), w, "UpdateWrite", now);
+            set_dir_state(e, block, DirState::Owned, w, "UpdateWrite", clf, now);
         }
         fx.sends.push(n.msg(w, msg.addr, MsgKind::UpdateInfo { acks: 0, go_private }));
     } else {
@@ -324,7 +280,7 @@ fn home_update_write(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cyc
             MsgKind::UpdateInfo { acks: others.len() as u32, go_private: false },
         ));
         for s in others.iter() {
-            fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w, acks_to: w }));
+            fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w }));
         }
     }
 }
@@ -347,15 +303,13 @@ fn home_update_write_alloc(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, no
             let e = n.dir.entry(block);
             let mut others = e.sharers;
             others.remove(w);
-            let from = e.state;
-            e.state = DirState::Shared;
             e.sharers.insert(w);
-            clf.dir_transition(block, from.name(), DirState::Shared.name(), w, "UpdateWriteAlloc", now);
+            set_dir_state(e, block, DirState::Shared, w, "UpdateWriteAlloc", clf, now);
             let acks = others.len() as u32;
             let data = n.mem.read_block(block);
             fx.sends.push(n.msg(w, msg.addr, MsgKind::DataUpd { data, acks }));
             for s in others.iter() {
-                fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w, acks_to: w }));
+                fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val, writer: w }));
             }
         }
     }
@@ -385,16 +339,14 @@ fn home_atomic(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx
     let mut others = e.sharers;
     others.remove(r);
     let was_sharer = e.sharers.contains(r);
-    let from = e.state;
-    e.state = DirState::Shared;
     e.sharers.insert(r);
-    clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "AtomicReq", now);
+    set_dir_state(e, block, DirState::Shared, r, "AtomicReq", clf, now);
     let acks = if wrote { others.len() as u32 } else { 0 };
     let data = if was_sharer { None } else { Some(n.mem.read_block(block)) };
     fx.sends.push(n.msg(r, msg.addr, MsgKind::AtomicReply { old, data, acks }));
     if wrote {
         for s in others.iter() {
-            fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val: new, writer: r, acks_to: r }));
+            fx.sends.push(n.msg(s, msg.addr, MsgKind::UpdateMsg { val: new, writer: r }));
         }
     }
 }
@@ -553,7 +505,7 @@ mod tests {
         fill_shared(&mut n, &mut clf, a, 0);
         let mut fx = Effects::default();
         n.handle_msg(
-            Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: 5, writer: 1, acks_to: 1 } },
+            Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: 5, writer: 1 } },
             &mut clf,
             0,
             &mut fx,
@@ -574,7 +526,7 @@ mod tests {
         for i in 0..4 {
             let mut fx = Effects::default();
             n.handle_msg(
-                Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: i, writer: 1, acks_to: 1 } },
+                Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: i, writer: 1 } },
                 &mut clf,
                 i as u64,
                 &mut fx,
@@ -603,7 +555,7 @@ mod tests {
         fill_shared(&mut n, &mut clf, a, 0);
         for i in 0..10 {
             n.handle_msg(
-                Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: i, writer: 1, acks_to: 1 } },
+                Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: i, writer: 1 } },
                 &mut clf,
                 i as u64,
                 &mut Effects::default(),
@@ -622,7 +574,7 @@ mod tests {
         let a = addr_on(&n.geom, 0);
         let mut fx = Effects::default();
         n.handle_msg(
-            Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: 5, writer: 1, acks_to: 1 } },
+            Msg { src: 0, dst: 2, addr: a, kind: MsgKind::UpdateMsg { val: 5, writer: 1 } },
             &mut clf,
             0,
             &mut fx,
@@ -709,7 +661,7 @@ mod tests {
         home.handle_msg(Msg { src: 1, dst: 0, addr: a, kind: MsgKind::ReadShared }, &mut clf, 0, &mut fx);
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].dst, 3);
-        assert!(matches!(fx.sends[0].kind, MsgKind::RecallUpd { .. }));
+        assert!(matches!(fx.sends[0].kind, MsgKind::RecallUpd));
         assert!(home.dir.get(block).unwrap().busy);
 
         // Owner demotes and replies with its data.

@@ -6,25 +6,7 @@ use sim_stats::{Classifier, LossCause};
 
 use crate::effects::Effects;
 use crate::msg::{AtomicOp, Msg, MsgKind};
-use crate::node::{PendingAtomic, PendingRead, PendingWrite, ProtoNode};
-
-/// CPU shared read (see [`ProtoNode::cpu_read`]).
-pub fn cpu_read(n: &mut ProtoNode, addr: u32, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
-    let block = n.geom.block_of(addr);
-    if let Some(v) = n.cache.read_word(&n.geom, addr) {
-        fx.read_done = Some(v);
-        return;
-    }
-    clf.classify_miss(n.id, addr, now);
-    debug_assert!(n.pending_read.is_none(), "one outstanding read per CPU");
-    if n.has_pending_store_on(block) {
-        n.pending_read = Some(PendingRead { addr, piggyback: true });
-        return;
-    }
-    n.pending_read = Some(PendingRead { addr, piggyback: false });
-    let home = n.home_of(addr);
-    fx.sends.push(n.msg(home, addr, MsgKind::ReadShared));
-}
+use crate::node::{set_dir_state, PendingAtomic, PendingWrite, ProtoNode};
 
 /// Write-buffer head issue (see [`ProtoNode::issue_write`]).
 pub fn issue_write(
@@ -44,7 +26,7 @@ pub fn issue_write(
             fx.touched_blocks.push(block);
         }
         Some(LineState::Shared) => {
-            clf.exclusive_request(n.id, block);
+            clf.exclusive_request(block);
             n.pending_write = Some(PendingWrite { addr, val });
             let home = n.home_of(addr);
             fx.sends.push(n.msg(home, addr, MsgKind::Upgrade));
@@ -87,7 +69,7 @@ pub fn cpu_atomic(
             fx.touched_blocks.push(block);
         }
         Some(LineState::Shared) => {
-            clf.exclusive_request(n.id, block);
+            clf.exclusive_request(block);
             n.pending_atomic = Some(PendingAtomic { addr, op, operand, operand2 });
             let home = n.home_of(addr);
             fx.sends.push(n.msg(home, addr, MsgKind::Upgrade));
@@ -110,20 +92,17 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
         MsgKind::GetX => home_getx(n, msg, clf, now, fx),
         MsgKind::Upgrade => home_upgrade(n, msg, clf, now, fx),
         MsgKind::SharingWB { .. } => home_sharing_wb(n, msg, clf, now, fx),
-        MsgKind::OwnershipXfer { .. } => home_ownership_xfer(n, msg, fx),
+        MsgKind::OwnershipXfer { .. } => home_ownership_xfer(n, msg, clf, now, fx),
         MsgKind::FetchMiss { .. } => home_fetch_miss(n, msg, fx),
         // -------------------- cache side --------------------
-        MsgKind::Inval { requester, writer } => {
+        MsgKind::Inval { requester } => {
             let block = n.geom.block_of(msg.addr);
             if n.cache.invalidate(block).is_some() {
-                clf.copy_lost(n.id, block, LossCause::External { word_addr: msg.addr, writer }, now);
+                let cause = LossCause::External { word_addr: msg.addr, writer: requester };
+                clf.copy_lost(n.id, block, cause, now);
                 fx.touched_blocks.push(block);
             }
             fx.sends.push(n.msg(requester, msg.addr, MsgKind::InvAck));
-        }
-        MsgKind::InvAck => {
-            n.acks_received += 1;
-            fx.sync_progress = true;
         }
         MsgKind::Fetch { requester } => {
             let block = n.geom.block_of(msg.addr);
@@ -145,12 +124,13 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
                 }
             }
         }
-        MsgKind::FetchInv { requester, writer } => {
+        MsgKind::FetchInv { requester } => {
             let block = n.geom.block_of(msg.addr);
             let home = n.home_of(msg.addr);
             match n.cache.invalidate(block) {
                 Some((_, data)) => {
-                    clf.copy_lost(n.id, block, LossCause::External { word_addr: msg.addr, writer }, now);
+                    let cause = LossCause::External { word_addr: msg.addr, writer: requester };
+                    clf.copy_lost(n.id, block, cause, now);
                     fx.sends.push(n.msg(requester, msg.addr, MsgKind::DataXFwd { data: Box::new(data) }));
                     fx.sends.push(n.msg(home, msg.addr, MsgKind::OwnershipXfer { to: requester }));
                     fx.touched_blocks.push(block);
@@ -160,13 +140,6 @@ pub fn handle_msg(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle,
                     fx.sends.push(n.msg(home, msg.addr, MsgKind::FetchMiss { original: Box::new(original) }));
                 }
             }
-        }
-        MsgKind::Data { data } | MsgKind::DataFwd { data } => {
-            let block = n.geom.block_of(msg.addr);
-            n.fill_block(block, &data, LineState::Shared, clf, now, fx);
-            let pr = n.pending_read.take().expect("Data reply without pending read");
-            debug_assert_eq!(n.geom.block_of(pr.addr), block);
-            fx.read_done = Some(n.cache.read_word(&n.geom, pr.addr).expect("just filled"));
         }
         MsgKind::DataX { data, acks } => {
             let block = n.geom.block_of(msg.addr);
@@ -242,10 +215,8 @@ fn home_read(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
     let e = n.dir.entry(block);
     match e.state {
         DirState::Uncached | DirState::Shared => {
-            let from = e.state;
-            e.state = DirState::Shared;
             e.sharers.insert(r);
-            clf.dir_transition(block, from.name(), DirState::Shared.name(), r, "ReadShared", now);
+            set_dir_state(e, block, DirState::Shared, r, "ReadShared", clf, now);
             let data = n.mem.read_block(block);
             fx.sends.push(n.msg(r, msg.addr, MsgKind::Data { data }));
         }
@@ -272,17 +243,15 @@ fn home_getx(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
     let e = n.dir.entry(block);
     match e.state {
         DirState::Uncached | DirState::Shared => {
-            let from = e.state;
             let mut others = e.sharers;
             others.remove(r);
-            e.state = DirState::Owned;
             e.owner = r;
             e.sharers = SharerSet::empty();
-            clf.dir_transition(block, from.name(), DirState::Owned.name(), r, "GetX", now);
+            set_dir_state(e, block, DirState::Owned, r, "GetX", clf, now);
             let data = n.mem.read_block(block);
             fx.sends.push(n.msg(r, msg.addr, MsgKind::DataX { data, acks: others.len() as u32 }));
             for s in others.iter() {
-                fx.sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r, writer: r }));
+                fx.sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r }));
             }
         }
         DirState::Owned if e.owner == r => {
@@ -291,7 +260,7 @@ fn home_getx(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: 
         DirState::Owned => {
             let owner = e.owner;
             e.busy = true;
-            fx.sends.push(n.msg(owner, msg.addr, MsgKind::FetchInv { requester: r, writer: r }));
+            fx.sends.push(n.msg(owner, msg.addr, MsgKind::FetchInv { requester: r }));
         }
     }
 }
@@ -307,13 +276,12 @@ fn home_upgrade(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, f
     if e.state == DirState::Shared && e.sharers.contains(r) {
         let mut others = e.sharers;
         others.remove(r);
-        e.state = DirState::Owned;
         e.owner = r;
         e.sharers = SharerSet::empty();
-        clf.dir_transition(block, DirState::Shared.name(), DirState::Owned.name(), r, "Upgrade", now);
+        set_dir_state(e, block, DirState::Owned, r, "Upgrade", clf, now);
         fx.sends.push(n.msg(r, msg.addr, MsgKind::UpgradeAck { acks: others.len() as u32 }));
         for s in others.iter() {
-            fx.sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r, writer: r }));
+            fx.sends.push(n.msg(s, msg.addr, MsgKind::Inval { requester: r }));
         }
     } else {
         // The requester's copy was invalidated while the upgrade was in
@@ -328,25 +296,24 @@ fn home_sharing_wb(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle
     n.mem.write_block(block, &data);
     let e = n.dir.entry(block);
     debug_assert!(e.busy);
-    let from = e.state;
-    e.state = DirState::Shared;
     e.sharers = SharerSet::empty();
     e.sharers.insert(msg.src); // previous owner keeps a shared copy
     e.sharers.insert(requester);
     e.busy = false;
-    clf.dir_transition(block, from.name(), DirState::Shared.name(), requester, "SharingWB", now);
+    set_dir_state(e, block, DirState::Shared, requester, "SharingWB", clf, now);
     fx.requeue_home.extend(e.waiting.drain(..));
 }
 
-fn home_ownership_xfer(n: &mut ProtoNode, msg: Msg, fx: &mut Effects) {
+fn home_ownership_xfer(n: &mut ProtoNode, msg: Msg, clf: &mut Classifier, now: Cycle, fx: &mut Effects) {
     let block = n.geom.block_of(msg.addr);
     let MsgKind::OwnershipXfer { to } = msg.kind else { unreachable!() };
     let e = n.dir.entry(block);
     debug_assert!(e.busy);
-    e.state = DirState::Owned;
     e.owner = to;
     e.sharers = SharerSet::empty();
     e.busy = false;
+    // The recall kept the block Owned, so lineage sees no transition.
+    set_dir_state(e, block, DirState::Owned, to, "OwnershipXfer", clf, now);
     fx.requeue_home.extend(e.waiting.drain(..));
 }
 
@@ -431,7 +398,7 @@ mod tests {
                     assert_eq!(*acks, 2);
                     assert_eq!(m.dst, 1);
                 }
-                MsgKind::Inval { requester, .. } => {
+                MsgKind::Inval { requester } => {
                     assert_eq!(*requester, 1);
                     inv.push(m.dst);
                 }
@@ -516,7 +483,7 @@ mod tests {
         // Owner no longer caches the block (eviction raced the recall).
         let mut fx = Effects::default();
         owner.handle_msg(
-            Msg { src: 0, dst: 3, addr: a, kind: MsgKind::FetchInv { requester: 1, writer: 1 } },
+            Msg { src: 0, dst: 3, addr: a, kind: MsgKind::FetchInv { requester: 1 } },
             &mut clf,
             0,
             &mut fx,
@@ -533,7 +500,7 @@ mod tests {
         let a = addr_on(&sharer.geom, 0);
         let mut fx = Effects::default();
         sharer.handle_msg(
-            Msg { src: 0, dst: 2, addr: a, kind: MsgKind::Inval { requester: 1, writer: 1 } },
+            Msg { src: 0, dst: 2, addr: a, kind: MsgKind::Inval { requester: 1 } },
             &mut clf,
             0,
             &mut fx,

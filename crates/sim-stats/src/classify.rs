@@ -298,7 +298,7 @@ impl Classifier {
 
     /// A write under WI hit a read-shared copy and issued an exclusive
     /// (upgrade) request.
-    pub fn exclusive_request(&mut self, _node: NodeId, block: BlockAddr) {
+    pub fn exclusive_request(&mut self, block: BlockAddr) {
         self.report.misses.exclusive_requests += 1;
         if let Some(i) = self.structure_of(block.0) {
             self.report.by_structure[i].misses.exclusive_requests += 1;
@@ -367,9 +367,9 @@ impl Classifier {
         }
     }
 
-    /// The update for `addr` arriving at `node` tripped the competitive
-    /// threshold: it is a *drop* update and never opens a record.
-    pub fn update_caused_drop(&mut self, _node: NodeId, addr: Addr) {
+    /// An update for `addr` tripped the competitive threshold at the cache
+    /// it reached: it is a *drop* update and never opens a record.
+    pub fn update_caused_drop(&mut self, addr: Addr) {
         self.bump_update(addr, UpdateClass::Drop);
     }
 
@@ -675,7 +675,7 @@ mod tests {
         c.update_delivered(0, W0);
         // The 4th update trips the threshold; protocol reports it directly
         // and invalidates the block.
-        c.update_caused_drop(0, W1);
+        c.update_caused_drop(W1);
         c.copy_lost(0, BlockAddr(B), LossCause::SelfInvalidate, 10);
         let u = c.report().updates;
         assert_eq!(u.drop, 1);
@@ -869,7 +869,7 @@ mod tests {
             c.classify_miss(0, W0, 200);
             c.update_delivered(0, W1);
             c.update_delivered(0, W1);
-            c.exclusive_request(2, BlockAddr(B));
+            c.exclusive_request(BlockAddr(B));
             c.finish();
         }
         assert_eq!(plain.report().misses, observed.report().misses);
@@ -941,7 +941,7 @@ mod attribution_tests {
             c.update_delivered(0, B);
             c.word_referenced(0, B);
             c.update_arrival(0, B + 4, 1, true, 6);
-            c.update_caused_drop(0, B + 4);
+            c.update_caused_drop(B + 4);
             c.update_arrival(2, B + 8, 1, false, 7);
             c.update_delivered(2, B + 8); // survives to termination
             c.finish();
@@ -962,7 +962,7 @@ mod attribution_tests {
         let mut c = Classifier::new(Geometry::new(4));
         c.register_structure("s", B, 16);
         c.update_delivered(0, B);
-        c.update_caused_drop(0, B + 4);
+        c.update_caused_drop(B + 4);
         c.copy_lost(0, BlockAddr(B), LossCause::SelfInvalidate, 1);
         c.update_delivered(2, B + 8); // survives to the end
         let r = c.finish();

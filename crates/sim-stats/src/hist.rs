@@ -3,6 +3,8 @@
 use sim_engine::snapshot::{SnapError, SnapReader, SnapWriter};
 use sim_engine::Cycle;
 
+use crate::json::Json;
+
 /// A log₂-bucketed histogram of cycle latencies.
 ///
 /// Bucket `k` holds samples in `[2^k, 2^(k+1))` (bucket 0 holds 0 and 1).
@@ -114,6 +116,18 @@ impl LatencyHist {
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(k, &n)| (if k == 0 { 0 } else { 1u64 << k }, n))
+    }
+
+    /// The histogram as `{count, mean, max, buckets}`, where `buckets`
+    /// lists `[lower bound, samples]` for each non-empty bucket.
+    pub fn to_json(&self) -> Json {
+        let bucket = |(lo, n): (Cycle, u64)| Json::Arr(vec![Json::U64(lo), Json::U64(n)]);
+        Json::obj([
+            ("count", Json::U64(self.count)),
+            ("mean", Json::F64(self.mean())),
+            ("max", Json::U64(self.max)),
+            ("buckets", Json::Arr(self.nonempty_buckets().map(bucket).collect())),
+        ])
     }
 }
 

@@ -313,27 +313,13 @@ impl HostObsReport {
                     ("far_spills", Json::U64(self.queue.far_spills)),
                     ("far_merged", Json::U64(self.queue.far_merged)),
                     ("peak_depth", Json::U64(self.queue.peak_depth)),
-                    ("depth", hist_json(&self.queue.depth)),
-                    ("occupied_slots", hist_json(&self.queue.occupied_slots)),
-                    ("far_depth", hist_json(&self.queue.far_depth)),
+                    ("depth", self.queue.depth.to_json()),
+                    ("occupied_slots", self.queue.occupied_slots.to_json()),
+                    ("far_depth", self.queue.far_depth.to_json()),
                 ]),
             ),
         ])
     }
-}
-
-fn hist_json(h: &LatencyHist) -> Json {
-    Json::obj([
-        ("count", Json::U64(h.count())),
-        ("mean", Json::F64(h.mean())),
-        ("max", Json::U64(h.max())),
-        (
-            "buckets",
-            Json::Arr(
-                h.nonempty_buckets().map(|(lo, n)| Json::Arr(vec![Json::U64(lo), Json::U64(n)])).collect(),
-            ),
-        ),
-    ])
 }
 
 // ---------------------------------------------------------------------

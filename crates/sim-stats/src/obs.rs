@@ -564,23 +564,7 @@ impl ObsReport {
                 Json::obj(self.phase_totals.iter().map(|(&p, acct)| (self.phase_label(p), acct.to_json()))),
             ),
             ("msg_counts", Json::obj(self.msg_counts.iter().map(|(&k, &v)| (k, Json::U64(v))))),
-            (
-                "msg_latency",
-                Json::obj([
-                    ("count", Json::U64(self.msg_latency.count())),
-                    ("mean", Json::F64(self.msg_latency.mean())),
-                    ("max", Json::U64(self.msg_latency.max())),
-                    (
-                        "buckets",
-                        Json::Arr(
-                            self.msg_latency
-                                .nonempty_buckets()
-                                .map(|(lo, n)| Json::Arr(vec![Json::U64(lo), Json::U64(n)]))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
+            ("msg_latency", self.msg_latency.to_json()),
             ("endpoint_pair_flits", Json::Arr(endpoint_pair_flits)),
             ("samples", self.samples.to_json()),
             ("lineage", self.lineage.to_json(&|p| self.phase_label(p))),

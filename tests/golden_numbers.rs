@@ -99,9 +99,9 @@ fn mcs_lock_8_proc_cycles_and_instructions_are_stable() {
 /// order (later blobs hold deferred directory requests and write-buffer
 /// entries the first may lack).
 const CHECKPOINT_PINS: [(Protocol, usize, u64, u64); 3] = [
-    (Protocol::WriteInvalidate, 4775, 0x8013630db737f02a, 0x211628a5f177aac1),
-    (Protocol::PureUpdate, 5638, 0x45b2d04978bb32d4, 0xa9845adbe9f5d94f),
-    (Protocol::CompetitiveUpdate, 5580, 0xb9f2588786066879, 0x372d0331c79fb937),
+    (Protocol::WriteInvalidate, 4767, 0x2e0a8b43dd52b965, 0x18cbf66e89ea4264),
+    (Protocol::PureUpdate, 5630, 0x67c88d775959a42b, 0x2076391ccc6cc87e),
+    (Protocol::CompetitiveUpdate, 5580, 0x167bddaa63ddd74f, 0x84358c7706e32768),
 ];
 
 #[test]
